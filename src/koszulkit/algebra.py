@@ -69,6 +69,14 @@ class AlgebraSpec:
     def one(self) -> Monomial:
         return ((0,) * self.n_sym, 0)
 
+    def gen_monomial(self, is_ext: bool, i: int) -> Monomial:
+        """The monomial of the i-th ext generator (is_ext) or sym generator."""
+        if is_ext:
+            return ((0,) * self.n_sym, 1 << i)
+        exps = [0] * self.n_sym
+        exps[i] = 1
+        return (tuple(exps), 0)
+
     def key(self):
         return (self.kind, self.e, self.f, self.p)
 
@@ -200,13 +208,6 @@ def elt_bidegree(alg: AlgebraSpec, x: Element):
     return deg
 
 
-def elt_cohom_degree(alg: AlgebraSpec, x: Element) -> int:
-    deg = elt_bidegree(alg, x)
-    if deg is None:
-        raise ValueError("zero element has no degree")
-    return deg[0]
-
-
 @lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple:
     if parts == 0:
@@ -255,12 +256,3 @@ def _monomials_by_internal(key, jlo: int, jhi: int):
 
 def monomials_by_internal(alg: AlgebraSpec, jlo: int, jhi: int):
     return _monomials_by_internal(alg.key(), jlo, jhi)
-
-
-def cohom_degree_range(alg: AlgebraSpec, jlo: int, jhi: int):
-    """Bounds for the cohomological degree of monomials with j in [jlo, jhi]."""
-    table = _monomials_by_internal(alg.key(), jlo, jhi)
-    if not table:
-        return (0, 0)
-    degs = [i for (i, _) in table]
-    return (min(degs), max(degs))

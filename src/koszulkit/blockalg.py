@@ -122,20 +122,6 @@ class BlockAlgebra:
             raise ValueError("negative degrees present")
         return [table.get(d, 0) for d in range(top + 1)]
 
-    def left_action_on_column(self, a: int, vec: dict) -> dict:
-        """a . (sparse vector over basis indices)."""
-        out: dict[int, int] = {}
-        p = self.p
-        for b, c in vec.items():
-            i, coeff = self.product(a, b)
-            if coeff:
-                v = (out.get(i, 0) + c * coeff) % p
-                if v:
-                    out[i] = v
-                else:
-                    out.pop(i, None)
-        return out
-
     def column_basis(self, e: int) -> list[int]:
         """Basis indices spanning A.e (valid because products are monomial)."""
         out = []

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all verdicts pass, 1 a mathematical verdict failed,
 2 usage or input error.  Reports are deterministic: the same arguments
-and seed produce identical bytes, whatever backend computes the ranks.
+and seed produce identical bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .bigraded import SHIFT_CONVENTION, Window
 from .dgmodule import cohomology, deserialize_module
@@ -166,30 +165,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    import numpy as np
-
-    from ._kernels import BACKEND, rref_inplace, rref_numpy_inplace
-
-    rng = np.random.default_rng(args.seed)
-    mats = [
-        rng.integers(0, args.prime, size=(args.size, args.size)).astype(np.int64)
-        for _ in range(args.reps)
-    ]
-    rref_inplace(mats[0].copy(), args.prime)  # warm the jit
-    t0 = time.perf_counter()
-    for m in mats:
-        rref_inplace(m.copy(), args.prime)
-    hot = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for m in mats:
-        rref_numpy_inplace(m.copy(), args.prime)
-    cold = time.perf_counter() - t0
-    print(f"backend={BACKEND} size={args.size} reps={args.reps} p={args.prime}")
-    print(f"selected backend: {hot:.4f}s   numpy fallback: {cold:.4f}s")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koszulkit",
@@ -226,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--out", default=None)
     pt.set_defaults(func=cmd_table)
 
-    pb = sub.add_parser("bench", help="compare the numba and numpy backends")
-    pb.add_argument("--size", type=int, default=300)
-    pb.add_argument("--reps", type=int, default=5)
-    pb.add_argument("-p", "--prime", type=int, default=7)
-    pb.add_argument("--seed", type=int, default=0)
-    pb.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -264,6 +264,21 @@ def cone(phi: DgMap, check: bool = True) -> SemifreeDgModule:
     return SemifreeDgModule(phi.source.algebra, gens, diff)
 
 
+def _d_terms(module: SemifreeDgModule, k: int, mon):
+    """Terms ((l, monomial), coeff) of d(mon . e_k), unreduced mod p.
+
+    d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum_l diff[k][l] e_l; the same
+    (l, monomial) pair may come more than once.
+    """
+    A = module.algebra
+    for mon2, c in elt_d(A, {mon: 1}).items():
+        yield (k, mon2), c
+    sign = -1 if monomial_bidegree(A, mon)[0] & 1 else 1
+    for l, entry in module.diff.get(k, {}).items():
+        for mon2, c in elt_mul(A, {mon: 1}, entry).items():
+            yield (l, mon2), sign * c
+
+
 class Expansion:
     """Bigraded basis of a semifree module on an internal-degree range.
 
@@ -307,21 +322,13 @@ class Expansion:
         cached = self._dcache.get(n)
         if cached is not None:
             return cached
-        A = self.module.algebra
-        k, mon = self.basis[n]
+        p = self.module.algebra.p
         out: dict[int, int] = {}
-        for mon2, c in elt_d(A, {mon: 1}).items():
-            m = self.index.get((k, mon2))
+        for key, c in _d_terms(self.module, *self.basis[n]):
+            m = self.index.get(key)
             if m is not None:
-                out[m] = (out.get(m, 0) + c) % A.p
-        sign = -1 if monomial_bidegree(A, mon)[0] & 1 else 1
-        for l, entry in self.module.diff.get(k, {}).items():
-            prod = elt_scale(A, elt_mul(A, {mon: 1}, entry), sign)
-            for mon2, c in prod.items():
-                m = self.index.get((l, mon2))
-                if m is not None:
-                    out[m] = (out.get(m, 0) + c) % A.p
-        result = [(m, c) for m, c in sorted(out.items()) if c]
+                out[m] = out.get(m, 0) + c
+        result = [(m, c % p) for m, c in sorted(out.items()) if c % p]
         self._dcache[n] = result
         return result
 
@@ -329,13 +336,7 @@ class Expansion:
         """Left action of a single algebra generator on basis element n."""
         A = self.module.algebra
         k, mon = self.basis[n]
-        if is_ext:
-            gmon = ((0,) * A.n_sym, 1 << g)
-        else:
-            exps = [0] * A.n_sym
-            exps[g] = 1
-            gmon = (tuple(exps), 0)
-        prod = mul_monomials(A, gmon, mon)
+        prod = mul_monomials(A, A.gen_monomial(is_ext, g), mon)
         if prod is None:
             return []
         mon2, sign = prod
@@ -682,7 +683,6 @@ def semifree_resolution(module, depth: int = 3):
     A = M.algebra
     if A.kind != "T":
         raise ValueError("resolutions are implemented over the exterior algebra T")
-    p = A.p
     if M.dim == 0:
         P = free_module(A, [])
         return P, SemifreeToFiniteMap(P, M, {})
@@ -708,17 +708,13 @@ def semifree_resolution(module, depth: int = 3):
                 img: dict[int, int] = {}
                 for n, c in vec.items():
                     if n < off:
-                        img[n] = (-c) % p
+                        img[n] = -c
                     else:
                         k, mon = exp.basis[n - off]
                         entry = row.setdefault(k, {})
-                        entry[mon] = (entry.get(mon, 0) + c) % p
-                row = {k: {m: c for m, c in e.items() if c} for k, e in row.items()}
-                row = {k: e for k, e in row.items() if e}
-                if row:
-                    new_diff[g] = row
-                if img:
-                    new_images[g] = img
+                        entry[mon] = entry.get(mon, 0) + c
+                new_diff[g] = row
+                new_images[g] = img
             P = SemifreeDgModule(A, new_gens, new_diff)
             psi = SemifreeToFiniteMap(P, M, new_images)
     return P, psi
@@ -792,16 +788,38 @@ def serialize_module(module: SemifreeDgModule) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _check_int(value, what: str, lo=None, hi=None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        raise ValueError(f"{what} {value} is out of range")
+    return value
+
+
 def deserialize_module(text: str) -> SemifreeDgModule:
+    """Parse and validate the JSON of ``serialize_module``; ValueError on
+    any malformed or invalid input."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
+        raise ValueError("not a module document of schema 1")
     a = doc["algebra"]
-    algebra = make_algebra(a["kind"], a["e"], a["f"], a["p"])
-    gens = [tuple(g) for g in doc["gens"]]
+    algebra = make_algebra(a["kind"], *(_check_int(a[x], x) for x in "efp"))
+    gens = []
+    for g in doc["gens"]:
+        if len(g) != 2:
+            raise ValueError(f"generator bidegree must be a pair, got {g!r}")
+        gens.append(tuple(_check_int(x, "generator degree") for x in g))
     diff: dict[int, dict[int, dict]] = {}
     for k, l, terms in doc["diff"]:
+        _check_int(k, "generator index", 0, len(gens))
+        _check_int(l, "generator index", 0, len(gens))
         entry = {}
         for c, exps, mask in terms:
-            entry[(tuple(exps), mask)] = c
+            _check_int(c, "coefficient")
+            if len(exps) != algebra.n_sym:
+                raise ValueError(f"exponent vector {exps!r} must have length {algebra.n_sym}")
+            exps = tuple(_check_int(x, "exponent", 0) for x in exps)
+            entry[(exps, _check_int(mask, "ext mask", 0, 1 << algebra.n_ext))] = c
         diff.setdefault(k, {})[l] = entry
     mod = SemifreeDgModule(algebra, gens, diff)
     issues = mod.validate()

@@ -2,18 +2,16 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
 a pure function; no state is shared, so results from concurrent callers are
-safe to combine.  The row-reduction core lives in ``_kernels`` and can run
-either numba-compiled or as plain numpy (env ``KOSZULKIT_BACKEND``).
+safe to combine.  All elimination goes through ``rref``, a vectorized numpy
+row reduction; intermediate products must stay below 2**63, which holds for
+p < 2**31.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import BACKEND, rref_inplace
-
 __all__ = [
-    "BACKEND",
     "is_odd_prime",
     "check_modulus",
     "mat",
@@ -53,8 +51,26 @@ def mat(rows, p: int) -> np.ndarray:
 def rref(a: np.ndarray, p: int):
     """Reduced row echelon form. Returns (reduced copy, rank, pivot columns)."""
     r = np.ascontiguousarray(np.mod(a, p), dtype=np.int64)
-    rank_, pivots = rref_inplace(r, p)
-    return r, rank_, pivots
+    m, n = r.shape
+    pivots = np.full(min(m, n), -1, dtype=np.int64)
+    rank_ = 0
+    for col in range(n):
+        if rank_ == m:
+            break
+        nz = np.nonzero(r[rank_:, col])[0]
+        if nz.size == 0:
+            continue
+        sel = rank_ + int(nz[0])
+        if sel != rank_:
+            r[[rank_, sel]] = r[[sel, rank_]]
+        r[rank_] = r[rank_] * pow(int(r[rank_, col]), p - 2, p) % p
+        rows = np.nonzero(r[:, col])[0]
+        rows = rows[rows != rank_]
+        if rows.size:
+            r[rows] = (r[rows] - np.outer(r[rows, col], r[rank_])) % p
+        pivots[rank_] = col
+        rank_ += 1
+    return r, rank_, pivots[:rank_]
 
 
 def rank(a: np.ndarray, p: int) -> int:

@@ -59,38 +59,37 @@ class FunctorImage:
         self.expansion = expansion
 
 
+def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: bool) -> FunctorImage:
+    """The free B-module on the basis of ``exp`` with the Koszul differential.
+
+    w_b sits at offset + bidegree(b) and d(w_b) = d_sign w_{db} +
+    sum_i g_i . w_{x_i b}, where x_i is the i-th ext (act_ext) or sym
+    generator acting on the input and g_i is the partner generator of B.
+    """
+    one = B.one()
+    partners = [B.gen_monomial(not act_ext, i) for i in range(B.f)]
+    gens = [bidegree_add(offset, exp.bidegree_of(b)) for b in range(len(exp))]
+    diff: dict[int, dict[int, dict]] = {}
+    for b in range(len(exp)):
+        row = diff[b] = {}
+        for b2, c in exp.d_of(b):
+            entry = row.setdefault(b2, {})
+            entry[one] = entry.get(one, 0) + d_sign * c
+        for i, mon in enumerate(partners):
+            for b2, s in exp.act(act_ext, i, b):
+                entry = row.setdefault(b2, {})
+                entry[mon] = entry.get(mon, 0) + s
+    return FunctorImage(SemifreeDgModule(B, gens, diff), list(exp.basis), exp)
+
+
 def functor_F(M: SemifreeDgModule, jcut: int) -> FunctorImage:
     """T* tensor M as a semifree T-module, truncated below jcut."""
     A = M.algebra
     if A.kind != "S":
         raise ValueError(f"functor_F expects a module over S, got {A.kind}")
-    T = _partner(A, "T")
     n = A.f
-    if M.rank == 0:
-        return FunctorImage(SemifreeDgModule(T, [], {}), [], Expansion(M, 0, 0))
-    jhi = max(j for _, j in M.gens)
-    exp = Expansion(M, jcut, jhi)
-    p = A.p
-    top = (n, -2 * n)
-    gens = [bidegree_add(top, exp.bidegree_of(b)) for b in range(len(exp))]
-    one = T.one()
-    sign_n = -1 if n & 1 else 1
-    diff: dict[int, dict[int, dict]] = {}
-    for b in range(len(exp)):
-        row: dict[int, dict] = {}
-        for b2, c in exp.d_of(b):
-            entry = row.setdefault(b2, {})
-            entry[one] = (entry.get(one, 0) + sign_n * c) % p
-        for i in range(n):
-            for b2, s in exp.act(False, i, b):
-                mon = ((), 1 << i) if T.n_sym == 0 else ((0,) * T.n_sym, 1 << i)
-                entry = row.setdefault(b2, {})
-                entry[mon] = (entry.get(mon, 0) + s) % p
-        row = {l: {m: c for m, c in e.items() if c} for l, e in row.items()}
-        row = {l: e for l, e in row.items() if e}
-        if row:
-            diff[b] = row
-    return FunctorImage(SemifreeDgModule(T, gens, diff), list(exp.basis), exp)
+    exp = Expansion(M, jcut, max((j for _, j in M.gens), default=jcut))
+    return _koszul_image(exp, _partner(A, "T"), (n, -2 * n), -1 if n & 1 else 1, False)
 
 
 def functor_G(N: SemifreeDgModule) -> FunctorImage:
@@ -98,34 +97,9 @@ def functor_G(N: SemifreeDgModule) -> FunctorImage:
     A = N.algebra
     if A.kind != "T":
         raise ValueError(f"functor_G expects a module over T, got {A.kind}")
-    S = _partner(A, "S")
-    n = A.f
-    if N.rank == 0:
-        return FunctorImage(SemifreeDgModule(S, [], {}), [], Expansion(N, 0, 0))
-    jlo = min(j for _, j in N.gens)
-    jhi = max(j for _, j in N.gens) + 2 * n
-    exp = Expansion(N, jlo, jhi)
-    p = A.p
-    gens = [exp.bidegree_of(c) for c in range(len(exp))]
-    one = S.one()
-    diff: dict[int, dict[int, dict]] = {}
-    for c in range(len(exp)):
-        row: dict[int, dict] = {}
-        for c2, coeff in exp.d_of(c):
-            entry = row.setdefault(c2, {})
-            entry[one] = (entry.get(one, 0) + coeff) % p
-        for i in range(n):
-            for c2, s in exp.act(True, i, c):
-                exps = [0] * S.n_sym
-                exps[i] = 1
-                mon = (tuple(exps), 0)
-                entry = row.setdefault(c2, {})
-                entry[mon] = (entry.get(mon, 0) + s) % p
-        row = {l: {m: cf for m, cf in e.items() if cf} for l, e in row.items()}
-        row = {l: e for l, e in row.items() if e}
-        if row:
-            diff[c] = row
-    return FunctorImage(SemifreeDgModule(S, gens, diff), list(exp.basis), exp)
+    js = [j for _, j in N.gens]
+    exp = Expansion(N, min(js, default=0), max(js, default=0) + 2 * A.f)
+    return _koszul_image(exp, _partner(A, "S"), (0, 0), 1, True)
 
 
 def counit(M: SemifreeDgModule, jcut: int):

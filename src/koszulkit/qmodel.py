@@ -10,9 +10,9 @@ action) and Hom-duality over Q are all computed on semifree presentations.
 
 from __future__ import annotations
 
-from .algebra import make_algebra, monomial_bidegree, mul_monomials, _ext_sign, elt_d, elt_mul, elt_scale
+from .algebra import AlgebraSpec, _ext_sign, make_algebra, monomial_bidegree, monomials_by_internal
 from .bigraded import Window, bidegree_add
-from .dgmodule import DgMap, SemifreeDgModule, cohomology
+from .dgmodule import DgMap, SemifreeDgModule, _d_terms, cohomology
 from .homdual import DualityReport, _compare
 
 
@@ -33,16 +33,27 @@ def extend_to_Q(N: SemifreeDgModule, e: int) -> SemifreeDgModule:
     return SemifreeDgModule(Q, N.gens, diff)
 
 
-def _split_residual(Q, mon, keep_mask: int):
-    """Write a Q-monomial as +-(sub-part) * (residual), sub-part the
-    exterior monomial on ``keep_mask`` bits, residual the rest.
+def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, labels, split):
+    """M as a semifree module over a subalgebra B of Q over which Q is free.
 
-    Returns (sub_mask, residual_monomial, sign).
+    ``labels`` is the sorted list of (bidegree, k, residual monomial) naming
+    the new generators mon . e_k; ``split`` writes a Q-monomial as
+    (sign, B-monomial, residual), the monomial being sign times their
+    product.  Terms on residuals outside ``labels`` are dropped: the result
+    is the quotient by the dg-submodule the missing generators span.
+    Returns (module over B, labels).
     """
-    sub = mon[1] & keep_mask
-    rest = mon[1] & ~keep_mask
-    sign = _ext_sign(sub, rest)
-    return sub, (mon[0], rest), sign
+    index = {(k, mon): n for n, (_, k, mon) in enumerate(labels)}
+    diff: dict[int, dict[int, dict]] = {}
+    for n, (_, k, mon) in enumerate(labels):
+        row = diff[n] = {}
+        for (l, qmon), c in _d_terms(M, k, mon):
+            sign, bmon, res = split(qmon)
+            m = index.get((l, res))
+            if m is not None:
+                entry = row.setdefault(m, {})
+                entry[bmon] = entry.get(bmon, 0) + sign * c
+    return SemifreeDgModule(B, [bd for bd, _, _ in labels], diff), labels
 
 
 def restrict_to_T(M: SemifreeDgModule, jhi: int):
@@ -56,50 +67,21 @@ def restrict_to_T(M: SemifreeDgModule, jhi: int):
     Q = M.algebra
     if Q.kind != "Q":
         raise ValueError("restrict_to_T expects a module over Q")
-    f, p = Q.f, Q.p
-    T = make_algebra("T", Q.e, f, p)
-    fmask = (1 << f) - 1
-    # residual monomials: z-exponents and exterior part above f
+    fmask = (1 << Q.f) - 1
     labels = []
     for k, g in enumerate(M.gens):
-        from .algebra import monomials_by_internal
-
         for (mi, mj), mons in monomials_by_internal(Q, 0, jhi - g[1]).items():
             for mon in mons:
                 if mon[1] & fmask:
                     continue
                 labels.append((bidegree_add(g, (mi, mj)), k, mon))
     labels.sort()
-    index = {(k, mon): n for n, (_, k, mon) in enumerate(labels)}
-    gens = [bd for bd, _, _ in labels]
-    diff: dict[int, dict[int, dict]] = {}
-    for n, (_, k, mon) in enumerate(labels):
-        acc: dict[int, dict] = {}
 
-        def put(l, qmon, coeff):
-            sub, res, sign = _split_residual(Q, qmon, fmask)
-            m = index.get((l, res))
-            if m is None:
-                return
-            tmon = ((), sub)
-            entry = acc.setdefault(m, {})
-            v = (entry.get(tmon, 0) + sign * coeff) % p
-            if v:
-                entry[tmon] = v
-            else:
-                entry.pop(tmon, None)
+    def split(qmon):
+        sub, rest = qmon[1] & fmask, qmon[1] & ~fmask
+        return _ext_sign(sub, rest), ((), sub), (qmon[0], rest)
 
-        for qmon, c in elt_d(Q, {mon: 1}).items():
-            put(k, qmon, c)
-        sgn = -1 if monomial_bidegree(Q, mon)[0] & 1 else 1
-        for l, e in M.diff.get(k, {}).items():
-            for qmon, c in elt_scale(Q, elt_mul(Q, {mon: 1}, e), sgn).items():
-                put(l, qmon, c)
-        acc = {m: {t: c for t, c in ent.items() if c} for m, ent in acc.items()}
-        acc = {m: ent for m, ent in acc.items() if ent}
-        if acc:
-            diff[n] = acc
-    return SemifreeDgModule(T, gens, diff), labels
+    return _restrict_scalars(M, make_algebra("T", Q.e, Q.f, Q.p), labels, split)
 
 
 def restriction_unit(N: SemifreeDgModule, e: int, jhi: int) -> DgMap:
@@ -126,45 +108,18 @@ def pushforward_p(M: SemifreeDgModule):
     Q = M.algebra
     if Q.kind != "Q":
         raise ValueError("pushforward_p expects a module over Q")
-    e, f, p = Q.e, Q.f, Q.p
-    P = make_algebra("P", e, f, p)
-    allmask = (1 << Q.n_ext) - 1
+    zero = (0,) * Q.n_sym
     labels = []
     for k, g in enumerate(M.gens):
-        for mask in range(allmask + 1):
-            mon = ((0,) * Q.n_sym, mask)
-            labels.append((bidegree_add(g, monomial_bidegree(Q, mon)), k, mask))
+        for mask in range(1 << Q.n_ext):
+            mon = (zero, mask)
+            labels.append((bidegree_add(g, monomial_bidegree(Q, mon)), k, mon))
     labels.sort()
-    index = {(k, mask): n for n, (_, k, mask) in enumerate(labels)}
-    gens = [bd for bd, _, _ in labels]
-    diff: dict[int, dict[int, dict]] = {}
-    for n, (_, k, mask) in enumerate(labels):
-        mon = ((0,) * Q.n_sym, mask)
-        acc: dict[int, dict] = {}
 
-        def put(l, qmon, coeff):
-            m = index.get((l, qmon[1]))
-            if m is None:
-                return
-            pmon = (qmon[0], 0)
-            entry = acc.setdefault(m, {})
-            v = (entry.get(pmon, 0) + coeff) % p
-            if v:
-                entry[pmon] = v
-            else:
-                entry.pop(pmon, None)
+    def split(qmon):
+        return 1, (qmon[0], 0), (zero, qmon[1])
 
-        for qmon, c in elt_d(Q, {mon: 1}).items():
-            put(k, qmon, c)
-        sgn = -1 if monomial_bidegree(Q, mon)[0] & 1 else 1
-        for l, e_ in M.diff.get(k, {}).items():
-            for qmon, c in elt_scale(Q, elt_mul(Q, {mon: 1}, e_), sgn).items():
-                put(l, qmon, c)
-        acc = {m: {t: c for t, c in ent.items() if c} for m, ent in acc.items()}
-        acc = {m: ent for m, ent in acc.items() if ent}
-        if acc:
-            diff[n] = acc
-    return SemifreeDgModule(P, gens, diff), labels
+    return _restrict_scalars(M, make_algebra("P", Q.e, Q.f, Q.p), labels, split)
 
 
 def dualize_Q(M: SemifreeDgModule) -> SemifreeDgModule:

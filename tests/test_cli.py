@@ -158,9 +158,21 @@ def test_table_of_kappa_of_point(tmp_path):
     assert doc["table"] == [[0, 0, 1]]
 
 
-def test_table_malformed_file(tmp_path):
+_S1 = {"algebra": {"e": 1, "f": 1, "kind": "S", "p": 3}, "gens": [[0, 0], [1, -2]], "schema": 1}
+_T21 = {"algebra": {"e": 2, "f": 1, "kind": "T", "p": 3}, "gens": [[0, 0], [-2, 2]], "schema": 1}
+MALFORMED = {
+    "not-json": "{not json",
+    "gen-index": json.dumps(dict(_S1, gens=[[0, 0]], diff=[[0, 5, [[1, [1], 0]]]])),
+    "schema": json.dumps(dict(_S1, schema=9, diff=[[1, 0, [[1, [1], 0]]]])),
+    "exponent-length": json.dumps(dict(_S1, diff=[[1, 0, [[1, [0, 1], 0]]]])),
+    "ext-mask": json.dumps(dict(_T21, diff=[[1, 0, [[1, [], 2]]]])),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_table_malformed_file(tmp_path, case):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text(MALFORMED[case])
     assert main(["table", str(path)]) == 2
 
 

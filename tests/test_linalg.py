@@ -112,16 +112,3 @@ def test_solve_solves(data, seed):
     got = linalg.matmul(a, x.reshape(-1, 1), p).ravel() if a.size else np.zeros(a.shape[0], dtype=np.int64)
     assert (got == b).all()
 
-
-def test_backends_agree():
-    from koszulkit._kernels import rref_inplace, rref_numpy_inplace
-
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.integers(0, 7, size=(8, 11)).astype(np.int64)
-        a1, a2 = a.copy(), a.copy()
-        r1, p1 = rref_inplace(a1, 7)
-        r2, p2 = rref_numpy_inplace(a2, 7)
-        assert r1 == r2
-        assert (a1 == a2).all()
-        assert list(p1) == list(p2)
