@@ -22,7 +22,8 @@ algebra element is a dict monomial -> coefficient in [1, p).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .bigraded import Bidegree
 from .linalg import check_modulus
@@ -40,15 +41,15 @@ class AlgebraSpec:
     f: int
     p: int
 
-    @property
+    @cached_property
     def n_sym(self) -> int:
         return {"S": self.f, "R": self.f, "T": 0, "Q": self.e - self.f, "P": self.e - self.f}[self.kind]
 
-    @property
+    @cached_property
     def n_ext(self) -> int:
         return {"S": 0, "R": 0, "T": self.f, "Q": self.e, "P": 0}[self.kind]
 
-    @property
+    @cached_property
     def sym_deg(self) -> Bidegree:
         return {"S": (2, -2), "R": (0, -2), "T": (0, 0), "Q": (0, 2), "P": (0, 2)}[self.kind]
 
@@ -225,6 +226,9 @@ def _compositions(total: int, parts: int) -> tuple:
 def _monomials_by_internal(key, jlo: int, jhi: int):
     """All monomials with internal degree in [jlo, jhi], grouped by bidegree.
 
+    The cached result is shared by every caller, so it is read-only: a
+    mapping of bidegree to a sorted tuple of monomials.
+
     Terminates because every generator in every kind has internal degree
     +-2, so each internal degree bounds the total monomial length.
     """
@@ -249,9 +253,7 @@ def _monomials_by_internal(key, jlo: int, jhi: int):
             bucket = table.setdefault((i, j), [])
             for exps in _compositions(t, alg.n_sym):
                 bucket.append((exps, mask))
-    for bucket in table.values():
-        bucket.sort()
-    return table
+    return MappingProxyType({bd: tuple(sorted(bucket)) for bd, bucket in table.items()})
 
 
 def monomials_by_internal(alg: AlgebraSpec, jlo: int, jhi: int):

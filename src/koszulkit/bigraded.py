@@ -13,8 +13,6 @@ this single choice.
 
 from __future__ import annotations
 
-import json
-
 Bidegree = tuple[int, int]
 
 SHIFT_CONVENTION = "M[a]<b>^i_j = M^{i+a}_{j-b}"
@@ -92,13 +90,6 @@ class BigradedDims:
         """Canonical serialization: [i, j, dim] sorted lexicographically."""
         return [[i, j, self.table[(i, j)]] for (i, j) in sorted(self.table)]
 
-    @classmethod
-    def from_triples(cls, triples) -> "BigradedDims":
-        return cls({(int(i), int(j)): int(d) for i, j, d in triples})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_triples(), separators=(",", ":"))
-
     def __repr__(self):
         return f"BigradedDims({self.to_triples()})"
 
@@ -129,9 +120,6 @@ class Window:
 
     def negate(self) -> "Window":
         return Window(-self.i1, -self.i0, -self.j1, -self.j0)
-
-    def internal_degrees(self) -> range:
-        return range(self.j0, self.j1 + 1)
 
     def as_tuple(self):
         return (self.i0, self.i1, self.j0, self.j1)

@@ -18,11 +18,22 @@ Sign conventions, fixed project-wide and enforced by validate():
 Cohomology is exact: for each internal degree the expansion is finite in
 every cohomological degree, so ranks are computed over the whole column and
 a window only selects which bidegrees are reported.
+
+Expansions are assembled by one kernel from cached integer tables.  For
+each (algebra, internal-degree span) the monomials are numbered once, and
+for each monomial mon the block table says where mon times every monomial
+of the span lands, with its sign.  A differential or a generator action is
+then the concatenation of the blocks its entries select, shifted to each
+generator's rows, as COO arrays; spans are cut to the degrees monomials can
+have, so modules of any shape share the same few tables.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import accumulate
+from math import inf
 
 import numpy as np
 
@@ -35,12 +46,10 @@ from .algebra import (
     elt_mul,
     elt_scale,
     make_algebra,
-    monomial_bidegree,
-    monomials_by_internal,
     mul_monomials,
 )
 from .bigraded import Bidegree, BigradedDims, Window, bidegree_add, bidegree_sub
-from .linalg import rank as mat_rank
+from .linalg import kernel_basis, rank as mat_rank
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -50,32 +59,45 @@ def _entry_degree(gens, k: int, l: int) -> int:
     return gens[k][0] - gens[l][0] + 1
 
 
+def _clean_matrix(algebra: AlgebraSpec, matrix) -> dict[int, dict[int, dict]]:
+    """Rows of algebra entries with zero entries and rows dropped.  An entry
+    is rebuilt through ``elt`` only when a coefficient is outside [1, p) or
+    an exponent vector is not a tuple; clean entries are kept as they are."""
+    p = algebra.p
+    out = {}
+    for k, row in (matrix or {}).items():
+        clean = {}
+        for l, entry in row.items():
+            for (exps, _), c in entry.items():
+                if not 0 < c < p or type(exps) is not tuple:
+                    entry = alg_mod.elt(algebra, entry)
+                    break
+            if entry:
+                clean[l] = entry
+        if clean:
+            out[k] = clean
+    return out
+
+
 class SemifreeDgModule:
+    """Free generator bidegrees ``gens`` and a sparse differential ``diff``.
+
+    The entry dicts are immutable after construction: clean entries are
+    shared, not copied, between a module and the modules derived from it
+    (shifts, sums, cones), so neither the caller nor any later code may
+    modify them in place.
+    """
+
     __slots__ = ("algebra", "gens", "diff")
 
     def __init__(self, algebra: AlgebraSpec, gens, diff=None):
         self.algebra = algebra
         self.gens: tuple[Bidegree, ...] = tuple((int(i), int(j)) for i, j in gens)
-        self.diff: dict[int, dict[int, dict]] = {}
-        if diff:
-            for k, row in diff.items():
-                clean = {}
-                for l, entry in row.items():
-                    entry = alg_mod.elt(algebra, entry)
-                    if entry:
-                        clean[l] = entry
-                if clean:
-                    self.diff[k] = clean
+        self.diff: dict[int, dict[int, dict]] = _clean_matrix(algebra, diff)
 
     @property
     def rank(self) -> int:
         return len(self.gens)
-
-    def entry(self, k: int, l: int) -> dict:
-        return self.diff.get(k, {}).get(l, {})
-
-    def gen_window(self) -> Window:
-        return Window.hull(self.gens)
 
     def validate(self) -> list[str]:
         """All dg-module axioms; empty list means the module is valid."""
@@ -118,8 +140,8 @@ class SemifreeDgModule:
             new_row = {}
             for l, entry in row.items():
                 c = _entry_degree(self.gens, k, l)
-                sign = -1 if (a * (c + 1)) & 1 else 1
-                new_row[l] = elt_scale(self.algebra, entry, sign)
+                odd = (a * (c + 1)) & 1
+                new_row[l] = elt_scale(self.algebra, entry, -1) if odd else entry
             diff[k] = new_row
         return SemifreeDgModule(self.algebra, gens, diff)
 
@@ -133,18 +155,8 @@ class SemifreeDgModule:
         for l, row in self.diff.items():
             for k, entry in row.items():
                 c = _entry_degree(self.gens, l, k)
-                sign = -1 if ((c * (c - 1)) // 2) & 1 else 1
-                diff.setdefault(k, {})[l] = elt_scale(self.algebra, entry, sign)
-        return SemifreeDgModule(self.algebra, gens, diff)
-
-    def direct_sum(self, other: "SemifreeDgModule") -> "SemifreeDgModule":
-        if other.algebra != self.algebra:
-            raise ValueError("direct sum needs a common algebra")
-        off = self.rank
-        gens = self.gens + other.gens
-        diff = {k: dict(row) for k, row in self.diff.items()}
-        for k, row in other.diff.items():
-            diff[k + off] = {l + off: e for l, e in row.items()}
+                odd = ((c * (c - 1)) // 2) & 1
+                diff.setdefault(k, {})[l] = elt_scale(self.algebra, entry, -1) if odd else entry
         return SemifreeDgModule(self.algebra, gens, diff)
 
     def __eq__(self, other) -> bool:
@@ -171,7 +183,8 @@ class DgMap:
 
     matrix[k][l] is the coefficient of target generator l in the image of
     source generator k; it must be homogeneous of bidegree
-    source.gens[k] - target.gens[l].
+    source.gens[k] - target.gens[l].  As in SemifreeDgModule, the entry
+    dicts are immutable after construction.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -181,15 +194,7 @@ class DgMap:
             raise ValueError("chain map needs a common algebra")
         self.source = source
         self.target = target
-        self.matrix: dict[int, dict[int, dict]] = {}
-        for k, row in (matrix or {}).items():
-            clean = {}
-            for l, entry in row.items():
-                entry = alg_mod.elt(source.algebra, entry)
-                if entry:
-                    clean[l] = entry
-            if clean:
-                self.matrix[k] = clean
+        self.matrix: dict[int, dict[int, dict]] = _clean_matrix(source.algebra, matrix)
 
     def validate(self, min_internal: int | None = None) -> list[str]:
         """Chain-map and homogeneity checks.
@@ -242,10 +247,6 @@ def identity_map(module: SemifreeDgModule) -> DgMap:
     return DgMap(module, module, {k: {k: one} for k in range(module.rank)})
 
 
-def zero_map(source: SemifreeDgModule, target: SemifreeDgModule) -> DgMap:
-    return DgMap(source, target, {})
-
-
 def cone(phi: DgMap, check: bool = True) -> SemifreeDgModule:
     """Mapping cone target + source[1] with the standard differential."""
     if check:
@@ -264,19 +265,101 @@ def cone(phi: DgMap, check: bool = True) -> SemifreeDgModule:
     return SemifreeDgModule(phi.source.algebra, gens, diff)
 
 
-def _d_terms(module: SemifreeDgModule, k: int, mon):
-    """Terms ((l, monomial), coeff) of d(mon . e_k), unreduced mod p.
+def _spans(A: AlgebraSpec, jlo: int, jhi: int, gens):
+    """For each generator, the monomial range [jlo - j, jhi - j] cut to the
+    internal degrees monomials can have.
 
-    d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum_l diff[k][l] e_l; the same
-    (l, monomial) pair may come more than once.
+    Every generator has internal degree +-2, so monomial degrees are even;
+    sym generators of negative degree (S, R) bound them above by 0, all
+    others bound them below by 0, and the exterior part alone by 2 n_ext.
+    Equal spans give equal tables, so modules share cache entries.
     """
-    A = module.algebra
-    for mon2, c in elt_d(A, {mon: 1}).items():
-        yield (k, mon2), c
-    sign = -1 if monomial_bidegree(A, mon)[0] & 1 else 1
-    for l, entry in module.diff.get(k, {}).items():
-        for mon2, c in elt_mul(A, {mon: 1}, entry).items():
-            yield (l, mon2), sign * c
+    lo, hi = (0, 2 * A.n_ext) if not A.n_sym else (-inf, 0) if A.sym_deg[1] < 0 else (0, inf)
+    spans = []
+    for _, j in gens:
+        a, b = max(jlo - j, lo), min(jhi - j, hi)
+        a, b = a + (a & 1), b - (b & 1)
+        spans.append((a, b) if a <= b else (0, -2))
+    return spans
+
+
+@lru_cache(maxsize=None)
+def _table(key, jlo: int, jhi: int):
+    """The monomials of ``monomials_by_internal`` on [jlo, jhi], in its
+    order, and a read-only (n, 2) array of their bidegrees."""
+    table = alg_mod._monomials_by_internal(key, jlo, jhi)
+    mons = tuple(mon for bucket in table.values() for mon in bucket)
+    degs = np.array([bd for bd, bucket in table.items() for _ in bucket], dtype=np.int64).reshape(-1, 2)
+    degs.flags.writeable = False
+    return mons, degs
+
+
+def _frozen_block(terms) -> np.ndarray:
+    """Triples (source row, target row, coefficient) as a read-only 3 x n array."""
+    block = np.array(terms, dtype=np.int64).reshape(-1, 3).T.copy()
+    block.flags.writeable = False
+    return block
+
+
+@lru_cache(maxsize=None)
+def _block(key, src_range, dst_range, mon, left: bool):
+    """The multiplication table of mon on the table on ``src_range``: where
+    mon times each of its monomials m lands in the table on ``dst_range``.
+
+    The product is mon . m when ``left`` (a generator acting) and
+    (-1)^{|m|} m . mon otherwise, a term of d(m e) = (-1)^{|m|} m d(e).
+    Vanishing products and products outside the target are dropped.
+    """
+    A = AlgebraSpec(*key)
+    src, src_degs = _table(key, *src_range)
+    dst = _table(key, *dst_range)[0]
+    row = dict(zip(dst, range(len(dst))))
+    terms = []
+    for r, (m, i) in enumerate(zip(src, src_degs[:, 0].tolist())):
+        prod = mul_monomials(A, mon, m) if left else mul_monomials(A, m, mon)
+        if prod is not None and prod[0] in row:
+            terms.append((r, row[prod[0]], prod[1] if left or not i & 1 else -prod[1]))
+    return _frozen_block(terms)
+
+
+@lru_cache(maxsize=None)
+def _derivation_block(key, rng):
+    """The table of d_A on the table on ``rng``; d_A preserves internal
+    degree, so every term stays in the table."""
+    A = AlgebraSpec(*key)
+    mons = _table(key, *rng)[0]
+    row = dict(zip(mons, range(len(mons))))
+    return _frozen_block([(r, row[m2], c) for r, m in enumerate(mons) for m2, c in elt_d(A, {m: 1}).items()])
+
+
+def _d_blocks(module: SemifreeDgModule, ranges):
+    """The blocks (block, k, l, coeff) whose sum is d on the generators'
+    tables: d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum_l diff[k][l] e_l."""
+    key = module.algebra.key()
+    blocks = [
+        (_block(key, ranges[k], ranges[l], mon, False), k, l, c)
+        for k, row in module.diff.items()
+        for l, entry in row.items()
+        for mon, c in entry.items()
+    ]
+    if module.algebra.has_differential:
+        blocks += [(_derivation_block(key, r), k, k, 1) for k, r in enumerate(ranges)]
+    return blocks
+
+
+def _merge(rows, cols, vals, n: int, p: int):
+    """Entries sorted by (row, col), equal positions summed mod p and zeros
+    dropped; ``vals`` must be nonzero mod p, so only summed entries vanish."""
+    rc = rows * n + cols
+    order = rc.argsort(kind="stable")
+    rc, vals = rc[order], vals[order] % p
+    repeat = rc[1:] == rc[:-1]
+    if repeat.any():
+        first = np.concatenate(([0], (~repeat).nonzero()[0] + 1))
+        vals = np.add.reduceat(vals, first) % p
+        rc = rc[first]
+        rc, vals = rc[vals != 0], vals[vals != 0]
+    return (*np.divmod(rc, n), vals)
 
 
 class Expansion:
@@ -287,98 +370,99 @@ class Expansion:
     expansion computes honest cohomology.  Generator actions that would
     leave the range are projected away (a quotient in the raising
     direction, a submodule in the lowering one).
+
+    ``basis`` lists (k, monomial) sorted by (bidegree, k, monomial),
+    ``degs`` holds their bidegrees as an (n, 2) array, and ``d`` is the
+    differential as arrays (rows, cols, coeffs) sorted by (row, col), with
+    d(b_row) containing coeff * b_col.
     """
 
-    __slots__ = ("module", "jlo", "jhi", "basis", "index", "by_bidegree", "_dcache")
+    __slots__ = ("module", "degs", "d", "_ranges", "_offsets", "_place", "_mons", "_gen", "_order", "_basis")
 
     def __init__(self, module: SemifreeDgModule, jlo: int, jhi: int):
         self.module = module
-        self.jlo, self.jhi = jlo, jhi
         A = module.algebra
-        basis = []
-        for k, (gi, gj) in enumerate(module.gens):
-            table = monomials_by_internal(A, jlo - gj, jhi - gj)
-            for (mi, mj), mons in table.items():
-                bd = (gi + mi, gj + mj)
-                for mon in mons:
-                    basis.append((bd, k, mon))
-        basis.sort()
-        self.basis = [(k, mon) for (_, k, mon) in basis]
-        self.index = {pair: n for n, pair in enumerate(self.basis)}
-        self.by_bidegree: dict[Bidegree, list[int]] = {}
-        for n, (bd, _, _) in enumerate(basis):
-            self.by_bidegree.setdefault(bd, []).append(n)
-        self._dcache = {}
+        key = A.key()
+        ranges = self._ranges = _spans(A, jlo, jhi, module.gens)
+        tables = [_table(key, *r) for r in ranges]
+        sizes = [len(mons) for mons, _ in tables]
+        self._offsets = list(accumulate(sizes, initial=0))
+        # per basis element: generator bidegree and index
+        shift = np.array([(i, j, k) for k, (i, j) in enumerate(module.gens)], dtype=np.int64)
+        shift = shift.reshape(-1, 3).repeat(sizes, axis=0)
+        degs = np.concatenate([np.zeros((0, 2), np.int64)] + [degs for _, degs in tables]) + shift[:, :2]
+        gen = shift[:, 2]
+        order = np.lexsort((gen, degs[:, 1], degs[:, 0]))
+        self._place = np.empty_like(order)
+        self._place[order] = np.arange(len(order))
+        self.degs = degs[order]
+        self._mons, self._gen, self._order, self._basis = [ms for ms, _ in tables], gen, order, None
+        self.d = self._assemble(_d_blocks(module, ranges))
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.degs)
 
-    def bidegree_of(self, n: int) -> Bidegree:
-        k, mon = self.basis[n]
-        return bidegree_add(self.module.gens[k], monomial_bidegree(self.module.algebra, mon))
+    @property
+    def basis(self) -> list:
+        """The basis as (k, monomial) pairs; built on first use."""
+        if self._basis is None:
+            mons = [mon for ms in self._mons for mon in ms]
+            gen = self._gen[self._order].tolist()
+            self._basis = list(zip(gen, map(mons.__getitem__, self._order.tolist())))
+        return self._basis
 
-    def d_of(self, n: int):
-        """Differential of basis element n as [(index, coeff)], exact."""
-        cached = self._dcache.get(n)
-        if cached is not None:
-            return cached
-        p = self.module.algebra.p
-        out: dict[int, int] = {}
-        for key, c in _d_terms(self.module, *self.basis[n]):
-            m = self.index.get(key)
-            if m is not None:
-                out[m] = out.get(m, 0) + c
-        result = [(m, c % p) for m, c in sorted(out.items()) if c % p]
-        self._dcache[n] = result
-        return result
+    def _assemble(self, blocks):
+        """Sum over blocks (block, k, l, coeff) of coeff times the block
+        taken from the rows of generator k to those of generator l."""
+        blocks = [b for b in blocks if b[0].shape[1]]
+        if not blocks:
+            return tuple(_frozen_block([]))
+        off = self._offsets
+        src, dst, sign = np.concatenate([b for b, _, _, _ in blocks], axis=1)
+        lens = [b.shape[1] for b, _, _, _ in blocks]
+        src_off, dst_off, coeff = np.array([(off[k], off[l], c) for _, k, l, c in blocks]).T.repeat(lens, axis=1)
+        rows, cols = self._place[src + src_off], self._place[dst + dst_off]
+        return _merge(rows, cols, sign * coeff, len(self.degs), self.module.algebra.p)
 
-    def act(self, is_ext: bool, g: int, n: int):
-        """Left action of a single algebra generator on basis element n."""
+    def action(self, is_ext: bool, g: int):
+        """Left action of one algebra generator as (rows, cols, coeffs),
+        sorted by row; images outside the range are dropped."""
         A = self.module.algebra
-        k, mon = self.basis[n]
-        prod = mul_monomials(A, A.gen_monomial(is_ext, g), mon)
-        if prod is None:
-            return []
-        mon2, sign = prod
-        m = self.index.get((k, mon2))
-        if m is None:
-            return []
-        return [(m, sign % A.p)]
-
-    def dims(self) -> BigradedDims:
-        return BigradedDims({bd: len(v) for bd, v in self.by_bidegree.items()})
+        mon = A.gen_monomial(is_ext, g)
+        return self._assemble([(_block(A.key(), r, r, mon, True), k, k, 1) for k, r in enumerate(self._ranges)])
 
 
-def _column_cohomology(degs_at, d_of, window: Window, p: int) -> BigradedDims:
-    """Exact cohomology from a per-bidegree basis and a differential callback.
+def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:
+    """Exact cohomology from basis bidegrees and a differential.
 
-    degs_at: dict bidegree -> list of basis indices (complete per column).
+    degs: (n, 2) array of basis bidegrees in lexicographic order, complete
+    per column; d: arrays (rows, cols, coeffs) sorted by row.  Entries that
+    do not have bidegree (1, 0) are ignored.
     """
     out = BigradedDims()
-    for j in range(window.j0, window.j1 + 1):
-        cells = {bd[0]: idxs for bd, idxs in degs_at.items() if bd[1] == j}
-        if not cells:
+    rows, cols, vals = d
+    if len(rows):
+        code = degs[:, 0] << 32 | degs[:, 1] & 0xFFFFFFFF  # one int per bidegree
+        live = code[cols] - code[rows] == 1 << 32
+        rows, cols, vals = rows[live], cols[live], vals[live]
+    # cells: runs of one bidegree, with their entries as slices of d
+    bds = list(map(tuple, degs.tolist()))
+    bounds = [n for n in range(len(bds)) if n == 0 or bds[n] != bds[n - 1]] + [len(bds)]
+    ebounds = rows.searchsorted(bounds).tolist()
+    cells = {bds[b]: c for c, b in enumerate(bounds[:-1])}
+    ranks = {}
+    for (i, j), c in cells.items():
+        t = cells.get((i + 1, j))
+        if t is None or not window.j0 <= j <= window.j1:
             continue
-        ranks: dict[int, int] = {}
-        for i, idxs in cells.items():
-            tgt = cells.get(i + 1, [])
-            if not tgt:
-                ranks[i] = 0
-                continue
-            pos = {m: c for c, m in enumerate(tgt)}
-            a = np.zeros((len(idxs), len(tgt)), dtype=np.int64)
-            for r, n in enumerate(idxs):
-                for m, coeff in d_of(n):
-                    col = pos.get(m)
-                    if col is not None:
-                        a[r, col] = coeff
-            ranks[i] = mat_rank(a, p)
-        for i, idxs in cells.items():
-            if not (window.i0 <= i <= window.i1):
-                continue
-            h = len(idxs) - ranks.get(i, 0) - ranks.get(i - 1, 0)
-            if h:
-                out[(i, j)] = h
+        a = np.zeros((bounds[c + 1] - bounds[c], bounds[t + 1] - bounds[t]), dtype=np.int64)
+        e = slice(ebounds[c], ebounds[c + 1])
+        a[rows[e] - bounds[c], cols[e] - bounds[t]] = vals[e]
+        ranks[(i, j)] = mat_rank(a, p)
+    for (i, j), c in cells.items():
+        h = bounds[c + 1] - bounds[c] - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
+        if h and window.contains((i, j)):
+            out[(i, j)] = h
     return out
 
 
@@ -389,13 +473,7 @@ def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
     cohomological degrees before ranks are taken.
     """
     exp = Expansion(module, window.j0, window.j1)
-    return _column_cohomology(exp.by_bidegree, exp.d_of, window, module.algebra.p)
-
-
-def expansion_dims(module: SemifreeDgModule, window: Window) -> BigradedDims:
-    exp = Expansion(module, window.j0, window.j1)
-    table = exp.dims()
-    return BigradedDims({bd: d for bd, d in table.table.items() if window.contains(bd)})
+    return _column_cohomology(exp.degs, exp.d, window, module.algebra.p)
 
 
 def is_quasi_iso(phi: DgMap, window: Window, check: bool = True) -> bool:
@@ -426,15 +504,6 @@ class FiniteDgModule:
     @property
     def dim(self) -> int:
         return len(self.basis_degs)
-
-    def by_bidegree(self) -> dict[Bidegree, list[int]]:
-        out: dict[Bidegree, list[int]] = {}
-        for n, bd in enumerate(self.basis_degs):
-            out.setdefault(bd, []).append(n)
-        return out
-
-    def d_of(self, n: int):
-        return sorted(self.d.get(n, {}).items())
 
     def apply_matrix(self, matrix, vec: dict) -> dict:
         p = self.algebra.p
@@ -521,7 +590,12 @@ class FiniteDgModule:
         return issues
 
     def cohomology(self, window: Window) -> BigradedDims:
-        return _column_cohomology(self.by_bidegree(), self.d_of, window, self.algebra.p)
+        order = sorted(range(self.dim), key=self.basis_degs.__getitem__)
+        place = dict(zip(order, range(self.dim)))
+        d = sorted((place[n], place[m], c) for n, row in self.d.items() for m, c in row.items())
+        degs = np.array([self.basis_degs[n] for n in order], dtype=np.int64).reshape(-1, 2)
+        coo = np.array(d, dtype=np.int64).reshape(-1, 3).T
+        return _column_cohomology(degs, coo, window, self.algebra.p)
 
     def shift(self, a: int, b: int) -> "FiniteDgModule":
         """[a]<b>: d picks up (-1)^a, odd generator actions pick up (-1)^a."""
@@ -544,23 +618,19 @@ def _clean_scalar(matrix, p: int):
     return out
 
 
+def _as_dict(rows, cols, vals) -> dict[int, dict[int, int]]:
+    out: dict[int, dict[int, int]] = {}
+    for n, m, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out.setdefault(n, {})[m] = c
+    return out
+
+
 def expansion_to_finite(exp: Expansion) -> FiniteDgModule:
     """Materialize an expansion with full generator-action matrices."""
     A = exp.module.algebra
-    degs = [exp.bidegree_of(n) for n in range(len(exp))]
-    d = {n: dict(exp.d_of(n)) for n in range(len(exp))}
-    sym_act = [
-        {n: dict(exp.act(False, s, n)) for n in range(len(exp))} for s in range(A.n_sym)
-    ]
-    ext_act = [
-        {n: dict(exp.act(True, g, n)) for n in range(len(exp))} for g in range(A.n_ext)
-    ]
-    return FiniteDgModule(A, degs, d, sym_act, ext_act)
-
-
-def trivial_module(algebra: AlgebraSpec, bidegree: Bidegree = (0, 0)) -> FiniteDgModule:
-    """The one-dimensional module with every generator acting by zero."""
-    return FiniteDgModule(algebra, [bidegree])
+    sym_act = [_as_dict(*exp.action(False, s)) for s in range(A.n_sym)]
+    ext_act = [_as_dict(*exp.action(True, g)) for g in range(A.n_ext)]
+    return FiniteDgModule(A, exp.degs.tolist(), _as_dict(*exp.d), sym_act, ext_act)
 
 
 class FiniteMap:
@@ -660,11 +730,6 @@ class SemifreeToFiniteMap:
         return exp, FiniteMap(fin_src, self.target, matrix)
 
 
-def cone_semifree_to_finite(psi: SemifreeToFiniteMap, jlo: int, jhi: int) -> FiniteDgModule:
-    _, fmap = psi.to_finite(jlo, jhi)
-    return cone_finite(fmap)
-
-
 def semifree_resolution(module, depth: int = 3):
     """Semifree approximation of a finite dg-module over T.
 
@@ -738,8 +803,6 @@ def _cocycle_complement(fin: FiniteDgModule, j: int):
                 r = pos.get(m)
                 if r is not None:
                     a[r, c] = coeff
-        from .linalg import kernel_basis
-
         ker = kernel_basis(a, p)  # columns: cocycles in idxs-coordinates
         if ker.shape[1] == 0:
             continue

@@ -14,12 +14,9 @@ import numpy as np
 __all__ = [
     "is_odd_prime",
     "check_modulus",
-    "mat",
     "rank",
     "rref",
     "kernel_basis",
-    "solve",
-    "matmul",
 ]
 
 
@@ -40,37 +37,31 @@ def check_modulus(p: int) -> int:
     return p
 
 
-def mat(rows, p: int) -> np.ndarray:
-    """Build an int64 matrix reduced mod p from nested lists or an array."""
-    a = np.asarray(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return np.mod(a, p)
-
-
 def rref(a: np.ndarray, p: int):
     """Reduced row echelon form. Returns (reduced copy, rank, pivot columns)."""
     r = np.ascontiguousarray(np.mod(a, p), dtype=np.int64)
-    m, n = r.shape
-    pivots = np.full(min(m, n), -1, dtype=np.int64)
-    rank_ = 0
-    for col in range(n):
+    m = r.shape[0]
+    pivots = []
+    # Row operations keep a zero column zero, so only nonzero columns can pivot.
+    for col in r.any(axis=0).nonzero()[0].tolist():
+        rank_ = len(pivots)
         if rank_ == m:
             break
-        nz = np.nonzero(r[rank_:, col])[0]
+        nz = r[rank_:, col].nonzero()[0]
         if nz.size == 0:
             continue
         sel = rank_ + int(nz[0])
         if sel != rank_:
             r[[rank_, sel]] = r[[sel, rank_]]
-        r[rank_] = r[rank_] * pow(int(r[rank_, col]), p - 2, p) % p
-        rows = np.nonzero(r[:, col])[0]
+        pivot = r[rank_]
+        pivot *= pow(int(pivot[col]), p - 2, p)
+        pivot %= p
+        rows = r[:, col].nonzero()[0]
         rows = rows[rows != rank_]
         if rows.size:
-            r[rows] = (r[rows] - np.outer(r[rows, col], r[rank_])) % p
-        pivots[rank_] = col
-        rank_ += 1
-    return r, rank_, pivots[:rank_]
+            r[rows] = (r[rows] - r[rows, col, None] * pivot) % p
+        pivots.append(col)
+    return r, len(pivots), np.array(pivots, dtype=np.int64)
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -93,36 +84,9 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     if m == 0 or not a.any():
         return np.eye(n, dtype=np.int64)
     r, rank_, pivots = rref(a, p)
-    free = [j for j in range(n) if j not in set(pivots.tolist())]
+    pivot_set = set(pivots.tolist())
+    free = [j for j in range(n) if j not in pivot_set]
     k = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, j in enumerate(free):
-        k[j, idx] = 1
-        for row in range(rank_):
-            k[pivots[row], idx] = (-r[row, j]) % p
+    k[free, range(len(free))] = 1
+    k[pivots] = (-r[:rank_, free]) % p
     return k
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a @ x = b mod p, or None when the system is inconsistent.
-
-    Free variables are set to 0, so the returned solution is canonical.
-    Raises ValueError on shape mismatch.
-    """
-    b = np.mod(np.asarray(b, dtype=np.int64), p)
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch: A is {a.shape}, b is {b.shape}")
-    m, n = a.shape
-    aug = np.zeros((m, n + 1), dtype=np.int64)
-    aug[:, :n] = np.mod(a, p)
-    aug[:, n] = b
-    r, rank_, pivots = rref(aug, p)
-    if rank_ and pivots[-1] == n:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for row in range(rank_):
-        x[pivots[row]] = r[row, n]
-    return x
-
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.mod(a.astype(np.int64) @ b.astype(np.int64), p)

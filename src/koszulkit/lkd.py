@@ -25,7 +25,7 @@ pinned here and re-verified by DgMap.validate in the test suite.
 from __future__ import annotations
 
 from .algebra import AlgebraSpec, _ext_sign, make_algebra, monomial_bidegree
-from .bigraded import Window, bidegree_add
+from .bigraded import Window
 from .dgmodule import DgMap, Expansion, SemifreeDgModule
 
 def standard_window(*modules: SemifreeDgModule) -> Window:
@@ -66,19 +66,13 @@ def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: 
     sum_i g_i . w_{x_i b}, where x_i is the i-th ext (act_ext) or sym
     generator acting on the input and g_i is the partner generator of B.
     """
-    one = B.one()
-    partners = [B.gen_monomial(not act_ext, i) for i in range(B.f)]
-    gens = [bidegree_add(offset, exp.bidegree_of(b)) for b in range(len(exp))]
-    diff: dict[int, dict[int, dict]] = {}
-    for b in range(len(exp)):
-        row = diff[b] = {}
-        for b2, c in exp.d_of(b):
-            entry = row.setdefault(b2, {})
-            entry[one] = entry.get(one, 0) + d_sign * c
-        for i, mon in enumerate(partners):
-            for b2, s in exp.act(act_ext, i, b):
-                entry = row.setdefault(b2, {})
-                entry[mon] = entry.get(mon, 0) + s
+    parts = [(B.one(), *exp.d[:2], exp.d[2] * d_sign % B.p)]
+    parts += [(B.gen_monomial(not act_ext, i), *exp.action(act_ext, i)) for i in range(B.f)]
+    diff: dict[int, dict[int, dict]] = {b: {} for b in range(len(exp))}
+    for mon, rows, cols, vals in parts:
+        for b, b2, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            diff[b].setdefault(b2, {})[mon] = c
+    gens = (exp.degs + offset).tolist()
     return FunctorImage(SemifreeDgModule(B, gens, diff), list(exp.basis), exp)
 
 
@@ -169,10 +163,6 @@ def unit(N: SemifreeDgModule, jcut: int):
 def kappa(M: SemifreeDgModule, jcut: int) -> SemifreeDgModule:
     """Linear Koszul duality on objects; defined as functor_F."""
     return functor_F(M, jcut).module
-
-
-def kappa_inv(N: SemifreeDgModule) -> SemifreeDgModule:
-    return functor_G(N).module
 
 
 def regrade_xi(M: SemifreeDgModule) -> SemifreeDgModule:

@@ -10,9 +10,9 @@ action) and Hom-duality over Q are all computed on semifree presentations.
 
 from __future__ import annotations
 
-from .algebra import AlgebraSpec, _ext_sign, make_algebra, monomial_bidegree, monomials_by_internal
+from .algebra import AlgebraSpec, _ext_sign, make_algebra, monomial_bidegree
 from .bigraded import Window, bidegree_add
-from .dgmodule import DgMap, SemifreeDgModule, _d_terms, cohomology
+from .dgmodule import DgMap, SemifreeDgModule, _d_blocks, _spans, _table, cohomology
 from .homdual import DualityReport, _compare
 
 
@@ -33,26 +33,32 @@ def extend_to_Q(N: SemifreeDgModule, e: int) -> SemifreeDgModule:
     return SemifreeDgModule(Q, N.gens, diff)
 
 
-def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, labels, split):
+def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual, split):
     """M as a semifree module over a subalgebra B of Q over which Q is free.
 
-    ``labels`` is the sorted list of (bidegree, k, residual monomial) naming
-    the new generators mon . e_k; ``split`` writes a Q-monomial as
+    The new generators are the elements mon . e_k of internal degree up to
+    ``jhi`` whose monomial ``is_residual``; ``split`` writes a Q-monomial as
     (sign, B-monomial, residual), the monomial being sign times their
-    product.  Terms on residuals outside ``labels`` are dropped: the result
-    is the quotient by the dg-submodule the missing generators span.
-    Returns (module over B, labels).
+    product.  Terms on residuals that are not generators are dropped: the
+    result is the quotient by the dg-submodule the missing generators span.
+    Returns (module over B, labels), a label being (bidegree, k, residual).
     """
+    Q = M.algebra
+    ranges = _spans(Q, min((j for _, j in M.gens), default=0), jhi, M.gens)
+    mons = [_table(Q.key(), *r)[0] for r in ranges]
+    gens = enumerate(M.gens)
+    labels = sorted((bidegree_add(g, monomial_bidegree(Q, m)), k, m) for k, g in gens for m in mons[k] if is_residual(m))
     index = {(k, mon): n for n, (_, k, mon) in enumerate(labels)}
-    diff: dict[int, dict[int, dict]] = {}
-    for n, (_, k, mon) in enumerate(labels):
-        row = diff[n] = {}
-        for (l, qmon), c in _d_terms(M, k, mon):
-            sign, bmon, res = split(qmon)
-            m = index.get((l, res))
-            if m is not None:
-                entry = row.setdefault(m, {})
-                entry[bmon] = entry.get(bmon, 0) + sign * c
+    diff: dict[int, dict[int, dict]] = {n: {} for n in range(len(labels))}
+    for (src, dst, sign), k, l, c in _d_blocks(M, ranges):
+        for r, r2, s in zip(src.tolist(), dst.tolist(), sign.tolist()):
+            n = index.get((k, mons[k][r]))
+            if n is not None:
+                sgn, bmon, res = split(mons[l][r2])
+                m = index.get((l, res))
+                if m is not None:
+                    entry = diff[n].setdefault(m, {})
+                    entry[bmon] = entry.get(bmon, 0) + sgn * s * c
     return SemifreeDgModule(B, [bd for bd, _, _ in labels], diff), labels
 
 
@@ -68,20 +74,12 @@ def restrict_to_T(M: SemifreeDgModule, jhi: int):
     if Q.kind != "Q":
         raise ValueError("restrict_to_T expects a module over Q")
     fmask = (1 << Q.f) - 1
-    labels = []
-    for k, g in enumerate(M.gens):
-        for (mi, mj), mons in monomials_by_internal(Q, 0, jhi - g[1]).items():
-            for mon in mons:
-                if mon[1] & fmask:
-                    continue
-                labels.append((bidegree_add(g, (mi, mj)), k, mon))
-    labels.sort()
 
     def split(qmon):
         sub, rest = qmon[1] & fmask, qmon[1] & ~fmask
         return _ext_sign(sub, rest), ((), sub), (qmon[0], rest)
 
-    return _restrict_scalars(M, make_algebra("T", Q.e, Q.f, Q.p), labels, split)
+    return _restrict_scalars(M, make_algebra("T", Q.e, Q.f, Q.p), jhi, lambda mon: not mon[1] & fmask, split)
 
 
 def restriction_unit(N: SemifreeDgModule, e: int, jhi: int) -> DgMap:
@@ -109,17 +107,12 @@ def pushforward_p(M: SemifreeDgModule):
     if Q.kind != "Q":
         raise ValueError("pushforward_p expects a module over Q")
     zero = (0,) * Q.n_sym
-    labels = []
-    for k, g in enumerate(M.gens):
-        for mask in range(1 << Q.n_ext):
-            mon = (zero, mask)
-            labels.append((bidegree_add(g, monomial_bidegree(Q, mon)), k, mon))
-    labels.sort()
 
     def split(qmon):
         return 1, (qmon[0], 0), (zero, qmon[1])
 
-    return _restrict_scalars(M, make_algebra("P", Q.e, Q.f, Q.p), labels, split)
+    jhi = max((j for _, j in M.gens), default=0) + 2 * Q.n_ext
+    return _restrict_scalars(M, make_algebra("P", Q.e, Q.f, Q.p), jhi, lambda mon: mon[0] == zero, split)
 
 
 def dualize_Q(M: SemifreeDgModule) -> SemifreeDgModule:

@@ -29,7 +29,7 @@ SEED = 2024
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the row-reduction kernel outside any timed section
+    # warm numpy's first call (imports, first allocation) outside any timed section
     import numpy as np
 
     from koszulkit.linalg import rank

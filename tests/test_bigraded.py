@@ -66,7 +66,7 @@ def test_dual_intertwines_shift(entries, s):
 def test_serialization_sorted_triples():
     d = table({(1, 0): 2, (-1, 3): 1, (1, -2): 5})
     assert d.to_triples() == [[-1, 3, 1], [1, -2, 5], [1, 0, 2]]
-    assert BigradedDims.from_triples(d.to_triples()) == d
+    assert BigradedDims({(i, j): dim for i, j, dim in d.to_triples()}) == d
 
 
 def test_window_contains_and_restrict():

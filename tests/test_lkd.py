@@ -1,12 +1,14 @@
+from collections import Counter
+
 import pytest
 
 from koszulkit.algebra import make_algebra
-from koszulkit.bigraded import Window
+from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
+    Expansion,
     SemifreeDgModule,
     cohomology,
     cone,
-    expansion_dims,
     free_module,
     identity_map,
     is_quasi_iso,
@@ -17,7 +19,6 @@ from koszulkit.lkd import (
     functor_G,
     functor_jcut,
     kappa,
-    kappa_inv,
     regrade_xi,
     regrade_xi_inv,
     standard_window,
@@ -27,6 +28,23 @@ from koszulkit.samples import random_acyclic, random_module, stream
 
 JCUT = -14
 W = Window(-4, 4, -6, 6)
+
+
+def kappa_inv(N: SemifreeDgModule) -> SemifreeDgModule:
+    return functor_G(N).module
+
+
+def expansion_dims(module: SemifreeDgModule, window: Window) -> BigradedDims:
+    exp = Expansion(module, window.j0, window.j1)
+    return BigradedDims(Counter(map(tuple, exp.degs.tolist()))).restrict(window)
+
+
+def direct_sum(M: SemifreeDgModule, N: SemifreeDgModule) -> SemifreeDgModule:
+    off = M.rank
+    diff = {k: dict(row) for k, row in M.diff.items()}
+    for k, row in N.diff.items():
+        diff[k + off] = {l + off: e for l, e in row.items()}
+    return SemifreeDgModule(M.algebra, M.gens + N.gens, diff)
 
 
 def S_algebra(f, p=5):
@@ -188,7 +206,7 @@ def test_kappa_is_functor_F_and_additive():
     M = free_module(S_algebra(1), [(0, 0)])
     assert kappa(M, JCUT) == functor_F(M, JCUT).module
     N = koszul_complex()
-    both = M.direct_sum(N)
+    both = direct_sum(M, N)
     win = Window(-3, 3, -4, 4)
     jcut = functor_jcut(win, 1)
     assert cohomology(kappa(both, jcut), win) == cohomology(kappa(M, jcut), win) + cohomology(
