@@ -5,19 +5,22 @@ A BlockAlgebra has a basis whose pairwise products are single basis
 elements with a scalar coefficient (all the algebras built here are of
 this monomial shape).  Tables carry an extra "zero" slot so that products
 vectorize; associativity, unitality and grading multiplicativity are
-machine-checked on construction.
+machine-checked on construction.  Every consumer (the Frobenius form, the
+anti-automorphism and Cartan checks, idempotent columns and the action on
+projectives) gathers from ``mult_idx``/``mult_coeff`` directly.
 
 Graded left modules are represented as homogeneous subspaces of direct
-sums of shifted projectives A.e; minimal projective covers are computed
-degreewise by splitting the radical, which is the positive-degree part
-because degree 0 is semisimple.
+sums of shifted projectives A.e; ``ProjectiveSum.act`` applies one algebra
+element to a vector or to a whole matrix of columns.  Minimal projective
+covers are computed degreewise by splitting the radical, which is the
+positive-degree part because degree 0 is semisimple.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_modulus, kernel_basis, rank
+from .linalg import check_modulus, independent_columns, kernel_basis
 
 
 class BlockAlgebra:
@@ -124,14 +127,11 @@ class BlockAlgebra:
 
     def column_basis(self, e: int) -> list[int]:
         """Basis indices spanning A.e (valid because products are monomial)."""
-        out = []
-        for b in range(self.dim):
-            i, coeff = self.product(b, e)
-            if coeff:
-                if i != b or coeff != 1:
-                    raise ValueError("idempotent column is not basis-aligned")
-                out.append(b)
-        return out
+        idx, coeff = self.mult_idx[: self.dim, e], self.mult_coeff[: self.dim, e]
+        hit = coeff.nonzero()[0]
+        if (idx[hit] != hit).any() or (coeff[hit] != 1).any():
+            raise ValueError("idempotent column is not basis-aligned")
+        return hit.tolist()
 
 
 class ProjectiveSum:
@@ -140,32 +140,29 @@ class ProjectiveSum:
     def __init__(self, algebra: BlockAlgebra, summands):
         self.algebra = algebra
         self.summands = list(summands)  # (idempotent index, degree shift)
-        self.basis = []  # (summand number, algebra basis index)
-        for g, (e, _) in enumerate(self.summands):
-            for b in algebra.column_basis(e):
-                self.basis.append((g, b))
-        self.pos = {gb: n for n, gb in enumerate(self.basis)}
-        self.degrees = np.array(
-            [int(self.algebra.degrees[b]) + self.summands[g][1] for g, b in self.basis],
-            dtype=np.int64,
-        )
+        # basis element n is algebra element element[n] in summand summand[n]
+        columns = [algebra.column_basis(e) for e, _ in self.summands]
+        self.summand = np.repeat(np.arange(len(columns), dtype=np.int64), [len(c) for c in columns])
+        self.element = np.array([b for c in columns for b in c], dtype=np.int64)
+        # row[g, b]: position of (g, b) in the basis, -1 when b is not in A.e_g
+        self.row = np.full((len(columns), algebra.dim), -1, dtype=np.int64)
+        self.row[self.summand, self.element] = np.arange(self.dim)
+        shifts = np.array([shift for _, shift in self.summands], dtype=np.int64)
+        self.degrees = algebra.degrees[self.element] + shifts[self.summand]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.element)
 
-    def act(self, a: int, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec)
-        p = self.algebra.p
-        for n, c in enumerate(vec):
-            if not c:
-                continue
-            g, b = self.basis[n]
-            i, coeff = self.algebra.product(a, b)
-            if coeff:
-                m = self.pos[(g, i)]
-                out[m] = (out[m] + c * coeff) % p
-        return out
+    def act(self, a: int, x: np.ndarray) -> np.ndarray:
+        """a.x for x a vector or a matrix of columns in this basis."""
+        A = self.algebra
+        coeff = A.mult_coeff[a, self.element]
+        hit = coeff.nonzero()[0]
+        rows = self.row[self.summand[hit], A.mult_idx[a, self.element[hit]]]
+        out = np.zeros_like(x)
+        np.add.at(out, rows, (x[hit].T * coeff[hit]).T)  # row n of x scaled by coeff[n]
+        return out % A.p
 
 
 class Syzygy:
@@ -185,20 +182,8 @@ def simple_socle_start(algebra: BlockAlgebra, idem: int) -> Syzygy:
     """First syzygy of the simple at ``idem``: the positive-degree part of
     A.e (exact because degree 0 is semisimple, so J = A_{>0})."""
     amb = ProjectiveSum(algebra, [(idem, 0)])
-    cols, degs = [], []
-    for n, (g, b) in enumerate(amb.basis):
-        d = int(algebra.degrees[b])
-        if d >= 1:
-            v = np.zeros(amb.dim, dtype=np.int64)
-            v[n] = 1
-            cols.append(v)
-            degs.append(d)
-    mat = np.stack(cols, axis=1) if cols else np.zeros((amb.dim, 0), dtype=np.int64)
-    return Syzygy(amb, mat, degs)
-
-
-def _rank(mat: np.ndarray, p: int) -> int:
-    return rank(mat, p) if mat.size else 0
+    keep = amb.degrees >= 1
+    return Syzygy(amb, np.eye(amb.dim, dtype=np.int64)[:, keep], amb.degrees[keep])
 
 
 def minimal_generators(syz: Syzygy) -> list[tuple]:
@@ -208,48 +193,19 @@ def minimal_generators(syz: Syzygy) -> list[tuple]:
     algebra elements applied to lower-degree columns of K; multiplicity of
     the simple of class r is read off by applying its idempotent.
     """
-    A = syz.ambient.algebra
-    p = A.p
+    A, amb = syz.ambient.algebra, syz.ambient
     out = []
-    if syz.dim == 0:
-        return out
-    degrees = sorted(set(int(d) for d in syz.degrees))
-    pos_elems = [a for a in range(A.dim) if A.degrees[a] >= 1]
-    for d in degrees:
-        kd = syz.columns[:, syz.degrees == d]
-        jk = []
-        for a in pos_elems:
-            da = int(A.degrees[a])
-            lower = syz.columns[:, syz.degrees == d - da]
-            for cidx in range(lower.shape[1]):
-                jk.append(syz.ambient.act(a, lower[:, cidx]))
-        jk_mat = (
-            np.stack(jk, axis=1) if jk else np.zeros((syz.ambient.dim, 0), dtype=np.int64)
+    pos_elems = [(a, da) for a, da in enumerate(A.degrees.tolist()) if da >= 1]
+    by_degree = {d: syz.columns[:, syz.degrees == d] for d in sorted(set(syz.degrees.tolist()))}
+    for d, kd in by_degree.items():
+        jk = np.concatenate(
+            [np.zeros((amb.dim, 0), dtype=np.int64)]
+            + [amb.act(a, by_degree[d - da]) for a, da in pos_elems if d - da in by_degree],
+            axis=1,
         )
-        base = _rank(jk_mat, p)
         for label, e, _ in A.idempotents:
-            evecs = []
-            for cidx in range(kd.shape[1]):
-                v = np.zeros(syz.ambient.dim, dtype=np.int64)
-                for n, c in enumerate(kd[:, cidx]):
-                    if not c:
-                        continue
-                    g, b = syz.ambient.basis[n]
-                    i, coeff = A.product(e, b)
-                    if coeff:
-                        v[syz.ambient.pos[(g, i)]] = (
-                            v[syz.ambient.pos[(g, i)]] + c * coeff
-                        ) % p
-                if v.any():
-                    evecs.append(v)
-            spanned = jk_mat
-            rk = base
-            for v in evecs:
-                cand = np.concatenate([spanned, v.reshape(-1, 1)], axis=1)
-                r2 = _rank(cand, p)
-                if r2 > rk:
-                    spanned, rk = cand, r2
-                    out.append((label, d, v))
+            ek = amb.act(e, kd)
+            out.extend((label, d, ek[:, c]) for c in independent_columns(jk, ek, A.p))
     return out
 
 
@@ -259,12 +215,13 @@ def next_syzygy(syz: Syzygy, gens) -> Syzygy:
     p = A.p
     idx_of = {label: e for label, e, _ in A.idempotents}
     cover = ProjectiveSum(A, [(idx_of[label], d) for label, d, _ in gens])
+    targets = np.column_stack(
+        [np.zeros((syz.ambient.dim, 0), dtype=np.int64)] + [v for _, _, v in gens]
+    )
     phi = np.zeros((syz.ambient.dim, cover.dim), dtype=np.int64)
-    for n, (g, b) in enumerate(cover.basis):
-        img = np.zeros(syz.ambient.dim, dtype=np.int64)
-        target = gens[g][2]
-        img = syz.ambient.act(b, target)
-        phi[:, n] = img
+    for b in np.unique(cover.element).tolist():
+        cols = np.nonzero(cover.element == b)[0]
+        phi[:, cols] = syz.ambient.act(b, targets[:, cover.summand[cols]])
     ker = kernel_basis(phi, p)
     degs = []
     cols = []

@@ -14,7 +14,6 @@ import sys
 
 from .bigraded import SHIFT_CONVENTION, Window
 from .dgmodule import cohomology, deserialize_module
-from .linalg import check_modulus
 from .suites import SUITES, Config, report_to_json, run_verify
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -124,13 +123,8 @@ def cmd_verify(args) -> int:
 def cmd_sl2(args) -> int:
     from .sl2 import block_report
 
-    check_modulus(args.prime)
     if args.singular == (args.lam is not None):
         raise ValueError("give exactly one of --lambda or --singular")
-    if args.lam is not None and not (0 <= args.lam <= (args.prime - 3) // 2):
-        raise ValueError(
-            f"lambda must lie in [0, (p-3)/2] = [0, {(args.prime - 3) // 2}], got {args.lam}"
-        )
     rep = block_report(args.prime, None if args.singular else args.lam, hbound=args.hbound)
     doc = {
         "schema": 1,

@@ -49,7 +49,7 @@ from .algebra import (
     mul_monomials,
 )
 from .bigraded import Bidegree, BigradedDims, Window, bidegree_add, bidegree_sub
-from .linalg import kernel_basis, rank as mat_rank
+from .linalg import independent_columns, kernel_basis, rank as mat_rank
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -814,16 +814,9 @@ def _cocycle_complement(fin: FiniteDgModule, j: int):
                 r = here.get(m)
                 if r is not None:
                     b[r, c] = coeff
-        base_rank = mat_rank(b, p)
-        spanned = b
-        for col in range(ker.shape[1]):
-            cand = np.concatenate([spanned, ker[:, col : col + 1]], axis=1)
-            r = mat_rank(cand, p)
-            if r > base_rank:
-                base_rank = r
-                spanned = cand
-                vec = {idxs[r_]: int(ker[r_, col]) for r_ in range(len(idxs)) if ker[r_, col]}
-                out.append((i, vec))
+        for col in independent_columns(b, ker, p):
+            vec = {idxs[r_]: int(ker[r_, col]) for r_ in range(len(idxs)) if ker[r_, col]}
+            out.append((i, vec))
     return out
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "rank",
     "rref",
     "kernel_basis",
+    "independent_columns",
 ]
 
 
@@ -69,6 +70,19 @@ def rank(a: np.ndarray, p: int) -> int:
     if a.size == 0:
         return 0
     return rref(a, p)[1]
+
+
+def independent_columns(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:
+    """Indices of the columns of ``cands`` that a left-to-right greedy pass
+    keeps: each lies outside the span of ``base`` and the kept ones before it.
+
+    These are the pivot columns of one rref of [base | cands] that lie past
+    ``base``: a column pivots exactly when it is independent of those before.
+    """
+    if not cands.any():
+        return []
+    pivots = rref(np.concatenate([base, cands], axis=1), p)[2]
+    return (pivots[pivots >= base.shape[1]] - base.shape[1]).tolist()
 
 
 def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:

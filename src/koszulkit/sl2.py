@@ -67,7 +67,7 @@ def block_ext_dims(r: int, s: int, p: int = 3) -> dict[int, int]:
 def _check_lambda(p: int, lam: int):
     check_modulus(p)
     if not (0 <= lam <= (p - 3) // 2):
-        raise ValueError(f"lambda must satisfy 0 <= lambda <= (p-3)/2, got {lam} for p={p}")
+        raise ValueError(f"lambda must lie in [0, (p-3)/2] = [0, {(p - 3) // 2}], got {lam}")
 
 
 def build_regular_block(p: int, lam: int) -> BlockAlgebra:
@@ -192,18 +192,16 @@ def quiver_basic_algebra(p: int) -> BlockAlgebra:
 
 def graded_cartan(algebra: BlockAlgebra) -> dict:
     """dims of e_r A e_s per degree, for the chosen primitive idempotents."""
+    dim = algebra.dim
+    idx, coeff = algebra.mult_idx[:dim, :dim], algebra.mult_coeff[:dim, :dim]
+    # left[e, b]: e.b = b; right[e, b]: b.e = b
+    left = (coeff != 0) & (idx == np.arange(dim))
+    right = ((coeff != 0) & (idx == np.arange(dim)[:, None])).T
     out = {}
     for rlab, e_r, _ in algebra.idempotents:
         for slab, e_s, _ in algebra.idempotents:
             dims: dict[int, int] = {}
-            for b in range(algebra.dim):
-                i1, c1 = algebra.product(e_r, b)
-                if not c1 or i1 != b:
-                    continue
-                i2, c2 = algebra.product(b, e_s)
-                if not c2 or i2 != b:
-                    continue
-                d = int(algebra.degrees[b])
+            for d in algebra.degrees[left[e_r] & right[e_s]].tolist():
                 dims[d] = dims.get(d, 0) + 1
             out[(rlab, slab)] = dims
     return out
@@ -230,12 +228,8 @@ def quiver_presentation(p: int, lam: int) -> dict:
         for d, v in dims.items():
             inflated[d] = inflated.get(d, 0) + n[rlab] * n[slab] * v
     dims_match = inflated == block.dims_by_degree()
-    length3_zero = all(
-        basic.product(a, b)[1] == 0
-        for a in range(basic.dim)
-        for b in range(basic.dim)
-        if basic.degrees[a] + basic.degrees[b] >= 3
-    )
+    degree_sum = basic.degrees[:, None] + basic.degrees[None, :]
+    length3_zero = not basic.mult_coeff[: basic.dim, : basic.dim][degree_sum >= 3].any()
     return {
         "p": p,
         "lambda": lam,
@@ -251,19 +245,13 @@ def quiver_presentation(p: int, lam: int) -> dict:
 def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
     """Gram data of the form (x, y) -> trace component of xy in topdeg."""
     dim, p = algebra.dim, algebra.p
-    gram = np.zeros((dim, dim), dtype=np.int64)
-    for a in range(dim):
-        for b in range(dim):
-            i, c = algebra.product(a, b)
-            if c:
-                gram[a, b] = c * algebra.trace.get(i, 0) % p
+    trace = np.zeros(dim + 1, dtype=np.int64)  # the zero slot traces to 0
+    for i, v in algebra.trace.items():
+        trace[i] = v % p
+    gram = algebra.mult_coeff[:dim, :dim] * trace[algebra.mult_idx[:dim, :dim]] % p
     symmetric = (gram == gram.T).all()
-    graded = all(
-        not gram[a, b]
-        or int(algebra.degrees[a]) + int(algebra.degrees[b]) == topdeg
-        for a in range(dim)
-        for b in range(dim)
-    )
+    degree_sum = algebra.degrees[:, None] + algebra.degrees[None, :]
+    graded = ((gram == 0) | (degree_sum == topdeg)).all()
     rk = rank(gram, p)
     return {
         "topdeg": topdeg,
@@ -288,29 +276,18 @@ def _antiauto_image(label):
 def anti_automorphism_check(algebra: BlockAlgebra) -> dict:
     """Exhaustive check that transposition with arrow swap is a graded
     anti-automorphism squaring to the identity."""
-    phi = [algebra.index[_antiauto_image(l)] for l in algebra.labels]
-    involution = all(phi[phi[a]] == a for a in range(algebra.dim))
-    degree_preserving = all(
-        algebra.degrees[a] == algebra.degrees[phi[a]] for a in range(algebra.dim)
-    )
-    multiplicative = True
-    for a in range(algebra.dim):
-        for b in range(algebra.dim):
-            i, c = algebra.product(a, b)
-            i2, c2 = algebra.product(phi[b], phi[a])
-            if c:
-                if not c2 or phi[i] != i2 or c != c2:
-                    multiplicative = False
-                    break
-            elif c2:
-                multiplicative = False
-                break
-        if not multiplicative:
-            break
+    dim = algebra.dim
+    perm = np.array([algebra.index[_antiauto_image(l)] for l in algebra.labels], dtype=np.int64)
+    phi = np.append(perm, dim)  # fixes the zero slot, where every zero product lands
+    idx, coeff = algebra.mult_idx[:dim, :dim], algebra.mult_coeff[:dim, :dim]
+    # entry (a, b) of the phi-permuted transpose is the product phi(b) phi(a)
+    swapped = np.ix_(perm, perm)
     return {
-        "involution": involution,
-        "degree_preserving": degree_preserving,
-        "antimultiplicative": multiplicative,
+        "involution": bool((perm[perm] == np.arange(dim)).all()),
+        "degree_preserving": bool((algebra.degrees[perm] == algebra.degrees).all()),
+        "antimultiplicative": bool(
+            (coeff == coeff[swapped].T).all() and (phi[idx] == idx[swapped].T).all()
+        ),
     }
 
 
@@ -331,17 +308,21 @@ def regular_lambdas(p: int):
 
 
 def block_report(p: int, lam: int | None, hbound: int = 4) -> dict:
-    """Full machine-checked report for one block (singular when lam None)."""
+    """Full machine-checked report for one block (singular when lam None).
+
+    A regular block is built once, by ``quiver_presentation``, and every
+    check reads that one algebra.
+    """
     if lam is None:
         algebra = build_singular_block(p)
         N = 0
         descriptor = {"p": p, "block": "singular"}
         quiver = None
     else:
-        algebra = build_regular_block(p, lam)
+        quiver = quiver_presentation(p, lam)
+        algebra = quiver["block"]
         N = 1
         descriptor = {"p": p, "block": "regular", "lambda": lam}
-        quiver = quiver_presentation(p, lam)
     frob = frobenius_form(algebra, 2 * N)
     poin = poincare_symmetry(algebra, N)
     kosz = koszulity_probe(algebra, hbound)

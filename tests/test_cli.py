@@ -125,6 +125,11 @@ def test_sl2_rejects_lambda_out_of_range():
     assert main(["sl2", "-p", "5", "--lambda", "2"]) == 2
 
 
+def test_sl2_lambda_error_names_the_range(capsys):
+    assert main(["sl2", "-p", "7", "--lambda", "3"]) == 2
+    assert "lambda must lie in [0, (p-3)/2] = [0, 2], got 3" in capsys.readouterr().err
+
+
 def test_sl2_requires_block_choice():
     assert main(["sl2", "-p", "5"]) == 2
     assert main(["sl2", "-p", "5", "--lambda", "0", "--singular"]) == 2

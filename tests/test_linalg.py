@@ -143,3 +143,57 @@ def test_solve_solves(data, seed):
     got = matmul(a, x.reshape(-1, 1), p).ravel() if a.size else np.zeros(a.shape[0], dtype=np.int64)
     assert (got == b).all()
 
+
+
+def greedy_independent(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:
+    """The incremental-rank loop ``independent_columns`` replaces: add one
+    candidate at a time and keep it when the rank grows."""
+    spanned, rk, kept = base, linalg.rank(base, p), []
+    for c in range(cands.shape[1]):
+        trial = np.concatenate([spanned, cands[:, c : c + 1]], axis=1)
+        r = linalg.rank(trial, p)
+        if r > rk:
+            spanned, rk = trial, r
+            kept.append(c)
+    return kept
+
+
+@st.composite
+def base_and_candidates(draw):
+    """A base matrix and candidate columns, each candidate random, zero, or a
+    combination of the base and the candidates before it."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 4))
+    column = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+    base = np.array(draw(st.lists(column, min_size=k, max_size=k)), dtype=np.int64).reshape(k, m).T
+    cands = np.zeros((m, 0), dtype=np.int64)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "random":
+            col = np.array(draw(column), dtype=np.int64)
+        elif kind == "zero":
+            col = np.zeros(m, dtype=np.int64)
+        else:
+            earlier = np.concatenate([base, cands], axis=1)
+            weights = draw(st.lists(st.integers(0, p - 1), min_size=earlier.shape[1], max_size=earlier.shape[1]))
+            col = earlier @ np.array(weights, dtype=np.int64) % p
+        cands = np.concatenate([cands, col.reshape(m, 1)], axis=1)
+    return base, cands, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_and_candidates())
+def test_independent_columns_matches_greedy_loop(data):
+    base, cands, p = data
+    assert linalg.independent_columns(base, cands, p) == greedy_independent(base, cands, p)
+
+
+def test_independent_columns_edge_cases():
+    e1 = mat([[1], [0]], 5)
+    # a multiple of the base, a zero column, a new direction, then its double
+    cands = mat([[2, 0, 1, 2], [0, 0, 1, 2]], 5)
+    assert linalg.independent_columns(e1, cands, 5) == [2]
+    assert linalg.independent_columns(e1[:, :0], cands, 5) == [0, 2]
+    assert linalg.independent_columns(e1, cands[:, :0], 5) == []
+    assert linalg.independent_columns(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 5) == []
