@@ -26,6 +26,13 @@ of the span lands, with its sign.  A differential or a generator action is
 then the concatenation of the blocks its entries select, shifted to each
 generator's rows, as COO arrays; spans are cut to the degrees monomials can
 have, so modules of any shape share the same few tables.
+
+Finite dg-modules (``FiniteDgModule``), the chain maps between them
+(``FiniteMap``) and the generator images of a map from a semifree module
+(``SemifreeToFiniteMap``) are dense int64 matrices reduced mod p, with
+row = source: entry (k, l) is the coefficient of b_l in the image of b_k,
+so a row vector v maps to v @ M.  Their checks, shifts, cones and duals
+are matrix algebra.
 """
 
 from __future__ import annotations
@@ -247,12 +254,9 @@ def identity_map(module: SemifreeDgModule) -> DgMap:
     return DgMap(module, module, {k: {k: one} for k in range(module.rank)})
 
 
-def cone(phi: DgMap, check: bool = True) -> SemifreeDgModule:
-    """Mapping cone target + source[1] with the standard differential."""
-    if check:
-        issues = phi.validate()
-        if issues:
-            raise ValueError("cone of a non-chain-map: " + "; ".join(issues))
+def cone(phi: DgMap) -> SemifreeDgModule:
+    """Mapping cone target + source[1] with the standard differential; phi
+    is not checked, and the cone is a dg-module only when it is valid."""
     src = phi.source.shift(1, 0)
     tgt = phi.target
     off = tgt.rank
@@ -476,245 +480,180 @@ def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
     return _column_cohomology(exp.degs, exp.d, window, module.algebra.p)
 
 
-def is_quasi_iso(phi: DgMap, window: Window, check: bool = True) -> bool:
-    """True when cone(phi) has no cohomology anywhere on the window."""
-    c = cone(phi, check=check)
-    return not cohomology(c, window)
+def is_quasi_iso(phi: DgMap, window: Window) -> bool:
+    """True when cone(phi) has no cohomology anywhere on the window; phi is
+    not checked (see ``cone``)."""
+    return not cohomology(cone(phi), window)
+
+
+def _dense(matrix, shape, p: int) -> np.ndarray:
+    """``matrix`` as an int64 array reduced mod p, zeros when it is None;
+    ValueError unless it has the given shape."""
+    m = np.zeros(shape, dtype=np.int64) if matrix is None else np.asarray(matrix, dtype=np.int64) % p
+    if m.shape != shape:
+        raise ValueError(f"matrix of shape {m.shape}, expected {shape}")
+    return m
 
 
 class FiniteDgModule:
     """A bigraded complex with finite basis and explicit generator actions.
 
-    d is scalar: d(b_k) = sum_l d[k][l] b_l with d of bidegree (1, 0).
-    sym_act[s] and ext_act[g] give the left action of single algebra
-    generators in the same row-major sparse form.  Modules produced by
-    expanding semifree objects satisfy the axioms by construction;
-    validate() re-checks them for hand-built inputs.
+    ``basis_degs`` is an (n, 2) int64 array of basis bidegrees.  d and the
+    actions are dense (n, n) int64 matrices reduced mod p, with row =
+    source: d[k, l] is the coefficient of b_l in d(b_k), of bidegree
+    (1, 0), and sym_act[s] and ext_act[g] give the left action of single
+    algebra generators the same way.  A row vector v maps to v @ d, so a
+    composite "first a, then b" is a @ b.  Modules produced by expanding
+    semifree objects satisfy the axioms by construction; validate()
+    re-checks them for hand-built inputs.
     """
 
     __slots__ = ("algebra", "basis_degs", "d", "sym_act", "ext_act")
 
     def __init__(self, algebra: AlgebraSpec, basis_degs, d=None, sym_act=None, ext_act=None):
+        degs = np.array(basis_degs, dtype=np.int64) if len(basis_degs) else np.zeros((0, 2), np.int64)
+        if degs.ndim != 2 or degs.shape[1] != 2:
+            raise ValueError(f"basis degrees must be (i, j) pairs, got shape {degs.shape}")
+        n, p = len(degs), algebra.p
         self.algebra = algebra
-        self.basis_degs = tuple((int(i), int(j)) for i, j in basis_degs)
-        self.d = _clean_scalar(d, algebra.p)
-        self.sym_act = [_clean_scalar(m, algebra.p) for m in (sym_act or [{} for _ in range(algebra.n_sym)])]
-        self.ext_act = [_clean_scalar(m, algebra.p) for m in (ext_act or [{} for _ in range(algebra.n_ext)])]
+        self.basis_degs = degs
+        self.d = _dense(d, (n, n), p)
+        acts = []
+        for given, count, kind in ((sym_act, algebra.n_sym, "sym"), (ext_act, algebra.n_ext, "ext")):
+            if given is not None and len(given) != count:
+                raise ValueError(f"{len(given)} {kind} action matrices, expected {count}")
+            acts.append([_dense(m, (n, n), p) for m in (given if given is not None else [None] * count)])
+        self.sym_act, self.ext_act = acts
 
     @property
     def dim(self) -> int:
         return len(self.basis_degs)
 
-    def apply_matrix(self, matrix, vec: dict) -> dict:
+    def apply_element(self, element: dict, vec: np.ndarray) -> np.ndarray:
+        """Left action of an algebra element on a row vector; ext factors
+        applied in ascending index order from the right."""
         p = self.algebra.p
-        out: dict[int, int] = {}
-        for n, c in vec.items():
-            for m, a in matrix.get(n, {}).items():
-                v = (out.get(m, 0) + c * a) % p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return out
-
-    def apply_element(self, element: dict, vec: dict) -> dict:
-        """Left action of an algebra element; ext factors applied in
-        ascending index order from the right."""
-        p = self.algebra.p
-        out: dict[int, int] = {}
+        out = np.zeros_like(vec)
         for (exps, mask), coeff in element.items():
-            cur = {n: c * coeff % p for n, c in vec.items()}
-            bits = [b for b in range(self.algebra.n_ext) if mask >> b & 1]
-            for b in reversed(bits):
-                cur = self.apply_matrix(self.ext_act[b], cur)
+            cur = vec * coeff
+            for b in reversed(range(self.algebra.n_ext)):
+                if mask >> b & 1:
+                    cur = cur @ self.ext_act[b] % p
             for s, e in enumerate(exps):
                 for _ in range(e):
-                    cur = self.apply_matrix(self.sym_act[s], cur)
-            for n, c in cur.items():
-                v = (out.get(n, 0) + c) % p
-                if v:
-                    out[n] = v
-                else:
-                    out.pop(n, None)
-        return {n: c for n, c in out.items() if c}
+                    cur = cur @ self.sym_act[s] % p
+            out += cur
+        return out % p
 
     def validate(self) -> list[str]:
-        issues = []
         p = self.algebra.p
-        dim = self.dim
-
-        def compose(a, b):
-            out = {}
-            for n in range(dim):
-                row = {}
-                for m, c in b.get(n, {}).items():
-                    for q, c2 in a.get(m, {}).items():
-                        row[q] = (row.get(q, 0) + c * c2) % p
-                row = {q: c for q, c in row.items() if c}
-                if row:
-                    out[n] = row
-            return out
-
-        def add(a, b, scale=1):
-            out = {n: dict(row) for n, row in a.items()}
-            for n, row in b.items():
-                tgt = out.setdefault(n, {})
-                for m, c in row.items():
-                    v = (tgt.get(m, 0) + scale * c) % p
-                    if v:
-                        tgt[m] = v
-                    else:
-                        tgt.pop(m, None)
-            return {n: row for n, row in out.items() if row}
-
-        for n, row in self.d.items():
-            for m, c in row.items():
-                if bidegree_sub(self.basis_degs[m], self.basis_degs[n]) != ONE_SHIFT:
-                    issues.append(f"d entry {n}->{m} is not of bidegree (1,0)")
-        if compose(self.d, self.d):
+        d, degs = self.d, self.basis_degs
+        rows, cols = d.nonzero()
+        wrong = (degs[cols] - degs[rows] != ONE_SHIFT).any(axis=1)
+        issues = [f"d entry {n}->{m} is not of bidegree (1,0)" for n, m in zip(rows[wrong].tolist(), cols[wrong].tolist())]
+        if (d @ d % p).any():
             issues.append("d^2 != 0")
         for g, act in enumerate(self.ext_act):
-            if compose(act, act):
+            if (act @ act % p).any():
                 issues.append(f"ext generator {g} does not square to zero")
             # Leibniz: d(theta m) = d_A(theta) m - theta d(m)
-            lhs = compose(self.d, act)
-            rhs = add({}, compose(act, self.d), -1)
+            residue = act @ d + d @ act
             tgt = self.algebra.d_ext_target(g)
             if tgt is not None:
-                rhs = add(rhs, self.sym_act[tgt])
-            if add(lhs, rhs, -1):
+                residue -= self.sym_act[tgt]
+            if (residue % p).any():
                 issues.append(f"Leibniz fails for ext generator {g}")
         for s, act in enumerate(self.sym_act):
-            if add(compose(self.d, act), compose(act, self.d), -1):
+            if ((act @ d - d @ act) % p).any():
                 issues.append(f"sym generator {s} does not commute with d")
         return issues
 
     def cohomology(self, window: Window) -> BigradedDims:
-        order = sorted(range(self.dim), key=self.basis_degs.__getitem__)
-        place = dict(zip(order, range(self.dim)))
-        d = sorted((place[n], place[m], c) for n, row in self.d.items() for m, c in row.items())
-        degs = np.array([self.basis_degs[n] for n in order], dtype=np.int64).reshape(-1, 2)
-        coo = np.array(d, dtype=np.int64).reshape(-1, 3).T
-        return _column_cohomology(degs, coo, window, self.algebra.p)
+        order = np.lexsort((self.basis_degs[:, 1], self.basis_degs[:, 0]))
+        d = self.d[np.ix_(order, order)]
+        rows, cols = d.nonzero()
+        return _column_cohomology(self.basis_degs[order], (rows, cols, d[rows, cols]), window, self.algebra.p)
 
     def shift(self, a: int, b: int) -> "FiniteDgModule":
         """[a]<b>: d picks up (-1)^a, odd generator actions pick up (-1)^a."""
-        degs = tuple((i - a, j + b) for i, j in self.basis_degs)
         sgn = -1 if a & 1 else 1
-        d = {n: {m: (sgn * c) % self.algebra.p for m, c in row.items()} for n, row in self.d.items()}
-        ext = [
-            {n: {m: (sgn * c) % self.algebra.p for m, c in row.items()} for n, row in act.items()}
-            for act in self.ext_act
-        ]
-        return FiniteDgModule(self.algebra, degs, d, [dict(m) for m in self.sym_act], ext)
+        return FiniteDgModule(
+            self.algebra, self.basis_degs + (-a, b), sgn * self.d, self.sym_act, [sgn * m for m in self.ext_act]
+        )
 
 
-def _clean_scalar(matrix, p: int):
-    out = {}
-    for n, row in (matrix or {}).items():
-        clean = {m: c % p for m, c in row.items() if c % p}
-        if clean:
-            out[int(n)] = clean
-    return out
-
-
-def _as_dict(rows, cols, vals) -> dict[int, dict[int, int]]:
-    out: dict[int, dict[int, int]] = {}
-    for n, m, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        out.setdefault(n, {})[m] = c
-    return out
+def _scatter(coo, n: int) -> np.ndarray:
+    """COO arrays (rows, cols, coeffs) as a dense (n, n) matrix."""
+    rows, cols, vals = coo
+    m = np.zeros((n, n), dtype=np.int64)
+    m[rows, cols] = vals
+    return m
 
 
 def expansion_to_finite(exp: Expansion) -> FiniteDgModule:
     """Materialize an expansion with full generator-action matrices."""
-    A = exp.module.algebra
-    sym_act = [_as_dict(*exp.action(False, s)) for s in range(A.n_sym)]
-    ext_act = [_as_dict(*exp.action(True, g)) for g in range(A.n_ext)]
-    return FiniteDgModule(A, exp.degs.tolist(), _as_dict(*exp.d), sym_act, ext_act)
+    A, n = exp.module.algebra, len(exp)
+    sym_act = [_scatter(exp.action(False, s), n) for s in range(A.n_sym)]
+    ext_act = [_scatter(exp.action(True, g), n) for g in range(A.n_ext)]
+    return FiniteDgModule(A, exp.degs, _scatter(exp.d, n), sym_act, ext_act)
 
 
 class FiniteMap:
-    """Scalar chain map between finite modules: matrix[k][l], row = source."""
+    """Scalar chain map between finite modules: a dense (n_src, n_tgt)
+    int64 matrix reduced mod p, row = source: matrix[k, l] is the
+    coefficient of target basis element l in the image of source basis
+    element k."""
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: FiniteDgModule, target: FiniteDgModule, matrix):
         self.source = source
         self.target = target
-        self.matrix = _clean_scalar(matrix, source.algebra.p)
+        self.matrix = _dense(matrix, (source.dim, target.dim), source.algebra.p)
 
     def validate(self) -> list[str]:
-        issues = []
-        p = self.source.algebra.p
-        for n, row in self.matrix.items():
-            for m, _ in row.items():
-                if self.source.basis_degs[n] != self.target.basis_degs[m]:
-                    issues.append(f"map entry {n}->{m} is not of bidegree (0,0)")
-        for n in range(self.source.dim):
-            acc: dict[int, int] = {}
-            for l, c in self.source.d.get(n, {}).items():
-                for m, c2 in self.matrix.get(l, {}).items():
-                    acc[m] = (acc.get(m, 0) + c * c2) % p
-            for l, c in self.matrix.get(n, {}).items():
-                for m, c2 in self.target.d.get(l, {}).items():
-                    acc[m] = (acc.get(m, 0) - c * c2) % p
-            if any(acc.values()):
-                issues.append(f"chain condition fails at basis element {n}")
-        return issues
+        rows, cols = self.matrix.nonzero()
+        wrong = (self.source.basis_degs[rows] != self.target.basis_degs[cols]).any(axis=1)
+        issues = [f"map entry {n}->{m} is not of bidegree (0,0)" for n, m in zip(rows[wrong].tolist(), cols[wrong].tolist())]
+        residue = (self.source.d @ self.matrix - self.matrix @ self.target.d) % self.source.algebra.p
+        return issues + [f"chain condition fails at basis element {n}" for n in residue.any(axis=1).nonzero()[0].tolist()]
 
 
 def cone_finite(phi: FiniteMap) -> FiniteDgModule:
     """Cone of a scalar chain map; actions are dropped (cohomology only)."""
     src, tgt = phi.source, phi.target
-    p = src.algebra.p
-    off = tgt.dim
-    degs = list(tgt.basis_degs) + [(i - 1, j) for i, j in src.basis_degs]
-    d = {n: dict(row) for n, row in tgt.d.items()}
-    for n, row in src.d.items():
-        d[n + off] = {m + off: (-c) % p for m, c in row.items()}
-    for n, row in phi.matrix.items():
-        d.setdefault(n + off, {}).update({m: c for m, c in row.items()})
+    degs = np.concatenate([tgt.basis_degs, src.basis_degs - ONE_SHIFT])
+    d = np.block([[tgt.d, np.zeros((tgt.dim, src.dim), np.int64)], [phi.matrix, -src.d]])
     return FiniteDgModule(src.algebra, degs, d)
 
 
 class SemifreeToFiniteMap:
     """Chain map from a semifree module to a finite one.
 
-    images[k] is the image of generator k as a sparse vector over the
-    finite module's basis; images of algebra multiples follow by the
-    module action.
+    images is a dense (rank, n_tgt) int64 matrix reduced mod p: row k is
+    the image of generator k over the finite module's basis; images of
+    algebra multiples follow by the module action.
     """
 
     __slots__ = ("source", "target", "images")
 
-    def __init__(self, source: SemifreeDgModule, target: FiniteDgModule, images):
+    def __init__(self, source: SemifreeDgModule, target: FiniteDgModule, images=None):
         self.source = source
         self.target = target
-        p = target.algebra.p
-        self.images = {
-            int(k): {int(n): c % p for n, c in vec.items() if c % p}
-            for k, vec in (images or {}).items()
-            if any(c % p for c in vec.values())
-        }
+        self.images = _dense(images, (source.rank, target.dim), target.algebra.p)
 
     def validate(self) -> list[str]:
         issues = []
-        for k, vec in self.images.items():
+        for k, vec in enumerate(self.images):
             want = self.source.gens[k]
-            for n in vec:
-                if self.target.basis_degs[n] != want:
-                    issues.append(f"image of gen {k} is not homogeneous of {want}")
-                    break
+            if (self.target.basis_degs[vec.nonzero()[0]] != want).any():
+                issues.append(f"image of gen {k} is not homogeneous of {want}")
         p = self.target.algebra.p
         for k in range(self.source.rank):
-            acc: dict[int, int] = {}
+            acc = -self.images[k] @ self.target.d
             for l, entry in self.source.diff.get(k, {}).items():
-                img = self.target.apply_element(entry, self.images.get(l, {}))
-                for n, c in img.items():
-                    acc[n] = (acc.get(n, 0) + c) % p
-            for n, c in self.target.apply_matrix(self.target.d, self.images.get(k, {})).items():
-                acc[n] = (acc.get(n, 0) - c) % p
-            if any(acc.values()):
+                acc += self.target.apply_element(entry, self.images[l])
+            if (acc % p).any():
                 issues.append(f"chain condition fails at generator {k}")
         return issues
 
@@ -722,12 +661,8 @@ class SemifreeToFiniteMap:
         """Expand the source and return (expansion, FiniteMap)."""
         exp = Expansion(self.source, jlo, jhi)
         fin_src = expansion_to_finite(exp)
-        matrix = {}
-        for n, (k, mon) in enumerate(exp.basis):
-            img = self.target.apply_element({mon: 1}, self.images.get(k, {}))
-            if img:
-                matrix[n] = img
-        return exp, FiniteMap(fin_src, self.target, matrix)
+        matrix = [self.target.apply_element({mon: 1}, self.images[k]) for k, mon in exp.basis]
+        return exp, FiniteMap(fin_src, self.target, np.reshape(matrix, (len(exp), self.target.dim)))
 
 
 def semifree_resolution(module, depth: int = 3):
@@ -748,13 +683,12 @@ def semifree_resolution(module, depth: int = 3):
     A = M.algebra
     if A.kind != "T":
         raise ValueError("resolutions are implemented over the exterior algebra T")
-    if M.dim == 0:
-        P = free_module(A, [])
-        return P, SemifreeToFiniteMap(P, M, {})
-    jmax = max(j for _, j in M.basis_degs) + 2 * depth
-    jmin = min(j for _, j in M.basis_degs) - 2
     P = free_module(A, [])
-    psi = SemifreeToFiniteMap(P, M, {})
+    psi = SemifreeToFiniteMap(P, M)
+    if M.dim == 0:
+        return P, psi
+    jmax = int(M.basis_degs[:, 1].max()) + 2 * depth
+    jmin = int(M.basis_degs[:, 1].min()) - 2
     for j in range(jmin, jmax + 1):
         while True:
             exp, fmap = psi.to_finite(jmin, jmax)
@@ -765,57 +699,33 @@ def semifree_resolution(module, depth: int = 3):
             off = fmap.target.dim  # M part comes first in the cone
             new_gens = list(P.gens)
             new_diff = {k: dict(row) for k, row in P.diff.items()}
-            new_images = {k: dict(v) for k, v in psi.images.items()}
             for i, vec in reps:
-                g = len(new_gens)
-                new_gens.append((i, j))
                 row: dict[int, dict] = {}
-                img: dict[int, int] = {}
-                for n, c in vec.items():
-                    if n < off:
-                        img[n] = -c
-                    else:
-                        k, mon = exp.basis[n - off]
-                        entry = row.setdefault(k, {})
-                        entry[mon] = entry.get(mon, 0) + c
-                new_diff[g] = row
-                new_images[g] = img
+                src = vec[off:]
+                for n in src.nonzero()[0].tolist():
+                    k, mon = exp.basis[n]
+                    row.setdefault(k, {})[mon] = int(src[n])
+                new_diff[len(new_gens)] = row
+                new_gens.append((i, j))
             P = SemifreeDgModule(A, new_gens, new_diff)
-            psi = SemifreeToFiniteMap(P, M, new_images)
+            psi = SemifreeToFiniteMap(P, M, np.vstack([psi.images] + [-vec[:off] for _, vec in reps]))
     return P, psi
 
 
 def _cocycle_complement(fin: FiniteDgModule, j: int):
-    """Homogeneous cocycles spanning H^{*, j}, as (i, sparse vector) pairs."""
+    """Homogeneous cocycles spanning H^{*, j}, as (i, dense vector) pairs."""
     p = fin.algebra.p
-    cells: dict[int, list[int]] = {}
-    for n, (i, jj) in enumerate(fin.basis_degs):
-        if jj == j:
-            cells.setdefault(i, []).append(n)
+    degs = fin.basis_degs
+    in_j = degs[:, 1] == j
     out = []
-    for i in sorted(cells):
-        idxs = cells[i]
-        tgt = cells.get(i + 1, [])
-        pos = {m: c for c, m in enumerate(tgt)}
-        a = np.zeros((len(tgt), len(idxs)), dtype=np.int64)
-        for c, n in enumerate(idxs):
-            for m, coeff in fin.d.get(n, {}).items():
-                r = pos.get(m)
-                if r is not None:
-                    a[r, c] = coeff
-        ker = kernel_basis(a, p)  # columns: cocycles in idxs-coordinates
+    for i in sorted(set(degs[in_j, 0].tolist())):
+        idxs, tgt, src = ((in_j & (degs[:, 0] == c)).nonzero()[0] for c in (i, i + 1, i - 1))
+        ker = kernel_basis(fin.d[np.ix_(idxs, tgt)].T, p)  # columns: cocycles in idxs-coordinates
         if ker.shape[1] == 0:
             continue
-        src = cells.get(i - 1, [])
-        here = {m: c for c, m in enumerate(idxs)}
-        b = np.zeros((len(idxs), len(src)), dtype=np.int64)
-        for c, n in enumerate(src):
-            for m, coeff in fin.d.get(n, {}).items():
-                r = here.get(m)
-                if r is not None:
-                    b[r, c] = coeff
-        for col in independent_columns(b, ker, p):
-            vec = {idxs[r_]: int(ker[r_, col]) for r_ in range(len(idxs)) if ker[r_, col]}
+        for col in independent_columns(fin.d[np.ix_(src, idxs)].T, ker, p):
+            vec = np.zeros(fin.dim, dtype=np.int64)
+            vec[idxs] = ker[:, col]
             out.append((i, vec))
     return out
 

@@ -85,31 +85,16 @@ def dualize_T_res(M: SemifreeDgModule) -> SemifreeDgModule:
 
 
 def k_linear_dual_T(M: FiniteDgModule) -> FiniteDgModule:
-    """k-linear dual with the sign-twisted T-action (no shift applied)."""
-    A = M.algebra
-    p = A.p
-    degs = [(-i, -j) for i, j in M.basis_degs]
-    d: dict[int, dict[int, int]] = {}
-    for b, row in M.d.items():
-        for a, c in row.items():
-            sign = -1 if M.basis_degs[a][0] & 1 else 1
-            d.setdefault(a, {})[b] = (-sign * c) % p
-    ext = []
-    for act in M.ext_act:
-        dual_act: dict[int, dict[int, int]] = {}
-        for b, row in act.items():
-            for a, c in row.items():
-                sign = -1 if M.basis_degs[a][0] & 1 else 1
-                dual_act.setdefault(a, {})[b] = (sign * c) % p
-        ext.append(dual_act)
-    sym = []
-    for act in M.sym_act:
-        dual_act = {}
-        for b, row in act.items():
-            for a, c in row.items():
-                dual_act.setdefault(a, {})[b] = c % p
-        sym.append(dual_act)
-    return FiniteDgModule(A, degs, d, sym, ext)
+    """k-linear dual with the sign-twisted T-action (no shift applied).
+
+    Each matrix is transposed, and row a of the transpose of d and of every
+    ext action is scaled by (-1)^{i_a} (d also by -1); sym actions carry no
+    sign.
+    """
+    sign = 1 - 2 * (M.basis_degs[:, :1] & 1)  # column of (-1)^{i_a}
+    return FiniteDgModule(
+        M.algebra, -M.basis_degs, -sign * M.d.T, [a.T for a in M.sym_act], [sign * a.T for a in M.ext_act]
+    )
 
 
 def dualize_T_formula(M: FiniteDgModule) -> FiniteDgModule:

@@ -81,7 +81,7 @@ def random_module(alg: AlgebraSpec, rng: random.Random, max_gens: int = 4) -> Se
     r2 = rng.randrange(1, max_gens - r1 + 1)
     a = free_module(alg, _gen_lattice(alg, rng, r1))
     b = free_module(alg, _gen_lattice(alg, rng, r2))
-    m = cone(random_chain_map(alg, a, b, rng), check=False)
+    m = cone(random_chain_map(alg, a, b, rng))
     if rng.random() < 0.3:
         m = m.shift(rng.randrange(-1, 2), 2 * rng.randrange(-1, 2))
     return m
@@ -92,4 +92,4 @@ def random_acyclic(alg: AlgebraSpec, rng: random.Random, max_gens: int = 2):
     from .dgmodule import identity_map
 
     m = random_module(alg, rng, max_gens=max_gens)
-    return cone(identity_map(m), check=False)
+    return cone(identity_map(m))

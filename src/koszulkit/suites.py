@@ -73,13 +73,13 @@ def suite_round_trip(cfg: Config) -> list[dict]:
         W = cfg.window or standard_window(M)
         jcut = functor_jcut(W, cfg.f)
         eps, _, _ = counit(M, jcut)
-        ok = not eps.validate(min_internal=jcut + 2) and is_quasi_iso(eps, W, check=False)
+        ok = not eps.validate(min_internal=jcut + 2) and is_quasi_iso(eps, W)
         results.append(_result(t, "counit-quasi-iso", ok))
         N = random_module(T, rng, max_gens=4)
         WN = cfg.window or standard_window(N)
         jcutN = functor_jcut(WN, cfg.f)
         eta, _, _ = unit(N, jcutN)
-        ok = not eta.validate(min_internal=jcutN + 2) and is_quasi_iso(eta, WN, check=False)
+        ok = not eta.validate(min_internal=jcutN + 2) and is_quasi_iso(eta, WN)
         results.append(_result(t, "unit-quasi-iso", ok))
     return results
 
@@ -116,7 +116,7 @@ def suite_duality_oracle(cfg: Config) -> list[dict]:
         if ok:
             biduality = DgMap(N, DD, identity_map(N).matrix)
             ok = not biduality.validate() and is_quasi_iso(
-                biduality, cfg.window or standard_window(N), check=False
+                biduality, cfg.window or standard_window(N)
             )
         results.append(_result(t, "T-biduality", ok))
         fin = expand_T_module(N)
@@ -154,7 +154,7 @@ def suite_fbot(cfg: Config) -> list[dict]:
         N = random_module(T, rng, max_gens=3)
         W = Window.hull(N.gens).enlarge(1, 2)
         eta = restriction_unit(N, cfg.e, W.j1 + 2 * (cfg.e + 1))
-        ok = not eta.validate() and is_quasi_iso(eta, W, check=False)
+        ok = not eta.validate() and is_quasi_iso(eta, W)
         results.append(_result(t, "extend-restrict-quasi-iso", ok))
     return results
 

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from koszulkit.algebra import (
@@ -15,7 +16,9 @@ from koszulkit.dgmodule import (
     DgMap,
     Expansion,
     FiniteDgModule,
+    FiniteMap,
     SemifreeDgModule,
+    SemifreeToFiniteMap,
     cohomology,
     cone,
     cone_finite,
@@ -49,6 +52,14 @@ def direct_sum(M: SemifreeDgModule, N: SemifreeDgModule) -> SemifreeDgModule:
     for k, row in N.diff.items():
         diff[k + off] = {l + off: e for l, e in row.items()}
     return SemifreeDgModule(M.algebra, M.gens + N.gens, diff)
+
+
+def _matrix(n_rows, n_cols, triples):
+    """A finite module's matrix with the given (row, col, coeff) entries."""
+    out = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for r, c, v in triples:
+        out[r, c] = v
+    return out
 
 
 def koszul_complex_f1(p=5):
@@ -167,12 +178,11 @@ def test_cone_of_zero_is_direct_sum_of_tables():
 
 
 def test_cone_rejects_non_chain_map():
-    S = make_algebra("S", 1, 1, 5)
+    # cone does not check its map; validate() is what rejects this one
     K = koszul_complex_f1()
     # x * id is homogeneous of wrong bidegree as a degree-(0,0) map
     bad = DgMap(K, K, {0: {0: {((1,), 0): 1}}})
-    with pytest.raises(ValueError):
-        cone(bad)
+    assert bad.validate()
 
 
 def test_shift_respects_cohomology():
@@ -198,7 +208,7 @@ def test_euler_characteristic_invariance_random():
     for trial in range(5):
         rng = stream(3, trial)
         M = random_module(T, rng, max_gens=3)
-        c = cone(identity_map(M), check=False)
+        c = cone(identity_map(M))
         W = Window.hull(M.gens).enlarge(1, 2)
         hm = cohomology(M, W)
         hc = cohomology(direct_sum(M, c), W)  # quasi-isomorphic to M
@@ -218,7 +228,7 @@ def test_cone_long_exact_sequence_bound():
         M = random_module(S, rng, max_gens=2)
         N = random_module(S, rng, max_gens=2)
         phi = random_chain_map(S, M, N, rng)
-        c = cone(phi, check=False)
+        c = cone(phi)
         W = Window.hull(M.gens + N.gens).enlarge(1, 2)
         hc, hn, hm = cohomology(c, W), cohomology(N, W), cohomology(M.shift(1, 0), W)
         for bd in hc:
@@ -233,6 +243,103 @@ def test_validate_dual_over_every_algebra():
             D = M.dualize()
             assert D.validate() == []
             assert D.dualize() == M
+
+
+# -- finite modules ------------------------------------------------------------
+
+def test_finite_validate_rejects_wrong_d_bidegree():
+    T = make_algebra("T", 1, 1, 5)
+    bad = FiniteDgModule(T, [(0, 0), (0, 0)], _matrix(2, 2, [(0, 1, 1)]))
+    assert bad.validate() == ["d entry 0->1 is not of bidegree (1,0)"]
+
+
+def test_finite_validate_rejects_d_squared():
+    T = make_algebra("T", 1, 1, 5)
+    bad = FiniteDgModule(T, [(0, 0), (1, 0), (2, 0)], _matrix(3, 3, [(0, 1, 1), (1, 2, 1)]))
+    assert bad.validate() == ["d^2 != 0"]
+
+
+def test_finite_validate_rejects_ext_square():
+    T = make_algebra("T", 1, 1, 5)
+    theta = _matrix(3, 3, [(0, 1, 1), (1, 2, 1)])
+    bad = FiniteDgModule(T, [(0, 0), (-1, 2), (-2, 4)], ext_act=[theta])
+    assert bad.validate() == ["ext generator 0 does not square to zero"]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_finite_validate_checks_leibniz(sign):
+    # d(theta m) = -theta d(m) holds only when theta . b1 = -b3
+    T = make_algebra("T", 1, 1, 5)
+    d = _matrix(4, 4, [(0, 1, 1), (2, 3, 1)])
+    theta = _matrix(4, 4, [(0, 2, 1), (1, 3, -sign)])
+    mod = FiniteDgModule(T, [(0, 0), (1, 0), (-1, 2), (0, 2)], d, ext_act=[theta])
+    assert mod.validate() == ([] if sign == 1 else ["Leibniz fails for ext generator 0"])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_finite_validate_leibniz_with_algebra_differential(sign):
+    # over Q(2,1), d(eta_2) = z, so d(eta_2 . b0) = z . b0 needs d(b1) = +b2
+    Q = make_algebra("Q", 2, 1, 5)
+    d = _matrix(3, 3, [(1, 2, sign)])
+    eta2, z = _matrix(3, 3, [(0, 1, 1)]), _matrix(3, 3, [(0, 2, 1)])
+    mod = FiniteDgModule(Q, [(0, 0), (-1, 2), (0, 2)], d, sym_act=[z], ext_act=[_matrix(3, 3, []), eta2])
+    assert mod.validate() == ([] if sign == 1 else ["Leibniz fails for ext generator 1"])
+
+
+@pytest.mark.parametrize("coeff", [1, 2])
+def test_finite_validate_checks_sym_commutes_with_d(coeff):
+    S = make_algebra("S", 1, 1, 5)
+    d = _matrix(4, 4, [(0, 1, 1), (2, 3, 1)])
+    x = _matrix(4, 4, [(0, 2, 1), (1, 3, coeff)])
+    mod = FiniteDgModule(S, [(0, 0), (1, 0), (2, -2), (3, -2)], d, sym_act=[x])
+    assert mod.validate() == ([] if coeff == 1 else ["sym generator 0 does not commute with d"])
+
+
+def test_finite_map_validate_rejects_wrong_bidegree():
+    T = make_algebra("T", 1, 1, 5)
+    src, tgt = FiniteDgModule(T, [(0, 0)]), FiniteDgModule(T, [(1, 0)])
+    bad = FiniteMap(src, tgt, _matrix(1, 1, [(0, 0, 1)]))
+    assert bad.validate() == ["map entry 0->0 is not of bidegree (0,0)"]
+
+
+def test_finite_map_validate_rejects_non_chain_map():
+    T = make_algebra("T", 1, 1, 5)
+    src = FiniteDgModule(T, [(0, 0), (1, 0)], _matrix(2, 2, [(0, 1, 1)]))
+    tgt = FiniteDgModule(T, [(0, 0), (1, 0)])
+    ident = _matrix(2, 2, [(0, 0, 1), (1, 1, 1)])
+    assert FiniteMap(src, src, ident).validate() == []
+    assert FiniteMap(src, tgt, ident).validate() == ["chain condition fails at basis element 0"]
+
+
+def test_semifree_to_finite_map_validate():
+    T = make_algebra("T", 1, 1, 5)
+    bad = SemifreeToFiniteMap(free_module(T, [(0, 0)]), FiniteDgModule(T, [(1, 0)]), _matrix(1, 1, [(0, 0, 1)]))
+    assert bad.validate() == ["image of gen 0 is not homogeneous of (0, 0)"]
+    # the Koszul complex of k[x] maps onto k, where x acts by zero, but not onto k[x]/x^2
+    S = make_algebra("S", 1, 1, 5)
+    K = koszul_complex_f1()
+    k = FiniteDgModule(S, [(0, 0)])
+    assert SemifreeToFiniteMap(K, k, _matrix(2, 1, [(0, 0, 1)])).validate() == []
+    kx = FiniteDgModule(S, [(0, 0), (2, -2)], sym_act=[_matrix(2, 2, [(0, 1, 1)])])
+    assert SemifreeToFiniteMap(K, kx, _matrix(2, 2, [(0, 0, 1)])).validate() == ["chain condition fails at generator 1"]
+
+
+def test_finite_cohomology_of_an_unsorted_basis():
+    T = make_algebra("T", 1, 1, 5)
+    M = FiniteDgModule(T, [(0, 0), (1, 0), (0, 0)], _matrix(3, 3, [(0, 1, 1)]))
+    assert M.cohomology(Window(-2, 2, -2, 2)).to_triples() == [[0, 0, 1]]
+
+
+def test_finite_module_rejects_malformed_input():
+    T = make_algebra("T", 2, 2, 3)
+    with pytest.raises(ValueError):  # two exterior generators need two actions
+        FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix(2, 2, [(0, 1, 1)])])
+    with pytest.raises(ValueError):  # T has no sym generator
+        FiniteDgModule(T, [(0, 0)], sym_act=[_matrix(1, 1, [])])
+    with pytest.raises(ValueError):  # d on a one-element basis
+        FiniteDgModule(T, [(0, 0)], _matrix(1, 6, [(0, 5, 1)]))
+    with pytest.raises(ValueError):
+        FiniteDgModule(T, [(0, 0, 1)])
 
 
 # -- resolutions -------------------------------------------------------------

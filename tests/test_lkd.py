@@ -102,7 +102,7 @@ def test_counit_on_free_S_is_quasi_iso():
     jcut = functor_jcut(win, 1)
     eps, _, _ = counit(M, jcut)
     assert eps.validate(min_internal=jcut + 2) == []
-    assert is_quasi_iso(eps, win, check=False)
+    assert is_quasi_iso(eps, win)
 
 
 def test_counit_cone_acyclic_e1_f1():
@@ -111,7 +111,7 @@ def test_counit_cone_acyclic_e1_f1():
     win = standard_window(M)
     jcut = functor_jcut(win, 1)
     eps, _, _ = counit(M, jcut)
-    assert not cohomology(cone(eps, check=False), win)
+    assert not cohomology(cone(eps), win)
 
 
 def test_unit_on_trivial_target():
@@ -120,7 +120,7 @@ def test_unit_on_trivial_target():
     jcut = functor_jcut(win, 1)
     eta, _, _ = unit(N, jcut)
     assert eta.validate(min_internal=jcut + 2) == []
-    assert is_quasi_iso(eta, win, check=False)
+    assert is_quasi_iso(eta, win)
 
 
 @pytest.mark.parametrize("f", [0, 1, 2, 3])
@@ -134,13 +134,13 @@ def test_round_trip_random(f, p):
         jcut = functor_jcut(win, f)
         eps, _, _ = counit(M, jcut)
         assert eps.validate(min_internal=jcut + 2) == []
-        assert is_quasi_iso(eps, win, check=False)
+        assert is_quasi_iso(eps, win)
         N = random_module(T, rng, max_gens=3)
         win = standard_window(N)
         jcut = functor_jcut(win, f)
         eta, _, _ = unit(N, jcut)
         assert eta.validate(min_internal=jcut + 2) == []
-        assert is_quasi_iso(eta, win, check=False)
+        assert is_quasi_iso(eta, win)
 
 
 @pytest.mark.parametrize("f", [1, 2])

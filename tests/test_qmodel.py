@@ -67,7 +67,7 @@ def test_extend_then_restrict_quasi_iso(e, f):
         win = Window.hull(N.gens).enlarge(1, 2)
         eta = restriction_unit(N, e, win.j1 + 2 * (e + 1))
         assert eta.validate() == []
-        assert is_quasi_iso(eta, win, check=False)
+        assert is_quasi_iso(eta, win)
 
 
 def test_pushforward_when_e_equals_f_keeps_table():
