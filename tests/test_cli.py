@@ -163,6 +163,29 @@ def test_table_of_kappa_of_point(tmp_path):
     assert doc["table"] == [[0, 0, 1]]
 
 
+def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
+    from koszulkit import dgmodule
+    from koszulkit.algebra import make_algebra
+    from koszulkit.dgmodule import SemifreeDgModule, serialize_module
+
+    # two maps within the window: e1 -> (x1 e0, x2 e0) in internal degree
+    # -2 is a 1 x 2 cell, x e1 -> x x' e0 in internal degree -4 a 2 x 3 one
+    S = make_algebra("S", 2, 2, 3)
+    M = SemifreeDgModule(S, [(0, 0), (1, -2)], {1: {0: {((1, 0), 0): 1}}})
+    path = tmp_path / "mod.json"
+    path.write_text(serialize_module(M))
+    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", 5)
+    assert main(["table", str(path), "--window=0:4,-4:0"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the map out of bidegree (3, -4) needs a dense 2 x 3 cell "
+        "(48 bytes as int64), over the limit of 5 entries\n"
+    )
+    assert "Traceback" not in err
+
+
 _S1 = {"algebra": {"e": 1, "f": 1, "kind": "S", "p": 3}, "gens": [[0, 0], [1, -2]], "schema": 1}
 _T21 = {"algebra": {"e": 2, "f": 1, "kind": "T", "p": 3}, "gens": [[0, 0], [-2, 2]], "schema": 1}
 MALFORMED = {

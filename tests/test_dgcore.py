@@ -2,7 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from koszulkit import dgmodule
 from koszulkit.algebra import (
     elt_bidegree,
     elt_d,
@@ -19,6 +22,7 @@ from koszulkit.dgmodule import (
     FiniteMap,
     SemifreeDgModule,
     SemifreeToFiniteMap,
+    _column_cohomology,
     cohomology,
     cone,
     cone_finite,
@@ -29,6 +33,8 @@ from koszulkit.dgmodule import (
     semifree_resolution,
     serialize_module,
 )
+from koszulkit.homdual import expand_T_module
+from koszulkit.linalg import rank as mat_rank
 from koszulkit.samples import random_module, stream
 
 
@@ -245,6 +251,140 @@ def test_validate_dual_over_every_algebra():
             assert D.dualize() == M
 
 
+# -- ranks only in the reported band -------------------------------------------
+
+def reference_column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:
+    """The all-i loop: ranks every map C^{i,j} -> C^{i+1,j} with j in the window."""
+    out = BigradedDims()
+    rows, cols, vals = d
+    if len(rows):
+        code = degs[:, 0] << 32 | degs[:, 1] & 0xFFFFFFFF  # one int per bidegree
+        live = code[cols] - code[rows] == 1 << 32
+        rows, cols, vals = rows[live], cols[live], vals[live]
+    # cells: runs of one bidegree, with their entries as slices of d
+    bds = list(map(tuple, degs.tolist()))
+    bounds = [n for n in range(len(bds)) if n == 0 or bds[n] != bds[n - 1]] + [len(bds)]
+    ebounds = rows.searchsorted(bounds).tolist()
+    cells = {bds[b]: c for c, b in enumerate(bounds[:-1])}
+    ranks = {}
+    for (i, j), c in cells.items():
+        t = cells.get((i + 1, j))
+        if t is None or not window.j0 <= j <= window.j1:
+            continue
+        a = np.zeros((bounds[c + 1] - bounds[c], bounds[t + 1] - bounds[t]), dtype=np.int64)
+        e = slice(ebounds[c], ebounds[c + 1])
+        a[rows[e] - bounds[c], cols[e] - bounds[t]] = vals[e]
+        ranks[(i, j)] = mat_rank(a, p)
+    for (i, j), c in cells.items():
+        h = bounds[c + 1] - bounds[c] - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
+        if h and window.contains((i, j)):
+            out[(i, j)] = h
+    return out
+
+
+def _finite_input(fin: FiniteDgModule):
+    """A finite module's sorted bidegrees and COO differential, as
+    ``FiniteDgModule.cohomology`` hands them to ``_column_cohomology``."""
+    order = np.lexsort((fin.basis_degs[:, 1], fin.basis_degs[:, 0]))
+    d = fin.d[np.ix_(order, order)]
+    rows, cols = d.nonzero()
+    return fin.basis_degs[order], (rows, cols, d[rows, cols])
+
+
+BAND_ALGEBRAS = [
+    ("S", 1, 1, 3), ("S", 2, 2, 5), ("S", 3, 2, 3), ("R", 2, 1, 3), ("R", 2, 2, 5),
+    ("T", 2, 2, 3), ("T", 3, 2, 5), ("T", 3, 3, 3), ("Q", 2, 1, 3), ("Q", 3, 2, 5), ("Q", 3, 1, 3),
+]
+
+
+def _i_range(degs):
+    return (int(degs[:, 0].min()), int(degs[:, 0].max())) if len(degs) else (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alg=st.sampled_from(BAND_ALGEBRAS), seed=st.integers(0, 10**6), data=st.data())
+def test_band_cohomology_matches_all_i_reference(alg, seed, data):
+    A = make_algebra(*alg)
+    M = random_module(A, stream(seed, "band"), max_gens=4)
+    hull = Window.hull(M.gens).enlarge(2, 6)
+    j0 = data.draw(st.integers(hull.j0, hull.j1), label="j0")
+    j1 = data.draw(st.integers(j0, j0 + 6), label="j1")
+    exp = Expansion(M, j0, j1)
+    lo, hi = _i_range(exp.degs)
+    i0 = data.draw(st.integers(lo - 3, hi + 3), label="i0")
+    i1 = data.draw(st.one_of(st.just(i0), st.integers(i0, hi + 3)), label="i1")
+    W = Window(i0, i1, j0, j1)
+    assert _column_cohomology(exp.degs, exp.d, W, A.p) == reference_column_cohomology(exp.degs, exp.d, W, A.p)
+    assert cohomology(M, W) == reference_column_cohomology(exp.degs, exp.d, W, A.p)
+
+
+@pytest.mark.parametrize("alg", [("S", 2, 2, 5), ("R", 2, 1, 3), ("T", 3, 2, 3), ("Q", 3, 2, 5)])
+def test_band_cohomology_on_every_i_window(alg):
+    # every i-window over a column's range and one past it: cuts at either
+    # end, one-row windows, and windows holding no basis element
+    A = make_algebra(*alg)
+    for trial in range(4):
+        M = random_module(A, stream(6, (alg, trial)), max_gens=4)
+        hull = Window.hull(M.gens).enlarge(1, 4)
+        exp = Expansion(M, hull.j0, hull.j1)
+        lo, hi = _i_range(exp.degs)
+        for i0 in range(lo - 2, hi + 3):
+            for i1 in range(i0, hi + 3):
+                W = Window(i0, i1, hull.j0, hull.j1)
+                want = reference_column_cohomology(exp.degs, exp.d, W, A.p)
+                assert _column_cohomology(exp.degs, exp.d, W, A.p) == want
+        far = Window(lo - 9, lo - 5, hull.j0, hull.j1)
+        assert not _column_cohomology(exp.degs, exp.d, far, A.p)
+        assert not cohomology(M, Window(lo, hi, hull.j1 + 40, hull.j1 + 42))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alg=st.sampled_from([("T", 1, 1, 3), ("T", 2, 2, 5), ("T", 3, 2, 3), ("T", 3, 3, 5)]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_band_cohomology_of_finite_modules(alg, seed, data):
+    T = make_algebra(*alg)
+    fin = expand_T_module(random_module(T, stream(seed, "band-finite"), max_gens=4))
+    degs, d = _finite_input(fin)
+    lo, hi = _i_range(degs)
+    jlo, jhi = (int(degs[:, 1].min()), int(degs[:, 1].max())) if len(degs) else (0, 0)
+    i0 = data.draw(st.integers(lo - 2, hi + 2), label="i0")
+    i1 = data.draw(st.one_of(st.just(i0), st.integers(i0, hi + 2)), label="i1")
+    j0 = data.draw(st.integers(jlo - 2, jhi + 2), label="j0")
+    j1 = data.draw(st.one_of(st.just(j0), st.integers(j0, jhi + 2)), label="j1")
+    W = Window(i0, i1, j0, j1)
+    assert fin.cohomology(W) == reference_column_cohomology(degs, d, W, T.p)
+
+
+def test_no_rank_outside_the_band(monkeypatch):
+    # cell (i, j) has dimension i + 1 + 3 j, so the shape of a rank input
+    # names its source bidegree
+    T = make_algebra("T", 1, 1, 3)
+    degs = [(i, j) for j in (0, 2) for i in range(6) for _ in range(i + 1 + 3 * j)]
+    fin = FiniteDgModule(T, degs)
+    source = {(i + 1 + 3 * j, i + 2 + 3 * j): (i, j) for j in (0, 2) for i in range(5)}
+    ranked = []
+
+    def recording_rank(a, p):
+        ranked.append(source[a.shape])
+        return mat_rank(a, p)
+
+    monkeypatch.setattr(dgmodule, "mat_rank", recording_rank)
+    for i0 in range(-1, 7):
+        for i1 in range(i0, 7):
+            for j0, j1 in ((0, 0), (0, 2), (2, 2), (1, 1)):
+                ranked.clear()
+                W = Window(i0, i1, j0, j1)
+                table = fin.cohomology(W)
+                assert all(i0 - 1 <= i <= i1 and j0 <= j <= j1 for i, j in ranked), (W, ranked)
+                assert table == reference_column_cohomology(*_finite_input(fin), W, 3)
+                assert table.to_triples() == [
+                    [i, j, i + 1 + 3 * j] for i in range(6) for j in (0, 2) if W.contains((i, j))
+                ]
+
+
 # -- finite modules ------------------------------------------------------------
 
 def test_finite_validate_rejects_wrong_d_bidegree():
@@ -293,6 +433,19 @@ def test_finite_validate_checks_sym_commutes_with_d(coeff):
     x = _matrix(4, 4, [(0, 2, 1), (1, 3, coeff)])
     mod = FiniteDgModule(S, [(0, 0), (1, 0), (2, -2), (3, -2)], d, sym_act=[x])
     assert mod.validate() == ([] if coeff == 1 else ["sym generator 0 does not commute with d"])
+
+
+def test_finite_validate_rejects_wrong_action_bidegree():
+    # an ext action between equal bidegrees used to validate, and its
+    # resolution then failed its own structure-map check
+    T = make_algebra("T", 1, 1, 5)
+    bad = FiniteDgModule(T, [(0, 0), (0, 0)], ext_act=[_matrix(2, 2, [(0, 1, 1)])])
+    assert bad.validate() == ["ext generator 0 entry 0->1 is not of bidegree (-1, 2)"]
+    good = FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix(2, 2, [(0, 1, 1)])])
+    assert good.validate() == []
+    S = make_algebra("S", 2, 2, 5)
+    bad = FiniteDgModule(S, [(0, 0), (2, -2)], sym_act=[_matrix(2, 2, []), _matrix(2, 2, [(1, 0, 1)])])
+    assert bad.validate() == ["sym generator 1 entry 1->0 is not of bidegree (2, -2)"]
 
 
 def test_finite_map_validate_rejects_wrong_bidegree():
