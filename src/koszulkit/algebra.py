@@ -112,38 +112,6 @@ def _ext_sign(m1: int, m2: int) -> int:
     return -1 if inv & 1 else 1
 
 
-def elt(alg: AlgebraSpec, terms) -> Element:
-    """Normalize a {monomial: coeff} mapping mod p, dropping zeros."""
-    out = {}
-    for mon, c in dict(terms).items():
-        c = c % alg.p
-        if c:
-            out[(tuple(mon[0]), mon[1])] = c
-    return out
-
-
-def elt_one(alg: AlgebraSpec) -> Element:
-    return {alg.one(): 1}
-
-
-def elt_scale(alg: AlgebraSpec, x: Element, c: int) -> Element:
-    c = c % alg.p
-    if c == 0:
-        return {}
-    return {mon: (v * c) % alg.p for mon, v in x.items()}
-
-
-def elt_add(alg: AlgebraSpec, x: Element, y: Element) -> Element:
-    out = dict(x)
-    for mon, c in y.items():
-        v = (out.get(mon, 0) + c) % alg.p
-        if v:
-            out[mon] = v
-        else:
-            out.pop(mon, None)
-    return out
-
-
 def mul_monomials(alg: AlgebraSpec, m1: Monomial, m2: Monomial):
     """Product monomial and sign, or None when it vanishes."""
     sign = _ext_sign(m1[1], m2[1])
@@ -151,23 +119,6 @@ def mul_monomials(alg: AlgebraSpec, m1: Monomial, m2: Monomial):
         return None
     exps = tuple(a + b for a, b in zip(m1[0], m2[0]))
     return (exps, m1[1] | m2[1]), sign
-
-
-def elt_mul(alg: AlgebraSpec, x: Element, y: Element) -> Element:
-    out = {}
-    p = alg.p
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            prod = mul_monomials(alg, m1, m2)
-            if prod is None:
-                continue
-            mon, sign = prod
-            v = (out.get(mon, 0) + sign * c1 * c2) % p
-            if v:
-                out[mon] = v
-            else:
-                out.pop(mon, None)
-    return out
 
 
 def elt_d(alg: AlgebraSpec, x: Element) -> Element:
@@ -195,18 +146,6 @@ def elt_d(alg: AlgebraSpec, x: Element) -> Element:
             pos += 1
             m &= m - 1
     return out
-
-
-def elt_bidegree(alg: AlgebraSpec, x: Element):
-    """Bidegree of a homogeneous element, None for 0; raises if mixed."""
-    deg = None
-    for mon in x:
-        d = monomial_bidegree(alg, mon)
-        if deg is None:
-            deg = d
-        elif d != deg:
-            raise ValueError(f"element is not homogeneous: {deg} vs {d}")
-    return deg
 
 
 @lru_cache(maxsize=None)

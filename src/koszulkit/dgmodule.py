@@ -1,273 +1,336 @@
 """Semifree dg-modules, chain maps, cones, expansion and exact cohomology.
 
 A semifree module is a finite list of free generator bidegrees over one of
-the algebras of ``algebra``, plus a sparse differential matrix with algebra
-entries: row k holds d(e_k) = sum_l diff[k][l] e_l, and entry (k, l) must be
-homogeneous of bidegree gens[k] - gens[l] + (1, 0).
+the algebras of ``algebra`` and a differential held as sorted term arrays:
+the term (k, l, mon, c) says that d(e_k) contains c * mon * e_l, of
+bidegree gens[k] - gens[l] + (1, 0).  Chain maps are held the same way.
+Monomials are interned per object, so monomial algebra (bidegrees,
+products, signs, d_A) runs on the few distinct monomials and is gathered
+by index; checks, shifts, duals and cones are array operations.
 
 Sign conventions, fixed project-wide and enforced by validate():
 
 * differentials act from the left: d(a e) = d(a) e + (-1)^{|a|} a d(e);
-* shifting by [1] multiplies entry (k, l) by -(-1)^c where
-  c = i_k - i_l + 1 is the entry's cohomological degree;
+* shifting by [1] multiplies a term from e_k to e_l by -(-1)^c where
+  c = i_k - i_l + 1 is its cohomological degree;
 * dualizing (Hom into the free rank-one module) negates generator
-  bidegrees and transposes the matrix with the entry-degree sign
-  (-1)^{c(c-1)/2}, which makes double dualization the identity on the
-  presentation.
+  bidegrees and transposes the terms with the sign (-1)^{c(c-1)/2}, which
+  makes double dualization the identity on the presentation.
 
-Cohomology is exact: for each internal degree the expansion is finite in
-every cohomological degree, so every cell of a column is complete, and the
-ranks a window's h^{i,j} need (the maps out of (i - 1, j) and (i, j)) are
-taken over whole cells; no other rank is taken.
-
-Expansions are assembled by one kernel from cached integer tables.  For
+Expansions are assembled by one kernel from cached integer tables: for
 each (algebra, internal-degree span) the monomials are numbered once, and
-for each monomial mon the block table says where mon times every monomial
-of the span lands, with its sign.  A differential or a generator action is
-then the concatenation of the blocks its entries select, shifted to each
-generator's rows, as COO arrays; spans are cut to the degrees monomials can
-have, so modules of any shape share the same few tables.
+the block table of a monomial says where it times every monomial of the
+span lands, with its sign.  Cohomology is exact: each internal-degree
+column of an expansion is complete, and the ranks a window's h^{i,j} need
+are taken over whole cells.
 
 Finite dg-modules (``FiniteDgModule``), the chain maps between them
 (``FiniteMap``) and the generator images of a map from a semifree module
 (``SemifreeToFiniteMap``) are dense int64 matrices reduced mod p, with
-row = source: entry (k, l) is the coefficient of b_l in the image of b_k,
-so a row vector v maps to v @ M.  Their checks, shifts, cones and duals
-are matrix algebra.
+row = source: a row vector v maps to v @ M.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import accumulate
-from math import inf
+from itertools import accumulate, groupby
+from math import comb, inf
 
 import numpy as np
 
 from . import algebra as alg_mod
-from .algebra import (
-    AlgebraSpec,
-    elt_add,
-    elt_bidegree,
-    elt_d,
-    elt_mul,
-    elt_scale,
-    make_algebra,
-    mul_monomials,
-)
-from .bigraded import Bidegree, BigradedDims, Window, bidegree_add, bidegree_sub
+from .algebra import AlgebraSpec, elt_d, make_algebra, monomial_bidegree, mul_monomials
+from .bigraded import Bidegree, BigradedDims, Window
 from .linalg import independent_columns, kernel_basis, rank as mat_rank
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
-
-def _entry_degree(gens, k: int, l: int) -> int:
-    """Cohomological degree of a differential entry from gen k to gen l."""
-    return gens[k][0] - gens[l][0] + 1
+_NO_TERMS = np.zeros((4, 0), dtype=np.int64)
+_NO_TERMS.flags.writeable = False
 
 
-def _clean_matrix(algebra: AlgebraSpec, matrix) -> dict[int, dict[int, dict]]:
-    """Rows of algebra entries with zero entries and rows dropped.  An entry
-    is rebuilt through ``elt`` only when a coefficient is outside [1, p) or
-    an exponent vector is not a tuple; clean entries are kept as they are."""
-    p = algebra.p
-    out = {}
-    for k, row in (matrix or {}).items():
-        clean = {}
-        for l, entry in row.items():
-            for (exps, _), c in entry.items():
-                if not 0 < c < p or type(exps) is not tuple:
-                    entry = alg_mod.elt(algebra, entry)
-                    break
-            if entry:
-                clean[l] = entry
-        if clean:
-            out[k] = clean
-    return out
+def _summed(key, vals, p: int):
+    """``key`` sorted, the values of equal keys summed mod p and the sums
+    that vanish dropped; ``vals`` must be nonzero mod p."""
+    order = key.argsort(kind="stable")
+    key, vals = key[order], vals[order] % p
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        first = np.concatenate(([0], (~repeat).nonzero()[0] + 1))
+        key, vals = key[first], np.add.reduceat(vals, first) % p
+        key, vals = key[vals != 0], vals[vals != 0]
+    return key, vals
+
+
+def _canonical(mons, terms, n_tgt: int, p: int):
+    """Canonical ``(mons, terms)`` from terms (src, tgt, mon, coeff), coeff
+    nonzero mod p, over monomials ``mons`` in any order and not all used:
+    equal positions are summed mod p and vanishing sums dropped."""
+    if not terms.shape[1]:
+        return (), _NO_TERMS
+    uniq = sorted(set(mons))
+    pos = {mon: u for u, mon in enumerate(uniq)}
+    src, tgt, mon, coeff = terms
+    key, coeff = _summed((src * n_tgt + tgt) * len(uniq) + np.array([pos[m] for m in mons])[mon], coeff, p)
+    rest, mon = np.divmod(key, len(uniq))
+    used = np.bincount(mon, minlength=len(uniq)) != 0
+    if not used.all():
+        mon = (used.cumsum() - 1)[mon]
+        uniq = [m for m, u in zip(uniq, used.tolist()) if u]
+    return tuple(uniq), np.array([*np.divmod(rest, n_tgt), mon, coeff])
+
+
+def nested_terms(algebra: AlgebraSpec, nested) -> tuple:
+    """Canonical ``(mons, terms)`` from nested dicts {src: {tgt: {monomial:
+    coeff}}}, a monomial being (exps, mask): the one conversion from dict
+    input, for parsed files, sampled entries and tests."""
+    p, rows = algebra.p, nested.items()
+    terms = sorted((k, l, (tuple(e), mask), c % p) for k, r in rows for l, x in r.items() for (e, mask), c in x.items() if c % p)
+    mons = tuple(sorted({mon for _, _, mon, _ in terms}))
+    pos = {mon: u for u, mon in enumerate(mons)}
+    return mons, np.array([(k, l, pos[mon], c) for k, l, mon, c in terms], dtype=np.int64).reshape(-1, 4).T.copy()
+
+
+def _signed(coeff, odd, p: int) -> np.ndarray:
+    """Coefficients in [1, p), negated mod p where ``odd`` is 1."""
+    return coeff + odd * (p - 2 * coeff)
+
+
+def _degree_issues(algebra: AlgebraSpec, mons, terms, want, what: str) -> list[str]:
+    """Entries (src, tgt) whose monomials differ in bidegree or whose
+    bidegree is not ``want``, an (n, 2) array per term."""
+    got = np.array([monomial_bidegree(algebra, m) for m in mons], dtype=np.int64).reshape(-1, 2)[terms[2]]
+    if (got == want).all():
+        return []
+    issues, rows = [], zip(terms[0].tolist(), terms[1].tolist(), map(tuple, got.tolist()), map(tuple, want.tolist()))
+    for (k, l), entry in groupby(rows, key=lambda row: row[:2]):
+        (_, _, deg, expected), *rest = entry
+        other = [d for _, _, d, _ in rest if d != deg]
+        if other:
+            issues.append(f"{what} ({k},{l}): element is not homogeneous: {deg} vs {other[0]}")
+        elif deg != expected:
+            issues.append(f"{what} ({k},{l}) has bidegree {deg}, expected {expected}")
+    return issues
+
+
+def _join(a, b):
+    """Index pairs (i, j) with a[i] == b[j], for sorted b; i ascending."""
+    lo = b.searchsorted(a)
+    count = b.searchsorted(a, "right") - lo
+    i = np.arange(len(a)).repeat(count)
+    return i, np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)
+
+
+def _products(algebra: AlgebraSpec, left_mons, left, right_mons, right, scale, step, intern: dict):
+    """The residue part (k, step, m, mon, coeff) of the products left(k, l) right(l, m),
+    joined on l; ``scale`` (a coefficient factor) and ``step`` are per left term, mon
+    is numbered by ``intern``, and each distinct pair of monomials is multiplied once."""
+    i, j = _join(left[1], right[0])
+    code = left[2][i] * len(right_mons) + right[2][j]
+    pairs = np.unique(code)
+    mon, sign = np.zeros((2, len(pairs)), dtype=np.int64)  # sign 0: the product vanishes
+    for n, (a, b) in enumerate(zip(*(x.tolist() for x in np.divmod(pairs, len(right_mons))))):
+        prod = mul_monomials(algebra, left_mons[a], right_mons[b])
+        if prod is not None:
+            mon[n], sign[n] = intern.setdefault(prod[0], len(intern)), prod[1]
+    inv = pairs.searchsorted(code)
+    return left[0][i], step[i], right[1][j], mon[inv], sign[inv] * (scale * left[3])[i] * right[3][j]
+
+
+def _derivations(algebra: AlgebraSpec, mons, terms, scale: int, step, intern: dict):
+    """The residue part (k, step, m, mon, coeff) of scale * d_A(term) on
+    the term's own (src, tgt); ``step`` is per term."""
+    d = [(u, intern.setdefault(m2, len(intern)), c) for u, m in enumerate(mons) for m2, c in elt_d(algebra, {m: 1}).items()]
+    which, mon, coeff = np.array(d, dtype=np.int64).reshape(-1, 3).T
+    i, n = _join(terms[2], which)
+    return terms[0][i], step[i], terms[1][i], mon[n], scale * coeff[n] * terms[3][i]
+
+
+def _failures(parts, p: int) -> list[tuple[int, int]]:
+    """For each k with a nonzero residue sum_parts at some (k, m), the first such m:
+    ``parts`` are (k, step, m, mon, coeff) arrays, terms are written out by step, then
+    m, and the first m has the first nonzero partial sum over one (k, step, m)."""
+
+    def nonzero_sums(keys):  # first term of each nonzero sum over equal keys, in lexsort order
+        order = np.lexsort(keys)
+        keys = np.array(keys)[:, order]
+        runs = np.concatenate(([0], (keys[:, 1:] != keys[:, :-1]).any(axis=0).nonzero()[0] + 1))
+        return order[runs[np.add.reduceat(coeff[order], runs) % p != 0]]
+
+    if not parts:
+        return []
+    k, step, m, mon, coeff = np.concatenate(parts, axis=1)
+    if not len(k):
+        return []
+    bad = nonzero_sums((mon, m, k))
+    bad = set(zip(k[bad].tolist(), m[bad].tolist()))
+    if not bad:
+        return []
+    nonzero = nonzero_sums((mon, m, step, k))
+    first = {}
+    for km in zip(k[nonzero].tolist(), m[nonzero].tolist()):
+        if km in bad:
+            first.setdefault(*km)
+    return sorted(first.items())
 
 
 class SemifreeDgModule:
-    """Free generator bidegrees ``gens`` and a sparse differential ``diff``.
+    """Free generators of bidegrees ``gens`` and a differential as term arrays.
 
-    The entry dicts are immutable after construction: clean entries are
-    shared, not copied, between a module and the modules derived from it
-    (shifts, sums, cones), so neither the caller nor any later code may
-    modify them in place.
+    ``terms`` is a (4, n) int64 array of rows (src, tgt, mon, coeff): d(e_src)
+    has the term coeff * mons[mon] e_tgt, ``mons`` being the sorted tuple of
+    the monomials used.  The arrays are canonical (sorted by (src, tgt, mon),
+    one term per position, coeff in [1, p), every monomial used), so equal
+    modules have equal arrays; the constructor takes them as given, and
+    ``nested_terms`` and every producer emit them so.  ``terms`` and
+    ``degs`` (``gens`` as a (rank, 2) array) are read-only
+    (``flags.writeable`` is False) and shared between derived modules.
     """
 
-    __slots__ = ("algebra", "gens", "diff")
+    __slots__ = ("algebra", "gens", "degs", "mons", "terms")
 
-    def __init__(self, algebra: AlgebraSpec, gens, diff=None):
+    def __init__(self, algebra: AlgebraSpec, gens, mons=(), terms=_NO_TERMS):
         self.algebra = algebra
-        self.gens: tuple[Bidegree, ...] = tuple((int(i), int(j)) for i, j in gens)
-        self.diff: dict[int, dict[int, dict]] = _clean_matrix(algebra, diff)
+        self.degs = np.asarray(gens, dtype=np.int64).reshape(-1, 2)
+        self.degs.flags.writeable = terms.flags.writeable = False
+        self.gens: tuple[Bidegree, ...] = tuple(map(tuple, self.degs.tolist()))
+        self.mons, self.terms = tuple(mons), terms
 
     @property
     def rank(self) -> int:
         return len(self.gens)
 
     def validate(self) -> list[str]:
-        """All dg-module axioms; empty list means the module is valid."""
-        issues = []
-        A = self.algebra
-        for k, row in self.diff.items():
-            for l, entry in row.items():
-                want = bidegree_add(bidegree_sub(self.gens[k], self.gens[l]), ONE_SHIFT)
-                try:
-                    got = elt_bidegree(A, entry)
-                except ValueError as exc:
-                    issues.append(f"entry ({k},{l}): {exc}")
-                    continue
-                if got is not None and got != want:
-                    issues.append(f"entry ({k},{l}) has bidegree {got}, expected {want}")
-        if issues:
+        """All dg-module axioms; empty list means the module is valid.
+
+        d(d e_k) = sum_l (-1)^c e_kl e_lm + d_A(e_kl), c the cohomological
+        degree of e_kl, is written out by l, the products before d_A(e_kl);
+        one failing m is reported per k (see ``_failures``)."""
+        A, terms, src, tgt = self.algebra, self.terms, *self.terms[:2]
+        want = self.degs[src] - self.degs[tgt] + ONE_SHIFT
+        issues = _degree_issues(A, self.mons, terms, want, "entry")
+        if issues or not len(src):
             return issues
-        for k in range(self.rank):
-            acc: dict[int, dict] = {}
-            for l, ekl in self.diff.get(k, {}).items():
-                sign = -1 if _entry_degree(self.gens, k, l) & 1 else 1
-                for m, elm in self.diff.get(l, {}).items():
-                    term = elt_scale(A, elt_mul(A, ekl, elm), sign)
-                    if term:
-                        acc[m] = elt_add(A, acc.get(m, {}), term)
-                dkl = elt_d(A, ekl)
-                if dkl:
-                    acc[l] = elt_add(A, acc.get(l, {}), dkl)
-            for m, residue in acc.items():
-                if residue:
-                    issues.append(f"d^2 != 0 from gen {k} to gen {m}")
-                    break
-        return issues
+        intern = {}
+        parts = [_products(A, self.mons, terms, self.mons, terms, 1 - 2 * (want[:, 0] & 1), 2 * tgt, intern)]
+        if A.has_differential:
+            parts.append(_derivations(A, self.mons, terms, 1, 2 * tgt + 1, intern))
+        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _failures(parts, A.p)]
 
     def shift(self, a: int, b: int) -> "SemifreeDgModule":
-        """The shifted module M[a]<b>; generator (i, j) moves to (i-a, j+b)."""
-        gens = tuple((i - a, j + b) for i, j in self.gens)
-        diff = {}
-        for k, row in self.diff.items():
-            new_row = {}
-            for l, entry in row.items():
-                c = _entry_degree(self.gens, k, l)
-                odd = (a * (c + 1)) & 1
-                new_row[l] = elt_scale(self.algebra, entry, -1) if odd else entry
-            diff[k] = new_row
-        return SemifreeDgModule(self.algebra, gens, diff)
+        """The shifted module M[a]<b>; generator (i, j) moves to (i-a, j+b):
+        for odd a, entries between generators of cohomological degrees of
+        different parity change sign."""
+        src, tgt, mon, coeff = terms = self.terms
+        if a & 1 and len(src):
+            i = self.degs[:, 0]
+            terms = np.array([src, tgt, mon, _signed(coeff, (i[src] - i[tgt]) & 1, self.algebra.p)])
+        return SemifreeDgModule(self.algebra, self.degs + (-a, b), self.mons, terms)
 
     def dualize(self) -> "SemifreeDgModule":
-        """Hom into the free rank-one module, on the semifree presentation.
-
-        An involution on the nose: dualize(dualize(M)) == M entrywise.
+        """Hom into the free rank-one module, on the semifree presentation:
+        the transpose, with sign (-1)^{c(c-1)/2} on an entry of cohomological
+        degree c.  An involution on the nose: dualize(dualize(M)) == M.
         """
-        gens = tuple((-i, -j) for i, j in self.gens)
-        diff: dict[int, dict[int, dict]] = {}
-        for l, row in self.diff.items():
-            for k, entry in row.items():
-                c = _entry_degree(self.gens, l, k)
-                odd = ((c * (c - 1)) // 2) & 1
-                diff.setdefault(k, {})[l] = elt_scale(self.algebra, entry, -1) if odd else entry
-        return SemifreeDgModule(self.algebra, gens, diff)
+        src, tgt, mon, coeff = terms = self.terms
+        if len(src):
+            i = self.degs[:, 0]
+            o = np.lexsort((mon, src, tgt))
+            odd = (i[src] - i[tgt] + 1) >> 1 & 1  # c(c-1)/2 is odd iff c = 2, 3 mod 4
+            terms = np.array([tgt[o], src[o], mon[o], _signed(coeff, odd, self.algebra.p)[o]])
+        return SemifreeDgModule(self.algebra, -self.degs, self.mons, terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SemifreeDgModule)
             and self.algebra == other.algebra
             and self.gens == other.gens
-            and self.diff == other.diff
+            and self.mons == other.mons
+            and self.terms.shape == other.terms.shape
+            and (self.terms == other.terms).all()
         )
 
     def __repr__(self):
-        return (
-            f"SemifreeDgModule({self.algebra.kind}, rank={self.rank}, "
-            f"gens={list(self.gens)})"
-        )
+        return f"SemifreeDgModule({self.algebra.kind}, rank={self.rank}, gens={list(self.gens)})"
 
 
 def free_module(algebra: AlgebraSpec, gens) -> SemifreeDgModule:
-    return SemifreeDgModule(algebra, gens, {})
+    return SemifreeDgModule(algebra, gens)
 
 
 class DgMap:
-    """Degree-(0, 0) chain map between semifree modules over one algebra.
-
-    matrix[k][l] is the coefficient of target generator l in the image of
-    source generator k; it must be homogeneous of bidegree
-    source.gens[k] - target.gens[l].  As in SemifreeDgModule, the entry
-    dicts are immutable after construction.
+    """Degree-(0, 0) chain map between semifree modules over one algebra, as
+    canonical term arrays like SemifreeDgModule's: the image of source gen src
+    has the term coeff * mons[mon] target gen tgt, of bidegree gens[src] - gens[tgt].
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "mons", "terms")
 
-    def __init__(self, source: SemifreeDgModule, target: SemifreeDgModule, matrix):
+    def __init__(self, source: SemifreeDgModule, target: SemifreeDgModule, mons=(), terms=_NO_TERMS):
         if source.algebra != target.algebra:
             raise ValueError("chain map needs a common algebra")
         self.source = source
         self.target = target
-        self.matrix: dict[int, dict[int, dict]] = _clean_matrix(source.algebra, matrix)
+        terms.flags.writeable = False
+        self.mons, self.terms = tuple(mons), terms
 
     def validate(self, min_internal: int | None = None) -> list[str]:
         """Chain-map and homogeneity checks.
 
-        When ``min_internal`` is given, rows whose source generator has
-        internal degree below it are skipped: maps built from truncated
-        functor images are exact chain maps only above their cutoff.
+        When ``min_internal`` is given, source generators of internal degree
+        below it are not checked for the chain condition: maps built from
+        truncated functor images are exact chain maps only above their
+        cutoff.  The residue is written out as d(e_k) phi through each
+        source generator l, then through each target generator l as
+        -d_A(phi_kl) and phi_kl d; one failing m is reported per k.
         """
-        issues = []
-        A = self.source.algebra
-        for k, row in self.matrix.items():
-            for l, entry in row.items():
-                want = bidegree_sub(self.source.gens[k], self.target.gens[l])
-                try:
-                    got = elt_bidegree(A, entry)
-                except ValueError as exc:
-                    issues.append(f"map entry ({k},{l}): {exc}")
-                    continue
-                if got is not None and got != want:
-                    issues.append(f"map entry ({k},{l}) has bidegree {got}, expected {want}")
+        A, S, T, phi = self.source.algebra, self.source, self.target, self.terms
+        issues = _degree_issues(A, self.mons, phi, S.degs[phi[0]] - T.degs[phi[1]], "map entry")
         if issues:
             return issues
-        for k in range(self.source.rank):
-            if min_internal is not None and self.source.gens[k][1] < min_internal:
-                continue
-            acc: dict[int, dict] = {}
-            for l, dkl in self.source.diff.get(k, {}).items():
-                for m, phi in self.matrix.get(l, {}).items():
-                    term = elt_mul(A, dkl, phi)
-                    if term:
-                        acc[m] = elt_add(A, acc.get(m, {}), term)
-            for l, phi in self.matrix.get(k, {}).items():
-                dphi = elt_d(A, phi)
-                if dphi:
-                    acc[l] = elt_add(A, acc.get(l, {}), elt_scale(A, dphi, -1))
-                sign = -1 if (self.source.gens[k][0] - self.target.gens[l][0]) & 1 else 1
-                for m, dn in self.target.diff.get(l, {}).items():
-                    term = elt_scale(A, elt_mul(A, phi, dn), -sign)
-                    if term:
-                        acc[m] = elt_add(A, acc.get(m, {}), term)
-            for m, residue in acc.items():
-                if residue:
-                    issues.append(f"chain condition fails from gen {k} to gen {m}")
-                    break
-        return issues
+        d_src = S.terms
+        if min_internal is not None:
+            d_src = d_src[:, S.degs[d_src[0], 1] >= min_internal]
+            phi = phi[:, S.degs[phi[0], 1] >= min_internal]
+        intern, parts = {}, []
+        late = 2 * S.rank  # steps through target generators come after all others
+        if len(d_src[0]) and len(phi[0]):
+            parts.append(_products(A, S.mons, d_src, self.mons, self.terms, 1, 2 * d_src[1], intern))
+        if len(phi[0]) and A.has_differential:
+            parts.append(_derivations(A, self.mons, phi, -1, late + 2 * phi[1], intern))
+        if len(phi[0]) and len(T.terms[0]):
+            sign = 2 * ((S.degs[phi[0], 0] - T.degs[phi[1], 0]) & 1) - 1
+            parts.append(_products(A, self.mons, phi, T.mons, T.terms, sign, late + 2 * phi[1] + 1, intern))
+        return [f"chain condition fails from gen {k} to gen {m}" for k, m in _failures(parts, A.p)]
 
 
 def identity_map(module: SemifreeDgModule) -> DgMap:
-    one = alg_mod.elt_one(module.algebra)
-    return DgMap(module, module, {k: {k: one} for k in range(module.rank)})
+    n = np.arange(module.rank)
+    return DgMap(module, module, (module.algebra.one(),) if module.rank else (), np.array([n, n, 0 * n, 0 * n + 1]))
 
 
 def cone(phi: DgMap) -> SemifreeDgModule:
-    """Mapping cone target + source[1] with the standard differential; phi
-    is not checked, and the cone is a dg-module only when it is valid."""
-    src = phi.source.shift(1, 0)
-    tgt = phi.target
-    off = tgt.rank
-    gens = tgt.gens + src.gens
-    diff = {k: dict(row) for k, row in tgt.diff.items()}
-    for k, row in src.diff.items():
-        diff[k + off] = {l + off: e for l, e in row.items()}
-    for k, row in phi.matrix.items():
-        diff.setdefault(k + off, {}).update({l: e for l, e in row.items()})
-    return SemifreeDgModule(phi.source.algebra, gens, diff)
+    """Mapping cone target + source[1] with the standard differential; phi is
+    not checked, and the cone is a dg-module only when it is valid.  Its terms
+    are d_target's, phi's and d_source[1]'s (signed as in ``shift``), moved to
+    the cone's generators; a stable sort by source makes them canonical."""
+    S, T = phi.source, phi.target
+    off, d_src = T.rank, S.terms
+    if d_src.shape[1]:
+        src, tgt, mon, coeff = d_src
+        i = S.degs[:, 0]
+        d_src = np.array([src, tgt, mon, _signed(coeff, (i[src] - i[tgt]) & 1, S.algebra.p)])
+    n_t, n_phi = len(T.mons), len(phi.mons)
+    moves = [[0, off, off], [0, 0, off], [0, n_t, n_t + n_phi], [0, 0, 0]]
+    terms = np.concatenate([T.terms, phi.terms, d_src], axis=1)
+    terms += np.repeat(moves, [T.terms.shape[1], phi.terms.shape[1], d_src.shape[1]], axis=1)
+    union = sorted(set(T.mons + phi.mons + S.mons))
+    pos = {m: u for u, m in enumerate(union)}
+    terms[2] = np.array([pos[m] for m in T.mons + phi.mons + S.mons], dtype=np.int64)[terms[2]]
+    if phi.terms.shape[1] and d_src.shape[1]:
+        terms = terms[:, terms[0].argsort(kind="stable")]
+    return SemifreeDgModule(S.algebra, np.concatenate([T.degs, S.degs - ONE_SHIFT]), union, terms)
 
 
 def _spans(A: AlgebraSpec, jlo: int, jhi: int, gens):
@@ -286,6 +349,22 @@ def _spans(A: AlgebraSpec, jlo: int, jhi: int, gens):
         a, b = a + (a & 1), b - (b & 1)
         spans.append((a, b) if a <= b else (0, -2))
     return spans
+
+
+@lru_cache(maxsize=None)
+def _span_size(key, jlo: int, jhi: int) -> int:
+    """The number of monomials of internal degree in [jlo, jhi], in closed
+    form: for m ext generators, C(n_ext, m) masks times the sym monomials of
+    the total degrees t0 <= t <= t1 left over, C(t1 + n, n) - C(t0 - 1 + n, n)."""
+    A = AlgebraSpec(*key)
+    n, total = A.n_sym, 0
+    for m in range(A.n_ext + 1):
+        lo, hi = jlo - 2 * m, jhi - 2 * m  # left for the sym part; ext generators have internal degree 2
+        lo, hi = (-hi, -lo) if A.sym_deg[1] < 0 else (lo, hi)
+        t0, t1 = max(0, -(-lo // 2)), hi // 2 if n else min(hi // 2, 0)  # sym generators have degree +-2
+        if t0 <= t1:
+            total += comb(A.n_ext, m) * (comb(t1 + n, n) - (comb(t0 - 1 + n, n) if t0 else 0))
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -339,32 +418,36 @@ def _derivation_block(key, rng):
 
 def _d_blocks(module: SemifreeDgModule, ranges):
     """The blocks (block, k, l, coeff) whose sum is d on the generators'
-    tables: d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum_l diff[k][l] e_l."""
-    key = module.algebra.key()
+    tables: d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum of the terms of d(e_k)."""
+    key, mons = module.algebra.key(), module.mons
     blocks = [
-        (_block(key, ranges[k], ranges[l], mon, False), k, l, c)
-        for k, row in module.diff.items()
-        for l, entry in row.items()
-        for mon, c in entry.items()
+        (_block(key, ranges[k], ranges[l], mons[u], False), k, l, c)
+        for k, l, u, c in zip(*module.terms.tolist())
     ]
     if module.algebra.has_differential:
         blocks += [(_derivation_block(key, r), k, k, 1) for k, r in enumerate(ranges)]
     return blocks
 
 
-def _merge(rows, cols, vals, n: int, p: int):
-    """Entries sorted by (row, col), equal positions summed mod p and zeros
-    dropped; ``vals`` must be nonzero mod p, so only summed entries vanish."""
-    rc = rows * n + cols
-    order = rc.argsort(kind="stable")
-    rc, vals = rc[order], vals[order] % p
-    repeat = rc[1:] == rc[:-1]
-    if repeat.any():
-        first = np.concatenate(([0], (~repeat).nonzero()[0] + 1))
-        vals = np.add.reduceat(vals, first) % p
-        rc = rc[first]
-        rc, vals = rc[vals != 0], vals[vals != 0]
-    return (*np.divmod(rc, n), vals)
+# Largest expansion basis Expansion will enumerate, counted before any
+# monomial table is built.  The e = f = 5 round trip at p = 3, seed 2024,
+# trials 0-2 expands at most 472,170 basis elements (the S-module of trial
+# 0 under F, at about 1 GB peak for the whole trial); 1M is a margin of 2.1
+# over it.
+MAX_EXPANSION_BASIS = 1_000_000
+
+
+def _gather(blocks, offsets):
+    """Sum over blocks (block, k, l, coeff) of coeff times the block taken
+    from the table rows of generator k to those of generator l: unmerged
+    arrays (src, dst, coeff) of positions in the concatenated tables."""
+    blocks = [b for b in blocks if b[0].shape[1]]
+    if not blocks:
+        return _NO_TERMS[:3]
+    src, dst, sign = np.concatenate([b for b, _, _, _ in blocks], axis=1)
+    lens = [b.shape[1] for b, _, _, _ in blocks]
+    src_off, dst_off, coeff = np.array([(offsets[k], offsets[l], c) for _, k, l, c in blocks]).T.repeat(lens, axis=1)
+    return src + src_off, dst + dst_off, sign * coeff
 
 
 class Expansion:
@@ -382,15 +465,21 @@ class Expansion:
     d(b_row) containing coeff * b_col.
     """
 
-    __slots__ = ("module", "degs", "d", "_ranges", "_offsets", "_place", "_mons", "_gen", "_order", "_basis")
+    __slots__ = ("module", "degs", "d", "_ranges", "_offsets", "_place", "_mons", "_gen", "_order")
 
     def __init__(self, module: SemifreeDgModule, jlo: int, jhi: int):
         self.module = module
         A = module.algebra
         key = A.key()
         ranges = self._ranges = _spans(A, jlo, jhi, module.gens)
+        sizes = [_span_size(key, *r) for r in ranges]
+        if sum(sizes) > MAX_EXPANSION_BASIS:
+            k = sizes.index(max(sizes))
+            raise ValueError(
+                f"the expansion on internal degrees [{jlo}, {jhi}] has {sum(sizes):,} basis elements, over the limit of "
+                f"{MAX_EXPANSION_BASIS:,}; generator {k} alone spans monomial degrees {list(ranges[k])} with {sizes[k]:,} monomials"
+            )
         tables = [_table(key, *r) for r in ranges]
-        sizes = [len(mons) for mons, _ in tables]
         self._offsets = list(accumulate(sizes, initial=0))
         # per basis element: generator bidegree and index
         shift = np.array([(i, j, k) for k, (i, j) in enumerate(module.gens)], dtype=np.int64)
@@ -401,7 +490,7 @@ class Expansion:
         self._place = np.empty_like(order)
         self._place[order] = np.arange(len(order))
         self.degs = degs[order]
-        self._mons, self._gen, self._order, self._basis = [ms for ms, _ in tables], gen, order, None
+        self._mons, self._gen, self._order = [ms for ms, _ in tables], gen, order
         self.d = self._assemble(_d_blocks(module, ranges))
 
     def __len__(self):
@@ -409,25 +498,28 @@ class Expansion:
 
     @property
     def basis(self) -> list:
-        """The basis as (k, monomial) pairs; built on first use."""
-        if self._basis is None:
-            mons = [mon for ms in self._mons for mon in ms]
-            gen = self._gen[self._order].tolist()
-            self._basis = list(zip(gen, map(mons.__getitem__, self._order.tolist())))
-        return self._basis
+        """The basis as (k, monomial) pairs."""
+        mons = [mon for ms in self._mons for mon in ms]
+        return list(zip(self._gen[self._order].tolist(), map(mons.__getitem__, self._order.tolist())))
+
+    def labels(self):
+        """Each basis element's generator and monomial: arrays (gen, mon)
+        in basis order and the sorted tuple ``mons`` that mon indexes."""
+        tables = dict(zip(self._ranges, self._mons))
+        mons = tuple(sorted(set().union(*tables.values())))
+        pos = {mon: u for u, mon in enumerate(mons)}
+        ids = {r: np.array([pos[mon] for mon in t], dtype=np.int64) for r, t in tables.items()}
+        flat = np.concatenate([np.zeros(0, np.int64)] + [ids[r] for r in self._ranges])
+        return self._gen[self._order], mons, flat[self._order]
 
     def _assemble(self, blocks):
         """Sum over blocks (block, k, l, coeff) of coeff times the block
         taken from the rows of generator k to those of generator l."""
-        blocks = [b for b in blocks if b[0].shape[1]]
-        if not blocks:
-            return tuple(_frozen_block([]))
-        off = self._offsets
-        src, dst, sign = np.concatenate([b for b, _, _, _ in blocks], axis=1)
-        lens = [b.shape[1] for b, _, _, _ in blocks]
-        src_off, dst_off, coeff = np.array([(off[k], off[l], c) for _, k, l, c in blocks]).T.repeat(lens, axis=1)
-        rows, cols = self._place[src + src_off], self._place[dst + dst_off]
-        return _merge(rows, cols, sign * coeff, len(self.degs), self.module.algebra.p)
+        src, dst, vals = _gather(blocks, self._offsets)
+        if not len(src):
+            return src, dst, vals
+        key, vals = _summed(self._place[src] * len(self) + self._place[dst], vals, self.module.algebra.p)
+        return (*np.divmod(key, len(self)), vals)
 
     def action(self, is_ext: bool, g: int):
         """Left action of one algebra generator as (rows, cols, coeffs),
@@ -679,19 +771,14 @@ class SemifreeToFiniteMap:
         self.images = _dense(images, (source.rank, target.dim), target.algebra.p)
 
     def validate(self) -> list[str]:
-        issues = []
-        for k, vec in enumerate(self.images):
-            want = self.source.gens[k]
-            if (self.target.basis_degs[vec.nonzero()[0]] != want).any():
-                issues.append(f"image of gen {k} is not homogeneous of {want}")
-        p = self.target.algebra.p
-        for k in range(self.source.rank):
-            acc = -self.images[k] @ self.target.d
-            for l, entry in self.source.diff.get(k, {}).items():
-                acc += self.target.apply_element(entry, self.images[l])
-            if (acc % p).any():
-                issues.append(f"chain condition fails at generator {k}")
-        return issues
+        degs, gens = self.target.basis_degs, self.source.gens
+        issues = [f"image of gen {k} is not homogeneous of {g}" for k, g in enumerate(gens) if (degs[self.images[k] != 0] != g).any()]
+        acc = -self.images @ self.target.d
+        mons = self.source.mons
+        for k, l, u, c in zip(*self.source.terms.tolist()):
+            acc[k] += self.target.apply_element({mons[u]: c}, self.images[l])
+        failing = (acc % self.target.algebra.p).any(axis=1).nonzero()[0]
+        return issues + [f"chain condition fails at generator {k}" for k in failing.tolist()]
 
     def to_finite(self, jlo: int, jhi: int):
         """Expand the source and return (expansion, FiniteMap)."""
@@ -710,6 +797,7 @@ def semifree_resolution(module, depth: int = 3):
     syzygies of an exterior algebra appear in strictly higher internal
     degree, never below).  Returns (P, psi) with psi: P -> M the structure
     map; a SemifreeDgModule input is returned unchanged with the identity.
+    ValueError when an internal degree does not converge (see below).
     """
     if isinstance(module, SemifreeDgModule):
         return module, identity_map(module)
@@ -726,25 +814,28 @@ def semifree_resolution(module, depth: int = 3):
     jmax = int(M.basis_degs[:, 1].max()) + 2 * depth
     jmin = int(M.basis_degs[:, 1].min()) - 2
     for j in range(jmin, jmax + 1):
-        while True:
+        # Two rounds per internal degree.  The first adds a generator x per
+        # class [z] of H^{*, j} of the cone, d(x) and psi(x) the parts of z.
+        # In internal degree j, x adds only x itself (T-monomials have
+        # internal degree >= 0, and 0 only for 1), sent to z by the cone
+        # differential; the z are independent modulo coboundaries, so this
+        # kills exactly their classes.  A second round must find none.
+        for _ in range(2):
             exp, fmap = psi.to_finite(jmin, jmax)
-            fin_cone = cone_finite(fmap)
-            reps = _cocycle_complement(fin_cone, j)
+            reps = _cocycle_complement(cone_finite(fmap), j)
             if not reps:
                 break
             off = fmap.target.dim  # M part comes first in the cone
-            new_gens = list(P.gens)
-            new_diff = {k: dict(row) for k, row in P.diff.items()}
-            for i, vec in reps:
-                row: dict[int, dict] = {}
-                src = vec[off:]
-                for n in src.nonzero()[0].tolist():
-                    k, mon = exp.basis[n]
-                    row.setdefault(k, {})[mon] = int(src[n])
-                new_diff[len(new_gens)] = row
-                new_gens.append((i, j))
-            P = SemifreeDgModule(A, new_gens, new_diff)
+            gen, mons, mon = exp.labels()
+            terms = [P.terms]
+            for n, (_, vec) in enumerate(reps):
+                nz = vec[off:].nonzero()[0]
+                terms.append(np.array([np.full_like(nz, P.rank + n), gen[nz], len(P.mons) + mon[nz], vec[off + nz]]))
+            terms = _canonical(P.mons + mons, np.concatenate(terms, axis=1), P.rank + len(reps), A.p)
+            P = SemifreeDgModule(A, P.gens + tuple((i, j) for i, _ in reps), *terms)
             psi = SemifreeToFiniteMap(P, M, np.vstack([psi.images] + [-vec[:off] for _, vec in reps]))
+        else:
+            raise ValueError(f"resolution did not converge at internal degree {j}")
     return P, psi
 
 
@@ -769,24 +860,13 @@ def _cocycle_complement(fin: FiniteDgModule, j: int):
 def serialize_module(module: SemifreeDgModule) -> str:
     """Deterministic JSON for a semifree module."""
     entries = []
-    for k in sorted(module.diff):
-        for l in sorted(module.diff[k]):
-            terms = [
-                [c, list(mon[0]), mon[1]]
-                for mon, c in sorted(module.diff[k][l].items())
-            ]
-            entries.append([k, l, terms])
-    doc = {
-        "schema": 1,
-        "algebra": {
-            "kind": module.algebra.kind,
-            "e": module.algebra.e,
-            "f": module.algebra.f,
-            "p": module.algebra.p,
-        },
-        "gens": [list(g) for g in module.gens],
-        "diff": entries,
-    }
+    for k, l, u, c in zip(*module.terms.tolist()):
+        if not entries or entries[-1][:2] != [k, l]:
+            entries.append([k, l, []])
+        exps, mask = module.mons[u]
+        entries[-1][2].append([c, list(exps), mask])
+    algebra = {x: getattr(module.algebra, x) for x in ("kind", "e", "f", "p")}
+    doc = {"schema": 1, "algebra": algebra, "gens": [list(g) for g in module.gens], "diff": entries}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -823,7 +903,7 @@ def deserialize_module(text: str) -> SemifreeDgModule:
             exps = tuple(_check_int(x, "exponent", 0) for x in exps)
             entry[(exps, _check_int(mask, "ext mask", 0, 1 << algebra.n_ext))] = c
         diff.setdefault(k, {})[l] = entry
-    mod = SemifreeDgModule(algebra, gens, diff)
+    mod = SemifreeDgModule(algebra, gens, *nested_terms(algebra, diff))
     issues = mod.validate()
     if issues:
         raise ValueError("invalid module: " + "; ".join(issues))

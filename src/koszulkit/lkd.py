@@ -24,9 +24,14 @@ pinned here and re-verified by DgMap.validate in the test suite.
 
 from __future__ import annotations
 
-from .algebra import AlgebraSpec, _ext_sign, make_algebra, monomial_bidegree
+from collections import namedtuple
+
+import numpy as np
+
+from .algebra import AlgebraSpec, _ext_sign, make_algebra
 from .bigraded import Window
-from .dgmodule import DgMap, Expansion, SemifreeDgModule
+from .dgmodule import _NO_TERMS, DgMap, Expansion, SemifreeDgModule, _canonical
+
 
 def standard_window(*modules: SemifreeDgModule) -> Window:
     """The requested comparison window for a module: its generator hull
@@ -48,15 +53,9 @@ def _partner(alg: AlgebraSpec, kind: str) -> AlgebraSpec:
     return make_algebra(kind, alg.e, alg.f, alg.p)
 
 
-class FunctorImage:
-    """A functor output together with the input-basis labels of its gens."""
-
-    __slots__ = ("module", "labels", "expansion")
-
-    def __init__(self, module: SemifreeDgModule, labels, expansion: Expansion):
-        self.module = module
-        self.labels = labels
-        self.expansion = expansion
+# A functor output and the input expansion whose basis its generators are:
+# generator b is basis element b of ``expansion``.
+FunctorImage = namedtuple("FunctorImage", "module expansion")
 
 
 def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: bool) -> FunctorImage:
@@ -65,15 +64,19 @@ def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: 
     w_b sits at offset + bidegree(b) and d(w_b) = d_sign w_{db} +
     sum_i g_i . w_{x_i b}, where x_i is the i-th ext (act_ext) or sym
     generator acting on the input and g_i is the partner generator of B.
+    The kernel's COO arrays of d and of each action, sorted by (row, col),
+    become the terms with monomial 1 and g_i; a stable sort of the parts,
+    concatenated in monomial order, by (row, col) makes them canonical.
     """
-    parts = [(B.one(), *exp.d[:2], exp.d[2] * d_sign % B.p)]
-    parts += [(B.gen_monomial(not act_ext, i), *exp.action(act_ext, i)) for i in range(B.f)]
-    diff: dict[int, dict[int, dict]] = {b: {} for b in range(len(exp))}
-    for mon, rows, cols, vals in parts:
-        for b, b2, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            diff[b].setdefault(b2, {})[mon] = c
-    gens = (exp.degs + offset).tolist()
-    return FunctorImage(SemifreeDgModule(B, gens, diff), list(exp.basis), exp)
+    mons = [B.one()] + [B.gen_monomial(not act_ext, i) for i in range(B.f)]
+    parts = [(*exp.d[:2], exp.d[2] * d_sign % B.p)] + [exp.action(act_ext, i) for i in range(B.f)]
+    parts = sorted((mon, part) for mon, part in zip(mons, parts) if len(part[0]))  # monomials are distinct
+    terms = _NO_TERMS
+    if parts:
+        rows, cols, vals = (np.concatenate(x) for x in zip(*(part for _, part in parts)))
+        ids = np.arange(len(parts)).repeat([len(part[0]) for _, part in parts])
+        terms = np.array([rows, cols, ids, vals])[:, np.lexsort((cols, rows))]
+    return FunctorImage(SemifreeDgModule(B, exp.degs + offset, [mon for mon, _ in parts], terms), exp)
 
 
 def functor_F(M: SemifreeDgModule, jcut: int) -> FunctorImage:
@@ -106,15 +109,13 @@ def counit(M: SemifreeDgModule, jcut: int):
     fm = functor_F(M, jcut)
     gfm = functor_G(fm.module)
     full = (1 << M.algebra.f) - 1
-    matrix: dict[int, dict[int, dict]] = {}
-    for g, (fgen, tmon) in enumerate(gfm.labels):
-        if tmon[1] != full:
-            continue
-        k, smon = fm.labels[fgen]
-        jb = M.gens[k][1] + monomial_bidegree(M.algebra, smon)[1]
-        sigma = -1 if (jb // 2) & 1 else 1
-        matrix[g] = {k: {smon: sigma % M.algebra.p}}
-    return DgMap(gfm.module, M, matrix), fm, gfm
+    fgen, tmons, tmon = gfm.expansion.labels()
+    g = np.array([mask == full for _, mask in tmons], dtype=bool)[tmon].nonzero()[0]
+    b = fgen[g]  # the basis element of M each selected theta^top . w_b names
+    k, smons, smon = fm.expansion.labels()
+    sigma = np.where(fm.expansion.degs[b, 1] // 2 & 1, M.algebra.p - 1, 1)
+    terms = _canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
+    return DgMap(gfm.module, M, *terms), fm, gfm
 
 
 def unit(N: SemifreeDgModule, jcut: int):
@@ -129,35 +130,16 @@ def unit(N: SemifreeDgModule, jcut: int):
     """
     gn = functor_G(N)
     fgn = functor_F(gn.module, jcut)
-    A = N.algebra
-    n, p = A.f, A.p
-    full = (1 << n) - 1
-    gn_index = {lab: c for c, lab in enumerate(gn.labels)}
-    szero = ((0,) * gn.module.algebra.n_sym, 0)
-    fgn_index = {lab: b for b, lab in enumerate(fgn.labels)}
-    matrix: dict[int, dict[int, dict]] = {}
-    for k in range(N.rank):
-        row: dict[int, dict] = {}
-        for mask in range(1 << n):
-            tmon = ((0,) * A.n_sym, mask) if A.n_sym else ((), mask)
-            c = gn_index.get((k, tmon))
-            if c is None:
-                continue
-            b = fgn_index.get((c, szero))
-            if b is None:
-                continue
-            comp = full & ~mask
-            sgn = _ext_sign(mask, comp)
-            jb = N.gens[k][1] + 2 * bin(mask).count("1")
-            eps = -1 if (jb // 2) & 1 else 1
-            coeff = (eps * sgn) % p
-            if not coeff:
-                continue
-            theta = ((0,) * A.n_sym, comp) if A.n_sym else ((), comp)
-            row.setdefault(b, {})[theta] = coeff
-        if row:
-            matrix[k] = row
-    return DgMap(N, fgn.module, matrix), gn, fgn
+    full = (1 << N.algebra.f) - 1
+    c, smons, smon = fgn.expansion.labels()
+    b = np.array([mon == gn.module.algebra.one() for mon in smons], dtype=bool)[smon].nonzero()[0]  # 1 . w_c
+    c = c[b]
+    k, tmons, tmon = gn.expansion.labels()  # theta^J e_k for each c
+    sgn = np.array([_ext_sign(mask, full & ~mask) for _, mask in tmons], dtype=np.int64)[tmon[c]]
+    eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
+    thetas = [((), full & ~mask) for _, mask in tmons]
+    terms = _canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
+    return DgMap(N, fgn.module, *terms), gn, fgn
 
 
 def kappa(M: SemifreeDgModule, jcut: int) -> SemifreeDgModule:
@@ -168,19 +150,17 @@ def kappa(M: SemifreeDgModule, jcut: int) -> SemifreeDgModule:
 def regrade_xi(M: SemifreeDgModule) -> SemifreeDgModule:
     """The bidegree shear (i, j) -> (i + j, j) from modules over S to R.
 
-    Entries carry over unchanged: internal degrees of S are even, so every
-    sign in the d^2 identity is preserved by the shear.
+    The term arrays are shared unchanged: internal degrees of S are even,
+    so every sign in the d^2 identity is preserved by the shear.
     """
     if M.algebra.kind != "S":
         raise ValueError("regrade_xi expects a module over S")
     R = _partner(M.algebra, "R")
-    gens = [(i + j, j) for i, j in M.gens]
-    return SemifreeDgModule(R, gens, M.diff)
+    return SemifreeDgModule(R, M.degs + M.degs[:, 1:] * (1, 0), M.mons, M.terms)
 
 
 def regrade_xi_inv(M: SemifreeDgModule) -> SemifreeDgModule:
     if M.algebra.kind != "R":
         raise ValueError("regrade_xi_inv expects a module over R")
     S = _partner(M.algebra, "S")
-    gens = [(i - j, j) for i, j in M.gens]
-    return SemifreeDgModule(S, gens, M.diff)
+    return SemifreeDgModule(S, M.degs - M.degs[:, 1:] * (1, 0), M.mons, M.terms)

@@ -10,27 +10,24 @@ action) and Hom-duality over Q are all computed on semifree presentations.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
+import numpy as np
+
 from .algebra import AlgebraSpec, _ext_sign, make_algebra, monomial_bidegree
 from .bigraded import Window, bidegree_add
-from .dgmodule import DgMap, SemifreeDgModule, _d_blocks, _spans, _table, cohomology
+from .dgmodule import DgMap, SemifreeDgModule, _canonical, _d_blocks, _gather, _spans, _table, cohomology
 from .homdual import DualityReport, _compare
 
 
 def extend_to_Q(N: SemifreeDgModule, e: int) -> SemifreeDgModule:
-    """Base change Q tensor_T N along T -> Q: same generators, entries
-    mapped by theta_i -> eta_i."""
+    """Base change Q tensor_T N along T -> Q: same generators and term
+    arrays, monomials mapped by theta_i -> eta_i (this keeps their order)."""
     if N.algebra.kind != "T":
         raise ValueError("extend_to_Q expects a module over T")
-    f, p = N.algebra.f, N.algebra.p
-    Q = make_algebra("Q", e, f, p)
-    nz = Q.n_sym
-    diff = {}
-    for k, row in N.diff.items():
-        diff[k] = {
-            l: {((0,) * nz, mon[1]): c for mon, c in entry.items()}
-            for l, entry in row.items()
-        }
-    return SemifreeDgModule(Q, N.gens, diff)
+    Q = make_algebra("Q", e, N.algebra.f, N.algebra.p)
+    zero = (0,) * Q.n_sym
+    return SemifreeDgModule(Q, N.degs, [(zero, mask) for _, mask in N.mons], N.terms)
 
 
 def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual, split):
@@ -45,21 +42,29 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual
     """
     Q = M.algebra
     ranges = _spans(Q, min((j for _, j in M.gens), default=0), jhi, M.gens)
-    mons = [_table(Q.key(), *r)[0] for r in ranges]
+    tables = {r: _table(Q.key(), *r)[0] for r in set(ranges)}
+    where = {r: {mon: n for n, mon in enumerate(t)} for r, t in tables.items()}
     gens = enumerate(M.gens)
-    labels = sorted((bidegree_add(g, monomial_bidegree(Q, m)), k, m) for k, g in gens for m in mons[k] if is_residual(m))
-    index = {(k, mon): n for n, (_, k, mon) in enumerate(labels)}
-    diff: dict[int, dict[int, dict]] = {n: {} for n in range(len(labels))}
-    for (src, dst, sign), k, l, c in _d_blocks(M, ranges):
-        for r, r2, s in zip(src.tolist(), dst.tolist(), sign.tolist()):
-            n = index.get((k, mons[k][r]))
-            if n is not None:
-                sgn, bmon, res = split(mons[l][r2])
-                m = index.get((l, res))
-                if m is not None:
-                    entry = diff[n].setdefault(m, {})
-                    entry[bmon] = entry.get(bmon, 0) + sgn * s * c
-    return SemifreeDgModule(B, [bd for bd, _, _ in labels], diff), labels
+    labels = sorted((bidegree_add(g, monomial_bidegree(Q, m)), k, m) for k, g in gens for m in tables[ranges[k]] if is_residual(m))
+    # per table position: the sign, B-monomial and residual position it splits
+    # into (a residual's internal degree lies in [0, its monomial's]: same table)
+    bmons, splits = {}, {}
+    for r, t in tables.items():
+        rows = [(s, bmons.setdefault(b, len(bmons)), where[r][res]) for s, b, res in map(split, t)]
+        splits[r] = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    # per position of the concatenated tables (as in the expansion kernel):
+    # the new generator it is, or -1, and the one its residual is
+    sizes = [len(tables[r]) for r in ranges]
+    offsets = list(accumulate(sizes, initial=0))
+    gen = np.full(offsets[-1], -1, dtype=np.int64)
+    gen[[offsets[k] + where[ranges[k]][m] for _, k, m in labels]] = np.arange(len(labels))
+    sgn, bmon, res = np.concatenate([np.zeros((0, 3), np.int64)] + [splits[r] for r in ranges]).T
+    tgt = gen[np.repeat(offsets[:-1], sizes) + res]
+    src, dst, coeff = _gather(_d_blocks(M, ranges), offsets)
+    live = gen[src] >= 0
+    src, dst = src[live], dst[live]
+    terms = np.array([gen[src], tgt[dst], bmon[dst], coeff[live] * sgn[dst]])
+    return SemifreeDgModule(B, [bd for bd, _, _ in labels], *_canonical(list(bmons), terms, len(labels), B.p)), labels
 
 
 def restrict_to_T(M: SemifreeDgModule, jhi: int):
@@ -86,14 +91,8 @@ def restriction_unit(N: SemifreeDgModule, e: int, jhi: int) -> DgMap:
     """The canonical map N -> restrict(Q tensor_T N); a quasi-isomorphism."""
     MQ = extend_to_Q(N, e)
     R, labels = restrict_to_T(MQ, jhi)
-    index = {(k, mon): n for n, (_, k, mon) in enumerate(labels)}
-    one_res = ((0,) * MQ.algebra.n_sym, 0)
-    matrix = {}
-    for k in range(N.rank):
-        n = index.get((k, one_res))
-        if n is not None:
-            matrix[k] = {n: {((), 0): 1}}
-    return DgMap(N, R, matrix)
+    terms = sorted((k, n, 0, 1) for n, (_, k, mon) in enumerate(labels) if mon == MQ.algebra.one())
+    return DgMap(N, R, (R.algebra.one(),) if terms else (), np.array(terms, dtype=np.int64).reshape(-1, 4).T.copy())
 
 
 def pushforward_p(M: SemifreeDgModule):

@@ -14,7 +14,7 @@ import random
 
 from .algebra import AlgebraSpec, monomials_by_internal
 from .bigraded import bidegree_add
-from .dgmodule import DgMap, SemifreeDgModule, cone, free_module
+from .dgmodule import DgMap, SemifreeDgModule, cone, free_module, nested_terms
 
 
 def stream(seed, trial) -> random.Random:
@@ -66,10 +66,10 @@ def random_chain_map(alg: AlgebraSpec, source: SemifreeDgModule, target: Semifre
                     row[l] = entry
             if row:
                 matrix[k] = row
-        phi = DgMap(source, target, matrix)
+        phi = DgMap(source, target, *nested_terms(alg, matrix))
         if not phi.validate():
             return phi
-    return DgMap(source, target, {})
+    return DgMap(source, target)
 
 
 def random_module(alg: AlgebraSpec, rng: random.Random, max_gens: int = 4) -> SemifreeDgModule:

@@ -114,7 +114,8 @@ def suite_duality_oracle(cfg: Config) -> list[dict]:
         DD = dualize_T_res(dualize_T_res(N))
         ok = DD == N
         if ok:
-            biduality = DgMap(N, DD, identity_map(N).matrix)
+            ident = identity_map(N)
+            biduality = DgMap(N, DD, ident.mons, ident.terms)
             ok = not biduality.validate() and is_quasi_iso(
                 biduality, cfg.window or standard_window(N)
             )

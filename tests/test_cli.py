@@ -166,12 +166,13 @@ def test_table_of_kappa_of_point(tmp_path):
 def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
     from koszulkit import dgmodule
     from koszulkit.algebra import make_algebra
-    from koszulkit.dgmodule import SemifreeDgModule, serialize_module
+    from dict_reference import module
+    from koszulkit.dgmodule import serialize_module
 
     # two maps within the window: e1 -> (x1 e0, x2 e0) in internal degree
     # -2 is a 1 x 2 cell, x e1 -> x x' e0 in internal degree -4 a 2 x 3 one
     S = make_algebra("S", 2, 2, 3)
-    M = SemifreeDgModule(S, [(0, 0), (1, -2)], {1: {0: {((1, 0), 0): 1}}})
+    M = module(S, [(0, 0), (1, -2)], {1: {0: {((1, 0), 0): 1}}})
     path = tmp_path / "mod.json"
     path.write_text(serialize_module(M))
     assert main(["table", str(path), "--window=0:4,-4:0"]) == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from dict_reference import dg_map
 from koszulkit.algebra import make_algebra
 from koszulkit.bigraded import Window
 from koszulkit.dgmodule import (
@@ -59,7 +60,8 @@ def test_dualize_T_biduality_map_is_quasi_iso():
         N = random_module(T, stream(32, trial), max_gens=3)
         DD = dualize_T_res(dualize_T_res(N))
         assert DD == N
-        biduality = DgMap(N, DD, identity_map(N).matrix)
+        ident = identity_map(N)
+        biduality = DgMap(N, DD, ident.mons, ident.terms)
         assert biduality.validate() == []
         assert is_quasi_iso(biduality, Window.hull(N.gens).enlarge(1, 2))
 
@@ -119,7 +121,7 @@ def test_oracle_on_cone_of_theta_multiplication():
     T = make_algebra("T", 1, 1, 5)
     target = free_module(T, [(0, 0)])
     source = free_module(T, [(-1, 2)])  # the shift carrying a theta entry
-    phi = DgMap(source, target, {0: {0: {((), 1): 1}}})
+    phi = dg_map(source, target, {0: {0: {((), 1): 1}}})
     assert phi.validate() == []
     rep = oracle_compare_T(cone(phi))
     assert rep.equal

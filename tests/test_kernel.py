@@ -12,9 +12,9 @@ that cut products off on both sides.
 import numpy as np
 import pytest
 
+from dict_reference import elt_mul, to_nested
 from koszulkit.algebra import (
     elt_d,
-    elt_mul,
     make_algebra,
     monomial_bidegree,
     monomials_by_internal,
@@ -30,14 +30,15 @@ from koszulkit.samples import random_module, stream
 def _d_terms(module: SemifreeDgModule, k: int, mon):
     """Terms ((l, monomial), coeff) of d(mon . e_k), unreduced mod p.
 
-    d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum_l diff[k][l] e_l; the same
+    d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum_l d_kl e_l, d_kl read from the
+    module's terms as a dict; the same
     (l, monomial) pair may come more than once.
     """
     A = module.algebra
     for mon2, c in elt_d(A, {mon: 1}).items():
         yield (k, mon2), c
     sign = -1 if monomial_bidegree(A, mon)[0] & 1 else 1
-    for l, entry in module.diff.get(k, {}).items():
+    for l, entry in to_nested(module).get(k, {}).items():
         for mon2, c in elt_mul(A, {mon: 1}, entry).items():
             yield (l, mon2), sign * c
 

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from dict_reference import module, to_nested
 from koszulkit.algebra import make_algebra
 from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
@@ -41,10 +42,10 @@ def expansion_dims(module: SemifreeDgModule, window: Window) -> BigradedDims:
 
 def direct_sum(M: SemifreeDgModule, N: SemifreeDgModule) -> SemifreeDgModule:
     off = M.rank
-    diff = {k: dict(row) for k, row in M.diff.items()}
-    for k, row in N.diff.items():
+    diff = to_nested(M)
+    for k, row in to_nested(N).items():
         diff[k + off] = {l + off: e for l, e in row.items()}
-    return SemifreeDgModule(M.algebra, M.gens + N.gens, diff)
+    return module(M.algebra, M.gens + N.gens, diff)
 
 
 def S_algebra(f, p=5):
@@ -57,7 +58,7 @@ def T_algebra(f, p=5):
 
 def koszul_complex(p=5):
     S = S_algebra(1, p)
-    return SemifreeDgModule(S, [(0, 0), (1, -2)], {1: {0: {((1,), 0): 1}}})
+    return module(S, [(0, 0), (1, -2)], {1: {0: {((1,), 0): 1}}})
 
 
 def test_F_of_free_S_resolves_point():
@@ -160,12 +161,12 @@ def test_functors_under_permuted_basis():
     # relabeling the exterior/symmetric generators does not change tables:
     # swap the roles of x_1, x_2 by permuting generator indices in entries
     S = S_algebra(2)
-    M = SemifreeDgModule(
+    M = module(
         S,
         [(0, 0), (1, -2)],
         {1: {0: {((1, 0), 0): 1, ((0, 1), 0): 2}}},
     )
-    swapped = SemifreeDgModule(
+    swapped = module(
         S,
         [(0, 0), (1, -2)],
         {1: {0: {((0, 1), 0): 1, ((1, 0), 0): 2}}},

@@ -15,8 +15,9 @@ import json
 
 import pytest
 
+from dict_reference import dg_map
 from koszulkit.algebra import make_algebra
-from koszulkit.dgmodule import DgMap, FiniteDgModule, cone, free_module, semifree_resolution, serialize_module
+from koszulkit.dgmodule import FiniteDgModule, cone, free_module, semifree_resolution, serialize_module
 from koszulkit.homdual import dualize_T_formula, expand_T_module
 from koszulkit.lkd import functor_F, functor_G, functor_jcut, standard_window
 from koszulkit.qmodel import pushforward_p, restrict_to_T
@@ -110,7 +111,7 @@ def test_presentation_digests(e, f, p):
 def _theta_cone_dual(f, p):
     """The closed-form dual of the expanded cone of theta_1: T[-1]<2> -> T."""
     T = make_algebra("T", f, f, p)
-    theta = DgMap(free_module(T, [(-1, 2)]), free_module(T, [(0, 0)]), {0: {0: {((), 1): 1}}})
+    theta = dg_map(free_module(T, [(-1, 2)]), free_module(T, [(0, 0)]), {0: {0: {((), 1): 1}}})
     return dualize_T_formula(expand_T_module(cone(theta)))
 
 
