@@ -3,11 +3,14 @@ module machinery behind the Koszulity probe.
 
 A BlockAlgebra has a basis whose pairwise products are single basis
 elements with a scalar coefficient (all the algebras built here are of
-this monomial shape).  Tables carry an extra "zero" slot so that products
-vectorize; associativity, unitality and grading multiplicativity are
-machine-checked on construction.  Every consumer (the Frobenius form, the
-anti-automorphism and Cartan checks, idempotent columns and the action on
-projectives) gathers from ``mult_idx``/``mult_coeff`` directly.
+this monomial shape).  It is built from product arrays (a, b, c, coeff)
+into dense tables with an extra "zero" slot so that products vectorize;
+associativity, unitality and grading multiplicativity are machine-checked
+on construction, associativity only on the triples where a side can be
+nonzero, which is exact because products are monomial.  Every consumer
+(the Frobenius form, the anti-automorphism and Cartan checks, idempotent
+columns and the action on projectives) gathers from
+``mult_idx``/``mult_coeff`` directly.
 
 Graded left modules are represented as homogeneous subspaces of direct
 sums of shifted projectives A.e; ``ProjectiveSum.act`` applies one algebra
@@ -23,17 +26,27 @@ import numpy as np
 from .linalg import check_modulus, independent_columns, kernel_basis
 
 
+def _join(keys, by, other):
+    """Every pair (n, other[m]) with by[m] == keys[n], for ``by`` sorted."""
+    lo, hi = np.searchsorted(by, keys), np.searchsorted(by, keys, side="right")
+    count = hi - lo
+    n = np.repeat(np.arange(len(keys)), count)
+    m = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return n, other[m]
+
+
 class BlockAlgebra:
     """Graded associative unital algebra over GF(p) with monomial products.
 
-    mult maps (a, b) -> (index, coeff) with missing pairs meaning 0.
+    products: arrays (a, b, c, coeff) saying a.b = coeff c; pairs not
+    listed, and zero coefficients, mean a.b = 0.
     idempotents: one primitive idempotent index per isomorphism class of
     simple module, with the simple's dimension (matrix-block size).
     trace: the linear functional whose pairing tr(xy) is the candidate
     Frobenius form.
     """
 
-    def __init__(self, p, labels, degrees, mult, unit_indices, idempotents, trace):
+    def __init__(self, p, labels, degrees, products, unit_indices, idempotents, trace):
         check_modulus(p)
         self.p = p
         self.labels = list(labels)
@@ -43,14 +56,13 @@ class BlockAlgebra:
         if len(self.index) != dim:
             raise ValueError("duplicate basis labels")
         self.degrees = np.asarray(degrees, dtype=np.int64)
-        z = dim  # zero slot
-        self.mult_idx = np.full((dim + 1, dim + 1), z, dtype=np.int64)
+        a, b, c, coeff = np.asarray(products, dtype=np.int64).reshape(4, -1)
+        live = coeff % p != 0
+        # row and column dim are the zero slot
+        self.mult_idx = np.full((dim + 1, dim + 1), dim, dtype=np.int64)
         self.mult_coeff = np.zeros((dim + 1, dim + 1), dtype=np.int64)
-        for (a, b), (c, coeff) in mult.items():
-            coeff %= p
-            if coeff:
-                self.mult_idx[a, b] = c
-                self.mult_coeff[a, b] = coeff
+        self.mult_idx[a[live], b[live]] = c[live]
+        self.mult_coeff[a[live], b[live]] = coeff[live] % p
         self.unit_indices = list(unit_indices)
         self.idempotents = list(idempotents)  # (class_label, index, simple_dim)
         self.trace = dict(trace)
@@ -68,50 +80,44 @@ class BlockAlgebra:
         prod = idx[a_idx, b_idx]
         if not (self.degrees[prod] == self.degrees[a_idx] + self.degrees[b_idx]).all():
             issues.append("grading is not multiplicative")
-        # unit: sum of unit_indices acts as identity both ways
-        for b in range(dim):
-            acc = {}
-            for e in self.unit_indices:
-                c, coeff = int(idx[e, b]), int(cf[e, b])
-                if coeff:
-                    acc[c] = (acc.get(c, 0) + coeff) % p
-            if {k: v for k, v in acc.items() if v} != {b: 1}:
-                issues.append(f"unit fails on the left at basis {b}")
-                break
-        for b in range(dim):
-            acc = {}
-            for e in self.unit_indices:
-                c, coeff = int(idx[b, e]), int(cf[b, e])
-                if coeff:
-                    acc[c] = (acc.get(c, 0) + coeff) % p
-            if {k: v for k, v in acc.items() if v} != {b: 1}:
-                issues.append(f"unit fails on the right at basis {b}")
-                break
+        # unit: row b of table is (sum of units).b, resp. b.(sum of units),
+        # with the zero slot last
+        basis = np.arange(dim)[:, None]
+        units = np.asarray(self.unit_indices, dtype=np.int64)[None, :]
+        for side, pos in (("left", (units, basis)), ("right", (basis, units))):
+            table = np.zeros((dim, dim + 1), dtype=np.int64)
+            np.add.at(table, (basis, idx[pos]), cf[pos])
+            bad = (table % p != np.eye(dim, dim + 1, dtype=np.int64)).any(axis=1).nonzero()[0]
+            if len(bad):
+                issues.append(f"unit fails on the {side} at basis {bad[0]}")
         if not self.is_associative():
             issues.append("multiplication is not associative")
         return issues
 
     def is_associative(self) -> bool:
-        """(ab)c == a(bc) for all basis triples, vectorized per a."""
+        """(ab)c == a(bc) for all basis triples.
+
+        Products are monomial, so (ab)c is nonzero only on triples where ab
+        and then (ab).c are nonzero, and a(bc) only where bc and a.(bc) are.
+        Both sides vanish off these two triple sets, so comparing them on
+        the union is exact.  A zero product sits at the zero slot, whose
+        products are zero, so indices compare as they are.
+        """
         dim, p = self.dim, self.p
-        idx, cf = self.mult_idx[: dim, : dim], self.mult_coeff[: dim, : dim]
-        z = self.dim
-        for a in range(dim):
-            ab_i, ab_c = self.mult_idx[a, :dim], self.mult_coeff[a, :dim]
-            left_i = self.mult_idx[ab_i][:, :dim]
-            left_c = ab_c[:, None] * self.mult_coeff[ab_i][:, :dim] % p
-            right_i = self.mult_idx[a, idx]
-            right_c = cf * self.mult_coeff[a, idx] % p
-            left_i = np.where(left_c == 0, z, left_i)
-            right_i = np.where(right_c == 0, z, right_i)
-            if not ((left_i == right_i).all() and (left_c == right_c).all()):
+        idx, cf = self.mult_idx, self.mult_coeff
+        x, y = np.nonzero(cf[:dim, :dim])  # nonzero products xy, sorted by x
+        ty, tx = np.nonzero(cf[:dim, :dim].T)  # the same, sorted by y
+        # one set at a time, for memory: xy = ab joins rows, xy = bc joins columns
+        for by, other, joins_rows in ((x, y, True), (ty, tx, False)):
+            n, m = _join(idx[x, y], by, other)
+            a, b, c = (x[n], y[n], m) if joins_rows else (m, x[n], y[n])
+            ab, bc = idx[a, b], idx[b, c]
+            same_c = cf[a, b] * cf[ab, c] % p == cf[b, c] * cf[a, bc] % p
+            if not ((idx[ab, c] == idx[a, bc]).all() and same_c.all()):
                 return False
         return True
 
     # -- basic structure ---------------------------------------------------
-    def product(self, a: int, b: int):
-        return int(self.mult_idx[a, b]), int(self.mult_coeff[a, b])
-
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for d in self.degrees:

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _ext_sign, make_algebra, monomial_bidegree
+from .algebra import AlgebraSpec, make_algebra, monomial_bidegree
 from .bigraded import Window, bidegree_add
 from .dgmodule import DgMap, SemifreeDgModule, _canonical, _d_blocks, _gather, _spans, _table, cohomology
 from .homdual import DualityReport, _compare
@@ -35,9 +35,10 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual
 
     The new generators are the elements mon . e_k of internal degree up to
     ``jhi`` whose monomial ``is_residual``; ``split`` writes a Q-monomial as
-    (sign, B-monomial, residual), the monomial being sign times their
-    product.  Terms on residuals that are not generators are dropped: the
-    result is the quotient by the dg-submodule the missing generators span.
+    (B-monomial, residual), whose product it is with no sign, because the
+    B-part is either even or holds the lowest exterior indices.  Terms on
+    residuals that are not generators are dropped: the result is the
+    quotient by the dg-submodule the missing generators span.
     Returns (module over B, labels), a label being (bidegree, k, residual).
     """
     Q = M.algebra
@@ -46,24 +47,24 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual
     where = {r: {mon: n for n, mon in enumerate(t)} for r, t in tables.items()}
     gens = enumerate(M.gens)
     labels = sorted((bidegree_add(g, monomial_bidegree(Q, m)), k, m) for k, g in gens for m in tables[ranges[k]] if is_residual(m))
-    # per table position: the sign, B-monomial and residual position it splits
+    # per table position: the B-monomial and residual position it splits
     # into (a residual's internal degree lies in [0, its monomial's]: same table)
     bmons, splits = {}, {}
     for r, t in tables.items():
-        rows = [(s, bmons.setdefault(b, len(bmons)), where[r][res]) for s, b, res in map(split, t)]
-        splits[r] = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        rows = [(bmons.setdefault(b, len(bmons)), where[r][res]) for b, res in map(split, t)]
+        splits[r] = np.array(rows, dtype=np.int64).reshape(-1, 2)
     # per position of the concatenated tables (as in the expansion kernel):
     # the new generator it is, or -1, and the one its residual is
     sizes = [len(tables[r]) for r in ranges]
     offsets = list(accumulate(sizes, initial=0))
     gen = np.full(offsets[-1], -1, dtype=np.int64)
     gen[[offsets[k] + where[ranges[k]][m] for _, k, m in labels]] = np.arange(len(labels))
-    sgn, bmon, res = np.concatenate([np.zeros((0, 3), np.int64)] + [splits[r] for r in ranges]).T
+    bmon, res = np.concatenate([np.zeros((0, 2), np.int64)] + [splits[r] for r in ranges]).T
     tgt = gen[np.repeat(offsets[:-1], sizes) + res]
     src, dst, coeff = _gather(_d_blocks(M, ranges), offsets)
     live = gen[src] >= 0
     src, dst = src[live], dst[live]
-    terms = np.array([gen[src], tgt[dst], bmon[dst], coeff[live] * sgn[dst]])
+    terms = np.array([gen[src], tgt[dst], bmon[dst], coeff[live]])
     return SemifreeDgModule(B, [bd for bd, _, _ in labels], *_canonical(list(bmons), terms, len(labels), B.p)), labels
 
 
@@ -81,8 +82,7 @@ def restrict_to_T(M: SemifreeDgModule, jhi: int):
     fmask = (1 << Q.f) - 1
 
     def split(qmon):
-        sub, rest = qmon[1] & fmask, qmon[1] & ~fmask
-        return _ext_sign(sub, rest), ((), sub), (qmon[0], rest)
+        return ((), qmon[1] & fmask), (qmon[0], qmon[1] & ~fmask)
 
     return _restrict_scalars(M, make_algebra("T", Q.e, Q.f, Q.p), jhi, lambda mon: not mon[1] & fmask, split)
 
@@ -108,7 +108,7 @@ def pushforward_p(M: SemifreeDgModule):
     zero = (0,) * Q.n_sym
 
     def split(qmon):
-        return 1, (qmon[0], 0), (zero, qmon[1])
+        return (qmon[0], 0), (zero, qmon[1])
 
     jhi = max((j for _, j in M.gens), default=0) + 2 * Q.n_ext
     return _restrict_scalars(M, make_algebra("P", Q.e, Q.f, Q.p), jhi, lambda mon: mon[0] == zero, split)

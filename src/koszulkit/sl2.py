@@ -7,6 +7,12 @@ two-dimensional space and its dual between the factors, and degree 2 is
 the image of the evaluation pairing.  The singular block is a single
 matrix algebra in degree 0.  Every numerical ingredient comes from the
 two-chart Cech computation in ``projline``.
+
+Both are matrix units over a type table (8 types regular, one singular):
+(t, i, j).(u, k, l) = (t.u, i, l) when j == k, so the product tables come
+from index arithmetic.  A report refuses a block of dimension over
+``MAX_BLOCK_DIM`` (regular blocks up to p = 23, the singular block up to
+p = 31) and a probe deeper than ``MAX_HBOUND``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,12 @@ from .projline import cohomology_P1
 TWISTS = (-1, -2)
 SHIFTS = (0, 1)
 
+# Largest block and deepest Koszulity probe a report accepts: the costliest
+# accepted report (p = 23, hbound 8) peaks at 657 MB and 4.5 s on 2 cores;
+# p = 29 at hbound 8 takes 1.5 GB, and hbound 16 takes 985 MB at p = 19.
+MAX_BLOCK_DIM = 1058
+MAX_HBOUND = 8
+
 
 class ExtTable:
     """Graded Hom between twisted zero sections, dims per Ext degree."""
@@ -30,15 +42,6 @@ class ExtTable:
     def __init__(self, a: int, b: int, dims: dict[int, int]):
         self.a, self.b = a, b
         self.dims = {int(k): int(v) for k, v in dims.items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, ExtTable) and self.dims == other.dims
-
-    def total(self) -> int:
-        return sum(self.dims.values())
-
-    def __repr__(self):
-        return f"ExtTable({self.a},{self.b},{self.dims})"
 
 
 def ext_zero_sections(a: int, b: int, p: int = 3) -> ExtTable:
@@ -70,6 +73,49 @@ def _check_lambda(p: int, lam: int):
         raise ValueError(f"lambda must lie in [0, (p-3)/2] = [0, {(p - 3) // 2}], got {lam}")
 
 
+def _matrix_units(types, blocks, n, type_product):
+    """Labels and product arrays of matrix units over a table of types.
+
+    Type t spans the labels (*t, i, j) with i < n[r], j < n[s] for
+    (r, s) = blocks[t], in that order; (t, i, j).(u, k, l) is
+    (type_product(t, u), i, l) when j == k and the type product is not
+    None, and 0 otherwise.  Returns (labels, (a, b, c, coeff)).  Refuses a
+    dimension over MAX_BLOCK_DIM before anything is built.
+    """
+    offset = np.cumsum([0] + [n[r] * n[s] for r, s in blocks])
+    if offset[-1] > MAX_BLOCK_DIM:
+        raise ValueError(f"the block has dimension {offset[-1]}, over the limit of {MAX_BLOCK_DIM}")
+    labels = [(*t, i, j) for t, (r, s) in zip(types, blocks) for i in range(n[r]) for j in range(n[s])]
+    where = {t: k for k, t in enumerate(types)}
+    products = []
+    for x, t in enumerate(types):
+        for y, u in enumerate(types):
+            tu = type_product(t, u)
+            if tu is not None:
+                (r, s), w = blocks[x], n[blocks[y][1]]
+                i, j, l = np.indices((n[r], n[s], w)).reshape(3, -1)
+                products.append([offset[x] + i * n[s] + j, offset[y] + j * w + l, offset[where[tu]] + i * w + l])
+    a, b, c = np.concatenate(products, axis=1)
+    return labels, (a, b, c, np.ones_like(a))
+
+
+def _regular_type_product(x, y):
+    """Product of two regular-block types E(r, d), V(r, s, t), or None."""
+    if x[0] == "E" and y[0] == "E":
+        return ("E", x[1], x[2] + y[2]) if x[1] == y[1] and x[2] + y[2] <= 2 else None
+    if x[0] == "E":
+        return y if x[1] == y[1] and x[2] == 0 else None
+    if y[0] == "E":
+        return x if x[2] == y[1] and y[2] == 0 else None
+    # evaluation pairing: v_t against its dual basis vector only
+    return ("E", x[1], 2) if (x[2], x[3]) == (y[1], y[3]) and y[2] == x[1] else None
+
+
+_REGULAR_TYPES = tuple(("E", r, d) for r in range(2) for d in (0, 2)) + tuple(
+    ("V", r, s, t) for r, s in ((0, 1), (1, 0)) for t in range(2)
+)
+
+
 def build_regular_block(p: int, lam: int) -> BlockAlgebra:
     """The regular block at weight lam: dimension 2 p^2, top degree 2."""
     _check_lambda(p, lam)
@@ -77,76 +123,22 @@ def build_regular_block(p: int, lam: int) -> BlockAlgebra:
     diag = block_ext_dims(0, 0, p)
     off = block_ext_dims(0, 1, p)
     assert diag == {0: 1, 2: 1} and off == {1: 2}, "unexpected Ext pattern"
-
-    labels = []
-    for r in range(2):
-        for d in (0, 2):
-            for i in range(n[r]):
-                for j in range(n[r]):
-                    labels.append(("E", r, d, i, j))
-    for (r, s) in ((0, 1), (1, 0)):
-        for t in range(2):
-            for i in range(n[r]):
-                for j in range(n[s]):
-                    labels.append(("V", r, s, t, i, j))
+    blocks = [(t[1], t[1]) if t[0] == "E" else (t[1], t[2]) for t in _REGULAR_TYPES]
+    labels, products = _matrix_units(_REGULAR_TYPES, blocks, n, _regular_type_product)
     index = {lab: k for k, lab in enumerate(labels)}
-
-    def compose(x, y):
-        """Single product of two basis labels, or None."""
-        if x[0] == "E" and y[0] == "E":
-            r, d1, i, j = x[1:]
-            r2, d2, k, l = y[1:]
-            if r != r2 or j != k or d1 + d2 > 2:
-                return None
-            return ("E", r, d1 + d2, i, l)
-        if x[0] == "E" and y[0] == "V":
-            r, d, i, j = x[1:]
-            r2, s, t, k, l = y[1:]
-            if r != r2 or j != k or d:
-                return None
-            return ("V", r, s, t, i, l)
-        if x[0] == "V" and y[0] == "E":
-            r, s, t, i, j = x[1:]
-            r2, d, k, l = y[1:]
-            if s != r2 or j != k or d:
-                return None
-            return ("V", r, s, t, i, l)
-        r, s, t, i, j = x[1:]
-        r2, s2, u, k, l = y[1:]
-        if s != r2 or j != k:
-            return None
-        # evaluation pairing: v_t against its dual basis vector only
-        if s2 != r or t != u:
-            return None
-        return ("E", r, 2, i, l)
-
-    mult = {}
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            lc = compose(la, lb)
-            if lc is not None:
-                mult[(a, b)] = (index[lc], 1)
     unit = [index[("E", r, 0, i, i)] for r in range(2) for i in range(n[r])]
     idems = [(f"L{r}", index[("E", r, 0, 0, 0)], n[r]) for r in range(2)]
     trace = {index[("E", r, 2, i, i)]: 1 for r in range(2) for i in range(n[r])}
-    degrees = [0 if l[0] == "E" and l[2] == 0 else (2 if l[0] == "E" else 1) for l in labels]
-    return BlockAlgebra(p, labels, degrees, mult, unit, idems, trace)
+    degrees = [l[2] if l[0] == "E" else 1 for l in labels]
+    return BlockAlgebra(p, labels, degrees, products, unit, idems, trace)
 
 
 def build_singular_block(p: int) -> BlockAlgebra:
     """The singular block: a p x p matrix algebra in degree 0."""
     check_modulus(p)
-    labels = [("E", 0, 0, i, j) for i in range(p) for j in range(p)]
-    index = {lab: k for k, lab in enumerate(labels)}
-    mult = {}
-    for a, (_, _, _, i, j) in enumerate(labels):
-        for b, (_, _, _, k, l) in enumerate(labels):
-            if j == k:
-                mult[(a, b)] = (index[("E", 0, 0, i, l)], 1)
-    unit = [index[("E", 0, 0, i, i)] for i in range(p)]
-    idems = [("L", index[("E", 0, 0, 0, 0)], p)]
-    trace = {index[("E", 0, 0, i, i)]: 1 for i in range(p)}
-    return BlockAlgebra(p, labels, [0] * len(labels), mult, unit, idems, trace)
+    labels, products = _matrix_units([("E", 0, 0)], [(0, 0)], (p,), lambda t, u: t)
+    unit = [i * p + i for i in range(p)]
+    return BlockAlgebra(p, labels, [0] * len(labels), products, unit, [("L", 0, p)], dict.fromkeys(unit, 1))
 
 
 QUIVER_LABELS = ("e1", "e2", "u", "v", "ubar", "vbar", "z1", "z2")
@@ -169,7 +161,7 @@ def quiver_basic_algebra(p: int) -> BlockAlgebra:
     check_modulus(p)
     labels = list(QUIVER_LABELS)
     index = {lab: i for i, lab in enumerate(labels)}
-    mult = {}
+    mult = []
     for a, la in enumerate(labels):
         for b, lb in enumerate(labels):
             if _QUIVER_SRC[la] != _QUIVER_TGT[lb]:
@@ -183,11 +175,11 @@ def quiver_basic_algebra(p: int) -> BlockAlgebra:
             else:
                 out = _QUIVER_PRODUCTS.get((la, lb))
             if out is not None:
-                mult[(a, b)] = (index[out], 1)
+                mult.append((a, b, index[out], 1))
     degrees = [_QUIVER_DEG[l] for l in labels]
     idems = [("L0", index["e1"], 1), ("L1", index["e2"], 1)]
     trace = {index["z1"]: 1, index["z2"]: 1}
-    return BlockAlgebra(p, labels, degrees, mult, [index["e1"], index["e2"]], idems, trace)
+    return BlockAlgebra(p, labels, degrees, np.array(mult).T, [index["e1"], index["e2"]], idems, trace)
 
 
 def graded_cartan(algebra: BlockAlgebra) -> dict:
@@ -215,8 +207,8 @@ def quiver_presentation(p: int, lam: int) -> dict:
     dimensions, and that the two Cartan tables agree entrywise.
     """
     _check_lambda(p, lam)
-    basic = quiver_basic_algebra(p)
     block = build_regular_block(p, lam)
+    basic = quiver_basic_algebra(p)
     cb = graded_cartan(basic)
     cB = graded_cartan(block)
     n = {"L0": lam + 1, "L1": p - 1 - lam}
@@ -228,15 +220,12 @@ def quiver_presentation(p: int, lam: int) -> dict:
         for d, v in dims.items():
             inflated[d] = inflated.get(d, 0) + n[rlab] * n[slab] * v
     dims_match = inflated == block.dims_by_degree()
-    degree_sum = basic.degrees[:, None] + basic.degrees[None, :]
-    length3_zero = not basic.mult_coeff[: basic.dim, : basic.dim][degree_sum >= 3].any()
     return {
         "p": p,
         "lambda": lam,
         "basic_dims_by_degree": basic.dims_by_degree(),
         "cartan_match": cartan_match,
         "inflated_dims_match": dims_match,
-        "length3_paths_vanish": length3_zero,
         "basic": basic,
         "block": block,
     }
@@ -313,6 +302,8 @@ def block_report(p: int, lam: int | None, hbound: int = 4) -> dict:
     A regular block is built once, by ``quiver_presentation``, and every
     check reads that one algebra.
     """
+    if not 1 <= hbound <= MAX_HBOUND:
+        raise ValueError(f"hbound must lie in [1, {MAX_HBOUND}], got {hbound}")
     if lam is None:
         algebra = build_singular_block(p)
         N = 0

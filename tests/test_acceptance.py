@@ -180,6 +180,8 @@ def test_c10_koszulity_probe():
 
 
 def test_c11_singular_block():
+    from test_sl2 import product
+
     for p in (3, 5, 7):
         A = build_singular_block(p)
         assert A.dim == p * p
@@ -187,7 +189,7 @@ def test_c11_singular_block():
         # structure constants are exactly those of the matrix algebra
         for a, (_, _, _, i, j) in enumerate(A.labels):
             for b, (_, _, _, k, l) in enumerate(A.labels):
-                idx, coeff = A.product(a, b)
+                idx, coeff = product(A, a, b)
                 if j == k:
                     assert coeff == 1 and A.labels[idx] == ("E", 0, 0, i, l)
                 else:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -128,6 +129,20 @@ def test_sl2_rejects_lambda_out_of_range():
 def test_sl2_lambda_error_names_the_range(capsys):
     assert main(["sl2", "-p", "7", "--lambda", "3"]) == 2
     assert "lambda must lie in [0, (p-3)/2] = [0, 2], got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["-p", "101", "--lambda", "0"], "the block has dimension 20402, over the limit of 1058"),
+    (["-p", "37", "--singular"], "the block has dimension 1369, over the limit of 1058"),
+    (["-p", "7", "--lambda", "0", "--hbound", "9"], "hbound must lie in [1, 8], got 9"),
+])
+def test_sl2_refuses_oversized_input(args, message):
+    start = time.monotonic()
+    res = run_cli(["sl2", *args])
+    assert time.monotonic() - start < 5
+    assert res.returncode == 2
+    assert res.stderr == f"error: {message}\n"
+    assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 def test_sl2_requires_block_choice():

@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit.blockalg import BlockAlgebra, ProjectiveSum, minimal_generators, simple_socle_start
 from koszulkit.projline import cohomology_P1
@@ -21,6 +24,11 @@ from koszulkit.sl2 import (
     quiver_presentation,
     regular_lambdas,
 )
+
+
+def product(A, a, b):
+    """The single product a.b of two basis elements as (index, coeff)."""
+    return int(A.mult_idx[a, b]), int(A.mult_coeff[a, b])
 
 
 # -- projective line ----------------------------------------------------------
@@ -96,6 +104,20 @@ def test_regular_blocks_total_dimension(p):
         }
 
 
+def test_size_limits_sit_at_p_23_and_hbound_8():
+    from koszulkit import sl2
+
+    assert build_regular_block(23, 0).dim == sl2.MAX_BLOCK_DIM
+    assert build_singular_block(31).dim <= sl2.MAX_BLOCK_DIM
+    for build in (lambda: build_regular_block(29, 0), lambda: build_singular_block(37)):
+        with pytest.raises(ValueError, match="over the limit of 1058"):
+            build()
+    assert block_report(3, 0, hbound=8)["verdicts"]["koszul_linear"]
+    for hbound in (0, 9):
+        with pytest.raises(ValueError, match=r"hbound must lie in \[1, 8\]"):
+            block_report(3, 0, hbound=hbound)
+
+
 def test_lambda_range_enforced():
     with pytest.raises(ValueError):
         build_regular_block(5, 2)
@@ -114,8 +136,14 @@ def test_quiver_basic_dims():
 
 
 def test_quiver_relations_close():
-    rep = quiver_presentation(3, 0)
-    assert rep["length3_paths_vanish"]
+    basic = quiver_basic_algebra(3)
+    i = basic.index
+    degree_sum = basic.degrees[:, None] + basic.degrees[None, :]
+    assert not basic.mult_coeff[: basic.dim, : basic.dim][degree_sum >= 3].any()
+    for x, y, z in (("ubar", "u", "z1"), ("vbar", "v", "z1"), ("u", "ubar", "z2"), ("v", "vbar", "z2")):
+        assert product(basic, i[x], i[y]) == (i[z], 1)
+    for x, y in (("ubar", "v"), ("vbar", "u"), ("u", "vbar"), ("v", "ubar")):
+        assert product(basic, i[x], i[y]) == (basic.dim, 0)
 
 
 def test_quiver_corner_one_dimensional_in_degree_two():
@@ -222,7 +250,7 @@ def test_degree_zero_part_is_matrix_product():
     assert len(deg0) == 4 + 9
     for a in deg0:
         for b in deg0:
-            i, c = A.product(a, b)
+            i, c = product(A, a, b)
             if c:
                 assert int(A.degrees[i]) == 0
 
@@ -254,7 +282,7 @@ def test_block_report_shape():
 def reference_column_basis(A, e):
     out = []
     for b in range(A.dim):
-        i, coeff = A.product(b, e)
+        i, coeff = product(A, b, e)
         if coeff:
             assert i == b and coeff == 1
             out.append(b)
@@ -271,7 +299,7 @@ def reference_act(amb, a, vec):
         if not c:
             continue
         g, b = basis[n]
-        i, coeff = A.product(a, b)
+        i, coeff = product(A, a, b)
         if coeff:
             m = pos[(g, i)]
             out[m] = (out[m] + c * coeff) % A.p
@@ -284,10 +312,10 @@ def reference_graded_cartan(algebra):
         for slab, e_s, _ in algebra.idempotents:
             dims = {}
             for b in range(algebra.dim):
-                i1, c1 = algebra.product(e_r, b)
+                i1, c1 = product(algebra, e_r, b)
                 if not c1 or i1 != b:
                     continue
-                i2, c2 = algebra.product(b, e_s)
+                i2, c2 = product(algebra, b, e_s)
                 if not c2 or i2 != b:
                     continue
                 d = int(algebra.degrees[b])
@@ -300,8 +328,8 @@ def reference_anti_automorphism(algebra, phi):
     multiplicative = True
     for a in range(algebra.dim):
         for b in range(algebra.dim):
-            i, c = algebra.product(a, b)
-            i2, c2 = algebra.product(phi[b], phi[a])
+            i, c = product(algebra, a, b)
+            i2, c2 = product(algebra, phi[b], phi[a])
             if (c and (not c2 or phi[i] != i2 or c != c2)) or (not c and c2):
                 multiplicative = False
     return {
@@ -317,14 +345,12 @@ def rescaled(A, seed):
     p, dim = A.p, A.dim
     s = np.random.default_rng(seed).integers(1, p, size=dim)
     s[A.unit_indices] = 1
-    a_idx, b_idx = np.nonzero(A.mult_coeff[:dim, :dim])
-    mult = {}
-    for a, b in zip(a_idx.tolist(), b_idx.tolist()):
-        c = int(A.mult_idx[a, b])
-        coeff = int(A.mult_coeff[a, b]) * int(s[a]) * int(s[b]) * pow(int(s[c]), p - 2, p)
-        mult[(a, b)] = (c, coeff)
+    a, b = np.nonzero(A.mult_coeff[:dim, :dim])
+    c = A.mult_idx[a, b]
+    inverse = np.array([pow(int(v), p - 2, p) for v in s], dtype=np.int64)
+    coeff = A.mult_coeff[a, b] * s[a] % p * s[b] % p * inverse[c] % p
     trace = {i: v * int(s[i]) for i, v in A.trace.items()}
-    return BlockAlgebra(p, A.labels, A.degrees, mult, A.unit_indices, A.idempotents, trace)
+    return BlockAlgebra(p, A.labels, A.degrees, (a, b, c, coeff), A.unit_indices, A.idempotents, trace)
 
 
 def regular_blocks(primes=(3, 5)):
@@ -417,3 +443,223 @@ REPORT_SHA256 = {
 def test_block_report_bytes_pinned(p, lam):
     text = json.dumps(block_report(p, lam), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[(p, lam)]
+
+
+# -- the matrix-unit builders against the per-pair builders they replaced ------
+
+def reference_regular_block(p, lam):
+    """The regular block's labels and product dict, one compose per pair."""
+    n = (lam + 1, p - 1 - lam)
+    labels = []
+    for r in range(2):
+        for d in (0, 2):
+            for i in range(n[r]):
+                for j in range(n[r]):
+                    labels.append(("E", r, d, i, j))
+    for (r, s) in ((0, 1), (1, 0)):
+        for t in range(2):
+            for i in range(n[r]):
+                for j in range(n[s]):
+                    labels.append(("V", r, s, t, i, j))
+    index = {lab: k for k, lab in enumerate(labels)}
+
+    def compose(x, y):
+        """Single product of two basis labels, or None."""
+        if x[0] == "E" and y[0] == "E":
+            r, d1, i, j = x[1:]
+            r2, d2, k, l = y[1:]
+            if r != r2 or j != k or d1 + d2 > 2:
+                return None
+            return ("E", r, d1 + d2, i, l)
+        if x[0] == "E" and y[0] == "V":
+            r, d, i, j = x[1:]
+            r2, s, t, k, l = y[1:]
+            if r != r2 or j != k or d:
+                return None
+            return ("V", r, s, t, i, l)
+        if x[0] == "V" and y[0] == "E":
+            r, s, t, i, j = x[1:]
+            r2, d, k, l = y[1:]
+            if s != r2 or j != k or d:
+                return None
+            return ("V", r, s, t, i, l)
+        r, s, t, i, j = x[1:]
+        r2, s2, u, k, l = y[1:]
+        if s != r2 or j != k:
+            return None
+        # evaluation pairing: v_t against its dual basis vector only
+        if s2 != r or t != u:
+            return None
+        return ("E", r, 2, i, l)
+
+    mult = {}
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels):
+            lc = compose(la, lb)
+            if lc is not None:
+                mult[(a, b)] = (index[lc], 1)
+    return labels, mult
+
+
+def reference_singular_block(p):
+    labels = [("E", 0, 0, i, j) for i in range(p) for j in range(p)]
+    index = {lab: k for k, lab in enumerate(labels)}
+    mult = {}
+    for a, (_, _, _, i, j) in enumerate(labels):
+        for b, (_, _, _, k, l) in enumerate(labels):
+            if j == k:
+                mult[(a, b)] = (index[("E", 0, 0, i, l)], 1)
+    return labels, mult
+
+
+def dense_tables(dim, mult):
+    idx = np.full((dim + 1, dim + 1), dim, dtype=np.int64)
+    coeff = np.zeros((dim + 1, dim + 1), dtype=np.int64)
+    for (a, b), (c, v) in mult.items():
+        idx[a, b], coeff[a, b] = c, v
+    return idx, coeff
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_matrix_units_match_per_pair_builder(p):
+    cases = [(build_regular_block(p, lam), reference_regular_block(p, lam)) for lam in regular_lambdas(p)]
+    cases.append((build_singular_block(p), reference_singular_block(p)))
+    for A, (labels, mult) in cases:
+        assert A.labels == labels
+        idx, coeff = dense_tables(len(labels), mult)
+        assert (A.mult_idx == idx).all() and (A.mult_coeff == coeff).all()
+
+
+# -- associativity on nonzero triples against the dense loop --------------------
+
+def reference_is_associative(self):
+    """(ab)c == a(bc) for all basis triples, vectorized per a."""
+    dim, p = self.dim, self.p
+    idx, cf = self.mult_idx[: dim, : dim], self.mult_coeff[: dim, : dim]
+    z = self.dim
+    for a in range(dim):
+        ab_i, ab_c = self.mult_idx[a, :dim], self.mult_coeff[a, :dim]
+        left_i = self.mult_idx[ab_i][:, :dim]
+        left_c = ab_c[:, None] * self.mult_coeff[ab_i][:, :dim] % p
+        right_i = self.mult_idx[a, idx]
+        right_c = cf * self.mult_coeff[a, idx] % p
+        left_i = np.where(left_c == 0, z, left_i)
+        right_i = np.where(right_c == 0, z, right_i)
+        if not ((left_i == right_i).all() and (left_c == right_c).all()):
+            return False
+    return True
+
+
+def tables_only(p, idx, coeff):
+    """A BlockAlgebra carrying only the tables, unchecked, for is_associative."""
+    A = BlockAlgebra.__new__(BlockAlgebra)
+    A.p, A.dim, A.mult_idx, A.mult_coeff = p, idx.shape[0] - 1, idx, coeff
+    return A
+
+
+@functools.lru_cache(maxsize=None)
+def cached_block(p, lam):
+    return build_singular_block(p) if lam is None else build_regular_block(p, lam)
+
+
+MUTATIONS = ("none", "coefficient", "redirect", "zero", "add")
+
+
+def random_monomial_table(seed):
+    rng = np.random.default_rng(seed)
+    p, dim = int(rng.choice([3, 5, 7])), int(rng.integers(1, 13))
+    live = rng.random((dim, dim)) < rng.random()
+    idx = np.full((dim + 1, dim + 1), dim, dtype=np.int64)
+    coeff = np.zeros((dim + 1, dim + 1), dtype=np.int64)
+    idx[:dim, :dim] = np.where(live, rng.integers(0, dim, size=(dim, dim)), dim)
+    coeff[:dim, :dim] = np.where(live, rng.integers(1, p, size=(dim, dim)), 0)
+    return tables_only(p, idx, coeff)
+
+
+def mutated_block(seed, mutation):
+    rng = np.random.default_rng(seed)
+    p = int(rng.choice([3, 5, 7]))
+    lam = [*regular_lambdas(p), None][int(rng.integers(0, (p + 1) // 2))]
+    A = cached_block(p, lam)
+    dim, idx, coeff = A.dim, A.mult_idx.copy(), A.mult_coeff.copy()
+    live = np.argwhere(coeff[:dim, :dim])
+    a, b = live[rng.integers(len(live))]
+    if mutation == "coefficient":
+        coeff[a, b] = 1 + (coeff[a, b] - 1 + rng.integers(1, p - 1)) % (p - 1)
+    elif mutation == "redirect":
+        idx[a, b] = (idx[a, b] + rng.integers(1, dim)) % dim
+    elif mutation == "zero":
+        idx[a, b], coeff[a, b] = dim, 0
+    elif mutation == "add":
+        dead = np.argwhere(coeff[:dim, :dim] == 0)
+        a, b = dead[rng.integers(len(dead))]
+        idx[a, b], coeff[a, b] = rng.integers(0, dim), rng.integers(1, p)
+    return tables_only(p, idx, coeff)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("random",) + MUTATIONS))
+def test_is_associative_matches_dense_loop(seed, kind):
+    A = random_monomial_table(seed) if kind == "random" else mutated_block(seed, kind)
+    assert A.is_associative() == reference_is_associative(A)
+
+
+def test_is_associative_sees_each_kind_of_failure():
+    # basis a, b, c, d, e, f, g as 0..6; each table fails on the triple (a, b, c) only
+    failures = {
+        "only a(bc) != 0": [(1, 2, 3), (0, 3, 3)],
+        "only (ab)c != 0": [(0, 1, 3), (3, 2, 3)],
+        "(ab)c = f, a(bc) = g": [(0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 6)],
+    }
+    for pairs in failures.values():
+        idx = np.full((8, 8), 7, dtype=np.int64)
+        coeff = np.zeros((8, 8), dtype=np.int64)
+        for a, b, c in pairs:
+            idx[a, b], coeff[a, b] = c, 1
+        A = tables_only(3, idx, coeff)
+        assert not A.is_associative() and not reference_is_associative(A)
+
+
+@pytest.mark.parametrize("kind", ("random",) + MUTATIONS)
+def test_associativity_inputs_take_both_verdicts(kind):
+    seeds = range(40)
+    tables = [random_monomial_table(s) if kind == "random" else mutated_block(s, kind) for s in seeds]
+    verdicts = {reference_is_associative(A) for A in tables}
+    assert (False in verdicts) == (kind != "none")
+    assert True in verdicts or kind != "random"
+
+
+# -- one invalid algebra per axiom message ----------------------------------------
+
+def unital_products(dim, left=True, right=True):
+    """e = basis 0 acting as the identity on the chosen sides."""
+    pairs = [(0, b, b) for b in range(dim) if left or b == 0]
+    pairs += [(b, 0, b) for b in range(1, dim) if right]
+    return pairs
+
+
+AXIOM_FAILURES = {
+    # x.x = x though x has degree 1
+    "grading is not multiplicative": ([0, 1], unital_products(2) + [(1, 1, 1)]),
+    # e.x = e.y = 0: the first failing basis is x
+    "unit fails on the left at basis 1": ([0, 0, 0], unital_products(3, left=False)),
+    "unit fails on the right at basis 1": ([0, 0, 0], unital_products(3, right=False)),
+    # (x.x).x = y.x = x but x.(x.x) = x.y = 0
+    "multiplication is not associative": ([0, 0, 0], unital_products(3) + [(1, 1, 2), (2, 1, 1)]),
+}
+
+
+def test_structure_constants_and_the_unit_are_read_mod_p():
+    # over GF(3): e.e = 4e = e, x.x = 3x = 0, and the unit e + e + e + e = e
+    a, b, c, coeff = np.array([(0, 0, 0, 4), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 3)]).T
+    A = BlockAlgebra(3, ["e", "x"], [0, 0], (a, b, c, coeff), [0, 0, 0, 0], [], {})
+    assert product(A, 0, 0) == (0, 1) and product(A, 1, 1) == (2, 0)
+
+
+@pytest.mark.parametrize("message", list(AXIOM_FAILURES))
+def test_check_axioms_names_each_failure(message):
+    degrees, pairs = AXIOM_FAILURES[message]
+    a, b, c = np.array(pairs).T
+    with pytest.raises(ValueError) as info:
+        BlockAlgebra(5, range(len(degrees)), degrees, (a, b, c, np.ones_like(a)), [0], [], {})
+    assert str(info.value) == message
