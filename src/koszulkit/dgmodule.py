@@ -20,9 +20,13 @@ Sign conventions, fixed project-wide and enforced by validate():
 Expansions are assembled by one kernel from cached integer tables: for
 each (algebra, internal-degree span) the monomials are numbered once, and
 the block table of a monomial says where it times every monomial of the
-span lands, with its sign.  Cohomology is exact: each internal-degree
-column of an expansion is complete, and the ranks a window's h^{i,j} need
-are taken over whole cells.
+span lands, with its sign.  A module's generators are held by index into
+its few distinct spans, so tables, sizes and bidegrees are read once per
+span and gathered by index; the terms of d fall into few distinct (span,
+span, monomial) groups, and each group's block is built or looked up once
+and placed for all of its terms by one repeat/arange gather.  Cohomology
+is exact: each internal-degree column of an expansion is complete, and the
+ranks a window's h^{i,j} need are taken over whole cells.
 
 Finite dg-modules (``FiniteDgModule``), the chain maps between them
 (``FiniteMap``) and the generator images of a map from a semifree module
@@ -40,7 +44,7 @@ from math import comb, inf
 import numpy as np
 
 from . import algebra as alg_mod
-from .algebra import AlgebraSpec, elt_d, make_algebra, monomial_bidegree, mul_monomials
+from .algebra import CACHE_SIZE, AlgebraSpec, elt_d, make_algebra, monomial_bidegree, mul_monomials
 from .bigraded import Bidegree, BigradedDims, Window
 from .linalg import independent_columns, kernel_basis, rank as mat_rank
 
@@ -48,18 +52,21 @@ ONE_SHIFT = (1, 0)  # bidegree of every differential
 
 _NO_TERMS = np.zeros((4, 0), dtype=np.int64)
 _NO_TERMS.flags.writeable = False
+_NO_DEGS = _NO_TERMS[:2].T  # (0, 2): the bidegrees of no basis elements
 
 
 def _summed(key, vals, p: int):
     """``key`` sorted, the values of equal keys summed mod p and the sums
-    that vanish dropped; ``vals`` must be nonzero mod p."""
-    order = key.argsort(kind="stable")
+    that vanish dropped; ``vals`` must be nonzero mod p.  Sums mod p do not
+    depend on the order of their terms, so the sort need not be stable."""
+    order = key.argsort()
     key, vals = key[order], vals[order] % p
     repeat = key[1:] == key[:-1]
-    if repeat.any():
+    if np.count_nonzero(repeat):
         first = np.concatenate(([0], (~repeat).nonzero()[0] + 1))
         key, vals = key[first], np.add.reduceat(vals, first) % p
-        key, vals = key[vals != 0], vals[vals != 0]
+        nonzero = vals != 0
+        key, vals = key[nonzero], vals[nonzero]
     return key, vals
 
 
@@ -100,7 +107,7 @@ def _signed(coeff, odd, p: int) -> np.ndarray:
 def _degree_issues(algebra: AlgebraSpec, mons, terms, want, what: str) -> list[str]:
     """Entries (src, tgt) whose monomials differ in bidegree or whose
     bidegree is not ``want``, an (n, 2) array per term."""
-    got = np.array([monomial_bidegree(algebra, m) for m in mons], dtype=np.int64).reshape(-1, 2)[terms[2]]
+    got = np.array([monomial_bidegree(algebra, m) for m in mons], dtype=np.int64).reshape(-1, 2).take(terms[2], axis=0)
     if (got == want).all():
         return []
     issues, rows = [], zip(terms[0].tolist(), terms[1].tolist(), map(tuple, got.tolist()), map(tuple, want.tolist()))
@@ -128,13 +135,13 @@ def _products(algebra: AlgebraSpec, left_mons, left, right_mons, right, scale, s
     is numbered by ``intern``, and each distinct pair of monomials is multiplied once."""
     i, j = _join(left[1], right[0])
     code = left[2][i] * len(right_mons) + right[2][j]
-    pairs = np.unique(code)
+    pairs = sorted(set(code.tolist()))
     mon, sign = np.zeros((2, len(pairs)), dtype=np.int64)  # sign 0: the product vanishes
-    for n, (a, b) in enumerate(zip(*(x.tolist() for x in np.divmod(pairs, len(right_mons))))):
+    for n, (a, b) in enumerate(divmod(pair, len(right_mons)) for pair in pairs):
         prod = mul_monomials(algebra, left_mons[a], right_mons[b])
         if prod is not None:
             mon[n], sign[n] = intern.setdefault(prod[0], len(intern)), prod[1]
-    inv = pairs.searchsorted(code)
+    inv = np.array(pairs, dtype=np.int64).searchsorted(code)
     return left[0][i], step[i], right[1][j], mon[inv], sign[inv] * (scale * left[3])[i] * right[3][j]
 
 
@@ -147,27 +154,31 @@ def _derivations(algebra: AlgebraSpec, mons, terms, scale: int, step, intern: di
     return terms[0][i], step[i], terms[1][i], mon[n], scale * coeff[n] * terms[3][i]
 
 
-def _failures(parts, p: int) -> list[tuple[int, int]]:
+def _failures(parts, n_tgt: int, n_mons: int, p: int) -> list[tuple[int, int]]:
     """For each k with a nonzero residue sum_parts at some (k, m), the first such m:
-    ``parts`` are (k, step, m, mon, coeff) arrays, terms are written out by step, then
-    m, and the first m has the first nonzero partial sum over one (k, step, m)."""
-
-    def nonzero_sums(keys):  # first term of each nonzero sum over equal keys, in lexsort order
-        order = np.lexsort(keys)
-        keys = np.array(keys)[:, order]
-        runs = np.concatenate(([0], (keys[:, 1:] != keys[:, :-1]).any(axis=0).nonzero()[0] + 1))
-        return order[runs[np.add.reduceat(coeff[order], runs) % p != 0]]
-
+    ``parts`` are (k, step, m, mon, coeff) arrays, m < n_tgt and mon < n_mons,
+    terms are written out by step, then m, and the first m has the first nonzero
+    partial sum over one (k, step, m).  The residue is summed on the single key
+    (k, m, mon); the write-out order is only worked out when some sum is nonzero."""
     if not parts:
         return []
     k, step, m, mon, coeff = np.concatenate(parts, axis=1)
     if not len(k):
         return []
-    bad = nonzero_sums((mon, m, k))
-    bad = set(zip(k[bad].tolist(), m[bad].tolist()))
-    if not bad:
+    n_mons = max(n_mons, 1)  # no monomial is interned when every product vanishes
+    key = (k * n_tgt + m) * n_mons + mon
+    order = key.argsort()
+    key = key[order]
+    runs = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
+    bad = key[runs[np.add.reduceat(coeff[order], runs) % p != 0]] // n_mons
+    if not len(bad):
         return []
-    nonzero = nonzero_sums((mon, m, step, k))
+    bad = set(zip(*(x.tolist() for x in np.divmod(bad, n_tgt))))
+    # first term of each nonzero sum over one (k, step, m, mon), in (k, step, m, mon) order
+    order = np.lexsort((mon, m, step, k))
+    keys = np.array([k, step, m, mon])[:, order]
+    runs = np.concatenate(([0], (keys[:, 1:] != keys[:, :-1]).any(axis=0).nonzero()[0] + 1))
+    nonzero = order[runs[np.add.reduceat(coeff[order], runs) % p != 0]]
     first = {}
     for km in zip(k[nonzero].tolist(), m[nonzero].tolist()):
         if km in bad:
@@ -188,18 +199,26 @@ class SemifreeDgModule:
     (``flags.writeable`` is False) and shared between derived modules.
     """
 
-    __slots__ = ("algebra", "gens", "degs", "mons", "terms")
+    __slots__ = ("algebra", "degs", "mons", "terms", "_gens")
 
     def __init__(self, algebra: AlgebraSpec, gens, mons=(), terms=_NO_TERMS):
         self.algebra = algebra
         self.degs = np.asarray(gens, dtype=np.int64).reshape(-1, 2)
         self.degs.flags.writeable = terms.flags.writeable = False
-        self.gens: tuple[Bidegree, ...] = tuple(map(tuple, self.degs.tolist()))
         self.mons, self.terms = tuple(mons), terms
+        self._gens = None
+
+    @property
+    def gens(self) -> tuple[Bidegree, ...]:
+        """The generator bidegrees as a tuple of pairs, built on first read;
+        code that runs per generator reads ``degs``."""
+        if self._gens is None:
+            self._gens = tuple(map(tuple, self.degs.tolist()))
+        return self._gens
 
     @property
     def rank(self) -> int:
-        return len(self.gens)
+        return len(self.degs)
 
     def validate(self) -> list[str]:
         """All dg-module axioms; empty list means the module is valid.
@@ -208,7 +227,7 @@ class SemifreeDgModule:
         degree of e_kl, is written out by l, the products before d_A(e_kl);
         one failing m is reported per k (see ``_failures``)."""
         A, terms, src, tgt = self.algebra, self.terms, *self.terms[:2]
-        want = self.degs[src] - self.degs[tgt] + ONE_SHIFT
+        want = self.degs.take(src, axis=0) - self.degs.take(tgt, axis=0) + ONE_SHIFT
         issues = _degree_issues(A, self.mons, terms, want, "entry")
         if issues or not len(src):
             return issues
@@ -216,7 +235,7 @@ class SemifreeDgModule:
         parts = [_products(A, self.mons, terms, self.mons, terms, 1 - 2 * (want[:, 0] & 1), 2 * tgt, intern)]
         if A.has_differential:
             parts.append(_derivations(A, self.mons, terms, 1, 2 * tgt + 1, intern))
-        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _failures(parts, A.p)]
+        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _failures(parts, self.rank, len(intern), A.p)]
 
     def shift(self, a: int, b: int) -> "SemifreeDgModule":
         """The shifted module M[a]<b>; generator (i, j) moves to (i-a, j+b):
@@ -245,7 +264,8 @@ class SemifreeDgModule:
         return (
             isinstance(other, SemifreeDgModule)
             and self.algebra == other.algebra
-            and self.gens == other.gens
+            and self.degs.shape == other.degs.shape
+            and (self.degs == other.degs).all()
             and self.mons == other.mons
             and self.terms.shape == other.terms.shape
             and (self.terms == other.terms).all()
@@ -286,23 +306,35 @@ class DgMap:
         -d_A(phi_kl) and phi_kl d; one failing m is reported per k.
         """
         A, S, T, phi = self.source.algebra, self.source, self.target, self.terms
-        issues = _degree_issues(A, self.mons, phi, S.degs[phi[0]] - T.degs[phi[1]], "map entry")
+        issues = _degree_issues(A, self.mons, phi, S.degs.take(phi[0], axis=0) - T.degs.take(phi[1], axis=0), "map entry")
         if issues:
             return issues
         d_src = S.terms
         if min_internal is not None:
-            d_src = d_src[:, S.degs[d_src[0], 1] >= min_internal]
-            phi = phi[:, S.degs[phi[0], 1] >= min_internal]
+            d_src = d_src[:, S.degs[:, 1][d_src[0]] >= min_internal]
+            phi = phi[:, S.degs[:, 1][phi[0]] >= min_internal]
+        if not len(phi[0]):
+            return []
         intern, parts = {}, []
         late = 2 * S.rank  # steps through target generators come after all others
-        if len(d_src[0]) and len(phi[0]):
-            parts.append(_products(A, S.mons, d_src, self.mons, self.terms, 1, 2 * d_src[1], intern))
-        if len(phi[0]) and A.has_differential:
+        if len(d_src[0]) or len(T.terms[0]):
+            # both product phases in one join: d(e_k) phi through source generator l,
+            # then phi d through target generator l, numbered from S.rank
+            n = len(d_src[0])
+            left = np.concatenate([d_src, phi], axis=1)
+            right = np.concatenate([self.terms, T.terms], axis=1)
+            left[1, n:] += S.rank
+            left[2, n:] += len(S.mons)
+            right[0, self.terms.shape[1] :] += S.rank
+            right[2, self.terms.shape[1] :] += len(self.mons)
+            scale = np.ones(len(left[0]), np.int64)
+            scale[n:] = 2 * ((S.degs[:, 0][phi[0]] - T.degs[:, 0][phi[1]]) & 1) - 1
+            step = 2 * left[1]
+            step[n:] += 1
+            parts.append(_products(A, S.mons + self.mons, left, self.mons + T.mons, right, scale, step, intern))
+        if A.has_differential:
             parts.append(_derivations(A, self.mons, phi, -1, late + 2 * phi[1], intern))
-        if len(phi[0]) and len(T.terms[0]):
-            sign = 2 * ((S.degs[phi[0], 0] - T.degs[phi[1], 0]) & 1) - 1
-            parts.append(_products(A, self.mons, phi, T.mons, T.terms, sign, late + 2 * phi[1] + 1, intern))
-        return [f"chain condition fails from gen {k} to gen {m}" for k, m in _failures(parts, A.p)]
+        return [f"chain condition fails from gen {k} to gen {m}" for k, m in _failures(parts, T.rank, len(intern), A.p)]
 
 
 def identity_map(module: SemifreeDgModule) -> DgMap:
@@ -333,25 +365,31 @@ def cone(phi: DgMap) -> SemifreeDgModule:
     return SemifreeDgModule(S.algebra, np.concatenate([T.degs, S.degs - ONE_SHIFT]), union, terms)
 
 
-def _spans(A: AlgebraSpec, jlo: int, jhi: int, gens):
-    """For each generator, the monomial range [jlo - j, jhi - j] cut to the
-    internal degrees monomials can have.
+def _spans(A: AlgebraSpec, jlo: int, jhi: int, js):
+    """The distinct monomial ranges [jlo - j, jhi - j] over the generator
+    internal degrees ``js`` (an int64 array), each cut to the internal
+    degrees monomials can have, and ``which``: per generator, the index of
+    its range.
 
     Every generator has internal degree +-2, so monomial degrees are even;
     sym generators of negative degree (S, R) bound them above by 0, all
-    others bound them below by 0, and the exterior part alone by 2 n_ext.
-    Equal spans give equal tables, so modules share cache entries.
+    others bound them below by 0, and the exterior part alone by 2 n_ext;
+    an empty range is (0, -2).  The ranges are worked out once per distinct
+    internal degree, and degrees cut to one range share it, so equal
+    ranges give one table and share cache entries.
     """
     lo, hi = (0, 2 * A.n_ext) if not A.n_sym else (-inf, 0) if A.sym_deg[1] < 0 else (0, inf)
-    spans = []
-    for _, j in gens:
+    js = js.tolist()
+    index, span_of = {}, {}
+    for j in sorted(set(js)):
         a, b = max(jlo - j, lo), min(jhi - j, hi)
         a, b = a + (a & 1), b - (b & 1)
-        spans.append((a, b) if a <= b else (0, -2))
-    return spans
+        span_of[j] = index.setdefault((a, b) if a <= b else (0, -2), len(index))
+    return list(index), np.fromiter(map(span_of.__getitem__, js), np.int64, len(js))
 
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _span_size(key, jlo: int, jhi: int) -> int:
     """The number of monomials of internal degree in [jlo, jhi], in closed
     form: for m ext generators, C(n_ext, m) masks times the sym monomials of
@@ -367,7 +405,7 @@ def _span_size(key, jlo: int, jhi: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _table(key, jlo: int, jhi: int):
     """The monomials of ``monomials_by_internal`` on [jlo, jhi], in its
     order, and a read-only (n, 2) array of their bidegrees."""
@@ -385,7 +423,7 @@ def _frozen_block(terms) -> np.ndarray:
     return block
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _block(key, src_range, dst_range, mon, left: bool):
     """The multiplication table of mon on the table on ``src_range``: where
     mon times each of its monomials m lands in the table on ``dst_range``.
@@ -406,7 +444,7 @@ def _block(key, src_range, dst_range, mon, left: bool):
     return _frozen_block(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _derivation_block(key, rng):
     """The table of d_A on the table on ``rng``; d_A preserves internal
     degree, so every term stays in the table."""
@@ -416,17 +454,29 @@ def _derivation_block(key, rng):
     return _frozen_block([(r, row[m2], c) for r, m in enumerate(mons) for m2, c in elt_d(A, {m: 1}).items()])
 
 
-def _d_blocks(module: SemifreeDgModule, ranges):
-    """The blocks (block, k, l, coeff) whose sum is d on the generators'
-    tables: d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum of the terms of d(e_k)."""
+def _d_blocks(module: SemifreeDgModule, spans, which):
+    """The distinct blocks whose placed sum is d on the generators' tables,
+    and the items (k, l, block, coeff) that place them (see ``_gather``):
+    d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum of the terms of d(e_k).
+
+    A term's block depends only on its group (span of k, span of l,
+    monomial), so ``_block`` is called once per distinct group, and the
+    d_A table once per span."""
     key, mons = module.algebra.key(), module.mons
-    blocks = [
-        (_block(key, ranges[k], ranges[l], mons[u], False), k, l, c)
-        for k, l, u, c in zip(*module.terms.tolist())
-    ]
+    blocks, items = [], module.terms
+    if len(mons):
+        k, l, u, c = items
+        code = (which[k] * len(spans) + which[l]) * len(mons) + u
+        groups = sorted(set(code.tolist()))
+        for g in groups:
+            (a, b), m = divmod(g // len(mons), len(spans)), g % len(mons)
+            blocks.append(_block(key, spans[a], spans[b], mons[m], False))
+        items = k, l, np.array(groups, dtype=np.int64).searchsorted(code), c
     if module.algebra.has_differential:
-        blocks += [(_derivation_block(key, r), k, k, 1) for k, r in enumerate(ranges)]
-    return blocks
+        gens = np.arange(module.rank)
+        items = np.concatenate([items, [gens, gens, len(blocks) + which, np.ones(module.rank, np.int64)]], axis=1)
+        blocks += [_derivation_block(key, r) for r in spans]
+    return blocks, items
 
 
 # Largest expansion basis Expansion will enumerate, counted before any
@@ -437,17 +487,46 @@ def _d_blocks(module: SemifreeDgModule, ranges):
 MAX_EXPANSION_BASIS = 1_000_000
 
 
-def _gather(blocks, offsets):
-    """Sum over blocks (block, k, l, coeff) of coeff times the block taken
-    from the table rows of generator k to those of generator l: unmerged
-    arrays (src, dst, coeff) of positions in the concatenated tables."""
-    blocks = [b for b in blocks if b[0].shape[1]]
+def _joined(arrays, axis=0):
+    """``np.concatenate(arrays, axis)``, or the one array itself (no copy)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
+
+
+def _layout(which, sizes):
+    """Where the generators' tables sit when concatenated in generator order,
+    from each generator's span index and each span's table size: per
+    generator its first position and its table size, and per position its
+    row in the concatenation of the spans' tables."""
+    n = np.array(sizes, dtype=np.int64)[which]
+    offsets = n.cumsum() - n
+    row = (np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)[which] - offsets).repeat(n)
+    row += np.arange(len(row))
+    return offsets, n, row
+
+
+def _gather(blocks, items, offsets):
+    """Sum over the items (k, l, b, coeff) of coeff times ``blocks[b]``
+    taken from the table rows of generator k to those of generator l: an
+    unmerged (3, n) array of rows (src, dst, coeff), positions in the
+    concatenated tables (``offsets`` holds each generator's first).  Each
+    item's block is expanded by one repeat/arange gather from the
+    concatenated blocks, its generators' offsets added and its coefficient
+    applied there."""
     if not blocks:
         return _NO_TERMS[:3]
-    src, dst, sign = np.concatenate([b for b, _, _, _ in blocks], axis=1)
-    lens = [b.shape[1] for b, _, _, _ in blocks]
-    src_off, dst_off, coeff = np.array([(offsets[k], offsets[l], c) for _, k, l, c in blocks]).T.repeat(lens, axis=1)
-    return src + src_off, dst + dst_off, sign * coeff
+    k, l, b, c = items
+    lens = [block.shape[1] for block in blocks]
+    n = np.array(lens, dtype=np.int64)[b]
+    ends = n.cumsum()
+    if not ends[-1]:
+        return _NO_TERMS[:3]
+    at = (np.array(list(accumulate(lens, initial=0))[:-1], dtype=np.int64)[b] - ends + n).repeat(n)
+    at += np.arange(ends[-1])
+    out = _joined(blocks, axis=1).take(at, axis=1)
+    out[0] += offsets[k].repeat(n)
+    out[1] += offsets[l].repeat(n)
+    out[2] *= c.repeat(n)
+    return out
 
 
 class Expansion:
@@ -463,70 +542,85 @@ class Expansion:
     ``degs`` holds their bidegrees as an (n, 2) array, and ``d`` is the
     differential as arrays (rows, cols, coeffs) sorted by (row, col), with
     d(b_row) containing coeff * b_col.
+
+    Generators are held by index into the few distinct spans (``_spans``):
+    each span's table is read once, and sizes, offsets, bidegrees and
+    labels are gathered from the tables by index; d and each action are
+    one block per distinct group, placed by ``_gather``.
     """
 
-    __slots__ = ("module", "degs", "d", "_ranges", "_offsets", "_place", "_mons", "_gen", "_order")
+    __slots__ = ("module", "degs", "d", "_spans", "_which", "_tables", "_offsets", "_sizes", "_place", "_row", "_order")
 
     def __init__(self, module: SemifreeDgModule, jlo: int, jhi: int):
         self.module = module
         A = module.algebra
         key = A.key()
-        ranges = self._ranges = _spans(A, jlo, jhi, module.gens)
-        sizes = [_span_size(key, *r) for r in ranges]
-        if sum(sizes) > MAX_EXPANSION_BASIS:
-            k = sizes.index(max(sizes))
-            raise ValueError(
-                f"the expansion on internal degrees [{jlo}, {jhi}] has {sum(sizes):,} basis elements, over the limit of "
-                f"{MAX_EXPANSION_BASIS:,}; generator {k} alone spans monomial degrees {list(ranges[k])} with {sizes[k]:,} monomials"
-            )
-        tables = [_table(key, *r) for r in ranges]
-        self._offsets = list(accumulate(sizes, initial=0))
-        # per basis element: generator bidegree and index
-        shift = np.array([(i, j, k) for k, (i, j) in enumerate(module.gens)], dtype=np.int64)
-        shift = shift.reshape(-1, 3).repeat(sizes, axis=0)
-        degs = np.concatenate([np.zeros((0, 2), np.int64)] + [degs for _, degs in tables]) + shift[:, :2]
-        gen = shift[:, 2]
-        order = np.lexsort((gen, degs[:, 1], degs[:, 0]))
+        spans, which = self._spans, self._which = _spans(A, jlo, jhi, module.degs[:, 1])
+        sizes = [_span_size(key, *r) for r in spans]
+        if max(sizes, default=0) * len(which) > MAX_EXPANSION_BASIS:  # only then can the total be over
+            total = sum(c * s for c, s in zip(np.bincount(which).tolist(), sizes))
+            if total > MAX_EXPANSION_BASIS:
+                most = max(sizes)
+                k = min(which.tolist().index(s) for s, size in enumerate(sizes) if size == most)
+                raise ValueError(
+                    f"the expansion on internal degrees [{jlo}, {jhi}] has {total:,} basis elements, over the limit of "
+                    f"{MAX_EXPANSION_BASIS:,}; generator {k} alone spans monomial degrees {list(spans[which[k]])} with {most:,} monomials"
+                )
+        tables = [_table(key, *r) for r in spans]
+        self._offsets, self._sizes, row = _layout(which, sizes)
+        degs = _joined([degs for _, degs in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
+        # a stable sort by bidegree keeps the generator order and each table's order
+        order = np.lexsort((degs[:, 1], degs[:, 0]))
         self._place = np.empty_like(order)
         self._place[order] = np.arange(len(order))
-        self.degs = degs[order]
-        self._mons, self._gen, self._order = [ms for ms, _ in tables], gen, order
-        self.d = self._assemble(_d_blocks(module, ranges))
+        self.degs = degs.take(order, axis=0)
+        self._tables, self._row, self._order = tables, row, order
+        self.d = self._assemble(*_d_blocks(module, spans, which))
 
     def __len__(self):
         return len(self.degs)
 
+    def _basis_gens(self):
+        """Each basis element's generator, in basis order."""
+        return np.arange(self.module.rank).repeat(self._sizes).take(self._order)
+
     @property
     def basis(self) -> list:
         """The basis as (k, monomial) pairs."""
-        mons = [mon for ms in self._mons for mon in ms]
-        return list(zip(self._gen[self._order].tolist(), map(mons.__getitem__, self._order.tolist())))
+        mons = [mon for ms, _ in self._tables for mon in ms]
+        return list(zip(self._basis_gens().tolist(), map(mons.__getitem__, self._row.take(self._order).tolist())))
 
     def labels(self):
         """Each basis element's generator and monomial: arrays (gen, mon)
         in basis order and the sorted tuple ``mons`` that mon indexes."""
-        tables = dict(zip(self._ranges, self._mons))
-        mons = tuple(sorted(set().union(*tables.values())))
+        mons = tuple(sorted(set().union(*(ms for ms, _ in self._tables))))
         pos = {mon: u for u, mon in enumerate(mons)}
-        ids = {r: np.array([pos[mon] for mon in t], dtype=np.int64) for r, t in tables.items()}
-        flat = np.concatenate([np.zeros(0, np.int64)] + [ids[r] for r in self._ranges])
-        return self._gen[self._order], mons, flat[self._order]
+        ids = np.array([pos[mon] for ms, _ in self._tables for mon in ms], dtype=np.int64)
+        return self._basis_gens(), mons, ids.take(self._row.take(self._order))
 
-    def _assemble(self, blocks):
-        """Sum over blocks (block, k, l, coeff) of coeff times the block
-        taken from the rows of generator k to those of generator l."""
-        src, dst, vals = _gather(blocks, self._offsets)
+    def _assemble(self, blocks, items):
+        """The placed sum of the blocks (see ``_gather``), merged and sorted
+        by (row, col) in basis order."""
+        src, dst, vals = _gather(blocks, items, self._offsets)
         if not len(src):
             return src, dst, vals
-        key, vals = _summed(self._place[src] * len(self) + self._place[dst], vals, self.module.algebra.p)
-        return (*np.divmod(key, len(self)), vals)
+        n = len(self._place)
+        key, vals = _summed(self._place[src] * n + self._place[dst], vals, self.module.algebra.p)
+        return (*np.divmod(key, n), vals)
 
     def action(self, is_ext: bool, g: int):
         """Left action of one algebra generator as (rows, cols, coeffs),
-        sorted by row; images outside the range are dropped."""
+        sorted by row; images outside the range are dropped.  One block per
+        distinct span; a basis element has at most one image, so the entries
+        are only sorted, not merged."""
         A = self.module.algebra
         mon = A.gen_monomial(is_ext, g)
-        return self._assemble([(_block(A.key(), r, r, mon, True), k, k, 1) for k, r in enumerate(self._ranges)])
+        gens = np.arange(self.module.rank)
+        blocks = [_block(A.key(), r, r, mon, True) for r in self._spans]
+        src, dst, vals = _gather(blocks, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets)
+        rows = self._place.take(src)
+        order = rows.argsort()
+        return rows.take(order), self._place.take(dst.take(order)), vals.take(order) % A.p
 
 
 # Largest dense cell _column_cohomology will allocate, in entries.  The

@@ -36,7 +36,8 @@ from .dgmodule import _NO_TERMS, DgMap, Expansion, SemifreeDgModule, _canonical
 def standard_window(*modules: SemifreeDgModule) -> Window:
     """The requested comparison window for a module: its generator hull
     plus one cohomological and one internal lattice step."""
-    win = Window.hull([g for m in modules for g in m.gens])
+    i, j = np.concatenate([m.degs for m in modules]).T.tolist()
+    win = Window(min(i), max(i), min(j), max(j)) if i else Window.hull([])
     return win.enlarge(1, 2)
 
 
@@ -85,7 +86,7 @@ def functor_F(M: SemifreeDgModule, jcut: int) -> FunctorImage:
     if A.kind != "S":
         raise ValueError(f"functor_F expects a module over S, got {A.kind}")
     n = A.f
-    exp = Expansion(M, jcut, max((j for _, j in M.gens), default=jcut))
+    exp = Expansion(M, jcut, max(M.degs[:, 1].tolist(), default=jcut))
     return _koszul_image(exp, _partner(A, "T"), (n, -2 * n), -1 if n & 1 else 1, False)
 
 
@@ -94,7 +95,7 @@ def functor_G(N: SemifreeDgModule) -> FunctorImage:
     A = N.algebra
     if A.kind != "T":
         raise ValueError(f"functor_G expects a module over T, got {A.kind}")
-    js = [j for _, j in N.gens]
+    js = N.degs[:, 1].tolist()
     exp = Expansion(N, min(js, default=0), max(js, default=0) + 2 * A.f)
     return _koszul_image(exp, _partner(A, "S"), (0, 0), 1, True)
 

@@ -10,13 +10,11 @@ action) and Hom-duality over Q are all computed on semifree presentations.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
-from .algebra import AlgebraSpec, make_algebra, monomial_bidegree
-from .bigraded import Window, bidegree_add
-from .dgmodule import DgMap, SemifreeDgModule, _canonical, _d_blocks, _gather, _spans, _table, cohomology
+from .algebra import AlgebraSpec, make_algebra
+from .bigraded import Window
+from .dgmodule import _NO_DEGS, DgMap, SemifreeDgModule, _canonical, _d_blocks, _gather, _joined, _layout, _spans, _table, cohomology
 from .homdual import DualityReport, _compare
 
 
@@ -30,42 +28,47 @@ def extend_to_Q(N: SemifreeDgModule, e: int) -> SemifreeDgModule:
     return SemifreeDgModule(Q, N.degs, [(zero, mask) for _, mask in N.mons], N.terms)
 
 
-def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual, split):
+def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, split):
     """M as a semifree module over a subalgebra B of Q over which Q is free.
 
-    The new generators are the elements mon . e_k of internal degree up to
-    ``jhi`` whose monomial ``is_residual``; ``split`` writes a Q-monomial as
-    (B-monomial, residual), whose product it is with no sign, because the
-    B-part is either even or holds the lowest exterior indices.  Terms on
+    ``split`` writes a Q-monomial as (B-monomial, residual), whose product
+    it is with no sign, because the B-part is either even or holds the
+    lowest exterior indices; the residuals are the monomials that split
+    with B-part 1.  The new generators are the elements mon . e_k of
+    internal degree up to ``jhi`` whose monomial is a residual.  Terms on
     residuals that are not generators are dropped: the result is the
-    quotient by the dg-submodule the missing generators span.
+    quotient by the dg-submodule the missing generators span.  The
+    generators' tables are laid out and d is gathered as in ``Expansion``.
     Returns (module over B, labels), a label being (bidegree, k, residual).
     """
-    Q = M.algebra
-    ranges = _spans(Q, min((j for _, j in M.gens), default=0), jhi, M.gens)
-    tables = {r: _table(Q.key(), *r)[0] for r in set(ranges)}
-    where = {r: {mon: n for n, mon in enumerate(t)} for r, t in tables.items()}
-    gens = enumerate(M.gens)
-    labels = sorted((bidegree_add(g, monomial_bidegree(Q, m)), k, m) for k, g in gens for m in tables[ranges[k]] if is_residual(m))
-    # per table position: the B-monomial and residual position it splits
+    Q, js = M.algebra, M.degs[:, 1]
+    spans, which = _spans(Q, min(js.tolist(), default=0), jhi, js)
+    tables = [_table(Q.key(), *r) for r in spans]
+    # per table row: the B-monomial and the row of the residual it splits
     # into (a residual's internal degree lies in [0, its monomial's]: same table)
-    bmons, splits = {}, {}
-    for r, t in tables.items():
-        rows = [(bmons.setdefault(b, len(bmons)), where[r][res]) for b, res in map(split, t)]
-        splits[r] = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    # per position of the concatenated tables (as in the expansion kernel):
-    # the new generator it is, or -1, and the one its residual is
-    sizes = [len(tables[r]) for r in ranges]
-    offsets = list(accumulate(sizes, initial=0))
-    gen = np.full(offsets[-1], -1, dtype=np.int64)
-    gen[[offsets[k] + where[ranges[k]][m] for _, k, m in labels]] = np.arange(len(labels))
-    bmon, res = np.concatenate([np.zeros((0, 2), np.int64)] + [splits[r] for r in ranges]).T
-    tgt = gen[np.repeat(offsets[:-1], sizes) + res]
-    src, dst, coeff = _gather(_d_blocks(M, ranges), offsets)
-    live = gen[src] >= 0
+    bmons, splits = {}, []
+    for mons, _ in tables:
+        where = {mon: n for n, mon in enumerate(mons)}
+        splits.append([(bmons.setdefault(b, len(bmons)), where[res]) for b, res in map(split, mons)])
+    offsets, n, row = _layout(which, [len(mons) for mons, _ in tables])
+    gen = np.arange(M.rank).repeat(n)
+    bmon, res = np.array([x for rows in splits for x in rows], dtype=np.int64).reshape(-1, 2)[row].T
+    res += offsets[gen]  # per position of the concatenated tables: its residual's position
+    # new generators: the positions that are their own residual, in label order
+    # (bidegree, k, residual); within one (bidegree, k) the table order is the monomial order
+    pos = (res == np.arange(len(res))).nonzero()[0]
+    degs = _joined([degs for _, degs in tables] or [_NO_DEGS])[row[pos]] + M.degs[gen[pos]]
+    order = np.lexsort((degs[:, 1], degs[:, 0]))  # stable, and pos ascends: so do k and the table row
+    pos, degs = pos[order], degs[order]
+    new = np.full(len(res), -1, dtype=np.int64)
+    new[pos] = np.arange(len(pos))
+    src, dst, coeff = _gather(*_d_blocks(M, spans, which), offsets)
+    live = new[src] >= 0
     src, dst = src[live], dst[live]
-    terms = np.array([gen[src], tgt[dst], bmon[dst], coeff[live]])
-    return SemifreeDgModule(B, [bd for bd, _, _ in labels], *_canonical(list(bmons), terms, len(labels), B.p)), labels
+    terms = np.array([new[src], new[res[dst]], bmon[dst], coeff[live]])
+    mons = [mon for ms, _ in tables for mon in ms]
+    labels = list(zip(map(tuple, degs.tolist()), gen[pos].tolist(), map(mons.__getitem__, row[pos].tolist())))
+    return SemifreeDgModule(B, degs, *_canonical(list(bmons), terms, len(pos), B.p)), labels
 
 
 def restrict_to_T(M: SemifreeDgModule, jhi: int):
@@ -84,7 +87,7 @@ def restrict_to_T(M: SemifreeDgModule, jhi: int):
     def split(qmon):
         return ((), qmon[1] & fmask), (qmon[0], qmon[1] & ~fmask)
 
-    return _restrict_scalars(M, make_algebra("T", Q.e, Q.f, Q.p), jhi, lambda mon: not mon[1] & fmask, split)
+    return _restrict_scalars(M, make_algebra("T", Q.e, Q.f, Q.p), jhi, split)
 
 
 def restriction_unit(N: SemifreeDgModule, e: int, jhi: int) -> DgMap:
@@ -110,8 +113,8 @@ def pushforward_p(M: SemifreeDgModule):
     def split(qmon):
         return (qmon[0], 0), (zero, qmon[1])
 
-    jhi = max((j for _, j in M.gens), default=0) + 2 * Q.n_ext
-    return _restrict_scalars(M, make_algebra("P", Q.e, Q.f, Q.p), jhi, lambda mon: mon[0] == zero, split)
+    jhi = max(M.degs[:, 1].tolist(), default=0) + 2 * Q.n_ext
+    return _restrict_scalars(M, make_algebra("P", Q.e, Q.f, Q.p), jhi, split)
 
 
 def dualize_Q(M: SemifreeDgModule) -> SemifreeDgModule:

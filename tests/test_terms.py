@@ -208,6 +208,16 @@ def test_map_chain_condition_reports_the_first_failing_target():
     assert bad.validate() == ["chain condition fails from gen 0 to gen 1"]
 
 
+def test_map_chain_condition_reports_d_a_before_the_products_through_one_target():
+    # phi(e) = eta_2 f1 and d(f1) = eta_1 f0 over Q(2, 1): through f1 the
+    # residue has -d_A(eta_2) f1 = -z f1, written out first, and
+    # eta_2 eta_1 f0 after it, so target 1 is reported although 0 < 1
+    Q = make_algebra("Q", 2, 1, 5)
+    tgt = module(Q, [(0, 0), (-2, 2)], {1: {0: {((0,), 1): 1}}})
+    bad = dg_map(free_module(Q, [(-3, 4)]), tgt, {0: {1: {((0,), 2): 1}}})
+    assert _agree_map(bad) == ["chain condition fails from gen 0 to gen 1"]
+
+
 def test_map_needs_a_common_algebra():
     S, T = make_algebra("S", 1, 1, 5), make_algebra("T", 1, 1, 5)
     with pytest.raises(ValueError, match="chain map needs a common algebra"):
