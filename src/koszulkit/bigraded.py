@@ -49,9 +49,6 @@ class BigradedDims:
         else:
             self.table[key] = int(dim)
 
-    def add(self, key: Bidegree, dim: int):
-        self[key] = self[key] + dim
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BigradedDims) and self.table == other.table
 
@@ -63,9 +60,6 @@ class BigradedDims:
 
     def total(self) -> int:
         return sum(self.table.values())
-
-    def copy(self) -> "BigradedDims":
-        return BigradedDims(self.table)
 
     def shift(self, a: int, b: int) -> "BigradedDims":
         """Table of M[a]<b>: entry (i, j) reads the old (i + a, j - b)."""
@@ -79,12 +73,6 @@ class BigradedDims:
         return BigradedDims(
             {bd: d for bd, d in self.table.items() if window.contains(bd)}
         )
-
-    def __add__(self, other: "BigradedDims") -> "BigradedDims":
-        out = self.copy()
-        for bd, d in other.table.items():
-            out.add(bd, d)
-        return out
 
     def to_triples(self) -> list[list[int]]:
         """Canonical serialization: [i, j, dim] sorted lexicographically."""

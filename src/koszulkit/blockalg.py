@@ -229,25 +229,9 @@ def next_syzygy(syz: Syzygy, gens) -> Syzygy:
         cols = np.nonzero(cover.element == b)[0]
         phi[:, cols] = syz.ambient.act(b, targets[:, cover.summand[cols]])
     ker = kernel_basis(phi, p)
-    degs = []
-    cols = []
-    for cidx in range(ker.shape[1]):
-        v = ker[:, cidx]
-        support = np.nonzero(v)[0]
-        dset = set(int(cover.degrees[n]) for n in support)
-        if len(dset) != 1:
-            # split a mixed kernel vector degreewise (kernel of a graded map
-            # decomposes; canonical echelon vectors are already homogeneous
-            # because the basis is degree-sorted per summand, but guard anyway)
-            for d in sorted(dset):
-                w = np.where(cover.degrees == d, v, 0)
-                cols.append(w)
-                degs.append(d)
-        else:
-            cols.append(v)
-            degs.append(dset.pop())
-    mat = np.stack(cols, axis=1) if cols else np.zeros((cover.dim, 0), dtype=np.int64)
-    return Syzygy(cover, mat, degs)
+    # kernel vectors of a graded map are homogeneous (elimination only combines
+    # rows of one degree), so each column's degree is read at its first nonzero
+    return Syzygy(cover, ker, cover.degrees[(ker != 0).argmax(axis=0)])
 
 
 def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:

@@ -24,9 +24,12 @@ span lands, with its sign.  A module's generators are held by index into
 its few distinct spans, so tables, sizes and bidegrees are read once per
 span and gathered by index; the terms of d fall into few distinct (span,
 span, monomial) groups, and each group's block is built or looked up once
-and placed for all of its terms by one repeat/arange gather.  Cohomology
-is exact: each internal-degree column of an expansion is complete, and the
-ranks a window's h^{i,j} need are taken over whole cells.
+and placed for all of its terms by one repeat/arange gather.  Only
+``Expansion`` and its helpers cut, lay out and gather spans: cohomology,
+the functors of ``lkd``, finite expansions and the restrictions of scalars
+of ``qmodel`` read its labels and differential.  Cohomology is exact: each
+internal-degree column of an expansion is complete, and the ranks a
+window's h^{i,j} need are taken over whole cells.
 
 Finite dg-modules (``FiniteDgModule``), the chain maps between them
 (``FiniteMap``) and the generator images of a map from a semifree module
@@ -165,6 +168,7 @@ def _failures(parts, n_tgt: int, n_mons: int, p: int) -> list[tuple[int, int]]:
     k, step, m, mon, coeff = np.concatenate(parts, axis=1)
     if not len(k):
         return []
+    coeff %= p  # products are up to (p - 1)^2: reduce before summing (see linalg.MAX_MODULUS)
     n_mons = max(n_mons, 1)  # no monomial is interned when every product vanishes
     key = (k * n_tgt + m) * n_mons + mon
     order = key.argsort()
@@ -492,18 +496,6 @@ def _joined(arrays, axis=0):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
 
 
-def _layout(which, sizes):
-    """Where the generators' tables sit when concatenated in generator order,
-    from each generator's span index and each span's table size: per
-    generator its first position and its table size, and per position its
-    row in the concatenation of the spans' tables."""
-    n = np.array(sizes, dtype=np.int64)[which]
-    offsets = n.cumsum() - n
-    row = (np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)[which] - offsets).repeat(n)
-    row += np.arange(len(row))
-    return offsets, n, row
-
-
 def _gather(blocks, items, offsets):
     """Sum over the items (k, l, b, coeff) of coeff times ``blocks[b]``
     taken from the table rows of generator k to those of generator l: an
@@ -567,7 +559,12 @@ class Expansion:
                     f"{MAX_EXPANSION_BASIS:,}; generator {k} alone spans monomial degrees {list(spans[which[k]])} with {most:,} monomials"
                 )
         tables = [_table(key, *r) for r in spans]
-        self._offsets, self._sizes, row = _layout(which, sizes)
+        # the generators' tables concatenated in generator order: per generator
+        # its first position and size, per position its row in the spans' tables
+        n = self._sizes = np.array(sizes, dtype=np.int64)[which]
+        self._offsets = n.cumsum() - n
+        row = (np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)[which] - self._offsets).repeat(n)
+        row += np.arange(len(row))
         degs = _joined([degs for _, degs in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
         # a stable sort by bidegree keeps the generator order and each table's order
         order = np.lexsort((degs[:, 1], degs[:, 0]))
@@ -580,15 +577,11 @@ class Expansion:
     def __len__(self):
         return len(self.degs)
 
-    def _basis_gens(self):
-        """Each basis element's generator, in basis order."""
-        return np.arange(self.module.rank).repeat(self._sizes).take(self._order)
-
     @property
     def basis(self) -> list:
         """The basis as (k, monomial) pairs."""
-        mons = [mon for ms, _ in self._tables for mon in ms]
-        return list(zip(self._basis_gens().tolist(), map(mons.__getitem__, self._row.take(self._order).tolist())))
+        gen, mons, mon = self.labels()
+        return list(zip(gen.tolist(), map(mons.__getitem__, mon.tolist())))
 
     def labels(self):
         """Each basis element's generator and monomial: arrays (gen, mon)
@@ -596,7 +589,8 @@ class Expansion:
         mons = tuple(sorted(set().union(*(ms for ms, _ in self._tables))))
         pos = {mon: u for u, mon in enumerate(mons)}
         ids = np.array([pos[mon] for ms, _ in self._tables for mon in ms], dtype=np.int64)
-        return self._basis_gens(), mons, ids.take(self._row.take(self._order))
+        gen = np.arange(self.module.rank).repeat(self._sizes)
+        return gen.take(self._order), mons, ids.take(self._row.take(self._order))
 
     def _assemble(self, blocks, items):
         """The placed sum of the blocks (see ``_gather``), merged and sorted
@@ -749,7 +743,7 @@ class FiniteDgModule:
         p = self.algebra.p
         out = np.zeros_like(vec)
         for (exps, mask), coeff in element.items():
-            cur = vec * coeff
+            cur = vec * coeff % p  # reduced before the matmuls (see linalg.MAX_MODULUS)
             for b in reversed(range(self.algebra.n_ext)):
                 if mask >> b & 1:
                     cur = cur @ self.ext_act[b] % p
@@ -812,9 +806,27 @@ def _scatter(coo, n: int) -> np.ndarray:
     return m
 
 
+# Largest finite module expansion_to_finite will make dense, in entries of
+# its 1 + n_sym + n_ext (n, n) matrices (d and the generator actions),
+# counted before anything is allocated.  The largest any test or benchmark
+# builds is a T-module at e = f = 3 (n = 32, 4 matrices: 4,096 entries).
+# The duality oracle at e = f = 9, p = 3, seed 1 needs 41.9M entries (n =
+# 2048, 10 matrices; 1.6 GB peak for the trial) and is the largest run
+# accepted; at e = f = 10 it needs 184.5M and is refused.  2^26 entries is
+# 512 MB as int64, and bounds n by 2^13 (see linalg.MAX_MODULUS).
+MAX_FINITE_ENTRIES = 1 << 26
+
+
 def expansion_to_finite(exp: Expansion) -> FiniteDgModule:
-    """Materialize an expansion with full generator-action matrices."""
+    """Materialize an expansion with full generator-action matrices;
+    ValueError when they hold over MAX_FINITE_ENTRIES entries."""
     A, n = exp.module.algebra, len(exp)
+    count = 1 + A.n_sym + A.n_ext
+    if count * n * n > MAX_FINITE_ENTRIES:
+        raise ValueError(
+            f"the finite module needs {count} dense {n} x {n} matrices ({count * n * n * 8:,} bytes as int64), "
+            f"over the limit of {MAX_FINITE_ENTRIES:,} entries"
+        )
     sym_act = [_scatter(exp.action(False, s), n) for s in range(A.n_sym)]
     ext_act = [_scatter(exp.action(True, g), n) for g in range(A.n_ext)]
     return FiniteDgModule(A, exp.degs, _scatter(exp.d, n), sym_act, ext_act)
@@ -878,8 +890,11 @@ class SemifreeToFiniteMap:
         """Expand the source and return (expansion, FiniteMap)."""
         exp = Expansion(self.source, jlo, jhi)
         fin_src = expansion_to_finite(exp)
-        matrix = [self.target.apply_element({mon: 1}, self.images[k]) for k, mon in exp.basis]
-        return exp, FiniteMap(fin_src, self.target, np.reshape(matrix, (len(exp), self.target.dim)))
+        gen, mons, mon = exp.labels()
+        # every generator's image times each distinct monomial, then one gather
+        images = [self.target.apply_element({m: 1}, self.images) for m in mons]
+        matrix = np.reshape(images, (len(mons), self.source.rank, self.target.dim))[mon, gen]
+        return exp, FiniteMap(fin_src, self.target, matrix)
 
 
 def semifree_resolution(module, depth: int = 3):

@@ -3,8 +3,7 @@
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
 a pure function; no state is shared, so results from concurrent callers are
 safe to combine.  All elimination goes through ``rref``, a vectorized numpy
-row reduction; intermediate products must stay below 2**63, which holds for
-p < 2**31.
+row reduction; intermediate products stay below 2**63 for p < MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -32,7 +31,21 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+# Moduli are below 2^24, so residues are < 2^24, products < 2^48, and every
+# int64 sum of products stays below 2^63: rref's row update adds one product
+# to a residue; dgmodule._failures reduces each product before summing; a
+# dense finite matmul sums n products, n <= 2^13 as an expansion's n^2 <=
+# dgmodule.MAX_FINITE_ENTRIES = 2^26 (n <= 2^14 in a cone of two), and the
+# finite checks add two matmuls, so the largest sum is 2^15 (p - 1)^2 < 2^63;
+# FiniteDgModule.apply_element reduces vec * coeff before its matmuls.
+MAX_MODULUS = 1 << 24
+
+
 def check_modulus(p: int) -> int:
+    """``p``, or ValueError unless it is an odd prime below MAX_MODULUS
+    (checked first, so a huge p is refused before trial division)."""
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} is at or above the limit of {MAX_MODULUS:,} (int64 sums of products must stay below 2^63)")
     if not is_odd_prime(p):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
     return p

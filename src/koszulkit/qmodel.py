@@ -5,7 +5,9 @@ eta_i (i >= dim F) to its class z_{i-f} in E/F; the exterior algebra on
 the first f generators embeds as the dg-subalgebra T, and Q is free over
 T on the monomials in the remaining generators.  Restriction along that
 inclusion, the pushforward to Sym(E/F)-modules (forget the exterior
-action) and Hom-duality over Q are all computed on semifree presentations.
+action) and Hom-duality over Q are all computed on semifree presentations;
+both restrictions are read off the basis labels and differential of one
+``Expansion``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, make_algebra
 from .bigraded import Window
-from .dgmodule import _NO_DEGS, DgMap, SemifreeDgModule, _canonical, _d_blocks, _gather, _joined, _layout, _spans, _table, cohomology
+from .dgmodule import DgMap, Expansion, SemifreeDgModule, _canonical, cohomology
 from .homdual import DualityReport, _compare
 
 
@@ -33,42 +35,32 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, split):
 
     ``split`` writes a Q-monomial as (B-monomial, residual), whose product
     it is with no sign, because the B-part is either even or holds the
-    lowest exterior indices; the residuals are the monomials that split
-    with B-part 1.  The new generators are the elements mon . e_k of
-    internal degree up to ``jhi`` whose monomial is a residual.  Terms on
-    residuals that are not generators are dropped: the result is the
-    quotient by the dg-submodule the missing generators span.  The
-    generators' tables are laid out and d is gathered as in ``Expansion``.
+    lowest exterior indices.  The new generators are the basis elements
+    mon . e_k of ``Expansion(M, min j, jhi)`` whose monomial is a residual
+    (splits with B-part 1), in basis order; every residual of a basis
+    element is in the expansion, its internal degree lying in [0, its
+    monomial's].  d is the expansion's on the new generators, each target
+    sent to its residual with its B-part as monomial.  The basis elements
+    above jhi span a dg-submodule; the result is the quotient by it.
     Returns (module over B, labels), a label being (bidegree, k, residual).
     """
-    Q, js = M.algebra, M.degs[:, 1]
-    spans, which = _spans(Q, min(js.tolist(), default=0), jhi, js)
-    tables = [_table(Q.key(), *r) for r in spans]
-    # per table row: the B-monomial and the row of the residual it splits
-    # into (a residual's internal degree lies in [0, its monomial's]: same table)
-    bmons, splits = {}, []
-    for mons, _ in tables:
-        where = {mon: n for n, mon in enumerate(mons)}
-        splits.append([(bmons.setdefault(b, len(bmons)), where[res]) for b, res in map(split, mons)])
-    offsets, n, row = _layout(which, [len(mons) for mons, _ in tables])
-    gen = np.arange(M.rank).repeat(n)
-    bmon, res = np.array([x for rows in splits for x in rows], dtype=np.int64).reshape(-1, 2)[row].T
-    res += offsets[gen]  # per position of the concatenated tables: its residual's position
-    # new generators: the positions that are their own residual, in label order
-    # (bidegree, k, residual); within one (bidegree, k) the table order is the monomial order
-    pos = (res == np.arange(len(res))).nonzero()[0]
-    degs = _joined([degs for _, degs in tables] or [_NO_DEGS])[row[pos]] + M.degs[gen[pos]]
-    order = np.lexsort((degs[:, 1], degs[:, 0]))  # stable, and pos ascends: so do k and the table row
-    pos, degs = pos[order], degs[order]
-    new = np.full(len(res), -1, dtype=np.int64)
+    exp = Expansion(M, min(M.degs[:, 1].tolist(), default=0), jhi)
+    gen, mons, mon = exp.labels()
+    where, bmons = {m: u for u, m in enumerate(mons)}, {}
+    splits = [(bmons.setdefault(b, len(bmons)), where[res]) for b, res in map(split, mons)]
+    bmon, res = np.array(splits, dtype=np.int64).reshape(-1, 2).T
+    pos = (res[mon] == mon).nonzero()[0]  # the new generators, in basis order
+    new = np.full(len(exp), -1, dtype=np.int64)
     new[pos] = np.arange(len(pos))
-    src, dst, coeff = _gather(*_d_blocks(M, spans, which), offsets)
+    src, dst, coeff = exp.d
     live = new[src] >= 0
     src, dst = src[live], dst[live]
-    terms = np.array([new[src], new[res[dst]], bmon[dst], coeff[live]])
-    mons = [mon for ms, _ in tables for mon in ms]
-    labels = list(zip(map(tuple, degs.tolist()), gen[pos].tolist(), map(mons.__getitem__, row[pos].tolist())))
-    return SemifreeDgModule(B, degs, *_canonical(list(bmons), terms, len(pos), B.p)), labels
+    key = gen * len(mons) + mon  # unique per basis element
+    order = key.argsort()
+    tgt = order[key.searchsorted(gen[dst] * len(mons) + res[mon[dst]], sorter=order)]  # each target's residual
+    terms = np.array([new[src], new[tgt], bmon[mon[dst]], coeff[live]])
+    labels = list(zip(map(tuple, exp.degs[pos].tolist()), gen[pos].tolist(), map(mons.__getitem__, mon[pos].tolist())))
+    return SemifreeDgModule(B, exp.degs[pos], *_canonical(list(bmons), terms, len(pos), B.p)), labels
 
 
 def restrict_to_T(M: SemifreeDgModule, jhi: int):

@@ -202,6 +202,43 @@ def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_refuses_an_oversized_finite_module(monkeypatch, capsys):
+    from koszulkit import dgmodule
+
+    args = ["verify", "--suite", "duality-oracle", "--dim-e", "2", "--dim-f", "1", "--trials", "1", "--seed", "1"]
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(dgmodule, "MAX_FINITE_ENTRIES", 100)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the finite module needs 2 dense 8 x 8 matrices (1,024 bytes as int64), over the limit of 100 entries\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "sl2", "table"])
+def test_a_modulus_at_or_above_the_limit_is_refused(tmp_path, capsys, command):
+    from koszulkit.linalg import MAX_MODULUS
+
+    for p in (4294967311, MAX_MODULUS, 10**18 + 3):
+        path = tmp_path / "mod.json"
+        path.write_text(json.dumps(dict(_S1, algebra=dict(_S1["algebra"], p=p), diff=[])))
+        args = {
+            "verify": ["verify", "--suite", "round-trip", "--dim-e", "2", "--dim-f", "2", "--trials", "6", "--seed", "3", "-p", str(p)],
+            "sl2": ["sl2", "--lambda", "0", "-p", str(p)],
+            "table": ["table", str(path)],
+        }[command]
+        assert main(args) == 2
+        prefix = "cannot read module file: " if command == "table" else ""
+        message = f"modulus {p} is at or above the limit of 16,777,216 (int64 sums of products must stay below 2^63)"
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+
+def test_the_largest_modulus_below_the_limit_is_accepted(tmp_path):
+    # every suite, the round trip that gave false FAILs at p = 4294967311 among them
+    args = ["verify", "--suite", "all", "--dim-e", "2", "--dim-f", "2", "--trials", "6", "--seed", "3"]
+    assert main(args + ["-p", "16777213", "--out", str(tmp_path / "r.json")]) == 0
+
+
 _S1 = {"algebra": {"e": 1, "f": 1, "kind": "S", "p": 3}, "gens": [[0, 0], [1, -2]], "schema": 1}
 _T21 = {"algebra": {"e": 2, "f": 1, "kind": "T", "p": 3}, "gens": [[0, 0], [-2, 2]], "schema": 1}
 MALFORMED = {

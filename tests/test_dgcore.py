@@ -178,7 +178,7 @@ def test_cone_of_zero_is_direct_sum_of_tables():
     c = cone(zero_map(M, N))
     W = Window(-4, 4, -6, 6)
     lhs = expansion_dims(c, W)
-    rhs = expansion_dims(N, W) + expansion_dims(M.shift(1, 0), W)
+    rhs = BigradedDims(Counter(expansion_dims(N, W).table) + Counter(expansion_dims(M.shift(1, 0), W).table))
     assert lhs == rhs
 
 
@@ -445,6 +445,13 @@ def test_finite_validate_rejects_wrong_action_bidegree():
     S = make_algebra("S", 2, 2, 5)
     bad = FiniteDgModule(S, [(0, 0), (2, -2)], sym_act=[_matrix(2, 2, []), _matrix(2, 2, [(1, 0, 1)])])
     assert bad.validate() == ["sym generator 1 entry 1->0 is not of bidegree (2, -2)"]
+
+
+def test_apply_element_reduces_before_its_matmuls():
+    # (p - 1)^3 overflows int64 at the largest prime below linalg.MAX_MODULUS
+    p = 16777213
+    M = FiniteDgModule(make_algebra("T", 1, 1, p), [(0, 0), (-1, 2)], ext_act=[[[0, p - 1], [0, 0]]])
+    assert M.apply_element({((), 1): p - 1}, np.array([p - 1, 0])).tolist() == [0, p - 1]
 
 
 def test_finite_map_validate_rejects_wrong_bidegree():

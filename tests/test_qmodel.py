@@ -148,3 +148,16 @@ def test_kind_checks():
     S = make_algebra("S", 1, 1, 5)
     with pytest.raises(ValueError):
         extend_to_Q(free_module(S, [(0, 0)]), 1)
+
+
+def test_restrictions_fall_under_the_expansion_limit(monkeypatch):
+    from koszulkit import dgmodule
+
+    Q = make_algebra("Q", 3, 1, 5)
+    M = free_module(Q, [(0, 0), (1, 2)])
+    assert len(restrict_to_T(M, jhi=8)[1]) and len(pushforward_p(M)[1])
+    monkeypatch.setattr(dgmodule, "MAX_EXPANSION_BASIS", 10)
+    with pytest.raises(ValueError, match=r"^the expansion on internal degrees \[0, 8\] has .* over the limit of 10; "):
+        restrict_to_T(M, jhi=8)
+    with pytest.raises(ValueError, match=r"^the expansion on internal degrees \[0, 8\] has .* over the limit of 10; "):
+        pushforward_p(M)

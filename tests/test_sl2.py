@@ -445,6 +445,26 @@ def test_block_report_bytes_pinned(p, lam):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[(p, lam)]
 
 
+def test_syzygy_kernel_vectors_are_homogeneous(monkeypatch):
+    """next_syzygy reads each kernel vector's degree at its first nonzero:
+    every vector it returns on the pinned blocks lies in that one degree."""
+    from koszulkit import blockalg
+
+    calls, next_syzygy = [], blockalg.next_syzygy
+
+    def recording(syz, gens):
+        calls.append(next_syzygy(syz, gens))
+        return calls[-1]
+
+    monkeypatch.setattr(blockalg, "next_syzygy", recording)
+    for p, lam in REPORT_SHA256:
+        block_report(p, lam)
+    assert len(calls) > 20
+    for syz in calls:
+        for c in range(syz.dim):
+            assert set(syz.ambient.degrees[syz.columns[:, c] != 0].tolist()) == {int(syz.degrees[c])}
+
+
 # -- the matrix-unit builders against the per-pair builders they replaced ------
 
 def reference_regular_block(p, lam):
