@@ -16,7 +16,6 @@ from .dgmodule import (
     cone,
     free_module,
     is_quasi_iso,
-    semifree_resolution,
 )
 
 __version__ = "0.1.0"
@@ -34,6 +33,5 @@ __all__ = [
     "free_module",
     "is_quasi_iso",
     "make_algebra",
-    "semifree_resolution",
     "__version__",
 ]

@@ -31,10 +31,10 @@ of ``qmodel`` read its labels and differential.  Cohomology is exact: each
 internal-degree column of an expansion is complete, and the ranks a
 window's h^{i,j} need are taken over whole cells.
 
-Finite dg-modules (``FiniteDgModule``), the chain maps between them
-(``FiniteMap``) and the generator images of a map from a semifree module
-(``SemifreeToFiniteMap``) are dense int64 matrices reduced mod p, with
-row = source: a row vector v maps to v @ M.
+Finite dg-modules (``FiniteDgModule``) hold d and every generator action
+as term arrays (rows, cols, vals) like ``Expansion``'s, row = source: shifts
+and duals are index swaps and sign flips, and validate() composes them on
+the arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from . import algebra as alg_mod
 from .algebra import CACHE_SIZE, AlgebraSpec, elt_d, make_algebra, monomial_bidegree, mul_monomials
 from .bigraded import Bidegree, BigradedDims, Window
-from .linalg import independent_columns, kernel_basis, rank as mat_rank
+from .linalg import rank as mat_rank
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -694,276 +694,128 @@ def is_quasi_iso(phi: DgMap, window: Window) -> bool:
     return not cohomology(cone(phi), window)
 
 
-def _dense(matrix, shape, p: int) -> np.ndarray:
-    """``matrix`` as an int64 array reduced mod p, zeros when it is None;
-    ValueError unless it has the given shape."""
-    m = np.zeros(shape, dtype=np.int64) if matrix is None else np.asarray(matrix, dtype=np.int64) % p
-    if m.shape != shape:
-        raise ValueError(f"matrix of shape {m.shape}, expected {shape}")
-    return m
-
-
 class FiniteDgModule:
     """A bigraded complex with finite basis and explicit generator actions.
 
     ``basis_degs`` is an (n, 2) int64 array of basis bidegrees.  d and the
-    actions are dense (n, n) int64 matrices reduced mod p, with row =
-    source: d[k, l] is the coefficient of b_l in d(b_k), of bidegree
-    (1, 0), and sym_act[s] and ext_act[g] give the left action of single
-    algebra generators the same way.  A row vector v maps to v @ d, so a
-    composite "first a, then b" is a @ b.  Modules produced by expanding
-    semifree objects satisfy the axioms by construction; validate()
+    actions are term arrays (rows, cols, vals) like ``Expansion.d``: d(b_row)
+    contains vals * b_col, of bidegree (1, 0), and sym_act[s] and ext_act[g]
+    give the left action of single algebra generators the same way.  Entries
+    have distinct (row, col) pairs and values in [1, p), in any order.  The
+    constructor takes the arrays as given; modules produced by expanding
+    semifree objects satisfy the axioms by construction, and validate()
     re-checks them for hand-built inputs.
     """
 
     __slots__ = ("algebra", "basis_degs", "d", "sym_act", "ext_act")
 
-    def __init__(self, algebra: AlgebraSpec, basis_degs, d=None, sym_act=None, ext_act=None):
-        degs = np.array(basis_degs, dtype=np.int64) if len(basis_degs) else np.zeros((0, 2), np.int64)
+    def __init__(self, algebra: AlgebraSpec, basis_degs, d=_NO_TERMS[:3], sym_act=None, ext_act=None):
+        degs = np.asarray(basis_degs, dtype=np.int64) if len(basis_degs) else _NO_DEGS
         if degs.ndim != 2 or degs.shape[1] != 2:
             raise ValueError(f"basis degrees must be (i, j) pairs, got shape {degs.shape}")
-        n, p = len(degs), algebra.p
         self.algebra = algebra
         self.basis_degs = degs
-        self.d = _dense(d, (n, n), p)
+        self.d = d
         acts = []
         for given, count, kind in ((sym_act, algebra.n_sym, "sym"), (ext_act, algebra.n_ext, "ext")):
             if given is not None and len(given) != count:
                 raise ValueError(f"{len(given)} {kind} action matrices, expected {count}")
-            acts.append([_dense(m, (n, n), p) for m in (given if given is not None else [None] * count)])
+            acts.append(list(given) if given is not None else [_NO_TERMS[:3]] * count)
         self.sym_act, self.ext_act = acts
 
     @property
     def dim(self) -> int:
         return len(self.basis_degs)
 
-    def apply_element(self, element: dict, vec: np.ndarray) -> np.ndarray:
-        """Left action of an algebra element on a row vector; ext factors
-        applied in ascending index order from the right."""
-        p = self.algebra.p
-        out = np.zeros_like(vec)
-        for (exps, mask), coeff in element.items():
-            cur = vec * coeff % p  # reduced before the matmuls (see linalg.MAX_MODULUS)
-            for b in reversed(range(self.algebra.n_ext)):
-                if mask >> b & 1:
-                    cur = cur @ self.ext_act[b] % p
-            for s, e in enumerate(exps):
-                for _ in range(e):
-                    cur = cur @ self.sym_act[s] % p
-            out += cur
-        return out % p
-
     def validate(self) -> list[str]:
-        p = self.algebra.p
-        d, degs = self.d, self.basis_degs
-        rows, cols = d.nonzero()
-        wrong = (degs[cols] - degs[rows] != ONE_SHIFT).any(axis=1)
-        issues = [f"d entry {n}->{m} is not of bidegree (1,0)" for n, m in zip(rows[wrong].tolist(), cols[wrong].tolist())]
-        for kind, acts, deg in (("sym", self.sym_act, self.algebra.sym_deg), ("ext", self.ext_act, self.algebra.ext_deg)):
-            for g, act in enumerate(acts):
-                rows, cols = act.nonzero()
-                wrong = (degs[cols] - degs[rows] != deg).any(axis=1)
-                issues += [
-                    f"{kind} generator {g} entry {n}->{m} is not of bidegree {deg}"
-                    for n, m in zip(rows[wrong].tolist(), cols[wrong].tolist())
-                ]
-        if (d @ d % p).any():
+        """Entries inside the basis and at distinct positions, their
+        bidegrees, d^2 = 0, ext^2 = 0, Leibniz and sym commuting with d.
+        Products are composed on the term arrays and ``_summed``, which
+        reduces each product mod p before summing (see linalg.MAX_MODULUS)."""
+        A, n, degs = self.algebra, self.dim, self.basis_degs
+        mats = [("d", self.d, ONE_SHIFT, "(1,0)")] + [
+            (f"{kind} generator {g}", act, deg, str(deg))
+            for kind, acts, deg in (("sym", self.sym_act, A.sym_deg), ("ext", self.ext_act, A.ext_deg))
+            for g, act in enumerate(acts)
+        ]
+        issues = []
+        for what, (rows, cols, _), _, _ in mats:
+            outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n)
+            key = np.sort(rows[~outside] * n + cols[~outside])
+            repeated = np.unique(key[1:][key[1:] == key[:-1]])
+            issues += [f"{what} entry {r}->{c} is outside the basis of {n} elements" for r, c in _pairs(rows[outside], cols[outside])]
+            issues += [f"{what} entry {r}->{c} is repeated" for r, c in _pairs(*np.divmod(repeated, max(n, 1)))]
+        if issues:  # the checks below index the basis by entry
+            return issues
+        for what, (rows, cols, _), deg, shown in mats:
+            wrong = (degs[cols] - degs[rows] != deg).any(axis=1)
+            issues += [f"{what} entry {r}->{c} is not of bidegree {shown}" for r, c in _pairs(rows[wrong], cols[wrong])]
+        p = A.p
+        d, sym, ext = _by_row(self.d), [_by_row(m) for m in self.sym_act], [_by_row(m) for m in self.ext_act]
+
+        def vanishes(*parts):  # the sum of the (key, vals) parts is zero mod p
+            return not _summed(np.concatenate([k for k, _ in parts]), np.concatenate([v for _, v in parts]), p)[1].any()
+
+        def prod(x, y, sign=1):  # "first x, then y" as keys row * n + col and values
+            i, j = _join(x[1], y[0])
+            return x[0][i] * n + y[1][j], sign * x[2][i] * y[2][j]
+
+        if not vanishes(prod(d, d)):
             issues.append("d^2 != 0")
-        for g, act in enumerate(self.ext_act):
-            if (act @ act % p).any():
+        for g, act in enumerate(ext):
+            if not vanishes(prod(act, act)):
                 issues.append(f"ext generator {g} does not square to zero")
             # Leibniz: d(theta m) = d_A(theta) m - theta d(m)
-            residue = act @ d + d @ act
-            tgt = self.algebra.d_ext_target(g)
+            residue = [prod(act, d), prod(d, act)]
+            tgt = A.d_ext_target(g)
             if tgt is not None:
-                residue -= self.sym_act[tgt]
-            if (residue % p).any():
+                rows, cols, vals = sym[tgt]
+                residue.append((rows * n + cols, -vals))
+            if not vanishes(*residue):
                 issues.append(f"Leibniz fails for ext generator {g}")
-        for s, act in enumerate(self.sym_act):
-            if ((act @ d - d @ act) % p).any():
+        for s, act in enumerate(sym):
+            if not vanishes(prod(act, d), prod(d, act, -1)):
                 issues.append(f"sym generator {s} does not commute with d")
         return issues
 
     def cohomology(self, window: Window) -> BigradedDims:
+        """Cohomology on the window: the basis indices mapped into bidegree
+        order and d sorted by row, for ``_column_cohomology``."""
         order = np.lexsort((self.basis_degs[:, 1], self.basis_degs[:, 0]))
-        d = self.d[np.ix_(order, order)]
-        rows, cols = d.nonzero()
-        return _column_cohomology(self.basis_degs[order], (rows, cols, d[rows, cols]), window, self.algebra.p)
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        rows, cols, vals = self.d
+        rows = place[rows]
+        by_row = rows.argsort()
+        d = rows[by_row], place[cols][by_row], vals[by_row]
+        return _column_cohomology(self.basis_degs[order], d, window, self.algebra.p)
 
     def shift(self, a: int, b: int) -> "FiniteDgModule":
         """[a]<b>: d picks up (-1)^a, odd generator actions pick up (-1)^a."""
-        sgn = -1 if a & 1 else 1
-        return FiniteDgModule(
-            self.algebra, self.basis_degs + (-a, b), sgn * self.d, self.sym_act, [sgn * m for m in self.ext_act]
-        )
+        d, *ext = mats = [self.d, *self.ext_act]
+        if a & 1:
+            d, *ext = [(rows, cols, self.algebra.p - vals) for rows, cols, vals in mats]
+        return FiniteDgModule(self.algebra, self.basis_degs + (-a, b), d, self.sym_act, ext)
 
 
-def _scatter(coo, n: int) -> np.ndarray:
-    """COO arrays (rows, cols, coeffs) as a dense (n, n) matrix."""
-    rows, cols, vals = coo
-    m = np.zeros((n, n), dtype=np.int64)
-    m[rows, cols] = vals
-    return m
+def _pairs(rows, cols) -> list[tuple[int, int]]:
+    """The (row, col) pairs of entries, sorted."""
+    return sorted(zip(rows.tolist(), cols.tolist()))
 
 
-# Largest finite module expansion_to_finite will make dense, in entries of
-# its 1 + n_sym + n_ext (n, n) matrices (d and the generator actions),
-# counted before anything is allocated.  The largest any test or benchmark
-# builds is a T-module at e = f = 3 (n = 32, 4 matrices: 4,096 entries).
-# The duality oracle at e = f = 9, p = 3, seed 1 needs 41.9M entries (n =
-# 2048, 10 matrices; 1.6 GB peak for the trial) and is the largest run
-# accepted; at e = f = 10 it needs 184.5M and is refused.  2^26 entries is
-# 512 MB as int64, and bounds n by 2^13 (see linalg.MAX_MODULUS).
-MAX_FINITE_ENTRIES = 1 << 26
+def _by_row(m):
+    """Term arrays (rows, cols, vals) sorted by row."""
+    order = m[0].argsort()
+    return tuple(x[order] for x in m)
 
 
 def expansion_to_finite(exp: Expansion) -> FiniteDgModule:
-    """Materialize an expansion with full generator-action matrices;
-    ValueError when they hold over MAX_FINITE_ENTRIES entries."""
-    A, n = exp.module.algebra, len(exp)
-    count = 1 + A.n_sym + A.n_ext
-    if count * n * n > MAX_FINITE_ENTRIES:
-        raise ValueError(
-            f"the finite module needs {count} dense {n} x {n} matrices ({count * n * n * 8:,} bytes as int64), "
-            f"over the limit of {MAX_FINITE_ENTRIES:,} entries"
-        )
-    sym_act = [_scatter(exp.action(False, s), n) for s in range(A.n_sym)]
-    ext_act = [_scatter(exp.action(True, g), n) for g in range(A.n_ext)]
-    return FiniteDgModule(A, exp.degs, _scatter(exp.d, n), sym_act, ext_act)
-
-
-class FiniteMap:
-    """Scalar chain map between finite modules: a dense (n_src, n_tgt)
-    int64 matrix reduced mod p, row = source: matrix[k, l] is the
-    coefficient of target basis element l in the image of source basis
-    element k."""
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: FiniteDgModule, target: FiniteDgModule, matrix):
-        self.source = source
-        self.target = target
-        self.matrix = _dense(matrix, (source.dim, target.dim), source.algebra.p)
-
-    def validate(self) -> list[str]:
-        rows, cols = self.matrix.nonzero()
-        wrong = (self.source.basis_degs[rows] != self.target.basis_degs[cols]).any(axis=1)
-        issues = [f"map entry {n}->{m} is not of bidegree (0,0)" for n, m in zip(rows[wrong].tolist(), cols[wrong].tolist())]
-        residue = (self.source.d @ self.matrix - self.matrix @ self.target.d) % self.source.algebra.p
-        return issues + [f"chain condition fails at basis element {n}" for n in residue.any(axis=1).nonzero()[0].tolist()]
-
-
-def cone_finite(phi: FiniteMap) -> FiniteDgModule:
-    """Cone of a scalar chain map; actions are dropped (cohomology only)."""
-    src, tgt = phi.source, phi.target
-    degs = np.concatenate([tgt.basis_degs, src.basis_degs - ONE_SHIFT])
-    d = np.block([[tgt.d, np.zeros((tgt.dim, src.dim), np.int64)], [phi.matrix, -src.d]])
-    return FiniteDgModule(src.algebra, degs, d)
-
-
-class SemifreeToFiniteMap:
-    """Chain map from a semifree module to a finite one.
-
-    images is a dense (rank, n_tgt) int64 matrix reduced mod p: row k is
-    the image of generator k over the finite module's basis; images of
-    algebra multiples follow by the module action.
-    """
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: SemifreeDgModule, target: FiniteDgModule, images=None):
-        self.source = source
-        self.target = target
-        self.images = _dense(images, (source.rank, target.dim), target.algebra.p)
-
-    def validate(self) -> list[str]:
-        degs, gens = self.target.basis_degs, self.source.gens
-        issues = [f"image of gen {k} is not homogeneous of {g}" for k, g in enumerate(gens) if (degs[self.images[k] != 0] != g).any()]
-        acc = -self.images @ self.target.d
-        mons = self.source.mons
-        for k, l, u, c in zip(*self.source.terms.tolist()):
-            acc[k] += self.target.apply_element({mons[u]: c}, self.images[l])
-        failing = (acc % self.target.algebra.p).any(axis=1).nonzero()[0]
-        return issues + [f"chain condition fails at generator {k}" for k in failing.tolist()]
-
-    def to_finite(self, jlo: int, jhi: int):
-        """Expand the source and return (expansion, FiniteMap)."""
-        exp = Expansion(self.source, jlo, jhi)
-        fin_src = expansion_to_finite(exp)
-        gen, mons, mon = exp.labels()
-        # every generator's image times each distinct monomial, then one gather
-        images = [self.target.apply_element({m: 1}, self.images) for m in mons]
-        matrix = np.reshape(images, (len(mons), self.source.rank, self.target.dim))[mon, gen]
-        return exp, FiniteMap(fin_src, self.target, matrix)
-
-
-def semifree_resolution(module, depth: int = 3):
-    """Semifree approximation of a finite dg-module over T.
-
-    Adjoins free generators killing cone cohomology, sweeping internal
-    degrees upward, until the cone of the structure map is acyclic in all
-    internal degrees <= max internal degree of the input + 2*depth (new
-    syzygies of an exterior algebra appear in strictly higher internal
-    degree, never below).  Returns (P, psi) with psi: P -> M the structure
-    map; a SemifreeDgModule input is returned unchanged with the identity.
-    ValueError when an internal degree does not converge (see below).
-    """
-    if isinstance(module, SemifreeDgModule):
-        return module, identity_map(module)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    M: FiniteDgModule = module
-    A = M.algebra
-    if A.kind != "T":
-        raise ValueError("resolutions are implemented over the exterior algebra T")
-    P = free_module(A, [])
-    psi = SemifreeToFiniteMap(P, M)
-    if M.dim == 0:
-        return P, psi
-    jmax = int(M.basis_degs[:, 1].max()) + 2 * depth
-    jmin = int(M.basis_degs[:, 1].min()) - 2
-    for j in range(jmin, jmax + 1):
-        # Two rounds per internal degree.  The first adds a generator x per
-        # class [z] of H^{*, j} of the cone, d(x) and psi(x) the parts of z.
-        # In internal degree j, x adds only x itself (T-monomials have
-        # internal degree >= 0, and 0 only for 1), sent to z by the cone
-        # differential; the z are independent modulo coboundaries, so this
-        # kills exactly their classes.  A second round must find none.
-        for _ in range(2):
-            exp, fmap = psi.to_finite(jmin, jmax)
-            reps = _cocycle_complement(cone_finite(fmap), j)
-            if not reps:
-                break
-            off = fmap.target.dim  # M part comes first in the cone
-            gen, mons, mon = exp.labels()
-            terms = [P.terms]
-            for n, (_, vec) in enumerate(reps):
-                nz = vec[off:].nonzero()[0]
-                terms.append(np.array([np.full_like(nz, P.rank + n), gen[nz], len(P.mons) + mon[nz], vec[off + nz]]))
-            terms = _canonical(P.mons + mons, np.concatenate(terms, axis=1), P.rank + len(reps), A.p)
-            P = SemifreeDgModule(A, P.gens + tuple((i, j) for i, _ in reps), *terms)
-            psi = SemifreeToFiniteMap(P, M, np.vstack([psi.images] + [-vec[:off] for _, vec in reps]))
-        else:
-            raise ValueError(f"resolution did not converge at internal degree {j}")
-    return P, psi
-
-
-def _cocycle_complement(fin: FiniteDgModule, j: int):
-    """Homogeneous cocycles spanning H^{*, j}, as (i, dense vector) pairs."""
-    p = fin.algebra.p
-    degs = fin.basis_degs
-    in_j = degs[:, 1] == j
-    out = []
-    for i in sorted(set(degs[in_j, 0].tolist())):
-        idxs, tgt, src = ((in_j & (degs[:, 0] == c)).nonzero()[0] for c in (i, i + 1, i - 1))
-        ker = kernel_basis(fin.d[np.ix_(idxs, tgt)].T, p)  # columns: cocycles in idxs-coordinates
-        if ker.shape[1] == 0:
-            continue
-        for col in independent_columns(fin.d[np.ix_(src, idxs)].T, ker, p):
-            vec = np.zeros(fin.dim, dtype=np.int64)
-            vec[idxs] = ker[:, col]
-            out.append((i, vec))
-    return out
+    """An expansion with its generator actions, as the term arrays of
+    ``Expansion.d`` and ``Expansion.action``."""
+    A = exp.module.algebra
+    sym_act = [exp.action(False, s) for s in range(A.n_sym)]
+    ext_act = [exp.action(True, g) for g in range(A.n_ext)]
+    return FiniteDgModule(A, exp.degs, exp.d, sym_act, ext_act)
 
 
 def serialize_module(module: SemifreeDgModule) -> str:

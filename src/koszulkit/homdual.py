@@ -26,6 +26,7 @@ from .dgmodule import (
     Expansion,
     FiniteDgModule,
     SemifreeDgModule,
+    _signed,
     cohomology,
     expansion_to_finite,
 )
@@ -87,14 +88,19 @@ def dualize_T_res(M: SemifreeDgModule) -> SemifreeDgModule:
 def k_linear_dual_T(M: FiniteDgModule) -> FiniteDgModule:
     """k-linear dual with the sign-twisted T-action (no shift applied).
 
-    Each matrix is transposed, and row a of the transpose of d and of every
-    ext action is scaled by (-1)^{i_a} (d also by -1); sym actions carry no
-    sign.
+    Each matrix is transposed by swapping its rows and cols, and row a of
+    the transpose of d and of every ext action is scaled by (-1)^{i_a} (d
+    also by -1); sym actions carry no sign.  Signs are applied as
+    ``_signed`` flips, so values stay in [1, p).
     """
-    sign = 1 - 2 * (M.basis_degs[:, :1] & 1)  # column of (-1)^{i_a}
-    return FiniteDgModule(
-        M.algebra, -M.basis_degs, -sign * M.d.T, [a.T for a in M.sym_act], [sign * a.T for a in M.ext_act]
-    )
+    odd, p = M.basis_degs[:, 0] & 1, M.algebra.p  # odd[a]: (-1)^{i_a} = -1
+
+    def twisted(m, flip):
+        rows, cols, vals = m
+        return cols, rows, _signed(vals, flip[cols], p)
+
+    sym_act = [(cols, rows, vals) for rows, cols, vals in M.sym_act]
+    return FiniteDgModule(M.algebra, -M.basis_degs, twisted(M.d, 1 - odd), sym_act, [twisted(a, odd) for a in M.ext_act])
 
 
 def dualize_T_formula(M: FiniteDgModule) -> FiniteDgModule:

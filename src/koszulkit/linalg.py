@@ -33,11 +33,8 @@ def is_odd_prime(p: int) -> bool:
 
 # Moduli are below 2^24, so residues are < 2^24, products < 2^48, and every
 # int64 sum of products stays below 2^63: rref's row update adds one product
-# to a residue; dgmodule._failures reduces each product before summing; a
-# dense finite matmul sums n products, n <= 2^13 as an expansion's n^2 <=
-# dgmodule.MAX_FINITE_ENTRIES = 2^26 (n <= 2^14 in a cone of two), and the
-# finite checks add two matmuls, so the largest sum is 2^15 (p - 1)^2 < 2^63;
-# FiniteDgModule.apply_element reduces vec * coeff before its matmuls.
+# to a residue; dgmodule._failures and FiniteDgModule.validate reduce each
+# product mod p before summing, so a sum of k terms stays below k 2^24.
 MAX_MODULUS = 1 << 24
 
 

@@ -202,16 +202,19 @@ def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_verify_refuses_an_oversized_finite_module(monkeypatch, capsys):
+def test_verify_refuses_an_oversized_expansion(monkeypatch, capsys):
     from koszulkit import dgmodule
 
     args = ["verify", "--suite", "duality-oracle", "--dim-e", "2", "--dim-f", "1", "--trials", "1", "--seed", "1"]
     assert main(args) == 0
     capsys.readouterr()
-    monkeypatch.setattr(dgmodule, "MAX_FINITE_ENTRIES", 100)
+    monkeypatch.setattr(dgmodule, "MAX_EXPANSION_BASIS", 5)
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err == "error: the finite module needs 2 dense 8 x 8 matrices (1,024 bytes as int64), over the limit of 100 entries\n"
+    assert err == (
+        "error: the expansion on internal degrees [-6, 6] has 8 basis elements, over the limit of 5; "
+        "generator 0 alone spans monomial degrees [0, 2] with 2 monomials\n"
+    )
     assert "Traceback" not in err
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finite_reference as dense_ref
 from dict_reference import dg_map, elt_bidegree, elt_mul, module, to_nested
 from koszulkit import dgmodule
 from koszulkit.algebra import (
@@ -12,38 +13,31 @@ from koszulkit.algebra import (
     make_algebra,
     monomial_bidegree,
     monomials_by_internal,
+    mul_monomials,
 )
 from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
     DgMap,
     Expansion,
     FiniteDgModule,
-    FiniteMap,
     SemifreeDgModule,
-    SemifreeToFiniteMap,
     _column_cohomology,
     cohomology,
     cone,
-    cone_finite,
     deserialize_module,
+    expansion_to_finite,
     free_module,
     identity_map,
     is_quasi_iso,
-    semifree_resolution,
     serialize_module,
 )
-from koszulkit.homdual import expand_T_module
+from koszulkit.homdual import expand_T_module, k_linear_dual_T
 from koszulkit.linalg import rank as mat_rank
 from koszulkit.samples import random_module, stream
 
 
 def zero_map(source: SemifreeDgModule, target: SemifreeDgModule) -> DgMap:
     return DgMap(source, target)
-
-
-def cone_semifree_to_finite(psi, jlo: int, jhi: int):
-    _, fmap = psi.to_finite(jlo, jhi)
-    return cone_finite(fmap)
 
 
 def expansion_dims(module: SemifreeDgModule, window: Window) -> BigradedDims:
@@ -59,12 +53,11 @@ def direct_sum(M: SemifreeDgModule, N: SemifreeDgModule) -> SemifreeDgModule:
     return module(M.algebra, M.gens + N.gens, diff)
 
 
-def _matrix(n_rows, n_cols, triples):
-    """A finite module's matrix with the given (row, col, coeff) entries."""
-    out = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for r, c, v in triples:
-        out[r, c] = v
-    return out
+def _matrix(triples, p=5):
+    """A finite module's term arrays (rows, cols, vals) from (row, col,
+    coeff) triples, coeff reduced mod p."""
+    rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return rows, cols, vals % p
 
 
 def koszul_complex_f1(p=5):
@@ -282,12 +275,15 @@ def reference_column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> 
 
 
 def _finite_input(fin: FiniteDgModule):
-    """A finite module's sorted bidegrees and COO differential, as
-    ``FiniteDgModule.cohomology`` hands them to ``_column_cohomology``."""
+    """A finite module's bidegrees in lexicographic order and its d with
+    indices in that order, sorted by (row, col): the input of
+    ``_column_cohomology``."""
     order = np.lexsort((fin.basis_degs[:, 1], fin.basis_degs[:, 0]))
-    d = fin.d[np.ix_(order, order)]
-    rows, cols = d.nonzero()
-    return fin.basis_degs[order], (rows, cols, d[rows, cols])
+    place = order.argsort()
+    rows, cols, vals = fin.d
+    rows, cols = place[rows], place[cols]
+    by = np.lexsort((cols, rows))
+    return fin.basis_degs[order], (rows[by], cols[by], vals[by])
 
 
 BAND_ALGEBRAS = [
@@ -388,19 +384,19 @@ def test_no_rank_outside_the_band(monkeypatch):
 
 def test_finite_validate_rejects_wrong_d_bidegree():
     T = make_algebra("T", 1, 1, 5)
-    bad = FiniteDgModule(T, [(0, 0), (0, 0)], _matrix(2, 2, [(0, 1, 1)]))
+    bad = FiniteDgModule(T, [(0, 0), (0, 0)], _matrix([(0, 1, 1)]))
     assert bad.validate() == ["d entry 0->1 is not of bidegree (1,0)"]
 
 
 def test_finite_validate_rejects_d_squared():
     T = make_algebra("T", 1, 1, 5)
-    bad = FiniteDgModule(T, [(0, 0), (1, 0), (2, 0)], _matrix(3, 3, [(0, 1, 1), (1, 2, 1)]))
+    bad = FiniteDgModule(T, [(0, 0), (1, 0), (2, 0)], _matrix([(0, 1, 1), (1, 2, 1)]))
     assert bad.validate() == ["d^2 != 0"]
 
 
 def test_finite_validate_rejects_ext_square():
     T = make_algebra("T", 1, 1, 5)
-    theta = _matrix(3, 3, [(0, 1, 1), (1, 2, 1)])
+    theta = _matrix([(0, 1, 1), (1, 2, 1)])
     bad = FiniteDgModule(T, [(0, 0), (-1, 2), (-2, 4)], ext_act=[theta])
     assert bad.validate() == ["ext generator 0 does not square to zero"]
 
@@ -409,8 +405,8 @@ def test_finite_validate_rejects_ext_square():
 def test_finite_validate_checks_leibniz(sign):
     # d(theta m) = -theta d(m) holds only when theta . b1 = -b3
     T = make_algebra("T", 1, 1, 5)
-    d = _matrix(4, 4, [(0, 1, 1), (2, 3, 1)])
-    theta = _matrix(4, 4, [(0, 2, 1), (1, 3, -sign)])
+    d = _matrix([(0, 1, 1), (2, 3, 1)])
+    theta = _matrix([(0, 2, 1), (1, 3, -sign)])
     mod = FiniteDgModule(T, [(0, 0), (1, 0), (-1, 2), (0, 2)], d, ext_act=[theta])
     assert mod.validate() == ([] if sign == 1 else ["Leibniz fails for ext generator 0"])
 
@@ -419,118 +415,139 @@ def test_finite_validate_checks_leibniz(sign):
 def test_finite_validate_leibniz_with_algebra_differential(sign):
     # over Q(2,1), d(eta_2) = z, so d(eta_2 . b0) = z . b0 needs d(b1) = +b2
     Q = make_algebra("Q", 2, 1, 5)
-    d = _matrix(3, 3, [(1, 2, sign)])
-    eta2, z = _matrix(3, 3, [(0, 1, 1)]), _matrix(3, 3, [(0, 2, 1)])
-    mod = FiniteDgModule(Q, [(0, 0), (-1, 2), (0, 2)], d, sym_act=[z], ext_act=[_matrix(3, 3, []), eta2])
+    d = _matrix([(1, 2, sign)])
+    eta2, z = _matrix([(0, 1, 1)]), _matrix([(0, 2, 1)])
+    mod = FiniteDgModule(Q, [(0, 0), (-1, 2), (0, 2)], d, sym_act=[z], ext_act=[_matrix([]), eta2])
     assert mod.validate() == ([] if sign == 1 else ["Leibniz fails for ext generator 1"])
 
 
 @pytest.mark.parametrize("coeff", [1, 2])
 def test_finite_validate_checks_sym_commutes_with_d(coeff):
     S = make_algebra("S", 1, 1, 5)
-    d = _matrix(4, 4, [(0, 1, 1), (2, 3, 1)])
-    x = _matrix(4, 4, [(0, 2, 1), (1, 3, coeff)])
+    d = _matrix([(0, 1, 1), (2, 3, 1)])
+    x = _matrix([(0, 2, 1), (1, 3, coeff)])
     mod = FiniteDgModule(S, [(0, 0), (1, 0), (2, -2), (3, -2)], d, sym_act=[x])
     assert mod.validate() == ([] if coeff == 1 else ["sym generator 0 does not commute with d"])
 
 
 def test_finite_validate_rejects_wrong_action_bidegree():
-    # an ext action between equal bidegrees used to validate, and its
-    # resolution then failed its own structure-map check
+    # an ext action between equal bidegrees used to validate
     T = make_algebra("T", 1, 1, 5)
-    bad = FiniteDgModule(T, [(0, 0), (0, 0)], ext_act=[_matrix(2, 2, [(0, 1, 1)])])
+    bad = FiniteDgModule(T, [(0, 0), (0, 0)], ext_act=[_matrix([(0, 1, 1)])])
     assert bad.validate() == ["ext generator 0 entry 0->1 is not of bidegree (-1, 2)"]
-    good = FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix(2, 2, [(0, 1, 1)])])
+    good = FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix([(0, 1, 1)])])
     assert good.validate() == []
     S = make_algebra("S", 2, 2, 5)
-    bad = FiniteDgModule(S, [(0, 0), (2, -2)], sym_act=[_matrix(2, 2, []), _matrix(2, 2, [(1, 0, 1)])])
+    bad = FiniteDgModule(S, [(0, 0), (2, -2)], sym_act=[_matrix([]), _matrix([(1, 0, 1)])])
     assert bad.validate() == ["sym generator 1 entry 1->0 is not of bidegree (2, -2)"]
-
-
-def test_apply_element_reduces_before_its_matmuls():
-    # (p - 1)^3 overflows int64 at the largest prime below linalg.MAX_MODULUS
-    p = 16777213
-    M = FiniteDgModule(make_algebra("T", 1, 1, p), [(0, 0), (-1, 2)], ext_act=[[[0, p - 1], [0, 0]]])
-    assert M.apply_element({((), 1): p - 1}, np.array([p - 1, 0])).tolist() == [0, p - 1]
-
-
-def test_finite_map_validate_rejects_wrong_bidegree():
-    T = make_algebra("T", 1, 1, 5)
-    src, tgt = FiniteDgModule(T, [(0, 0)]), FiniteDgModule(T, [(1, 0)])
-    bad = FiniteMap(src, tgt, _matrix(1, 1, [(0, 0, 1)]))
-    assert bad.validate() == ["map entry 0->0 is not of bidegree (0,0)"]
-
-
-def test_finite_map_validate_rejects_non_chain_map():
-    T = make_algebra("T", 1, 1, 5)
-    src = FiniteDgModule(T, [(0, 0), (1, 0)], _matrix(2, 2, [(0, 1, 1)]))
-    tgt = FiniteDgModule(T, [(0, 0), (1, 0)])
-    ident = _matrix(2, 2, [(0, 0, 1), (1, 1, 1)])
-    assert FiniteMap(src, src, ident).validate() == []
-    assert FiniteMap(src, tgt, ident).validate() == ["chain condition fails at basis element 0"]
-
-
-def test_semifree_to_finite_map_validate():
-    T = make_algebra("T", 1, 1, 5)
-    bad = SemifreeToFiniteMap(free_module(T, [(0, 0)]), FiniteDgModule(T, [(1, 0)]), _matrix(1, 1, [(0, 0, 1)]))
-    assert bad.validate() == ["image of gen 0 is not homogeneous of (0, 0)"]
-    # the Koszul complex of k[x] maps onto k, where x acts by zero, but not onto k[x]/x^2
-    S = make_algebra("S", 1, 1, 5)
-    K = koszul_complex_f1()
-    k = FiniteDgModule(S, [(0, 0)])
-    assert SemifreeToFiniteMap(K, k, _matrix(2, 1, [(0, 0, 1)])).validate() == []
-    kx = FiniteDgModule(S, [(0, 0), (2, -2)], sym_act=[_matrix(2, 2, [(0, 1, 1)])])
-    assert SemifreeToFiniteMap(K, kx, _matrix(2, 2, [(0, 0, 1)])).validate() == ["chain condition fails at generator 1"]
 
 
 def test_finite_cohomology_of_an_unsorted_basis():
     T = make_algebra("T", 1, 1, 5)
-    M = FiniteDgModule(T, [(0, 0), (1, 0), (0, 0)], _matrix(3, 3, [(0, 1, 1)]))
+    M = FiniteDgModule(T, [(0, 0), (1, 0), (0, 0)], _matrix([(0, 1, 1)]))
     assert M.cohomology(Window(-2, 2, -2, 2)).to_triples() == [[0, 0, 1]]
 
 
 def test_finite_module_rejects_malformed_input():
     T = make_algebra("T", 2, 2, 3)
     with pytest.raises(ValueError):  # two exterior generators need two actions
-        FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix(2, 2, [(0, 1, 1)])])
+        FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix([(0, 1, 1)])])
     with pytest.raises(ValueError):  # T has no sym generator
-        FiniteDgModule(T, [(0, 0)], sym_act=[_matrix(1, 1, [])])
-    with pytest.raises(ValueError):  # d on a one-element basis
-        FiniteDgModule(T, [(0, 0)], _matrix(1, 6, [(0, 5, 1)]))
+        FiniteDgModule(T, [(0, 0)], sym_act=[_matrix([])])
     with pytest.raises(ValueError):
         FiniteDgModule(T, [(0, 0, 1)])
 
 
-# -- resolutions -------------------------------------------------------------
+def test_finite_validate_reports_entries_outside_the_basis():
+    # the constructor takes term arrays as given; validate() reports the
+    # entries a dense matrix of the basis could not hold, before any other check
+    T = make_algebra("T", 2, 2, 3)
+    bad = FiniteDgModule(T, [(0, 0)], _matrix([(0, 5, 1)]))
+    assert bad.validate() == ["d entry 0->5 is outside the basis of 1 elements"]
+    theta = _matrix([(1, 0, 1), (0, 2, 1), (-1, 0, 1)])
+    bad = FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix([]), theta])
+    assert bad.validate() == [
+        "ext generator 1 entry -1->0 is outside the basis of 2 elements",
+        "ext generator 1 entry 0->2 is outside the basis of 2 elements",
+    ]
+    bad = FiniteDgModule(T, [(0, 0), (-1, 2)], ext_act=[_matrix([(0, 1, 1), (0, 1, 2)]), _matrix([])])
+    assert bad.validate() == ["ext generator 0 entry 0->1 is repeated"]
 
-def test_resolution_of_semifree_is_identity():
+
+def test_finite_validate_reports_entries_in_order():
+    # term arrays may come in any order; messages follow (row, col)
     T = make_algebra("T", 1, 1, 5)
-    M = free_module(T, [(0, 0)])
-    P, psi = semifree_resolution(M, depth=2)
-    assert P is M
-    ident = identity_map(M)
-    assert psi.mons == ident.mons and np.array_equal(psi.terms, ident.terms)
+    bad = FiniteDgModule(T, [(0, 0), (0, 0), (0, 0)], _matrix([(1, 2, 1), (0, 2, 1), (0, 1, 1)]))
+    assert bad.validate() == [
+        "d entry 0->1 is not of bidegree (1,0)",
+        "d entry 0->2 is not of bidegree (1,0)",
+        "d entry 1->2 is not of bidegree (1,0)",
+        "d^2 != 0",
+    ]
 
 
-def test_resolution_of_trivial_module():
-    T = make_algebra("T", 1, 1, 5)
-    P, psi = semifree_resolution(FiniteDgModule(T, [(0, 0)]), depth=3)
-    assert sorted(P.gens) == [(-6, 6), (-4, 4), (-2, 2), (0, 0)]
-    assert P.validate() == []
-    assert psi.validate() == []
-    c = cone_semifree_to_finite(psi, -2, 6)
-    assert not c.cohomology(Window(-10, 4, -2, 6))
+FINITE_ALGEBRAS = [("S", 1, 1, 3), ("S", 2, 2, 5), ("R", 2, 1, 3), ("T", 2, 2, 3), ("T", 3, 3, 5), ("Q", 2, 1, 5), ("Q", 3, 1, 3)]
 
 
-def test_resolution_window_guarantee():
-    T = make_algebra("T", 2, 2, 5)
-    k = FiniteDgModule(T, [(0, 0)])
-    depth = 2
-    P, psi = semifree_resolution(k, depth=depth)
-    assert psi.validate() == []
-    jmax = 2 * depth
-    c = cone_semifree_to_finite(psi, -2, jmax + 2)
-    assert not c.cohomology(Window(-12, 4, -2, jmax))
+@settings(max_examples=100, deadline=None)
+@given(alg=st.sampled_from(FINITE_ALGEBRAS), seed=st.integers(0, 10**6), data=st.data())
+def test_finite_layer_matches_dense_reference(alg, seed, data):
+    # expansions, their shifts and twisted k-linear duals (a matrix
+    # transform on any algebra), and single-entry mutants of each, against
+    # the dense matrices and validate() the term arrays replaced
+    A = make_algebra(*alg)
+    M = random_module(A, stream(seed, "finite-dense"), max_gens=3)
+    hull = Window.hull(M.gens)
+    j0 = data.draw(st.integers(hull.j0 - 4, hull.j1), label="j0")
+    exp = Expansion(M, j0, data.draw(st.integers(j0, hull.j1 + 6), label="j1"))
+    fin = expansion_to_finite(exp)
+    # each action entry is its generator times the basis element's monomial
+    gen, mons, mon = exp.labels()
+    index = {(k, mons[u]): r for r, (k, u) in enumerate(zip(gen.tolist(), mon.tolist()))}
+    for is_ext, acts in ((False, fin.sym_act), (True, fin.ext_act)):
+        for g, (rows, cols, vals) in enumerate(acts):
+            want = {}
+            for r, (k, u) in enumerate(zip(gen.tolist(), mon.tolist())):
+                prod = mul_monomials(A, A.gen_monomial(is_ext, g), mons[u])
+                if prod is not None and (k, prod[0]) in index:
+                    want[r, index[k, prod[0]]] = prod[1] % A.p
+            assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == want
+    a, b = data.draw(st.integers(-3, 3), label="a"), data.draw(st.integers(-4, 4), label="b")
+    pairs = [
+        (fin, dense_ref.dense(fin)),
+        (fin.shift(a, b), dense_ref.shift(dense_ref.dense(fin), a, b)),
+        (k_linear_dual_T(fin), dense_ref.k_linear_dual_T(dense_ref.dense(fin))),
+    ]
+    for got, want in pairs:
+        mats = [got.d, *got.sym_act, *got.ext_act]
+        for rows, cols, vals in mats:
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+            assert ((1 <= vals) & (vals < A.p)).all()
+        as_dense = dense_ref.dense(got)
+        assert np.array_equal(as_dense.basis_degs, want.basis_degs)
+        for x, y in zip([as_dense.d, *as_dense.sym_act, *as_dense.ext_act], [want.d, *want.sym_act, *want.ext_act]):
+            assert np.array_equal(x, y)
+        assert got.validate() == dense_ref.validate(want)
+        # one entry changed, dropped or added
+        which = data.draw(st.integers(0, len(mats) - 1), label="matrix")
+        rows, cols, vals = (np.array(x) for x in mats[which])
+        n = got.dim
+        kind = data.draw(st.sampled_from(["change", "drop", "add"] if len(rows) else ["add"]), label="kind")
+        if kind == "add":
+            free = sorted({(r, c) for r in range(n) for c in range(n)} - set(zip(rows.tolist(), cols.tolist())))
+            if not free:
+                continue
+            r, c = data.draw(st.sampled_from(free), label="position")
+            rows, cols, vals = np.append(rows, r), np.append(cols, c), np.append(vals, data.draw(st.integers(1, A.p - 1)))
+        else:
+            e = data.draw(st.integers(0, len(rows) - 1), label="entry")
+            if kind == "drop":
+                rows, cols, vals = np.delete(rows, e), np.delete(cols, e), np.delete(vals, e)
+            else:
+                vals[e] = vals[e] % (A.p - 1) + 1
+        mats[which] = rows, cols, vals
+        mutant = FiniteDgModule(A, got.basis_degs, mats[0], mats[1 : 1 + A.n_sym], mats[1 + A.n_sym :])
+        assert mutant.validate() == dense_ref.validate(dense_ref.dense(mutant))
 
 
 # -- serialization ------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from dict_reference import dg_map
+from koszulkit import homdual
 from koszulkit.algebra import make_algebra
 from koszulkit.bigraded import Window
 from koszulkit.dgmodule import (
@@ -115,6 +116,25 @@ def test_twisted_action_satisfies_axioms():
     N = random_module(T, stream(34, 0), max_gens=3)
     dual = k_linear_dual_T(expand_T_module(N))
     assert dual.validate() == []
+
+
+def test_validate_sees_the_twist_signs(monkeypatch):
+    # a dual whose ext actions drop the (-1)^{i_a} twist has the same
+    # cohomology table, but its actions break the Leibniz rule
+    T = make_algebra("T", 3, 3, 5)
+    N = random_module(T, stream(34, 0), max_gens=3)
+    fin, W = expand_T_module(N), oracle_window(N)
+    want = dualize_T_formula(fin)
+
+    def untwisted(M):
+        dual = k_linear_dual_T(M)
+        return FiniteDgModule(M.algebra, dual.basis_degs, dual.d, dual.sym_act, [(c, r, v) for r, c, v in M.ext_act])
+
+    monkeypatch.setattr(homdual, "k_linear_dual_T", untwisted)
+    mutant = dualize_T_formula(fin)
+    assert mutant.cohomology(W) == want.cohomology(W)
+    assert want.validate() == []
+    assert mutant.validate() == ["Leibniz fails for ext generator 2"]
 
 
 def test_oracle_on_cone_of_theta_multiplication():

@@ -20,7 +20,6 @@ from dict_reference import cone as dict_cone
 from koszulkit import cli, dgmodule
 from koszulkit.algebra import make_algebra, monomials_by_internal
 from koszulkit.dgmodule import (
-    FiniteDgModule,
     SemifreeDgModule,
     _canonical,
     _span_size,
@@ -29,10 +28,8 @@ from koszulkit.dgmodule import (
     deserialize_module,
     free_module,
     identity_map,
-    semifree_resolution,
     serialize_module,
 )
-from koszulkit.homdual import dualize_T_formula, expand_T_module
 from koszulkit.lkd import counit, functor_jcut, standard_window, unit
 from koszulkit.samples import random_homogeneous, random_module, stream
 
@@ -310,22 +307,3 @@ def test_table_refuses_an_oversized_expansion(tmp_path, capsys):
     assert f"over the limit of {dgmodule.MAX_EXPANSION_BASIS:,}; generator 0 alone spans monomial degrees" in err
     assert "Traceback" not in err
 
-
-def test_resolution_stops_when_a_degree_does_not_converge(monkeypatch):
-    # a cone that drops the sign of its source block is no complex; the
-    # resolution must stop instead of adding generators without end
-    def unsigned_cone(phi):
-        src, tgt = phi.source, phi.target
-        degs = np.concatenate([tgt.basis_degs, src.basis_degs - (1, 0)])
-        d = np.block([[tgt.d, np.zeros((tgt.dim, src.dim), np.int64)], [phi.matrix, src.d]])
-        return FiniteDgModule(src.algebra, degs, d)
-
-    # the closed-form dual of the expanded cone of theta_1: T[-1]<2> -> T
-    T = make_algebra("T", 2, 2, 3)
-    theta = dg_map(free_module(T, [(-1, 2)]), free_module(T, [(0, 0)]), {0: {0: {((), 1): 1}}})
-    M = dualize_T_formula(expand_T_module(cone(theta)))
-    monkeypatch.setattr(dgmodule, "cone_finite", unsigned_cone)
-    start = time.monotonic()
-    with pytest.raises(ValueError, match="resolution did not converge at internal degree 0$"):
-        semifree_resolution(M, depth=2)
-    assert time.monotonic() - start < 10
