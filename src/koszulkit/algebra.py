@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from types import MappingProxyType
 
 from .bigraded import Bidegree
@@ -34,11 +35,12 @@ Element = dict  # Monomial -> int coefficient
 KINDS = ("S", "R", "T", "Q", "P")
 
 # Entries kept by each monomial-table cache here and in ``dgmodule``.  One
-# benchmark pass misses at most 1,914 times in ``dgmodule._block``
-# (roundtrip-e3; scale-e4 1,902, duality-grid 782) and at most 618 times in
-# every other cache, so no pass evicts; a run of any length holds at most
-# this many tables per cache.  The e = f = 5 round trip (trials 0-2) uses
-# 7,415 distinct blocks and recomputes about 2,100 evicted ones.
+# benchmark pass misses at most 1,914 blocks in ``dgmodule._blocks``
+# (roundtrip-e3, built in 140 batches; scale-e4 1,902 in 20, duality-grid
+# 782 in 320) and at most 618 times in every other cache, so no pass
+# evicts; a run of any length holds at most this many tables per cache.
+# The e = f = 5 round trip (trials 0-2) builds 9,508 blocks in 28 batches,
+# about 2,100 of them again after eviction.
 CACHE_SIZE = 4096
 
 
@@ -90,11 +92,18 @@ class AlgebraSpec:
         return (self.kind, self.e, self.f, self.p)
 
 
+# Largest e: Q has e ext generators, and ``dgmodule`` holds ext masks (and
+# the weight masks of its sign parity) as int64 bit sets.
+MAX_E = 62
+
+
 def make_algebra(kind: str, e: int, f: int, p: int) -> AlgebraSpec:
     if kind not in KINDS:
         raise ValueError(f"unknown algebra kind {kind!r}")
     if not (0 <= f <= e):
         raise ValueError(f"need 0 <= f <= e, got f={f}, e={e}")
+    if e > MAX_E:
+        raise ValueError(f"e = {e} is over the limit of {MAX_E} (ext masks are int64 bit sets)")
     check_modulus(p)
     return AlgebraSpec(kind, e, f, p)
 
@@ -183,23 +192,19 @@ def _monomials_by_internal(key, jlo: int, jhi: int):
     si, sj = alg.sym_deg
     ei, ej = alg.ext_deg
     table: dict[Bidegree, list[Monomial]] = {}
-    for mask in range(1 << alg.n_ext):
-        m = bin(mask).count("1")
+    for m in range(alg.n_ext + 1):  # bidegrees first met in order of m, then t
+        lo, hi = jlo - m * ej, jhi - m * ej  # left for the sym part: t * sj, t >= 0
         if alg.n_sym == 0:
-            cands = [0]
-        else:
-            # want jlo <= t*sj + m*ej <= jhi with t >= 0 and |sj| = 2;
-            # enumerate a safe superset and filter below
-            lo, hi = jlo - m * ej, jhi - m * ej
-            cands = range(0, max(abs(lo), abs(hi)) // 2 + 1)
-        for t in cands:
-            j = t * sj + m * ej
-            if not (jlo <= j <= jhi):
-                continue
-            i = t * si + m * ei
-            bucket = table.setdefault((i, j), [])
-            for exps in _compositions(t, alg.n_sym):
-                bucket.append((exps, mask))
+            ts = range(int(lo <= 0 <= hi))
+        else:  # |sj| = 2
+            lo, hi = (-hi, -lo) if sj < 0 else (lo, hi)
+            ts = range(max(0, -(-lo // 2)), hi // 2 + 1)
+        # only the masks of the m that occur: a narrow range of a large
+        # exterior part is enumerated in its size, not in 2^n_ext steps
+        masks = [sum(1 << b for b in bits) for bits in combinations(range(alg.n_ext), m)] if ts else []
+        for t in ts:
+            bucket = table.setdefault((t * si + m * ei, t * sj + m * ej), [])
+            bucket += [(exps, mask) for mask in masks for exps in _compositions(t, alg.n_sym)]
     return MappingProxyType({bd: tuple(sorted(bucket)) for bd, bucket in table.items()})
 
 

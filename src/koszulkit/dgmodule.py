@@ -18,13 +18,17 @@ Sign conventions, fixed project-wide and enforced by validate():
   makes double dualization the identity on the presentation.
 
 Expansions are assembled by one kernel from cached integer tables: for
-each (algebra, internal-degree span) the monomials are numbered once, and
-the block table of a monomial says where it times every monomial of the
-span lands, with its sign.  A module's generators are held by index into
-its few distinct spans, so tables, sizes and bidegrees are read once per
-span and gathered by index; the terms of d fall into few distinct (span,
-span, monomial) groups, and each group's block is built or looked up once
-and placed for all of its terms by one repeat/arange gather.  Only
+each (algebra, internal-degree span) the monomials are numbered once and
+held as arrays (exponents, ext masks, sorted byte keys), and the block
+table of a monomial says where it times every monomial of the span lands,
+with its sign.  Blocks are array products: exponents add, masks or, the
+sign is an inversion parity, and a ``searchsorted`` on the target's keys
+finds each row; every block one differential or one action is missing is
+built in one batch.  A module's generators are held by index into its few
+distinct spans, so tables, sizes and bidegrees are read once per span and
+gathered by index; the terms of d fall into few distinct (span, span,
+monomial) groups, and each group's block is built or looked up once and
+placed for all of its terms by one repeat/arange gather.  Only
 ``Expansion`` and its helpers cut, lay out and gather spans: cohomology,
 the functors of ``lkd``, finite expansions and the restrictions of scalars
 of ``qmodel`` read its labels and differential.  Cohomology is exact: each
@@ -43,6 +47,7 @@ import json
 from functools import lru_cache
 from itertools import accumulate, groupby
 from math import comb, inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,53 +414,151 @@ def _span_size(key, jlo: int, jhi: int) -> int:
     return total
 
 
+class _Table(NamedTuple):
+    """The monomials of one (algebra, internal-degree span) in the order of
+    ``monomials_by_internal``, and the same as read-only arrays: bidegrees
+    (n, 2), exponents (n, n_sym) and ext masks (n,); ``keys`` are the
+    monomials' byte keys (see ``_keys``) sorted, and ``rows`` the row of each."""
+
+    mons: tuple
+    degs: np.ndarray
+    exps: np.ndarray
+    masks: np.ndarray
+    keys: np.ndarray
+    rows: np.ndarray
+
+
+def _keys(*cols) -> np.ndarray:
+    """Byte keys of the rows of nonnegative int64 columns (1-D, or 2-D for
+    several): each row as big-endian bytes of one fixed width, which compare
+    and sort as the rows do.  Any int64 values fit, where a mixed-radix
+    int64 code would need a bound on each column."""
+    rows = np.column_stack(cols).astype(">i8")
+    return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+
+
+def _parity(x: np.ndarray, bits: int) -> np.ndarray:
+    """The parity of the number of set bits of each int64 in x, all of them
+    below bit ``bits`` (at most 64)."""
+    for s in (32, 16, 8, 4, 2, 1):
+        if s < bits:
+            x = x ^ x >> s
+    return x & 1
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _table(key, jlo: int, jhi: int):
+def _table(key, jlo: int, jhi: int) -> _Table:
     """The monomials of ``monomials_by_internal`` on [jlo, jhi], in its
-    order, and a read-only (n, 2) array of their bidegrees."""
+    order, with their arrays.  Ext masks fit int64 (see
+    ``algebra.MAX_E``)."""
     table = alg_mod._monomials_by_internal(key, jlo, jhi)
     mons = tuple(mon for bucket in table.values() for mon in bucket)
-    degs = np.array([bd for bd, bucket in table.items() for _ in bucket], dtype=np.int64).reshape(-1, 2)
-    degs.flags.writeable = False
-    return mons, degs
+    degs = np.array(list(table), dtype=np.int64).reshape(-1, 2).repeat(list(map(len, table.values())), axis=0)
+    both = np.array([(*e, m) for e, m in mons], dtype=np.int64).reshape(len(mons), AlgebraSpec(*key).n_sym + 1)
+    keys = _keys(both)
+    rows = keys.argsort()
+    arrays = degs, both[:, :-1], both[:, -1], keys[rows], rows
+    for a in arrays:
+        a.flags.writeable = False
+    return _Table(mons, *arrays)
 
 
-def _frozen_block(terms) -> np.ndarray:
-    """Triples (source row, target row, coefficient) as a read-only 3 x n array."""
-    block = np.array(terms, dtype=np.int64).reshape(-1, 3).T.copy()
-    block.flags.writeable = False
-    return block
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _block(key, src_range, dst_range, mon, left: bool):
-    """The multiplication table of mon on the table on ``src_range``: where
-    mon times each of its monomials m lands in the table on ``dst_range``.
+def _build_blocks(key, wanted) -> list[np.ndarray]:
+    """The multiplication tables ``wanted`` (src span, dst span, mon, left),
+    built in one batch: for each, where mon times each monomial m of the
+    table on the src span lands in the table on the dst span, as a read-only
+    3 x n array of rows (source row, target row, sign) by source row.
 
     The product is mon . m when ``left`` (a generator acting) and
     (-1)^{|m|} m . mon otherwise, a term of d(m e) = (-1)^{|m|} m d(e).
     Vanishing products and products outside the target are dropped.
+
+    All requests at once: exponents add and masks or, products whose masks
+    overlap vanish, and the wedge sign is the parity of the inversions:
+    the set bits of m under a per-request weight mask, whose bit b is set
+    when an odd number of mon's bits lie above b (mon . m) or below b
+    (m . mon).  The tables' byte keys, prefixed with the table's index in
+    the batch, are sorted as a whole, so one ``searchsorted`` finds every
+    product's target row.
     """
     A = AlgebraSpec(*key)
-    src, src_degs = _table(key, *src_range)
-    dst = _table(key, *dst_range)[0]
-    row = dict(zip(dst, range(len(dst))))
-    terms = []
-    for r, (m, i) in enumerate(zip(src, src_degs[:, 0].tolist())):
-        prod = mul_monomials(A, mon, m) if left else mul_monomials(A, m, mon)
-        if prod is not None and prod[0] in row:
-            terms.append((r, row[prod[0]], prod[1] if left or not i & 1 else -prod[1]))
-    return _frozen_block(terms)
+    index = {}
+    for src, dst, _, _ in wanted:
+        index.setdefault(src, len(index))
+        index.setdefault(dst, len(index))
+    tables = [_table(key, *r) for r in index]
+    sizes = np.array([len(t.mons) for t in tables], dtype=np.int64)
+    first = sizes.cumsum() - sizes
+    exps = _joined([t.exps for t in tables])
+    masks = _joined([t.masks for t in tables])
+    odd_i = _joined([t.degs[:, 0] for t in tables]) & 1
+    # per request: src and dst table, 1 for a right product, mon's mask and exponents
+    reqs = np.array([(index[s], index[d], not lf, mon[1], *mon[0]) for s, d, mon, lf in wanted], dtype=np.int64)
+    src, dst, right, mon_mask = reqs[:, :4].T
+    bits = mon_mask[:, None] >> np.arange(A.n_ext) & 1
+    below = bits.cumsum(axis=1)  # at b, mon's bits up to b: b itself is not in m when the product lives
+    above = bits.sum(axis=1, keepdims=True) - below
+    weight = ((np.where(right[:, None], below, above) & 1) << np.arange(A.n_ext)).sum(axis=1, dtype=np.int64)
+    # one product per request and row of its source table
+    n = sizes[src]
+    req = np.arange(len(wanted)).repeat(n)
+    row = np.arange(n.sum()) - (n.cumsum() - n)[req]
+    at = first[src][req] + row
+    m, mm = masks[at], mon_mask[req]
+    odd = _parity(m & weight[req], A.n_ext) ^ (odd_i[at] & right[req])
+    got = _keys(dst[req], exps[at] + reqs[req, 4:], m | mm)
+    sorted_at = _joined([f + t.rows for f, t in zip(first.tolist(), tables)])
+    table_keys = _keys(np.arange(len(tables)).repeat(sizes), exps[sorted_at], masks[sorted_at])
+    pos = table_keys.searchsorted(got)
+    live = ((m & mm) == 0) & (table_keys.take(pos, mode="clip") == got)
+    out = np.array([row, sorted_at.take(pos, mode="clip") - first[dst[req]], 1 - 2 * odd])[:, live]
+    out.flags.writeable = False
+    ends = [0, *np.bincount(req[live], minlength=len(wanted)).cumsum().tolist()]
+    return [out[:, a:b] for a, b in zip(ends, ends[1:])]
+
+
+# The blocks built so far, by (algebra key, src span, dst span, mon, left):
+# at most CACHE_SIZE, the oldest dropped first.  A hit is one dict lookup.
+_BLOCKS: dict = {}
+
+
+def _blocks(key, wanted) -> list[np.ndarray]:
+    """The blocks ``wanted`` of ``_build_blocks``: cached ones looked up,
+    and every missing one built in one batch."""
+    got = [_BLOCKS.get((key, *w)) for w in wanted]
+    missing = [w for w, block in zip(wanted, got) if block is None]
+    if not missing:
+        return got
+    built = _build_blocks(key, missing)
+    for w, block in zip(missing, built):
+        if len(_BLOCKS) >= CACHE_SIZE:
+            del _BLOCKS[next(iter(_BLOCKS))]
+        _BLOCKS[(key, *w)] = block
+    built = iter(built)
+    return [next(built) if block is None else block for block in got]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _derivation_block(key, rng):
-    """The table of d_A on the table on ``rng``; d_A preserves internal
-    degree, so every term stays in the table."""
-    A = AlgebraSpec(*key)
-    mons = _table(key, *rng)[0]
-    row = dict(zip(mons, range(len(mons))))
-    return _frozen_block([(r, row[m2], c) for r, m in enumerate(mons) for m2, c in elt_d(A, {m: 1}).items()])
+def _derivation_block(key, rng) -> np.ndarray:
+    """The table of d_A on the table on ``rng``, rows (source row, target
+    row, coefficient) by source row, then ext generator: d_A sends the
+    ext generator i >= f to the sym generator i - f with the sign of the
+    ext generators before it, coefficient 1 or p - 1.  d_A preserves
+    internal degree, so every term stays in the table."""
+    A, t = AlgebraSpec(*key), _table(key, *rng)
+    row, tgt, odd = [], [], []
+    for i in range(A.f, A.n_ext):
+        r = (t.masks >> i & 1).nonzero()[0]
+        exps = t.exps[r]
+        exps[:, i - A.f] += 1
+        row.append(r)
+        tgt.append(t.rows[t.keys.searchsorted(_keys(exps, t.masks[r] ^ 1 << i))])
+        odd.append(_parity(t.masks[r] & (1 << i) - 1, i))
+    row, tgt, odd = (np.concatenate(x) for x in (row, tgt, odd))
+    order = row.argsort(kind="stable")
+    block = np.array([row, tgt, 1 + odd * (A.p - 2)])[:, order]
+    block.flags.writeable = False
+    return block
 
 
 def _d_blocks(module: SemifreeDgModule, spans, which):
@@ -464,17 +567,19 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
     d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum of the terms of d(e_k).
 
     A term's block depends only on its group (span of k, span of l,
-    monomial), so ``_block`` is called once per distinct group, and the
-    d_A table once per span."""
+    monomial), so one block is read per distinct group, the missing ones
+    built in one batch by ``_blocks``, and the d_A table once per span."""
     key, mons = module.algebra.key(), module.mons
     blocks, items = [], module.terms
     if len(mons):
         k, l, u, c = items
         code = (which[k] * len(spans) + which[l]) * len(mons) + u
         groups = sorted(set(code.tolist()))
+        wanted = []
         for g in groups:
             (a, b), m = divmod(g // len(mons), len(spans)), g % len(mons)
-            blocks.append(_block(key, spans[a], spans[b], mons[m], False))
+            wanted.append((spans[a], spans[b], mons[m], False))
+        blocks = _blocks(key, wanted)
         items = k, l, np.array(groups, dtype=np.int64).searchsorted(code), c
     if module.algebra.has_differential:
         gens = np.arange(module.rank)
@@ -565,7 +670,7 @@ class Expansion:
         self._offsets = n.cumsum() - n
         row = (np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)[which] - self._offsets).repeat(n)
         row += np.arange(len(row))
-        degs = _joined([degs for _, degs in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
+        degs = _joined([t.degs for t in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
         # a stable sort by bidegree keeps the generator order and each table's order
         order = np.lexsort((degs[:, 1], degs[:, 0]))
         self._place = np.empty_like(order)
@@ -586,9 +691,9 @@ class Expansion:
     def labels(self):
         """Each basis element's generator and monomial: arrays (gen, mon)
         in basis order and the sorted tuple ``mons`` that mon indexes."""
-        mons = tuple(sorted(set().union(*(ms for ms, _ in self._tables))))
+        mons = tuple(sorted(set().union(*(t.mons for t in self._tables))))
         pos = {mon: u for u, mon in enumerate(mons)}
-        ids = np.array([pos[mon] for ms, _ in self._tables for mon in ms], dtype=np.int64)
+        ids = np.array([pos[mon] for t in self._tables for mon in t.mons], dtype=np.int64)
         gen = np.arange(self.module.rank).repeat(self._sizes)
         return gen.take(self._order), mons, ids.take(self._row.take(self._order))
 
@@ -610,7 +715,7 @@ class Expansion:
         A = self.module.algebra
         mon = A.gen_monomial(is_ext, g)
         gens = np.arange(self.module.rank)
-        blocks = [_block(A.key(), r, r, mon, True) for r in self._spans]
+        blocks = _blocks(A.key(), [(r, r, mon, True) for r in self._spans])
         src, dst, vals = _gather(blocks, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets)
         rows = self._place.take(src)
         order = rows.argsort()
@@ -665,8 +770,11 @@ def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedD
     ranks = {}
     for src, tgt in maps:
         c, t = cells[src], cells[tgt]
-        a = np.zeros((size[src], size[tgt]), dtype=np.int64)
         e = slice(ebounds[c], ebounds[c + 1])
+        if size[src] == 1 or size[tgt] == 1:  # one row or column: rank 1 unless it is zero
+            ranks[src] = int((vals[e] % p).any())
+            continue
+        a = np.zeros((size[src], size[tgt]), dtype=np.int64)
         a[rows[e] - bounds[c], cols[e] - bounds[t]] = vals[e]
         ranks[src] = mat_rank(a, p)
     for (i, j), n in size.items():
@@ -831,6 +939,12 @@ def serialize_module(module: SemifreeDgModule) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+# Bound on the generator degrees (absolute value) and exponents of a module
+# file: bidegrees are int64 sums of a few of them and of window margins, and
+# _column_cohomology packs a bidegree into one int64, i above 32 bits of j.
+MAX_DEGREE = 1 << 30
+
+
 def _check_int(value, what: str, lo=None, hi=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -851,7 +965,7 @@ def deserialize_module(text: str) -> SemifreeDgModule:
     for g in doc["gens"]:
         if len(g) != 2:
             raise ValueError(f"generator bidegree must be a pair, got {g!r}")
-        gens.append(tuple(_check_int(x, "generator degree") for x in g))
+        gens.append(tuple(_check_int(x, "generator degree", -MAX_DEGREE, MAX_DEGREE) for x in g))
     diff: dict[int, dict[int, dict]] = {}
     for k, l, terms in doc["diff"]:
         _check_int(k, "generator index", 0, len(gens))
@@ -861,7 +975,7 @@ def deserialize_module(text: str) -> SemifreeDgModule:
             _check_int(c, "coefficient")
             if len(exps) != algebra.n_sym:
                 raise ValueError(f"exponent vector {exps!r} must have length {algebra.n_sym}")
-            exps = tuple(_check_int(x, "exponent", 0) for x in exps)
+            exps = tuple(_check_int(x, "exponent", 0, MAX_DEGREE) for x in exps)
             entry[(exps, _check_int(mask, "ext mask", 0, 1 << algebra.n_ext))] = c
         diff.setdefault(k, {})[l] = entry
     mod = SemifreeDgModule(algebra, gens, *nested_terms(algebra, diff))

@@ -7,29 +7,78 @@ that code verbatim: ``_spans``, ``_d_blocks``, ``_gather`` and
 ``Expansion`` (``__init__``, ``basis``, ``labels``, ``_assemble``,
 ``action``) from ``dgmodule``, and ``_restrict_scalars`` with the
 ``restrict_to_T``/``pushforward_p`` wrappers from ``qmodel``.  They read
-``dgmodule``'s cached tables and blocks and its ``_summed``, which compute
-what they computed then, so tests can compare the grouped kernel with this
-one entry for entry.
+``dgmodule``'s cached tables and its ``_summed``, which compute what they
+computed then, so tests can compare the grouped kernel with this one entry
+for entry.
+
+The block builders are kept here too, verbatim: ``_block``, which
+multiplied a monomial into a table one row at a time with
+``mul_monomials``, and ``_derivation_block``, which applied ``elt_d`` one
+row at a time, with ``_frozen_block``; ``dgmodule`` now builds the same
+blocks as array products, every missing block of one request in one batch.
+``_table`` gives them the (monomials, bidegrees) pair they read.
 """
 
+from functools import lru_cache
 from itertools import accumulate
 from math import inf
 
 import numpy as np
 
-from koszulkit.algebra import AlgebraSpec, make_algebra, monomial_bidegree
+from koszulkit import dgmodule
+from koszulkit.algebra import CACHE_SIZE, AlgebraSpec, elt_d, make_algebra, monomial_bidegree, mul_monomials
 from koszulkit.bigraded import bidegree_add
 from koszulkit.dgmodule import (
     _NO_TERMS,
     MAX_EXPANSION_BASIS,
     SemifreeDgModule,
-    _block,
     _canonical,
-    _derivation_block,
     _span_size,
     _summed,
-    _table,
 )
+
+
+def _table(key, jlo: int, jhi: int):
+    """The monomials and bidegrees of ``dgmodule._table``."""
+    return dgmodule._table(key, jlo, jhi)[:2]
+
+
+def _frozen_block(terms) -> np.ndarray:
+    """Triples (source row, target row, coefficient) as a read-only 3 x n array."""
+    block = np.array(terms, dtype=np.int64).reshape(-1, 3).T.copy()
+    block.flags.writeable = False
+    return block
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _block(key, src_range, dst_range, mon, left: bool):
+    """The multiplication table of mon on the table on ``src_range``: where
+    mon times each of its monomials m lands in the table on ``dst_range``.
+
+    The product is mon . m when ``left`` (a generator acting) and
+    (-1)^{|m|} m . mon otherwise, a term of d(m e) = (-1)^{|m|} m d(e).
+    Vanishing products and products outside the target are dropped.
+    """
+    A = AlgebraSpec(*key)
+    src, src_degs = _table(key, *src_range)
+    dst = _table(key, *dst_range)[0]
+    row = dict(zip(dst, range(len(dst))))
+    terms = []
+    for r, (m, i) in enumerate(zip(src, src_degs[:, 0].tolist())):
+        prod = mul_monomials(A, mon, m) if left else mul_monomials(A, m, mon)
+        if prod is not None and prod[0] in row:
+            terms.append((r, row[prod[0]], prod[1] if left or not i & 1 else -prod[1]))
+    return _frozen_block(terms)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _derivation_block(key, rng):
+    """The table of d_A on the table on ``rng``; d_A preserves internal
+    degree, so every term stays in the table."""
+    A = AlgebraSpec(*key)
+    mons = _table(key, *rng)[0]
+    row = dict(zip(mons, range(len(mons))))
+    return _frozen_block([(r, row[m2], c) for r, m in enumerate(mons) for m2, c in elt_d(A, {m: 1}).items()])
 
 
 def _spans(A: AlgebraSpec, jlo: int, jhi: int, gens):

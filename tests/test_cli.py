@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit.cli import main, parse_window
 
@@ -50,6 +54,11 @@ def test_verify_all_degenerate_f0():
 def test_verify_rejects_f_bigger_than_e():
     proc = run_cli(["verify", "--dim-f", "4", "--dim-e", "3"])
     assert proc.returncode == 2
+
+
+def test_verify_rejects_e_over_the_limit(capsys):
+    assert main(["verify", "--dim-e", "63", "--dim-f", "1"]) == 2
+    assert capsys.readouterr().err == "error: e = 63 is over the limit of 62 (ext masks are int64 bit sets)\n"
 
 
 def test_verify_rejects_bad_prime():
@@ -258,6 +267,100 @@ def test_table_malformed_file(tmp_path, case):
     path = tmp_path / "bad.json"
     path.write_text(MALFORMED[case])
     assert main(["table", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(_S1, gens=[[0, 0], [1, 10**30]], diff=[]), f"generator degree {10**30} is out of range"),
+        (dict(_T21, gens=[[0, 0], [-(1 << 30) - 1, 2]], diff=[]), f"generator degree {-(1 << 30) - 1} is out of range"),
+        (dict(_S1, diff=[[1, 0, [[1, [10**30], 0]]]]), f"exponent {10**30} is out of range"),
+        (dict(_S1, diff=[[1, 0, [[1, [1 << 30], 0]]]]), f"exponent {1 << 30} is out of range"),
+        (dict(_T21, algebra=dict(_T21["algebra"], e=63, f=63), diff=[]), "e = 63 is over the limit of 62 (ext masks are int64 bit sets)"),
+    ],
+)
+def test_table_refuses_integers_beyond_the_bounds(tmp_path, capsys, doc, message):
+    """Degrees, exponents and e past their bounds (once an int64 overflow
+    traceback, or a hang) exit 2 with one line."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["table", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read module file: {message}\n"
+
+
+def test_table_at_the_bounds(tmp_path, capsys):
+    """The largest degrees and e pass; a narrow window over 62 ext
+    generators enumerates only the masks it holds."""
+    for doc, args, want in [
+        (
+            dict(_T21, gens=[[0, -(1 << 30)], [(1 << 30) - 1, 2]], diff=[]),
+            [],
+            [[-1, -(1 << 30) + 2, 1], [0, -(1 << 30), 1], [(1 << 30) - 2, 4, 1], [(1 << 30) - 1, 2, 1]],
+        ),
+        (dict(_T21, algebra=dict(_T21["algebra"], e=62, f=62), gens=[[0, 0]], diff=[]), ["--window=-2:0,0:2"], [[-1, 2, 62], [0, 0, 1]]),
+    ]:
+        path, out = tmp_path / "mod.json", tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        assert main(["table", str(path), "--out", str(out), *args]) == 0
+        assert json.loads(out.read_text())["table"] == want
+
+
+def _fuzz_bases():
+    from koszulkit.algebra import make_algebra
+    from koszulkit.dgmodule import serialize_module
+    from koszulkit.samples import random_module, stream
+
+    docs = [dict(_S1, diff=[[1, 0, [[1, [1], 0]]]]), dict(_T21, diff=[])]
+    for kind, e, f in (("S", 2, 2), ("T", 2, 2), ("Q", 2, 1), ("R", 2, 1)):
+        for seed in range(40):
+            M = random_module(make_algebra(kind, e, f, 3), stream(seed, "fuzz"), max_gens=3)
+            if M.terms.shape[1]:
+                docs.append(json.loads(serialize_module(M)))
+                break
+    return docs
+
+
+_FUZZ_BASES = _fuzz_bases()
+_FUZZ_INTS = st.sampled_from([0, 1, 2, 3, 5, 7, -1, -2, 62, 63, 64, 1 << 30, -(1 << 30), 1 << 31, 2**63, -(2**63), 10**30, -(10**30)])
+_FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | _FUZZ_INTS | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _places(node, path=()):
+    """Every path to a value inside a JSON document."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _places(v, path + (k,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(_FUZZ_BASES), data=st.data())
+def test_table_of_mutated_module_files_exits_0_or_2(tmp_path_factory, base, data):
+    """Module JSON with values replaced, ints pushed to their limits and
+    entries deleted: ``table`` exits 0 or 2 with at most one line on
+    stderr, and never raises."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        *parent, last = data.draw(st.sampled_from(list(_places(doc))[1:]), label="place")
+        holder = doc
+        for k in parent:
+            holder = holder[k]
+        how = data.draw(st.sampled_from(["value", "int", "delete"]), label="how")
+        if how == "delete":
+            del holder[last]
+        else:
+            holder[last] = data.draw(_FUZZ_VALUES if how == "value" else _FUZZ_INTS, label="new")
+        if not doc:
+            break
+    path = tmp_path_factory.mktemp("fuzz") / "mod.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["table", str(path), "--out", str(path.with_suffix(".out"))]) in (0, 2)
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1
 
 
 def test_tsv_and_human_formats(tmp_path):

@@ -353,6 +353,32 @@ def test_band_cohomology_of_finite_modules(alg, seed, data):
     assert fin.cohomology(W) == reference_column_cohomology(degs, d, W, T.p)
 
 
+@pytest.mark.parametrize(
+    "degs, d, eliminated",
+    [
+        ([(0, 0), (1, 0), (1, 0), (1, 0)], ([0, 0], [1, 3], [1, 2]), 0),  # one row, rank 1
+        ([(0, 0), (1, 0), (1, 0), (1, 0)], ([0, 0], [1, 3], [3, 6]), 0),  # one row, zero mod 3
+        ([(0, 0), (1, 0), (1, 0), (1, 0)], ([], [], []), 0),  # one row, no entries
+        ([(0, 0), (0, 0), (1, 0), (2, 0)], ([0, 1, 2], [2, 2, 3], [2, 1, 3]), 0),  # one column, then 1 x 1
+        ([(0, 0), (0, 0), (1, 0), (1, 0)], ([0, 1], [2, 3], [1, 1]), 1),  # 2 x 2
+    ],
+)
+def test_one_row_or_column_cells_are_ranked_without_elimination(monkeypatch, degs, d, eliminated):
+    """A one-row or one-column cell has rank 1 when an entry is nonzero mod p
+    and 0 otherwise, with no dense cell or ``rank`` call; other cells are
+    still eliminated."""
+    ranked = []
+
+    def recording_rank(a, p):
+        ranked.append(a.shape)
+        return mat_rank(a, p)
+
+    monkeypatch.setattr(dgmodule, "mat_rank", recording_rank)
+    degs, d, W = np.array(degs), tuple(np.array(x, dtype=np.int64) for x in d), Window(-1, 3, -1, 1)
+    assert _column_cohomology(degs, d, W, 3) == reference_column_cohomology(degs, d, W, 3)
+    assert len(ranked) == eliminated
+
+
 def test_no_rank_outside_the_band(monkeypatch):
     # cell (i, j) has dimension i + 1 + 3 j, so the shape of a rank input
     # names its source bidegree

@@ -11,13 +11,14 @@ need d^2 = 0).  The caches the kernel reads are bounded; filling them past
 the bound evicts old entries without changing any expansion.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expansion_reference as ref
 from koszulkit import algebra, dgmodule
-from koszulkit.algebra import make_algebra, monomials_by_internal
+from koszulkit.algebra import make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import Window
 from koszulkit.dgmodule import CACHE_SIZE, Expansion, SemifreeDgModule, cohomology, free_module, nested_terms
 from koszulkit.lkd import counit, functor_jcut, standard_window, unit
@@ -97,6 +98,73 @@ def test_expansion_matches_per_term_kernel(alg, seed, shape):
         _assert_same_restriction(restrict_to_T(M, jhi), ref.restrict_to_T(M, jhi))
 
 
+BLOCK_ALGEBRAS = ALGEBRAS + [("T", 16, 16, 3), ("Q", 16, 13, 5), ("Q", 9, 4, 3), ("S", 4, 4, 7)]
+
+
+def _block_requests(A, rng):
+    """A batch of block requests (src span, dst span, mon, left): spans as
+    ``_spans`` cuts them, empty ones, and targets that hold the products'
+    whole range, a cut of it, or some other span; then repeated requests,
+    and all of it shuffled."""
+    key = A.key()
+    js = np.array([2 * rng.randrange(-3, 3) for _ in range(rng.randrange(1, 5))], dtype=np.int64)
+    jlo, jhi = int(js.min()) + rng.randrange(-6, 4), int(js.max()) + rng.randrange(-4, 6)
+    spans = [s for s in dgmodule._spans(A, jlo, jhi, js)[0] if dgmodule._span_size(key, *s) <= 2000] + [(0, -2)]
+    gens = [A.gen_monomial(False, g) for g in range(A.n_sym)] + [A.gen_monomial(True, g) for g in range(A.n_ext)]
+    mons = [mon for s in spans for mon in dgmodule._table(key, *s).mons]
+    wanted = []
+    for _ in range(rng.randrange(1, 10)):
+        (a, b), mon = rng.choice(spans), rng.choice([A.one(), rng.choice(gens), rng.choice(mons or gens)])
+        j = monomial_bidegree(A, mon)[1]
+        dst = rng.choice([rng.choice(spans), (a + j, b + j), (a + j + 2, b + j), (a + j, b + j - 2)])
+        if dgmodule._span_size(key, *dst) <= 2000:
+            wanted.append(((a, b), dst, mon, rng.random() < 0.5))
+    wanted += rng.choices(wanted, k=rng.randrange(0, 4)) if wanted else []
+    rng.shuffle(wanted)
+    return spans, wanted
+
+
+@settings(max_examples=150, deadline=None)
+@given(alg=st.sampled_from(BLOCK_ALGEBRAS), seed=st.integers(0, 10**6))
+def test_batched_blocks_match_per_row_builder(alg, seed):
+    """``_build_blocks`` (and ``_blocks``, which builds misses through it)
+    equals the per-row ``_block`` on every request of a batch, and the
+    array ``_derivation_block`` equals the per-row one."""
+    A = make_algebra(*alg)
+    key = A.key()
+    spans, wanted = _block_requests(A, stream(seed, "blocks"))
+    if wanted:
+        for got in (dgmodule._build_blocks(key, wanted), dgmodule._blocks(key, wanted)):
+            assert len(got) == len(wanted)
+            for w, block in zip(wanted, got):
+                assert block.tolist() == ref._block(key, *w).tolist(), w
+                assert block.dtype == np.int64 and not block.flags.writeable
+    if A.has_differential:
+        for s in spans:
+            assert dgmodule._derivation_block(key, s).tolist() == ref._derivation_block(key, s).tolist()
+
+
+def test_block_requests_cover_the_edge_cases():
+    """The batches above reach every case the builder distinguishes, with
+    up to 16 ext generators."""
+    seen = set()
+    for alg in BLOCK_ALGEBRAS:
+        A = make_algebra(*alg)
+        for seed in range(20):
+            spans, wanted = _block_requests(A, stream(seed, "blocks"))
+            if len(set(wanted)) < len(wanted):
+                seen.add("repeated")
+            for w, block in zip(wanted, dgmodule._build_blocks(A.key(), wanted) if wanted else []):
+                src, dst, mon, left = w
+                rows = len(dgmodule._table(A.key(), *src).mons)
+                seen.add(("empty span" if not rows else "cut" if 0 < block.shape[1] < rows else "whole", A.kind))
+                seen.add(("left" if left else "right", -1 in block[2].tolist(), A.n_ext >= 16 and block.shape[1] > 100))
+    kinds = {kind for case, kind in (x for x in seen if len(x) == 2)}
+    assert kinds == {"S", "R", "T", "Q", "P"}
+    assert {x for x in seen if len(x) == 3} >= {("left", True, True), ("right", True, True), ("left", False, False)}
+    assert {"repeated", ("empty span", "T"), ("cut", "T"), ("cut", "Q"), ("whole", "S")} <= seen
+
+
 def test_cross_check_inputs_cover_the_edge_cases():
     """The inputs above reach every case the kernel distinguishes."""
     seen = set()
@@ -166,8 +234,9 @@ def test_caches_stay_at_their_bound():
     before = Expansion(M, -8, 0)
     for i in range(CACHE_SIZE + 100):
         Expansion(M, -2 * i - 4, -2 * i)
-    caches = [dgmodule._block, dgmodule._table, dgmodule._span_size, algebra._monomials_by_internal]
+    caches = [dgmodule._table, dgmodule._span_size, algebra._monomials_by_internal]
     assert [f.cache_info().currsize for f in caches] == [CACHE_SIZE] * len(caches)
+    assert len(dgmodule._BLOCKS) == CACHE_SIZE
     after = Expansion(M, -8, 0)
     assert after.degs.tolist() == before.degs.tolist()
     assert [a.tolist() for a in after.d] == [b.tolist() for b in before.d]
