@@ -15,8 +15,10 @@ bidegree and all ext generators sharing another:
              (the target algebra of the bundle-projection pushforward)
 
 A monomial is a pair (exps, mask): exponent tuple for the sym part and a
-bitmask over ext generators, with sign given by inversion parity.  An
-algebra element is a dict monomial -> coefficient in [1, p).
+bitmask over ext generators.  This module holds the algebra specs, the
+monomial bidegrees and the enumeration of monomials by internal degree;
+the arithmetic (products, wedge signs by inversion parity, d_A) runs on
+arrays in ``dgmodule``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .bigraded import Bidegree
 from .linalg import check_modulus
 
 Monomial = tuple[tuple[int, ...], int]
-Element = dict  # Monomial -> int coefficient
 
 KINDS = ("S", "R", "T", "Q", "P")
 
@@ -92,8 +93,9 @@ class AlgebraSpec:
         return (self.kind, self.e, self.f, self.p)
 
 
-# Largest e: Q has e ext generators, and ``dgmodule`` holds ext masks (and
-# the weight masks of its sign parity) as int64 bit sets.
+# Largest e: Q has e ext generators, and ``dgmodule`` holds ext masks as
+# int64 bit sets (``_arrays``), and so the wedge-sign weight masks
+# (``_weights``) and the masks d_A clears (``_d_A``): bits 0 to 61.
 MAX_E = 62
 
 
@@ -114,55 +116,6 @@ def monomial_bidegree(alg: AlgebraSpec, mon: Monomial) -> Bidegree:
     si, sj = alg.sym_deg
     ei, ej = alg.ext_deg
     return (t * si + m * ei, t * sj + m * ej)
-
-
-def _ext_sign(m1: int, m2: int) -> int:
-    """Sign of the wedge reordering theta^{m1} * theta^{m2}; 0 on overlap."""
-    if m1 & m2:
-        return 0
-    inv = 0
-    m = m2
-    while m:
-        j = (m & -m).bit_length() - 1
-        inv += bin(m1 >> (j + 1)).count("1")
-        m &= m - 1
-    return -1 if inv & 1 else 1
-
-
-def mul_monomials(alg: AlgebraSpec, m1: Monomial, m2: Monomial):
-    """Product monomial and sign, or None when it vanishes."""
-    sign = _ext_sign(m1[1], m2[1])
-    if sign == 0:
-        return None
-    exps = tuple(a + b for a, b in zip(m1[0], m2[0]))
-    return (exps, m1[1] | m2[1]), sign
-
-
-def elt_d(alg: AlgebraSpec, x: Element) -> Element:
-    """Apply the algebra differential (a bidegree (1, 0) derivation)."""
-    if not alg.has_differential:
-        return {}
-    p = alg.p
-    out = {}
-    for (exps, mask), c in x.items():
-        pos = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            tgt = alg.d_ext_target(i)
-            if tgt is not None:
-                new_exps = list(exps)
-                new_exps[tgt] += 1
-                mon = (tuple(new_exps), mask & ~(1 << i))
-                sign = -1 if pos & 1 else 1
-                v = (out.get(mon, 0) + sign * c) % p
-                if v:
-                    out[mon] = v
-                else:
-                    out.pop(mon, None)
-            pos += 1
-            m &= m - 1
-    return out
 
 
 @lru_cache(maxsize=CACHE_SIZE)

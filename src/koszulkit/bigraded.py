@@ -22,10 +22,6 @@ def bidegree_add(x: Bidegree, y: Bidegree) -> Bidegree:
     return (x[0] + y[0], x[1] + y[1])
 
 
-def bidegree_sub(x: Bidegree, y: Bidegree) -> Bidegree:
-    return (x[0] - y[0], x[1] - y[1])
-
-
 class BigradedDims:
     """Sparse table bidegree -> positive dimension; absent keys are 0."""
 
@@ -58,16 +54,9 @@ class BigradedDims:
     def __iter__(self):
         return iter(sorted(self.table))
 
-    def total(self) -> int:
-        return sum(self.table.values())
-
     def shift(self, a: int, b: int) -> "BigradedDims":
         """Table of M[a]<b>: entry (i, j) reads the old (i + a, j - b)."""
         return BigradedDims({(i - a, j + b): d for (i, j), d in self.table.items()})
-
-    def dual(self) -> "BigradedDims":
-        """Table of the k-linear dual: (i, j) -> old (-i, -j)."""
-        return BigradedDims({(-i, -j): d for (i, j), d in self.table.items()})
 
     def restrict(self, window) -> "BigradedDims":
         return BigradedDims(

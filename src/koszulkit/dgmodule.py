@@ -8,6 +8,15 @@ Monomials are interned per object, so monomial algebra (bidegrees,
 products, signs, d_A) runs on the few distinct monomials and is gathered
 by index; checks, shifts, duals and cones are array operations.
 
+One array kernel does all monomial arithmetic: ``_arrays`` holds
+monomials as exponent rows and int64 ext masks, a product adds exponents
+and ors masks (overlapping masks vanish), its wedge sign is the parity
+(``_parity``) of one mask under the other's weight mask (``_weights``),
+and ``_d_A`` applies the algebra differential.  validate() multiplies
+each distinct pair of monomials once and numbers the products by their
+byte keys (``_keys``); the block builders of expansions run the same
+helpers on whole tables.
+
 Sign conventions, fixed project-wide and enforced by validate():
 
 * differentials act from the left: d(a e) = d(a) e + (-1)^{|a|} a d(e);
@@ -21,19 +30,19 @@ Expansions are assembled by one kernel from cached integer tables: for
 each (algebra, internal-degree span) the monomials are numbered once and
 held as arrays (exponents, ext masks, sorted byte keys), and the block
 table of a monomial says where it times every monomial of the span lands,
-with its sign.  Blocks are array products: exponents add, masks or, the
-sign is an inversion parity, and a ``searchsorted`` on the target's keys
-finds each row; every block one differential or one action is missing is
-built in one batch.  A module's generators are held by index into its few
-distinct spans, so tables, sizes and bidegrees are read once per span and
-gathered by index; the terms of d fall into few distinct (span, span,
-monomial) groups, and each group's block is built or looked up once and
-placed for all of its terms by one repeat/arange gather.  Only
-``Expansion`` and its helpers cut, lay out and gather spans: cohomology,
-the functors of ``lkd``, finite expansions and the restrictions of scalars
-of ``qmodel`` read its labels and differential.  Cohomology is exact: each
-internal-degree column of an expansion is complete, and the ranks a
-window's h^{i,j} need are taken over whole cells.
+with its sign.  Blocks are products of the kernel above, and a
+``searchsorted`` on the target's keys finds each row; every block one
+differential or one action is missing is built in one batch.  A module's
+generators are held by index into its few distinct spans, so tables,
+sizes and bidegrees are read once per span and gathered by index; the
+terms of d fall into few distinct (span, span, monomial) groups, and each
+group's block is built or looked up once and placed for all of its terms
+by one repeat/arange gather.  Only ``Expansion`` and its helpers cut, lay
+out and gather spans: cohomology, the functors of ``lkd``, finite
+expansions and the restrictions of scalars of ``qmodel`` read its labels
+and differential.  Cohomology is exact: each internal-degree column of an
+expansion is complete, and the ranks a window's h^{i,j} need are taken
+over whole cells.
 
 Finite dg-modules (``FiniteDgModule``) hold d and every generator action
 as term arrays (rows, cols, vals) like ``Expansion``'s, row = source: shifts
@@ -52,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra as alg_mod
-from .algebra import CACHE_SIZE, AlgebraSpec, elt_d, make_algebra, monomial_bidegree, mul_monomials
+from .algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
 from .bigraded import Bidegree, BigradedDims, Window
 from .linalg import rank as mat_rank
 
@@ -137,44 +146,51 @@ def _join(a, b):
     return i, np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)
 
 
-def _products(algebra: AlgebraSpec, left_mons, left, right_mons, right, scale, step, intern: dict):
+def _products(A: AlgebraSpec, left, left_mons, right, right_mons, scale, step):
     """The residue part (k, step, m, mon, coeff) of the products left(k, l) right(l, m),
-    joined on l; ``scale`` (a coefficient factor) and ``step`` are per left term, mon
-    is numbered by ``intern``, and each distinct pair of monomials is multiplied once."""
+    joined on l, and the product monomials (exps, masks) that mon indexes: ``scale``
+    (a coefficient factor) and ``step`` are per left term, ``left_mons`` and
+    ``right_mons`` the (exps, masks) arrays of the terms' monomials.  Each distinct
+    pair of monomials is multiplied once, as arrays; coeff is 0 where it vanishes."""
     i, j = _join(left[1], right[0])
-    code = left[2][i] * len(right_mons) + right[2][j]
-    pairs = sorted(set(code.tolist()))
-    mon, sign = np.zeros((2, len(pairs)), dtype=np.int64)  # sign 0: the product vanishes
-    for n, (a, b) in enumerate(divmod(pair, len(right_mons)) for pair in pairs):
-        prod = mul_monomials(algebra, left_mons[a], right_mons[b])
-        if prod is not None:
-            mon[n], sign[n] = intern.setdefault(prod[0], len(intern)), prod[1]
-    inv = np.array(pairs, dtype=np.int64).searchsorted(code)
-    return left[0][i], step[i], right[1][j], mon[inv], sign[inv] * (scale * left[3])[i] * right[3][j]
+    pairs, inv = np.unique(left[2][i] * len(right_mons[1]) + right[2][j], return_inverse=True)
+    a, b = np.divmod(pairs, len(right_mons[1]))
+    x, y = left_mons[1][a], right_mons[1][b]
+    sign = (1 - 2 * _parity(y & _weights(x, A.n_ext, True), A.n_ext)) * ((x & y) == 0)
+    part = left[0][i], step[i], right[1][j], inv, sign[inv] * (scale * left[3])[i] * right[3][j]
+    return part, (left_mons[0][a] + right_mons[0][b], x | y)
 
 
-def _derivations(algebra: AlgebraSpec, mons, terms, scale: int, step, intern: dict):
-    """The residue part (k, step, m, mon, coeff) of scale * d_A(term) on
-    the term's own (src, tgt); ``step`` is per term."""
-    d = [(u, intern.setdefault(m2, len(intern)), c) for u, m in enumerate(mons) for m2, c in elt_d(algebra, {m: 1}).items()]
-    which, mon, coeff = np.array(d, dtype=np.int64).reshape(-1, 3).T
+def _derivations(A: AlgebraSpec, terms, mons, scale: int, step):
+    """The residue part (k, step, m, mon, coeff) of scale * d_A(term) on the term's own
+    (src, tgt), and the monomials (exps, masks) that mon indexes; ``mons`` are the
+    (exps, masks) arrays of the terms' monomials and ``step`` is per term."""
+    which, exps, masks, odd = _d_A(A, *mons)
     i, n = _join(terms[2], which)
-    return terms[0][i], step[i], terms[1][i], mon[n], scale * coeff[n] * terms[3][i]
+    return (terms[0][i], step[i], terms[1][i], n, scale * (1 - 2 * odd[n]) * terms[3][i]), (exps, masks)
 
 
-def _failures(parts, n_tgt: int, n_mons: int, p: int) -> list[tuple[int, int]]:
+def _failures(parts, n_tgt: int, p: int) -> list[tuple[int, int]]:
     """For each k with a nonzero residue sum_parts at some (k, m), the first such m:
-    ``parts`` are (k, step, m, mon, coeff) arrays, m < n_tgt and mon < n_mons,
+    ``parts`` are pairs of (k, step, m, mon, coeff) arrays, m < n_tgt, and the
+    monomials (exps, masks) mon indexes, numbered across parts by their byte keys;
     terms are written out by step, then m, and the first m has the first nonzero
     partial sum over one (k, step, m).  The residue is summed on the single key
     (k, m, mon); the write-out order is only worked out when some sum is nonzero."""
     if not parts:
         return []
-    k, step, m, mon, coeff = np.concatenate(parts, axis=1)
+    terms, exps, masks, off = [], [], [], 0
+    for (k, step, m, mon, coeff), (e, x) in parts:
+        terms.append((k, step, m, mon + off, coeff))
+        exps.append(e)
+        masks.append(x)
+        off += len(x)
+    k, step, m, mon, coeff = np.concatenate(terms, axis=1)
     if not len(k):
         return []
+    uniq, ids = np.unique(_keys(_joined(exps), _joined(masks)), return_inverse=True)
+    mon, n_mons = ids[mon], len(uniq)
     coeff %= p  # products are up to (p - 1)^2: reduce before summing (see linalg.MAX_MODULUS)
-    n_mons = max(n_mons, 1)  # no monomial is interned when every product vanishes
     key = (k * n_tgt + m) * n_mons + mon
     order = key.argsort()
     key = key[order]
@@ -240,11 +256,11 @@ class SemifreeDgModule:
         issues = _degree_issues(A, self.mons, terms, want, "entry")
         if issues or not len(src):
             return issues
-        intern = {}
-        parts = [_products(A, self.mons, terms, self.mons, terms, 1 - 2 * (want[:, 0] & 1), 2 * tgt, intern)]
+        mons = _arrays(self.mons, A.n_sym)
+        parts = [_products(A, terms, mons, terms, mons, 1 - 2 * (want[:, 0] & 1), 2 * tgt)]
         if A.has_differential:
-            parts.append(_derivations(A, self.mons, terms, 1, 2 * tgt + 1, intern))
-        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _failures(parts, self.rank, len(intern), A.p)]
+            parts.append(_derivations(A, terms, mons, 1, 2 * tgt + 1))
+        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _failures(parts, self.rank, A.p)]
 
     def shift(self, a: int, b: int) -> "SemifreeDgModule":
         """The shifted module M[a]<b>; generator (i, j) moves to (i-a, j+b):
@@ -322,11 +338,13 @@ class DgMap:
         if min_internal is not None:
             d_src = d_src[:, S.degs[:, 1][d_src[0]] >= min_internal]
             phi = phi[:, S.degs[:, 1][phi[0]] >= min_internal]
-        if not len(phi[0]):
+        products = len(d_src[0]) or len(T.terms[0])
+        if not len(phi[0]) or not (products or A.has_differential):
             return []
-        intern, parts = {}, []
-        late = 2 * S.rank  # steps through target generators come after all others
-        if len(d_src[0]) or len(T.terms[0]):
+        parts, late = [], 2 * S.rank  # steps through target generators come after all others
+        mons = _arrays(S.mons + self.mons + T.mons, A.n_sym)  # each object's monomials once: S's, phi's, T's
+        a, b = len(S.mons), len(S.mons) + len(self.mons)
+        if products:
             # both product phases in one join: d(e_k) phi through source generator l,
             # then phi d through target generator l, numbered from S.rank
             n = len(d_src[0])
@@ -340,10 +358,10 @@ class DgMap:
             scale[n:] = 2 * ((S.degs[:, 0][phi[0]] - T.degs[:, 0][phi[1]]) & 1) - 1
             step = 2 * left[1]
             step[n:] += 1
-            parts.append(_products(A, S.mons + self.mons, left, self.mons + T.mons, right, scale, step, intern))
+            parts.append(_products(A, left, [x[:b] for x in mons], right, [x[a:] for x in mons], scale, step))
         if A.has_differential:
-            parts.append(_derivations(A, self.mons, phi, -1, late + 2 * phi[1], intern))
-        return [f"chain condition fails from gen {k} to gen {m}" for k, m in _failures(parts, T.rank, len(intern), A.p)]
+            parts.append(_derivations(A, phi, [x[a:b] for x in mons], -1, late + 2 * phi[1]))
+        return [f"chain condition fails from gen {k} to gen {m}" for k, m in _failures(parts, T.rank, A.p)]
 
 
 def identity_map(module: SemifreeDgModule) -> DgMap:
@@ -446,6 +464,44 @@ def _parity(x: np.ndarray, bits: int) -> np.ndarray:
     return x & 1
 
 
+def _arrays(mons, n_sym: int):
+    """Monomials (exps, mask) as int64 arrays: exponents (n, n_sym) and ext
+    masks (n,).  Ext masks fit int64 (see ``algebra.MAX_E``)."""
+    both = np.array([(*e, mask) for e, mask in mons], dtype=np.int64).reshape(len(mons), n_sym + 1)
+    return both[:, :-1], both[:, -1]
+
+
+def _weights(masks, n_ext: int, above: bool) -> np.ndarray:
+    """The wedge-sign weight mask of each ext mask x: bit b is set when an
+    odd number of x's bits lie above b (``above``) or below b (otherwise).
+    theta^x theta^y has the sign (-1)^k, k the inversions of x before y,
+    so its parity is ``_parity(y & _weights(x, n, True))`` and also
+    ``_parity(x & _weights(y, n, False))``.  The prefix parities come from
+    doubling shifts, like ``_parity``'s."""
+    upto = masks  # bit b: the parity of x's bits up to and including b
+    for s in (1, 2, 4, 8, 16, 32):
+        if s < n_ext:
+            upto = upto ^ upto << s
+    full = (1 << n_ext) - 1
+    return (upto ^ -_parity(masks, n_ext) if above else upto << 1) & full
+
+
+def _d_A(A: AlgebraSpec, exps, masks):
+    """d_A on monomials held as arrays: d_A sends the ext generator i >= f
+    to the sym generator i - f, with the sign of the ext generators before
+    it.  The terms, found per ext generator and sorted by monomial, then i:
+    arrays (which, exps, masks, odd), the monomial's row, the image's
+    exponents and mask, and 1 where the sign is -1."""
+    gens = np.arange(A.f, A.n_ext)  # empty unless A has a differential
+    rows = [(masks >> i & 1).nonzero()[0] for i in gens.tolist()]
+    which = np.concatenate(rows) if rows else gens
+    order = which.argsort(kind="stable")
+    which, i = which[order], gens.repeat(list(map(len, rows)))[order]
+    exps = exps[which]
+    exps[np.arange(len(which)), i - A.f] += 1
+    return which, exps, masks[which] ^ 1 << i, _parity(masks[which] & (1 << i) - 1, A.n_ext)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _table(key, jlo: int, jhi: int) -> _Table:
     """The monomials of ``monomials_by_internal`` on [jlo, jhi], in its
@@ -454,10 +510,10 @@ def _table(key, jlo: int, jhi: int) -> _Table:
     table = alg_mod._monomials_by_internal(key, jlo, jhi)
     mons = tuple(mon for bucket in table.values() for mon in bucket)
     degs = np.array(list(table), dtype=np.int64).reshape(-1, 2).repeat(list(map(len, table.values())), axis=0)
-    both = np.array([(*e, m) for e, m in mons], dtype=np.int64).reshape(len(mons), AlgebraSpec(*key).n_sym + 1)
-    keys = _keys(both)
+    exps, masks = _arrays(mons, AlgebraSpec(*key).n_sym)
+    keys = _keys(exps, masks)
     rows = keys.argsort()
-    arrays = degs, both[:, :-1], both[:, -1], keys[rows], rows
+    arrays = degs, exps, masks, keys[rows], rows
     for a in arrays:
         a.flags.writeable = False
     return _Table(mons, *arrays)
@@ -474,10 +530,9 @@ def _build_blocks(key, wanted) -> list[np.ndarray]:
     Vanishing products and products outside the target are dropped.
 
     All requests at once: exponents add and masks or, products whose masks
-    overlap vanish, and the wedge sign is the parity of the inversions:
-    the set bits of m under a per-request weight mask, whose bit b is set
-    when an odd number of mon's bits lie above b (mon . m) or below b
-    (m . mon).  The tables' byte keys, prefixed with the table's index in
+    overlap vanish, and the wedge sign is the parity of m's mask under
+    mon's weight mask (``_weights``: bits above b for mon . m, below b for
+    m . mon).  The tables' byte keys, prefixed with the table's index in
     the batch, are sorted as a whole, so one ``searchsorted`` finds every
     product's target row.
     """
@@ -492,13 +547,10 @@ def _build_blocks(key, wanted) -> list[np.ndarray]:
     exps = _joined([t.exps for t in tables])
     masks = _joined([t.masks for t in tables])
     odd_i = _joined([t.degs[:, 0] for t in tables]) & 1
-    # per request: src and dst table, 1 for a right product, mon's mask and exponents
-    reqs = np.array([(index[s], index[d], not lf, mon[1], *mon[0]) for s, d, mon, lf in wanted], dtype=np.int64)
-    src, dst, right, mon_mask = reqs[:, :4].T
-    bits = mon_mask[:, None] >> np.arange(A.n_ext) & 1
-    below = bits.cumsum(axis=1)  # at b, mon's bits up to b: b itself is not in m when the product lives
-    above = bits.sum(axis=1, keepdims=True) - below
-    weight = ((np.where(right[:, None], below, above) & 1) << np.arange(A.n_ext)).sum(axis=1, dtype=np.int64)
+    # per request: src and dst table, 1 for a right product, mon's exponents and mask
+    src, dst, right = np.array([(index[s], index[d], not lf) for s, d, _, lf in wanted], dtype=np.int64).reshape(-1, 3).T
+    mon_exps, mon_mask = _arrays([mon for _, _, mon, _ in wanted], A.n_sym)
+    weight = np.where(right, _weights(mon_mask, A.n_ext, False), _weights(mon_mask, A.n_ext, True))
     # one product per request and row of its source table
     n = sizes[src]
     req = np.arange(len(wanted)).repeat(n)
@@ -506,7 +558,7 @@ def _build_blocks(key, wanted) -> list[np.ndarray]:
     at = first[src][req] + row
     m, mm = masks[at], mon_mask[req]
     odd = _parity(m & weight[req], A.n_ext) ^ (odd_i[at] & right[req])
-    got = _keys(dst[req], exps[at] + reqs[req, 4:], m | mm)
+    got = _keys(dst[req], exps[at] + mon_exps[req], m | mm)
     sorted_at = _joined([f + t.rows for f, t in zip(first.tolist(), tables)])
     table_keys = _keys(np.arange(len(tables)).repeat(sizes), exps[sorted_at], masks[sorted_at])
     pos = table_keys.searchsorted(got)
@@ -541,22 +593,13 @@ def _blocks(key, wanted) -> list[np.ndarray]:
 @lru_cache(maxsize=CACHE_SIZE)
 def _derivation_block(key, rng) -> np.ndarray:
     """The table of d_A on the table on ``rng``, rows (source row, target
-    row, coefficient) by source row, then ext generator: d_A sends the
-    ext generator i >= f to the sym generator i - f with the sign of the
-    ext generators before it, coefficient 1 or p - 1.  d_A preserves
-    internal degree, so every term stays in the table."""
+    row, coefficient) by source row, then ext generator: ``_d_A`` on the
+    table's arrays, coefficient 1 or p - 1, each image found by its byte
+    key.  d_A preserves internal degree, so every term stays in the
+    table."""
     A, t = AlgebraSpec(*key), _table(key, *rng)
-    row, tgt, odd = [], [], []
-    for i in range(A.f, A.n_ext):
-        r = (t.masks >> i & 1).nonzero()[0]
-        exps = t.exps[r]
-        exps[:, i - A.f] += 1
-        row.append(r)
-        tgt.append(t.rows[t.keys.searchsorted(_keys(exps, t.masks[r] ^ 1 << i))])
-        odd.append(_parity(t.masks[r] & (1 << i) - 1, i))
-    row, tgt, odd = (np.concatenate(x) for x in (row, tgt, odd))
-    order = row.argsort(kind="stable")
-    block = np.array([row, tgt, 1 + odd * (A.p - 2)])[:, order]
+    row, exps, masks, odd = _d_A(A, t.exps, t.masks)
+    block = np.array([row, t.rows[t.keys.searchsorted(_keys(exps, masks))], 1 + odd * (A.p - 2)])
     block.flags.writeable = False
     return block
 

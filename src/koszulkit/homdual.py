@@ -18,7 +18,6 @@ explicit involution identities); reports say so.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .bigraded import BigradedDims, Window
@@ -56,9 +55,6 @@ class DualityReport:
             "verdict": self.verdict,
             "certification": CERTIFICATION,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _compare(name: str, window: Window, left: BigradedDims, right: BigradedDims) -> DualityReport:

@@ -28,9 +28,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _ext_sign, make_algebra
+from .algebra import AlgebraSpec, make_algebra
 from .bigraded import Window
-from .dgmodule import _NO_TERMS, DgMap, Expansion, SemifreeDgModule, _canonical
+from .dgmodule import _NO_TERMS, DgMap, Expansion, SemifreeDgModule, _canonical, _parity, _weights
 
 
 def standard_window(*modules: SemifreeDgModule) -> Window:
@@ -136,7 +136,8 @@ def unit(N: SemifreeDgModule, jcut: int):
     b = np.array([mon == gn.module.algebra.one() for mon in smons], dtype=bool)[smon].nonzero()[0]  # 1 . w_c
     c = c[b]
     k, tmons, tmon = gn.expansion.labels()  # theta^J e_k for each c
-    sgn = np.array([_ext_sign(mask, full & ~mask) for _, mask in tmons], dtype=np.int64)[tmon[c]]
+    J = np.array([mask for _, mask in tmons], dtype=np.int64)
+    sgn = 1 - 2 * _parity(full & ~J & _weights(J, N.algebra.f, True), N.algebra.f)[tmon[c]]
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
     terms = _canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
@@ -158,10 +159,3 @@ def regrade_xi(M: SemifreeDgModule) -> SemifreeDgModule:
         raise ValueError("regrade_xi expects a module over S")
     R = _partner(M.algebra, "R")
     return SemifreeDgModule(R, M.degs + M.degs[:, 1:] * (1, 0), M.mons, M.terms)
-
-
-def regrade_xi_inv(M: SemifreeDgModule) -> SemifreeDgModule:
-    if M.algebra.kind != "R":
-        raise ValueError("regrade_xi_inv expects a module over R")
-    S = _partner(M.algebra, "S")
-    return SemifreeDgModule(S, M.degs - M.degs[:, 1:] * (1, 0), M.mons, M.terms)

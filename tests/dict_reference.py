@@ -7,11 +7,72 @@ dict-walking ``validate``, ``shift`` and ``dualize`` of ``SemifreeDgModule``,
 (``elt_scale``, ``elt_add``, ``elt_mul``, ``elt_bidegree``), so tests can
 cross-check the term-array code against them, plus the builders tests use to
 write modules and maps as dicts.
+
+The scalar monomial rules are kept here verbatim too: ``_ext_sign``,
+``mul_monomials`` and ``elt_d`` from ``algebra`` and ``bidegree_sub`` from
+``bigraded``.  ``dgmodule``'s array kernel (``_arrays``, ``_weights``,
+``_parity``, ``_d_A``) replaced them in the program; tests check it against
+them monomial pair by monomial pair.
 """
 
-from koszulkit.algebra import AlgebraSpec, Element, elt_d, monomial_bidegree, mul_monomials
-from koszulkit.bigraded import bidegree_add, bidegree_sub
+from koszulkit.algebra import AlgebraSpec, Monomial, monomial_bidegree
+from koszulkit.bigraded import Bidegree, bidegree_add
 from koszulkit.dgmodule import ONE_SHIFT, DgMap, SemifreeDgModule, nested_terms
+
+Element = dict  # Monomial -> int coefficient
+
+
+def bidegree_sub(x: Bidegree, y: Bidegree) -> Bidegree:
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _ext_sign(m1: int, m2: int) -> int:
+    """Sign of the wedge reordering theta^{m1} * theta^{m2}; 0 on overlap."""
+    if m1 & m2:
+        return 0
+    inv = 0
+    m = m2
+    while m:
+        j = (m & -m).bit_length() - 1
+        inv += bin(m1 >> (j + 1)).count("1")
+        m &= m - 1
+    return -1 if inv & 1 else 1
+
+
+def mul_monomials(alg: AlgebraSpec, m1: Monomial, m2: Monomial):
+    """Product monomial and sign, or None when it vanishes."""
+    sign = _ext_sign(m1[1], m2[1])
+    if sign == 0:
+        return None
+    exps = tuple(a + b for a, b in zip(m1[0], m2[0]))
+    return (exps, m1[1] | m2[1]), sign
+
+
+def elt_d(alg: AlgebraSpec, x: Element) -> Element:
+    """Apply the algebra differential (a bidegree (1, 0) derivation)."""
+    if not alg.has_differential:
+        return {}
+    p = alg.p
+    out = {}
+    for (exps, mask), c in x.items():
+        pos = 0
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            tgt = alg.d_ext_target(i)
+            if tgt is not None:
+                new_exps = list(exps)
+                new_exps[tgt] += 1
+                mon = (tuple(new_exps), mask & ~(1 << i))
+                sign = -1 if pos & 1 else 1
+                v = (out.get(mon, 0) + sign * c) % p
+                if v:
+                    out[mon] = v
+                else:
+                    out.pop(mon, None)
+            pos += 1
+            m &= m - 1
+    return out
 
 
 def module(algebra, gens, diff) -> SemifreeDgModule:

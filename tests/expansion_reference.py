@@ -25,8 +25,9 @@ from math import inf
 
 import numpy as np
 
+from dict_reference import elt_d, mul_monomials
 from koszulkit import dgmodule
-from koszulkit.algebra import CACHE_SIZE, AlgebraSpec, elt_d, make_algebra, monomial_bidegree, mul_monomials
+from koszulkit.algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
 from koszulkit.bigraded import bidegree_add
 from koszulkit.dgmodule import (
     _NO_TERMS,

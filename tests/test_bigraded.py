@@ -24,20 +24,6 @@ def test_shift_inverse():
     assert d.shift(2, -3).shift(-2, 3) == d
 
 
-def test_dual_fixes_symmetric():
-    d = table({(1, -1): 2, (-1, 1): 2})
-    assert d.dual() == d
-
-
-def test_dual_flips():
-    assert table({(2, -2): 1}).dual() == table({(-2, 2): 1})
-
-
-def test_dual_involution():
-    d = table({(0, 1): 1, (2, -3): 4})
-    assert d.dual().dual() == d
-
-
 bds = st.dictionaries(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
     st.integers(1, 9),
@@ -53,14 +39,6 @@ def test_shift_group_action(entries, s1, s2):
     a1, b1 = s1
     a2, b2 = s2
     assert d.shift(a1, b1).shift(a2, b2) == d.shift(a1 + a2, b1 + b2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(bds, shifts)
-def test_dual_intertwines_shift(entries, s):
-    d = table(entries)
-    a, b = s
-    assert d.shift(a, b).dual() == d.dual().shift(-a, -b)
 
 
 def test_serialization_sorted_triples():

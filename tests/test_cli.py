@@ -288,9 +288,19 @@ def test_table_refuses_integers_beyond_the_bounds(tmp_path, capsys, doc, message
     assert capsys.readouterr().err == f"error: cannot read module file: {message}\n"
 
 
+def _edge_t62(c):
+    """A T(62, 62) square on the top two ext generators, d^2 = 0 when c = 1:
+    d(e0) = theta61 e1 + theta60 e2, d(e1) = theta60 e3, d(e2) = c theta61 e3."""
+    t61, t60 = 1 << 61, 1 << 60
+    diff = [[0, 1, [[1, [], t61]]], [0, 2, [[1, [], t60]]], [1, 3, [[1, [], t60]]], [2, 3, [[c, [], t61]]]]
+    return dict(_T21, algebra=dict(_T21["algebra"], e=62, f=62), gens=[[0, 0], [2, -2], [2, -2], [4, -4]], diff=diff)
+
+
 def test_table_at_the_bounds(tmp_path, capsys):
     """The largest degrees and e pass; a narrow window over 62 ext
-    generators enumerates only the masks it holds."""
+    generators enumerates only the masks it holds; validate reads the
+    top ext bits (the int64 mask edge) with their signs, and a module
+    whose d^2 fails only there exits 2."""
     for doc, args, want in [
         (
             dict(_T21, gens=[[0, -(1 << 30)], [(1 << 30) - 1, 2]], diff=[]),
@@ -298,11 +308,17 @@ def test_table_at_the_bounds(tmp_path, capsys):
             [[-1, -(1 << 30) + 2, 1], [0, -(1 << 30), 1], [(1 << 30) - 2, 4, 1], [(1 << 30) - 1, 2, 1]],
         ),
         (dict(_T21, algebra=dict(_T21["algebra"], e=62, f=62), gens=[[0, 0]], diff=[]), ["--window=-2:0,0:2"], [[-1, 2, 62], [0, 0, 1]]),
+        (_edge_t62(1), ["--window=0:4,-4:0"], [[1, 0, 2], [2, 0, 1770], [3, -2, 60], [4, -4, 1]]),
+        (_edge_t62(2), ["--window=0:4,-4:0"], "error: cannot read module file: invalid module: d^2 != 0 from gen 0 to gen 3\n"),
     ]:
         path, out = tmp_path / "mod.json", tmp_path / "table.json"
         path.write_text(json.dumps(doc))
-        assert main(["table", str(path), "--out", str(out), *args]) == 0
-        assert json.loads(out.read_text())["table"] == want
+        code = main(["table", str(path), "--out", str(out), *args])
+        if isinstance(want, str):
+            assert code == 2 and capsys.readouterr().err == want
+        else:
+            assert code == 0
+            assert json.loads(out.read_text())["table"] == want
 
 
 def _fuzz_bases():

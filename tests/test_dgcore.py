@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finite_reference as dense_ref
-from dict_reference import dg_map, elt_bidegree, elt_mul, module, to_nested
+from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
 from koszulkit import dgmodule
-from koszulkit.algebra import (
-    elt_d,
-    make_algebra,
-    monomial_bidegree,
-    monomials_by_internal,
-    mul_monomials,
-)
+from koszulkit.algebra import KINDS, MAX_E, make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
     DgMap,
@@ -97,21 +91,78 @@ def test_q_with_e_equals_f_has_zero_differential():
     assert elt_d(Q, {((), 1): 1}) == {}
 
 
+def _kernel_products(A, left, right):
+    """Every product left[a] . right[b] through ``dgmodule._products``, the
+    array kernel validate runs: {(a, b): (monomial, sign)}, sign 0 where
+    the product vanishes."""
+    a, b = np.arange(len(left)), np.arange(len(right))
+    left_terms, right_terms = np.array([a, 0 * a, a, 0 * a + 1]), np.array([0 * b, b, b, 0 * b + 1])
+    arrays = dgmodule._arrays(left, A.n_sym), dgmodule._arrays(right, A.n_sym)
+    (k, _, m, mon, sign), (exps, masks) = dgmodule._products(A, left_terms, arrays[0], right_terms, arrays[1], 1, 0 * a)
+    mons = list(zip(map(tuple, exps.tolist()), masks.tolist()))
+    return {(i, j): (mons[u], c) for i, j, u, c in zip(k.tolist(), m.tolist(), mon.tolist(), sign.tolist())}
+
+
+def _kernel_mul(A, x, y):
+    """``elt_mul`` through the array kernel."""
+    xs, ys, out = list(x), list(y), {}
+    for (a, b), (mon, sign) in _kernel_products(A, xs, ys).items():
+        out[mon] = (out.get(mon, 0) + sign * x[xs[a]] * y[ys[b]]) % A.p
+    return {mon: c for mon, c in out.items() if c}
+
+
+def _kernel_d(A, x):
+    """``elt_d`` through the array kernel's ``dgmodule._d_A``."""
+    mons, out = list(x), {}
+    which, exps, masks, odd = dgmodule._d_A(A, *dgmodule._arrays(mons, A.n_sym))
+    for u, e, mask, o in zip(which.tolist(), exps.tolist(), masks.tolist(), odd.tolist()):
+        mon = (tuple(e), mask)
+        out[mon] = (out.get(mon, 0) + (-1) ** o * x[mons[u]]) % A.p
+    return {mon: c for mon, c in out.items() if c}
+
+
 def test_q_differential_squares_to_zero():
     Q = make_algebra("Q", 3, 1, 5)
     mon = {((0, 0), 0b110): 1}  # eta_2 eta_3, both hit by d
-    once = elt_d(Q, mon)
-    assert once
-    assert elt_d(Q, once) == {}
+    for d in (elt_d, _kernel_d):
+        once = d(Q, mon)
+        assert once
+        assert d(Q, once) == {}
 
 
 def test_exterior_sign_antisymmetry():
     T = make_algebra("T", 2, 2, 5)
     t1, t2 = {((), 1): 1}, {((), 2): 1}
-    ab = elt_mul(T, t1, t2)
-    ba = elt_mul(T, t2, t1)
-    assert ab == {((), 3): 1}
-    assert ba == {((), 3): 4}  # = -1 mod 5
+    for mul in (elt_mul, _kernel_mul):
+        ab = mul(T, t1, t2)
+        ba = mul(T, t2, t1)
+        assert ab == {((), 3): 1}
+        assert ba == {((), 3): 4}  # = -1 mod 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS), e=st.one_of(st.just(MAX_E), st.integers(0, MAX_E)), data=st.data())
+def test_array_kernel_matches_the_scalar_reference(kind, e, data):
+    """Pair by pair, on ext masks up to bit MAX_E - 1: products, their
+    vanishing and wedge signs from ``_products`` (left products) and from
+    the weight masks of right products (``_build_blocks``), and ``_d_A``
+    against ``elt_d``."""
+    A = make_algebra(kind, e, data.draw(st.integers(0, e), label="f"), 5)
+    ext = st.sets(st.integers(0, A.n_ext - 1)).map(lambda bits: sum(1 << b for b in bits)) if A.n_ext else st.just(0)
+    mono = st.tuples(st.tuples(*[st.integers(0, 3)] * A.n_sym), ext)
+    left, right = (data.draw(st.lists(mono, min_size=1, max_size=6), label=side) for side in ("left", "right"))
+    got = _kernel_products(A, left, right)
+    assert sorted(got) == [(a, b) for a in range(len(left)) for b in range(len(right))]
+    n = A.n_ext
+    x, y = (np.array([mask for _, mask in mons], dtype=np.int64) for mons in (left, right))
+    right_odd = dgmodule._parity(y[None, :] & dgmodule._weights(x, n, False)[:, None], n)
+    for (a, b), (mon, sign) in got.items():
+        want = mul_monomials(A, left[a], right[b])
+        assert (mon, sign) == want if want else sign == 0
+        assert _ext_sign(right[b][1], left[a][1]) == (0 if x[a] & y[b] else 1 - 2 * right_odd[a, b])  # right[b] . left[a]
+    for mons in (left, right):
+        for m in mons:
+            assert _kernel_d(A, {m: 1}) == elt_d(A, {m: 1})
 
 
 def test_monomial_enumeration_matches_bidegrees():

@@ -12,14 +12,8 @@ that cut products off on both sides.
 import numpy as np
 import pytest
 
-from dict_reference import elt_mul, to_nested
-from koszulkit.algebra import (
-    elt_d,
-    make_algebra,
-    monomial_bidegree,
-    monomials_by_internal,
-    mul_monomials,
-)
+from dict_reference import elt_d, elt_mul, mul_monomials, to_nested
+from koszulkit.algebra import make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import Bidegree, bidegree_add
 from koszulkit.dgmodule import Expansion, SemifreeDgModule, _blocks, _table
 from koszulkit.lkd import regrade_xi

@@ -21,7 +21,6 @@ from koszulkit.lkd import (
     functor_jcut,
     kappa,
     regrade_xi,
-    regrade_xi_inv,
     standard_window,
     unit,
 )
@@ -198,11 +197,6 @@ def test_regrade_xi_shift_identity():
         assert cohomology(lhs, win) == cohomology(rhs, win)
 
 
-def test_regrade_xi_inverse():
-    M = koszul_complex()
-    assert regrade_xi_inv(regrade_xi(M)) == M
-
-
 def test_kappa_is_functor_F_and_additive():
     M = free_module(S_algebra(1), [(0, 0)])
     assert kappa(M, JCUT) == functor_F(M, JCUT).module
@@ -241,5 +235,5 @@ def test_coinduction_table_identity(f):
     M = free_module(T, [(0, 0)])
     win = Window(-f - 1, f + 1, -2 * f - 2, 2 * f + 2)
     table = expansion_dims(M, win)
-    dual_shifted = table.dual().shift(f, 2 * f)
+    dual_shifted = BigradedDims({(-i, -j): d for (i, j), d in table.table.items()}).shift(f, 2 * f)
     assert dual_shifted.restrict(win) == table

@@ -113,7 +113,7 @@ def test_validate_matches_dict_reference_on_unit_and_counit(f):
         for X, build in ((M, counit), (N, unit)):
             jcut = functor_jcut(standard_window(X), f)
             phi = build(X, jcut)[0]
-            for nested in _mutants(to_nested(phi), S, rng):
+            for nested in _mutants(to_nested(phi), phi.source.algebra, rng):
                 mutant = dg_map(phi.source, phi.target, nested)
                 failing += bool(_agree_map(mutant, jcut + 2))
                 _agree_map(mutant)
