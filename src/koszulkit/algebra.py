@@ -68,12 +68,6 @@ class AlgebraSpec:
     def ext_deg(self) -> Bidegree:
         return (-1, 2)
 
-    def d_ext_target(self, i: int):
-        """Index of the sym generator hit by d on ext generator i, or None."""
-        if self.kind == "Q" and i >= self.f:
-            return i - self.f
-        return None
-
     @property
     def has_differential(self) -> bool:
         return self.kind == "Q" and self.e > self.f

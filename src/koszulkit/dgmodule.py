@@ -44,10 +44,10 @@ and differential.  Cohomology is exact: each internal-degree column of an
 expansion is complete, and the ranks a window's h^{i,j} need are taken
 over whole cells.
 
-Finite dg-modules (``FiniteDgModule``) hold d and every generator action
-as term arrays (rows, cols, vals) like ``Expansion``'s, row = source: shifts
-and duals are index swaps and sign flips, and validate() composes them on
-the arrays.
+Finite dg-modules (``FiniteDgModule``) hold basis bidegrees and d as term
+arrays (rows, cols, vals) like ``Expansion``'s, row = source: shifts and
+duals are index swaps and sign flips.  They hold no generator actions: the
+cohomology tables they are compared on read only d.
 """
 
 from __future__ import annotations
@@ -372,24 +372,20 @@ def identity_map(module: SemifreeDgModule) -> DgMap:
 def cone(phi: DgMap) -> SemifreeDgModule:
     """Mapping cone target + source[1] with the standard differential; phi is
     not checked, and the cone is a dg-module only when it is valid.  Its terms
-    are d_target's, phi's and d_source[1]'s (signed as in ``shift``), moved to
-    the cone's generators; a stable sort by source makes them canonical."""
+    are d_target's, phi's and those of source[1] (``shift``), moved to the
+    cone's generators; a stable sort by source makes them canonical."""
     S, T = phi.source, phi.target
-    off, d_src = T.rank, S.terms
-    if d_src.shape[1]:
-        src, tgt, mon, coeff = d_src
-        i = S.degs[:, 0]
-        d_src = np.array([src, tgt, mon, _signed(coeff, (i[src] - i[tgt]) & 1, S.algebra.p)])
+    off, S1 = T.rank, S.shift(1, 0)
     n_t, n_phi = len(T.mons), len(phi.mons)
     moves = [[0, off, off], [0, 0, off], [0, n_t, n_t + n_phi], [0, 0, 0]]
-    terms = np.concatenate([T.terms, phi.terms, d_src], axis=1)
-    terms += np.repeat(moves, [T.terms.shape[1], phi.terms.shape[1], d_src.shape[1]], axis=1)
+    terms = np.concatenate([T.terms, phi.terms, S1.terms], axis=1)
+    terms += np.repeat(moves, [T.terms.shape[1], phi.terms.shape[1], S1.terms.shape[1]], axis=1)
     union = sorted(set(T.mons + phi.mons + S.mons))
     pos = {m: u for u, m in enumerate(union)}
     terms[2] = np.array([pos[m] for m in T.mons + phi.mons + S.mons], dtype=np.int64)[terms[2]]
-    if phi.terms.shape[1] and d_src.shape[1]:
+    if phi.terms.shape[1] and S1.terms.shape[1]:
         terms = terms[:, terms[0].argsort(kind="stable")]
-    return SemifreeDgModule(S.algebra, np.concatenate([T.degs, S.degs - ONE_SHIFT]), union, terms)
+    return SemifreeDgModule(S.algebra, np.concatenate([T.degs, S1.degs]), union, terms)
 
 
 def _spans(A: AlgebraSpec, jlo: int, jhi: int, js):
@@ -846,88 +842,28 @@ def is_quasi_iso(phi: DgMap, window: Window) -> bool:
 
 
 class FiniteDgModule:
-    """A bigraded complex with finite basis and explicit generator actions.
+    """A bigraded complex with finite basis: basis bidegrees and d.
 
-    ``basis_degs`` is an (n, 2) int64 array of basis bidegrees.  d and the
-    actions are term arrays (rows, cols, vals) like ``Expansion.d``: d(b_row)
-    contains vals * b_col, of bidegree (1, 0), and sym_act[s] and ext_act[g]
-    give the left action of single algebra generators the same way.  Entries
-    have distinct (row, col) pairs and values in [1, p), in any order.  The
-    constructor takes the arrays as given; modules produced by expanding
-    semifree objects satisfy the axioms by construction, and validate()
-    re-checks them for hand-built inputs.
+    ``basis_degs`` is an (n, 2) int64 array of basis bidegrees, and d is
+    term arrays (rows, cols, vals) like ``Expansion.d``: d(b_row) contains
+    vals * b_col, of bidegree (1, 0), with distinct (row, col) pairs and
+    values in [1, p), in any order.  The constructor takes d as given; the
+    generator actions are not held, since the tables read only d.
     """
 
-    __slots__ = ("algebra", "basis_degs", "d", "sym_act", "ext_act")
+    __slots__ = ("algebra", "basis_degs", "d")
 
-    def __init__(self, algebra: AlgebraSpec, basis_degs, d=_NO_TERMS[:3], sym_act=None, ext_act=None):
+    def __init__(self, algebra: AlgebraSpec, basis_degs, d=_NO_TERMS[:3]):
         degs = np.asarray(basis_degs, dtype=np.int64) if len(basis_degs) else _NO_DEGS
         if degs.ndim != 2 or degs.shape[1] != 2:
             raise ValueError(f"basis degrees must be (i, j) pairs, got shape {degs.shape}")
         self.algebra = algebra
         self.basis_degs = degs
         self.d = d
-        acts = []
-        for given, count, kind in ((sym_act, algebra.n_sym, "sym"), (ext_act, algebra.n_ext, "ext")):
-            if given is not None and len(given) != count:
-                raise ValueError(f"{len(given)} {kind} action matrices, expected {count}")
-            acts.append(list(given) if given is not None else [_NO_TERMS[:3]] * count)
-        self.sym_act, self.ext_act = acts
 
     @property
     def dim(self) -> int:
         return len(self.basis_degs)
-
-    def validate(self) -> list[str]:
-        """Entries inside the basis and at distinct positions, their
-        bidegrees, d^2 = 0, ext^2 = 0, Leibniz and sym commuting with d.
-        Products are composed on the term arrays and ``_summed``, which
-        reduces each product mod p before summing (see linalg.MAX_MODULUS)."""
-        A, n, degs = self.algebra, self.dim, self.basis_degs
-        mats = [("d", self.d, ONE_SHIFT, "(1,0)")] + [
-            (f"{kind} generator {g}", act, deg, str(deg))
-            for kind, acts, deg in (("sym", self.sym_act, A.sym_deg), ("ext", self.ext_act, A.ext_deg))
-            for g, act in enumerate(acts)
-        ]
-        issues = []
-        for what, (rows, cols, _), _, _ in mats:
-            outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n)
-            key = np.sort(rows[~outside] * n + cols[~outside])
-            repeated = np.unique(key[1:][key[1:] == key[:-1]])
-            issues += [f"{what} entry {r}->{c} is outside the basis of {n} elements" for r, c in _pairs(rows[outside], cols[outside])]
-            issues += [f"{what} entry {r}->{c} is repeated" for r, c in _pairs(*np.divmod(repeated, max(n, 1)))]
-        if issues:  # the checks below index the basis by entry
-            return issues
-        for what, (rows, cols, _), deg, shown in mats:
-            wrong = (degs[cols] - degs[rows] != deg).any(axis=1)
-            issues += [f"{what} entry {r}->{c} is not of bidegree {shown}" for r, c in _pairs(rows[wrong], cols[wrong])]
-        p = A.p
-        d, sym, ext = _by_row(self.d), [_by_row(m) for m in self.sym_act], [_by_row(m) for m in self.ext_act]
-
-        def vanishes(*parts):  # the sum of the (key, vals) parts is zero mod p
-            return not _summed(np.concatenate([k for k, _ in parts]), np.concatenate([v for _, v in parts]), p)[1].any()
-
-        def prod(x, y, sign=1):  # "first x, then y" as keys row * n + col and values
-            i, j = _join(x[1], y[0])
-            return x[0][i] * n + y[1][j], sign * x[2][i] * y[2][j]
-
-        if not vanishes(prod(d, d)):
-            issues.append("d^2 != 0")
-        for g, act in enumerate(ext):
-            if not vanishes(prod(act, act)):
-                issues.append(f"ext generator {g} does not square to zero")
-            # Leibniz: d(theta m) = d_A(theta) m - theta d(m)
-            residue = [prod(act, d), prod(d, act)]
-            tgt = A.d_ext_target(g)
-            if tgt is not None:
-                rows, cols, vals = sym[tgt]
-                residue.append((rows * n + cols, -vals))
-            if not vanishes(*residue):
-                issues.append(f"Leibniz fails for ext generator {g}")
-        for s, act in enumerate(sym):
-            if not vanishes(prod(act, d), prod(d, act, -1)):
-                issues.append(f"sym generator {s} does not commute with d")
-        return issues
 
     def cohomology(self, window: Window) -> BigradedDims:
         """Cohomology on the window: the basis indices mapped into bidegree
@@ -942,31 +878,16 @@ class FiniteDgModule:
         return _column_cohomology(self.basis_degs[order], d, window, self.algebra.p)
 
     def shift(self, a: int, b: int) -> "FiniteDgModule":
-        """[a]<b>: d picks up (-1)^a, odd generator actions pick up (-1)^a."""
-        d, *ext = mats = [self.d, *self.ext_act]
+        """[a]<b>: d picks up (-1)^a."""
+        rows, cols, vals = d = self.d
         if a & 1:
-            d, *ext = [(rows, cols, self.algebra.p - vals) for rows, cols, vals in mats]
-        return FiniteDgModule(self.algebra, self.basis_degs + (-a, b), d, self.sym_act, ext)
-
-
-def _pairs(rows, cols) -> list[tuple[int, int]]:
-    """The (row, col) pairs of entries, sorted."""
-    return sorted(zip(rows.tolist(), cols.tolist()))
-
-
-def _by_row(m):
-    """Term arrays (rows, cols, vals) sorted by row."""
-    order = m[0].argsort()
-    return tuple(x[order] for x in m)
+            d = rows, cols, self.algebra.p - vals
+        return FiniteDgModule(self.algebra, self.basis_degs + (-a, b), d)
 
 
 def expansion_to_finite(exp: Expansion) -> FiniteDgModule:
-    """An expansion with its generator actions, as the term arrays of
-    ``Expansion.d`` and ``Expansion.action``."""
-    A = exp.module.algebra
-    sym_act = [exp.action(False, s) for s in range(A.n_sym)]
-    ext_act = [exp.action(True, g) for g in range(A.n_ext)]
-    return FiniteDgModule(A, exp.degs, exp.d, sym_act, ext_act)
+    """An expansion as a finite module: its bidegrees and ``Expansion.d``."""
+    return FiniteDgModule(exp.module.algebra, exp.degs, exp.d)
 
 
 def serialize_module(module: SemifreeDgModule) -> str:
@@ -998,7 +919,8 @@ def _check_int(value, what: str, lo=None, hi=None) -> int:
 
 def deserialize_module(text: str) -> SemifreeDgModule:
     """Parse and validate the JSON of ``serialize_module``; ValueError on
-    any malformed or invalid input."""
+    any malformed or invalid input, a repeated entry or a monomial repeated
+    within one entry included (neither is summed nor overwritten)."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ValueError("not a module document of schema 1")
@@ -1013,13 +935,17 @@ def deserialize_module(text: str) -> SemifreeDgModule:
     for k, l, terms in doc["diff"]:
         _check_int(k, "generator index", 0, len(gens))
         _check_int(l, "generator index", 0, len(gens))
+        if l in diff.get(k, {}):
+            raise ValueError(f"entry [{k}, {l}] is repeated")
         entry = {}
         for c, exps, mask in terms:
             _check_int(c, "coefficient")
             if len(exps) != algebra.n_sym:
                 raise ValueError(f"exponent vector {exps!r} must have length {algebra.n_sym}")
-            exps = tuple(_check_int(x, "exponent", 0, MAX_DEGREE) for x in exps)
-            entry[(exps, _check_int(mask, "ext mask", 0, 1 << algebra.n_ext))] = c
+            mon = (tuple(_check_int(x, "exponent", 0, MAX_DEGREE) for x in exps), _check_int(mask, "ext mask", 0, 1 << algebra.n_ext))
+            if mon in entry:
+                raise ValueError(f"entry [{k}, {l}] repeats the monomial with exponents {list(mon[0])} and ext mask {mon[1]}")
+            entry[mon] = c
         diff.setdefault(k, {})[l] = entry
     mod = SemifreeDgModule(algebra, gens, *nested_terms(algebra, diff))
     issues = mod.validate()

@@ -14,6 +14,12 @@ cohomology; ``check_compat`` certifies that Koszul duality intertwines the
 two dualities up to the same [n]<2n> twist.  Equality of derived objects
 is certified at the level of cohomology dimension tables (plus the
 explicit involution identities); reports say so.
+
+Tables read only d, so the finite modules hold no generator actions: the
+twisted action enters the oracle only through the sign it puts on the
+dual's d (see ``k_linear_dual_T``).  That the twisted actions satisfy the
+module axioms with this d is checked in the test suite, on actions built
+from ``Expansion.action``.
 """
 
 from __future__ import annotations
@@ -84,19 +90,15 @@ def dualize_T_res(M: SemifreeDgModule) -> SemifreeDgModule:
 def k_linear_dual_T(M: FiniteDgModule) -> FiniteDgModule:
     """k-linear dual with the sign-twisted T-action (no shift applied).
 
-    Each matrix is transposed by swapping its rows and cols, and row a of
-    the transpose of d and of every ext action is scaled by (-1)^{i_a} (d
-    also by -1); sym actions carry no sign.  Signs are applied as
-    ``_signed`` flips, so values stay in [1, p).
+    d is transposed by swapping its rows and cols, and row a of the
+    transpose is scaled by -(-1)^{i_a}, a ``_signed`` flip, so values stay
+    in [1, p).  Acting on the dual by (t.phi)(m) = (-1)^{|t||phi|} phi(t.m)
+    makes d of the dual satisfy the Leibniz rule only with that sign; the
+    actions themselves are not built (see the module docstring).
     """
-    odd, p = M.basis_degs[:, 0] & 1, M.algebra.p  # odd[a]: (-1)^{i_a} = -1
-
-    def twisted(m, flip):
-        rows, cols, vals = m
-        return cols, rows, _signed(vals, flip[cols], p)
-
-    sym_act = [(cols, rows, vals) for rows, cols, vals in M.sym_act]
-    return FiniteDgModule(M.algebra, -M.basis_degs, twisted(M.d, 1 - odd), sym_act, [twisted(a, odd) for a in M.ext_act])
+    rows, cols, vals = M.d
+    odd = M.basis_degs[:, 0] & 1  # odd[a]: (-1)^{i_a} = -1
+    return FiniteDgModule(M.algebra, -M.basis_degs, (cols, rows, _signed(vals, 1 - odd[cols], M.algebra.p)))
 
 
 def dualize_T_formula(M: FiniteDgModule) -> FiniteDgModule:
@@ -108,7 +110,8 @@ def dualize_T_formula(M: FiniteDgModule) -> FiniteDgModule:
 
 
 def expand_T_module(M: SemifreeDgModule) -> FiniteDgModule:
-    """Full (finite) expansion of a semifree T-module with actions."""
+    """Full (finite) expansion of a semifree T-module: every internal degree
+    its basis reaches, as bidegrees and d."""
     if M.rank == 0:
         return FiniteDgModule(M.algebra, [])
     jlo = min(j for _, j in M.gens)

@@ -34,8 +34,8 @@ def is_odd_prime(p: int) -> bool:
 # Moduli are below 2^24, so residues are < 2^24, products < 2^48, and every
 # int64 sum of products stays below 2^63: rref's row update adds one product
 # to a residue; the validate() of semifree modules and chain maps (through
-# dgmodule._failures) and FiniteDgModule.validate reduce each product of
-# coefficients mod p before summing, so a sum of k terms stays below k 2^24.
+# dgmodule._failures) reduces each product of coefficients mod p before
+# summing, so a sum of k terms stays below k 2^24.
 MAX_MODULUS = 1 << 24
 
 

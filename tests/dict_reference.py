@@ -10,7 +10,7 @@ write modules and maps as dicts.
 
 The scalar monomial rules are kept here verbatim too: ``_ext_sign``,
 ``mul_monomials`` and ``elt_d`` from ``algebra`` and ``bidegree_sub`` from
-``bigraded``.  ``dgmodule``'s array kernel (``_arrays``, ``_weights``,
+``bigraded``, and ``d_ext_target``, once an ``AlgebraSpec`` method.  ``dgmodule``'s array kernel (``_arrays``, ``_weights``,
 ``_parity``, ``_d_A``) replaced them in the program; tests check it against
 them monomial pair by monomial pair.
 """
@@ -24,6 +24,13 @@ Element = dict  # Monomial -> int coefficient
 
 def bidegree_sub(x: Bidegree, y: Bidegree) -> Bidegree:
     return (x[0] - y[0], x[1] - y[1])
+
+
+def d_ext_target(alg: AlgebraSpec, i: int):
+    """Index of the sym generator hit by d on ext generator i, or None."""
+    if alg.kind == "Q" and i >= alg.f:
+        return i - alg.f
+    return None
 
 
 def _ext_sign(m1: int, m2: int) -> int:
@@ -59,7 +66,7 @@ def elt_d(alg: AlgebraSpec, x: Element) -> Element:
         m = mask
         while m:
             i = (m & -m).bit_length() - 1
-            tgt = alg.d_ext_target(i)
+            tgt = d_ext_target(alg, i)
             if tgt is not None:
                 new_exps = list(exps)
                 new_exps[tgt] += 1

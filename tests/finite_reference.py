@@ -1,20 +1,25 @@
-"""The dense finite layer, kept as a reference.
+"""The dense finite layer, kept as a reference, with the generator actions.
 
 Before finite dg-modules held term arrays, ``FiniteDgModule`` stored d and
 every generator action as dense (n, n) int64 matrices reduced mod p, row =
 source, and ``k_linear_dual_T`` and ``shift`` transposed and scaled them.
 This module keeps that ``validate`` verbatim, and ``shift`` and
 ``k_linear_dual_T`` with the constructor's reduction mod p folded in, on a
-plain (algebra, basis_degs, d, sym_act, ext_act) record, so tests can
-compare the term-array layer with them matrix for matrix and message for
-message.
+plain (algebra, basis_degs, d, sym_act, ext_act) record.
+
+``FiniteDgModule`` now holds only d, since cohomology tables read nothing
+else.  The actions are built here from ``Expansion.action``
+(``from_expansion``), so tests can check that the twisted, shifted actions
+satisfy the module axioms with the reference d, and that the program's d
+equals the reference d (``assert_same_d``).
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from koszulkit.dgmodule import ONE_SHIFT
+from dict_reference import d_ext_target
+from koszulkit.dgmodule import ONE_SHIFT, Expansion
 
 
 class Dense(NamedTuple):
@@ -25,16 +30,40 @@ class Dense(NamedTuple):
     ext_act: list
 
 
-def dense(fin) -> Dense:
-    """A finite module's term arrays scattered into dense matrices mod p."""
-    n, p = fin.dim, fin.algebra.p
+def scatter(m, n: int, p: int) -> np.ndarray:
+    """Term arrays (rows, cols, vals) as a dense (n, n) matrix mod p."""
+    out = np.zeros((n, n), dtype=np.int64)
+    np.add.at(out, (m[0], m[1]), m[2])
+    return out % p
 
-    def scatter(m):
-        out = np.zeros((n, n), dtype=np.int64)
-        np.add.at(out, (m[0], m[1]), m[2])
-        return out % p
 
-    return Dense(fin.algebra, fin.basis_degs, scatter(fin.d), [scatter(m) for m in fin.sym_act], [scatter(m) for m in fin.ext_act])
+def from_expansion(exp: Expansion) -> Dense:
+    """An expansion's d and every generator action (``Expansion.action``)
+    as dense matrices mod p."""
+    A, n = exp.module.algebra, len(exp)
+    sym = [scatter(exp.action(False, s), n, A.p) for s in range(A.n_sym)]
+    ext = [scatter(exp.action(True, g), n, A.p) for g in range(A.n_ext)]
+    return Dense(A, exp.degs, scatter(exp.d, n, A.p), sym, ext)
+
+
+def expand_T(M) -> Dense:
+    """The record of ``homdual.expand_T_module(M)`` with its actions: the
+    expansion on the same internal-degree range."""
+    A = M.algebra
+    if M.rank == 0:
+        return Dense(A, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 0), dtype=np.int64), [], [np.zeros((0, 0), dtype=np.int64)] * A.n_ext)
+    jlo = min(j for _, j in M.gens)
+    return from_expansion(Expansion(M, jlo, max(j for _, j in M.gens) + 2 * A.f))
+
+
+def assert_same_d(fin, want: Dense):
+    """A finite module's d has distinct positions and values in [1, p),
+    and it and the basis bidegrees equal the reference's."""
+    rows, cols, vals = fin.d
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    assert ((1 <= vals) & (vals < fin.algebra.p)).all()
+    assert np.array_equal(fin.basis_degs, want.basis_degs)
+    assert np.array_equal(scatter(fin.d, fin.dim, fin.algebra.p), want.d)
 
 
 def validate(M: Dense) -> list[str]:
@@ -58,7 +87,7 @@ def validate(M: Dense) -> list[str]:
             issues.append(f"ext generator {g} does not square to zero")
         # Leibniz: d(theta m) = d_A(theta) m - theta d(m)
         residue = act @ d + d @ act
-        tgt = M.algebra.d_ext_target(g)
+        tgt = d_ext_target(M.algebra, g)
         if tgt is not None:
             residue -= M.sym_act[tgt]
         if (residue % p).any():

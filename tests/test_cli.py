@@ -288,6 +288,23 @@ def test_table_refuses_integers_beyond_the_bounds(tmp_path, capsys, doc, message
     assert capsys.readouterr().err == f"error: cannot read module file: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "diff, message",
+    [
+        ([[1, 0, [[1, [], 1]]], [1, 0, [[2, [], 1]]]], "entry [1, 0] is repeated"),
+        ([[1, 0, [[1, [], 1], [2, [], 1]]]], "entry [1, 0] repeats the monomial with exponents [] and ext mask 1"),
+    ],
+)
+def test_table_refuses_repeated_entries(tmp_path, capsys, diff, message):
+    """A repeated entry, or a monomial repeated within one entry, once read
+    as the last one given (the table of coefficient 2 here; summing would
+    give 0 mod 3 and another table), exits 2 with one line."""
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(dict(_T21, algebra=dict(_T21["algebra"], e=1, f=1), diff=diff)))
+    assert main(["table", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read module file: {message}\n"
+
+
 def _edge_t62(c):
     """A T(62, 62) square on the top two ext generators, d^2 = 0 when c = 1:
     d(e0) = theta61 e1 + theta60 e2, d(e1) = theta60 e3, d(e2) = c theta61 e3."""

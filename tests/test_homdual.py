@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import finite_reference as dense_ref
 from dict_reference import dg_map
 from koszulkit import homdual
 from koszulkit.algebra import make_algebra
@@ -81,7 +83,10 @@ def test_kind_checks():
 def test_formula_on_trivial_module():
     T = make_algebra("T", 1, 1, 5)
     out = dualize_T_formula(FiniteDgModule(T, [(0, 0)]))
-    assert out.validate() == []
+    zero = np.zeros((1, 1), dtype=np.int64)
+    want = dense_ref.shift(dense_ref.k_linear_dual_T(dense_ref.Dense(T, np.zeros((1, 2), dtype=np.int64), zero, [], [zero])), 1, 2)
+    dense_ref.assert_same_d(out, want)
+    assert dense_ref.validate(want) == []
     assert out.basis_degs.tolist() == [[-1, 2]]
 
 
@@ -114,27 +119,28 @@ def test_formula_biduality_returns_original_table():
 def test_twisted_action_satisfies_axioms():
     T = make_algebra("T", 3, 3, 5)
     N = random_module(T, stream(34, 0), max_gens=3)
-    dual = k_linear_dual_T(expand_T_module(N))
-    assert dual.validate() == []
+    want = dense_ref.k_linear_dual_T(dense_ref.expand_T(N))
+    dense_ref.assert_same_d(k_linear_dual_T(expand_T_module(N)), want)
+    assert dense_ref.validate(want) == []
 
 
 def test_validate_sees_the_twist_signs(monkeypatch):
-    # a dual whose ext actions drop the (-1)^{i_a} twist has the same
-    # cohomology table, but its actions break the Leibniz rule
+    # a dual whose d drops the -(-1)^{i_a} sign has the same cohomology
+    # table, but it differs from the reference d, and the twisted ext
+    # actions break the Leibniz rule with it
     T = make_algebra("T", 3, 3, 5)
     N = random_module(T, stream(34, 0), max_gens=3)
     fin, W = expand_T_module(N), oracle_window(N)
+    ref = dense_ref.shift(dense_ref.k_linear_dual_T(dense_ref.expand_T(N)), 3, 6)
     want = dualize_T_formula(fin)
-
-    def untwisted(M):
-        dual = k_linear_dual_T(M)
-        return FiniteDgModule(M.algebra, dual.basis_degs, dual.d, dual.sym_act, [(c, r, v) for r, c, v in M.ext_act])
-
-    monkeypatch.setattr(homdual, "k_linear_dual_T", untwisted)
+    dense_ref.assert_same_d(want, ref)
+    assert dense_ref.validate(ref) == []
+    monkeypatch.setattr(homdual, "_signed", lambda coeff, odd, p: coeff)
     mutant = dualize_T_formula(fin)
     assert mutant.cohomology(W) == want.cohomology(W)
-    assert want.validate() == []
-    assert mutant.validate() == ["Leibniz fails for ext generator 2"]
+    mutant_d = dense_ref.scatter(mutant.d, mutant.dim, T.p)
+    assert not np.array_equal(mutant_d, ref.d)
+    assert dense_ref.validate(ref._replace(d=mutant_d)) == ["Leibniz fails for ext generator 2"]
 
 
 def test_oracle_on_cone_of_theta_multiplication():

@@ -6,7 +6,9 @@ set of seeded inputs, so any change to how a presentation is assembled
 shows up here even when every table agrees.  Finite modules (the full
 expansion of a T-module and its closed-form dual) are pinned the same way
 through their basis bidegrees and the (row, col, coeff) triples of d and
-of every generator action, sorted by (row, col).
+of every generator action, sorted by (row, col); the actions, which finite
+modules do not hold, are read from the dense reference record
+(``finite_reference``), built from ``Expansion.action``.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import json
 
 import pytest
 
+import finite_reference as dense_ref
 from koszulkit.algebra import make_algebra
 from koszulkit.dgmodule import serialize_module
 from koszulkit.homdual import dualize_T_formula, expand_T_module
@@ -30,10 +33,19 @@ def _triples(matrix):
     return sorted(zip(*(x.tolist() for x in matrix)))
 
 
-def _finite_text(M) -> str:
-    """Basis bidegrees, d and every generator action of a finite module."""
+def _dense_triples(matrix):
+    """The (row, col, coeff) triples of a dense matrix's nonzero entries,
+    sorted by (row, col)."""
+    rows, cols = matrix.nonzero()
+    return _triples((rows, cols, matrix[rows, cols]))
+
+
+def _finite_text(M, ref) -> str:
+    """Basis bidegrees and d of a finite module, and every generator action
+    of its dense reference record, whose d must equal the module's."""
+    dense_ref.assert_same_d(M, ref)
     degs = [[int(x) for x in bd] for bd in M.basis_degs]
-    return json.dumps([degs, _triples(M.d), [_triples(a) for a in M.sym_act], [_triples(a) for a in M.ext_act]])
+    return json.dumps([degs, _triples(M.d), [_dense_triples(a) for a in ref.sym_act], [_dense_triples(a) for a in ref.ext_act]])
 
 
 def _outputs(e, f, p):
@@ -48,9 +60,9 @@ def _outputs(e, f, p):
         yield "restrict", serialize_module(restrict_to_T(MQ, jhi)[0])
         yield "push", serialize_module(pushforward_p(MQ)[0])
         for N in (random_module(T, rng, max_gens=3), random_acyclic(T, rng)):
-            fin = expand_T_module(N)
-            yield "expand", _finite_text(fin)
-            yield "dual", _finite_text(dualize_T_formula(fin))
+            fin, ref = expand_T_module(N), dense_ref.expand_T(N)
+            yield "expand", _finite_text(fin, ref)
+            yield "dual", _finite_text(dualize_T_formula(fin), dense_ref.shift(dense_ref.k_linear_dual_T(ref), f, 2 * f))
 
 
 DIGESTS = {
