@@ -23,16 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_modulus, independent_columns, kernel_basis
-
-
-def _join(keys, by, other):
-    """Every pair (n, other[m]) with by[m] == keys[n], for ``by`` sorted."""
-    lo, hi = np.searchsorted(by, keys), np.searchsorted(by, keys, side="right")
-    count = hi - lo
-    n = np.repeat(np.arange(len(keys)), count)
-    m = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-    return n, other[m]
+from .linalg import check_modulus, independent_columns, kernel_basis, sorted_join
 
 
 class BlockAlgebra:
@@ -109,8 +100,8 @@ class BlockAlgebra:
         ty, tx = np.nonzero(cf[:dim, :dim].T)  # the same, sorted by y
         # one set at a time, for memory: xy = ab joins rows, xy = bc joins columns
         for by, other, joins_rows in ((x, y, True), (ty, tx, False)):
-            n, m = _join(idx[x, y], by, other)
-            a, b, c = (x[n], y[n], m) if joins_rows else (m, x[n], y[n])
+            n, m = sorted_join(idx[x, y], by)
+            a, b, c = (x[n], y[n], other[m]) if joins_rows else (other[m], x[n], y[n])
             ab, bc = idx[a, b], idx[b, c]
             same_c = cf[a, b] * cf[ab, c] % p == cf[b, c] * cf[a, bc] % p
             if not ((idx[ab, c] == idx[a, bc]).all() and same_c.all()):

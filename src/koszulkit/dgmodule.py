@@ -12,10 +12,13 @@ One array kernel does all monomial arithmetic: ``_arrays`` holds
 monomials as exponent rows and int64 ext masks, a product adds exponents
 and ors masks (overlapping masks vanish), its wedge sign is the parity
 (``_parity``) of one mask under the other's weight mask (``_weights``),
-and ``_d_A`` applies the algebra differential.  validate() multiplies
-each distinct pair of monomials once and numbers the products by their
-byte keys (``_keys``); the block builders of expansions run the same
-helpers on whole tables.
+and ``_d_A`` applies the algebra differential.  One routine,
+``_d_squared``, checks d^2 = 0: it multiplies each distinct pair of
+monomials once, numbers the products by their byte keys (``_keys``) and
+reports the least failing target of each failing generator.  A module's
+validate() runs it on the module's terms, and a chain map's on its cone,
+which is a dg-module exactly when the map is a chain map.  The block
+builders of expansions run the same helpers on whole tables.
 
 Sign conventions, fixed project-wide and enforced by validate():
 
@@ -63,7 +66,7 @@ import numpy as np
 from . import algebra as alg_mod
 from .algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
 from .bigraded import Bidegree, BigradedDims, Window
-from .linalg import rank as mat_rank
+from .linalg import rank as mat_rank, sorted_join
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -138,77 +141,46 @@ def _degree_issues(algebra: AlgebraSpec, mons, terms, want, what: str) -> list[s
     return issues
 
 
-def _join(a, b):
-    """Index pairs (i, j) with a[i] == b[j], for sorted b; i ascending."""
-    lo = b.searchsorted(a)
-    count = b.searchsorted(a, "right") - lo
-    i = np.arange(len(a)).repeat(count)
-    return i, np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)
-
-
-def _products(A: AlgebraSpec, left, left_mons, right, right_mons, scale, step):
-    """The residue part (k, step, m, mon, coeff) of the products left(k, l) right(l, m),
-    joined on l, and the product monomials (exps, masks) that mon indexes: ``scale``
-    (a coefficient factor) and ``step`` are per left term, ``left_mons`` and
-    ``right_mons`` the (exps, masks) arrays of the terms' monomials.  Each distinct
-    pair of monomials is multiplied once, as arrays; coeff is 0 where it vanishes."""
-    i, j = _join(left[1], right[0])
-    pairs, inv = np.unique(left[2][i] * len(right_mons[1]) + right[2][j], return_inverse=True)
-    a, b = np.divmod(pairs, len(right_mons[1]))
-    x, y = left_mons[1][a], right_mons[1][b]
+def _products(A: AlgebraSpec, left, right, mons):
+    """The products left(k, l) right(l, m), joined on l, as arrays (k, m, mon, coeff)
+    and the product monomials (exps, masks) that mon indexes; ``right`` is sorted by
+    source and ``mons`` are the (exps, masks) arrays both sides' monomials index.
+    Each distinct pair of monomials is multiplied once, as arrays; coeff is 0 where
+    the product vanishes."""
+    i, j = sorted_join(left[1], right[0])
+    pairs, inv = np.unique(left[2][i] * len(mons[1]) + right[2][j], return_inverse=True)
+    a, b = np.divmod(pairs, len(mons[1]))
+    x, y = mons[1][a], mons[1][b]
     sign = (1 - 2 * _parity(y & _weights(x, A.n_ext, True), A.n_ext)) * ((x & y) == 0)
-    part = left[0][i], step[i], right[1][j], inv, sign[inv] * (scale * left[3])[i] * right[3][j]
-    return part, (left_mons[0][a] + right_mons[0][b], x | y)
+    return (left[0][i], right[1][j], inv, sign[inv] * left[3][i] * right[3][j]), (mons[0][a] + mons[0][b], x | y)
 
 
-def _derivations(A: AlgebraSpec, terms, mons, scale: int, step):
-    """The residue part (k, step, m, mon, coeff) of scale * d_A(term) on the term's own
-    (src, tgt), and the monomials (exps, masks) that mon indexes; ``mons`` are the
-    (exps, masks) arrays of the terms' monomials and ``step`` is per term."""
-    which, exps, masks, odd = _d_A(A, *mons)
-    i, n = _join(terms[2], which)
-    return (terms[0][i], step[i], terms[1][i], n, scale * (1 - 2 * odd[n]) * terms[3][i]), (exps, masks)
-
-
-def _failures(parts, n_tgt: int, p: int) -> list[tuple[int, int]]:
-    """For each k with a nonzero residue sum_parts at some (k, m), the first such m:
-    ``parts`` are pairs of (k, step, m, mon, coeff) arrays, m < n_tgt, and the
-    monomials (exps, masks) mon indexes, numbered across parts by their byte keys;
-    terms are written out by step, then m, and the first m has the first nonzero
-    partial sum over one (k, step, m).  The residue is summed on the single key
-    (k, m, mon); the write-out order is only worked out when some sum is nonzero."""
-    if not parts:
+def _d_squared(module: "SemifreeDgModule", left, right, n_tgt: int) -> list[tuple[int, int]]:
+    """(k, m) for each k whose d^2(e_k) is nonzero at some e_m with m < n_tgt,
+    m the least such.  d^2(e_k) = sum over the terms e_kl of ``left`` of
+    (-1)^c e_kl d(e_l) + d_A(e_kl) e_l, c the cohomological degree of e_kl,
+    with d(e_l) read from the terms of ``right`` (sorted by source); both are
+    term arrays of ``module``.  Product and d_A monomials are numbered by their
+    byte keys (``_keys``), vanishing products dropped and the rest summed on
+    (k, m, mon) by ``_summed``."""
+    A, i = module.algebra, module.degs[:, 0]
+    mons = _arrays(module.mons, A.n_sym)
+    signed = np.array([*left[:3], _signed(left[3], (i[left[0]] - i[left[1]] + 1) & 1, A.p)])
+    (k, m, mon, coeff), (exps, masks) = _products(A, signed, right, mons)
+    if A.has_differential:
+        which, d_exps, d_masks, odd = _d_A(A, *mons)
+        t, n = sorted_join(left[2], which)
+        d_terms = left[0][t], left[1][t], n + len(masks), _signed(left[3][t], odd[n], A.p)
+        k, m, mon, coeff = np.concatenate([[k, m, mon, coeff], d_terms], axis=1)
+        exps, masks = np.concatenate([exps, d_exps]), np.concatenate([masks, d_masks])
+    live = (coeff != 0) & (m < n_tgt)
+    if not live.any():
         return []
-    terms, exps, masks, off = [], [], [], 0
-    for (k, step, m, mon, coeff), (e, x) in parts:
-        terms.append((k, step, m, mon + off, coeff))
-        exps.append(e)
-        masks.append(x)
-        off += len(x)
-    k, step, m, mon, coeff = np.concatenate(terms, axis=1)
-    if not len(k):
-        return []
-    uniq, ids = np.unique(_keys(_joined(exps), _joined(masks)), return_inverse=True)
-    mon, n_mons = ids[mon], len(uniq)
-    coeff %= p  # products are up to (p - 1)^2: reduce before summing (see linalg.MAX_MODULUS)
-    key = (k * n_tgt + m) * n_mons + mon
-    order = key.argsort()
-    key = key[order]
-    runs = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
-    bad = key[runs[np.add.reduceat(coeff[order], runs) % p != 0]] // n_mons
-    if not len(bad):
-        return []
-    bad = set(zip(*(x.tolist() for x in np.divmod(bad, n_tgt))))
-    # first term of each nonzero sum over one (k, step, m, mon), in (k, step, m, mon) order
-    order = np.lexsort((mon, m, step, k))
-    keys = np.array([k, step, m, mon])[:, order]
-    runs = np.concatenate(([0], (keys[:, 1:] != keys[:, :-1]).any(axis=0).nonzero()[0] + 1))
-    nonzero = order[runs[np.add.reduceat(coeff[order], runs) % p != 0]]
-    first = {}
-    for km in zip(k[nonzero].tolist(), m[nonzero].tolist()):
-        if km in bad:
-            first.setdefault(*km)
-    return sorted(first.items())
+    uniq, ids = np.unique(_keys(exps, masks), return_inverse=True)
+    key, _ = _summed(((k * n_tgt + m) * len(uniq) + ids[mon])[live], coeff[live], A.p)
+    k, m = np.divmod(key // len(uniq), n_tgt)
+    first = np.unique(k, return_index=True)[1]  # keys are sorted, so each k's least m comes first
+    return list(zip(k[first].tolist(), m[first].tolist()))
 
 
 class SemifreeDgModule:
@@ -248,19 +220,14 @@ class SemifreeDgModule:
     def validate(self) -> list[str]:
         """All dg-module axioms; empty list means the module is valid.
 
-        d(d e_k) = sum_l (-1)^c e_kl e_lm + d_A(e_kl), c the cohomological
-        degree of e_kl, is written out by l, the products before d_A(e_kl);
-        one failing m is reported per k (see ``_failures``)."""
+        d^2 is checked by ``_d_squared`` on the module's own terms: for each
+        failing k, the least m at which d^2(e_k) is nonzero is reported."""
         A, terms, src, tgt = self.algebra, self.terms, *self.terms[:2]
         want = self.degs.take(src, axis=0) - self.degs.take(tgt, axis=0) + ONE_SHIFT
         issues = _degree_issues(A, self.mons, terms, want, "entry")
         if issues or not len(src):
             return issues
-        mons = _arrays(self.mons, A.n_sym)
-        parts = [_products(A, terms, mons, terms, mons, 1 - 2 * (want[:, 0] & 1), 2 * tgt)]
-        if A.has_differential:
-            parts.append(_derivations(A, terms, mons, 1, 2 * tgt + 1))
-        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _failures(parts, self.rank, A.p)]
+        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _d_squared(self, terms, terms, self.rank)]
 
     def shift(self, a: int, b: int) -> "SemifreeDgModule":
         """The shifted module M[a]<b>; generator (i, j) moves to (i-a, j+b):
@@ -323,45 +290,26 @@ class DgMap:
     def validate(self, min_internal: int | None = None) -> list[str]:
         """Chain-map and homogeneity checks.
 
-        When ``min_internal`` is given, source generators of internal degree
-        below it are not checked for the chain condition: maps built from
-        truncated functor images are exact chain maps only above their
-        cutoff.  The residue is written out as d(e_k) phi through each
-        source generator l, then through each target generator l as
-        -d_A(phi_kl) and phi_kl d; one failing m is reported per k.
+        phi is a chain map exactly when d^2 of cone(phi) vanishes at the
+        target's generators, so the chain condition is ``_d_squared`` on the
+        cone: its terms out of the source generators, through the target's
+        rows and phi's entries, at targets below ``target.rank``.  For each
+        failing k, the least failing target generator m is reported.  When
+        ``min_internal`` is given, source generators of internal degree below
+        it are not checked for the chain condition: maps built from truncated
+        functor images are exact chain maps only above their cutoff.
         """
         A, S, T, phi = self.source.algebra, self.source, self.target, self.terms
         issues = _degree_issues(A, self.mons, phi, S.degs.take(phi[0], axis=0) - T.degs.take(phi[1], axis=0), "map entry")
-        if issues:
+        # the zero map is a chain map, and so is every map between free modules over an algebra without d_A
+        if issues or not len(phi[0]) or not (len(S.terms[0]) or len(T.terms[0]) or A.has_differential):
             return issues
-        d_src = S.terms
+        c = cone(self)
+        left = c.terms[:, T.terms.shape[1] :]  # the cone's terms are sorted by source, the target's first
         if min_internal is not None:
-            d_src = d_src[:, S.degs[:, 1][d_src[0]] >= min_internal]
-            phi = phi[:, S.degs[:, 1][phi[0]] >= min_internal]
-        products = len(d_src[0]) or len(T.terms[0])
-        if not len(phi[0]) or not (products or A.has_differential):
-            return []
-        parts, late = [], 2 * S.rank  # steps through target generators come after all others
-        mons = _arrays(S.mons + self.mons + T.mons, A.n_sym)  # each object's monomials once: S's, phi's, T's
-        a, b = len(S.mons), len(S.mons) + len(self.mons)
-        if products:
-            # both product phases in one join: d(e_k) phi through source generator l,
-            # then phi d through target generator l, numbered from S.rank
-            n = len(d_src[0])
-            left = np.concatenate([d_src, phi], axis=1)
-            right = np.concatenate([self.terms, T.terms], axis=1)
-            left[1, n:] += S.rank
-            left[2, n:] += len(S.mons)
-            right[0, self.terms.shape[1] :] += S.rank
-            right[2, self.terms.shape[1] :] += len(self.mons)
-            scale = np.ones(len(left[0]), np.int64)
-            scale[n:] = 2 * ((S.degs[:, 0][phi[0]] - T.degs[:, 0][phi[1]]) & 1) - 1
-            step = 2 * left[1]
-            step[n:] += 1
-            parts.append(_products(A, left, [x[:b] for x in mons], right, [x[a:] for x in mons], scale, step))
-        if A.has_differential:
-            parts.append(_derivations(A, phi, [x[a:b] for x in mons], -1, late + 2 * phi[1]))
-        return [f"chain condition fails from gen {k} to gen {m}" for k, m in _failures(parts, T.rank, A.p)]
+            left = left.compress(c.degs[left[0], 1] >= min_internal, axis=1)
+        right = c.terms.compress(c.terms[1] < T.rank, axis=1)
+        return [f"chain condition fails from gen {k - T.rank} to gen {m}" for k, m in _d_squared(c, left, right, T.rank)]
 
 
 def identity_map(module: SemifreeDgModule) -> DgMap:
@@ -375,16 +323,14 @@ def cone(phi: DgMap) -> SemifreeDgModule:
     are d_target's, phi's and those of source[1] (``shift``), moved to the
     cone's generators; a stable sort by source makes them canonical."""
     S, T = phi.source, phi.target
-    off, S1 = T.rank, S.shift(1, 0)
-    n_t, n_phi = len(T.mons), len(phi.mons)
-    moves = [[0, off, off], [0, 0, off], [0, n_t, n_t + n_phi], [0, 0, 0]]
-    terms = np.concatenate([T.terms, phi.terms, S1.terms], axis=1)
-    terms += np.repeat(moves, [T.terms.shape[1], phi.terms.shape[1], S1.terms.shape[1]], axis=1)
+    off, S1, n_t = T.rank, S.shift(1, 0), len(T.mons)
+    # each part's offsets (src, tgt, mon, coeff) added by one broadcast add
+    terms = np.concatenate([T.terms, phi.terms + [[off], [0], [n_t], [0]], S1.terms + [[off], [off], [n_t + len(phi.mons)], [0]]], axis=1)
     union = sorted(set(T.mons + phi.mons + S.mons))
     pos = {m: u for u, m in enumerate(union)}
     terms[2] = np.array([pos[m] for m in T.mons + phi.mons + S.mons], dtype=np.int64)[terms[2]]
     if phi.terms.shape[1] and S1.terms.shape[1]:
-        terms = terms[:, terms[0].argsort(kind="stable")]
+        terms = terms.take(terms[0].argsort(kind="stable"), axis=1)
     return SemifreeDgModule(S.algebra, np.concatenate([T.degs, S1.degs]), union, terms)
 
 

@@ -35,7 +35,7 @@ from .dgmodule import (
     cohomology,
     expansion_to_finite,
 )
-from .lkd import functor_jcut, kappa
+from .lkd import kappa
 
 CERTIFICATION = "equality certified on bigraded cohomology dimension tables"
 

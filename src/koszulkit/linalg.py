@@ -20,6 +20,14 @@ __all__ = [
 ]
 
 
+def sorted_join(a, b):
+    """Index pairs (i, j) with a[i] == b[j], for sorted b; i ascending."""
+    lo = b.searchsorted(a)
+    count = b.searchsorted(a, "right") - lo
+    i = np.arange(len(a)).repeat(count)
+    return i, np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)
+
+
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
@@ -34,8 +42,8 @@ def is_odd_prime(p: int) -> bool:
 # Moduli are below 2^24, so residues are < 2^24, products < 2^48, and every
 # int64 sum of products stays below 2^63: rref's row update adds one product
 # to a residue; the validate() of semifree modules and chain maps (through
-# dgmodule._failures) reduces each product of coefficients mod p before
-# summing, so a sum of k terms stays below k 2^24.
+# dgmodule._d_squared and _summed) reduces each product of coefficients mod p
+# before summing, so a sum of k terms stays below k 2^24.
 MAX_MODULUS = 1 << 24
 
 

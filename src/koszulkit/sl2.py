@@ -292,10 +292,6 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
     return _koszulity_probe(algebra, hbound)
 
 
-def regular_lambdas(p: int):
-    return range(0, (p - 1) // 2)
-
-
 def block_report(p: int, lam: int | None, hbound: int = 4) -> dict:
     """Full machine-checked report for one block (singular when lam None).
 

@@ -25,7 +25,7 @@ from .homdual import (
     oracle_window,
 )
 from .lkd import counit, functor_F, functor_G, functor_jcut, kappa, regrade_xi, standard_window, unit
-from .qmodel import check_fbot, extend_to_Q, restriction_unit
+from .qmodel import check_fbot, restriction_unit
 from .samples import random_acyclic, random_module, stream
 
 SCHEMA = 1

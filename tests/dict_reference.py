@@ -6,7 +6,10 @@ dict-walking ``validate``, ``shift`` and ``dualize`` of ``SemifreeDgModule``,
 ``validate`` of ``DgMap``, ``cone`` and the element helpers they use
 (``elt_scale``, ``elt_add``, ``elt_mul``, ``elt_bidegree``), so tests can
 cross-check the term-array code against them, plus the builders tests use to
-write modules and maps as dicts.
+write modules and maps as dicts.  Both ``validate`` report, for each failing
+generator, its least failing target, as the program does; the map's walks
+the chain condition itself, where the program checks d^2 of the cone, so
+the two stay independent.
 
 The scalar monomial rules are kept here verbatim too: ``_ext_sign``,
 ``mul_monomials`` and ``elt_d`` from ``algebra`` and ``bidegree_sub`` from
@@ -193,8 +196,8 @@ class DictModule:
                 dkl = elt_d(A, ekl)
                 if dkl:
                     acc[l] = elt_add(A, acc.get(l, {}), dkl)
-            for m, residue in acc.items():
-                if residue:
+            for m in sorted(acc):
+                if acc[m]:
                     issues.append(f"d^2 != 0 from gen {k} to gen {m}")
                     break
         return issues
@@ -276,8 +279,8 @@ class DictMap:
                     term = elt_scale(A, elt_mul(A, phi, dn), -sign)
                     if term:
                         acc[m] = elt_add(A, acc.get(m, {}), term)
-            for m, residue in acc.items():
-                if residue:
+            for m in sorted(acc):
+                if acc[m]:
                     issues.append(f"chain condition fails from gen {k} to gen {m}")
                     break
         return issues

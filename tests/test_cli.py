@@ -305,6 +305,15 @@ def test_table_refuses_repeated_entries(tmp_path, capsys, diff, message):
     assert capsys.readouterr().err == f"error: cannot read module file: {message}\n"
 
 
+def test_table_names_the_least_failing_target(tmp_path, capsys):
+    """d(e0) = eta_2 e1 and d(e1) = z e2 over Q(2, 1): d^2(e0) fails at gen 1
+    (d_A(eta_2) = z) and at gen 2 (eta_2 z); the least target is named."""
+    path = tmp_path / "two-targets.json"
+    path.write_text('{"schema":1,"algebra":{"kind":"Q","e":2,"f":1,"p":5},"gens":[[-3,4],[-1,2],[0,0]],"diff":[[0,1,[[1,[0],2]]],[1,2,[[1,[1],0]]]]}')
+    assert main(["table", str(path)]) == 2
+    assert capsys.readouterr().err == "error: cannot read module file: invalid module: d^2 != 0 from gen 0 to gen 1\n"
+
+
 def _edge_t62(c):
     """A T(62, 62) square on the top two ext generators, d^2 = 0 when c = 1:
     d(e0) = theta61 e1 + theta60 e2, d(e1) = theta60 e3, d(e2) = c theta61 e3."""

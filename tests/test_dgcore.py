@@ -96,9 +96,9 @@ def _kernel_products(A, left, right):
     array kernel validate runs: {(a, b): (monomial, sign)}, sign 0 where
     the product vanishes."""
     a, b = np.arange(len(left)), np.arange(len(right))
-    left_terms, right_terms = np.array([a, 0 * a, a, 0 * a + 1]), np.array([0 * b, b, b, 0 * b + 1])
-    arrays = dgmodule._arrays(left, A.n_sym), dgmodule._arrays(right, A.n_sym)
-    (k, _, m, mon, sign), (exps, masks) = dgmodule._products(A, left_terms, arrays[0], right_terms, arrays[1], 1, 0 * a)
+    left_terms, right_terms = np.array([a, 0 * a, a, 0 * a + 1]), np.array([0 * b, b, len(left) + b, 0 * b + 1])
+    mons = dgmodule._arrays(left + right, A.n_sym)
+    (k, m, mon, sign), (exps, masks) = dgmodule._products(A, left_terms, right_terms, mons)
     mons = list(zip(map(tuple, exps.tolist()), masks.tolist()))
     return {(i, j): (mons[u], c) for i, j, u, c in zip(k.tolist(), m.tolist(), mon.tolist(), sign.tolist())}
 

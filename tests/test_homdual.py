@@ -9,7 +9,6 @@ from koszulkit.bigraded import Window
 from koszulkit.dgmodule import (
     DgMap,
     FiniteDgModule,
-    SemifreeDgModule,
     cohomology,
     cone,
     free_module,

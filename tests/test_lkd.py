@@ -11,7 +11,6 @@ from koszulkit.dgmodule import (
     cohomology,
     cone,
     free_module,
-    identity_map,
     is_quasi_iso,
 )
 from koszulkit.lkd import (

@@ -1,9 +1,11 @@
 """The term-array form of semifree modules and chain maps.
 
-The vectorised ``validate`` of ``SemifreeDgModule`` and ``DgMap`` is
-cross-checked against the dict-walking reference in ``dict_reference`` on
-random modules and maps, valid ones and single-term mutants; every
-``validate`` message has a hand-built invalid input; and the identities
+The vectorised ``validate`` of ``SemifreeDgModule`` and ``DgMap`` (one d^2
+routine, run on the module and on the map's cone) is cross-checked against
+the dict-walking reference in ``dict_reference`` on random modules and
+maps, valid ones and single-term mutants; every ``validate`` message has a
+hand-built invalid input, and so has the choice of the least failing
+target; and the identities
 the term arrays must satisfy (the dict boundary, double duals, shifts and
 serialization round trips) are property-tested.
 """
@@ -150,12 +152,12 @@ def test_module_d_squared_from_the_algebra_differential():
     assert bad.validate() == ["d^2 != 0 from gen 1 to gen 0"]
 
 
-def test_module_d_squared_reports_products_before_the_algebra_differential():
+def test_module_d_squared_reports_the_d_a_target_below_a_product_target():
     # d(e0) = eta_2 e1 and d(e1) = z e2 over Q(2, 1): d^2(e0) has eta_2 z e2
-    # through e1 and d_A(eta_2) e1 = z e1; the products through e1 come first
+    # through e1 and d_A(eta_2) e1 = z e1; the least failing target, 1, is reported
     Q = make_algebra("Q", 2, 1, 5)
     bad = module(Q, [(-3, 4), (-1, 2), (0, 0)], {0: {1: {((0,), 2): 1}}, 1: {2: {((1,), 0): 1}}})
-    assert bad.validate() == ["d^2 != 0 from gen 0 to gen 2"]
+    assert _agree_module(bad) == ["d^2 != 0 from gen 0 to gen 1"]
 
 
 def test_map_chain_condition_with_the_algebra_differential():
@@ -166,6 +168,17 @@ def test_map_chain_condition_with_the_algebra_differential():
     phi = dg_map(M, free_module(Q, [(0, 0)]), {0: {0: {((0,), 2): 1}}, 1: {0: {((0,), 0): 1}}})
     assert phi.validate() == []
     assert dg_map(M, free_module(Q, [(0, 0)]), {0: {0: {((0,), 2): 1}}}).validate() == ["chain condition fails from gen 0 to gen 0"]
+
+
+def test_map_chain_condition_with_the_sign_of_d_a():
+    # phi(e) = eta_1 eta_2 f, phi(e') = f and d(e) = c eta_1 z e' over Q(2, 1):
+    # d_A(eta_1 eta_2) = -eta_1 z (eta_2 passes eta_1), so phi is a chain map
+    # exactly when c = -1
+    Q = make_algebra("Q", 2, 1, 5)
+    for c, want in ((4, []), (1, ["chain condition fails from gen 0 to gen 0"])):
+        M = module(Q, [(-2, 4), (0, 0)], {0: {1: {((1,), 1): c}}})
+        phi = dg_map(M, free_module(Q, [(0, 0)]), {0: {0: {((0,), 3): 1}}, 1: {0: {((0,), 0): 1}}})
+        assert _agree_map(phi) == want
 
 
 def koszul_complex():
@@ -195,8 +208,7 @@ def test_map_chain_condition_and_min_internal():
 
 def test_map_chain_condition_reports_the_first_failing_target():
     # gen 0 fails at target 1 through d_source (x e1 -> x f1) and at target 2
-    # through d_target (f0 -> x f2); the products through source generators
-    # are written out first, so target 1 is reported
+    # through d_target (f0 -> x f2); the least failing target, 1, is reported
     S = make_algebra("S", 1, 1, 5)
     x, one = ((1,), 0), ((0,), 0)
     src = module(S, [(1, -2), (0, 0)], {0: {1: {x: 1}}})
@@ -205,14 +217,28 @@ def test_map_chain_condition_reports_the_first_failing_target():
     assert bad.validate() == ["chain condition fails from gen 0 to gen 1"]
 
 
-def test_map_chain_condition_reports_d_a_before_the_products_through_one_target():
-    # phi(e) = eta_2 f1 and d(f1) = eta_1 f0 over Q(2, 1): through f1 the
-    # residue has -d_A(eta_2) f1 = -z f1, written out first, and
-    # eta_2 eta_1 f0 after it, so target 1 is reported although 0 < 1
+def test_map_chain_condition_reports_a_product_target_below_the_d_a_target():
+    # phi(e) = eta_2 f1 and d(f1) = eta_1 f0 over Q(2, 1): the residue has
+    # -d_A(eta_2) f1 = -z f1 through f1 and eta_2 eta_1 f0; the least failing
+    # target, 0, is reported
     Q = make_algebra("Q", 2, 1, 5)
     tgt = module(Q, [(0, 0), (-2, 2)], {1: {0: {((0,), 1): 1}}})
     bad = dg_map(free_module(Q, [(-3, 4)]), tgt, {0: {1: {((0,), 2): 1}}})
-    assert _agree_map(bad) == ["chain condition fails from gen 0 to gen 1"]
+    assert _agree_map(bad) == ["chain condition fails from gen 0 to gen 0"]
+
+
+def test_map_out_of_or_into_an_invalid_module_is_judged_on_the_chain_condition_alone():
+    # d(e1) = eta_2 e0 over Q(2, 1) is no differential (d^2(e1) = z e0), but
+    # e1 -> f is a chain map: d(phi e1) = 0 = phi(eta_2 e0); the cone's d^2
+    # fails only at its own source generators, which are not target generators
+    Q = make_algebra("Q", 2, 1, 5)
+    src = module(Q, [(0, 0), (-2, 2)], {1: {0: {((0,), 2): 1}}})
+    assert src.validate() == ["d^2 != 0 from gen 1 to gen 0"]
+    phi = dg_map(src, free_module(Q, [(-2, 2)]), {1: {0: {((0,), 0): 1}}})
+    assert _agree_map(phi) == []
+    assert _agree_map(phi, 0) == []
+    # and into it: f -> e0 is a chain map; d^2(e1) = z e0 is not its failure
+    assert _agree_map(dg_map(free_module(Q, [(0, 0)]), src, {0: {0: {((0,), 0): 1}}})) == []
 
 
 def test_map_needs_a_common_algebra():
