@@ -44,8 +44,9 @@ by one repeat/arange gather.  Only ``Expansion`` and its helpers cut, lay
 out and gather spans: cohomology, the functors of ``lkd``, finite
 expansions and the restrictions of scalars of ``qmodel`` read its labels
 and differential.  Cohomology is exact: each internal-degree column of an
-expansion is complete, and the ranks a window's h^{i,j} need are taken
-over whole cells.
+expansion is complete, and the ranks a window's h^{i,j} need are those
+of maps between whole cells: structural pivots first, over every map at
+once, then one dense core per map.
 
 Finite dg-modules (``FiniteDgModule``) hold basis bidegrees and d as term
 arrays (rows, cols, vals) like ``Expansion``'s, row = source: shifts and
@@ -66,7 +67,7 @@ import numpy as np
 from . import algebra as alg_mod
 from .algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
 from .bigraded import Bidegree, BigradedDims, Window
-from .linalg import rank as mat_rank, sorted_join
+from .linalg import rank as mat_rank, sorted_join, structural_pivots
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -707,11 +708,11 @@ class Expansion:
         return rows.take(order), self._place.take(dst.take(order)), vals.take(order) % A.p
 
 
-# Largest dense cell _column_cohomology will allocate, in entries.  The
+# Largest dense core _column_cohomology will allocate, in entries.  The
 # e = f = 5 round trip at p = 3, seed 2024, trials 0-2 needs at most a
-# 5160 x 7035 cell (36.3M entries); 64M entries (512 MB as int64, twice
-# that while rref reduces its copy) is a margin of 1.76 over it.  Trial 3
-# needs an 8610 x 16500 cell (142M entries) and is refused.
+# 4760 x 5150 core (24.5M entries); 64M entries (512 MB as int64, twice that
+# while rref reduces its copy) is a margin of 2.61 over it.  Trial 3 needs a
+# 7930 x 13400 core (106M entries) and is refused.
 MAX_RANK_CELLS = 64_000_000
 
 
@@ -719,54 +720,71 @@ def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedD
     """Exact cohomology on the window from basis bidegrees and a differential.
 
     degs: (n, 2) array of basis bidegrees in lexicographic order, complete
-    per column; d: arrays (rows, cols, coeffs) sorted by row.  Entries that
-    do not have bidegree (1, 0) are ignored.
+    per column; d: arrays (rows, cols, coeffs) with distinct (row, col)
+    pairs, sorted by row.  Entries that do not have bidegree (1, 0) are
+    ignored.
 
     h^{i,j} = dim C^{i,j} - rank(C^{i,j} -> C^{i+1,j}) - rank(C^{i-1,j} -> C^{i,j}),
     so the only ranks taken are those of the maps out of bidegrees (i, j)
     with i0 - 1 <= i <= i1 and j0 <= j <= j1.  Each is the rank of the
-    whole map between two complete cells, so every reported h is exact;
-    no other cell is ever made dense.  ValueError when a needed cell has
-    more than MAX_RANK_CELLS entries, before anything is allocated.
+    whole map between two complete cells, so every reported h is exact.
+    The maps never share a row or a column, so one ``structural_pivots``
+    pass over all of their entries that are nonzero mod p serves every map;
+    a pivot counts toward the rank of the map out of its row's cell and
+    into its column's.  What is left of each map, its live rows by its live
+    columns, is the only part made dense.  ValueError when a core has more
+    than MAX_RANK_CELLS entries, before any core is allocated.
     """
-    out = BigradedDims()
-    lo, hi = window.i0 - 1, window.i1  # cohomological degrees of the ranked maps' sources
+    n = len(degs)
+    if not n:
+        return BigradedDims()
+    code = degs[:, 0] << 32 | degs[:, 1] & 0xFFFFFFFF  # one int per bidegree
     rows, cols, vals = d
     if len(rows):
-        code = degs[:, 0] << 32 | degs[:, 1] & 0xFFFFFFFF  # one int per bidegree
-        src_i = degs[rows, 0]
-        live = (code[cols] - code[rows] == 1 << 32) & (lo <= src_i) & (src_i <= hi)
+        src_i, src_j = degs[rows, 0], degs[rows, 1]
+        live = (code[cols] - code[rows] == 1 << 32) & (vals % p != 0)
+        live &= (window.i0 - 1 <= src_i) & (src_i <= window.i1) & (window.j0 <= src_j) & (src_j <= window.j1)
         rows, cols, vals = rows[live], cols[live], vals[live]
-    # cells: runs of one bidegree, with their entries as slices of d
-    bds = list(map(tuple, degs.tolist()))
-    bounds = [n for n in range(len(bds)) if n == 0 or bds[n] != bds[n - 1]] + [len(bds)]
-    ebounds = rows.searchsorted(bounds).tolist()
-    cells = {bds[b]: c for c, b in enumerate(bounds[:-1])}
-    size = {bd: bounds[c + 1] - bounds[c] for bd, c in cells.items()}
-    j0, j1 = window.j0, window.j1
-    maps = [((i, j), (i + 1, j)) for i, j in cells if lo <= i <= hi and j0 <= j <= j1 and (i + 1, j) in cells]
-    if maps:
-        src, tgt = max(maps, key=lambda m: size[m[0]] * size[m[1]])
-        if size[src] * size[tgt] > MAX_RANK_CELLS:
-            raise ValueError(
-                f"the map out of bidegree {src} needs a dense {size[src]} x {size[tgt]} cell "
-                f"({size[src] * size[tgt] * 8:,} bytes as int64), over the limit of {MAX_RANK_CELLS:,} entries"
-            )
-    ranks = {}
-    for src, tgt in maps:
-        c, t = cells[src], cells[tgt]
-        e = slice(ebounds[c], ebounds[c + 1])
-        if size[src] == 1 or size[tgt] == 1:  # one row or column: rank 1 unless it is zero
-            ranks[src] = int((vals[e] % p).any())
-            continue
-        a = np.zeros((size[src], size[tgt]), dtype=np.int64)
-        a[rows[e] - bounds[c], cols[e] - bounds[t]] = vals[e]
-        ranks[src] = mat_rank(a, p)
-    for (i, j), n in size.items():
-        h = n - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
-        if h and window.contains((i, j)):
-            out[(i, j)] = h
+    starts = [0, *((code[1:] != code[:-1]).nonzero()[0] + 1).tolist()]  # cells: runs of one bidegree
+    ranks = [0] * len(starts)  # per cell: the rank of the map out of it plus that of the map into it
+    if len(rows):
+        pivot_rows, pivot_cols, left = structural_pivots(rows, cols, n)
+        ranked = pivot_rows + pivot_cols.astype(np.int64)  # per basis element: pivots in its row and in its column
+        rows, cols, vals = rows[left], cols[left], vals[left]
+        if len(rows):
+            _cores(degs, starts, rows, cols, vals, p, ranked)
+        ranks = np.add.reduceat(ranked, starts).tolist()
+    out = BigradedDims()
+    for (i, j), a, b, rk in zip(degs[starts].tolist(), starts, starts[1:] + [n], ranks):
+        if b - a - rk and window.contains((i, j)):
+            out[(i, j)] = b - a - rk
     return out
+
+
+def _cores(degs, starts, rows, cols, vals, p: int, ranked):
+    """Rank what structural pivots left of each map, its live rows by its
+    live columns, as one dense core, and add the rank to ``ranked`` at one
+    row and one column of the core.  The cores' source cells and target
+    cells run in the same order.  ValueError when a core has more than
+    MAX_RANK_CELLS entries, before any core is allocated."""
+    core_rows, r = np.unique(rows, return_inverse=True)
+    core_cols, c = np.unique(cols, return_inverse=True)
+    _, r0, nr = np.unique(np.searchsorted(starts, core_rows, "right"), return_index=True, return_counts=True)
+    _, c0, nc = np.unique(np.searchsorted(starts, core_cols, "right"), return_index=True, return_counts=True)
+    big = (nr * nc).argmax()
+    if nr[big] * nc[big] > MAX_RANK_CELLS:
+        raise ValueError(
+            f"the map out of bidegree {tuple(degs[core_rows[r0[big]]].tolist())} needs a dense {nr[big]} x {nc[big]} core "
+            f"({nr[big] * nc[big] * 8:,} bytes as int64), over the limit of {MAX_RANK_CELLS:,} entries"
+        )
+    bounds = [*r.searchsorted(r0).tolist(), len(r)]
+    for k in range(len(r0)):
+        e = slice(bounds[k], bounds[k + 1])
+        a = np.zeros((nr[k], nc[k]), dtype=np.int64)
+        a[r[e] - r0[k], c[e] - c0[k]] = vals[e]
+        rk = mat_rank(a, p)
+        ranked[core_rows[r0[k]]] += rk
+        ranked[core_cols[c0[k]]] += rk
 
 
 def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:

@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over the prime field GF(p), p an odd prime.
+"""Exact linear algebra over the prime field GF(p), p an odd prime.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
 a pure function; no state is shared, so results from concurrent callers are
-safe to combine.  All elimination goes through ``rref``, a vectorized numpy
-row reduction; intermediate products stay below 2**63 for p < MAX_MODULUS.
+safe to combine.  A sparse rank starts with ``structural_pivots``, which
+finds pivots from the positions of the nonzero entries alone; what it
+leaves is a dense core.  All elimination goes through ``rref``, a
+vectorized numpy row reduction of a dense matrix; intermediate products
+stay below 2**63 for p < MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ __all__ = [
     "check_modulus",
     "rank",
     "rref",
+    "structural_pivots",
     "kernel_basis",
     "independent_columns",
 ]
@@ -82,6 +86,42 @@ def rref(a: np.ndarray, p: int):
             r[rows] = (r[rows] - r[rows, col, None] * pivot) % p
         pivots.append(col)
     return r, len(pivots), np.array(pivots, dtype=np.int64)
+
+
+def structural_pivots(rows, cols, n: int):
+    """Pivots found from a sparsity pattern alone, without reading a value.
+
+    rows, cols: distinct positions, below n, of the nonzero entries of a
+    matrix, sorted by row.  Returns boolean masks (of length n) of the pivot
+    rows and pivot columns, and the indices of the entries off every pivot
+    row and column.  A round takes each entry alone in its column, one per
+    row, and each entry alone in its row, one per column, as pivots, and
+    drops their rows and columns; rounds repeat until one finds none.  The
+    rank is the number of pivots plus the rank of the entries left, over
+    any field: an entry alone in its column clears its row by column
+    operations that change no other row, and one alone in its row clears
+    its column likewise.  Each pivot has one row and one column, so the
+    masks count the pivots of any block of rows or columns.
+    """
+    pivot_rows, pivot_cols = np.zeros(n, bool), np.zeros(n, bool)
+    owner = np.empty(n, np.int64)
+    left = np.arange(len(rows))
+    r, c = rows, cols
+    while len(left):
+        in_col = np.bincount(c)[c] == 1
+        in_row = np.bincount(r)[r] == 1
+        r1, c1 = r[in_col], c[in_col]  # alone in its column: the first per row
+        first = np.ones(len(r1), bool)
+        first[1:] = r1[1:] != r1[:-1]
+        r2, c2 = r[in_row], c[in_row]  # alone in its row: one row per column
+        if not len(r1) + len(r2):
+            break
+        owner[c2] = r2
+        pivot_rows[r1] = pivot_rows[owner[c2]] = True
+        pivot_cols[c1[first]] = pivot_cols[c2] = True
+        keep = ~(pivot_rows[r] | pivot_cols[c])
+        left, r, c = left[keep], r[keep], c[keep]
+    return pivot_rows, pivot_cols, left
 
 
 def rank(a: np.ndarray, p: int) -> int:

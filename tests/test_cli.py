@@ -193,20 +193,29 @@ def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
     from dict_reference import module
     from koszulkit.dgmodule import serialize_module
 
-    # two maps within the window: e1 -> (x1 e0, x2 e0) in internal degree
-    # -2 is a 1 x 2 cell, x e1 -> x x' e0 in internal degree -4 a 2 x 3 one
+    # d(e2) = x1 e0 + x2 e1 and d(e3) = x1 e0 + 2 x2 e1.  Out of bidegree
+    # (1, -2) the map is a 2 x 4 cell whose core {e2, e3} x {x1 e0, x2 e1}
+    # has rank 2; out of (3, -4) a 4 x 6 cell whose 4 x 4 core is two such
+    # blocks.  Structural pivots clear neither core.
     S = make_algebra("S", 2, 2, 3)
-    M = module(S, [(0, 0), (1, -2)], {1: {0: {((1, 0), 0): 1}}})
+    d = {k: {0: {((1, 0), 0): 1}, 1: {((0, 1), 0): c}} for k, c in ((2, 1), (3, 2))}
+    M = module(S, [(0, 0), (0, 0), (1, -2), (1, -2)], d)
     path = tmp_path / "mod.json"
     path.write_text(serialize_module(M))
     assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
-    capsys.readouterr()
-    monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", 5)
+    want = capsys.readouterr().out
+    monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", 16)  # the core, not the 4 x 6 cell
+    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", 15)
+    ranked = []
+    monkeypatch.setattr(dgmodule, "mat_rank", lambda a, p: ranked.append(a.shape))
     assert main(["table", str(path), "--window=0:4,-4:0"]) == 2
+    assert ranked == []  # refused before the core out of (1, -2) is ranked
     err = capsys.readouterr().err
     assert err == (
-        "error: the map out of bidegree (3, -4) needs a dense 2 x 3 cell "
-        "(48 bytes as int64), over the limit of 5 entries\n"
+        "error: the map out of bidegree (3, -4) needs a dense 4 x 4 core "
+        "(128 bytes as int64), over the limit of 15 entries\n"
     )
     assert "Traceback" not in err
 

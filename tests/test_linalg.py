@@ -131,6 +131,19 @@ def test_rank_nullity(data):
         assert linalg.rank(k, p) == k.shape[1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_structural_pivots_and_the_rank_of_what_is_left_make_the_rank(data):
+    a, p = data
+    rows, cols = a.nonzero()
+    pivot_rows, pivot_cols, left = linalg.structural_pivots(rows, cols, max(a.shape))
+    assert pivot_rows.sum() == pivot_cols.sum()
+    assert not pivot_rows[rows[left]].any() and not pivot_cols[cols[left]].any()
+    rest = np.zeros_like(a)
+    rest[rows[left], cols[left]] = a[rows[left], cols[left]]
+    assert pivot_rows.sum() + linalg.rank(rest, p) == linalg.rank(a, p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(), st.integers(0, 10_000))
 def test_solve_solves(data, seed):
