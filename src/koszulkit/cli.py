@@ -1,8 +1,8 @@
 """Command line harness: verification suites, block calculators, tables.
 
 Exit codes: 0 all verdicts pass, 1 a mathematical verdict failed,
-2 usage or input error.  Reports are deterministic: the same arguments
-and seed produce identical bytes.
+2 usage or input error or a failed allocation.  Reports are deterministic:
+the same arguments and seed produce identical bytes.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def cmd_verify(args) -> int:
         e=args.dim_e, f=args.dim_f, p=args.prime,
         trials=args.trials, seed=args.seed, window=window,
     )
-    cfg.validate()
     report = run_verify(args.suite, cfg)
     _emit(report, args.format, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
@@ -210,6 +209,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory{f': {exc}' if str(exc) else ''}\n")
         return EXIT_USAGE
 
 

@@ -17,8 +17,9 @@ and ``_d_A`` applies the algebra differential.  One routine,
 monomials once, numbers the products by their byte keys (``_keys``) and
 reports the least failing target of each failing generator.  A module's
 validate() runs it on the module's terms, and a chain map's on its cone,
-which is a dg-module exactly when the map is a chain map.  The block
-builders of expansions run the same helpers on whole tables.
+which is a dg-module exactly when the map is a chain map; a map carries its
+own cutoff, and ``is_quasi_iso`` runs that check and cohomology on one
+cone.  The block builders of expansions run the same helpers on whole tables.
 
 Sign conventions, fixed project-wide and enforced by validate():
 
@@ -91,16 +92,21 @@ def _summed(key, vals, p: int):
     return key, vals
 
 
+def _interned(mons):
+    """The distinct ``mons`` as a sorted tuple, and each one's position in it (int64)."""
+    pos = {mon: u for u, mon in enumerate(sorted(set(mons)))}
+    return tuple(pos), np.fromiter(map(pos.__getitem__, mons), np.int64, len(mons))
+
+
 def _canonical(mons, terms, n_tgt: int, p: int):
     """Canonical ``(mons, terms)`` from terms (src, tgt, mon, coeff), coeff
     nonzero mod p, over monomials ``mons`` in any order and not all used:
     equal positions are summed mod p and vanishing sums dropped."""
     if not terms.shape[1]:
         return (), _NO_TERMS
-    uniq = sorted(set(mons))
-    pos = {mon: u for u, mon in enumerate(uniq)}
+    uniq, ids = _interned(mons)
     src, tgt, mon, coeff = terms
-    key, coeff = _summed((src * n_tgt + tgt) * len(uniq) + np.array([pos[m] for m in mons])[mon], coeff, p)
+    key, coeff = _summed((src * n_tgt + tgt) * len(uniq) + ids[mon], coeff, p)
     rest, mon = np.divmod(key, len(uniq))
     used = np.bincount(mon, minlength=len(uniq)) != 0
     if not used.all():
@@ -115,9 +121,8 @@ def nested_terms(algebra: AlgebraSpec, nested) -> tuple:
     input, for parsed files, sampled entries and tests."""
     p, rows = algebra.p, nested.items()
     terms = sorted((k, l, (tuple(e), mask), c % p) for k, r in rows for l, x in r.items() for (e, mask), c in x.items() if c % p)
-    mons = tuple(sorted({mon for _, _, mon, _ in terms}))
-    pos = {mon: u for u, mon in enumerate(mons)}
-    return mons, np.array([(k, l, pos[mon], c) for k, l, mon, c in terms], dtype=np.int64).reshape(-1, 4).T.copy()
+    mons, ids = _interned([mon for _, _, mon, _ in terms])
+    return mons, np.array([(k, l, u, c) for (k, l, _, c), u in zip(terms, ids.tolist())], dtype=np.int64).reshape(-1, 4).T.copy()
 
 
 def _signed(coeff, odd, p: int) -> np.ndarray:
@@ -276,41 +281,46 @@ class DgMap:
     """Degree-(0, 0) chain map between semifree modules over one algebra, as
     canonical term arrays like SemifreeDgModule's: the image of source gen src
     has the term coeff * mons[mon] target gen tgt, of bidegree gens[src] - gens[tgt].
+    Source generators of internal degree below the map's own cutoff
+    ``min_internal`` are exempt from the chain condition (``lkd.counit``, ``lkd.unit``).
     """
 
-    __slots__ = ("source", "target", "mons", "terms")
+    __slots__ = ("source", "target", "mons", "terms", "min_internal")
 
-    def __init__(self, source: SemifreeDgModule, target: SemifreeDgModule, mons=(), terms=_NO_TERMS):
+    def __init__(self, source: SemifreeDgModule, target: SemifreeDgModule, mons=(), terms=_NO_TERMS, min_internal: int | None = None):
         if source.algebra != target.algebra:
             raise ValueError("chain map needs a common algebra")
         self.source = source
         self.target = target
         terms.flags.writeable = False
-        self.mons, self.terms = tuple(mons), terms
+        self.mons, self.terms, self.min_internal = tuple(mons), terms, min_internal
 
-    def validate(self, min_internal: int | None = None) -> list[str]:
+    def validate(self) -> list[str]:
         """Chain-map and homogeneity checks.
 
         phi is a chain map exactly when d^2 of cone(phi) vanishes at the
         target's generators, so the chain condition is ``_d_squared`` on the
-        cone: its terms out of the source generators, through the target's
-        rows and phi's entries, at targets below ``target.rank``.  For each
-        failing k, the least failing target generator m is reported.  When
-        ``min_internal`` is given, source generators of internal degree below
-        it are not checked for the chain condition: maps built from truncated
-        functor images are exact chain maps only above their cutoff.
+        cone: its terms out of the source generators not below ``min_internal``,
+        through the target's rows and phi's entries, at targets below
+        ``target.rank``.  For each failing k, the least failing target
+        generator m is reported.
         """
+        return self._checked(False)[0]
+
+    def _checked(self, want_cone: bool):
+        """validate()'s issues, and cone(self) if the check or ``want_cone`` needs it, else None."""
         A, S, T, phi = self.source.algebra, self.source, self.target, self.terms
         issues = _degree_issues(A, self.mons, phi, S.degs.take(phi[0], axis=0) - T.degs.take(phi[1], axis=0), "map entry")
         # the zero map is a chain map, and so is every map between free modules over an algebra without d_A
-        if issues or not len(phi[0]) or not (len(S.terms[0]) or len(T.terms[0]) or A.has_differential):
-            return issues
-        c = cone(self)
+        free = not len(phi[0]) or not (len(S.terms[0]) or len(T.terms[0]) or A.has_differential)
+        c = None if issues or (free and not want_cone) else cone(self)
+        if issues or free:
+            return issues, c
         left = c.terms[:, T.terms.shape[1] :]  # the cone's terms are sorted by source, the target's first
-        if min_internal is not None:
-            left = left.compress(c.degs[left[0], 1] >= min_internal, axis=1)
+        if self.min_internal is not None:
+            left = left.compress(c.degs[left[0], 1] >= self.min_internal, axis=1)
         right = c.terms.compress(c.terms[1] < T.rank, axis=1)
-        return [f"chain condition fails from gen {k - T.rank} to gen {m}" for k, m in _d_squared(c, left, right, T.rank)]
+        return [f"chain condition fails from gen {k - T.rank} to gen {m}" for k, m in _d_squared(c, left, right, T.rank)], c
 
 
 def identity_map(module: SemifreeDgModule) -> DgMap:
@@ -327,9 +337,8 @@ def cone(phi: DgMap) -> SemifreeDgModule:
     off, S1, n_t = T.rank, S.shift(1, 0), len(T.mons)
     # each part's offsets (src, tgt, mon, coeff) added by one broadcast add
     terms = np.concatenate([T.terms, phi.terms + [[off], [0], [n_t], [0]], S1.terms + [[off], [off], [n_t + len(phi.mons)], [0]]], axis=1)
-    union = sorted(set(T.mons + phi.mons + S.mons))
-    pos = {m: u for u, m in enumerate(union)}
-    terms[2] = np.array([pos[m] for m in T.mons + phi.mons + S.mons], dtype=np.int64)[terms[2]]
+    union, ids = _interned(T.mons + phi.mons + S.mons)
+    terms[2] = ids[terms[2]]
     if phi.terms.shape[1] and S1.terms.shape[1]:
         terms = terms.take(terms[0].argsort(kind="stable"), axis=1)
     return SemifreeDgModule(S.algebra, np.concatenate([T.degs, S1.degs]), union, terms)
@@ -677,9 +686,7 @@ class Expansion:
     def labels(self):
         """Each basis element's generator and monomial: arrays (gen, mon)
         in basis order and the sorted tuple ``mons`` that mon indexes."""
-        mons = tuple(sorted(set().union(*(t.mons for t in self._tables))))
-        pos = {mon: u for u, mon in enumerate(mons)}
-        ids = np.array([pos[mon] for t in self._tables for mon in t.mons], dtype=np.int64)
+        mons, ids = _interned([mon for t in self._tables for mon in t.mons])
         gen = np.arange(self.module.rank).repeat(self._sizes)
         return gen.take(self._order), mons, ids.take(self._row.take(self._order))
 
@@ -800,9 +807,10 @@ def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
 
 
 def is_quasi_iso(phi: DgMap, window: Window) -> bool:
-    """True when cone(phi) has no cohomology anywhere on the window; phi is
-    not checked (see ``cone``)."""
-    return not cohomology(cone(phi), window)
+    """True when phi passes ``DgMap.validate`` and cone(phi) has no
+    cohomology anywhere on the window; both run on one cone."""
+    issues, c = phi._checked(True)
+    return not issues and not cohomology(c, window)
 
 
 class FiniteDgModule:

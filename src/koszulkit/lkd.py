@@ -19,7 +19,7 @@ below it; the result computes the true cohomology in internal degrees
 Callers derive jcut from their comparison window via ``functor_jcut``.
 
 The adjunction unit and counit are explicit chain maps whose signs are
-pinned here and re-verified by DgMap.validate in the test suite.
+pinned here; each carries jcut + 2 as its ``DgMap.min_internal``.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def counit(M: SemifreeDgModule, jcut: int):
     k, smons, smon = fm.expansion.labels()
     sigma = np.where(fm.expansion.degs[b, 1] // 2 & 1, M.algebra.p - 1, 1)
     terms = _canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
-    return DgMap(gfm.module, M, *terms), fm, gfm
+    return DgMap(gfm.module, M, *terms, min_internal=jcut + 2), fm, gfm
 
 
 def unit(N: SemifreeDgModule, jcut: int):
@@ -141,7 +141,7 @@ def unit(N: SemifreeDgModule, jcut: int):
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
     terms = _canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
-    return DgMap(N, fgn.module, *terms), gn, fgn
+    return DgMap(N, fgn.module, *terms, min_internal=jcut + 2), gn, fgn
 
 
 def kappa(M: SemifreeDgModule, jcut: int) -> SemifreeDgModule:

@@ -107,6 +107,23 @@ def test_verify_exit_one_on_math_failure(monkeypatch, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 79.0 MiB for an array with shape (3520, 2940) and data type int64"),
+     "error: out of memory: Unable to allocate 79.0 MiB for an array with shape (3520, 2940) and data type int64\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_verify_exits_2_when_an_allocation_fails(monkeypatch, capsys, exc, line):
+    import koszulkit.cli as cli
+
+    def failing(suite, cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_verify", failing)
+    assert main(["verify", "--suite", "round-trip", "--trials", "1", "--seed", "0", "--out", "/dev/null"]) == 2
+    err = capsys.readouterr().err
+    assert err == line and "Traceback" not in err
+
+
 def test_sl2_regular_report(tmp_path):
     out = tmp_path / "sl2.json"
     code = main(["sl2", "-p", "3", "--lambda", "0", "--out", str(out)])

@@ -255,6 +255,42 @@ def test_is_quasi_iso_identity_and_zero():
     assert not is_quasi_iso(zero_map(K, K), W)
 
 
+@pytest.mark.parametrize("W", [Window(-1, 2, -4, 2), Window(-3, 3, -6, 4)])
+def test_is_quasi_iso_rejects_a_map_that_is_no_chain_map(W):
+    # the identity on e0 alone: its "cone" has no cohomology on W, but
+    # phi(d e1) = x e0 while d(phi e1) = 0, so it is no chain map
+    K = koszul_complex_f1()
+    bad = dg_map(K, K, {0: {0: {((0,), 0): 1}}})
+    assert bad.validate() == ["chain condition fails from gen 1 to gen 0"]
+    assert not cohomology(cone(bad), W)
+    assert is_quasi_iso(bad, W) is False
+
+
+def test_each_map_verdict_of_the_suites_builds_one_cone(monkeypatch):
+    # the counit, unit, T-biduality and extend-restrict verdicts each take
+    # the chain check and the cohomology from a single cone(phi)
+    from koszulkit import suites
+
+    built, verdicts = [], []
+
+    def counted_cone(phi):
+        built.append(phi)
+        return cone(phi)
+
+    def recorded(phi, window):
+        verdicts.append(phi)
+        return is_quasi_iso(phi, window)
+
+    monkeypatch.setattr(dgmodule, "cone", counted_cone)
+    monkeypatch.setattr(suites, "is_quasi_iso", recorded)
+    cfg = Config(e=2, f=2, p=3, trials=2, seed=5)
+    for run, per_trial in ((suites.suite_round_trip, 2), (suites.suite_duality_oracle, 1), (suites.suite_fbot, 1)):
+        verdicts.clear()
+        assert all(r["verdict"] == "pass" for r in run(cfg))
+        assert len(verdicts) == per_trial * cfg.trials
+        assert [sum(c is phi for c in built) for phi in verdicts] == [1] * len(verdicts)
+
+
 def test_euler_characteristic_invariance_random():
     # chi per internal degree agrees for quasi-isomorphic modules
     T = make_algebra("T", 2, 2, 5)

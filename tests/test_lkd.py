@@ -100,8 +100,14 @@ def test_counit_on_free_S_is_quasi_iso():
     win = standard_window(M)
     jcut = functor_jcut(win, 1)
     eps, _, _ = counit(M, jcut)
-    assert eps.validate(min_internal=jcut + 2) == []
+    assert eps.validate() == []
     assert is_quasi_iso(eps, win)
+
+
+def test_counit_and_unit_carry_their_cutoff():
+    for build, X in ((counit, free_module(S_algebra(2), [(0, 0)])), (unit, free_module(T_algebra(2), [(0, 0)]))):
+        jcut = functor_jcut(standard_window(X), 2)
+        assert build(X, jcut)[0].min_internal == jcut + 2
 
 
 def test_counit_cone_acyclic_e1_f1():
@@ -118,7 +124,7 @@ def test_unit_on_trivial_target():
     win = standard_window(N)
     jcut = functor_jcut(win, 1)
     eta, _, _ = unit(N, jcut)
-    assert eta.validate(min_internal=jcut + 2) == []
+    assert eta.validate() == []
     assert is_quasi_iso(eta, win)
 
 
@@ -132,13 +138,13 @@ def test_round_trip_random(f, p):
         win = standard_window(M)
         jcut = functor_jcut(win, f)
         eps, _, _ = counit(M, jcut)
-        assert eps.validate(min_internal=jcut + 2) == []
+        assert eps.validate() == []
         assert is_quasi_iso(eps, win)
         N = random_module(T, rng, max_gens=3)
         win = standard_window(N)
         jcut = functor_jcut(win, f)
         eta, _, _ = unit(N, jcut)
-        assert eta.validate(min_internal=jcut + 2) == []
+        assert eta.validate() == []
         assert is_quasi_iso(eta, win)
 
 

@@ -22,6 +22,7 @@ from dict_reference import cone as dict_cone
 from koszulkit import cli, dgmodule
 from koszulkit.algebra import make_algebra, monomials_by_internal
 from koszulkit.dgmodule import (
+    DgMap,
     SemifreeDgModule,
     _canonical,
     _span_size,
@@ -81,7 +82,7 @@ def _agree_module(M):
 
 
 def _agree_map(phi, min_internal=None):
-    got = phi.validate(min_internal)
+    got = DgMap(phi.source, phi.target, phi.mons, phi.terms, min_internal).validate()
     assert got == DictMap.of(phi).validate(min_internal)
     return got
 
@@ -203,7 +204,7 @@ def test_map_chain_condition_and_min_internal():
     K = koszul_complex()
     bad = dg_map(K, K, {0: {0: {((0,), 0): 1}}})
     assert bad.validate() == ["chain condition fails from gen 1 to gen 0"]
-    assert bad.validate(min_internal=-1) == []  # gen 1 has internal degree -2
+    assert DgMap(K, K, bad.mons, bad.terms, min_internal=-1).validate() == []  # gen 1 has internal degree -2
 
 
 def test_map_chain_condition_reports_the_first_failing_target():
