@@ -68,7 +68,7 @@ import numpy as np
 from . import algebra as alg_mod
 from .algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
 from .bigraded import Bidegree, BigradedDims, Window
-from .linalg import rank as mat_rank, sorted_join, structural_pivots
+from .linalg import MAX_RANK_CELLS, rank as mat_rank, sorted_join, structural_pivots
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -713,14 +713,6 @@ class Expansion:
         rows = self._place.take(src)
         order = rows.argsort()
         return rows.take(order), self._place.take(dst.take(order)), vals.take(order) % A.p
-
-
-# Largest dense core _column_cohomology will allocate, in entries.  The
-# e = f = 5 round trip at p = 3, seed 2024, trials 0-2 needs at most a
-# 4760 x 5150 core (24.5M entries); 64M entries (512 MB as int64, twice that
-# while rref reduces its copy) is a margin of 2.61 over it.  Trial 3 needs a
-# 7930 x 13400 core (106M entries) and is refused.
-MAX_RANK_CELLS = 64_000_000
 
 
 def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:

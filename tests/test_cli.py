@@ -204,21 +204,29 @@ def test_table_of_kappa_of_point(tmp_path):
     assert doc["table"] == [[0, 0, 1]]
 
 
-def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
-    from koszulkit import dgmodule
+def _two_core_module(tmp_path):
+    """A module file whose table ranks a 2 x 2 and then a 4 x 4 core."""
     from koszulkit.algebra import make_algebra
     from dict_reference import module
     from koszulkit.dgmodule import serialize_module
 
     # d(e2) = x1 e0 + x2 e1 and d(e3) = x1 e0 + 2 x2 e1.  Out of bidegree
     # (1, -2) the map is a 2 x 4 cell whose core {e2, e3} x {x1 e0, x2 e1}
-    # has rank 2; out of (3, -4) a 4 x 6 cell whose 4 x 4 core is two such
-    # blocks.  Structural pivots clear neither core.
+    # has rank 2 and 4 nonzeros; out of (3, -4) a 4 x 6 cell whose 4 x 4
+    # core is two such blocks.  Structural pivots clear neither core, and
+    # eliminating a core fills in nothing.
     S = make_algebra("S", 2, 2, 3)
     d = {k: {0: {((1, 0), 0): 1}, 1: {((0, 1), 0): c}} for k, c in ((2, 1), (3, 2))}
     M = module(S, [(0, 0), (0, 0), (1, -2), (1, -2)], d)
     path = tmp_path / "mod.json"
     path.write_text(serialize_module(M))
+    return path
+
+
+def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
+    from koszulkit import dgmodule
+
+    path = _two_core_module(tmp_path)
     assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
     want = capsys.readouterr().out
     monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", 16)  # the core, not the 4 x 6 cell
@@ -234,6 +242,22 @@ def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
         "error: the map out of bidegree (3, -4) needs a dense 4 x 4 core "
         "(128 bytes as int64), over the limit of 15 entries\n"
     )
+    assert "Traceback" not in err
+
+
+def test_table_refuses_a_row_reduction_past_its_fill_bound(tmp_path, monkeypatch, capsys):
+    from koszulkit import linalg
+
+    path = _two_core_module(tmp_path)
+    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 64)  # 8 entries: the 4 x 4 core's nonzeros
+    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 63)  # 7 entries: the 2 x 2 core passes, the 4 x 4 does not
+    assert main(["table", str(path), "--window=0:4,-4:0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: row reduction of a 4 x 4 matrix holds 8 entries in its rows (about 512 bytes), over the limit of 7\n"
     assert "Traceback" not in err
 
 

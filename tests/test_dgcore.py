@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finite_reference as dense_ref
+from dense_reference import rank as dense_rank
 from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
 from koszulkit import dgmodule
 from koszulkit.algebra import KINDS, MAX_E, make_algebra, monomial_bidegree, monomials_by_internal
@@ -337,7 +338,8 @@ def test_validate_dual_over_every_algebra():
 # -- ranks only in the reported band -------------------------------------------
 
 def reference_column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:
-    """The all-i loop: ranks every map C^{i,j} -> C^{i+1,j} with j in the window."""
+    """The all-i loop: ranks every map C^{i,j} -> C^{i+1,j} with j in the window,
+    by the dense reference row reduction, not the kernel under test."""
     out = BigradedDims()
     rows, cols, vals = d
     if len(rows):
@@ -357,7 +359,7 @@ def reference_column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> 
         a = np.zeros((bounds[c + 1] - bounds[c], bounds[t + 1] - bounds[t]), dtype=np.int64)
         e = slice(ebounds[c], ebounds[c + 1])
         a[rows[e] - bounds[c], cols[e] - bounds[t]] = vals[e]
-        ranks[(i, j)] = mat_rank(a, p)
+        ranks[(i, j)] = dense_rank(a, p)
     for (i, j), c in cells.items():
         h = bounds[c + 1] - bounds[c] - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
         if h and window.contains((i, j)):

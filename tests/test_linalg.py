@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference
 from koszulkit import linalg
 
 
@@ -156,6 +157,63 @@ def test_solve_solves(data, seed):
     got = matmul(a, x.reshape(-1, 1), p).ravel() if a.size else np.zeros(a.shape[0], dtype=np.int64)
     assert (got == b).all()
 
+
+
+# The largest prime below MAX_MODULUS (16,777,213): products of two residues near 2^48.
+BIG_PRIME = max(q for q in range(linalg.MAX_MODULUS - 64, linalg.MAX_MODULUS) if linalg.is_odd_prime(q))
+
+
+@st.composite
+def rref_inputs(draw):
+    """Dense, at most 5% nonzero, and rank-deficient matrices (products of
+    thin factors, some of them sparse), or all zero; square, wide or tall,
+    with sides from 0.  Entries are negative or positive and some are
+    nonzero multiples of p, so the kernel must reduce and drop them."""
+    p = draw(st.sampled_from([3, 5, 7, BIG_PRIME]))
+    shape = draw(st.sampled_from(["any", "wide", "tall"]))
+    short, long = draw(st.integers(0, 4)), draw(st.integers(10, 60))
+    m, n = {"any": (draw(st.integers(0, 30)), draw(st.integers(0, 30))), "wide": (short, long), "tall": (long, short)}[shape]
+    kind = draw(st.sampled_from(["dense", "sparse", "thin", "sparse-thin", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(rows, cols, density=1.0):
+        vals = rng.integers(-3 * p, 3 * p, (rows, cols))
+        return np.where(rng.random((rows, cols)) < density, vals, 0)
+
+    density = draw(st.floats(0.005, 0.05))
+    if kind in ("dense", "sparse"):
+        a = entries(m, n, 1.0 if kind == "dense" else density)
+    elif kind == "zero":
+        a = np.zeros((m, n), dtype=np.int64)
+    else:
+        k = draw(st.integers(1, 4))
+        sparse = kind == "sparse-thin"
+        a = entries(m, k, density * 4 if sparse else 1.0) @ entries(k, n, density * 4 if sparse else 1.0)
+    a[rng.random((m, n)) < 0.1] = p * rng.integers(-3, 4)
+    return a, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(rref_inputs())
+def test_rref_matches_the_dense_reference(data):
+    a, p = data
+    want, got = dense_reference.rref(a, p), linalg.rref(a, p)
+    assert got[0].dtype == np.int64 and got[2].dtype == np.int64
+    assert got[0].shape == want[0].shape and (got[0] == want[0]).all()
+    assert got[1] == want[1]
+    assert got[2].tolist() == want[2].tolist()
+
+
+def test_rref_bounds_the_entries_its_rows_hold(monkeypatch):
+    # 6 entries; back-substitution clears column 1 of row 0 and fills in
+    # columns 3 and 4, so the pivot rows end with 7
+    a = mat([[1, 1, 1, 0, 0], [0, 1, 0, 1, 1]], 5)
+    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 7 * 8)
+    r, rank_, pivots = linalg.rref(a, 5)
+    assert r.tolist() == [[1, 0, 1, 4, 4], [0, 1, 0, 1, 1]] and rank_ == 2 and pivots.tolist() == [0, 1]
+    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 7 * 8 - 1)
+    with pytest.raises(ValueError, match=r"^row reduction of a 2 x 5 matrix holds 7 entries in its rows \(about 448 bytes\), over the limit of 6$"):
+        linalg.rref(a, 5)
 
 
 def greedy_independent(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:
