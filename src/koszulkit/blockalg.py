@@ -12,11 +12,15 @@ nonzero, which is exact because products are monomial.  Every consumer
 columns and the action on projectives) gathers from
 ``mult_idx``/``mult_coeff`` directly.
 
-Graded left modules are represented as homogeneous subspaces of direct
-sums of shifted projectives A.e; ``ProjectiveSum.act`` applies one algebra
-element to a vector or to a whole matrix of columns.  Minimal projective
-covers are computed degreewise by splitting the radical, which is the
-positive-degree part because degree 0 is semisimple.
+Graded left modules are represented as submodules of direct sums of
+shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
+held one degree at a time, as {degree d: columns over the basis in degree
+d}, so every degree is known by construction.  ``ProjectiveSum.act`` maps
+columns in one degree to another in one gather, acting by one algebra
+element or by one per column.  Minimal projective covers are computed
+degreewise by splitting the radical, which is the positive-degree part
+because degree 0 is semisimple; every elimination is a ``linalg.rref`` of
+one degree's block.
 """
 
 from __future__ import annotations
@@ -132,97 +136,82 @@ class BlockAlgebra:
 
 
 class ProjectiveSum:
-    """P = direct sum of shifted projectives A.e, with a concrete basis."""
+    """P = direct sum of shifted projectives A.e, with its basis ordered by
+    degree; ``at[d]`` is the slice of the basis in degree d."""
 
     def __init__(self, algebra: BlockAlgebra, summands):
         self.algebra = algebra
         self.summands = list(summands)  # (idempotent index, degree shift)
         # basis element n is algebra element element[n] in summand summand[n]
         columns = [algebra.column_basis(e) for e, _ in self.summands]
-        self.summand = np.repeat(np.arange(len(columns), dtype=np.int64), [len(c) for c in columns])
-        self.element = np.array([b for c in columns for b in c], dtype=np.int64)
+        summand = np.repeat(np.arange(len(columns), dtype=np.int64), [len(c) for c in columns])
+        element = np.array([b for c in columns for b in c], dtype=np.int64)
+        shifts = np.array([shift for _, shift in self.summands], dtype=np.int64)
+        degrees = algebra.degrees[element] + shifts[summand]
+        order = degrees.argsort(kind="stable")
+        self.summand, self.element, self.degrees = summand[order], element[order], degrees[order]
         # row[g, b]: position of (g, b) in the basis, -1 when b is not in A.e_g
         self.row = np.full((len(columns), algebra.dim), -1, dtype=np.int64)
-        self.row[self.summand, self.element] = np.arange(self.dim)
-        shifts = np.array([shift for _, shift in self.summands], dtype=np.int64)
-        self.degrees = algebra.degrees[self.element] + shifts[self.summand]
+        self.row[self.summand, self.element] = np.arange(len(order))
+        ds, starts, counts = np.unique(self.degrees, return_index=True, return_counts=True)
+        self.at = {d: slice(s, s + n) for d, s, n in zip(ds.tolist(), starts.tolist(), counts.tolist())}
 
-    @property
-    def dim(self) -> int:
-        return len(self.element)
-
-    def act(self, a: int, x: np.ndarray) -> np.ndarray:
-        """a.x for x a vector or a matrix of columns in this basis."""
-        A = self.algebra
-        coeff = A.mult_coeff[a, self.element]
-        hit = coeff.nonzero()[0]
-        rows = self.row[self.summand[hit], A.mult_idx[a, self.element[hit]]]
-        out = np.zeros_like(x)
-        np.add.at(out, rows, (x[hit].T * coeff[hit]).T)  # row n of x scaled by coeff[n]
+    def act(self, a, x: np.ndarray, d: int, t: int) -> np.ndarray:
+        """a.x for x columns over the degree-d basis, as columns over the
+        degree-t basis; ``a`` is one algebra element of degree t - d, or one
+        per column."""
+        A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
+        a = np.broadcast_to(a, x.shape[1:])
+        element = self.element[src]
+        scaled = A.mult_coeff[a, element[:, None]] * x  # entry (n, c): coefficient of a_c.b_n times x
+        n, c = scaled.nonzero()
+        rows = self.row[self.summand[src][n], A.mult_idx[a[c], element[n]]] - dst.start
+        out = np.zeros((dst.stop - dst.start, x.shape[1]), dtype=np.int64)
+        np.add.at(out, (rows, c), scaled[n, c])
         return out % A.p
 
 
-class Syzygy:
-    """A homogeneous submodule of a ProjectiveSum, as column vectors."""
+def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
+    """Generators of top(K) = K / JK as (class_label, degree, vector), for K
+    held as {degree d: columns over the degree-d basis of ``amb``}.
 
-    def __init__(self, ambient: ProjectiveSum, columns: np.ndarray, degrees):
-        self.ambient = ambient
-        self.columns = columns  # shape (ambient.dim, k)
-        self.degrees = np.asarray(degrees, dtype=np.int64)
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-
-def simple_socle_start(algebra: BlockAlgebra, idem: int) -> Syzygy:
-    """First syzygy of the simple at ``idem``: the positive-degree part of
-    A.e (exact because degree 0 is semisimple, so J = A_{>0})."""
-    amb = ProjectiveSum(algebra, [(idem, 0)])
-    keep = amb.degrees >= 1
-    return Syzygy(amb, np.eye(amb.dim, dtype=np.int64)[:, keep], amb.degrees[keep])
-
-
-def minimal_generators(syz: Syzygy) -> list[tuple]:
-    """Generators of top(K) = K / JK as (class_label, degree, vector).
-
-    Works degree by degree: J K in degree d is spanned by positive-degree
-    algebra elements applied to lower-degree columns of K; multiplicity of
-    the simple of class r is read off by applying its idempotent.
+    Works degree by degree: (JK)_d is spanned by the algebra elements of
+    degree d - c applied to K_c, all of them in one action, for each lower
+    degree c; the multiplicity of the simple of class r is read off by
+    applying its idempotent.
     """
-    A, amb = syz.ambient.algebra, syz.ambient
+    A = amb.algebra
     out = []
-    pos_elems = [(a, da) for a, da in enumerate(A.degrees.tolist()) if da >= 1]
-    by_degree = {d: syz.columns[:, syz.degrees == d] for d in sorted(set(syz.degrees.tolist()))}
-    for d, kd in by_degree.items():
-        jk = np.concatenate(
-            [np.zeros((amb.dim, 0), dtype=np.int64)]
-            + [amb.act(a, by_degree[d - da]) for a, da in pos_elems if d - da in by_degree],
-            axis=1,
-        )
+    for d, kd in syz.items():
+        jk = [np.zeros((len(kd), 0), dtype=np.int64)]
+        for c, kc in syz.items():
+            if c < d:  # the elements of degree d - c that act on degree c at all
+                acts = A.mult_coeff[: A.dim, amb.element[amb.at[c]]].any(axis=1)
+                elems = ((A.degrees == d - c) & acts).nonzero()[0]
+                jk.append(amb.act(elems.repeat(kc.shape[1]), np.tile(kc, len(elems)), c, d))
+        jk = np.concatenate(jk, axis=1)
+        jk = jk[:, jk.any(axis=0)]  # zero columns span nothing; rref need not read them
         for label, e, _ in A.idempotents:
-            ek = amb.act(e, kd)
-            out.extend((label, d, ek[:, c]) for c in independent_columns(jk, ek, A.p))
+            ek = amb.act(e, kd, d, d)
+            out.extend((label, d, ek[:, i]) for i in independent_columns(jk, ek, A.p))
     return out
 
 
-def next_syzygy(syz: Syzygy, gens) -> Syzygy:
-    """Kernel of the projective cover built on ``gens`` mapping onto syz."""
-    A = syz.ambient.algebra
-    p = A.p
+def next_syzygy(amb: ProjectiveSum, gens, step: int):
+    """(cover, kernel) of the projective cover built on ``gens``, all in
+    degree ``step``, mapping onto the submodule of ``amb`` they generate; the
+    kernel is {degree t: columns over the cover's degree-t basis}, one
+    action and one kernel per degree of the cover."""
+    A = amb.algebra
     idx_of = {label: e for label, e, _ in A.idempotents}
-    cover = ProjectiveSum(A, [(idx_of[label], d) for label, d, _ in gens])
-    targets = np.column_stack(
-        [np.zeros((syz.ambient.dim, 0), dtype=np.int64)] + [v for _, _, v in gens]
-    )
-    phi = np.zeros((syz.ambient.dim, cover.dim), dtype=np.int64)
-    for b in np.unique(cover.element).tolist():
-        cols = np.nonzero(cover.element == b)[0]
-        phi[:, cols] = syz.ambient.act(b, targets[:, cover.summand[cols]])
-    ker = kernel_basis(phi, p)
-    # kernel vectors of a graded map are homogeneous (elimination only combines
-    # rows of one degree), so each column's degree is read at its first nonzero
-    return Syzygy(cover, ker, cover.degrees[(ker != 0).argmax(axis=0)])
+    cover = ProjectiveSum(A, [(idx_of[label], step) for label, _, _ in gens])
+    targets = np.column_stack([v for _, _, v in gens])
+    ker = {}
+    for t, at in cover.at.items():
+        k = kernel_basis(amb.act(cover.element[at], targets[:, cover.summand[at]], step, t), A.p)
+        if k.shape[1]:
+            ker[t] = k
+    return cover, ker
 
 
 def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
@@ -230,18 +219,22 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
 
     For every simple module, computes the minimal graded projective
     resolution and reports the internal degrees of the generators of each
-    syzygy; linear means the i-th syzygy is generated exactly in degree i.
+    syzygy; linear means the i-th syzygy is generated exactly in degree i,
+    and the probe of a simple stops at the first step where it is not.
     """
     if hbound < 1:
         raise ValueError("hbound must be >= 1")
     report = {"hbound": hbound, "simples": [], "linear": True}
     for label, e, _ in algebra.idempotents:
         entry = {"simple": label, "steps": [], "witness": None}
-        syz = simple_socle_start(algebra, e)
+        # the first syzygy is the positive-degree part of A.e (exact because
+        # degree 0 is semisimple, so J = A_{>0})
+        amb = ProjectiveSum(algebra, [(e, 0)])
+        syz = {d: np.eye(at.stop - at.start, dtype=np.int64) for d, at in amb.at.items() if d >= 1}
         for step in range(1, hbound + 1):
-            if syz.dim == 0:
+            if not syz:
                 break
-            gens = minimal_generators(syz)
+            gens = minimal_generators(amb, syz)
             degs = sorted(set(d for _, d, _ in gens))
             entry["steps"].append({"syzygy": step, "generator_degrees": degs})
             if degs != [step]:
@@ -249,6 +242,6 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
                 entry["witness"] = [step, bad]
                 report["linear"] = False
                 break
-            syz = next_syzygy(syz, gens)
+            amb, syz = next_syzygy(amb, gens, step)
         report["simples"].append(entry)
     return report

@@ -7,8 +7,8 @@ finds pivots from the positions of the nonzero entries alone; what it
 leaves is a dense core.  All elimination goes through ``rref``, a sparse
 left-looking row reduction (after Faugere-Lachartre and SpaSM): it reads
 the nonzeros of a matrix once, holds each row as a dict of Python ints, so
-no product can overflow, and writes only the reduced rows back into a
-dense array.  The cores it meets are 0.2-7% nonzero and fill in little.
+no product can overflow, and returns only its pivot rows, as a dense
+(rank, n) array.  The cores it meets are 0.2-7% nonzero and fill in little.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ MAX_MODULUS = 1 << 24
 # Largest dense core dgmodule._column_cohomology will allocate, in entries
 # (dgmodule reads this bound too).  The e = f = 5 round trip at p = 3, seed
 # 2024, trials 0-2 needs at most a 4760 x 5150 core (24.5M entries); 64M
-# entries (512 MB as int64, and as much address space again for rref's
-# zeroed output, of which only the pivot rows are written) is a margin of
-# 2.61 over it.  Trial 3 needs a 7930 x 13400 core (106M entries) and is
-# refused.  rref refuses to hold more than MAX_RANK_CELLS // 8 entries in
-# its rows, since a dict entry of Python ints costs about 8 int64 cells, so
-# sparse rows stay within the same 512 MB; trials 0-2 hold at most 17,758.
+# entries (512 MB as int64, plus rref's (rank, n) output, which is never
+# larger than the core) is a margin of 2.61 over it.  Trial 3 needs a
+# 7930 x 13400 core (106M entries) and is refused.  rref refuses to hold
+# more than MAX_RANK_CELLS // 8 entries in its rows, since a dict entry of
+# Python ints costs about 8 int64 cells, so sparse rows stay within the
+# same 512 MB; trials 0-2 hold at most 17,758.
 MAX_RANK_CELLS = 64_000_000
 
 
@@ -85,8 +85,9 @@ def _subtract(row: dict, f: int, pivot: dict, p: int):
 
 
 def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form over GF(p).  Returns (reduced copy, rank,
-    pivot columns); the copy is int64 with entries in [0, p).
+    """Reduced row echelon form over GF(p).  Returns (pivot rows, rank,
+    pivot columns): the nonzero rows of the reduced form, a (rank, n) int64
+    array with entries in [0, p).
 
     Sparse left-looking elimination: the nonzeros of ``a`` mod p become one
     dict {column: value} per row, and rows are taken shortest first.  Each
@@ -138,7 +139,7 @@ def rref(a: np.ndarray, p: int):
             _subtract(row, row[c], pivot_rows[c], p)
         held += len(row)
         check_fill()
-    r = np.zeros((m, n), dtype=np.int64)
+    r = np.zeros((len(pivots), n), dtype=np.int64)
     lens = [len(pivot_rows[c]) for c in pivots]
     r[np.arange(len(pivots)).repeat(lens), [k for c in pivots for k in pivot_rows[c]]] = [
         v for c in pivots for v in pivot_rows[c].values()
@@ -214,10 +215,10 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     if m == 0 or not a.any():
         return np.eye(n, dtype=np.int64)
-    r, rank_, pivots = rref(a, p)
+    r, _, pivots = rref(a, p)
     pivot_set = set(pivots.tolist())
     free = [j for j in range(n) if j not in pivot_set]
     k = np.zeros((n, len(free)), dtype=np.int64)
     k[free, range(len(free))] = 1
-    k[pivots] = (-r[:rank_, free]) % p
+    k[pivots] = (-r[:, free]) % p
     return k

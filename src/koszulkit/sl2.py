@@ -29,23 +29,19 @@ from .projline import cohomology_P1
 TWISTS = (-1, -2)
 SHIFTS = (0, 1)
 
-# Largest block and deepest Koszulity probe a report accepts: the costliest
-# accepted report (p = 23, hbound 8) peaks at 657 MB and 4.5 s on 2 cores;
-# p = 29 at hbound 8 takes 1.5 GB, and hbound 16 takes 985 MB at p = 19.
+# Largest block and deepest Koszulity probe a report accepts.  In process on
+# 2 cores (wall time, peak RSS), the costliest accepted report, p = 23 at
+# hbound 8, takes 0.6 s at 141 MB.  With the limits lifted, p = 29 at
+# hbound 8 takes 1.5 s at 310 MB, p = 37 takes 4.0 s at 773 MB (most of it
+# building and checking the block), and hbound 16 at p = 19 takes 1.2 s at
+# 178 MB.
 MAX_BLOCK_DIM = 1058
 MAX_HBOUND = 8
 
 
-class ExtTable:
-    """Graded Hom between twisted zero sections, dims per Ext degree."""
-
-    def __init__(self, a: int, b: int, dims: dict[int, int]):
-        self.a, self.b = a, b
-        self.dims = {int(k): int(v) for k, v in dims.items() if v}
-
-
-def ext_zero_sections(a: int, b: int, p: int = 3) -> ExtTable:
-    """Ext between zero sections twisted by a and b on the cotangent line.
+def ext_zero_sections(a: int, b: int, p: int = 3) -> dict[int, int]:
+    """Dims of Ext^i, where nonzero, between zero sections twisted by a and
+    b on the cotangent line.
 
     Hom(-, O(b)) applied to the length-one resolution twisted by a gives a
     two-term complex whose connecting map vanishes on the zero section, so
@@ -58,13 +54,13 @@ def ext_zero_sections(a: int, b: int, p: int = 3) -> ExtTable:
         v = (first[i] if i < 2 else 0) + (second[i - 1] if 0 <= i - 1 < 2 else 0)
         if v:
             dims[i] = v
-    return ExtTable(a, b, dims)
+    return dims
 
 
 def block_ext_dims(r: int, s: int, p: int = 3) -> dict[int, int]:
     """Dims per block degree of Hom(summand s, summand r), shift-corrected."""
     raw = ext_zero_sections(TWISTS[s], TWISTS[r], p)
-    return {d + SHIFTS[s] - SHIFTS[r]: v for d, v in raw.dims.items()}
+    return {d + SHIFTS[s] - SHIFTS[r]: v for d, v in raw.items()}
 
 
 def _check_lambda(p: int, lam: int):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit.blockalg import BlockAlgebra, ProjectiveSum, minimal_generators, simple_socle_start
+import dense_reference
+import probe_reference
+from koszulkit.blockalg import BlockAlgebra, ProjectiveSum, minimal_generators, next_syzygy
 from koszulkit.projline import cohomology_P1
 from koszulkit.sl2 import (
     anti_automorphism_check,
@@ -53,20 +55,20 @@ def test_P1_closed_form(d, p):
 # -- Ext tables ---------------------------------------------------------------
 
 def test_ext_self():
-    assert ext_zero_sections(0, 0).dims == {0: 1, 2: 1}
+    assert ext_zero_sections(0, 0) == {0: 1, 2: 1}
 
 
 def test_ext_twist_down():
-    assert ext_zero_sections(-1, 0).dims == {0: 2}
+    assert ext_zero_sections(-1, 0) == {0: 2}
 
 
 def test_ext_twist_up():
-    assert ext_zero_sections(0, -1).dims == {2: 2}
+    assert ext_zero_sections(0, -1) == {2: 2}
 
 
 def test_ext_independent_of_common_twist():
     for shift in (-2, 1, 3):
-        assert ext_zero_sections(shift, shift).dims == {0: 1, 2: 1}
+        assert ext_zero_sections(shift, shift) == {0: 1, 2: 1}
 
 
 def test_block_ext_pattern():
@@ -223,8 +225,9 @@ def test_poincare_singular_constant():
 
 def test_first_syzygy_generators_degree_one():
     A = build_regular_block(3, 0)
-    syz = simple_socle_start(A, A.idempotents[0][1])
-    degs = sorted(set(d for _, d, _ in minimal_generators(syz)))
+    amb = ProjectiveSum(A, [(A.idempotents[0][1], 0)])
+    syz = {d: np.eye(at.stop - at.start, dtype=np.int64) for d, at in amb.at.items() if d >= 1}
+    degs = sorted(set(d for _, d, _ in minimal_generators(amb, syz)))
     assert degs == [1]
 
 
@@ -240,6 +243,58 @@ def test_koszulity_singular_trivial():
     assert rep["linear"]
     for entry in rep["simples"]:
         assert entry["steps"] == []
+
+
+def truncated_polynomial(n, p=3):
+    """k[x]/(x^n) with x in degree 1, as a BlockAlgebra; basis x^0 .. x^(n-1)."""
+    products = np.array([(i, j, i + j, 1) for i in range(n) for j in range(n) if i + j < n]).T
+    return BlockAlgebra(p, range(n), range(n), products, [0], [("k", 0, 1)], {n - 1: 1})
+
+
+def test_koszulity_fails_on_the_cubic_truncation():
+    # the simple's first syzygy (x, x^2) is generated by x in degree 1; the
+    # cover x^i -> x^(i+1) has kernel x^2 in degree 3, the second syzygy
+    rep = koszulity_probe(truncated_polynomial(3), 4)
+    assert not rep["linear"]
+    (entry,) = rep["simples"]
+    assert [s["generator_degrees"] for s in entry["steps"]] == [[1], [3]]
+    assert entry["witness"] == [2, 3]
+
+
+def test_koszulity_holds_on_the_dual_numbers():
+    rep = koszulity_probe(truncated_polynomial(2), 8)
+    assert rep["linear"]
+    (entry,) = rep["simples"]
+    assert [s["generator_degrees"] for s in entry["steps"]] == [[i] for i in range(1, 9)]
+    assert entry["witness"] is None
+
+
+def skew_algebra(p=5):
+    """k<x, y>/(x^2, y^2, xy) with x in degree 1 and y in degree 2; basis 1,
+    x, y, yx.  Its radical needs y as a generator, and yx is reached from x
+    only by the degree-2 element y."""
+    products = np.array([(0, b, b, 1) for b in range(4)] + [(b, 0, b, 1) for b in range(1, 4)] + [(2, 1, 3, 1)]).T
+    return BlockAlgebra(p, ["1", "x", "y", "yx"], [0, 1, 2, 3], products, [0], [("k", 0, 1)], {3: 1})
+
+
+def test_koszulity_sees_a_generator_above_degree_one():
+    (entry,) = koszulity_probe(skew_algebra(), 4)["simples"]
+    assert entry["steps"] == [{"syzygy": 1, "generator_degrees": [1, 2]}] and entry["witness"] == [1, 2]
+
+
+def probe_algebras():
+    yield from small_algebras()
+    yield skew_algebra()
+    yield build_singular_block(3)
+    yield build_singular_block(5)
+    yield truncated_polynomial(2)
+    yield truncated_polynomial(3)
+
+
+@pytest.mark.parametrize("hbound", range(1, 7))
+def test_koszulity_probe_matches_the_dense_reference(hbound):
+    for A in probe_algebras():
+        assert koszulity_probe(A, hbound) == probe_reference.koszulity_probe(A, hbound)
 
 
 def test_degree_zero_part_is_matrix_product():
@@ -373,14 +428,34 @@ def test_act_on_matrix_matches_per_element_loop(p):
         (_, e0, _), (_, e1, _) = A.idempotents
         amb = ProjectiveSum(A, [(e0, 0), (e1, 1), (e0, 2)])
         basis = [(g, b) for g, (e, _) in enumerate(amb.summands) for b in reference_column_basis(A, e)]
-        assert list(zip(amb.summand.tolist(), amb.element.tolist())) == basis
-        assert amb.degrees.tolist() == [int(A.degrees[b]) + amb.summands[g][1] for g, b in basis]
-        x = rng.integers(0, p, size=(amb.dim, 4))
-        x[:, 1] = 0
-        for a in range(A.dim):
-            want = np.stack([reference_act(amb, a, x[:, c]) for c in range(x.shape[1])], axis=1)
-            assert (amb.act(a, x) == want).all()
-            assert (amb.act(a, x[:, 0]) == want[:, 0]).all()
+        degrees = [int(A.degrees[b]) + amb.summands[g][1] for g, b in basis]
+        # the basis is the reference's, stably sorted by degree
+        order = sorted(range(len(basis)), key=degrees.__getitem__)
+        assert list(zip(amb.summand.tolist(), amb.element.tolist())) == [basis[i] for i in order]
+        assert amb.degrees.tolist() == [degrees[i] for i in order]
+        assert [n for at in amb.at.values() for n in range(at.start, at.stop)] == list(range(len(basis)))
+        assert all((amb.degrees[at] == d).all() for d, at in amb.at.items())
+        order = np.array(order)
+
+        def reference(a, x, d, t):
+            """Columns of x, over the degree-d basis, acted on one at a time
+            in the reference basis; the result must lie in degree t."""
+            full = np.zeros((len(basis), x.shape[1]), dtype=np.int64)
+            full[order[amb.at[d]]] = x
+            out = np.stack([reference_act(amb, a[c], full[:, c]) for c in range(x.shape[1])], axis=1)
+            dst = order[amb.at.get(t, slice(0, 0))]
+            assert not np.delete(out, dst, axis=0).any()
+            return out[dst]
+
+        for d, at in amb.at.items():
+            x = rng.integers(0, p, size=(at.stop - at.start, 4))
+            x[:, 1] = 0
+            for a in range(A.dim):
+                t = d + int(A.degrees[a])
+                assert (amb.act(a, x, d, t) == reference([a] * 4, x, d, t)).all()
+            for da in set(A.degrees.tolist()):
+                a = rng.choice((A.degrees == da).nonzero()[0], 4)
+                assert (amb.act(a, x, d, d + da) == reference(a, x, d, d + da)).all()
 
 
 def test_graded_cartan_matches_per_pair_loop():
@@ -444,24 +519,30 @@ def test_block_report_bytes_pinned(p, lam):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[(p, lam)]
 
 
-def test_syzygy_kernel_vectors_are_homogeneous(monkeypatch):
-    """next_syzygy reads each kernel vector's degree at its first nonzero:
-    every vector it returns on the pinned blocks lies in that one degree."""
+def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
+    """Each per-degree block K_t that next_syzygy returns on the pinned
+    blocks is a kernel of its map phi_t (the generators acted on by the
+    cover's degree-t basis) of full nullity: phi_t K_t = 0 mod p, and its
+    columns are independent and number cols(phi_t) - rank(phi_t)."""
     from koszulkit import blockalg
 
-    calls, next_syzygy = [], blockalg.next_syzygy
+    blocks = []
 
-    def recording(syz, gens):
-        calls.append(next_syzygy(syz, gens))
-        return calls[-1]
+    def recording(amb, gens, step):
+        cover, ker = next_syzygy(amb, gens, step)
+        targets = np.column_stack([v for _, _, v in gens])
+        for t, at in cover.at.items():
+            phi = amb.act(cover.element[at], targets[:, cover.summand[at]], step, t)
+            blocks.append((phi, ker.get(t, np.zeros((phi.shape[1], 0), dtype=np.int64)), cover.algebra.p))
+        return cover, ker
 
     monkeypatch.setattr(blockalg, "next_syzygy", recording)
     for p, lam in REPORT_SHA256:
         block_report(p, lam)
-    assert len(calls) > 20
-    for syz in calls:
-        for c in range(syz.dim):
-            assert set(syz.ambient.degrees[syz.columns[:, c] != 0].tolist()) == {int(syz.degrees[c])}
+    assert len(blocks) > 100 and sum(k.shape[1] > 0 for _, k, _ in blocks) > 50
+    for phi, k, p in blocks:
+        assert not (phi @ k % p).any()
+        assert dense_reference.rank(k, p) == k.shape[1] == phi.shape[1] - dense_reference.rank(phi, p)
 
 
 # -- the matrix-unit builders against the per-pair builders they replaced ------
