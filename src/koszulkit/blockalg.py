@@ -4,20 +4,22 @@ module machinery behind the Koszulity probe.
 A BlockAlgebra has a basis whose pairwise products are single basis
 elements with a scalar coefficient (all the algebras built here are of
 this monomial shape).  It is built from product arrays (a, b, c, coeff)
-into dense tables with an extra "zero" slot so that products vectorize;
-associativity, unitality and grading multiplicativity are machine-checked
-on construction, associativity only on the triples where a side can be
-nonzero, which is exact because products are monomial.  Every consumer
-(the Frobenius form, the anti-automorphism and Cartan checks, idempotent
-columns and the action on projectives) gathers from
-``mult_idx``/``mult_coeff`` directly.
+into dense tables with an extra "zero" slot so that products vectorize,
+and lists the positions of its nonzero products once
+(``nonzero_products``).  The checks read only those: the grading and the
+unit on construction, associativity on the triples where (ab)c is nonzero,
+joined in slices of bounded size and counted against the triples where
+a(bc) is, which is exact because products are monomial, and in ``sl2`` the
+Frobenius form and the anti-automorphism.  Idempotent columns, the Cartan
+table and the action on projectives gather from ``mult_idx``/``mult_coeff``
+directly.
 
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
 held one degree at a time, as {degree d: columns over the basis in degree
 d}, so every degree is known by construction.  ``ProjectiveSum.act`` maps
-columns in one degree to another in one gather, acting by one algebra
-element or by one per column.  Minimal projective covers are computed
+columns in one degree to another in one gather from the nonzero entries
+of the columns, acting by one algebra element or by one per column.  Minimal projective covers are computed
 degreewise by splitting the radical, which is the positive-degree part
 because degree 0 is semisimple; every elimination is a ``linalg.rref`` of
 one degree's block.
@@ -25,9 +27,16 @@ one degree's block.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .linalg import check_modulus, independent_columns, kernel_basis, sorted_join
+from .linalg import check_modulus, independent_columns, kernel_basis
+
+# Triples is_associative compares at once, whatever the block's size.  A
+# slice holds several int64 arrays of this length: at p = 37 (limits
+# lifted, 7.1M triples) is_associative peaks at 72 MB (tracemalloc).
+ASSOCIATIVITY_SLICE = 1 << 20
 
 
 class BlockAlgebra:
@@ -65,50 +74,75 @@ class BlockAlgebra:
         if problems:
             raise ValueError("; ".join(problems))
 
+    @functools.cached_property
+    def nonzero_products(self):
+        """Positions (a, b) of the nonzero products, sorted by a, then b."""
+        return np.nonzero(self.mult_coeff[: self.dim, : self.dim])
+
     # -- axioms -----------------------------------------------------------
     def check_axioms(self) -> list[str]:
         issues = []
         dim, p = self.dim, self.p
-        idx, cf = self.mult_idx, self.mult_coeff
+        x, y = self.nonzero_products
+        xy, coeff = self.mult_idx[x, y], self.mult_coeff[x, y]
         # grading: deg(ab) = deg a + deg b on nonzero products
-        a_idx, b_idx = np.nonzero(cf[:dim, :dim])
-        prod = idx[a_idx, b_idx]
-        if not (self.degrees[prod] == self.degrees[a_idx] + self.degrees[b_idx]).all():
+        if not (self.degrees[xy] == self.degrees[x] + self.degrees[y]).all():
             issues.append("grading is not multiplicative")
-        # unit: row b of table is (sum of units).b, resp. b.(sum of units),
-        # with the zero slot last
-        basis = np.arange(dim)[:, None]
-        units = np.asarray(self.unit_indices, dtype=np.int64)[None, :]
-        for side, pos in (("left", (units, basis)), ("right", (basis, units))):
-            table = np.zeros((dim, dim + 1), dtype=np.int64)
-            np.add.at(table, (basis, idx[pos]), cf[pos])
-            bad = (table % p != np.eye(dim, dim + 1, dtype=np.int64)).any(axis=1).nonzero()[0]
-            if len(bad):
-                issues.append(f"unit fails on the {side} at basis {bad[0]}")
+        # unit: (sum of units).b = b = b.(sum of units), a unit listed k times
+        # counting k times.  The nonzero products u.b (resp. b.u) are summed
+        # by (b, target); b fails unless its only nonzero sum is 1 at b.
+        times = np.bincount(np.asarray(self.unit_indices, dtype=np.int64), minlength=dim)
+        for side, u, b in (("left", x, y), ("right", y, x)):
+            on = times[u] > 0
+            key, group = np.unique(b[on] * (dim + 1) + xy[on], return_inverse=True)
+            sums = np.zeros(len(key), dtype=np.int64)
+            np.add.at(sums, group, coeff[on] * times[u[on]])
+            row, target = np.divmod(key, dim + 1)
+            bad = np.ones(dim, dtype=bool)
+            bad[row[row == target]] = False
+            bad[row[sums % p != (row == target)]] = True
+            if bad.any():
+                issues.append(f"unit fails on the {side} at basis {bad.argmax()}")
         if not self.is_associative():
             issues.append("multiplication is not associative")
         return issues
 
     def is_associative(self) -> bool:
-        """(ab)c == a(bc) for all basis triples.
+        """(ab)c == a(bc) for all basis triples, read from nonzero products.
 
-        Products are monomial, so (ab)c is nonzero only on triples where ab
-        and then (ab).c are nonzero, and a(bc) only where bc and a.(bc) are.
-        Both sides vanish off these two triple sets, so comparing them on
-        the union is exact.  A zero product sits at the zero slot, whose
+        Products are monomial, so (ab)c is nonzero exactly on the triples
+        where ab and then (ab).c are nonzero products, and a(bc) exactly
+        where bc and a.(bc) are.  One join lists the first set, in slices of
+        ASSOCIATIVITY_SLICE triples, and compares the two sides there, so
+        a(bc) is nonzero on each of them.  The second set has, for each
+        nonzero bc, as many triples as column bc has nonzero products; when
+        the two sets have the same size they are equal, and both sides
+        vanish off them.  A zero product sits at the zero slot, whose
         products are zero, so indices compare as they are.
         """
         dim, p = self.dim, self.p
-        idx, cf = self.mult_idx, self.mult_coeff
-        x, y = np.nonzero(cf[:dim, :dim])  # nonzero products xy, sorted by x
-        ty, tx = np.nonzero(cf[:dim, :dim].T)  # the same, sorted by y
-        # one set at a time, for memory: xy = ab joins rows, xy = bc joins columns
-        for by, other, joins_rows in ((x, y, True), (ty, tx, False)):
-            n, m = sorted_join(idx[x, y], by)
-            a, b, c = (x[n], y[n], other[m]) if joins_rows else (other[m], x[n], y[n])
-            ab, bc = idx[a, b], idx[b, c]
-            same_c = cf[a, b] * cf[ab, c] % p == cf[b, c] * cf[a, bc] % p
-            if not ((idx[ab, c] == idx[a, bc]).all() and same_c.all()):
+        x, y = self.nonzero_products
+        xy, coeff = self.mult_idx[x, y], self.mult_coeff[x, y]
+        in_row = np.bincount(x, minlength=dim + 1)
+        per = in_row[xy]  # the triples (a, b, c) with ab = product n: one per product (ab).c
+        triples = int(per.sum())
+        if triples != np.bincount(y, minlength=dim + 1)[xy].sum():
+            return False
+        ends, row_start = per.cumsum(), np.r_[0, in_row.cumsum()]
+        idx, cf = self.mult_idx.ravel(), self.mult_coeff.ravel()  # a.b at a * (dim + 1) + b
+        for lo in range(0, triples, ASSOCIATIVITY_SLICE):
+            k = np.arange(lo, min(lo + ASSOCIATIVITY_SLICE, triples))
+            # triple k is product n = ab times product m = (ab).c; the slice
+            # meets the triples of products first to last
+            first, last = ends.searchsorted(k[[0, -1]], "right")
+            n = np.arange(first, last + 1).repeat(per[first : last + 1])
+            n = n[lo - ends[first] + per[first] :][: len(k)]
+            m = row_start[xy[n]] + k - ends[n] + per[n]
+            bc = y[n] * (dim + 1) + y[m]
+            a_bc = x[n] * (dim + 1) + idx[bc]
+            if not (xy[m] == idx[a_bc]).all():
+                return False
+            if not (coeff[n] * coeff[m] % p == cf[bc] * cf[a_bc] % p).all():
                 return False
         return True
 
@@ -159,16 +193,20 @@ class ProjectiveSum:
     def act(self, a, x: np.ndarray, d: int, t: int) -> np.ndarray:
         """a.x for x columns over the degree-d basis, as columns over the
         degree-t basis; ``a`` is one algebra element of degree t - d, or one
-        per column."""
+        per column.  Only the nonzero entries of x are gathered."""
         A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
         a = np.broadcast_to(a, x.shape[1:])
-        element = self.element[src]
-        scaled = A.mult_coeff[a, element[:, None]] * x  # entry (n, c): coefficient of a_c.b_n times x
-        n, c = scaled.nonzero()
-        rows = self.row[self.summand[src][n], A.mult_idx[a[c], element[n]]] - dst.start
+        at = np.flatnonzero(x != 0)
+        n, c = np.divmod(at, x.shape[1])
+        a, b = a[c], self.element[src.start + n]
+        vals = A.mult_coeff[a, b] * x.ravel()[at]  # coefficient of a_c.b_n times x
+        live = vals.nonzero()[0]
+        n, c, vals = n[live], c[live], vals[live]
+        rows = self.row[self.summand[src.start + n], A.mult_idx[a[live], b[live]]] - dst.start
         out = np.zeros((dst.stop - dst.start, x.shape[1]), dtype=np.int64)
-        np.add.at(out, (rows, c), scaled[n, c])
-        return out % A.p
+        np.add.at(out, (rows, c), vals)
+        out[rows, c] %= A.p  # only the entries written can be p or more
+        return out
 
 
 def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blockalg import BlockAlgebra
 from .blockalg import koszulity_probe as _koszulity_probe
-from .linalg import check_modulus, rank
+from .linalg import check_modulus, rank, structural_pivots
 from .projline import cohomology_P1
 
 # underlying line-bundle twists and homological shifts of the two zero
@@ -31,10 +31,11 @@ SHIFTS = (0, 1)
 
 # Largest block and deepest Koszulity probe a report accepts.  In process on
 # 2 cores (wall time, peak RSS), the costliest accepted report, p = 23 at
-# hbound 8, takes 0.6 s at 141 MB.  With the limits lifted, p = 29 at
-# hbound 8 takes 1.5 s at 310 MB, p = 37 takes 4.0 s at 773 MB (most of it
-# building and checking the block), and hbound 16 at p = 19 takes 1.2 s at
-# 178 MB.
+# hbound 8, takes 0.2 s at 115 MB.  With the limits lifted, p = 29 at
+# hbound 8 takes 0.45 s at 146 MB and p = 37 takes 1.0 s at 268 MB: its
+# dense product tables hold 120 MB, one associativity slice about 70 MB
+# and the probe about 125 MB (tracemalloc).  hbound 16 at p = 19 takes
+# 0.35 s at 112 MB (lambda 0) and 0.8 s at 204 MB (lambda 4).
 MAX_BLOCK_DIM = 1058
 MAX_HBOUND = 8
 
@@ -228,19 +229,33 @@ def quiver_presentation(p: int, lam: int) -> dict:
 
 
 def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
-    """Gram data of the form (x, y) -> trace component of xy in topdeg."""
+    """Gram data of the form (x, y) -> trace component of xy in topdeg.
+
+    The Gram matrix is held as its entries, read from the nonzero products:
+    it is symmetric when its entries transposed are its entries, graded
+    when every entry pairs degrees summing to topdeg, and its rank is the
+    number of structural pivots plus the rank of the dense core they leave.
+    """
     dim, p = algebra.dim, algebra.p
     trace = np.zeros(dim + 1, dtype=np.int64)  # the zero slot traces to 0
     for i, v in algebra.trace.items():
         trace[i] = v % p
-    gram = algebra.mult_coeff[:dim, :dim] * trace[algebra.mult_idx[:dim, :dim]] % p
-    symmetric = (gram == gram.T).all()
-    degree_sum = algebra.degrees[:, None] + algebra.degrees[None, :]
-    graded = ((gram == 0) | (degree_sum == topdeg)).all()
-    rk = rank(gram, p)
+    x, y = algebra.nonzero_products
+    v = algebra.mult_coeff[x, y] * trace[algebra.mult_idx[x, y]] % p
+    live = v.nonzero()[0]
+    x, y, v = x[live], y[live], v[live]  # sorted by x, then y
+    t = np.lexsort((x, y))  # the transposed entries, sorted the same way
+    symmetric = (x == y[t]).all() and (y == x[t]).all() and (v == v[t]).all()
+    graded = (algebra.degrees[x] + algebra.degrees[y] == topdeg).all()
+    pivot_rows, _, left = structural_pivots(x, y, dim)
+    core_rows, r = np.unique(x[left], return_inverse=True)
+    core_cols, c = np.unique(y[left], return_inverse=True)
+    core = np.zeros((len(core_rows), len(core_cols)), dtype=np.int64)
+    core[r, c] = v[left]
+    rk = int(pivot_rows.sum()) + rank(core, p)
     return {
         "topdeg": topdeg,
-        "gram_rank": int(rk),
+        "gram_rank": rk,
         "dim": dim,
         "nondegenerate": rk == dim,
         "symmetric": bool(symmetric),
@@ -260,19 +275,23 @@ def _antiauto_image(label):
 
 def anti_automorphism_check(algebra: BlockAlgebra) -> dict:
     """Exhaustive check that transposition with arrow swap is a graded
-    anti-automorphism squaring to the identity."""
+    anti-automorphism squaring to the identity.
+
+    The label map is an involution, so perm permutes the basis and
+    (a, b) -> (perm b, perm a) permutes the pairs.  Each nonzero product ab
+    must match phi(b) phi(a); that maps the nonzero products onto
+    themselves, so the zero products onto zero products too.
+    """
     dim = algebra.dim
     perm = np.array([algebra.index[_antiauto_image(l)] for l in algebra.labels], dtype=np.int64)
     phi = np.append(perm, dim)  # fixes the zero slot, where every zero product lands
-    idx, coeff = algebra.mult_idx[:dim, :dim], algebra.mult_coeff[:dim, :dim]
-    # entry (a, b) of the phi-permuted transpose is the product phi(b) phi(a)
-    swapped = np.ix_(perm, perm)
+    idx, coeff = algebra.mult_idx, algebra.mult_coeff
+    a, b = algebra.nonzero_products
+    ba = perm[b], perm[a]  # the product phi(b) phi(a)
     return {
         "involution": bool((perm[perm] == np.arange(dim)).all()),
         "degree_preserving": bool((algebra.degrees[perm] == algebra.degrees).all()),
-        "antimultiplicative": bool(
-            (coeff == coeff[swapped].T).all() and (phi[idx] == idx[swapped].T).all()
-        ),
+        "antimultiplicative": bool((coeff[ba] == coeff[a, b]).all() and (idx[ba] == phi[idx[a, b]]).all()),
     }
 
 

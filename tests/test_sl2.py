@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 import probe_reference
+from koszulkit import blockalg
 from koszulkit.blockalg import BlockAlgebra, ProjectiveSum, minimal_generators, next_syzygy
 from koszulkit.projline import cohomology_P1
 from koszulkit.sl2 import (
@@ -694,14 +696,40 @@ def mutated_block(seed, mutation):
         dead = np.argwhere(coeff[:dim, :dim] == 0)
         a, b = dead[rng.integers(len(dead))]
         idx[a, b], coeff[a, b] = rng.integers(0, dim), rng.integers(1, p)
-    return tables_only(p, idx, coeff)
+    B = tables_only(p, idx, coeff)
+    B.labels, B.index, B.degrees, B.unit_indices, B.trace = A.labels, A.index, A.degrees, A.unit_indices, A.trace
+    return B
 
 
+def associativity_input(seed, kind):
+    return random_monomial_table(seed) if kind == "random" else mutated_block(seed, kind)
+
+
+@pytest.mark.parametrize("triples", [1, 5, blockalg.ASSOCIATIVITY_SLICE])
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("random",) + MUTATIONS))
-def test_is_associative_matches_dense_loop(seed, kind):
-    A = random_monomial_table(seed) if kind == "random" else mutated_block(seed, kind)
-    assert A.is_associative() == reference_is_associative(A)
+def test_is_associative_matches_dense_loop(triples, seed, kind):
+    """Slices of 1 and 5 triples end inside one product's triples."""
+    A = associativity_input(seed, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blockalg, "ASSOCIATIVITY_SLICE", triples)
+        assert A.is_associative() == reference_is_associative(A)
+
+
+def test_is_associative_holds_one_slice_of_triples_at_a_time(monkeypatch):
+    """At p = 11 (3,663 nonzero products, 48,884 triples) with slices of
+    1,000 triples, is_associative peaks at about 0.25 MB (tracemalloc); two
+    full joins of the triples, one from each side, peak at 4.2 MB."""
+    A = build_regular_block(11, 0)
+    A = tables_only(A.p, A.mult_idx, A.mult_coeff)  # its nonzero products not yet listed
+    monkeypatch.setattr(blockalg, "ASSOCIATIVITY_SLICE", 1000)
+    tracemalloc.start()
+    try:
+        assert A.is_associative()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_is_associative_sees_each_kind_of_failure():
@@ -727,6 +755,145 @@ def test_associativity_inputs_take_both_verdicts(kind):
     verdicts = {reference_is_associative(A) for A in tables}
     assert (False in verdicts) == (kind != "none")
     assert True in verdicts or kind != "random"
+
+
+# -- the unit, the Frobenius form and the anti-automorphism against the dense code
+
+def reference_check_axioms(self):
+    """check_axioms on dense (dim x dim+1) unit tables, as before it read
+    only nonzero products."""
+    issues = []
+    dim, p = self.dim, self.p
+    idx, cf = self.mult_idx, self.mult_coeff
+    a_idx, b_idx = np.nonzero(cf[:dim, :dim])
+    prod = idx[a_idx, b_idx]
+    if not (self.degrees[prod] == self.degrees[a_idx] + self.degrees[b_idx]).all():
+        issues.append("grading is not multiplicative")
+    basis = np.arange(dim)[:, None]
+    units = np.asarray(self.unit_indices, dtype=np.int64)[None, :]
+    for side, pos in (("left", (units, basis)), ("right", (basis, units))):
+        table = np.zeros((dim, dim + 1), dtype=np.int64)
+        np.add.at(table, (basis, idx[pos]), cf[pos])
+        bad = (table % p != np.eye(dim, dim + 1, dtype=np.int64)).any(axis=1).nonzero()[0]
+        if len(bad):
+            issues.append(f"unit fails on the {side} at basis {bad[0]}")
+    if not reference_is_associative(self):
+        issues.append("multiplication is not associative")
+    return issues
+
+
+def reference_frobenius_form(algebra, topdeg):
+    """The Gram matrix as a dense (dim x dim) table, ranked densely."""
+    dim, p = algebra.dim, algebra.p
+    trace = np.zeros(dim + 1, dtype=np.int64)
+    for i, v in algebra.trace.items():
+        trace[i] = v % p
+    gram = algebra.mult_coeff[:dim, :dim] * trace[algebra.mult_idx[:dim, :dim]] % p
+    symmetric = (gram == gram.T).all()
+    degree_sum = algebra.degrees[:, None] + algebra.degrees[None, :]
+    graded = ((gram == 0) | (degree_sum == topdeg)).all()
+    rk = dense_reference.rank(gram, p)
+    return {
+        "topdeg": topdeg,
+        "gram_rank": int(rk),
+        "dim": dim,
+        "nondegenerate": rk == dim,
+        "symmetric": bool(symmetric),
+        "graded": bool(graded),
+    }
+
+
+def reference_anti_automorphism_check(algebra):
+    """anti_automorphism_check on two dense (dim x dim) gathers."""
+    from koszulkit.sl2 import _antiauto_image
+
+    dim = algebra.dim
+    perm = np.array([algebra.index[_antiauto_image(l)] for l in algebra.labels], dtype=np.int64)
+    phi = np.append(perm, dim)
+    idx, coeff = algebra.mult_idx[:dim, :dim], algebra.mult_coeff[:dim, :dim]
+    swapped = np.ix_(perm, perm)
+    return {
+        "involution": bool((perm[perm] == np.arange(dim)).all()),
+        "degree_preserving": bool((algebra.degrees[perm] == algebra.degrees).all()),
+        "antimultiplicative": bool(
+            (coeff == coeff[swapped].T).all() and (phi[idx] == idx[swapped].T).all()
+        ),
+    }
+
+
+def unit_input(seed, kind):
+    """A table with degrees and a unit list.  A random table is made unital
+    (basis 0 the identity) half the time; a mutated block keeps its unit
+    list, or drops one entry, or lists it twice or p + 1 times (the sum of
+    units is then 2 resp. 1 times the unit)."""
+    rng = np.random.default_rng([seed, 1])
+    A = associativity_input(seed, kind)
+    dim, p = A.dim, A.p
+    if kind == "random":
+        A.degrees = rng.integers(0, 2, size=dim)
+        A.unit_indices = rng.integers(0, dim, size=rng.integers(0, 3)).tolist()
+        if rng.random() < 0.5:
+            for b in range(dim):
+                A.mult_idx[0, b] = A.mult_idx[b, 0] = b
+                A.mult_coeff[0, b] = A.mult_coeff[b, 0] = 1
+            A.unit_indices = [0]
+    else:
+        units = list(A.unit_indices)
+        A.unit_indices = [units, units[1:], 2 * units, (p + 1) * units][int(rng.integers(0, 4))]
+    return A
+
+
+def form_input(seed, kind):
+    """A table with degrees and a trace, and a top degree: a mutated block
+    keeps the block's half the time, and the rest are random."""
+    rng = np.random.default_rng([seed, 2])
+    A = associativity_input(seed, kind)
+    dim, p = A.dim, A.p
+    topdeg = int(A.degrees.max()) if kind != "random" else 2
+    if kind == "random" or rng.random() < 0.5:
+        A.degrees = rng.integers(0, 3, size=dim)
+        keys = rng.integers(0, dim, size=rng.integers(0, 4))
+        A.trace = {int(i): int(v) for i, v in zip(keys, rng.integers(-p, 2 * p, size=len(keys)))}
+        topdeg = int(rng.integers(0, 5))
+    return A, topdeg
+
+
+AXIOM_KINDS = ("random",) + MUTATIONS
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(AXIOM_KINDS))
+def test_unit_check_matches_the_dense_tables(seed, kind):
+    A = unit_input(seed, kind)
+    assert A.check_axioms() == reference_check_axioms(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(AXIOM_KINDS))
+def test_frobenius_form_matches_the_dense_gram(seed, kind):
+    A, topdeg = form_input(seed, kind)
+    assert frobenius_form(A, topdeg) == reference_frobenius_form(A, topdeg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MUTATIONS))
+def test_anti_automorphism_matches_the_dense_gathers(seed, kind):
+    A = mutated_block(seed, kind)
+    assert anti_automorphism_check(A) == reference_anti_automorphism_check(A)
+
+
+def test_dense_check_inputs_take_every_verdict():
+    seeds = range(40)
+    issues = [reference_check_axioms(unit_input(s, k)) for k in AXIOM_KINDS for s in seeds]
+    units = {m.split(" at ")[0] for found in issues for m in found if m.startswith("unit")}
+    assert units == {"unit fails on the left", "unit fails on the right"}
+    assert any(not any(m.startswith("unit") for m in found) for found in issues)
+    forms = [reference_frobenius_form(*form_input(s, k)) for k in AXIOM_KINDS for s in seeds]
+    for field in ("nondegenerate", "symmetric", "graded"):
+        assert {f[field] for f in forms} == {False, True}
+    assert len({f["gram_rank"] for f in forms}) > 10
+    checks = [reference_anti_automorphism_check(mutated_block(s, k)) for k in MUTATIONS for s in seeds]
+    assert {c["antimultiplicative"] for c in checks} == {False, True}
 
 
 # -- one invalid algebra per axiom message ----------------------------------------
