@@ -47,8 +47,11 @@ def _emit(doc: dict, fmt: str, out_path):
     else:
         text = _to_human(doc)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -206,6 +209,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.exit(EXIT_USAGE, f"error: {exc}\n")
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):  # before any work
+            raise ValueError(f"cannot write {args.out}: no directory {os.path.dirname(args.out)}")
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -731,8 +731,10 @@ def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedD
     pass over all of their entries that are nonzero mod p serves every map;
     a pivot counts toward the rank of the map out of its row's cell and
     into its column's.  What is left of each map, its live rows by its live
-    columns, is the only part made dense.  ValueError when a core has more
-    than MAX_RANK_CELLS entries, before any core is allocated.
+    columns, is the only part made dense (``_cores``: 1-4 bytes an entry),
+    and it is ranked at its echelon form, with no reduced rows built.
+    ValueError when a core has more than MAX_RANK_CELLS entries, before
+    any core is allocated.
     """
     n = len(degs)
     if not n:
@@ -764,22 +766,26 @@ def _cores(degs, starts, rows, cols, vals, p: int, ranked):
     """Rank what structural pivots left of each map, its live rows by its
     live columns, as one dense core, and add the rank to ``ranked`` at one
     row and one column of the core.  The cores' source cells and target
-    cells run in the same order.  ValueError when a core has more than
-    MAX_RANK_CELLS entries, before any core is allocated."""
+    cells run in the same order.  A core holds ``vals`` mod p in the
+    narrowest unsigned dtype that holds p, 1-4 bytes an entry (one below
+    256).  ValueError when a core has more than MAX_RANK_CELLS entries,
+    before any core is allocated."""
     core_rows, r = np.unique(rows, return_inverse=True)
     core_cols, c = np.unique(cols, return_inverse=True)
     _, r0, nr = np.unique(np.searchsorted(starts, core_rows, "right"), return_index=True, return_counts=True)
     _, c0, nc = np.unique(np.searchsorted(starts, core_cols, "right"), return_index=True, return_counts=True)
     big = (nr * nc).argmax()
+    dtype = np.min_scalar_type(p)
     if nr[big] * nc[big] > MAX_RANK_CELLS:
         raise ValueError(
             f"the map out of bidegree {tuple(degs[core_rows[r0[big]]].tolist())} needs a dense {nr[big]} x {nc[big]} core "
-            f"({nr[big] * nc[big] * 8:,} bytes as int64), over the limit of {MAX_RANK_CELLS:,} entries"
+            f"({nr[big] * nc[big] * dtype.itemsize:,} bytes as {dtype}), over the limit of {MAX_RANK_CELLS:,} entries"
         )
+    vals = (vals % p).astype(dtype)
     bounds = [*r.searchsorted(r0).tolist(), len(r)]
     for k in range(len(r0)):
         e = slice(bounds[k], bounds[k + 1])
-        a = np.zeros((nr[k], nc[k]), dtype=np.int64)
+        a = np.zeros((nr[k], nc[k]), dtype=dtype)
         a[r[e] - r0[k], c[e] - c0[k]] = vals[e]
         rk = mat_rank(a, p)
         ranked[core_rows[r0[k]]] += rk

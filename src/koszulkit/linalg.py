@@ -1,14 +1,18 @@
 """Exact linear algebra over the prime field GF(p), p an odd prime.
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
-a pure function; no state is shared, so results from concurrent callers are
-safe to combine.  A sparse rank starts with ``structural_pivots``, which
-finds pivots from the positions of the nonzero entries alone; what it
-leaves is a dense core.  All elimination goes through ``rref``, a sparse
-left-looking row reduction (after Faugere-Lachartre and SpaSM): it reads
-the nonzeros of a matrix once, holds each row as a dict of Python ints, so
-no product can overflow, and returns only its pivot rows, as a dense
-(rank, n) array.  The cores it meets are 0.2-7% nonzero and fill in little.
+Matrices are numpy integer arrays; those returned are int64 with entries
+reduced mod p.  Everything is a pure function; no state is shared, so
+results from concurrent callers are safe to combine.  A sparse rank starts
+with ``structural_pivots``, which finds pivots from the positions of the
+nonzero entries alone; what it leaves is a dense core, of 1-4 bytes an
+entry (``dgmodule._cores``).  All elimination goes
+through ``rref``, a sparse left-looking row reduction (after
+Faugere-Lachartre and SpaSM): it reads the nonzeros of a matrix once and
+holds each row as a dict of Python ints, so no product can overflow.
+Callers that need the reduced form get only its pivot rows, as a dense
+(rank, n) array; ``rank`` and ``independent_columns`` stop at the echelon
+form, whose pivot set is already the reduced form's, and build no (rank, n)
+array.  The cores it meets are 0.2-7% nonzero and fill in little.
 """
 
 from __future__ import annotations
@@ -53,14 +57,15 @@ def is_odd_prime(p: int) -> bool:
 MAX_MODULUS = 1 << 24
 
 # Largest dense core dgmodule._column_cohomology will allocate, in entries
-# (dgmodule reads this bound too).  The e = f = 5 round trip at p = 3, seed
-# 2024, trials 0-2 needs at most a 4760 x 5150 core (24.5M entries); 64M
-# entries (512 MB as int64, plus rref's (rank, n) output, which is never
-# larger than the core) is a margin of 2.61 over it.  Trial 3 needs a
+# (dgmodule reads this bound too).  A core entry costs 1-4 bytes: the
+# narrowest unsigned dtype that holds p, one byte below 256.  The e = f = 5
+# round trip at p = 3, seed 2024, trials 0-2 needs at most a 4760 x 5150
+# core (24.5M entries, 24.5 MB); 64M entries is a margin of 2.61 over it,
+# and ranking a core builds no (rank, n) array.  Trial 3 needs a
 # 7930 x 13400 core (106M entries) and is refused.  rref refuses to hold
 # more than MAX_RANK_CELLS // 8 entries in its rows, since a dict entry of
-# Python ints costs about 8 int64 cells, so sparse rows stay within the
-# same 512 MB; trials 0-2 hold at most 17,758.
+# Python ints costs about 8 int64 cells, so sparse rows stay within
+# 512 MB; trials 0-2 hold at most 17,758.
 MAX_RANK_CELLS = 64_000_000
 
 
@@ -84,18 +89,21 @@ def _subtract(row: dict, f: int, pivot: dict, p: int):
             del row[k]
 
 
-def rref(a: np.ndarray, p: int):
+def rref(a: np.ndarray, p: int, reduced: bool = True):
     """Reduced row echelon form over GF(p).  Returns (pivot rows, rank,
     pivot columns): the nonzero rows of the reduced form, a (rank, n) int64
-    array with entries in [0, p).
+    array with entries in [0, p).  With ``reduced`` false it stops at the
+    echelon form and returns (None, rank, pivot columns).
 
     Sparse left-looking elimination: the nonzeros of ``a`` mod p become one
     dict {column: value} per row, and rows are taken shortest first.  Each
     is reduced on its least column against the pivot rows found so far,
     until it is empty or becomes a pivot row, scaled to 1 at that column.
-    Back-substitution then clears every other pivot column, last pivot
-    first: the pivot rows after it are already reduced, so subtracting them
-    never makes a pivot column nonzero again and one pass per row suffices.
+    The pivot rows are then an echelon basis of the row space, with the
+    reduced form's pivot columns; with ``reduced`` false, rref stops there.
+    Back-substitution clears every other pivot column, last pivot first:
+    the pivot rows after it are already reduced, so subtracting them never
+    makes a pivot column nonzero again and one pass per row suffices.
     ValueError once the rows hold more than MAX_RANK_CELLS // 8 entries.
     """
     m, n = a.shape
@@ -132,6 +140,8 @@ def rref(a: np.ndarray, p: int):
         held += len(row) - starts[i + 1] + starts[i]
         check_fill()
     pivots = sorted(pivot_rows)
+    if not reduced:
+        return None, len(pivots), np.array(pivots, dtype=np.int64)
     for col in reversed(pivots):
         row = pivot_rows[col]
         held -= len(row)
@@ -187,19 +197,20 @@ def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` over GF(p); 0 for matrices with an empty side."""
     if a.size == 0:
         return 0
-    return rref(a, p)[1]
+    return rref(a, p, reduced=False)[1]
 
 
 def independent_columns(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:
     """Indices of the columns of ``cands`` that a left-to-right greedy pass
     keeps: each lies outside the span of ``base`` and the kept ones before it.
 
-    These are the pivot columns of one rref of [base | cands] that lie past
-    ``base``: a column pivots exactly when it is independent of those before.
+    These are the pivot columns of one echelon form of [base | cands] that
+    lie past ``base``: a column pivots exactly when it is independent of
+    those before.
     """
     if not cands.any():
         return []
-    pivots = rref(np.concatenate([base, cands], axis=1), p)[2]
+    pivots = rref(np.concatenate([base, cands], axis=1), p, reduced=False)[2]
     return (pivots[pivots >= base.shape[1]] - base.shape[1]).tolist()
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, make_algebra
 from .bigraded import Window
-from .dgmodule import _NO_TERMS, DgMap, Expansion, SemifreeDgModule, _canonical, _parity, _weights
+from .dgmodule import DgMap, Expansion, SemifreeDgModule, _canonical, _parity, _weights
 
 
 def standard_window(*modules: SemifreeDgModule) -> Window:
@@ -66,18 +66,35 @@ def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: 
     sum_i g_i . w_{x_i b}, where x_i is the i-th ext (act_ext) or sym
     generator acting on the input and g_i is the partner generator of B.
     The kernel's COO arrays of d and of each action, sorted by (row, col),
-    become the terms with monomial 1 and g_i; a stable sort of the parts,
-    concatenated in monomial order, by (row, col) makes them canonical.
+    become the terms with monomial 1 and g_i.  The parts, concatenated in
+    monomial order, are made canonical by a stable sort on one int64 key,
+    row * len(exp) + col: each part is a sorted run, so equal keys keep
+    monomial order.  The sorted keys, split back into rows and columns, the
+    monomial ids and the values are each taken once into a row of one
+    preallocated (4, terms) array.
     """
+    n = len(exp)
     mons = [B.one()] + [B.gen_monomial(not act_ext, i) for i in range(B.f)]
-    parts = [(*exp.d[:2], exp.d[2] * d_sign % B.p)] + [exp.action(act_ext, i) for i in range(B.f)]
-    parts = sorted((mon, part) for mon, part in zip(mons, parts) if len(part[0]))  # monomials are distinct
-    terms = _NO_TERMS
-    if parts:
-        rows, cols, vals = (np.concatenate(x) for x in zip(*(part for _, part in parts)))
-        ids = np.arange(len(parts)).repeat([len(part[0]) for _, part in parts])
-        terms = np.array([rows, cols, ids, vals])[:, np.lexsort((cols, rows))]
-    return FunctorImage(SemifreeDgModule(B, exp.degs + offset, [mon for mon, _ in parts], terms), exp)
+    actions = (exp.action(act_ext, i) for i in range(B.f))  # each keyed as it is built
+    parts = [(exp.d[0] * n + exp.d[1], exp.d[2] * d_sign % B.p)] + [(rows * n + cols, vals) for rows, cols, vals in actions]
+    parts = sorted((mon, *part) for mon, part in zip(mons, parts) if len(part[0]))  # monomials are distinct
+    if not parts:
+        return FunctorImage(SemifreeDgModule(B, exp.degs + offset), exp)
+    # each array is dropped once it is read, so the largest image holds
+    # about seven int64 entries per term at its peak
+    mons, keys, vals = zip(*parts)
+    del parts
+    lens = [len(k) for k in keys]
+    key = np.concatenate(keys)
+    del keys
+    order = key.argsort(kind="stable")
+    terms = np.empty((4, len(key)), dtype=np.int64)
+    key.take(order, out=terms[1])
+    del key
+    np.divmod(terms[1], n, out=(terms[0], terms[1]))
+    np.arange(len(lens)).repeat(lens).take(order, out=terms[2])
+    np.concatenate(vals).take(order, out=terms[3])
+    return FunctorImage(SemifreeDgModule(B, exp.degs + offset, mons, terms), exp)
 
 
 def functor_F(M: SemifreeDgModule, jcut: int) -> FunctorImage:

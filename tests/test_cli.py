@@ -124,6 +124,41 @@ def test_verify_exits_2_when_an_allocation_fails(monkeypatch, capsys, exc, line)
     assert err == line and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "round-trip", "--trials", "1", "--seed", "0"],
+    ["sl2", "-p", "3", "--lambda", "0"],
+    ["table", "{module}"],
+])
+def test_out_into_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypatch, args):
+    """--out into a missing directory is a usage error (exit 2, one line
+    naming the path), found before the report is computed."""
+    import koszulkit.cli as cli
+    from koszulkit.algebra import make_algebra
+    from koszulkit.dgmodule import free_module, serialize_module
+
+    module = tmp_path / "mod.json"
+    module.write_text(serialize_module(free_module(make_algebra("T", 1, 1, 5), [(0, 0)])))
+    args = [a.format(module=module) for a in args]
+    out = tmp_path / "missing" / "r.json"
+    assert run_cli(args + ["--out", str(tmp_path / "r.json")]).returncode == 0
+    proc = run_cli(args + ["--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot write {out}: no directory {out.parent}\n"
+
+    def no_work(*_args):
+        raise AssertionError("the report was computed")
+
+    for name in ("run_verify", "cohomology", "deserialize_module"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr("koszulkit.sl2.block_report", no_work)
+    assert main(args + ["--out", str(out)]) == 2
+
+
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    assert main(["sl2", "-p", "3", "--lambda", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_sl2_regular_report(tmp_path):
     out = tmp_path / "sl2.json"
     code = main(["sl2", "-p", "3", "--lambda", "0", "--out", str(out)])
@@ -240,7 +275,7 @@ def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == (
         "error: the map out of bidegree (3, -4) needs a dense 4 x 4 core "
-        "(128 bytes as int64), over the limit of 15 entries\n"
+        "(16 bytes as uint8), over the limit of 15 entries\n"
     )
     assert "Traceback" not in err
 

@@ -575,6 +575,30 @@ def test_column_cohomology_matches_dense_rank_on_random_patterns(p, cells, kinds
     assert _column_cohomology(degs, d, W, p) == reference_column_cohomology(degs, d, W, p)
 
 
+@pytest.mark.parametrize("p", [251, 257, 65537, BIG_PRIME])
+def test_cores_hold_residues_in_the_narrowest_dtype(monkeypatch, p):
+    """A 3 x 3 map with no structural pivot, entries near p (one of them
+    negative) and its last row the sum of the others mod p, is ranked as one
+    core in np.min_scalar_type(p) at rank 2, as dense rank of the whole cell
+    says.  At p = 257 the entry 256 would wrap in a uint8 core."""
+    r0, r1 = [1 - p, 256 % p, p - 1], [p - 2, 3, p - 1]
+    a = [r0, r1, [(x + y) % p for x, y in zip(r0, r1)]]
+    assert all(map(all, a))
+    dtypes = []
+
+    def recording_rank(core, p):
+        dtypes.append(core.dtype)
+        return mat_rank(core, p)
+
+    monkeypatch.setattr(dgmodule, "mat_rank", recording_rank)
+    degs = np.array([(0, 0)] * 3 + [(1, 0)] * 3)
+    d = tuple(np.array(x, dtype=np.int64) for x in ([r for r in range(3) for _ in range(3)], [3, 4, 5] * 3, sum(a, [])))
+    W = Window(-1, 2, -1, 1)
+    table = _column_cohomology(degs, d, W, p)
+    assert table == reference_column_cohomology(degs, d, W, p) and table.to_triples() == [[0, 0, 1], [1, 0, 1]]
+    assert dtypes == [np.min_scalar_type(p)] and dtypes[0].itemsize == (1 if p < 256 else 2 if p < 65536 else 4)
+
+
 # SHA-256 of the JSON list of every table _column_cohomology returns, in
 # call order, on trials 0-1 (seed 2024) of every configuration of the C01
 # round-trip grid and the C02-C07 suites below: 880 tables, 592 of them

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference
+from deadline import within
 from koszulkit import linalg
+
+# Seconds an rref of these small matrices may take before its test fails
+# (each takes milliseconds; a loop that never ends takes for ever).
+RREF_SECONDS = 5
 
 
 def mat(rows, p: int) -> np.ndarray:
@@ -25,7 +30,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     aug = np.zeros((m, n + 1), dtype=np.int64)
     aug[:, :n] = np.mod(a, p)
     aug[:, n] = b
-    r, rank_, pivots = linalg.rref(aug, p)
+    r, rank_, pivots = within(RREF_SECONDS, linalg.rref, aug, p)
     if rank_ and pivots[-1] == n:
         return None
     x = np.zeros(n, dtype=np.int64)
@@ -164,12 +169,12 @@ BIG_PRIME = max(q for q in range(linalg.MAX_MODULUS - 64, linalg.MAX_MODULUS) if
 
 
 @st.composite
-def rref_inputs(draw):
+def rref_inputs(draw, primes=(3, 5, 7, BIG_PRIME)):
     """Dense, at most 5% nonzero, and rank-deficient matrices (products of
     thin factors, some of them sparse), or all zero; square, wide or tall,
     with sides from 0.  Entries are negative or positive and some are
     nonzero multiples of p, so the kernel must reduce and drop them."""
-    p = draw(st.sampled_from([3, 5, 7, BIG_PRIME]))
+    p = draw(st.sampled_from(primes))
     shape = draw(st.sampled_from(["any", "wide", "tall"]))
     short, long = draw(st.integers(0, 4)), draw(st.integers(10, 60))
     m, n = {"any": (draw(st.integers(0, 30)), draw(st.integers(0, 30))), "wide": (short, long), "tall": (long, short)}[shape]
@@ -197,7 +202,7 @@ def rref_inputs(draw):
 @given(rref_inputs())
 def test_rref_matches_the_dense_reference(data):
     a, p = data
-    want, got = dense_reference.rref(a, p), linalg.rref(a, p)
+    want, got = dense_reference.rref(a, p), within(RREF_SECONDS, linalg.rref, a, p)
     assert got[0].dtype == np.int64 and got[2].dtype == np.int64
     assert got[1] == want[1]
     # rref returns only the pivot rows; the reference's other rows are zero
@@ -206,16 +211,55 @@ def test_rref_matches_the_dense_reference(data):
     assert got[2].tolist() == want[2].tolist()
 
 
+# Primes whose cores (dgmodule._cores) are uint8, uint8 at its top, uint16,
+# uint32 and uint32 at the modulus bound.
+CORE_PRIMES = (3, 251, 257, 65537, BIG_PRIME)
+
+
+@st.composite
+def cores(draw):
+    """``rref_inputs`` at every core width: int64 with negative entries, or
+    in the core's dtype (np.min_scalar_type(p)) with entries up to its
+    top, some of them nonzero multiples of p."""
+    a, p = draw(rref_inputs(CORE_PRIMES))
+    if draw(st.booleans()):
+        return a, p
+    dtype = np.min_scalar_type(p)
+    assert np.iinfo(dtype).max >= p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = a % p + p * rng.integers(0, (int(np.iinfo(dtype).max) - p + 1) // p + 1, a.shape)
+    return a.astype(dtype), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(cores())
+def test_echelon_only_matches_the_dense_reference(data):
+    """rref(reduced=False) stops at the echelon form: no rows, and the
+    reference's rank and pivot columns."""
+    a, p = data
+    want = dense_reference.rref(a, p)
+    rows, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, p, reduced=False)
+    assert rows is None and rank_ == want[1]
+    assert pivots.dtype == np.int64 and pivots.tolist() == want[2].tolist()
+    assert within(RREF_SECONDS, linalg.rank, a, p) == want[1]
+
+
 def test_rref_bounds_the_entries_its_rows_hold(monkeypatch):
     # 6 entries; back-substitution clears column 1 of row 0 and fills in
     # columns 3 and 4, so the pivot rows end with 7
     a = mat([[1, 1, 1, 0, 0], [0, 1, 0, 1, 1]], 5)
     monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 7 * 8)
-    r, rank_, pivots = linalg.rref(a, 5)
+    r, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, 5)
     assert r.tolist() == [[1, 0, 1, 4, 4], [0, 1, 0, 1, 1]] and rank_ == 2 and pivots.tolist() == [0, 1]
     monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 7 * 8 - 1)
     with pytest.raises(ValueError, match=r"^row reduction of a 2 x 5 matrix holds 7 entries in its rows \(about 448 bytes\), over the limit of 6$"):
-        linalg.rref(a, 5)
+        within(RREF_SECONDS, linalg.rref, a, 5)
+    # the echelon form stops before back-substitution, at 6
+    r, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, 5, reduced=False)
+    assert r is None and rank_ == 2 and pivots.tolist() == [0, 1]
+    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 6 * 8 - 1)
+    with pytest.raises(ValueError, match=r"^row reduction of a 2 x 5 matrix holds 6 entries in its rows \(about 384 bytes\), over the limit of 5$"):
+        within(RREF_SECONDS, linalg.rref, a, 5, reduced=False)
 
 
 def greedy_independent(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:

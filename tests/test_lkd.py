@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from dict_reference import module, to_nested
@@ -14,6 +15,7 @@ from koszulkit.dgmodule import (
     is_quasi_iso,
 )
 from koszulkit.lkd import (
+    _koszul_image,
     counit,
     functor_F,
     functor_G,
@@ -146,6 +148,78 @@ def test_round_trip_random(f, p):
         eta, _, _ = unit(N, jcut)
         assert eta.validate() == []
         assert is_quasi_iso(eta, win)
+
+
+def reference_koszul_terms(exp, B, d_sign: int, act_ext: bool):
+    """The monomials and terms of ``_koszul_image`` as it built them before
+    its one-key sort: the parts concatenated in monomial order, stacked and
+    lexsorted by (row, col)."""
+    mons = [B.one()] + [B.gen_monomial(not act_ext, i) for i in range(B.f)]
+    parts = [(*exp.d[:2], exp.d[2] * d_sign % B.p)] + [exp.action(act_ext, i) for i in range(B.f)]
+    parts = sorted((mon, part) for mon, part in zip(mons, parts) if len(part[0]))
+    if not parts:
+        return [], np.zeros((4, 0), dtype=np.int64)
+    rows, cols, vals = (np.concatenate(x) for x in zip(*(part for _, part in parts)))
+    ids = np.arange(len(parts)).repeat([len(part[0]) for _, part in parts])
+    return [mon for mon, _ in parts], np.array([rows, cols, ids, vals])[:, np.lexsort((cols, rows))]
+
+
+@pytest.mark.parametrize("f", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_koszul_images_keep_the_lexsort_order(f, p):
+    S, T = S_algebra(f, p), T_algebra(f, p)
+    for trial in range(3):
+        rng = stream(23, (p, f, trial))
+        M = random_module(S, rng, max_gens=3)
+        N = random_module(T, rng, max_gens=3)
+        fm = functor_F(M, functor_jcut(standard_window(M), f))
+        gn = functor_G(N)
+        for image, sign, act_ext in ((fm, -1 if f & 1 else 1, False), (gn, 1, True)):
+            mons, terms = reference_koszul_terms(image.expansion, image.module.algebra, sign, act_ext)
+            assert list(image.module.mons) == mons
+            assert image.module.terms.dtype == np.int64 and image.module.terms.tolist() == terms.tolist()
+
+
+class _TiedExpansion:
+    """An expansion-shaped stand-in whose d and actions meet at the same
+    (row, col), so the order of equal keys shows."""
+
+    def __init__(self, n, d, actions):
+        self.degs, self.d, self._actions = np.zeros((n, 2), dtype=np.int64), d, actions
+
+    def __len__(self):
+        return len(self.degs)
+
+    def action(self, is_ext, g):
+        return self._actions[g]
+
+
+def test_koszul_image_keeps_monomial_order_on_equal_positions():
+    def arrays(*x):
+        return tuple(np.array(v, dtype=np.int64) for v in x)
+
+    # every part at all 100 positions of a 20 x 5 grid: an unstable sort of
+    # this many equal keys mixes the monomials
+    grid = arrays(np.arange(20).repeat(5), np.tile(np.arange(5), 20), np.ones(100))
+    B = make_algebra("T", 2, 2, 5)
+    image = _koszul_image(_TiedExpansion(20, grid, [grid, grid]), B, (0, 0), 1, False)
+    assert image.module.terms[2].tolist() == [0, 1, 2] * 100
+
+    B = make_algebra("T", 2, 2, 5)
+    exp = _TiedExpansion(
+        4,
+        arrays([0, 0, 2], [1, 3, 3], [1, 2, 3]),
+        [arrays([0, 2, 3], [1, 3, 0], [4, 4, 4]), arrays([0, 0, 2], [1, 3, 3], [2, 3, 1])],
+    )
+    image = _koszul_image(exp, B, (0, 0), -1, False)
+    mons, terms = reference_koszul_terms(exp, B, -1, False)
+    assert list(image.module.mons) == mons and image.module.terms.tolist() == terms.tolist()
+    # equal positions keep monomial order: 1, then theta_0, then theta_1
+    assert image.module.terms[:3].tolist() == [
+        [0, 0, 0, 0, 0, 2, 2, 2, 3],
+        [1, 1, 1, 3, 3, 3, 3, 3, 0],
+        [0, 1, 2, 0, 2, 0, 1, 2, 1],
+    ]
 
 
 @pytest.mark.parametrize("f", [1, 2])
