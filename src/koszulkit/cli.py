@@ -8,6 +8,7 @@ the same arguments and seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -54,6 +55,18 @@ def _emit(doc: dict, fmt: str, out_path):
             raise ValueError(f"cannot write {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str):
+    """ValueError unless ``path`` names a file this process may write:
+    checked before any work, and it creates nothing."""
+    parent = os.path.dirname(path)
+    if not os.path.isdir(parent or "."):
+        raise ValueError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    if not os.access(path if os.path.exists(path) else parent or ".", os.W_OK):
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
 
 
 def _to_tsv(doc: dict) -> str:
@@ -209,8 +222,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.exit(EXIT_USAGE, f"error: {exc}\n")
     try:
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):  # before any work
-            raise ValueError(f"cannot write {args.out}: no directory {os.path.dirname(args.out)}")
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

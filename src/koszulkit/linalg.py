@@ -12,7 +12,7 @@ holds each row as a dict of Python ints, so no product can overflow.
 Callers that need the reduced form get only its pivot rows, as a dense
 (rank, n) array; ``rank`` and ``independent_columns`` stop at the echelon
 form, whose pivot set is already the reduced form's, and build no (rank, n)
-array.  The cores it meets are 0.2-7% nonzero and fill in little.
+array.  The cores it meets are 0.05-7% nonzero and fill in little.
 """
 
 from __future__ import annotations
@@ -56,16 +56,17 @@ def is_odd_prime(p: int) -> bool:
 # works in Python ints and needs no bound.
 MAX_MODULUS = 1 << 24
 
-# Largest dense core dgmodule._column_cohomology will allocate, in entries
-# (dgmodule reads this bound too).  A core entry costs 1-4 bytes: the
-# narrowest unsigned dtype that holds p, one byte below 256.  The e = f = 5
-# round trip at p = 3, seed 2024, trials 0-2 needs at most a 4760 x 5150
-# core (24.5M entries, 24.5 MB); 64M entries is a margin of 2.61 over it,
-# and ranking a core builds no (rank, n) array.  Trial 3 needs a
-# 7930 x 13400 core (106M entries) and is refused.  rref refuses to hold
-# more than MAX_RANK_CELLS // 8 entries in its rows, since a dict entry of
-# Python ints costs about 8 int64 cells, so sparse rows stay within
-# 512 MB; trials 0-2 hold at most 17,758.
+# The memory bound of elimination, sized as 64M int64 cells (512 MB).
+# dgmodule._cores refuses a dense core of more than MAX_RANK_CELLS * 8
+# bytes; a core entry costs 1-4 bytes, the narrowest unsigned dtype that
+# holds p (one byte below 256), so at p = 3 a core may hold 512M entries.
+# The e = f = 5 round trip at p = 3, seed 2024, trials 0-3 needs at most a
+# 7930 x 13400 core in trial 3 (106M entries, 106 MB as uint8, 49,352 of
+# them nonzero, rank 5819), a margin of 4.8 under the bound; ranking a core
+# builds no (rank, n) array.  rref refuses to hold more than
+# MAX_RANK_CELLS // 8 entries in its rows, since a dict entry of Python
+# ints costs about 8 int64 cells, so sparse rows stay within 512 MB;
+# trials 0-2 hold at most 17,758, and trial 3's largest core 79,530.
 MAX_RANK_CELLS = 64_000_000
 
 

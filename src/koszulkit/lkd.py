@@ -25,6 +25,7 @@ pinned here; each carries jcut + 2 as its ``DgMap.min_internal``.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 
@@ -66,34 +67,39 @@ def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: 
     sum_i g_i . w_{x_i b}, where x_i is the i-th ext (act_ext) or sym
     generator acting on the input and g_i is the partner generator of B.
     The kernel's COO arrays of d and of each action, sorted by (row, col),
-    become the terms with monomial 1 and g_i.  The parts, concatenated in
-    monomial order, are made canonical by a stable sort on one int64 key,
-    row * len(exp) + col: each part is a sorted run, so equal keys keep
-    monomial order.  The sorted keys, split back into rows and columns, the
-    monomial ids and the values are each taken once into a row of one
-    preallocated (4, terms) array.
+    become the terms with monomial 1 and g_i.  Each part is keyed as it is
+    built, one int64 key row * len(exp) + col, its values held in the
+    narrowest dtype that holds p.  The parts, in monomial order, are
+    concatenated into two rows of the one (4, terms) array the image keeps,
+    and made canonical by a stable sort: each part is a sorted run, so
+    equal keys keep monomial order.  The sorted keys, split back into rows
+    and columns, the values and the monomial ids are then written into that
+    array's rows, so the largest image holds about five int64 entries per
+    term at its peak.
     """
-    n = len(exp)
+    n, dtype = len(exp), np.min_scalar_type(B.p)
     mons = [B.one()] + [B.gen_monomial(not act_ext, i) for i in range(B.f)]
     actions = (exp.action(act_ext, i) for i in range(B.f))  # each keyed as it is built
-    parts = [(exp.d[0] * n + exp.d[1], exp.d[2] * d_sign % B.p)] + [(rows * n + cols, vals) for rows, cols, vals in actions]
+    parts = [(exp.d[0] * n + exp.d[1], (exp.d[2] * d_sign % B.p).astype(dtype))]
+    parts += [(rows * n + cols, vals.astype(dtype)) for rows, cols, vals in actions]
     parts = sorted((mon, *part) for mon, part in zip(mons, parts) if len(part[0]))  # monomials are distinct
     if not parts:
         return FunctorImage(SemifreeDgModule(B, exp.degs + offset), exp)
-    # each array is dropped once it is read, so the largest image holds
-    # about seven int64 entries per term at its peak
     mons, keys, vals = zip(*parts)
     del parts
     lens = [len(k) for k in keys]
-    key = np.concatenate(keys)
+    terms = np.empty((4, sum(lens)), dtype=np.int64)
+    np.concatenate(keys, out=terms[0])
     del keys
-    order = key.argsort(kind="stable")
-    terms = np.empty((4, len(key)), dtype=np.int64)
-    key.take(order, out=terms[1])
-    del key
+    np.concatenate(vals, out=terms[2])
+    del vals
+    order = terms[0].argsort(kind="stable")
+    terms[0].take(order, out=terms[1], mode="clip")
+    terms[2].take(order, out=terms[3], mode="clip")
     np.divmod(terms[1], n, out=(terms[0], terms[1]))
-    np.arange(len(lens)).repeat(lens).take(order, out=terms[2])
-    np.concatenate(vals).take(order, out=terms[3])
+    terms[2] = 0  # the monomial id of a term: the parts that start at or before its place
+    for start in accumulate(lens[:-1]):
+        terms[2] += order >= start
     return FunctorImage(SemifreeDgModule(B, exp.degs + offset, mons, terms), exp)
 
 
@@ -117,12 +123,13 @@ def functor_G(N: SemifreeDgModule) -> FunctorImage:
     return _koszul_image(exp, _partner(A, "S"), (0, 0), 1, True)
 
 
-def counit(M: SemifreeDgModule, jcut: int):
+def counit(M: SemifreeDgModule, jcut: int) -> DgMap:
     """The chain map G(F(M)) -> M; a quasi-isomorphism above the cutoff.
 
     On the basis element theta^I . w_b of F(M) the map is zero unless I is
     the full index set, where it evaluates to (-1)^{floor(j(b)/2)} times
-    the element b of M.
+    the element b of M.  Only the map is returned: F(M) and both
+    expansions die with the call, and G(F(M)) lives on as its source.
     """
     fm = functor_F(M, jcut)
     gfm = functor_G(fm.module)
@@ -133,10 +140,10 @@ def counit(M: SemifreeDgModule, jcut: int):
     k, smons, smon = fm.expansion.labels()
     sigma = np.where(fm.expansion.degs[b, 1] // 2 & 1, M.algebra.p - 1, 1)
     terms = _canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
-    return DgMap(gfm.module, M, *terms, min_internal=jcut + 2), fm, gfm
+    return DgMap(gfm.module, M, *terms, min_internal=jcut + 2)
 
 
-def unit(N: SemifreeDgModule, jcut: int):
+def unit(N: SemifreeDgModule, jcut: int) -> DgMap:
     """The chain map N -> F(G(N)); a quasi-isomorphism above the cutoff.
 
     eta(e_k) = sum_J sigma(theta^J e_k) sgn(J, J^c)
@@ -158,7 +165,7 @@ def unit(N: SemifreeDgModule, jcut: int):
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
     terms = _canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
-    return DgMap(N, fgn.module, *terms, min_internal=jcut + 2), gn, fgn
+    return DgMap(N, fgn.module, *terms, min_internal=jcut + 2)
 
 
 def kappa(M: SemifreeDgModule, jcut: int) -> SemifreeDgModule:

@@ -154,9 +154,26 @@ def test_out_into_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypa
     assert main(args + ["--out", str(out)]) == 2
 
 
-def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+def test_out_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys):
+    """--out naming a directory, or a file the process may not write, is a
+    usage error found before the report is computed, and creates nothing."""
+    import koszulkit.cli as cli
+
+    def no_work(*_args):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr("koszulkit.sl2.block_report", no_work)
     assert main(["sl2", "-p", "3", "--lambda", "0", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    # root may write any file, so the permission is stubbed: refused for the file, then for a new file's directory
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    old = tmp_path / "old.json"
+    old.write_text("kept")
+    for out in (old, tmp_path / "new.json"):
+        assert main(["sl2", "-p", "3", "--lambda", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+    assert old.read_text() == "kept"
 
 
 def test_sl2_regular_report(tmp_path):
@@ -239,7 +256,7 @@ def test_table_of_kappa_of_point(tmp_path):
     assert doc["table"] == [[0, 0, 1]]
 
 
-def _two_core_module(tmp_path):
+def _two_core_module(tmp_path, p=3):
     """A module file whose table ranks a 2 x 2 and then a 4 x 4 core."""
     from koszulkit.algebra import make_algebra
     from dict_reference import module
@@ -250,10 +267,10 @@ def _two_core_module(tmp_path):
     # has rank 2 and 4 nonzeros; out of (3, -4) a 4 x 6 cell whose 4 x 4
     # core is two such blocks.  Structural pivots clear neither core, and
     # eliminating a core fills in nothing.
-    S = make_algebra("S", 2, 2, 3)
+    S = make_algebra("S", 2, 2, p)
     d = {k: {0: {((1, 0), 0): 1}, 1: {((0, 1), 0): c}} for k, c in ((2, 1), (3, 2))}
     M = module(S, [(0, 0), (0, 0), (1, -2), (1, -2)], d)
-    path = tmp_path / "mod.json"
+    path = tmp_path / f"mod-{p}.json"
     path.write_text(serialize_module(M))
     return path
 
@@ -261,23 +278,27 @@ def _two_core_module(tmp_path):
 def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
     from koszulkit import dgmodule
 
-    path = _two_core_module(tmp_path)
-    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
-    want = capsys.readouterr().out
-    monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", 16)  # the core, not the 4 x 6 cell
-    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
-    assert capsys.readouterr().out == want
-    monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", 15)
-    ranked = []
-    monkeypatch.setattr(dgmodule, "mat_rank", lambda a, p: ranked.append(a.shape))
-    assert main(["table", str(path), "--window=0:4,-4:0"]) == 2
-    assert ranked == []  # refused before the core out of (1, -2) is ranked
-    err = capsys.readouterr().err
-    assert err == (
-        "error: the map out of bidegree (3, -4) needs a dense 4 x 4 core "
-        "(16 bytes as uint8), over the limit of 15 entries\n"
-    )
-    assert "Traceback" not in err
+    # the bound is MAX_RANK_CELLS * 8 bytes; a core entry is 1 byte at p = 3
+    # and 2 at p = 257, so the 4 x 4 core takes 16 and 32 bytes
+    for p, fits, size, dtype in ((257, 4, 32, "uint16"), (3, 2, 16, "uint8")):
+        path = _two_core_module(tmp_path, p)
+        assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", fits)  # the 4 x 4 core, not the 4 x 6 cell
+        assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+        assert capsys.readouterr().out == want
+        with monkeypatch.context() as m:
+            m.setattr(dgmodule, "MAX_RANK_CELLS", fits - 1)
+            ranked = []
+            m.setattr(dgmodule, "mat_rank", lambda a, p: ranked.append(a.shape))
+            assert main(["table", str(path), "--window=0:4,-4:0"]) == 2
+        assert ranked == []  # refused before the core out of (1, -2) is ranked
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the map out of bidegree (3, -4) needs a dense 4 x 4 core "
+            f"({size} bytes as {dtype}), over the limit of {8 * (fits - 1)} bytes\n"
+        )
+        assert "Traceback" not in err
 
 
 def test_table_refuses_a_row_reduction_past_its_fill_bound(tmp_path, monkeypatch, capsys):

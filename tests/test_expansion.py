@@ -21,7 +21,7 @@ from koszulkit import algebra, dgmodule
 from koszulkit.algebra import make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import Window
 from koszulkit.dgmodule import CACHE_SIZE, Expansion, SemifreeDgModule, cohomology, free_module, nested_terms
-from koszulkit.lkd import counit, functor_jcut, standard_window, unit
+from koszulkit.lkd import counit, functor_F, functor_G, functor_jcut, standard_window, unit
 from koszulkit.qmodel import pushforward_p, restrict_to_T
 from koszulkit.samples import random_module, stream
 
@@ -256,13 +256,18 @@ def test_generator_tuples_are_built_on_first_read():
         win = standard_window(M, N)
         assert win == Window.hull(M.gens + N.gens).enlarge(1, 2)
         assert M.gens == tuple(map(tuple, M.degs.tolist()))
-        eps, fm, gfm = counit(M, functor_jcut(win, 2))
-        eta, gn, fgn = unit(N, functor_jcut(win, 2))
+        jcut = functor_jcut(win, 2)
+        eps, eta = counit(M, jcut), unit(N, jcut)
+        fm = functor_F(M, jcut)
+        gfm = functor_G(fm.module)
+        gn = functor_G(N)
+        fgn = functor_F(gn.module, jcut)
+        assert gfm.module == eps.source and fgn.module == eta.target
         for image in (fm.module, gfm.module, gn.module, fgn.module):
             cohomology(image, win)
         assert not eps.validate()
         assert not eta.validate()
-        assert [X._gens for X in (fm.module, gfm.module, gn.module, fgn.module)] == [None] * 4
+        assert [X._gens for X in (fm.module, gfm.module, gn.module, fgn.module, eps.source, eta.target)] == [None] * 6
     assert standard_window(free_module(S, [])) == Window.hull([]).enlarge(1, 2)
 
 

@@ -115,7 +115,7 @@ def test_validate_matches_dict_reference_on_unit_and_counit(f):
         M, N = random_module(S, rng, max_gens=3), random_module(T, rng, max_gens=3)
         for X, build in ((M, counit), (N, unit)):
             jcut = functor_jcut(standard_window(X), f)
-            phi = build(X, jcut)[0]
+            phi = build(X, jcut)
             for nested in _mutants(to_nested(phi), phi.source.algebra, rng):
                 mutant = dg_map(phi.source, phi.target, nested)
                 failing += bool(_agree_map(mutant, jcut + 2))
