@@ -17,9 +17,17 @@ takes an internal cutoff jcut and returns the quotient by the generators
 below it; the result computes the true cohomology in internal degrees
 >= jcut (the discarded part is a dg-submodule supported strictly below).
 Callers derive jcut from their comparison window via ``functor_jcut``.
+G may start at an internal degree too: its generators at or above it span
+a dg-submodule.
 
 The adjunction unit and counit are explicit chain maps whose signs are
-pinned here; each carries jcut + 2 as its ``DgMap.min_internal``.
+pinned here.  Each takes the window of its verdict, derives jcut from it,
+carries jcut + 2 as its ``DgMap.min_internal``, and builds each functor
+image only where ``DgMap.validate`` and the window's cone read it: the
+counit's G(F(M)) from jcut + 2 up (a submodule), the unit's F(G(N)) cut
+at min(window.j0, max(jN - 2, jcut)), jN the least internal degree of N
+(a quotient).  Neither changes a row the check joins or a cell of the
+cone on the window.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ def functor_jcut(window: Window, f: int) -> int:
 
     Computations run 2(f+1) internal degrees past the requested window, so
     the quotient by the sub-cutoff part cannot disturb any reported cell.
+    ``counit`` and ``unit`` derive it from their window and check their
+    maps from jcut + 2 up; the images they build reach no lower than the
+    check and the window's cone read (see there).
     """
     return window.j0 - 2 * (f + 1)
 
@@ -113,26 +124,41 @@ def functor_F(M: SemifreeDgModule, jcut: int) -> FunctorImage:
     return _koszul_image(exp, _partner(A, "T"), (n, -2 * n), -1 if n & 1 else 1, False)
 
 
-def functor_G(N: SemifreeDgModule) -> FunctorImage:
-    """S tensor N as a semifree S-module on the (finite) basis of N."""
+def functor_G(N: SemifreeDgModule, jlo: int | None = None) -> FunctorImage:
+    """S tensor N as a semifree S-module on the (finite) basis of N, or on
+    its basis elements of internal degree >= jlo.
+
+    S-monomials have internal degree <= 0 and d(nu_c) names only c's own
+    degree and the higher degrees of theta_i c, so the generators at or
+    above jlo span a dg-submodule of the whole image, equal to it there.
+    """
     A = N.algebra
     if A.kind != "T":
         raise ValueError(f"functor_G expects a module over T, got {A.kind}")
     js = N.degs[:, 1].tolist()
-    exp = Expansion(N, min(js, default=0), max(js, default=0) + 2 * A.f)
+    exp = Expansion(N, min(js, default=0) if jlo is None else jlo, max(js, default=0) + 2 * A.f)
     return _koszul_image(exp, _partner(A, "S"), (0, 0), 1, True)
 
 
-def counit(M: SemifreeDgModule, jcut: int) -> DgMap:
-    """The chain map G(F(M)) -> M; a quasi-isomorphism above the cutoff.
+def counit(M: SemifreeDgModule, window: Window) -> DgMap:
+    """The chain map G(F(M)) -> M for a verdict on ``window``; a
+    quasi-isomorphism above its cutoff.
 
     On the basis element theta^I . w_b of F(M) the map is zero unless I is
     the full index set, where it evaluates to (-1)^{floor(j(b)/2)} times
-    the element b of M.  Only the map is returned: F(M) and both
-    expansions die with the call, and G(F(M)) lives on as its source.
+    the element b of M.  Only the part of G(F(M)) at internal degree >=
+    jcut + 2, the map's ``min_internal``, is built.  It is a dg-submodule
+    (``functor_G``), so it holds every row ``DgMap.validate`` joins from
+    the sources it checks, and the window's cone (``_on_range``) keeps
+    only generators at or above window.j0, which lie in it.  It reads only
+    the columns >= jcut + 2 of F(M)'s T-expansion, and column j reads only
+    the M-degrees [j, j + 2f], so F(M) is cut at jcut + 2 too.  Only the
+    map is returned: F(M) and both expansions die with the call, and
+    G(F(M)) lives on as its source.
     """
-    fm = functor_F(M, jcut)
-    gfm = functor_G(fm.module)
+    jcut = functor_jcut(window, M.algebra.f)
+    fm = functor_F(M, jcut + 2)
+    gfm = functor_G(fm.module, jcut + 2)
     full = (1 << M.algebra.f) - 1
     fgen, tmons, tmon = gfm.expansion.labels()
     g = np.array([mask == full for _, mask in tmons], dtype=bool)[tmon].nonzero()[0]
@@ -143,8 +169,9 @@ def counit(M: SemifreeDgModule, jcut: int) -> DgMap:
     return DgMap(gfm.module, M, *terms, min_internal=jcut + 2)
 
 
-def unit(N: SemifreeDgModule, jcut: int) -> DgMap:
-    """The chain map N -> F(G(N)); a quasi-isomorphism above the cutoff.
+def unit(N: SemifreeDgModule, window: Window) -> DgMap:
+    """The chain map N -> F(G(N)) for a verdict on ``window``; a
+    quasi-isomorphism above its cutoff.
 
     eta(e_k) = sum_J sigma(theta^J e_k) sgn(J, J^c)
                       theta^{J^c} . w_{nu(theta^J e_k)}
@@ -152,9 +179,20 @@ def unit(N: SemifreeDgModule, jcut: int) -> DgMap:
     where sgn is the Koszul sign of theta^J wedge theta^{J^c} = theta^top
     and sigma(b) = (-1)^{floor(j(b)/2)} is the same internal-degree sign
     that appears in the counit.
+
+    F(G(N)) is cut at c = min(window.j0, max(jN - 2, jcut)), jN the least
+    internal degree of N, instead of at jcut: a quotient, since the
+    generators below c span a dg-submodule.  The window's cone
+    (``_on_range``) reads only T-expansion columns >= window.j0 >= c, and
+    column j reads only the G(N)-degrees [j, j + 2f], which the quotient
+    keeps.  Where c > jcut, c <= jN - 2: eta names only w_b with j(b) >=
+    jN, and d(w_b) reaches G(N)-degree j(b) - 2 >= c, so every row
+    ``DgMap.validate`` joins is whole.
     """
+    jcut = functor_jcut(window, N.algebra.f)
     gn = functor_G(N)
-    fgn = functor_F(gn.module, jcut)
+    least = min(N.degs[:, 1].tolist(), default=window.j0 + 2)
+    fgn = functor_F(gn.module, min(window.j0, max(least - 2, jcut)))
     full = (1 << N.algebra.f) - 1
     c, smons, smon = fgn.expansion.labels()
     b = np.array([mon == gn.module.algebra.one() for mon in smons], dtype=bool)[smon].nonzero()[0]  # 1 . w_c

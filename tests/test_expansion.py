@@ -257,11 +257,13 @@ def test_generator_tuples_are_built_on_first_read():
         assert win == Window.hull(M.gens + N.gens).enlarge(1, 2)
         assert M.gens == tuple(map(tuple, M.degs.tolist()))
         jcut = functor_jcut(win, 2)
-        eps, eta = counit(M, jcut), unit(N, jcut)
-        fm = functor_F(M, jcut)
-        gfm = functor_G(fm.module)
+        eps, eta = counit(M, win), unit(N, win)
+        # the images the maps build: G(F(M)) from the counit's min_internal,
+        # F(G(N)) cut at the least of the window and N's least degree - 2
+        fm = functor_F(M, jcut + 2)
+        gfm = functor_G(fm.module, jcut + 2)
         gn = functor_G(N)
-        fgn = functor_F(gn.module, jcut)
+        fgn = functor_F(gn.module, min(win.j0, max(min(N.degs[:, 1].tolist()) - 2, jcut)))
         assert gfm.module == eps.source and fgn.module == eta.target
         for image in (fm.module, gfm.module, gn.module, fgn.module):
             cohomology(image, win)

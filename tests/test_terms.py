@@ -33,7 +33,7 @@ from koszulkit.dgmodule import (
     identity_map,
     serialize_module,
 )
-from koszulkit.lkd import counit, functor_jcut, standard_window, unit
+from koszulkit.lkd import counit, standard_window, unit
 from koszulkit.samples import random_homogeneous, random_module, stream
 
 ALGEBRAS = [
@@ -114,11 +114,10 @@ def test_validate_matches_dict_reference_on_unit_and_counit(f):
         rng = stream(trial, f"terms-unit:{f}")
         M, N = random_module(S, rng, max_gens=3), random_module(T, rng, max_gens=3)
         for X, build in ((M, counit), (N, unit)):
-            jcut = functor_jcut(standard_window(X), f)
-            phi = build(X, jcut)
+            phi = build(X, standard_window(X))
             for nested in _mutants(to_nested(phi), phi.source.algebra, rng):
                 mutant = dg_map(phi.source, phi.target, nested)
-                failing += bool(_agree_map(mutant, jcut + 2))
+                failing += bool(_agree_map(mutant, phi.min_internal))
                 _agree_map(mutant)
     assert failing
 
