@@ -621,9 +621,9 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
 
 # Largest expansion basis Expansion will enumerate, counted before any
 # monomial table is built.  The e = f = 5 round trip at p = 3, seed 2024,
-# trials 0-3 expands at most 472,170 basis elements (G(N) of trial 0's unit
-# under F, at 226 MB peak for the whole trial); 1M is a margin of 2.1 over
-# it.
+# trials 0-3 expands at most 232,182 basis elements (a unit's cone on its
+# window [-2, 6], at 236 MB peak for the whole run); 1M is a margin of 4.3
+# over it.
 MAX_EXPANSION_BASIS = 1_000_000
 
 

@@ -145,17 +145,19 @@ def check_compat(M: SemifreeDgModule, window: Window | None = None) -> DualityRe
     Compares D_T(kappa(M)) with kappa(D_S(M)) shifted by [n]<2n>, on the
     window; n = dim F and the twisting line is one-dimensional in
     bidegree (0, 0).
+
+    Each kappa is cut at the least T-column its window reads (``lkd``):
+    the right side at the shifted window's j0.  On the left, kappa(M)'s
+    generator w_b sits at j(b) - 2n and its dual at 2n - j(b), so the cut
+    2n - window.j1 keeps the dual's generators up to window.j1: a
+    dg-submodule of the whole dual, equal to it on the window.
     """
     if M.algebra.kind != "S":
         raise ValueError("check_compat expects a module over S")
     n = M.algebra.f
     if window is None:
         window = compat_window(M)
-    jcut = min(window.j0, -window.j1, window.j0 - 2 * n) - 2 * (n + 1)
-    left = cohomology(kappa(M, jcut).dualize(), window)
-    shifted_window = Window(
-        window.i0 + n, window.i1 + n, window.j0 - 2 * n, window.j1 - 2 * n
-    )
-    right_raw = cohomology(kappa(dualize_S(M), jcut), shifted_window)
-    right = right_raw.shift(n, 2 * n)
+    left = cohomology(kappa(M, 2 * n - window.j1).dualize(), window)
+    shifted_window = Window(window.i0 + n, window.i1 + n, window.j0 - 2 * n, window.j1 - 2 * n)
+    right = cohomology(kappa(dualize_S(M), shifted_window.j0), shifted_window).shift(n, 2 * n)
     return _compare("compat", window, left, right)

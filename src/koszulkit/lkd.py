@@ -13,12 +13,12 @@ the graded dual of T is the dual of the top exterior monomial, which is
 what converts the coinduced module into a free one.
 
 Because S-module expansions are unbounded below in internal degree, F
-takes an internal cutoff jcut and returns the quotient by the generators
-below it; the result computes the true cohomology in internal degrees
->= jcut (the discarded part is a dg-submodule supported strictly below).
-Callers derive jcut from their comparison window via ``functor_jcut``.
-G may start at an internal degree too: its generators at or above it span
-a dg-submodule.
+takes an internal cutoff c and returns the quotient by its generators
+below c - 2f (a dg-submodule).  A T-column j reads only generators in
+[j - 2f, j], so the cut is exact on the columns >= c, and callers cut at
+the least column their window reads; only ``counit`` and ``unit`` keep
+the 2(f+1) margin of ``functor_jcut``.  G may start at an internal
+degree too: its generators at or above it span a dg-submodule.
 
 The adjunction unit and counit are explicit chain maps whose signs are
 pinned here.  Each takes the window of its verdict, derives jcut from it,
@@ -51,12 +51,10 @@ def standard_window(*modules: SemifreeDgModule) -> Window:
 
 
 def functor_jcut(window: Window, f: int) -> int:
-    """Internal cutoff making functor outputs exact on the window.
-
-    Computations run 2(f+1) internal degrees past the requested window, so
-    the quotient by the sub-cutoff part cannot disturb any reported cell.
-    ``counit`` and ``unit`` derive it from their window and check their
-    maps from jcut + 2 up; the images they build reach no lower than the
+    """The cutoff of ``counit`` and ``unit``: 2(f+1) internal degrees below
+    the window, where F cut at window.j0 would already be exact on it.  They
+    check their maps from jcut + 2 up (``DgMap.min_internal``), which a
+    tighter cut would weaken; the images they build reach no lower than the
     check and the window's cone read (see there).
     """
     return window.j0 - 2 * (f + 1)

@@ -3,8 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import margin_cut_reference
 import round_trip_reference
 from dict_reference import module, to_nested
+from koszulkit import homdual, suites
 from koszulkit.algebra import make_algebra
 from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
@@ -30,6 +32,7 @@ from koszulkit.lkd import (
     standard_window,
     unit,
 )
+from koszulkit.qmodel import restriction_unit
 from koszulkit.samples import random_acyclic, random_module, stream
 
 JCUT = -14
@@ -437,9 +440,10 @@ def _rows_kept(phi: DgMap, keep_source, keep_target) -> bool:
     """Whether every row phi.validate() joins lies among the kept
     generators: the source's d out of the checked sources, phi out of them
     and out of the sources their d reaches, and the target's d out of the
-    generators phi names from them."""
+    generators phi names from them.  Every source is checked when phi has
+    no min_internal."""
     S, T, (src, tgt) = phi.source, phi.target, phi.terms[:2]
-    checked = S.degs[:, 1] >= phi.min_internal
+    checked = np.ones(S.rank, dtype=bool) if phi.min_internal is None else S.degs[:, 1] >= phi.min_internal
     out = S.terms[1, checked[S.terms[0]]]
     reached = checked.copy()
     reached[out] = True
@@ -506,3 +510,104 @@ def test_the_window_cut_maps_agree_with_the_whole_range_maps(f, p):
     # a counit flip stays a chain map when it maps to a cycle of M a source
     # that no checked generator's d names; every unit flip fails
     assert flips["counit", True] > 20 and flips["unit", True] > 20 and not flips["unit", False]
+
+
+def _same_expansion(got: SemifreeDgModule, want: SemifreeDgModule, window: Window) -> bool:
+    """Whether two modules expand alike on the window: equal degs, equal d."""
+    a, b = (Expansion(X, window.j0, window.j1) for X in (got, want))
+    return a.degs.tolist() == b.degs.tolist() and [x.tolist() for x in a.d] == [x.tolist() for x in b.d]
+
+
+def _recorder(monkeypatch, owner, name):
+    """Wrap ``owner.name``; each call appends (args, result) to the list returned."""
+    calls, real = [], getattr(owner, name)
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_exact_cuts_expand_as_the_margin_cuts(f, p, monkeypatch):
+    """compat, exactness, shifts and the extend-restrict unit build each
+    image only down (or up) to the degree its window reads;
+    ``margin_cut_reference`` builds them at the old margin.  Every image a
+    suite takes the cohomology of expands on its window as the reference's
+    does, entry for entry, and holds no more generators.  The suites run on
+    random modules (not the acyclic ones exactness draws) on the standard
+    window, a window whose j0 lies below the module's generators and one
+    whose j0 lies above them; the extend-restrict window is fixed by the
+    suite, so the unit is also built at the offset windows' j1 directly."""
+    homdual_calls = _recorder(monkeypatch, homdual, "cohomology")
+    suite_calls = _recorder(monkeypatch, suites, "cohomology")
+    units = _recorder(monkeypatch, suites, "restriction_unit")
+    verdicts = _recorder(monkeypatch, suites, "is_quasi_iso")
+    drawn = {}
+    monkeypatch.setattr(suites, "random_acyclic", lambda A, rng: drawn[A.kind])
+    monkeypatch.setattr(suites, "random_module", lambda A, rng, max_gens: drawn[A.kind])
+    pairs = []  # (built, reference, window)
+    for trial in range(3):
+        rng = stream(27, (p, f, trial))
+        M, N = random_module(S_algebra(f, p), rng, max_gens=3), random_module(T_algebra(f, p), rng, max_gens=3)
+        NE = random_module(make_algebra("T", f + 1, f, p), rng, max_gens=3)
+        drawn.update(S=M, T=N)
+        lo, hi = M.degs[:, 1].min(), M.degs[:, 1].max()
+        win = standard_window(M)
+        for w in (None, Window(win.i0, win.i1, lo - 6, hi), Window(win.i0, win.i1, hi + 2, hi + 8)):
+            cfg = suites.Config(e=f, f=f, p=p, trials=1, window=w)
+            W = w or win
+            del homdual_calls[:], suite_calls[:]
+            homdual.check_compat(M, w)
+            left, right = margin_cut_reference.compat_modules(M, w or homdual.compat_window(M))
+            pairs += [(got, want, window) for ((got, window), _), want in zip(homdual_calls, (left, right))]
+            suites.suite_exactness(cfg)
+            (got, window), _ = suite_calls[0]
+            assert window == W
+            pairs.append((got, margin_cut_reference.exactness_module(M, W), W))
+            del suite_calls[:]
+            suites.suite_shifts(cfg)
+            kappas = [args for args, _ in suite_calls if args[0].algebra.kind == "T"]
+            assert len(kappas) == 10
+            for m, (first, after) in zip(range(-2, 3), zip(kappas[::2], kappas[1::2])):
+                assert after[1] == W
+                pairs += [(got, want, window) for (got, window), want in zip((first, after), margin_cut_reference.shifts_modules(M, W, m))]
+        drawn.update(T=NE, Q=random_module(make_algebra("Q", f + 1, f, p), rng, max_gens=3))
+        suites.suite_fbot(suites.Config(e=f + 1, f=f, p=p, trials=1))
+        ((unit_of, e, _), eta), ((phi, W), _) = units[-1], verdicts[-1]
+        assert unit_of is NE and phi is eta
+        lo, hi = NE.degs[:, 1].min(), NE.degs[:, 1].max()
+        for w in (W, Window(W.i0, W.i1, lo - 6, hi), Window(W.i0, W.i1, hi + 2, hi + 8)):
+            got = eta if w is W else restriction_unit(NE, e, w.j1)
+            want = margin_cut_reference.extend_restrict_unit(NE, e, w)
+            pairs += [(got.target, want.target, w), (cone(_on_range(got, w.j0, w.j1)), cone(_on_range(want, w.j0, w.j1)), w)]
+    assert all(_same_expansion(got, want, w) for got, want, w in pairs)
+    assert all(got.rank <= want.rank for got, want, _ in pairs)
+    assert sum(got.rank for got, _, _ in pairs) < sum(want.rank for _, want, _ in pairs)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_restriction_unit_at_the_window_is_the_margin_unit_restricted(f, p):
+    """The extend-restrict unit cut at its window's j1 is the margin-cut
+    unit of ``margin_cut_reference`` restricted to R's generators at or
+    below j1: T's d never raises internal degree, so every row validate
+    joins lies among them (eta names R's generators at most max j(N) =
+    j1 - 2), and the window's cones are equal."""
+    dropped = 0
+    for trial in range(3):
+        N = random_module(make_algebra("T", f + 1, f, p), stream(28, (p, f, trial)), max_gens=3)
+        W = Window.hull(N.gens).enlarge(1, 2)
+        eta, whole = restriction_unit(N, f + 1, W.j1), margin_cut_reference.extend_restrict_unit(N, f + 1, W)
+        keep_source, keep_target = np.ones(N.rank, dtype=bool), whole.target.degs[:, 1] <= W.j1
+        assert _rows_kept(whole, keep_source, keep_target)
+        part = _restricted(whole, keep_source, keep_target)
+        assert (eta.source, eta.target, eta.mons, eta.min_internal) == (part.source, part.target, part.mons, part.min_internal)
+        assert np.array_equal(eta.terms, part.terms)
+        assert cone(_on_range(eta, W.j0, W.j1)) == cone(_on_range(whole, W.j0, W.j1))
+        assert eta.validate() == [] and whole.validate() == [] and is_quasi_iso(eta, W)
+        dropped += int((~keep_target).sum())
+    assert dropped
