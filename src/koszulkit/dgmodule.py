@@ -50,7 +50,7 @@ expansions and the restrictions of scalars of ``qmodel`` read its labels
 and differential.  Cohomology is exact: each internal-degree column of an
 expansion is complete, and the ranks a window's h^{i,j} need are those
 of maps between whole cells: structural pivots first, over every map at
-once, then one dense core per map.
+once, then one dense block per distinct connected component of the rest.
 
 Finite dg-modules (``FiniteDgModule``) hold basis bidegrees and d as term
 arrays (rows, cols, vals) like ``Expansion``'s, row = source: shifts and
@@ -71,7 +71,7 @@ import numpy as np
 from . import algebra as alg_mod
 from .algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
 from .bigraded import Bidegree, BigradedDims, Window
-from .linalg import MAX_RANK_CELLS, rank as mat_rank, sorted_join, structural_pivots
+from .linalg import MAX_RANK_CELLS, components, rank as mat_rank, sorted_join, structural_pivots
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -762,17 +762,14 @@ def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedD
 
     h^{i,j} = dim C^{i,j} - rank(C^{i,j} -> C^{i+1,j}) - rank(C^{i-1,j} -> C^{i,j}),
     so the only ranks taken are those of the maps out of bidegrees (i, j)
-    with i0 - 1 <= i <= i1 and j0 <= j <= j1.  Each is the rank of the
-    whole map between two complete cells, so every reported h is exact.
-    The maps never share a row or a column, so one ``structural_pivots``
-    pass over all of their entries that are nonzero mod p serves every map;
-    a pivot counts toward the rank of the map out of its row's cell and
-    into its column's.  What is left of each map, its live rows by its live
-    columns, is the only part made dense (``_cores``: 1-4 bytes an entry),
-    and it is ranked at its echelon form, with no reduced rows built.
-    ValueError when a core would take more than MAX_RANK_CELLS * 8 bytes,
-    before any core is allocated.
-    """
+    with i0 - 1 <= i <= i1 and j0 <= j <= j1, each of the whole map between
+    two complete cells, so every reported h is exact.  The maps never share
+    a row or a column, so one ``structural_pivots`` pass over all of their
+    entries that are nonzero mod p serves every map; a pivot counts toward
+    the rank of the map out of its row's cell and into its column's.  What
+    is left is ranked by ``_cores``, one dense block per distinct connected
+    component, at its echelon form; ValueError when a block would take more
+    than MAX_RANK_CELLS * 8 bytes, before any block is allocated."""
     n = len(degs)
     if not n:
         return BigradedDims()
@@ -800,45 +797,48 @@ def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedD
 
 
 def _cores(degs, starts, rows, cols, vals, p: int, ranked):
-    """Rank what structural pivots left of each map, its live rows by its
-    live columns, as one dense core, and add the rank to ``ranked`` at one
-    row and one column of the core.  The cores' source cells and target
-    cells run in the same order.  A core holds ``vals`` mod p in the
-    narrowest unsigned dtype that holds p, 1-4 bytes an entry (one below
-    256).  ValueError when a core would take more than MAX_RANK_CELLS * 8
-    bytes, the 512 MB of int64 entries that bound was sized for, before any
-    core is allocated: a 1-byte core may hold 8 times the entries."""
+    """Rank what structural pivots left one connected component at a time
+    (a basis element's row and column are distinct nodes, so a component
+    lies in one map) and add its rank at its first row and first column.
+    A component is keyed by shape, its entries' positions in its block and
+    their values mod p; each distinct key is ranked once, as a dense block
+    in the narrowest unsigned dtype that holds p.  ValueError when a block
+    would take more than MAX_RANK_CELLS * 8 bytes (the int64 entries that
+    bound was sized for), before any block is allocated."""
     core_rows, r = np.unique(rows, return_inverse=True)
     core_cols, c = np.unique(cols, return_inverse=True)
-    _, r0, nr = np.unique(np.searchsorted(starts, core_rows, "right"), return_index=True, return_counts=True)
-    _, c0, nc = np.unique(np.searchsorted(starts, core_cols, "right"), return_index=True, return_counts=True)
+    comp = components(r, c + len(core_rows))  # rows are nodes 0, 1, ..., and columns follow
+    order, size = comp.argsort(kind="stable"), np.bincount(comp)
+    start, nr = size.cumsum() - size, np.bincount(comp[: len(core_rows)])
+    local = np.empty_like(order)  # a row's number in its component, and a column's after its rows
+    local[order] = np.arange(len(comp)) - start.repeat(size)
+    k, nc, dtype = comp[r], size - nr, np.min_scalar_type(p)
     big = (nr * nc).argmax()
-    dtype = np.min_scalar_type(p)
-    size, limit = nr[big] * nc[big] * dtype.itemsize, MAX_RANK_CELLS * 8  # bytes: the int64 entries the bound was sized for
+    size, limit = nr[big] * nc[big] * dtype.itemsize, MAX_RANK_CELLS * 8
     if size > limit:
         raise ValueError(
-            f"the map out of bidegree {tuple(degs[core_rows[r0[big]]].tolist())} needs a dense {nr[big]} x {nc[big]} core "
-            f"({size:,} bytes as {dtype}), over the limit of {limit:,} bytes"
+            f"the map out of bidegree {tuple(degs[core_rows[order[start[big]]]].tolist())} has a connected {nr[big]} x {nc[big]} "
+            f"component ({size:,} bytes as {dtype}), over the limit of {limit:,} bytes"
         )
-    vals = (vals % p).astype(dtype)
-    bounds = [*r.searchsorted(r0).tolist(), len(r)]
-    for k in range(len(r0)):
-        e = slice(bounds[k], bounds[k + 1])
-        a = np.zeros((nr[k], nc[k]), dtype=dtype)
-        a[r[e] - r0[k], c[e] - c0[k]] = vals[e]
-        rk = mat_rank(a, p)
-        ranked[core_rows[r0[k]]] += rk
-        ranked[core_cols[c0[k]]] += rk
+    flat = local[r] * nc[k] + local[c + len(core_rows)] - nr[k]  # position in the component's block
+    at = np.lexsort((flat, k))  # by component, then position
+    flat, vals, ends = flat[at], (vals[at] % p).astype(dtype), np.bincount(k).cumsum().tolist()
+    ranks, seen = [], {}
+    for a, b, m, n in zip([0, *ends], ends, nr.tolist(), nc.tolist()):
+        key = (m, n, flat[a:b].tobytes(), vals[a:b].tobytes())
+        if key not in seen:
+            block = np.zeros((m, n), dtype=dtype)
+            block.ravel()[flat[a:b]] = vals[a:b]
+            seen[key] = mat_rank(block, p)
+        ranks.append(seen[key])
+    ranked[core_rows[order[start]]] += ranks
+    ranked[core_cols[order[start + nr] - len(core_rows)]] += ranks
 
 
 def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
-    """Bigraded cohomology dimensions of a semifree module on a window.
-
-    Exact on the window: the expansion holds every cohomological degree of
-    each internal-degree column in [j0, j1], and ranks are taken only of
-    the maps out of bidegrees with i0 - 1 <= i <= i1, the ones the
-    reported h^{i,j} depend on (see ``_column_cohomology``).
-    """
+    """Bigraded cohomology dimensions of a semifree module on a window,
+    exact: the expansion holds every cohomological degree of each
+    internal-degree column in [j0, j1] (see ``_column_cohomology``)."""
     exp = Expansion(module, window.j0, window.j1)
     return _column_cohomology(exp.degs, exp.d, window, module.algebra.p)
 

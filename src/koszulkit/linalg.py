@@ -1,33 +1,24 @@
 """Exact linear algebra over the prime field GF(p), p an odd prime.
 
 Matrices are numpy integer arrays; those returned are int64 with entries
-reduced mod p.  Everything is a pure function; no state is shared, so
-results from concurrent callers are safe to combine.  A sparse rank starts
-with ``structural_pivots``, which finds pivots from the positions of the
-nonzero entries alone; what it leaves is a dense core, of 1-4 bytes an
-entry (``dgmodule._cores``).  All elimination goes
-through ``rref``, a sparse left-looking row reduction (after
-Faugere-Lachartre and SpaSM): it reads the nonzeros of a matrix once and
-holds each row as a dict of Python ints, so no product can overflow.
-Callers that need the reduced form get only its pivot rows, as a dense
-(rank, n) array; ``rank`` and ``independent_columns`` stop at the echelon
-form, whose pivot set is already the reduced form's, and build no (rank, n)
-array.  The cores it meets are 0.05-7% nonzero and fill in little.
+reduced mod p.  Everything is a pure function, so results from concurrent
+callers are safe to combine.  A sparse rank starts with
+``structural_pivots``, which finds pivots from the positions of the
+nonzero entries alone; what it leaves falls apart into ``components``, and
+``dgmodule._cores`` makes each distinct one a dense block of 1-4 bytes an
+entry.  All elimination goes through ``rref``, a sparse left-looking row
+reduction (after Faugere-Lachartre and SpaSM) that holds each row as a
+dict of Python ints, so no product can overflow.  ``rank`` and
+``independent_columns`` stop at the echelon form, whose pivot set is the
+reduced form's, and build no (rank, n) array.  The blocks it meets are
+small, or large and sparse, and fill in little.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "is_odd_prime",
-    "check_modulus",
-    "rank",
-    "rref",
-    "structural_pivots",
-    "kernel_basis",
-    "independent_columns",
-]
+__all__ = ["is_odd_prime", "check_modulus", "rank", "rref", "structural_pivots", "components", "kernel_basis", "independent_columns"]
 
 
 def sorted_join(a, b):
@@ -57,16 +48,15 @@ def is_odd_prime(p: int) -> bool:
 MAX_MODULUS = 1 << 24
 
 # The memory bound of elimination, sized as 64M int64 cells (512 MB).
-# dgmodule._cores refuses a dense core of more than MAX_RANK_CELLS * 8
-# bytes; a core entry costs 1-4 bytes, the narrowest unsigned dtype that
-# holds p (one byte below 256), so at p = 3 a core may hold 512M entries.
-# The e = f = 5 round trip at p = 3, seed 2024, trials 0-3 needs at most a
-# 7930 x 13400 core in trial 3 (106M entries, 106 MB as uint8, 49,352 of
-# them nonzero, rank 5819), a margin of 4.8 under the bound; ranking a core
-# builds no (rank, n) array.  rref refuses to hold more than
-# MAX_RANK_CELLS // 8 entries in its rows, since a dict entry of Python
-# ints costs about 8 int64 cells, so sparse rows stay within 512 MB;
-# trials 0-2 hold at most 17,758, and trial 3's largest core 79,530.
+# dgmodule._cores refuses a dense block, one connected component of what
+# structural pivots leave, of more than MAX_RANK_CELLS * 8 bytes; an entry
+# costs 1-4 bytes (the narrowest unsigned dtype that holds p), so at p = 3
+# a block may hold 512M entries.  The e = f = 5 round trip at p = 3, seed
+# 2024, trials 0-3 ranks at most trial 3's 7912 x 13355 block (106 MB as
+# uint8, 49,262 nonzeros, rank 5804), a margin of 4.8.  rref refuses to
+# hold more than MAX_RANK_CELLS // 8 entries in its rows (a dict entry of
+# Python ints costs about 8 int64 cells); trials 0-2 hold at most 474, and
+# trial 3's largest block 79,425.
 MAX_RANK_CELLS = 64_000_000
 
 
@@ -91,33 +81,27 @@ def _subtract(row: dict, f: int, pivot: dict, p: int):
 
 
 def rref(a: np.ndarray, p: int, reduced: bool = True):
-    """Reduced row echelon form over GF(p).  Returns (pivot rows, rank,
-    pivot columns): the nonzero rows of the reduced form, a (rank, n) int64
-    array with entries in [0, p).  With ``reduced`` false it stops at the
-    echelon form and returns (None, rank, pivot columns).
+    """Reduced row echelon form over GF(p): (pivot rows, rank, pivot
+    columns), the pivot rows a (rank, n) int64 array with entries in [0, p);
+    with ``reduced`` false, (None, rank, pivot columns) of the echelon form.
 
     Sparse left-looking elimination: the nonzeros of ``a`` mod p become one
-    dict {column: value} per row, and rows are taken shortest first.  Each
-    is reduced on its least column against the pivot rows found so far,
-    until it is empty or becomes a pivot row, scaled to 1 at that column.
-    The pivot rows are then an echelon basis of the row space, with the
-    reduced form's pivot columns; with ``reduced`` false, rref stops there.
-    Back-substitution clears every other pivot column, last pivot first:
-    the pivot rows after it are already reduced, so subtracting them never
-    makes a pivot column nonzero again and one pass per row suffices.
-    ValueError once the rows hold more than MAX_RANK_CELLS // 8 entries.
+    dict {column: value} per row, taken shortest first (ties in row order).
+    Each is reduced on its least column against the pivot rows so far until
+    it is empty or becomes a pivot row, scaled to 1 there: an echelon basis
+    with the reduced form's pivot columns.  Back-substitution then clears
+    every other pivot column, last pivot first, in one pass per row, since
+    the pivot rows after it are already reduced.  ValueError once the rows
+    hold more than MAX_RANK_CELLS // 8 entries.
     """
     m, n = a.shape
     flat = a.ravel()
     at = flat.nonzero()[0]
-    vals = flat[at] % p
-    live = vals.nonzero()[0]
-    rows, cols = np.divmod(at[live], n)
-    vals = vals[live]
-    counts = np.bincount(rows, minlength=m)
-    starts = np.concatenate([[0], counts.cumsum()]).tolist()
-    cols, vals = cols.tolist(), vals.tolist()
-    held, limit = len(vals), MAX_RANK_CELLS // 8
+    rows = {}  # row -> {column: value}, the nonzeros mod p, in row order
+    for k, v in zip(at.tolist(), (flat[at] % p).tolist()):
+        if v:
+            rows.setdefault(k // n, {})[k % n] = v
+    held, limit = sum(map(len, rows.values())), MAX_RANK_CELLS // 8
 
     def check_fill():
         if held > limit:
@@ -128,8 +112,8 @@ def rref(a: np.ndarray, p: int, reduced: bool = True):
 
     check_fill()
     pivot_rows = {}  # pivot column -> its row, 1 at that column
-    for i in counts.argsort(kind="stable")[(counts == 0).sum():].tolist():
-        row = dict(zip(cols[starts[i]:starts[i + 1]], vals[starts[i]:starts[i + 1]]))
+    for row in sorted(rows.values(), key=len):
+        held -= len(row)
         while row:
             col = min(row)
             pivot = pivot_rows.get(col)
@@ -138,7 +122,7 @@ def rref(a: np.ndarray, p: int, reduced: bool = True):
                 pivot_rows[col] = {k: v * inv % p for k, v in row.items()}
                 break
             _subtract(row, row[col], pivot, p)
-        held += len(row) - starts[i + 1] + starts[i]
+        held += len(row)
         check_fill()
     pivots = sorted(pivot_rows)
     if not reduced:
@@ -194,11 +178,27 @@ def structural_pivots(rows, cols, n: int):
     return pivot_rows, pivot_cols, left
 
 
+def components(u, v):
+    """Each node's connected component, numbered by least node, in the graph
+    with edges (u[k], v[k]) on nodes 0, 1, ..., each in some edge.  A round
+    hooks each root to the least root next to it, points every node at its
+    root (the least node of its tree) and drops the edges inside one."""
+    label = np.arange(max(u.max(), v.max()) + 1, dtype=np.int32)
+    while len(u):
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        up = label[label]
+        while (up != label).any():
+            label, up = up, up[up]
+    roots = label == np.arange(len(label))
+    return (roots.cumsum(dtype=np.int32) - 1)[label]
+
+
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` over GF(p); 0 for matrices with an empty side."""
-    if a.size == 0:
-        return 0
-    return rref(a, p, reduced=False)[1]
+    return rref(a, p, reduced=False)[1] if a.size else 0
 
 
 def independent_columns(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:

@@ -257,7 +257,8 @@ def test_table_of_kappa_of_point(tmp_path):
 
 
 def _two_core_module(tmp_path, p=3):
-    """A module file whose table ranks a 2 x 2 and then a 4 x 4 core."""
+    """A module file whose table has a 2 x 2 and then a 4 x 4 core left by
+    structural pivots, each made of 2 x 2 components."""
     from koszulkit.algebra import make_algebra
     from dict_reference import module
     from koszulkit.dgmodule import serialize_module
@@ -265,8 +266,8 @@ def _two_core_module(tmp_path, p=3):
     # d(e2) = x1 e0 + x2 e1 and d(e3) = x1 e0 + 2 x2 e1.  Out of bidegree
     # (1, -2) the map is a 2 x 4 cell whose core {e2, e3} x {x1 e0, x2 e1}
     # has rank 2 and 4 nonzeros; out of (3, -4) a 4 x 6 cell whose 4 x 4
-    # core is two such blocks.  Structural pivots clear neither core, and
-    # eliminating a core fills in nothing.
+    # core is two such blocks, each a connected component equal to the
+    # first.  Structural pivots clear neither core.
     S = make_algebra("S", 2, 2, p)
     d = {k: {0: {((1, 0), 0): 1}, 1: {((0, 1), 0): c}} for k, c in ((2, 1), (3, 2))}
     M = module(S, [(0, 0), (0, 0), (1, -2), (1, -2)], d)
@@ -275,16 +276,44 @@ def _two_core_module(tmp_path, p=3):
     return path
 
 
+def _one_component_module(tmp_path, p=3):
+    """A module file whose table ranks a 2 x 4 and then a connected 4 x 6 block."""
+    from koszulkit.algebra import make_algebra
+    from dict_reference import module
+    from koszulkit.dgmodule import serialize_module
+
+    # d(e2) = (x1 + x2) e0 + (x1 + 2 x2) e1 and d(e3) = (x1 + 2 x2) e0 +
+    # (x1 + x2) e1.  Out of bidegree (1, -2) the map is a 2 x 4 cell of
+    # rank 2 and 8 nonzeros, and out of (3, -4) a 4 x 6 cell of rank 4 and
+    # 16 nonzeros.  Structural pivots clear neither, each is one connected
+    # component, and eliminating either fills in nothing.
+    S = make_algebra("S", 2, 2, p)
+    x1, x2 = ((1, 0), 0), ((0, 1), 0)
+    d = {k: {0: {x1: 1, x2: a}, 1: {x1: 1, x2: 3 - a}} for k, a in ((2, 1), (3, 2))}
+    M = module(S, [(0, 0), (0, 0), (1, -2), (1, -2)], d)
+    path = tmp_path / f"one-{p}.json"
+    path.write_text(serialize_module(M))
+    return path
+
+
 def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
     from koszulkit import dgmodule
 
-    # the bound is MAX_RANK_CELLS * 8 bytes; a core entry is 1 byte at p = 3
-    # and 2 at p = 257, so the 4 x 4 core takes 16 and 32 bytes
-    for p, fits, size, dtype in ((257, 4, 32, "uint16"), (3, 2, 16, "uint8")):
+    # the bound is MAX_RANK_CELLS * 8 bytes per connected component; an
+    # entry is 1 byte at p = 3 and 2 at p = 257, so the 4 x 6 component
+    # takes 24 and 48 bytes, and the 2 x 4 one 8 and 16
+    for p, fits, size, dtype in ((257, 6, 48, "uint16"), (3, 3, 24, "uint8")):
         path = _two_core_module(tmp_path, p)
         assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
         want = capsys.readouterr().out
-        monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", fits)  # the 4 x 4 core, not the 4 x 6 cell
+        with monkeypatch.context() as m:
+            m.setattr(dgmodule, "MAX_RANK_CELLS", 1)  # 8 bytes: each 2 x 2 component, not the 4 x 4 core
+            assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+        assert capsys.readouterr().out == want
+        path = _one_component_module(tmp_path, p)
+        assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(dgmodule, "MAX_RANK_CELLS", fits)
         assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
         assert capsys.readouterr().out == want
         with monkeypatch.context() as m:
@@ -292,28 +321,38 @@ def test_table_refuses_an_oversized_rank_cell(tmp_path, monkeypatch, capsys):
             ranked = []
             m.setattr(dgmodule, "mat_rank", lambda a, p: ranked.append(a.shape))
             assert main(["table", str(path), "--window=0:4,-4:0"]) == 2
-        assert ranked == []  # refused before the core out of (1, -2) is ranked
+        assert ranked == []  # refused before the component out of (1, -2) is ranked
         err = capsys.readouterr().err
         assert err == (
-            "error: the map out of bidegree (3, -4) needs a dense 4 x 4 core "
+            "error: the map out of bidegree (3, -4) has a connected 4 x 6 component "
             f"({size} bytes as {dtype}), over the limit of {8 * (fits - 1)} bytes\n"
         )
         assert "Traceback" not in err
 
 
 def test_table_refuses_a_row_reduction_past_its_fill_bound(tmp_path, monkeypatch, capsys):
-    from koszulkit import linalg
+    from koszulkit import dgmodule, linalg
 
-    path = _two_core_module(tmp_path)
-    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+    # on internal degree -4 alone, the table ranks one connected 4 x 6 block
+    path, args = _one_component_module(tmp_path), ["--window=0:4,-4:-4"]
+    assert main(["table", str(path), *args]) == 0
     want = capsys.readouterr().out
-    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 64)  # 8 entries: the 4 x 4 core's nonzeros
-    assert main(["table", str(path), "--window=0:4,-4:0"]) == 0
+    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 128)  # 16 entries: the block's nonzeros
+    assert main(["table", str(path), *args]) == 0
     assert capsys.readouterr().out == want
-    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 63)  # 7 entries: the 2 x 2 core passes, the 4 x 4 does not
-    assert main(["table", str(path), "--window=0:4,-4:0"]) == 2
+    monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 127)  # 15 entries
+    calls, ranked = [], []
+
+    def recording_rank(a, p):
+        calls.append(a.shape)
+        ranked.append(linalg.rank(a, p))
+        return ranked[-1]
+
+    monkeypatch.setattr(dgmodule, "mat_rank", recording_rank)
+    assert main(["table", str(path), *args]) == 2
+    assert calls == [(4, 6)] and ranked == []  # the first elimination is refused
     err = capsys.readouterr().err
-    assert err == "error: row reduction of a 4 x 4 matrix holds 8 entries in its rows (about 512 bytes), over the limit of 7\n"
+    assert err == "error: row reduction of a 4 x 6 matrix holds 16 entries in its rows (about 1,024 bytes), over the limit of 15\n"
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_core_reference
 import finite_reference as dense_ref
 from dense_reference import rank as dense_rank
 from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
@@ -598,6 +599,116 @@ def test_cores_hold_residues_in_the_narrowest_dtype(monkeypatch, p):
     table = _column_cohomology(degs, d, W, p)
     assert table == reference_column_cohomology(degs, d, W, p) and table.to_triples() == [[0, 0, 1], [1, 0, 1]]
     assert dtypes == [np.min_scalar_type(p)] and dtypes[0].itemsize == (1 if p < 256 else 2 if p < 65536 else 4)
+
+
+def _laid_out(maps, rng=None):
+    """``_column_cohomology`` input from the blocks of each map C^{i,j} ->
+    C^{i+1,j}: ``maps`` sends (i, j) to a list of dense blocks, laid out on
+    the diagonal from the first element of both cells, so that the first
+    elements of a cell are columns of the map into it and rows of the map
+    out of it.  With ``rng`` each cell's elements are permuted and each
+    row's entries shuffled.  d^2 need not vanish: the tables compared are
+    dim - rank - rank of the same maps, and a cell has as many elements as
+    the map out of it has rows and the map into it columns, so none is
+    negative."""
+    size = {}
+    for (i, j), blocks in maps.items():
+        size[i, j] = size.get((i, j), 0) + sum(b.shape[0] for b in blocks)
+        size[i + 1, j] = size.get((i + 1, j), 0) + sum(b.shape[1] for b in blocks)
+    order = sorted(size)
+    start = dict(zip(order, accumulate((size[bd] for bd in order), initial=0)))
+    place = {bd: rng.permutation(size[bd]) if rng is not None else np.arange(size[bd]) for bd in order}
+    entries = []
+    for (i, j), blocks in maps.items():
+        r0 = c0 = 0
+        for b in blocks:
+            for a, c in zip(*b.nonzero()):
+                entries.append((start[i, j] + place[i, j][r0 + a], start[i + 1, j] + place[i + 1, j][c0 + c], int(b[a, c])))
+            r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    if rng is not None:
+        rng.shuffle(entries)
+    entries.sort(key=lambda e: e[0])
+    degs = np.array([bd for bd in order for _ in range(size[bd])], dtype=np.int64).reshape(-1, 2)
+    return degs, tuple(np.array(x, dtype=np.int64) for x in zip(*entries)) if entries else (np.zeros(0, np.int64),) * 3
+
+
+@pytest.mark.parametrize("p", [3, 251, 257, 65537])
+def test_equal_components_share_one_rank(monkeypatch, p):
+    """Out of (0, 0): two equal 3 x 3 cycles (rank 3), the same cycle with
+    one value negated (rank 2), a 2 x 4 block of rank 1 and a 4 x 2 block
+    of rank 2 with the same entries in the same flat order.  Out of (1, 0):
+    a 2 x 2 block whose rows are the first cycle's first columns.  Each
+    distinct component is ranked once; the table is the dense reference's
+    and the per-map cores'."""
+    cycle = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    flipped = cycle.copy()
+    flipped[2, 0] = p - 1
+    flat = np.array([1, 1, 1, 2, 1, 1, 1, 2])
+    maps = {(0, 0): [cycle, cycle, flipped, flat.reshape(2, 4), flat.reshape(4, 2)], (1, 0): [np.array([[1, 1], [1, 2]])]}
+    degs, d = _laid_out(maps)
+    shapes = []
+
+    def recording_rank(a, p):
+        shapes.append(a.shape)
+        return mat_rank(a, p)
+
+    monkeypatch.setattr(dgmodule, "mat_rank", recording_rank)
+    W = Window(-1, 3, -1, 1)
+    table = _column_cohomology(degs, d, W, p)
+    assert shapes == [(3, 3), (3, 3), (2, 4), (4, 2), (2, 2)]
+    assert table.to_triples() == [[0, 0, 15 - 11], [1, 0, 17 - 11 - 2]]
+    assert table == reference_column_cohomology(degs, d, W, p) == dense_core_reference.column_cohomology(degs, d, W, p)
+
+
+@st.composite
+def _component_maps(draw):
+    """Maps built of a few blocks, each used several times on the diagonal
+    of maps in two columns: as drawn, with one value changed to another
+    nonzero residue, or (when full) transposed in shape with its entries
+    in the same flat order.  Some entries are 0 mod p."""
+    p = draw(st.sampled_from([3, 251, 257, 65537]), label="p")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    pool = []
+    for _ in range(draw(st.integers(1, 3), label="blocks")):
+        m, n = (draw(st.integers(1, 4)) for _ in "mn")
+        full = draw(st.booleans(), label="full")
+        mask = np.ones((m, n), bool) if full else rng.random((m, n)) < 0.6
+        if draw(st.booleans(), label="constant"):
+            vals = np.full((m, n), int(rng.integers(1, p)))
+        else:
+            vals = rng.integers(1, p, (m, n)) + p * (rng.random((m, n)) < 0.1) * rng.integers(-1, 2, (m, n))
+        pool.append((vals * mask, full))
+    maps = {}
+    for i in range(draw(st.integers(1, 3), label="maps")):
+        for j in (0, 1):
+            blocks = []
+            for _ in range(draw(st.integers(0, 4))):
+                b, full = pool[draw(st.integers(0, len(pool) - 1))]
+                kind = draw(st.sampled_from(["same", "same", "changed", "transposed"]))
+                at = b.nonzero()
+                if kind == "changed" and len(at[0]):
+                    b = b.copy()
+                    k = int(rng.integers(len(at[0])))
+                    b[at[0][k], at[1][k]] = b[at[0][k], at[1][k]] % p % (p - 1) + 1
+                elif kind == "transposed" and full:
+                    b = b.reshape(b.shape[::-1])
+                blocks.append(b)
+            maps[i, j] = blocks
+    return p, maps, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(_component_maps(), st.data())
+def test_components_match_the_per_map_cores(drawn, data):
+    """Ranking each distinct connected component once gives the tables of
+    the per-map dense cores and of dense rank of whole cells."""
+    p, maps, rng = drawn
+    degs, d = _laid_out(maps, rng)
+    i0 = data.draw(st.integers(-1, 3), label="i0")
+    W = Window(i0, data.draw(st.integers(i0, 4), label="i1"), 0, data.draw(st.integers(0, 1), label="j1"))
+    table = _column_cohomology(degs, d, W, p)
+    assert table == dense_core_reference.column_cohomology(degs, d, W, p)
+    assert table == reference_column_cohomology(degs, d, W, p)
 
 
 # SHA-256 of the JSON list of every table _column_cohomology returns, in
