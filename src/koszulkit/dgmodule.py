@@ -33,29 +33,24 @@ Sign conventions, fixed project-wide and enforced by validate():
   bidegrees and transposes the terms with the sign (-1)^{c(c-1)/2}, which
   makes double dualization the identity on the presentation.
 
-Expansions are assembled by one kernel from cached integer tables: for
-each (algebra, internal-degree span) the monomials are numbered once and
-held as arrays (exponents, ext masks, sorted byte keys), and the block
-table of a monomial says where it times every monomial of the span lands,
-with its sign.  Blocks are products of the kernel above, and a
-``searchsorted`` on the target's keys finds each row; every block one
-differential or one action is missing is built in one batch.  A module's
-generators are held by index into its few distinct spans, so tables,
-sizes and bidegrees are read once per span and gathered by index; the
-terms of d fall into few distinct (span, span, monomial) groups, and each
-group's block is built or looked up once and placed for all of its terms
-by one repeat/arange gather.  Only ``Expansion`` and its helpers cut, lay
-out and gather spans: cohomology, the functors of ``lkd``, finite
-expansions and the restrictions of scalars of ``qmodel`` read its labels
-and differential.  Cohomology is exact: each internal-degree column of an
-expansion is complete, and the ranks a window's h^{i,j} need are those
-of maps between whole cells: structural pivots first, over every map at
-once, then one dense block per distinct connected component of the rest.
+Expansions are assembled from cached tables: per (algebra, internal-degree
+span) the monomials are numbered once and held as arrays (exponents, ext
+masks, sorted byte keys), and a monomial's block says where it times every
+monomial of the span lands, with its sign, each row found by one
+``searchsorted``; the blocks one request is missing are built in one batch.
+Generators are held by index into their few distinct spans, and the terms
+of d fall into few (span, span, monomial) groups, each group's block placed
+for all of its terms by one repeat/arange gather.  An expansion holds d as
+int32 positions and values in the narrowest dtype of p.  Cohomology, the
+functors of ``lkd``, finite expansions and ``qmodel``'s restrictions read
+its labels and d.  Cohomology is exact: each internal-degree column of an
+expansion is complete, and the ranks a window's h^{i,j} need are those of
+maps between whole cells: structural pivots first, over every map at once,
+then one dense block per distinct connected component of the rest.
 
 Finite dg-modules (``FiniteDgModule``) hold basis bidegrees and d as term
-arrays (rows, cols, vals) like ``Expansion``'s, row = source: shifts and
-duals are index swaps and sign flips.  They hold no generator actions: the
-cohomology tables they are compared on read only d.
+arrays like ``Expansion``'s, row = source: shifts and duals are index swaps
+and sign flips.  They hold no actions: their tables read only d.
 """
 
 from __future__ import annotations
@@ -78,12 +73,13 @@ ONE_SHIFT = (1, 0)  # bidegree of every differential
 _NO_TERMS = np.zeros((4, 0), dtype=np.int64)
 _NO_TERMS.flags.writeable = False
 _NO_DEGS = _NO_TERMS[:2].T  # (0, 2): the bidegrees of no basis elements
+_NO_POSITIONS = _NO_TERMS[:2].astype(np.int32)  # the rows and cols of an empty d
 
 
 def _summed(key, vals, p: int):
-    """``key`` sorted, the values of equal keys summed mod p and the sums
-    that vanish dropped; ``vals`` must be nonzero mod p.  Sums mod p do not
-    depend on the order of their terms, so the sort need not be stable."""
+    """``key`` sorted, the values of equal keys summed mod p in int64 (kept in
+    vals' dtype) and vanishing sums dropped; ``vals`` must be nonzero mod p.
+    Sums mod p do not depend on the order of terms: the sort need not be stable."""
     order = key.argsort()
     key, vals = key.take(order), vals.take(order)
     del order
@@ -91,7 +87,7 @@ def _summed(key, vals, p: int):
     repeat = key[1:] == key[:-1]
     if np.count_nonzero(repeat):
         first = np.concatenate(([0], (~repeat).nonzero()[0] + 1))
-        key, vals = key[first], np.add.reduceat(vals, first) % p
+        key, vals = key[first], (np.add.reduceat(vals, first, dtype=np.int64) % p).astype(vals.dtype, copy=False)
         nonzero = vals != 0
         key, vals = key[nonzero], vals[nonzero]
     return key, vals
@@ -131,8 +127,8 @@ def nested_terms(algebra: AlgebraSpec, nested) -> tuple:
 
 
 def _signed(coeff, odd, p: int) -> np.ndarray:
-    """Coefficients in [1, p), negated mod p where ``odd`` is 1."""
-    return coeff + odd * (p - 2 * coeff)
+    """Coefficients in [1, p), negated mod p where ``odd`` is 1, in int64 (p - 2 coeff wraps narrow)."""
+    return coeff + odd * (p - 2 * coeff.astype(np.int64, copy=False))
 
 
 def _degree_issues(algebra: AlgebraSpec, mons, terms, want, what: str) -> list[str]:
@@ -622,8 +618,7 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
 # Largest expansion basis Expansion will enumerate, counted before any
 # monomial table is built.  The e = f = 5 round trip at p = 3, seed 2024,
 # trials 0-3 expands at most 232,182 basis elements (a unit's cone on its
-# window [-2, 6], at 236 MB peak for the whole run); 1M is a margin of 4.3
-# over it.
+# window [-2, 6]; the whole run peaks at 194 MB): a margin of 4.3.
 MAX_EXPANSION_BASIS = 1_000_000
 
 
@@ -632,30 +627,29 @@ def _joined(arrays, axis=0):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
 
 
-def _gather(blocks, items, offsets):
+def _gather(blocks, items, offsets, p: int):
     """Sum over the items (k, l, b, coeff) of coeff times ``blocks[b]``
-    taken from the table rows of generator k to those of generator l: an
-    unmerged (3, n) array of rows (src, dst, coeff), positions in the
-    concatenated tables (``offsets`` holds each generator's first).  Each
-    item's block is expanded by one repeat/arange gather from the
-    concatenated blocks, its generators' offsets added and its coefficient
-    applied there; the gather's positions are dropped once read."""
+    taken from the table rows of generator k to those of generator l: three
+    unmerged arrays src, dst (int64 positions in the concatenated tables;
+    ``offsets`` holds each generator's first) and coeff mod p in the narrowest
+    dtype of p, narrowed before src and dst are gathered.  Each item's block
+    is expanded by one repeat/arange gather, offsets and coefficient applied."""
     if not blocks:
-        return _NO_TERMS[:3]
+        return _NO_TERMS[0], _NO_TERMS[1], np.zeros(0, np.min_scalar_type(p))
     k, l, b, c = items
     lens = [block.shape[1] for block in blocks]
     n = np.array(lens, dtype=np.int64)[b]
-    ends = n.cumsum()
-    if not ends[-1]:
-        return _NO_TERMS[:3]
-    at = (np.array(list(accumulate(lens, initial=0))[:-1], dtype=np.int64)[b] - ends + n).repeat(n)
-    at += np.arange(ends[-1])
-    out = _joined(blocks, axis=1).take(at, axis=1)
+    at = (np.array(list(accumulate(lens, initial=0))[:-1], dtype=np.int64)[b] - n.cumsum() + n).repeat(n)
+    at += np.arange(len(at))
+    joined = _joined(blocks, axis=1)
+    vals = joined[2].take(at)
+    vals *= c.repeat(n)
+    vals = (vals % p).astype(np.min_scalar_type(p))
+    src, dst = joined[0].take(at), joined[1].take(at)
     del at
-    out[0] += offsets[k].repeat(n)
-    out[1] += offsets[l].repeat(n)
-    out[2] *= c.repeat(n)
-    return out
+    src += offsets[k].repeat(n)
+    dst += offsets[l].repeat(n)
+    return src, dst, vals
 
 
 class Expansion:
@@ -668,9 +662,11 @@ class Expansion:
     direction, a submodule in the lowering one).
 
     ``basis`` lists (k, monomial) sorted by (bidegree, k, monomial),
-    ``degs`` holds their bidegrees as an (n, 2) array, and ``d`` is the
-    differential as arrays (rows, cols, coeffs) sorted by (row, col), with
-    d(b_row) containing coeff * b_col.
+    ``degs`` holds their bidegrees as an (n, 2) int64 array, and ``d`` is
+    the differential as arrays (rows, cols, coeffs) sorted by (row, col),
+    d(b_row) containing coeff * b_col.  Positions (d's, ``action``'s,
+    ``_row``, ``_order``, ``_place``) are int32 and coeffs in [1, p) in the
+    narrowest dtype of p; readers widen them before a key or a sign flip.
 
     Generators are held by index into the few distinct spans (``_spans``):
     each span's table is read once, and sizes, offsets, bidegrees and
@@ -705,10 +701,11 @@ class Expansion:
         degs = _joined([t.degs for t in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
         # a stable sort by bidegree keeps the generator order and each table's order
         order = np.lexsort((degs[:, 1], degs[:, 0]))
-        self._place = np.empty_like(order)
-        self._place[order] = np.arange(len(order))
         self.degs = degs.take(order, axis=0)
-        self._tables, self._row, self._order = tables, row, order
+        self._place = np.empty(len(order), np.int32)
+        self._place[order] = np.arange(len(order), dtype=np.int32)
+        self._tables, self._row, self._order = tables, row.astype(np.int32), order.astype(np.int32)
+        del degs, row, order  # only the sorted bidegrees and int32 positions stay
         self.d = self._assemble(*_d_blocks(module, spans, which))
 
     def __len__(self):
@@ -729,13 +726,17 @@ class Expansion:
 
     def _assemble(self, blocks, items):
         """The placed sum of the blocks (see ``_gather``), merged and sorted
-        by (row, col) in basis order."""
-        src, dst, vals = _gather(blocks, items, self._offsets)
+        by (row, col) in basis order: one int64 key (place[src] << 32) | place[dst] in src's buffer."""
+        p = self.module.algebra.p
+        src, dst, vals = _gather(blocks, items, self._offsets, p)
         if not len(src):
-            return src, dst, vals
-        n = len(self._place)
-        key, vals = _summed(self._place[src] * n + self._place[dst], vals, self.module.algebra.p)
-        return (*np.divmod(key, n), vals)
+            return (*_NO_POSITIONS, vals)
+        key = np.left_shift(self._place[src], 32, out=src, dtype=np.int64)
+        key |= self._place[dst]
+        del src, dst
+        key, vals = _summed(key, vals, p)
+        words = key.view(np.int32).reshape(-1, 2)  # each key's low and high word, in memory order
+        return words[:, int(np.little_endian)], words[:, 1 - int(np.little_endian)], vals
 
     def action(self, is_ext: bool, g: int):
         """Left action of one algebra generator as (rows, cols, coeffs),
@@ -746,19 +747,18 @@ class Expansion:
         mon = A.gen_monomial(is_ext, g)
         gens = np.arange(self.module.rank)
         blocks = _blocks(A.key(), [(r, r, mon, True) for r in self._spans])
-        src, dst, vals = _gather(blocks, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets)
+        src, dst, vals = _gather(blocks, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets, A.p)
         rows = self._place.take(src)
         order = rows.argsort()
-        return rows.take(order), self._place.take(dst.take(order)), vals.take(order) % A.p
+        return rows.take(order), self._place.take(dst.take(order)), vals.take(order)
 
 
 def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:
     """Exact cohomology on the window from basis bidegrees and a differential.
 
     degs: (n, 2) array of basis bidegrees in lexicographic order, complete
-    per column; d: arrays (rows, cols, coeffs) with distinct (row, col)
-    pairs, sorted by row.  Entries that do not have bidegree (1, 0) are
-    ignored.
+    per column; d: arrays (rows, cols, coeffs) with distinct (row, col) pairs,
+    sorted by row, of any integer dtypes; entries not of bidegree (1, 0) are ignored.
 
     h^{i,j} = dim C^{i,j} - rank(C^{i,j} -> C^{i+1,j}) - rank(C^{i-1,j} -> C^{i,j}),
     so the only ranks taken are those of the maps out of bidegrees (i, j)
@@ -776,10 +776,10 @@ def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedD
     code = degs[:, 0] << 32 | degs[:, 1] & 0xFFFFFFFF  # one int per bidegree
     rows, cols, vals = d
     if len(rows):
-        src_i, src_j = degs[rows, 0], degs[rows, 1]
-        live = (code[cols] - code[rows] == 1 << 32) & (vals % p != 0)
-        live &= (window.i0 - 1 <= src_i) & (src_i <= window.i1) & (window.j0 <= src_j) & (src_j <= window.j1)
-        rows, cols, vals = rows[live], cols[live], vals[live]
+        i, j = degs[:, 0], degs[:, 1]  # the rows of the maps ranked, then their entries of bidegree (1, 0)
+        live = ((window.i0 - 1 <= i) & (i <= window.i1) & (window.j0 <= j) & (j <= window.j1))[rows] & (vals % p != 0)
+        live &= code[cols] == (code + (1 << 32))[rows]
+        rows, cols, vals = rows[live].astype(np.intp), cols[live].astype(np.intp), vals[live]  # int32 indices are cast at each use
     starts = [0, *((code[1:] != code[:-1]).nonzero()[0] + 1).tolist()]  # cells: runs of one bidegree
     ranks = [0] * len(starts)  # per cell: the rank of the map out of it plus that of the map into it
     if len(rows):
@@ -886,10 +886,10 @@ class FiniteDgModule:
     """A bigraded complex with finite basis: basis bidegrees and d.
 
     ``basis_degs`` is an (n, 2) int64 array of basis bidegrees, and d is
-    term arrays (rows, cols, vals) like ``Expansion.d``: d(b_row) contains
-    vals * b_col, of bidegree (1, 0), with distinct (row, col) pairs and
-    values in [1, p), in any order.  The constructor takes d as given; the
-    generator actions are not held, since the tables read only d.
+    term arrays (rows, cols, vals) like ``Expansion.d`` (narrow from one):
+    d(b_row) contains vals * b_col, of bidegree (1, 0), with distinct (row,
+    col) pairs and values in [1, p), in any order.  The constructor takes d
+    as given; the generator actions are not held: the tables read only d.
     """
 
     __slots__ = ("algebra", "basis_degs", "d")

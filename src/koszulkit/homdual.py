@@ -91,10 +91,10 @@ def k_linear_dual_T(M: FiniteDgModule) -> FiniteDgModule:
     """k-linear dual with the sign-twisted T-action (no shift applied).
 
     d is transposed by swapping its rows and cols, and row a of the
-    transpose is scaled by -(-1)^{i_a}, a ``_signed`` flip, so values stay
-    in [1, p).  Acting on the dual by (t.phi)(m) = (-1)^{|t||phi|} phi(t.m)
-    makes d of the dual satisfy the Leibniz rule only with that sign; the
-    actions themselves are not built (see the module docstring).
+    transpose is scaled by -(-1)^{i_a}, a ``_signed`` flip (in int64), so
+    values stay in [1, p).  Acting on the dual by (t.phi)(m) =
+    (-1)^{|t||phi|} phi(t.m) makes d of the dual satisfy the Leibniz rule
+    only with that sign; the actions are not built (see the module docstring).
     """
     rows, cols, vals = M.d
     odd = M.basis_degs[:, 0] & 1  # odd[a]: (-1)^{i_a} = -1

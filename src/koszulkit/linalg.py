@@ -6,9 +6,10 @@ callers are safe to combine.  A sparse rank starts with
 ``structural_pivots``, which finds pivots from the positions of the
 nonzero entries alone; what it leaves falls apart into ``components``, and
 ``dgmodule._cores`` makes each distinct one a dense block of 1-4 bytes an
-entry.  All elimination goes through ``rref``, a sparse left-looking row
-reduction (after Faugere-Lachartre and SpaSM) that holds each row as a
-dict of Python ints, so no product can overflow.  ``rank`` and
+entry.  All elimination goes through ``echelon``, a sparse left-looking row
+reduction on COO input (after Faugere-Lachartre and SpaSM) that holds each
+row as a dict of Python ints, so no product can overflow; ``rref`` is its
+dense wrapper, and every caller goes through it.  ``rank`` and
 ``independent_columns`` stop at the echelon form, whose pivot set is the
 reduced form's, and build no (rank, n) array.  The blocks it meets are
 small, or large and sparse, and fill in little.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["is_odd_prime", "check_modulus", "rank", "rref", "structural_pivots", "components", "kernel_basis", "independent_columns"]
+__all__ = ["is_odd_prime", "check_modulus", "rank", "echelon", "rref", "structural_pivots", "components", "kernel_basis", "independent_columns"]
 
 
 def sorted_join(a, b):
@@ -80,28 +81,30 @@ def _subtract(row: dict, f: int, pivot: dict, p: int):
             del row[k]
 
 
-def rref(a: np.ndarray, p: int, reduced: bool = True):
-    """Reduced row echelon form over GF(p): (pivot rows, rank, pivot
-    columns), the pivot rows a (rank, n) int64 array with entries in [0, p);
-    with ``reduced`` false, (None, rank, pivot columns) of the echelon form.
+def echelon(rows, cols, vals, shape, p: int, reduced: bool = False):
+    """Row echelon form over GF(p) of the ``shape`` (m, n) matrix whose
+    entries are ``vals`` at the distinct positions (``rows``, ``cols``), in
+    any order, and 0 elsewhere: (None, rank, pivot columns), or with
+    ``reduced`` (pivot rows, rank, pivot columns), the pivot rows of the
+    reduced form as COO arrays (i, column, value), i the pivot's index and
+    values in [1, p).
 
-    Sparse left-looking elimination: the nonzeros of ``a`` mod p become one
-    dict {column: value} per row, taken shortest first (ties in row order).
-    Each is reduced on its least column against the pivot rows so far until
-    it is empty or becomes a pivot row, scaled to 1 there: an echelon basis
-    with the reduced form's pivot columns.  Back-substitution then clears
-    every other pivot column, last pivot first, in one pass per row, since
-    the pivot rows after it are already reduced.  ValueError once the rows
-    hold more than MAX_RANK_CELLS // 8 entries.
+    Sparse left-looking elimination: the entries nonzero mod p become one
+    dict {column: value} per row, taken shortest first (ties in the order
+    the rows first appear, row order for a dense matrix's nonzeros).  Each
+    is reduced on its least column against the pivot rows so far until it is
+    empty or becomes a pivot row, scaled to 1 there: an echelon basis with
+    the reduced form's pivot columns.  Back-substitution then clears every
+    other pivot column, last pivot first, in one pass per row, since the
+    pivot rows after it are already reduced.  ValueError once the rows hold
+    more than MAX_RANK_CELLS // 8 entries.
     """
-    m, n = a.shape
-    flat = a.ravel()
-    at = flat.nonzero()[0]
-    rows = {}  # row -> {column: value}, the nonzeros mod p, in row order
-    for k, v in zip(at.tolist(), (flat[at] % p).tolist()):
+    m, n = shape
+    entries = {}  # row -> {column: value}, the nonzeros mod p, in order of first appearance
+    for r, c, v in zip(rows.tolist(), cols.tolist(), (vals % p).tolist()):
         if v:
-            rows.setdefault(k // n, {})[k % n] = v
-    held, limit = sum(map(len, rows.values())), MAX_RANK_CELLS // 8
+            entries.setdefault(r, {})[c] = v
+    held, limit = sum(map(len, entries.values())), MAX_RANK_CELLS // 8
 
     def check_fill():
         if held > limit:
@@ -112,7 +115,7 @@ def rref(a: np.ndarray, p: int, reduced: bool = True):
 
     check_fill()
     pivot_rows = {}  # pivot column -> its row, 1 at that column
-    for row in sorted(rows.values(), key=len):
+    for row in sorted(entries.values(), key=len):
         held -= len(row)
         while row:
             col = min(row)
@@ -134,12 +137,25 @@ def rref(a: np.ndarray, p: int, reduced: bool = True):
             _subtract(row, row[c], pivot_rows[c], p)
         held += len(row)
         check_fill()
-    r = np.zeros((len(pivots), n), dtype=np.int64)
     lens = [len(pivot_rows[c]) for c in pivots]
-    r[np.arange(len(pivots)).repeat(lens), [k for c in pivots for k in pivot_rows[c]]] = [
-        v for c in pivots for v in pivot_rows[c].values()
-    ]
-    return r, len(pivots), np.array(pivots, dtype=np.int64)
+    cols = np.array([k for c in pivots for k in pivot_rows[c]], dtype=np.int64)
+    vals = np.array([v for c in pivots for v in pivot_rows[c].values()], dtype=np.int64)
+    return (np.arange(len(pivots)).repeat(lens), cols, vals), len(pivots), np.array(pivots, dtype=np.int64)
+
+
+def rref(a: np.ndarray, p: int, reduced: bool = True):
+    """Reduced row echelon form over GF(p) of the dense ``a``: (pivot rows,
+    rank, pivot columns), the pivot rows a (rank, n) int64 array with
+    entries in [0, p); with ``reduced`` false, (None, rank, pivot columns)
+    of the echelon form.  ``echelon`` on the nonzeros of ``a``."""
+    flat = a.ravel()
+    at = flat.nonzero()[0]  # a 2-D nonzero() is slower on large blocks
+    coo, rank_, pivots = echelon(*np.divmod(at, a.shape[1]), flat[at], a.shape, p, reduced)
+    if coo is None:
+        return None, rank_, pivots
+    r = np.zeros((rank_, a.shape[1]), dtype=np.int64)
+    r[coo[:2]] = coo[2]
+    return r, rank_, pivots
 
 
 def structural_pivots(rows, cols, n: int):
@@ -159,7 +175,7 @@ def structural_pivots(rows, cols, n: int):
     """
     pivot_rows, pivot_cols = np.zeros(n, bool), np.zeros(n, bool)
     owner = np.empty(n, np.int64)
-    left = np.arange(len(rows))
+    left = np.arange(len(rows), dtype=np.int32)
     r, c = rows, cols
     while len(left):
         in_col = np.bincount(c)[c] == 1

@@ -77,20 +77,20 @@ def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: 
     generator acting on the input and g_i is the partner generator of B.
     The kernel's COO arrays of d and of each action, sorted by (row, col),
     become the terms with monomial 1 and g_i.  Each part is keyed as it is
-    built, one int64 key row * len(exp) + col, its values held in the
-    narrowest dtype that holds p.  The parts, in monomial order, are
-    concatenated into two rows of the one (4, terms) array the image keeps,
-    and made canonical by a stable sort: each part is a sorted run, so
-    equal keys keep monomial order.  The sorted keys, split back into rows
-    and columns, the values and the monomial ids are then written into that
-    array's rows, so the largest image holds about five int64 entries per
-    term at its peak.
+    built, its int32 rows widened to one int64 key row * len(exp) + col, its
+    values kept in the narrowest dtype of p (d's negated as p - v).  The
+    parts, in monomial order, are concatenated into two rows of the one
+    (4, terms) array the image keeps, and made canonical by a stable sort:
+    each part is a sorted run, so equal keys keep monomial order.  The
+    sorted keys, split back into rows and columns, the values and the
+    monomial ids are then written into that array's rows, so the largest
+    image holds about five int64 entries per term at its peak.
     """
-    n, dtype = len(exp), np.min_scalar_type(B.p)
+    n, (rows, cols, vals) = len(exp), exp.d  # n may pass 46,341: rows widen before the product
     mons = [B.one()] + [B.gen_monomial(not act_ext, i) for i in range(B.f)]
     actions = (exp.action(act_ext, i) for i in range(B.f))  # each keyed as it is built
-    parts = [(exp.d[0] * n + exp.d[1], (exp.d[2] * d_sign % B.p).astype(dtype))]
-    parts += [(rows * n + cols, vals.astype(dtype)) for rows, cols, vals in actions]
+    parts = [(np.multiply(rows, n, dtype=np.int64) + cols, vals if d_sign == 1 else B.p - vals)]
+    parts += [(np.multiply(rows, n, dtype=np.int64) + cols, vals) for rows, cols, vals in actions]
     parts = sorted((mon, *part) for mon, part in zip(mons, parts) if len(part[0]))  # monomials are distinct
     if not parts:
         return FunctorImage(SemifreeDgModule(B, exp.degs + offset), exp)

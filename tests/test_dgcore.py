@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_core_reference
+import expansion_reference
 import finite_reference as dense_ref
 from dense_reference import rank as dense_rank
 from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
@@ -28,11 +29,12 @@ from koszulkit.dgmodule import (
     free_module,
     identity_map,
     is_quasi_iso,
+    nested_terms,
     serialize_module,
 )
-from koszulkit.homdual import expand_T_module, k_linear_dual_T
+from koszulkit.homdual import expand_T_module, k_linear_dual_T, oracle_window
 from koszulkit.linalg import MAX_MODULUS, is_odd_prime, rank as mat_rank
-from koszulkit.samples import random_module, stream
+from koszulkit.samples import random_homogeneous, random_module, stream
 from koszulkit.suites import Config, run_verify
 
 
@@ -857,6 +859,89 @@ def test_finite_layer_matches_dense_reference(alg, seed, data):
     for got, want in pairs:
         dense_ref.assert_same_d(got, want)
         assert dense_ref.validate(want) == []
+
+
+# -- narrow expansion arrays ---------------------------------------------------
+
+NARROW_PRIMES = [3, 251, 257, 65537]  # values held as uint8, uint8, uint16 and uint32
+
+
+def _random_cone(T, rng):
+    """cone(phi) for a random phi between free T-modules, each entry a random
+    element of its bidegree, coefficients anywhere in [1, p): T has no d_A,
+    so phi is a chain map, and the cone's d is rarely empty."""
+    src = [(rng.randrange(-1, 2), 2 * rng.randrange(-1, 2)) for _ in range(rng.randrange(1, 3))]
+    tgt = [(i + q, j - 2 * q) for i, j in src for q in range(T.f + 1) if rng.random() < 0.5]
+    entries = {k: {l: random_homogeneous(T, (gk[0] - gl[0], gk[1] - gl[1]), rng) for l, gl in enumerate(tgt)} for k, gk in enumerate(src)}
+    phi = DgMap(free_module(T, src), free_module(T, tgt), *nested_terms(T, entries))
+    assert not phi.validate()
+    return cone(phi)
+
+
+@pytest.mark.parametrize("p", NARROW_PRIMES)
+def test_expansion_arrays_have_pinned_dtypes(p):
+    # d and every action: int32 positions, values in the narrowest dtype of p,
+    # empty or not; the per-basis-element arrays are int32 too
+    entries = []
+    for kind, e, f in (("S", 2, 2), ("T", 3, 3), ("Q", 3, 1)):
+        A = make_algebra(kind, e, f, p)
+        M = _random_cone(A, stream(26, (kind, p))) if kind == "T" else random_module(A, stream(26, (kind, p)), max_gens=4)
+        hull = Window.hull(M.gens).enlarge(1, 4)
+        for exp in (Expansion(M, hull.j0, hull.j1), Expansion(free_module(A, M.gens), hull.j0, hull.j1)):
+            arrays = [exp.d] + [exp.action(is_ext, g) for is_ext, n in ((False, A.n_sym), (True, A.n_ext)) for g in range(n)]
+            for rows, cols, vals in arrays:
+                assert (rows.dtype, cols.dtype, vals.dtype) == (np.int32, np.int32, np.min_scalar_type(p))
+                entries.append(len(rows))
+            assert exp._place.dtype == exp._row.dtype == exp._order.dtype == np.int32
+            assert exp.degs.dtype == np.int64
+    assert 0 in entries and max(entries) > 0
+
+
+def test_summed_adds_narrow_values_without_wrapping():
+    # 200 + 100 = 300 wraps to 44 in uint8; mod 251 the sum is 49, and a sum
+    # that vanishes mod p is dropped; the values keep their dtype
+    key, vals = dgmodule._summed(np.array([7, 5, 5, 9, 9]), np.array([3, 200, 100, 250, 1], np.uint8), 251)
+    assert key.tolist() == [5, 7] and vals.tolist() == [49, 3] and vals.dtype == np.uint8
+
+
+def test_expansion_past_the_int32_key_bound():
+    # S e1 -> S e0 by x0 over S(4, 4) on [-60, 0]: 87,296 basis elements, so a
+    # key place[src] * n + place[dst] (or place[src] << 32) passes 2^31 unless
+    # widened first.  d and the actions equal the int64 reference kernel's,
+    # the table equals the one of the reference's d and the closed form:
+    # S / x0 is free over k[x1, x2, x3], so h^{2t,-2t} = C(t + 2, 2)
+    S = make_algebra("S", 4, 4, 3)
+    M = SemifreeDgModule(S, [(1, -2), (0, 0)], *nested_terms(S, {0: {1: {((1, 0, 0, 0), 0): 1}}}))
+    got, want = Expansion(M, -60, 0), expansion_reference.Expansion(M, -60, 0)
+    assert len(got) == 87_296 > 46_341 and len(got.d[0]) == 40_920
+    assert all(np.array_equal(a, b) for a, b in zip(got.d, want.d))
+    for g in range(S.n_sym):
+        assert all(np.array_equal(a, b) for a, b in zip(got.action(False, g), want.action(False, g)))
+    W = Window(0, 60, -60, 0)
+    table = cohomology(M, W)
+    assert table == _column_cohomology(want.degs, want.d, W, 3)
+    assert table == BigradedDims({(2 * t, -2 * t): (t + 2) * (t + 1) // 2 for t in range(31)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from(NARROW_PRIMES), f=st.integers(1, 3), seed=st.integers(0, 10**6), data=st.data())
+def test_narrow_values_match_the_dense_reference(p, f, seed, data):
+    # at every width of d's values: the cohomology table of a T-module, its
+    # twisted k-linear dual (p - 2v wraps in a narrow dtype) and that dual
+    # shifted by an odd a equal the dense reference's d and all-i tables
+    T = make_algebra("T", f, f, p)
+    N = _random_cone(T, stream(seed, "narrow"))
+    W = oracle_window(N)
+    exp = Expansion(N, W.j0, W.j1)
+    assert exp.d[2].dtype == np.min_scalar_type(p)
+    assert cohomology(N, W) == reference_column_cohomology(exp.degs, exp.d, W, p)
+    fin, ref = expand_T_module(N), dense_ref.expand_T(N)
+    a, b = data.draw(st.sampled_from([-3, -1, 1, 3]), label="a"), data.draw(st.integers(-4, 4), label="b")
+    dual, ref_dual = k_linear_dual_T(fin), dense_ref.k_linear_dual_T(ref)
+    for got, want in ((dual, ref_dual), (dual.shift(a, b), dense_ref.shift(ref_dual, a, b))):
+        dense_ref.assert_same_d(got, want)
+        window = Window.hull(map(tuple, got.basis_degs.tolist())).enlarge(1, 2)
+        assert got.cohomology(window) == reference_column_cohomology(*_finite_input(got), window, p)
 
 
 # -- serialization ------------------------------------------------------------

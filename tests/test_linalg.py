@@ -244,6 +244,30 @@ def test_echelon_only_matches_the_dense_reference(data):
     assert within(RREF_SECONDS, linalg.rank, a, p) == want[1]
 
 
+@settings(max_examples=400, deadline=None)
+@given(cores(), st.integers(0, 2**32 - 1))
+def test_echelon_on_coo_input_matches_the_dense_reference(data, seed):
+    """echelon on a matrix's entries in a random order, with explicit zeros
+    and nonzero multiples of p among them: the reference's rank and pivot
+    columns, and with ``reduced`` its pivot rows as COO arrays, one entry per
+    position, values in [1, p)."""
+    a, p = data
+    want = dense_reference.rref(a, p)
+    rng = np.random.default_rng(seed)
+    rows, cols = ((rng.random(a.shape) < 0.3) | (a != 0)).nonzero()
+    order = rng.permutation(len(rows))
+    rows, cols = rows[order], cols[order]
+    for reduced in (False, True):
+        coo, rank_, pivots = within(RREF_SECONDS, linalg.echelon, rows, cols, a[rows, cols], a.shape, p, reduced)
+        assert (coo is None) != reduced and rank_ == want[1]
+        assert pivots.dtype == np.int64 and pivots.tolist() == want[2].tolist()
+    assert len(set(zip(coo[0].tolist(), coo[1].tolist()))) == len(coo[0])
+    assert ((1 <= coo[2]) & (coo[2] < p)).all()
+    r = np.zeros((rank_, a.shape[1]), dtype=np.int64)
+    r[coo[0], coo[1]] = coo[2]
+    assert (r == want[0][:rank_]).all()
+
+
 def test_rref_bounds_the_entries_its_rows_hold(monkeypatch):
     # 6 entries; back-substitution clears column 1 of row 0 and fills in
     # columns 3 and 4, so the pivot rows end with 7

@@ -20,6 +20,7 @@ from koszulkit.dgmodule import (
     free_module,
     identity_map,
     is_quasi_iso,
+    nested_terms,
 )
 from koszulkit.lkd import (
     _koszul_image,
@@ -156,9 +157,10 @@ def test_round_trip_random(f, p):
 def reference_koszul_terms(exp, B, d_sign: int, act_ext: bool):
     """The monomials and terms of ``_koszul_image`` as it built them before
     its one-key sort: the parts concatenated in monomial order, stacked and
-    lexsorted by (row, col)."""
+    lexsorted by (row, col).  d's values are widened first: they may be
+    unsigned, and NumPy refuses -1 on an unsigned dtype."""
     mons = [B.one()] + [B.gen_monomial(not act_ext, i) for i in range(B.f)]
-    parts = [(*exp.d[:2], exp.d[2] * d_sign % B.p)] + [exp.action(act_ext, i) for i in range(B.f)]
+    parts = [(*exp.d[:2], exp.d[2].astype(np.int64) * d_sign % B.p)] + [exp.action(act_ext, i) for i in range(B.f)]
     parts = sorted((mon, part) for mon, part in zip(mons, parts) if len(part[0]))
     if not parts:
         return [], np.zeros((4, 0), dtype=np.int64)
@@ -181,6 +183,18 @@ def test_koszul_images_keep_the_lexsort_order(f, p):
             mons, terms = reference_koszul_terms(image.expansion, image.module.algebra, sign, act_ext)
             assert list(image.module.mons) == mons
             assert image.module.terms.dtype == np.int64 and image.module.terms.tolist() == terms.tolist()
+
+
+def test_koszul_images_past_the_int32_key_bound():
+    # F of S e1 -> S e0 (by x0) over S(3, 3) cut at -128: 93,665 generators,
+    # and f odd, so d enters negated; G of the free T(16, 16)-module: 65,536.
+    # Keys row * n + col pass 2^31 unless the int32 rows are widened first.
+    S, T = make_algebra("S", 3, 3, 5), make_algebra("T", 16, 16, 3)
+    M = SemifreeDgModule(S, [(1, -2), (0, 0)], *nested_terms(S, {0: {1: {((1, 0, 0), 0): 1}}}))
+    for image, sign, act_ext in ((functor_F(M, -128), -1, False), (functor_G(free_module(T, [(0, 0)])), 1, True)):
+        assert len(image.expansion) > 46_341
+        mons, terms = reference_koszul_terms(image.expansion, image.module.algebra, sign, act_ext)
+        assert list(image.module.mons) == mons and np.array_equal(image.module.terms, terms)
 
 
 class _TiedExpansion:
