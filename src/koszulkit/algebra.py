@@ -15,10 +15,19 @@ bidegree and all ext generators sharing another:
              (the target algebra of the bundle-projection pushforward)
 
 A monomial is a pair (exps, mask): exponent tuple for the sym part and a
-bitmask over ext generators.  This module holds the algebra specs, the
-monomial bidegrees and the enumeration of monomials by internal degree;
-the arithmetic (products, wedge signs by inversion parity, d_A) runs on
-arrays in ``dgmodule``.
+bitmask over ext generators.  This module owns monomials in both forms:
+as tuples, their bidegrees and their enumeration by internal degree; as
+arrays, all monomial arithmetic.  ``monomial_arrays`` holds monomials as
+exponent rows and int64 ext masks, ``byte_keys`` numbers them, a product
+adds exponents and ors masks (overlapping masks vanish), its wedge sign is
+the ``parity`` of one mask under the other's weight mask (``weights``),
+and ``d_A`` applies the algebra differential.  Per (algebra,
+internal-degree span) ``table`` numbers the monomials once and holds them
+as arrays, and a monomial's multiplication block (``blocks``) says where
+it times every monomial of a span lands, with its sign, each row found by
+one ``searchsorted``; the blocks one request is missing are built in one
+batch.  ``derivation_block`` is d_A on one table.  ``dgmodule`` runs this
+kernel on term arrays and expansions.
 """
 
 from __future__ import annotations
@@ -26,7 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb, inf
 from types import MappingProxyType
+from typing import NamedTuple
+
+import numpy as np
 
 from .bigraded import Bidegree
 from .linalg import check_modulus
@@ -35,13 +48,12 @@ Monomial = tuple[tuple[int, ...], int]
 
 KINDS = ("S", "R", "T", "Q", "P")
 
-# Entries kept by each monomial-table cache here and in ``dgmodule``.  One
-# benchmark pass misses at most 1,914 blocks in ``dgmodule._blocks``
-# (roundtrip-e3, built in 140 batches; scale-e4 1,902 in 20, duality-grid
-# 782 in 320) and at most 618 times in every other cache, so no pass
-# evicts; a run of any length holds at most this many tables per cache.
-# The e = f = 5 round trip (trials 0-2) builds 9,508 blocks in 28 batches,
-# about 2,100 of them again after eviction.
+# Entries kept by each monomial cache here.  One benchmark pass misses at
+# most 1,914 blocks in ``blocks`` (roundtrip-e3, built in 140 batches;
+# scale-e4 1,902 in 20, duality-grid 782 in 320) and at most 618 times in
+# every other cache, so no pass evicts; a run of any length holds at most
+# this many tables per cache.  The e = f = 5 round trip (trials 0-2) builds
+# 9,508 blocks in 28 batches, about 2,100 of them again after eviction.
 CACHE_SIZE = 4096
 
 
@@ -87,9 +99,9 @@ class AlgebraSpec:
         return (self.kind, self.e, self.f, self.p)
 
 
-# Largest e: Q has e ext generators, and ``dgmodule`` holds ext masks as
-# int64 bit sets (``_arrays``), and so the wedge-sign weight masks
-# (``_weights``) and the masks d_A clears (``_d_A``): bits 0 to 61.
+# Largest e: Q has e ext generators, and ext masks are held as int64 bit
+# sets (``monomial_arrays``), and so are the wedge-sign weight masks
+# (``weights``) and the masks d_A clears (``d_A``): bits 0 to 61.
 MAX_E = 62
 
 
@@ -157,3 +169,203 @@ def _monomials_by_internal(key, jlo: int, jhi: int):
 
 def monomials_by_internal(alg: AlgebraSpec, jlo: int, jhi: int):
     return _monomials_by_internal(alg.key(), jlo, jhi)
+
+
+def degree_bounds(A: AlgebraSpec):
+    """(lo, hi): the internal degrees of A's monomials lie in [lo, hi], one
+    side possibly infinite, and each even degree there is some monomial's.
+    Sym generators of negative degree (S, R) bound them above by 0, all
+    others below by 0, and the exterior part alone by 2 n_ext."""
+    return (0, 2 * A.n_ext) if not A.n_sym else (-inf, 0) if A.sym_deg[1] < 0 else (0, inf)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def span_size(key, jlo: int, jhi: int) -> int:
+    """The number of monomials of internal degree in [jlo, jhi], in closed
+    form: for m ext generators, C(n_ext, m) masks times the sym monomials of
+    the total degrees t0 <= t <= t1 left over, C(t1 + n, n) - C(t0 - 1 + n, n)."""
+    A = AlgebraSpec(*key)
+    n, total = A.n_sym, 0
+    for m in range(A.n_ext + 1):
+        lo, hi = jlo - 2 * m, jhi - 2 * m  # left for the sym part; ext generators have internal degree 2
+        lo, hi = (-hi, -lo) if A.sym_deg[1] < 0 else (lo, hi)
+        t0, t1 = max(0, -(-lo // 2)), hi // 2 if n else min(hi // 2, 0)  # sym generators have degree +-2
+        if t0 <= t1:
+            total += comb(A.n_ext, m) * (comb(t1 + n, n) - (comb(t0 - 1 + n, n) if t0 else 0))
+    return total
+
+
+class _Table(NamedTuple):
+    """The monomials of one (algebra, internal-degree span) in the order of
+    ``monomials_by_internal``, and the same as read-only arrays: bidegrees
+    (n, 2), exponents (n, n_sym) and ext masks (n,); ``keys`` are the
+    monomials' byte keys (see ``byte_keys``) sorted, and ``rows`` the row of each."""
+
+    mons: tuple
+    degs: np.ndarray
+    exps: np.ndarray
+    masks: np.ndarray
+    keys: np.ndarray
+    rows: np.ndarray
+
+
+def byte_keys(*cols) -> np.ndarray:
+    """Byte keys of the rows of nonnegative int64 columns (1-D, or 2-D for
+    several): each row as big-endian bytes of one fixed width, which compare
+    and sort as the rows do.  Any int64 values fit, where a mixed-radix
+    int64 code would need a bound on each column."""
+    rows = np.column_stack(cols).astype(">i8")
+    return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+
+
+def parity(x: np.ndarray, bits: int) -> np.ndarray:
+    """The parity of the number of set bits of each int64 in x, all of them
+    below bit ``bits`` (at most 64)."""
+    for s in (32, 16, 8, 4, 2, 1):
+        if s < bits:
+            x = x ^ x >> s
+    return x & 1
+
+
+def monomial_arrays(mons, n_sym: int):
+    """Monomials (exps, mask) as int64 arrays: exponents (n, n_sym) and ext
+    masks (n,).  Ext masks fit int64 (see ``MAX_E``)."""
+    both = np.array([(*e, mask) for e, mask in mons], dtype=np.int64).reshape(len(mons), n_sym + 1)
+    return both[:, :-1], both[:, -1]
+
+
+def weights(masks, n_ext: int, above: bool) -> np.ndarray:
+    """The wedge-sign weight mask of each ext mask x: bit b is set when an
+    odd number of x's bits lie above b (``above``) or below b (otherwise).
+    theta^x theta^y has the sign (-1)^k, k the inversions of x before y,
+    so its parity is ``parity(y & weights(x, n, True))`` and also
+    ``parity(x & weights(y, n, False))``.  The prefix parities come from
+    doubling shifts, like ``parity``'s."""
+    upto = masks  # bit b: the parity of x's bits up to and including b
+    for s in (1, 2, 4, 8, 16, 32):
+        if s < n_ext:
+            upto = upto ^ upto << s
+    full = (1 << n_ext) - 1
+    return (upto ^ -parity(masks, n_ext) if above else upto << 1) & full
+
+
+def d_A(A: AlgebraSpec, exps, masks):
+    """d_A on monomials held as arrays: d_A sends the ext generator i >= f
+    to the sym generator i - f, with the sign of the ext generators before
+    it.  The terms, found per ext generator and sorted by monomial, then i:
+    arrays (which, exps, masks, odd), the monomial's row, the image's
+    exponents and mask, and 1 where the sign is -1."""
+    gens = np.arange(A.f, A.n_ext)  # empty unless A has a differential
+    rows = [(masks >> i & 1).nonzero()[0] for i in gens.tolist()]
+    which = np.concatenate(rows) if rows else gens
+    order = which.argsort(kind="stable")
+    which, i = which[order], gens.repeat(list(map(len, rows)))[order]
+    exps = exps[which]
+    exps[np.arange(len(which)), i - A.f] += 1
+    return which, exps, masks[which] ^ 1 << i, parity(masks[which] & (1 << i) - 1, A.n_ext)
+
+
+def joined(arrays, axis=0):
+    """``np.concatenate(arrays, axis)``, or the one array itself (no copy)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def table(key, jlo: int, jhi: int) -> _Table:
+    """The monomials of ``monomials_by_internal`` on [jlo, jhi], in its
+    order, with their arrays.  Ext masks fit int64 (see ``MAX_E``)."""
+    by_deg = _monomials_by_internal(key, jlo, jhi)
+    mons = tuple(mon for bucket in by_deg.values() for mon in bucket)
+    degs = np.array(list(by_deg), dtype=np.int64).reshape(-1, 2).repeat(list(map(len, by_deg.values())), axis=0)
+    exps, masks = monomial_arrays(mons, AlgebraSpec(*key).n_sym)
+    keys = byte_keys(exps, masks)
+    rows = keys.argsort()
+    arrays = degs, exps, masks, keys[rows], rows
+    for a in arrays:
+        a.flags.writeable = False
+    return _Table(mons, *arrays)
+
+
+def _build_blocks(key, wanted) -> list[np.ndarray]:
+    """The multiplication tables ``wanted`` (src span, dst span, mon, left),
+    built in one batch: for each, where mon times each monomial m of the
+    table on the src span lands in the table on the dst span, as a read-only
+    3 x n array of rows (source row, target row, sign) by source row.
+
+    The product is mon . m when ``left`` (a generator acting) and
+    (-1)^{|m|} m . mon otherwise, a term of d(m e) = (-1)^{|m|} m d(e).
+    Vanishing products and products outside the target are dropped.
+
+    All requests at once: exponents add and masks or, products whose masks
+    overlap vanish, and the wedge sign is the parity of m's mask under
+    mon's weight mask (``weights``: bits above b for mon . m, below b for
+    m . mon).  The tables' byte keys, prefixed with the table's index in
+    the batch, are sorted as a whole, so one ``searchsorted`` finds every
+    product's target row.
+    """
+    A = AlgebraSpec(*key)
+    index = {}
+    for src, dst, _, _ in wanted:
+        index.setdefault(src, len(index))
+        index.setdefault(dst, len(index))
+    tables = [table(key, *r) for r in index]
+    sizes = np.array([len(t.mons) for t in tables], dtype=np.int64)
+    first = sizes.cumsum() - sizes
+    exps = joined([t.exps for t in tables])
+    masks = joined([t.masks for t in tables])
+    odd_i = joined([t.degs[:, 0] for t in tables]) & 1
+    # per request: src and dst table, 1 for a right product, mon's exponents and mask
+    src, dst, right = np.array([(index[s], index[d], not lf) for s, d, _, lf in wanted], dtype=np.int64).reshape(-1, 3).T
+    mon_exps, mon_mask = monomial_arrays([mon for _, _, mon, _ in wanted], A.n_sym)
+    weight = np.where(right, weights(mon_mask, A.n_ext, False), weights(mon_mask, A.n_ext, True))
+    # one product per request and row of its source table
+    n = sizes[src]
+    req = np.arange(len(wanted)).repeat(n)
+    row = np.arange(n.sum()) - (n.cumsum() - n)[req]
+    at = first[src][req] + row
+    m, mm = masks[at], mon_mask[req]
+    odd = parity(m & weight[req], A.n_ext) ^ (odd_i[at] & right[req])
+    got = byte_keys(dst[req], exps[at] + mon_exps[req], m | mm)
+    sorted_at = joined([f + t.rows for f, t in zip(first.tolist(), tables)])
+    table_keys = byte_keys(np.arange(len(tables)).repeat(sizes), exps[sorted_at], masks[sorted_at])
+    pos = table_keys.searchsorted(got)
+    live = ((m & mm) == 0) & (table_keys.take(pos, mode="clip") == got)
+    out = np.array([row, sorted_at.take(pos, mode="clip") - first[dst[req]], 1 - 2 * odd])[:, live]
+    out.flags.writeable = False
+    ends = [0, *np.bincount(req[live], minlength=len(wanted)).cumsum().tolist()]
+    return [out[:, a:b] for a, b in zip(ends, ends[1:])]
+
+
+# The blocks built so far, by (algebra key, src span, dst span, mon, left):
+# at most CACHE_SIZE, the oldest dropped first.  A hit is one dict lookup.
+_BLOCKS: dict = {}
+
+
+def blocks(key, wanted) -> list[np.ndarray]:
+    """The blocks ``wanted`` of ``_build_blocks``: cached ones looked up,
+    and every missing one built in one batch."""
+    got = [_BLOCKS.get((key, *w)) for w in wanted]
+    missing = [w for w, block in zip(wanted, got) if block is None]
+    if not missing:
+        return got
+    built = _build_blocks(key, missing)
+    for w, block in zip(missing, built):
+        if len(_BLOCKS) >= CACHE_SIZE:
+            del _BLOCKS[next(iter(_BLOCKS))]
+        _BLOCKS[(key, *w)] = block
+    built = iter(built)
+    return [next(built) if block is None else block for block in got]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def derivation_block(key, rng) -> np.ndarray:
+    """The table of d_A on the table on ``rng``, rows (source row, target
+    row, coefficient) by source row, then ext generator: ``d_A`` on the
+    table's arrays, coefficient 1 or p - 1, each image found by its byte
+    key.  d_A preserves internal degree, so every term stays in the
+    table."""
+    A, t = AlgebraSpec(*key), table(key, *rng)
+    row, exps, masks, odd = d_A(A, t.exps, t.masks)
+    block = np.array([row, t.rows[t.keys.searchsorted(byte_keys(exps, masks))], 1 + odd * (A.p - 2)])
+    block.flags.writeable = False
+    return block

@@ -8,21 +8,15 @@ Monomials are interned per object, so monomial algebra (bidegrees,
 products, signs, d_A) runs on the few distinct monomials and is gathered
 by index; checks, shifts, duals and cones are array operations.
 
-One array kernel does all monomial arithmetic: ``_arrays`` holds
-monomials as exponent rows and int64 ext masks, a product adds exponents
-and ors masks (overlapping masks vanish), its wedge sign is the parity
-(``_parity``) of one mask under the other's weight mask (``_weights``),
-and ``_d_A`` applies the algebra differential.  One routine,
+All monomial arithmetic runs on ``algebra``'s array kernel.  One routine,
 ``_d_squared``, checks d^2 = 0: it multiplies each distinct pair of
-monomials once, numbers the products by their byte keys (``_keys``) and
-reports the least failing target of each failing generator.  A module's
-validate() runs it on the module's terms, and a chain map's on the rows
-of its cone at the target, which vanish exactly when the map is a chain
-map, read from the map's, target's and source's own term arrays; a map
-carries its own cutoff.  ``is_quasi_iso`` runs that check, then takes the
-cohomology of the one cone it builds, on the generators its window
-reaches.  The block builders of expansions run the same helpers on whole
-tables.
+monomials once, numbers the products by their byte keys and reports the
+least failing target of each failing generator.  A module's validate()
+runs it on the module's terms, and a chain map's on the rows of its cone
+at the target, which vanish exactly when the map is a chain map, read
+from the map's, target's and source's own term arrays; a map carries its
+own cutoff.  ``is_quasi_iso`` runs that check, then takes the cohomology
+of the one cone it builds, on the generators its window reaches.
 
 Sign conventions, fixed project-wide and enforced by validate():
 
@@ -33,11 +27,7 @@ Sign conventions, fixed project-wide and enforced by validate():
   bidegrees and transposes the terms with the sign (-1)^{c(c-1)/2}, which
   makes double dualization the identity on the presentation.
 
-Expansions are assembled from cached tables: per (algebra, internal-degree
-span) the monomials are numbered once and held as arrays (exponents, ext
-masks, sorted byte keys), and a monomial's block says where it times every
-monomial of the span lands, with its sign, each row found by one
-``searchsorted``; the blocks one request is missing are built in one batch.
+Expansions are assembled from ``algebra``'s cached tables and blocks.
 Generators are held by index into their few distinct spans, and the terms
 of d fall into few (span, span, monomial) groups, each group's block placed
 for all of its terms by one repeat/arange gather.  An expansion holds d as
@@ -56,15 +46,14 @@ and sign flips.  They hold no actions: their tables read only d.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import accumulate, groupby
-from math import comb, inf
-from typing import NamedTuple
 
 import numpy as np
 
-from . import algebra as alg_mod
-from .algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
+from .algebra import (
+    AlgebraSpec, blocks, byte_keys, d_A, degree_bounds, derivation_block, joined, make_algebra, monomial_arrays,
+    monomial_bidegree, parity, span_size, table, weights,
+)
 from .bigraded import Bidegree, BigradedDims, Window
 from .linalg import MAX_RANK_CELLS, components, rank as mat_rank, sorted_join, structural_pivots
 
@@ -99,7 +88,7 @@ def _interned(mons):
     return tuple(pos), np.fromiter(map(pos.__getitem__, mons), np.int64, len(mons))
 
 
-def _canonical(mons, terms, n_tgt: int, p: int):
+def canonical(mons, terms, n_tgt: int, p: int):
     """Canonical ``(mons, terms)`` from terms (src, tgt, mon, coeff), coeff
     nonzero mod p, over monomials ``mons`` in any order and not all used:
     equal positions are summed mod p and vanishing sums dropped."""
@@ -126,7 +115,7 @@ def nested_terms(algebra: AlgebraSpec, nested) -> tuple:
     return mons, np.array([(k, l, u, c) for (k, l, _, c), u in zip(terms, ids.tolist())], dtype=np.int64).reshape(-1, 4).T.copy()
 
 
-def _signed(coeff, odd, p: int) -> np.ndarray:
+def signed(coeff, odd, p: int) -> np.ndarray:
     """Coefficients in [1, p), negated mod p where ``odd`` is 1, in int64 (p - 2 coeff wraps narrow)."""
     return coeff + odd * (p - 2 * coeff.astype(np.int64, copy=False))
 
@@ -163,7 +152,7 @@ def _products(A: AlgebraSpec, left, right, left_mons, right_mons, checked=None):
     pairs, inv = np.unique(left[2][i] * n + right[2][j], return_inverse=True)
     a, b = np.divmod(pairs, n)
     x, y = left_mons[1][a], right_mons[1][b]
-    sign = (1 - 2 * _parity(y & _weights(x, A.n_ext, True), A.n_ext)) * ((x & y) == 0)
+    sign = (1 - 2 * parity(y & weights(x, A.n_ext, True), A.n_ext)) * ((x & y) == 0)
     return (left[0][i], right[1][j], inv, sign[inv] * left[3][i] * right[3][j]), (left_mons[0][a] + right_mons[0][b], x | y)
 
 
@@ -177,7 +166,7 @@ def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int, checked=None) -> l
     first part, left's coefficients carrying the sign (-1)^c; ``derived`` is
     (terms, mons), the terms e_kl whose d_A is the second part.  Targets are
     below ``n_tgt``.  Product and d_A monomials are numbered by their byte
-    keys (``_keys``), vanishing products dropped and the rest summed on
+    keys (``byte_keys``), vanishing products dropped and the rest summed on
     (k, m, mon) by ``_summed``."""
     parts, exps, masks = [], [], []
     for left, right, left_mons, right_mons in products:
@@ -187,19 +176,19 @@ def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int, checked=None) -> l
         masks.append(x)
     terms, mons = derived
     if A.has_differential:
-        which, e, x, odd = _d_A(A, *mons)
+        which, e, x, odd = d_A(A, *mons)
         t, n = sorted_join(terms[2], which)
         if checked is not None:
             keep = checked[terms[0][t]]
             t, n = t[keep], n[keep]
-        parts.append((terms[0][t], terms[1][t], n + sum(map(len, masks)), _signed(terms[3][t], odd[n], A.p)))
+        parts.append((terms[0][t], terms[1][t], n + sum(map(len, masks)), signed(terms[3][t], odd[n], A.p)))
         exps.append(e)
         masks.append(x)
-    k, m, mon, coeff = (_joined(rows) for rows in zip(*parts))
+    k, m, mon, coeff = (joined(rows) for rows in zip(*parts))
     live = coeff != 0
     if not live.any():
         return []
-    uniq, ids = np.unique(_keys(_joined(exps), _joined(masks)), return_inverse=True)
+    uniq, ids = np.unique(byte_keys(joined(exps), joined(masks)), return_inverse=True)
     key, _ = _summed(((k * n_tgt + m) * len(uniq) + ids[mon])[live], coeff[live], A.p)
     k, m = np.divmod(key // len(uniq), n_tgt)
     first = np.unique(k, return_index=True)[1]  # keys are sorted, so each k's least m comes first
@@ -250,9 +239,9 @@ class SemifreeDgModule:
         issues = _degree_issues(A, self.mons, terms, want, "entry")
         if issues or not len(src):
             return issues
-        i, mons = self.degs[:, 0], _arrays(self.mons, A.n_sym)
-        signed = src, tgt, mon, _signed(coeff, (i[src] - i[tgt] + 1) & 1, A.p)
-        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _d_squared(A, [(signed, terms, mons, mons)], (terms, mons), self.rank)]
+        i, mons = self.degs[:, 0], monomial_arrays(self.mons, A.n_sym)
+        left = src, tgt, mon, signed(coeff, (i[src] - i[tgt] + 1) & 1, A.p)
+        return [f"d^2 != 0 from gen {k} to gen {m}" for k, m in _d_squared(A, [(left, terms, mons, mons)], (terms, mons), self.rank)]
 
     def shift(self, a: int, b: int) -> "SemifreeDgModule":
         """The shifted module M[a]<b>; generator (i, j) moves to (i-a, j+b):
@@ -261,7 +250,7 @@ class SemifreeDgModule:
         src, tgt, mon, coeff = terms = self.terms
         if a & 1 and len(src):
             i = self.degs[:, 0]
-            terms = np.array([src, tgt, mon, _signed(coeff, (i[src] - i[tgt]) & 1, self.algebra.p)])
+            terms = np.array([src, tgt, mon, signed(coeff, (i[src] - i[tgt]) & 1, self.algebra.p)])
         return SemifreeDgModule(self.algebra, self.degs + (-a, b), self.mons, terms)
 
     def dualize(self) -> "SemifreeDgModule":
@@ -274,7 +263,7 @@ class SemifreeDgModule:
             i = self.degs[:, 0]
             o = np.lexsort((mon, src, tgt))
             odd = (i[src] - i[tgt] + 1) >> 1 & 1  # c(c-1)/2 is odd iff c = 2, 3 mod 4
-            terms = np.array([tgt[o], src[o], mon[o], _signed(coeff, odd, self.algebra.p)[o]])
+            terms = np.array([tgt[o], src[o], mon[o], signed(coeff, odd, self.algebra.p)[o]])
         return SemifreeDgModule(self.algebra, -self.degs, self.mons, terms)
 
     def __eq__(self, other) -> bool:
@@ -333,13 +322,13 @@ class DgMap:
         if issues or not len(phi[0]) or not (len(S.terms[0]) or len(T.terms[0]) or A.has_differential):
             return issues
         src, tgt, mon, coeff = phi
-        exps, masks = _arrays(self.mons + T.mons + S.mons, A.n_sym)  # one table: phi's, T's and S's monomials
+        exps, masks = monomial_arrays(self.mons + T.mons + S.mons, A.n_sym)  # one table: phi's, T's and S's monomials
         a, b = len(self.mons), len(self.mons) + len(T.mons)
         mons, t_mons, s_mons = (exps[:a], masks[:a]), (exps[a:b], masks[a:b]), (exps[b:], masks[b:])
         products = []
         if len(T.terms[0]):  # cone degree c = (i_src - 1) - i_tgt + 1
-            signed = src, tgt, mon, _signed(coeff, (S.degs[src, 0] - T.degs[tgt, 0]) & 1, A.p)
-            products.append((signed, T.terms, mons, t_mons))
+            left = src, tgt, mon, signed(coeff, (S.degs[src, 0] - T.degs[tgt, 0]) & 1, A.p)
+            products.append((left, T.terms, mons, t_mons))
         if len(S.terms[0]):
             products.append((S.terms, (src, tgt, mon, A.p - coeff), s_mons, mons))
         checked = None if self.min_internal is None else S.degs[:, 1] >= self.min_internal
@@ -369,14 +358,6 @@ def cone(phi: DgMap) -> SemifreeDgModule:
     return SemifreeDgModule(S.algebra, np.concatenate([T.degs, S.degs + (-1, 0)]), union, terms)
 
 
-def _degree_bounds(A: AlgebraSpec):
-    """(lo, hi): the internal degrees of A's monomials lie in [lo, hi], one
-    side possibly infinite, and each even degree there is some monomial's.
-    Sym generators of negative degree (S, R) bound them above by 0, all
-    others below by 0, and the exterior part alone by 2 n_ext."""
-    return (0, 2 * A.n_ext) if not A.n_sym else (-inf, 0) if A.sym_deg[1] < 0 else (0, inf)
-
-
 def _spans(A: AlgebraSpec, jlo: int, jhi: int, js):
     """The distinct monomial ranges [jlo - j, jhi - j] over the generator
     internal degrees ``js`` (an int64 array), each cut to the internal
@@ -384,12 +365,12 @@ def _spans(A: AlgebraSpec, jlo: int, jhi: int, js):
     its range.
 
     Every generator has internal degree +-2, so monomial degrees are even,
-    and ``_degree_bounds`` cuts them; an empty range is (0, -2).  The
+    and ``degree_bounds`` cuts them; an empty range is (0, -2).  The
     ranges are worked out once per distinct internal degree, and degrees
     cut to one range share it, so equal ranges give one table and share
     cache entries.
     """
-    lo, hi = _degree_bounds(A)
+    lo, hi = degree_bounds(A)
     js = js.tolist()
     index, span_of = {}, {}
     for j in sorted(set(js)):
@@ -399,195 +380,6 @@ def _spans(A: AlgebraSpec, jlo: int, jhi: int, js):
     return list(index), np.fromiter(map(span_of.__getitem__, js), np.int64, len(js))
 
 
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _span_size(key, jlo: int, jhi: int) -> int:
-    """The number of monomials of internal degree in [jlo, jhi], in closed
-    form: for m ext generators, C(n_ext, m) masks times the sym monomials of
-    the total degrees t0 <= t <= t1 left over, C(t1 + n, n) - C(t0 - 1 + n, n)."""
-    A = AlgebraSpec(*key)
-    n, total = A.n_sym, 0
-    for m in range(A.n_ext + 1):
-        lo, hi = jlo - 2 * m, jhi - 2 * m  # left for the sym part; ext generators have internal degree 2
-        lo, hi = (-hi, -lo) if A.sym_deg[1] < 0 else (lo, hi)
-        t0, t1 = max(0, -(-lo // 2)), hi // 2 if n else min(hi // 2, 0)  # sym generators have degree +-2
-        if t0 <= t1:
-            total += comb(A.n_ext, m) * (comb(t1 + n, n) - (comb(t0 - 1 + n, n) if t0 else 0))
-    return total
-
-
-class _Table(NamedTuple):
-    """The monomials of one (algebra, internal-degree span) in the order of
-    ``monomials_by_internal``, and the same as read-only arrays: bidegrees
-    (n, 2), exponents (n, n_sym) and ext masks (n,); ``keys`` are the
-    monomials' byte keys (see ``_keys``) sorted, and ``rows`` the row of each."""
-
-    mons: tuple
-    degs: np.ndarray
-    exps: np.ndarray
-    masks: np.ndarray
-    keys: np.ndarray
-    rows: np.ndarray
-
-
-def _keys(*cols) -> np.ndarray:
-    """Byte keys of the rows of nonnegative int64 columns (1-D, or 2-D for
-    several): each row as big-endian bytes of one fixed width, which compare
-    and sort as the rows do.  Any int64 values fit, where a mixed-radix
-    int64 code would need a bound on each column."""
-    rows = np.column_stack(cols).astype(">i8")
-    return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
-
-
-def _parity(x: np.ndarray, bits: int) -> np.ndarray:
-    """The parity of the number of set bits of each int64 in x, all of them
-    below bit ``bits`` (at most 64)."""
-    for s in (32, 16, 8, 4, 2, 1):
-        if s < bits:
-            x = x ^ x >> s
-    return x & 1
-
-
-def _arrays(mons, n_sym: int):
-    """Monomials (exps, mask) as int64 arrays: exponents (n, n_sym) and ext
-    masks (n,).  Ext masks fit int64 (see ``algebra.MAX_E``)."""
-    both = np.array([(*e, mask) for e, mask in mons], dtype=np.int64).reshape(len(mons), n_sym + 1)
-    return both[:, :-1], both[:, -1]
-
-
-def _weights(masks, n_ext: int, above: bool) -> np.ndarray:
-    """The wedge-sign weight mask of each ext mask x: bit b is set when an
-    odd number of x's bits lie above b (``above``) or below b (otherwise).
-    theta^x theta^y has the sign (-1)^k, k the inversions of x before y,
-    so its parity is ``_parity(y & _weights(x, n, True))`` and also
-    ``_parity(x & _weights(y, n, False))``.  The prefix parities come from
-    doubling shifts, like ``_parity``'s."""
-    upto = masks  # bit b: the parity of x's bits up to and including b
-    for s in (1, 2, 4, 8, 16, 32):
-        if s < n_ext:
-            upto = upto ^ upto << s
-    full = (1 << n_ext) - 1
-    return (upto ^ -_parity(masks, n_ext) if above else upto << 1) & full
-
-
-def _d_A(A: AlgebraSpec, exps, masks):
-    """d_A on monomials held as arrays: d_A sends the ext generator i >= f
-    to the sym generator i - f, with the sign of the ext generators before
-    it.  The terms, found per ext generator and sorted by monomial, then i:
-    arrays (which, exps, masks, odd), the monomial's row, the image's
-    exponents and mask, and 1 where the sign is -1."""
-    gens = np.arange(A.f, A.n_ext)  # empty unless A has a differential
-    rows = [(masks >> i & 1).nonzero()[0] for i in gens.tolist()]
-    which = np.concatenate(rows) if rows else gens
-    order = which.argsort(kind="stable")
-    which, i = which[order], gens.repeat(list(map(len, rows)))[order]
-    exps = exps[which]
-    exps[np.arange(len(which)), i - A.f] += 1
-    return which, exps, masks[which] ^ 1 << i, _parity(masks[which] & (1 << i) - 1, A.n_ext)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _table(key, jlo: int, jhi: int) -> _Table:
-    """The monomials of ``monomials_by_internal`` on [jlo, jhi], in its
-    order, with their arrays.  Ext masks fit int64 (see
-    ``algebra.MAX_E``)."""
-    table = alg_mod._monomials_by_internal(key, jlo, jhi)
-    mons = tuple(mon for bucket in table.values() for mon in bucket)
-    degs = np.array(list(table), dtype=np.int64).reshape(-1, 2).repeat(list(map(len, table.values())), axis=0)
-    exps, masks = _arrays(mons, AlgebraSpec(*key).n_sym)
-    keys = _keys(exps, masks)
-    rows = keys.argsort()
-    arrays = degs, exps, masks, keys[rows], rows
-    for a in arrays:
-        a.flags.writeable = False
-    return _Table(mons, *arrays)
-
-
-def _build_blocks(key, wanted) -> list[np.ndarray]:
-    """The multiplication tables ``wanted`` (src span, dst span, mon, left),
-    built in one batch: for each, where mon times each monomial m of the
-    table on the src span lands in the table on the dst span, as a read-only
-    3 x n array of rows (source row, target row, sign) by source row.
-
-    The product is mon . m when ``left`` (a generator acting) and
-    (-1)^{|m|} m . mon otherwise, a term of d(m e) = (-1)^{|m|} m d(e).
-    Vanishing products and products outside the target are dropped.
-
-    All requests at once: exponents add and masks or, products whose masks
-    overlap vanish, and the wedge sign is the parity of m's mask under
-    mon's weight mask (``_weights``: bits above b for mon . m, below b for
-    m . mon).  The tables' byte keys, prefixed with the table's index in
-    the batch, are sorted as a whole, so one ``searchsorted`` finds every
-    product's target row.
-    """
-    A = AlgebraSpec(*key)
-    index = {}
-    for src, dst, _, _ in wanted:
-        index.setdefault(src, len(index))
-        index.setdefault(dst, len(index))
-    tables = [_table(key, *r) for r in index]
-    sizes = np.array([len(t.mons) for t in tables], dtype=np.int64)
-    first = sizes.cumsum() - sizes
-    exps = _joined([t.exps for t in tables])
-    masks = _joined([t.masks for t in tables])
-    odd_i = _joined([t.degs[:, 0] for t in tables]) & 1
-    # per request: src and dst table, 1 for a right product, mon's exponents and mask
-    src, dst, right = np.array([(index[s], index[d], not lf) for s, d, _, lf in wanted], dtype=np.int64).reshape(-1, 3).T
-    mon_exps, mon_mask = _arrays([mon for _, _, mon, _ in wanted], A.n_sym)
-    weight = np.where(right, _weights(mon_mask, A.n_ext, False), _weights(mon_mask, A.n_ext, True))
-    # one product per request and row of its source table
-    n = sizes[src]
-    req = np.arange(len(wanted)).repeat(n)
-    row = np.arange(n.sum()) - (n.cumsum() - n)[req]
-    at = first[src][req] + row
-    m, mm = masks[at], mon_mask[req]
-    odd = _parity(m & weight[req], A.n_ext) ^ (odd_i[at] & right[req])
-    got = _keys(dst[req], exps[at] + mon_exps[req], m | mm)
-    sorted_at = _joined([f + t.rows for f, t in zip(first.tolist(), tables)])
-    table_keys = _keys(np.arange(len(tables)).repeat(sizes), exps[sorted_at], masks[sorted_at])
-    pos = table_keys.searchsorted(got)
-    live = ((m & mm) == 0) & (table_keys.take(pos, mode="clip") == got)
-    out = np.array([row, sorted_at.take(pos, mode="clip") - first[dst[req]], 1 - 2 * odd])[:, live]
-    out.flags.writeable = False
-    ends = [0, *np.bincount(req[live], minlength=len(wanted)).cumsum().tolist()]
-    return [out[:, a:b] for a, b in zip(ends, ends[1:])]
-
-
-# The blocks built so far, by (algebra key, src span, dst span, mon, left):
-# at most CACHE_SIZE, the oldest dropped first.  A hit is one dict lookup.
-_BLOCKS: dict = {}
-
-
-def _blocks(key, wanted) -> list[np.ndarray]:
-    """The blocks ``wanted`` of ``_build_blocks``: cached ones looked up,
-    and every missing one built in one batch."""
-    got = [_BLOCKS.get((key, *w)) for w in wanted]
-    missing = [w for w, block in zip(wanted, got) if block is None]
-    if not missing:
-        return got
-    built = _build_blocks(key, missing)
-    for w, block in zip(missing, built):
-        if len(_BLOCKS) >= CACHE_SIZE:
-            del _BLOCKS[next(iter(_BLOCKS))]
-        _BLOCKS[(key, *w)] = block
-    built = iter(built)
-    return [next(built) if block is None else block for block in got]
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _derivation_block(key, rng) -> np.ndarray:
-    """The table of d_A on the table on ``rng``, rows (source row, target
-    row, coefficient) by source row, then ext generator: ``_d_A`` on the
-    table's arrays, coefficient 1 or p - 1, each image found by its byte
-    key.  d_A preserves internal degree, so every term stays in the
-    table."""
-    A, t = AlgebraSpec(*key), _table(key, *rng)
-    row, exps, masks, odd = _d_A(A, t.exps, t.masks)
-    block = np.array([row, t.rows[t.keys.searchsorted(_keys(exps, masks))], 1 + odd * (A.p - 2)])
-    block.flags.writeable = False
-    return block
-
-
 def _d_blocks(module: SemifreeDgModule, spans, which):
     """The distinct blocks whose placed sum is d on the generators' tables,
     and the items (k, l, block, coeff) that place them (see ``_gather``):
@@ -595,9 +387,9 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
 
     A term's block depends only on its group (span of k, span of l,
     monomial), so one block is read per distinct group, the missing ones
-    built in one batch by ``_blocks``, and the d_A table once per span."""
+    built in one batch by ``blocks``, and the d_A table once per span."""
     key, mons = module.algebra.key(), module.mons
-    blocks, items = [], module.terms
+    found, items = [], module.terms
     if len(mons):
         k, l, u, c = items
         code = (which[k] * len(spans) + which[l]) * len(mons) + u
@@ -606,13 +398,13 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
         for g in groups:
             (a, b), m = divmod(g // len(mons), len(spans)), g % len(mons)
             wanted.append((spans[a], spans[b], mons[m], False))
-        blocks = _blocks(key, wanted)
+        found = blocks(key, wanted)
         items = k, l, np.array(groups, dtype=np.int64).searchsorted(code), c
     if module.algebra.has_differential:
         gens = np.arange(module.rank)
-        items = np.concatenate([items, [gens, gens, len(blocks) + which, np.ones(module.rank, np.int64)]], axis=1)
-        blocks += [_derivation_block(key, r) for r in spans]
-    return blocks, items
+        items = np.concatenate([items, [gens, gens, len(found) + which, np.ones(module.rank, np.int64)]], axis=1)
+        found += [derivation_block(key, r) for r in spans]
+    return found, items
 
 
 # Largest expansion basis Expansion will enumerate, counted before any
@@ -620,11 +412,6 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
 # trials 0-3 expands at most 232,182 basis elements (a unit's cone on its
 # window [-2, 6]; the whole run peaks at 194 MB): a margin of 4.3.
 MAX_EXPANSION_BASIS = 1_000_000
-
-
-def _joined(arrays, axis=0):
-    """``np.concatenate(arrays, axis)``, or the one array itself (no copy)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
 
 
 def _gather(blocks, items, offsets, p: int):
@@ -641,11 +428,11 @@ def _gather(blocks, items, offsets, p: int):
     n = np.array(lens, dtype=np.int64)[b]
     at = (np.array(list(accumulate(lens, initial=0))[:-1], dtype=np.int64)[b] - n.cumsum() + n).repeat(n)
     at += np.arange(len(at))
-    joined = _joined(blocks, axis=1)
-    vals = joined[2].take(at)
+    entries = joined(blocks, axis=1)
+    vals = entries[2].take(at)
     vals *= c.repeat(n)
     vals = (vals % p).astype(np.min_scalar_type(p))
-    src, dst = joined[0].take(at), joined[1].take(at)
+    src, dst = entries[0].take(at), entries[1].take(at)
     del at
     src += offsets[k].repeat(n)
     dst += offsets[l].repeat(n)
@@ -681,7 +468,7 @@ class Expansion:
         A = module.algebra
         key = A.key()
         spans, which = self._spans, self._which = _spans(A, jlo, jhi, module.degs[:, 1])
-        sizes = [_span_size(key, *r) for r in spans]
+        sizes = [span_size(key, *r) for r in spans]
         if max(sizes, default=0) * len(which) > MAX_EXPANSION_BASIS:  # only then can the total be over
             total = sum(c * s for c, s in zip(np.bincount(which).tolist(), sizes))
             if total > MAX_EXPANSION_BASIS:
@@ -691,14 +478,14 @@ class Expansion:
                     f"the expansion on internal degrees [{jlo}, {jhi}] has {total:,} basis elements, over the limit of "
                     f"{MAX_EXPANSION_BASIS:,}; generator {k} alone spans monomial degrees {list(spans[which[k]])} with {most:,} monomials"
                 )
-        tables = [_table(key, *r) for r in spans]
+        tables = [table(key, *r) for r in spans]
         # the generators' tables concatenated in generator order: per generator
         # its first position and size, per position its row in the spans' tables
         n = self._sizes = np.array(sizes, dtype=np.int64)[which]
         self._offsets = n.cumsum() - n
         row = (np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)[which] - self._offsets).repeat(n)
         row += np.arange(len(row))
-        degs = _joined([t.degs for t in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
+        degs = joined([t.degs for t in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
         # a stable sort by bidegree keeps the generator order and each table's order
         order = np.lexsort((degs[:, 1], degs[:, 0]))
         self.degs = degs.take(order, axis=0)
@@ -746,8 +533,8 @@ class Expansion:
         A = self.module.algebra
         mon = A.gen_monomial(is_ext, g)
         gens = np.arange(self.module.rank)
-        blocks = _blocks(A.key(), [(r, r, mon, True) for r in self._spans])
-        src, dst, vals = _gather(blocks, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets, A.p)
+        found = blocks(A.key(), [(r, r, mon, True) for r in self._spans])
+        src, dst, vals = _gather(found, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets, A.p)
         rows = self._place.take(src)
         order = rows.argsort()
         return rows.take(order), self._place.take(dst.take(order)), vals.take(order)
@@ -862,7 +649,7 @@ def _on_range(phi: DgMap, jlo: int, jhi: int) -> DgMap:
     expansion of its cone on the range is that of cone(phi), and the cone
     holds only those generators' terms.  phi itself when it keeps them all."""
     S, T = phi.source, phi.target
-    lo, hi = _degree_bounds(S.algebra)
+    lo, hi = degree_bounds(S.algebra)
     js = np.concatenate([S.degs[:, 1], T.degs[:, 1]])
     # a generator's table is empty exactly when its range, cut as ``_spans`` cuts it, holds no even degree
     keep = np.ceil(np.maximum(jlo - js, lo) / 2) <= np.floor(np.minimum(jhi - js, hi) / 2)
@@ -962,7 +749,10 @@ def deserialize_module(text: str) -> SemifreeDgModule:
     """Parse and validate the JSON of ``serialize_module``; ValueError on
     any malformed or invalid input, a repeated entry or a monomial repeated
     within one entry included (neither is summed nor overwritten)."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # json.loads recurses once per nested array or object
+        raise ValueError("the document is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ValueError("not a module document of schema 1")
     a = doc["algebra"]

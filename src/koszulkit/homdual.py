@@ -31,9 +31,9 @@ from .dgmodule import (
     Expansion,
     FiniteDgModule,
     SemifreeDgModule,
-    _signed,
     cohomology,
     expansion_to_finite,
+    signed,
 )
 from .lkd import kappa
 
@@ -63,7 +63,7 @@ class DualityReport:
         }
 
 
-def _compare(name: str, window: Window, left: BigradedDims, right: BigradedDims) -> DualityReport:
+def compare(name: str, window: Window, left: BigradedDims, right: BigradedDims) -> DualityReport:
     lw, rw = left.restrict(window), right.restrict(window)
     if lw == rw:
         verdict = "equal"
@@ -91,14 +91,14 @@ def k_linear_dual_T(M: FiniteDgModule) -> FiniteDgModule:
     """k-linear dual with the sign-twisted T-action (no shift applied).
 
     d is transposed by swapping its rows and cols, and row a of the
-    transpose is scaled by -(-1)^{i_a}, a ``_signed`` flip (in int64), so
+    transpose is scaled by -(-1)^{i_a}, a ``signed`` flip (in int64), so
     values stay in [1, p).  Acting on the dual by (t.phi)(m) =
     (-1)^{|t||phi|} phi(t.m) makes d of the dual satisfy the Leibniz rule
     only with that sign; the actions are not built (see the module docstring).
     """
     rows, cols, vals = M.d
     odd = M.basis_degs[:, 0] & 1  # odd[a]: (-1)^{i_a} = -1
-    return FiniteDgModule(M.algebra, -M.basis_degs, (cols, rows, _signed(vals, 1 - odd[cols], M.algebra.p)))
+    return FiniteDgModule(M.algebra, -M.basis_degs, (cols, rows, signed(vals, 1 - odd[cols], M.algebra.p)))
 
 
 def dualize_T_formula(M: FiniteDgModule) -> FiniteDgModule:
@@ -131,7 +131,7 @@ def oracle_compare_T(M: SemifreeDgModule, window: Window | None = None) -> Duali
         window = oracle_window(M)
     left = cohomology(dualize_T_res(M), window)
     right = dualize_T_formula(expand_T_module(M)).cohomology(window)
-    return _compare("duality-oracle", window, left, right)
+    return compare("duality-oracle", window, left, right)
 
 
 def compat_window(M: SemifreeDgModule) -> Window:
@@ -160,4 +160,4 @@ def check_compat(M: SemifreeDgModule, window: Window | None = None) -> DualityRe
     left = cohomology(kappa(M, 2 * n - window.j1).dualize(), window)
     shifted_window = Window(window.i0 + n, window.i1 + n, window.j0 - 2 * n, window.j1 - 2 * n)
     right = cohomology(kappa(dualize_S(M), shifted_window.j0), shifted_window).shift(n, 2 * n)
-    return _compare("compat", window, left, right)
+    return compare("compat", window, left, right)

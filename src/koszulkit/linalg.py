@@ -8,8 +8,9 @@ nonzero entries alone; what it leaves falls apart into ``components``, and
 ``dgmodule._cores`` makes each distinct one a dense block of 1-4 bytes an
 entry.  All elimination goes through ``echelon``, a sparse left-looking row
 reduction on COO input (after Faugere-Lachartre and SpaSM) that holds each
-row as a dict of Python ints, so no product can overflow; ``rref`` is its
-dense wrapper, and every caller goes through it.  ``rank`` and
+row as a dict of Python ints, so no product can overflow.
+``sl2.frobenius_form`` hands it a Gram matrix's entries, and every other
+caller goes through ``rref``, its dense wrapper.  ``rank`` and
 ``independent_columns`` stop at the echelon form, whose pivot set is the
 reduced form's, and build no (rank, n) array.  The blocks it meets are
 small, or large and sparse, and fill in little.

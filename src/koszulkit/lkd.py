@@ -37,9 +37,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .algebra import AlgebraSpec, make_algebra
+from .algebra import AlgebraSpec, make_algebra, parity, weights
 from .bigraded import Window
-from .dgmodule import DgMap, Expansion, SemifreeDgModule, _canonical, _parity, _weights
+from .dgmodule import DgMap, Expansion, SemifreeDgModule, canonical
 
 
 def standard_window(*modules: SemifreeDgModule) -> Window:
@@ -163,7 +163,7 @@ def counit(M: SemifreeDgModule, window: Window) -> DgMap:
     b = fgen[g]  # the basis element of M each selected theta^top . w_b names
     k, smons, smon = fm.expansion.labels()
     sigma = np.where(fm.expansion.degs[b, 1] // 2 & 1, M.algebra.p - 1, 1)
-    terms = _canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
+    terms = canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
     return DgMap(gfm.module, M, *terms, min_internal=jcut + 2)
 
 
@@ -197,10 +197,10 @@ def unit(N: SemifreeDgModule, window: Window) -> DgMap:
     c = c[b]
     k, tmons, tmon = gn.expansion.labels()  # theta^J e_k for each c
     J = np.array([mask for _, mask in tmons], dtype=np.int64)
-    sgn = 1 - 2 * _parity(full & ~J & _weights(J, N.algebra.f, True), N.algebra.f)[tmon[c]]
+    sgn = 1 - 2 * parity(full & ~J & weights(J, N.algebra.f, True), N.algebra.f)[tmon[c]]
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
-    terms = _canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
+    terms = canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
     return DgMap(N, fgn.module, *terms, min_internal=jcut + 2)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import AlgebraSpec, make_algebra
 from .bigraded import Window
-from .dgmodule import DgMap, Expansion, SemifreeDgModule, _canonical, cohomology
-from .homdual import DualityReport, _compare
+from .dgmodule import DgMap, Expansion, SemifreeDgModule, canonical, cohomology
+from .homdual import DualityReport, compare
 
 
 def extend_to_Q(N: SemifreeDgModule, e: int) -> SemifreeDgModule:
@@ -60,7 +60,7 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, split):
     tgt = order[key.searchsorted(gen[dst] * len(mons) + res[mon[dst]], sorter=order)]  # each target's residual
     terms = np.array([new[src], new[tgt], bmon[mon[dst]], coeff[live]])
     labels = list(zip(map(tuple, exp.degs[pos].tolist()), gen[pos].tolist(), map(mons.__getitem__, mon[pos].tolist())))
-    return SemifreeDgModule(B, exp.degs[pos], *_canonical(list(bmons), terms, len(pos), B.p)), labels
+    return SemifreeDgModule(B, exp.degs[pos], *canonical(list(bmons), terms, len(pos), B.p)), labels
 
 
 def restrict_to_T(M: SemifreeDgModule, jhi: int):
@@ -137,4 +137,4 @@ def check_fbot(M: SemifreeDgModule, window: Window | None = None) -> DualityRepo
     )
     right_raw = cohomology(push.dualize(), shifted_window)
     right = right_raw.shift(m, 2 * m)
-    return _compare("fbot", window, left, right)
+    return compare("fbot", window, left, right)

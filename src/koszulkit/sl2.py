@@ -21,7 +21,7 @@ import numpy as np
 
 from .blockalg import BlockAlgebra
 from .blockalg import koszulity_probe as _koszulity_probe
-from .linalg import check_modulus, rank, structural_pivots
+from .linalg import check_modulus, echelon
 from .projline import cohomology_P1
 
 # underlying line-bundle twists and homological shifts of the two zero
@@ -233,8 +233,8 @@ def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
 
     The Gram matrix is held as its entries, read from the nonzero products:
     it is symmetric when its entries transposed are its entries, graded
-    when every entry pairs degrees summing to topdeg, and its rank is the
-    number of structural pivots plus the rank of the dense core they leave.
+    when every entry pairs degrees summing to topdeg, and it is ranked by
+    ``echelon`` on those entries.
     """
     dim, p = algebra.dim, algebra.p
     trace = np.zeros(dim + 1, dtype=np.int64)  # the zero slot traces to 0
@@ -247,12 +247,7 @@ def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
     t = np.lexsort((x, y))  # the transposed entries, sorted the same way
     symmetric = (x == y[t]).all() and (y == x[t]).all() and (v == v[t]).all()
     graded = (algebra.degrees[x] + algebra.degrees[y] == topdeg).all()
-    pivot_rows, _, left = structural_pivots(x, y, dim)
-    core_rows, r = np.unique(x[left], return_inverse=True)
-    core_cols, c = np.unique(y[left], return_inverse=True)
-    core = np.zeros((len(core_rows), len(core_cols)), dtype=np.int64)
-    core[r, c] = v[left]
-    rk = int(pivot_rows.sum()) + rank(core, p)
+    rk = echelon(x, y, v, (dim, dim), p)[1]
     return {
         "topdeg": topdeg,
         "gram_rank": rk,

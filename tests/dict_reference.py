@@ -13,8 +13,8 @@ the two stay independent.
 
 The scalar monomial rules are kept here verbatim too: ``_ext_sign``,
 ``mul_monomials`` and ``elt_d`` from ``algebra`` and ``bidegree_sub`` from
-``bigraded``, and ``d_ext_target``, once an ``AlgebraSpec`` method.  ``dgmodule``'s array kernel (``_arrays``, ``_weights``,
-``_parity``, ``_d_A``) replaced them in the program; tests check it against
+``bigraded``, and ``d_ext_target``, once an ``AlgebraSpec`` method.  ``algebra``'s array kernel (``monomial_arrays``, ``weights``,
+``parity``, ``d_A``) replaced them in the program; tests check it against
 them monomial pair by monomial pair.
 """
 

@@ -7,14 +7,14 @@ that code verbatim: ``_spans``, ``_d_blocks``, ``_gather`` and
 ``Expansion`` (``__init__``, ``basis``, ``labels``, ``_assemble``,
 ``action``) from ``dgmodule``, and ``_restrict_scalars`` with the
 ``restrict_to_T``/``pushforward_p`` wrappers from ``qmodel``.  They read
-``dgmodule``'s cached tables and its ``_summed``, which compute what they
-computed then, so tests can compare the grouped kernel with this one entry
+``algebra``'s cached tables and ``dgmodule``'s ``_summed``, which compute
+what they computed then, so tests can compare the grouped kernel with this one entry
 for entry.
 
 The block builders are kept here too, verbatim: ``_block``, which
 multiplied a monomial into a table one row at a time with
 ``mul_monomials``, and ``_derivation_block``, which applied ``elt_d`` one
-row at a time, with ``_frozen_block``; ``dgmodule`` now builds the same
+row at a time, with ``_frozen_block``; ``algebra`` now builds the same
 blocks as array products, every missing block of one request in one batch.
 ``_table`` gives them the (monomials, bidegrees) pair they read.
 """
@@ -26,22 +26,21 @@ from math import inf
 import numpy as np
 
 from dict_reference import elt_d, mul_monomials
-from koszulkit import dgmodule
-from koszulkit.algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree
+from koszulkit import algebra
+from koszulkit.algebra import CACHE_SIZE, AlgebraSpec, make_algebra, monomial_bidegree, span_size
 from koszulkit.bigraded import bidegree_add
 from koszulkit.dgmodule import (
     _NO_TERMS,
     MAX_EXPANSION_BASIS,
     SemifreeDgModule,
-    _canonical,
-    _span_size,
     _summed,
+    canonical,
 )
 
 
 def _table(key, jlo: int, jhi: int):
-    """The monomials and bidegrees of ``dgmodule._table``."""
-    return dgmodule._table(key, jlo, jhi)[:2]
+    """The monomials and bidegrees of ``algebra.table``."""
+    return algebra.table(key, jlo, jhi)[:2]
 
 
 def _frozen_block(terms) -> np.ndarray:
@@ -134,7 +133,7 @@ class Expansion:
         A = module.algebra
         key = A.key()
         ranges = self._ranges = _spans(A, jlo, jhi, module.gens)
-        sizes = [_span_size(key, *r) for r in ranges]
+        sizes = [span_size(key, *r) for r in ranges]
         if sum(sizes) > MAX_EXPANSION_BASIS:
             k = sizes.index(max(sizes))
             raise ValueError(
@@ -226,7 +225,7 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual
     live = gen[src] >= 0
     src, dst = src[live], dst[live]
     terms = np.array([gen[src], tgt[dst], bmon[dst], coeff[live]])
-    return SemifreeDgModule(B, [bd for bd, _, _ in labels], *_canonical(list(bmons), terms, len(labels), B.p)), labels
+    return SemifreeDgModule(B, [bd for bd, _, _ in labels], *canonical(list(bmons), terms, len(labels), B.p)), labels
 
 
 def restrict_to_T(M: SemifreeDgModule, jhi: int):

@@ -6,7 +6,8 @@ every generator down to jcut - 2f as well."""
 
 import numpy as np
 
-from koszulkit.dgmodule import DgMap, _canonical, _parity, _weights
+from koszulkit.algebra import parity, weights
+from koszulkit.dgmodule import DgMap, canonical
 from koszulkit.lkd import functor_F, functor_G
 
 
@@ -20,7 +21,7 @@ def counit(M, jcut: int) -> DgMap:
     b = fgen[g]
     k, smons, smon = fm.expansion.labels()
     sigma = np.where(fm.expansion.degs[b, 1] // 2 & 1, M.algebra.p - 1, 1)
-    terms = _canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
+    terms = canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
     return DgMap(gfm.module, M, *terms, min_internal=jcut + 2)
 
 
@@ -34,8 +35,8 @@ def unit(N, jcut: int) -> DgMap:
     c = c[b]
     k, tmons, tmon = gn.expansion.labels()
     J = np.array([mask for _, mask in tmons], dtype=np.int64)
-    sgn = 1 - 2 * _parity(full & ~J & _weights(J, N.algebra.f, True), N.algebra.f)[tmon[c]]
+    sgn = 1 - 2 * parity(full & ~J & weights(J, N.algebra.f, True), N.algebra.f)[tmon[c]]
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
-    terms = _canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
+    terms = canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
     return DgMap(N, fgn.module, *terms, min_internal=jcut + 2)

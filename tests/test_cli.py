@@ -459,6 +459,17 @@ def test_table_names_the_least_failing_target(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot read module file: invalid module: d^2 != 0 from gen 0 to gen 1\n"
 
 
+def test_table_refuses_a_deeply_nested_file(tmp_path):
+    """200,000 nested arrays (once a RecursionError traceback from json.loads
+    and exit 1, the code of a mathematical FAIL) exit 2 with one line."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    res = run_cli(["table", str(path)])
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot read module file: the document is nested too deeply\n"
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def _edge_t62(c):
     """A T(62, 62) square on the top two ext generators, d^2 = 0 when c = 1:
     d(e0) = theta61 e1 + theta60 e2, d(e1) = theta60 e3, d(e2) = c theta61 e3."""

@@ -13,7 +13,7 @@ import expansion_reference
 import finite_reference as dense_ref
 from dense_reference import rank as dense_rank
 from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
-from koszulkit import dgmodule
+from koszulkit import algebra, dgmodule
 from koszulkit.algebra import KINDS, MAX_E, make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
@@ -105,7 +105,7 @@ def _kernel_products(A, left, right):
     the product vanishes."""
     a, b = np.arange(len(left)), np.arange(len(right))
     left_terms, right_terms = np.array([a, 0 * a, a, 0 * a + 1]), np.array([0 * b, b, len(left) + b, 0 * b + 1])
-    mons = dgmodule._arrays(left + right, A.n_sym)
+    mons = algebra.monomial_arrays(left + right, A.n_sym)
     (k, m, mon, sign), (exps, masks) = dgmodule._products(A, left_terms, right_terms, mons, mons)
     mons = list(zip(map(tuple, exps.tolist()), masks.tolist()))
     return {(i, j): (mons[u], c) for i, j, u, c in zip(k.tolist(), m.tolist(), mon.tolist(), sign.tolist())}
@@ -120,9 +120,9 @@ def _kernel_mul(A, x, y):
 
 
 def _kernel_d(A, x):
-    """``elt_d`` through the array kernel's ``dgmodule._d_A``."""
+    """``elt_d`` through the array kernel's ``algebra.d_A``."""
     mons, out = list(x), {}
-    which, exps, masks, odd = dgmodule._d_A(A, *dgmodule._arrays(mons, A.n_sym))
+    which, exps, masks, odd = algebra.d_A(A, *algebra.monomial_arrays(mons, A.n_sym))
     for u, e, mask, o in zip(which.tolist(), exps.tolist(), masks.tolist(), odd.tolist()):
         mon = (tuple(e), mask)
         out[mon] = (out.get(mon, 0) + (-1) ** o * x[mons[u]]) % A.p
@@ -153,8 +153,8 @@ def test_exterior_sign_antisymmetry():
 def test_array_kernel_matches_the_scalar_reference(kind, e, data):
     """Pair by pair, on ext masks up to bit MAX_E - 1: products, their
     vanishing and wedge signs from ``_products`` (left products) and from
-    the weight masks of right products (``_build_blocks``), and ``_d_A``
-    against ``elt_d``."""
+    the weight masks of right products (``algebra._build_blocks``), and
+    ``d_A`` against ``elt_d``."""
     A = make_algebra(kind, e, data.draw(st.integers(0, e), label="f"), 5)
     ext = st.sets(st.integers(0, A.n_ext - 1)).map(lambda bits: sum(1 << b for b in bits)) if A.n_ext else st.just(0)
     mono = st.tuples(st.tuples(*[st.integers(0, 3)] * A.n_sym), ext)
@@ -163,7 +163,7 @@ def test_array_kernel_matches_the_scalar_reference(kind, e, data):
     assert sorted(got) == [(a, b) for a in range(len(left)) for b in range(len(right))]
     n = A.n_ext
     x, y = (np.array([mask for _, mask in mons], dtype=np.int64) for mons in (left, right))
-    right_odd = dgmodule._parity(y[None, :] & dgmodule._weights(x, n, False)[:, None], n)
+    right_odd = algebra.parity(y[None, :] & algebra.weights(x, n, False)[:, None], n)
     for (a, b), (mon, sign) in got.items():
         want = mul_monomials(A, left[a], right[b])
         assert (mon, sign) == want if want else sign == 0

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import expansion_reference as ref
 from koszulkit import algebra, dgmodule
-from koszulkit.algebra import make_algebra, monomial_bidegree, monomials_by_internal
+from koszulkit.algebra import CACHE_SIZE, make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import Window
-from koszulkit.dgmodule import CACHE_SIZE, Expansion, SemifreeDgModule, cohomology, free_module, nested_terms
+from koszulkit.dgmodule import Expansion, SemifreeDgModule, cohomology, free_module, nested_terms
 from koszulkit.lkd import counit, functor_F, functor_G, functor_jcut, standard_window, unit
 from koszulkit.qmodel import pushforward_p, restrict_to_T
 from koszulkit.samples import random_module, stream
@@ -109,15 +109,15 @@ def _block_requests(A, rng):
     key = A.key()
     js = np.array([2 * rng.randrange(-3, 3) for _ in range(rng.randrange(1, 5))], dtype=np.int64)
     jlo, jhi = int(js.min()) + rng.randrange(-6, 4), int(js.max()) + rng.randrange(-4, 6)
-    spans = [s for s in dgmodule._spans(A, jlo, jhi, js)[0] if dgmodule._span_size(key, *s) <= 2000] + [(0, -2)]
+    spans = [s for s in dgmodule._spans(A, jlo, jhi, js)[0] if algebra.span_size(key, *s) <= 2000] + [(0, -2)]
     gens = [A.gen_monomial(False, g) for g in range(A.n_sym)] + [A.gen_monomial(True, g) for g in range(A.n_ext)]
-    mons = [mon for s in spans for mon in dgmodule._table(key, *s).mons]
+    mons = [mon for s in spans for mon in algebra.table(key, *s).mons]
     wanted = []
     for _ in range(rng.randrange(1, 10)):
         (a, b), mon = rng.choice(spans), rng.choice([A.one(), rng.choice(gens), rng.choice(mons or gens)])
         j = monomial_bidegree(A, mon)[1]
         dst = rng.choice([rng.choice(spans), (a + j, b + j), (a + j + 2, b + j), (a + j, b + j - 2)])
-        if dgmodule._span_size(key, *dst) <= 2000:
+        if algebra.span_size(key, *dst) <= 2000:
             wanted.append(((a, b), dst, mon, rng.random() < 0.5))
     wanted += rng.choices(wanted, k=rng.randrange(0, 4)) if wanted else []
     rng.shuffle(wanted)
@@ -127,21 +127,21 @@ def _block_requests(A, rng):
 @settings(max_examples=150, deadline=None)
 @given(alg=st.sampled_from(BLOCK_ALGEBRAS), seed=st.integers(0, 10**6))
 def test_batched_blocks_match_per_row_builder(alg, seed):
-    """``_build_blocks`` (and ``_blocks``, which builds misses through it)
-    equals the per-row ``_block`` on every request of a batch, and the
-    array ``_derivation_block`` equals the per-row one."""
+    """``algebra._build_blocks`` (and ``blocks``, which builds misses
+    through it) equals the per-row ``_block`` on every request of a batch,
+    and the array ``derivation_block`` equals the per-row one."""
     A = make_algebra(*alg)
     key = A.key()
     spans, wanted = _block_requests(A, stream(seed, "blocks"))
     if wanted:
-        for got in (dgmodule._build_blocks(key, wanted), dgmodule._blocks(key, wanted)):
+        for got in (algebra._build_blocks(key, wanted), algebra.blocks(key, wanted)):
             assert len(got) == len(wanted)
             for w, block in zip(wanted, got):
                 assert block.tolist() == ref._block(key, *w).tolist(), w
                 assert block.dtype == np.int64 and not block.flags.writeable
     if A.has_differential:
         for s in spans:
-            assert dgmodule._derivation_block(key, s).tolist() == ref._derivation_block(key, s).tolist()
+            assert algebra.derivation_block(key, s).tolist() == ref._derivation_block(key, s).tolist()
 
 
 def test_block_requests_cover_the_edge_cases():
@@ -154,9 +154,9 @@ def test_block_requests_cover_the_edge_cases():
             spans, wanted = _block_requests(A, stream(seed, "blocks"))
             if len(set(wanted)) < len(wanted):
                 seen.add("repeated")
-            for w, block in zip(wanted, dgmodule._build_blocks(A.key(), wanted) if wanted else []):
+            for w, block in zip(wanted, algebra._build_blocks(A.key(), wanted) if wanted else []):
                 src, dst, mon, left = w
-                rows = len(dgmodule._table(A.key(), *src).mons)
+                rows = len(algebra.table(A.key(), *src).mons)
                 seen.add(("empty span" if not rows else "cut" if 0 < block.shape[1] < rows else "whole", A.kind))
                 seen.add(("left" if left else "right", -1 in block[2].tolist(), A.n_ext >= 16 and block.shape[1] > 100))
     kinds = {kind for case, kind in (x for x in seen if len(x) == 2)}
@@ -234,13 +234,13 @@ def test_caches_stay_at_their_bound():
     before = Expansion(M, -8, 0)
     for i in range(CACHE_SIZE + 100):
         Expansion(M, -2 * i - 4, -2 * i)
-    caches = [dgmodule._table, dgmodule._span_size, algebra._monomials_by_internal]
+    caches = [algebra.table, algebra.span_size, algebra._monomials_by_internal]
     assert [f.cache_info().currsize for f in caches] == [CACHE_SIZE] * len(caches)
-    assert len(dgmodule._BLOCKS) == CACHE_SIZE
+    assert len(algebra._BLOCKS) == CACHE_SIZE
     after = Expansion(M, -8, 0)
     assert after.degs.tolist() == before.degs.tolist()
     assert [a.tolist() for a in after.d] == [b.tolist() for b in before.d]
-    for f in (*caches, dgmodule._derivation_block, algebra._compositions):
+    for f in (*caches, algebra.derivation_block, algebra._compositions):
         assert f.cache_info().maxsize == CACHE_SIZE
 
 

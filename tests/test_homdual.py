@@ -134,7 +134,7 @@ def test_validate_sees_the_twist_signs(monkeypatch):
     want = dualize_T_formula(fin)
     dense_ref.assert_same_d(want, ref)
     assert dense_ref.validate(ref) == []
-    monkeypatch.setattr(homdual, "_signed", lambda coeff, odd, p: coeff)
+    monkeypatch.setattr(homdual, "signed", lambda coeff, odd, p: coeff)
     mutant = dualize_T_formula(fin)
     assert mutant.cohomology(W) == want.cohomology(W)
     mutant_d = dense_ref.scatter(mutant.d, mutant.dim, T.p)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from dict_reference import elt_d, elt_mul, mul_monomials, to_nested
+from koszulkit import algebra
 from koszulkit.algebra import make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import Bidegree, bidegree_add
-from koszulkit.dgmodule import Expansion, SemifreeDgModule, _blocks, _table
+from koszulkit.dgmodule import Expansion, SemifreeDgModule
 from koszulkit.lkd import regrade_xi
 from koszulkit.qmodel import pushforward_p
 from koszulkit.samples import random_module, stream
@@ -149,9 +150,9 @@ def test_cached_tables_are_read_only():
         table[(0, 0)] = ()
     with pytest.raises(AttributeError):
         table[(0, 0)].append(((9, 9), 0))
-    for array in _table(S.key(), -4, 0)[1:]:
+    for array in algebra.table(S.key(), -4, 0)[1:]:
         with pytest.raises(ValueError):
             array[0] = 7
     with pytest.raises(ValueError):
-        _blocks(S.key(), [((-4, 0), (-6, -2), ((1, 0), 0), False)])[0][1][0] = 0
+        algebra.blocks(S.key(), [((-4, 0), (-6, -2), ((1, 0), 0), False)])[0][1][0] = 0
     assert monomials_by_internal(S, -4, 0)[(0, 0)] == (((0, 0), 0),)

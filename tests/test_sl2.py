@@ -12,6 +12,7 @@ import dense_reference
 import probe_reference
 from koszulkit import blockalg
 from koszulkit.blockalg import BlockAlgebra, ProjectiveSum, minimal_generators, next_syzygy
+from koszulkit.linalg import structural_pivots
 from koszulkit.projline import cohomology_P1
 from koszulkit.sl2 import (
     anti_automorphism_check,
@@ -873,6 +874,24 @@ def test_unit_check_matches_the_dense_tables(seed, kind):
 def test_frobenius_form_matches_the_dense_gram(seed, kind):
     A, topdeg = form_input(seed, kind)
     assert frobenius_form(A, topdeg) == reference_frobenius_form(A, topdeg)
+
+
+@pytest.mark.parametrize("p, inner", [(3, 2), (5, 4), (7, 6), (7, 9), (11, 5), (11, 9)])
+def test_frobenius_form_ranks_a_gram_matrix_that_is_not_monomial(p, inner):
+    """Every product lands on basis element 0, of trace 1, so the Gram
+    matrix is the coefficient table: an 8 x 8 product through ``inner``
+    columns (ranks 2 to 8 over the cases), on which no pivot is found from
+    positions alone, so elimination does all of the work."""
+    dim, rng = 8, np.random.default_rng([p, inner])
+    gram = rng.integers(1, p, size=(dim, inner)) @ rng.integers(0, p, size=(inner, dim)) % p
+    live = gram != 0
+    assert not structural_pivots(*live.nonzero(), dim)[0].any()
+    idx = np.full((dim + 1, dim + 1), dim, dtype=np.int64)
+    coeff = np.zeros((dim + 1, dim + 1), dtype=np.int64)
+    idx[:dim, :dim], coeff[:dim, :dim] = np.where(live, 0, dim), gram
+    A = tables_only(p, idx, coeff)
+    A.degrees, A.trace = np.zeros(dim, dtype=np.int64), {0: 1}
+    assert frobenius_form(A, 0) == reference_frobenius_form(A, 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 from dict_reference import DictMap, DictModule, dg_map, module, to_nested
 from dict_reference import cone as dict_cone
 from koszulkit import cli, dgmodule
-from koszulkit.algebra import make_algebra, monomials_by_internal
+from koszulkit.algebra import make_algebra, monomials_by_internal, span_size, table
 from koszulkit.dgmodule import (
     DgMap,
     SemifreeDgModule,
-    _canonical,
-    _span_size,
-    _table,
+    canonical,
     cone,
     deserialize_module,
     free_module,
@@ -303,7 +301,7 @@ def test_canonical_form_of_raw_terms():
     # and a coefficient to reduce
     one, x2, x1 = ((0, 0), 0), ((0, 1), 0), ((1, 0), 0)
     raw = np.array([[1, 1, 1, 1, 0], [0, 0, 0, 0, 1], [1, 0, 1, 2, 0], [2, 7, 3, 1, 1]])
-    mons, terms = _canonical((x2, x1, one), raw, 2, 5)
+    mons, terms = canonical((x2, x1, one), raw, 2, 5)
     assert mons == (one, x2)
     assert terms.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 1], [1, 1, 2]]
     S = make_algebra("S", 2, 2, 5)
@@ -316,7 +314,7 @@ def test_span_size_counts_the_table(kind, e, f):
     key = make_algebra(kind, e, f, 3).key()
     for lo in range(-12, 13):
         for hi in range(lo - 2, lo + 11):
-            assert _span_size(key, lo, hi) == len(_table(key, lo, hi)[0]), (lo, hi)
+            assert span_size(key, lo, hi) == len(table(key, lo, hi)[0]), (lo, hi)
 
 
 # -- bounded work ------------------------------------------------------------------
