@@ -155,7 +155,7 @@ def cmd_table(args) -> int:
     try:
         with open(args.module) as fh:
             module = deserialize_module(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read module file: {exc}")
     if args.window:
         window = parse_window(args.window)

@@ -14,8 +14,8 @@ monomials once, numbers the products by their byte keys and reports the
 least failing target of each failing generator.  A module's validate()
 runs it on the module's terms, and a chain map's on the rows of its cone
 at the target, which vanish exactly when the map is a chain map, read
-from the map's, target's and source's own term arrays; a map carries its
-own cutoff.  ``is_quasi_iso`` runs that check, then takes the cohomology
+from the map's, target's and source's own term arrays, on every source
+generator.  ``is_quasi_iso`` runs that check, then takes the cohomology
 of the one cone it builds, on the generators its window reaches.
 
 Sign conventions, fixed project-wide and enforced by validate():
@@ -46,6 +46,7 @@ and sign flips.  They hold no actions: their tables read only d.
 from __future__ import annotations
 
 import json
+import reprlib
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -137,17 +138,13 @@ def _degree_issues(algebra: AlgebraSpec, mons, terms, want, what: str) -> list[s
     return issues
 
 
-def _products(A: AlgebraSpec, left, right, left_mons, right_mons, checked=None):
+def _products(A: AlgebraSpec, left, right, left_mons, right_mons):
     """The products left(k, l) right(l, m), joined on l, as arrays (k, m, mon, coeff)
     and the product monomials (exps, masks) that mon indexes; ``right`` is sorted by
     source, and the (exps, masks) arrays ``left_mons`` and ``right_mons`` are what
-    each side's monomials index.  Only sources k with ``checked[k]`` are taken (all
-    when it is None).  Each distinct pair of monomials is multiplied once, as arrays;
-    coeff is 0 where the product vanishes."""
+    each side's monomials index.  Each distinct pair of monomials is multiplied
+    once, as arrays; coeff is 0 where the product vanishes."""
     i, j = sorted_join(left[1], right[0])
-    if checked is not None:
-        keep = checked[left[0][i]]
-        i, j = i[keep], j[keep]
     n = len(right_mons[1])
     pairs, inv = np.unique(left[2][i] * n + right[2][j], return_inverse=True)
     a, b = np.divmod(pairs, n)
@@ -156,9 +153,9 @@ def _products(A: AlgebraSpec, left, right, left_mons, right_mons, checked=None):
     return (left[0][i], right[1][j], inv, sign[inv] * left[3][i] * right[3][j]), (left_mons[0][a] + right_mons[0][b], x | y)
 
 
-def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int, checked=None) -> list[tuple[int, int]]:
+def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int) -> list[tuple[int, int]]:
     """(k, m) for each source k whose d^2(e_k) is nonzero at some target e_m,
-    m the least such, over k with ``checked[k]`` (all when it is None).
+    m the least such.
 
     d^2(e_k) = sum over the terms e_kl of d(e_k) of (-1)^c e_kl d(e_l) +
     d_A(e_kl) e_l, c the cohomological degree of e_kl.  ``products`` are the
@@ -170,7 +167,7 @@ def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int, checked=None) -> l
     (k, m, mon) by ``_summed``."""
     parts, exps, masks = [], [], []
     for left, right, left_mons, right_mons in products:
-        (k, m, mon, coeff), (e, x) = _products(A, left, right, left_mons, right_mons, checked)
+        (k, m, mon, coeff), (e, x) = _products(A, left, right, left_mons, right_mons)
         parts.append((k, m, mon + sum(map(len, masks)), coeff))
         exps.append(e)
         masks.append(x)
@@ -178,9 +175,6 @@ def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int, checked=None) -> l
     if A.has_differential:
         which, e, x, odd = d_A(A, *mons)
         t, n = sorted_join(terms[2], which)
-        if checked is not None:
-            keep = checked[terms[0][t]]
-            t, n = t[keep], n[keep]
         parts.append((terms[0][t], terms[1][t], n + sum(map(len, masks)), signed(terms[3][t], odd[n], A.p)))
         exps.append(e)
         masks.append(x)
@@ -289,32 +283,32 @@ class DgMap:
     """Degree-(0, 0) chain map between semifree modules over one algebra, as
     canonical term arrays like SemifreeDgModule's: the image of source gen src
     has the term coeff * mons[mon] target gen tgt, of bidegree gens[src] - gens[tgt].
-    Source generators of internal degree below the map's own cutoff
-    ``min_internal`` are exempt from the chain condition (``lkd.counit``, ``lkd.unit``).
+    ``validate`` checks the chain condition on every source generator, of
+    ``lkd.counit`` and ``lkd.unit`` too (see there).
     """
 
-    __slots__ = ("source", "target", "mons", "terms", "min_internal")
+    __slots__ = ("source", "target", "mons", "terms")
 
-    def __init__(self, source: SemifreeDgModule, target: SemifreeDgModule, mons=(), terms=_NO_TERMS, min_internal: int | None = None):
+    def __init__(self, source: SemifreeDgModule, target: SemifreeDgModule, mons=(), terms=_NO_TERMS):
         if source.algebra != target.algebra:
             raise ValueError("chain map needs a common algebra")
         self.source = source
         self.target = target
         terms.flags.writeable = False
-        self.mons, self.terms, self.min_internal = tuple(mons), terms, min_internal
+        self.mons, self.terms = tuple(mons), terms
 
     def validate(self) -> list[str]:
         """Chain-map and homogeneity checks.
 
         phi is a chain map exactly when d^2 of cone(phi) vanishes at the
         target's generators, so the chain condition is ``_d_squared`` on the
-        cone's terms out of the source generators not below ``min_internal``:
-        phi's entries, through the target's rows, and those of source[1],
-        through phi's entries, with d_A of phi's entries.  It joins the
-        target's, phi's and the source's own term arrays and builds no cone
-        (a term of source[1] from k to l carries the sign -(-1)^c of
-        ``shift``, and the cone adds (-1)^c: -1 in all).  For each failing k,
-        the least failing target generator m is reported.
+        cone's terms out of every source generator: phi's entries, through
+        the target's rows, and those of source[1], through phi's entries,
+        with d_A of phi's entries.  It joins the target's, phi's and the
+        source's own term arrays and builds no cone (a term of source[1] from
+        k to l carries the sign -(-1)^c of ``shift``, and the cone adds
+        (-1)^c: -1 in all).  For each failing k, the least failing target
+        generator m is reported.
         """
         A, S, T, phi = self.source.algebra, self.source, self.target, self.terms
         issues = _degree_issues(A, self.mons, phi, S.degs.take(phi[0], axis=0) - T.degs.take(phi[1], axis=0), "map entry")
@@ -331,8 +325,7 @@ class DgMap:
             products.append((left, T.terms, mons, t_mons))
         if len(S.terms[0]):
             products.append((S.terms, (src, tgt, mon, A.p - coeff), s_mons, mons))
-        checked = None if self.min_internal is None else S.degs[:, 1] >= self.min_internal
-        fails = _d_squared(A, products, (phi, mons), T.rank, checked)
+        fails = _d_squared(A, products, (phi, mons), T.rank)
         return [f"chain condition fails from gen {k} to gen {m}" for k, m in fails]
 
 
@@ -649,10 +642,8 @@ def _on_range(phi: DgMap, jlo: int, jhi: int) -> DgMap:
     expansion of its cone on the range is that of cone(phi), and the cone
     holds only those generators' terms.  phi itself when it keeps them all."""
     S, T = phi.source, phi.target
-    lo, hi = degree_bounds(S.algebra)
-    js = np.concatenate([S.degs[:, 1], T.degs[:, 1]])
-    # a generator's table is empty exactly when its range, cut as ``_spans`` cuts it, holds no even degree
-    keep = np.ceil(np.maximum(jlo - js, lo) / 2) <= np.floor(np.minimum(jhi - js, hi) / 2)
+    spans, which = _spans(S.algebra, jlo, jhi, np.concatenate([S.degs[:, 1], T.degs[:, 1]]))
+    keep = np.array([a <= b for a, b in spans])[which]
     if keep.all():
         return phi
     ks, kt = keep[: S.rank], keep[S.rank :]
@@ -745,34 +736,39 @@ def _check_int(value, what: str, lo=None, hi=None) -> int:
     return value
 
 
+def _check_list(value, what: str, n: int | None = None) -> list:
+    if not isinstance(value, list) or (n is not None and len(value) != n):
+        raise ValueError(f"{what} must be a list{'' if n is None else f' of {n}'}, got {reprlib.repr(value)}")
+    return value
+
+
 def deserialize_module(text: str) -> SemifreeDgModule:
-    """Parse and validate the JSON of ``serialize_module``; ValueError on
-    any malformed or invalid input, a repeated entry or a monomial repeated
-    within one entry included (neither is summed nor overwritten)."""
+    """Parse and validate the JSON of ``serialize_module``; a ValueError that
+    names what is wrong on any malformed or invalid input, too deep a
+    nesting, a missing or mistyped member, a repeated entry and a monomial
+    repeated within one entry (neither is summed nor overwritten) included."""
     try:
         doc = json.loads(text)
     except RecursionError:  # json.loads recurses once per nested array or object
         raise ValueError("the document is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ValueError("not a module document of schema 1")
-    a = doc["algebra"]
+    a = doc.get("algebra")
+    if not isinstance(a, dict) or not a.keys() >= {"kind", "e", "f", "p"}:
+        raise ValueError(f"algebra must be an object with kind, e, f and p, got {reprlib.repr(a)}")
     algebra = make_algebra(a["kind"], *(_check_int(a[x], x) for x in "efp"))
-    gens = []
-    for g in doc["gens"]:
-        if len(g) != 2:
-            raise ValueError(f"generator bidegree must be a pair, got {g!r}")
-        gens.append(tuple(_check_int(x, "generator degree", -MAX_DEGREE, MAX_DEGREE) for x in g))
+    bidegrees = (_check_list(g, "generator bidegree", 2) for g in _check_list(doc.get("gens"), "gens"))
+    gens = [tuple(_check_int(x, "generator degree", -MAX_DEGREE, MAX_DEGREE) for x in g) for g in bidegrees]
     diff: dict[int, dict[int, dict]] = {}
-    for k, l, terms in doc["diff"]:
+    for k, l, terms in (_check_list(entry, "diff entry", 3) for entry in _check_list(doc.get("diff"), "diff")):
         _check_int(k, "generator index", 0, len(gens))
         _check_int(l, "generator index", 0, len(gens))
         if l in diff.get(k, {}):
             raise ValueError(f"entry [{k}, {l}] is repeated")
         entry = {}
-        for c, exps, mask in terms:
+        for c, exps, mask in (_check_list(term, "term", 3) for term in _check_list(terms, "terms")):
             _check_int(c, "coefficient")
-            if len(exps) != algebra.n_sym:
-                raise ValueError(f"exponent vector {exps!r} must have length {algebra.n_sym}")
+            exps = _check_list(exps, "exponent vector", algebra.n_sym)
             mon = (tuple(_check_int(x, "exponent", 0, MAX_DEGREE) for x in exps), _check_int(mask, "ext mask", 0, 1 << algebra.n_ext))
             if mon in entry:
                 raise ValueError(f"entry [{k}, {l}] repeats the monomial with exponents {list(mon[0])} and ext mask {mon[1]}")

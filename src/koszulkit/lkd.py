@@ -21,13 +21,13 @@ the 2(f+1) margin of ``functor_jcut``.  G may start at an internal
 degree too: its generators at or above it span a dg-submodule.
 
 The adjunction unit and counit are explicit chain maps whose signs are
-pinned here.  Each takes the window of its verdict, derives jcut from it,
-carries jcut + 2 as its ``DgMap.min_internal``, and builds each functor
-image only where ``DgMap.validate`` and the window's cone read it: the
-counit's G(F(M)) from jcut + 2 up (a submodule), the unit's F(G(N)) cut
-at min(window.j0, max(jN - 2, jcut)), jN the least internal degree of N
-(a quotient).  Neither changes a row the check joins or a cell of the
-cone on the window.
+pinned here, checked by ``DgMap.validate`` on their whole source.  Each
+takes the window of its verdict, derives jcut from it, and builds each
+functor image only where the window's cone reads it.  The counit's
+source G(F(M)) starts at jcut + 2, a dg-submodule.  The unit's F(G(N)),
+cut at min(window.j0, max(jN - 2, jcut)), jN the least internal degree
+of N, is the quotient by a dg-submodule, so the unit into it is the
+projection of a chain map.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ def standard_window(*modules: SemifreeDgModule) -> Window:
 
 def functor_jcut(window: Window, f: int) -> int:
     """The cutoff of ``counit`` and ``unit``: 2(f+1) internal degrees below
-    the window, where F cut at window.j0 would already be exact on it.  They
-    check their maps from jcut + 2 up (``DgMap.min_internal``), which a
-    tighter cut would weaken; the images they build reach no lower than the
-    check and the window's cone read (see there).
+    the window, where F cut at window.j0 would already be exact on it.  The
+    counit's source starts at jcut + 2, and the unit's target is cut no
+    lower than jcut; the images they build reach no lower than the window's
+    cone reads (see there).
     """
     return window.j0 - 2 * (f + 1)
 
@@ -144,15 +144,15 @@ def counit(M: SemifreeDgModule, window: Window) -> DgMap:
 
     On the basis element theta^I . w_b of F(M) the map is zero unless I is
     the full index set, where it evaluates to (-1)^{floor(j(b)/2)} times
-    the element b of M.  Only the part of G(F(M)) at internal degree >=
-    jcut + 2, the map's ``min_internal``, is built.  It is a dg-submodule
-    (``functor_G``), so it holds every row ``DgMap.validate`` joins from
-    the sources it checks, and the window's cone (``_on_range``) keeps
-    only generators at or above window.j0, which lie in it.  It reads only
-    the columns >= jcut + 2 of F(M)'s T-expansion, and column j reads only
-    the M-degrees [j, j + 2f], so F(M) is cut at jcut + 2 too.  Only the
-    map is returned: F(M) and both expansions die with the call, and
-    G(F(M)) lives on as its source.
+    the element b of M.  The source is the part of G(F(M)) at internal
+    degree >= jcut + 2, a dg-submodule (``functor_G``), so the counit is a
+    chain map on all of it and ``DgMap.validate`` checks every source
+    generator; the window's cone (``_on_range``) keeps only generators at
+    or above window.j0, which lie in it.  It reads only the columns >=
+    jcut + 2 of F(M)'s T-expansion, and column j reads only the M-degrees
+    [j, j + 2f], so F(M) is cut at jcut + 2 too.  Only the map is
+    returned: F(M) and both expansions die with the call, and G(F(M))
+    lives on as its source.
     """
     jcut = functor_jcut(window, M.algebra.f)
     fm = functor_F(M, jcut + 2)
@@ -164,7 +164,7 @@ def counit(M: SemifreeDgModule, window: Window) -> DgMap:
     k, smons, smon = fm.expansion.labels()
     sigma = np.where(fm.expansion.degs[b, 1] // 2 & 1, M.algebra.p - 1, 1)
     terms = canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
-    return DgMap(gfm.module, M, *terms, min_internal=jcut + 2)
+    return DgMap(gfm.module, M, *terms)
 
 
 def unit(N: SemifreeDgModule, window: Window) -> DgMap:
@@ -179,13 +179,13 @@ def unit(N: SemifreeDgModule, window: Window) -> DgMap:
     that appears in the counit.
 
     F(G(N)) is cut at c = min(window.j0, max(jN - 2, jcut)), jN the least
-    internal degree of N, instead of at jcut: a quotient, since the
-    generators below c span a dg-submodule.  The window's cone
-    (``_on_range``) reads only T-expansion columns >= window.j0 >= c, and
-    column j reads only the G(N)-degrees [j, j + 2f], which the quotient
-    keeps.  Where c > jcut, c <= jN - 2: eta names only w_b with j(b) >=
-    jN, and d(w_b) reaches G(N)-degree j(b) - 2 >= c, so every row
-    ``DgMap.validate`` joins is whole.
+    internal degree of N, instead of at jcut: the quotient by the
+    dg-submodule of generators below c.  eta into it is the projection of
+    eta into the uncut F(G(N)), a chain map, so it is a chain map on all
+    of N for any c, and ``DgMap.validate`` checks every source generator.
+    The window's cone (``_on_range``) reads only T-expansion columns >=
+    window.j0 >= c, and column j reads only the G(N)-degrees [j, j + 2f],
+    which the quotient keeps.
     """
     jcut = functor_jcut(window, N.algebra.f)
     gn = functor_G(N)
@@ -201,7 +201,7 @@ def unit(N: SemifreeDgModule, window: Window) -> DgMap:
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
     terms = canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
-    return DgMap(N, fgn.module, *terms, min_internal=jcut + 2)
+    return DgMap(N, fgn.module, *terms)
 
 
 def kappa(M: SemifreeDgModule, jcut: int) -> SemifreeDgModule:

@@ -240,13 +240,8 @@ class DictMap:
     def of(cls, phi: DgMap) -> "DictMap":
         return cls(DictModule.of(phi.source), DictModule.of(phi.target), to_nested(phi))
 
-    def validate(self, min_internal: int | None = None) -> list[str]:
-        """Chain-map and homogeneity checks.
-
-        When ``min_internal`` is given, rows whose source generator has
-        internal degree below it are skipped: maps built from truncated
-        functor images are exact chain maps only above their cutoff.
-        """
+    def validate(self) -> list[str]:
+        """Chain-map and homogeneity checks, on every source generator."""
         issues = []
         A = self.source.algebra
         for k, row in self.matrix.items():
@@ -262,8 +257,6 @@ class DictMap:
         if issues:
             return issues
         for k in range(self.source.rank):
-            if min_internal is not None and self.source.gens[k][1] < min_internal:
-                continue
             acc: dict[int, dict] = {}
             for l, dkl in self.source.diff.get(k, {}).items():
                 for m, phi in self.matrix.get(l, {}).items():

@@ -12,7 +12,8 @@ from koszulkit.lkd import functor_F, functor_G
 
 
 def counit(M, jcut: int) -> DgMap:
-    """The chain map G(F(M)) -> M on G(F(M)) whole, F cut at jcut."""
+    """The map G(F(M)) -> M on G(F(M)) whole, F cut at jcut: a chain map
+    on the dg-submodule from jcut + 2 up, where F is exact, and not below."""
     fm = functor_F(M, jcut)
     gfm = functor_G(fm.module)
     full = (1 << M.algebra.f) - 1
@@ -22,7 +23,7 @@ def counit(M, jcut: int) -> DgMap:
     k, smons, smon = fm.expansion.labels()
     sigma = np.where(fm.expansion.degs[b, 1] // 2 & 1, M.algebra.p - 1, 1)
     terms = canonical(smons, np.array([g, k[b], smon[b], sigma]), M.rank, M.algebra.p)
-    return DgMap(gfm.module, M, *terms, min_internal=jcut + 2)
+    return DgMap(gfm.module, M, *terms)
 
 
 def unit(N, jcut: int) -> DgMap:
@@ -39,4 +40,4 @@ def unit(N, jcut: int) -> DgMap:
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
     terms = canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)
-    return DgMap(N, fgn.module, *terms, min_internal=jcut + 2)
+    return DgMap(N, fgn.module, *terms)

@@ -415,6 +415,33 @@ def test_table_malformed_file(tmp_path, case):
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": 1},
+        dict(_S1, algebra={"e": 1, "f": 1, "kind": "S"}, diff=[]),
+        dict(_S1, gens=5, diff=[]),
+        dict(_S1, gens=[5], diff=[]),
+        dict(_S1, diff=5),
+        dict(_S1, diff=[[1, 0, [5]]]),
+        dict(_S1, algebra=[1], diff=[]),
+    ],
+)
+def test_a_missing_or_mistyped_member_is_a_value_error(tmp_path, capsys, doc):
+    """A missing key or a value of the wrong JSON type (once a KeyError or
+    TypeError out of ``deserialize_module``) is a ValueError, and ``table``
+    exits 2 with one line."""
+    from koszulkit.dgmodule import deserialize_module
+
+    with pytest.raises(ValueError):
+        deserialize_module(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["table", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read module file: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         (dict(_S1, gens=[[0, 0], [1, 10**30]], diff=[]), f"generator degree {10**30} is out of range"),

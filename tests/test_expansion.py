@@ -258,7 +258,7 @@ def test_generator_tuples_are_built_on_first_read():
         assert M.gens == tuple(map(tuple, M.degs.tolist()))
         jcut = functor_jcut(win, 2)
         eps, eta = counit(M, win), unit(N, win)
-        # the images the maps build: G(F(M)) from the counit's min_internal,
+        # the images the maps build: G(F(M)) from jcut + 2,
         # F(G(N)) cut at the least of the window and N's least degree - 2
         fm = functor_F(M, jcut + 2)
         gfm = functor_G(fm.module, jcut + 2)

@@ -114,12 +114,6 @@ def test_counit_on_free_S_is_quasi_iso():
     assert is_quasi_iso(eps, win)
 
 
-def test_counit_and_unit_carry_their_cutoff():
-    for build, X in ((counit, free_module(S_algebra(2), [(0, 0)])), (unit, free_module(T_algebra(2), [(0, 0)]))):
-        win = standard_window(X)
-        assert build(X, win).min_internal == functor_jcut(win, 2) + 2
-
-
 def test_counit_cone_acyclic_e1_f1():
     # the round trip on the rank-one free module, seen through the cone
     M = free_module(S_algebra(1), [(0, 0)])
@@ -447,22 +441,20 @@ def _restricted(phi: DgMap, keep_source, keep_target) -> DgMap:
     S, T = (
         SemifreeDgModule(M.algebra, M.degs[k], *_kept(M.mons, M.terms, k, k)) for M, k in ((phi.source, keep_source), (phi.target, keep_target))
     )
-    return DgMap(S, T, *_kept(phi.mons, phi.terms, keep_source, keep_target), min_internal=phi.min_internal)
+    return DgMap(S, T, *_kept(phi.mons, phi.terms, keep_source, keep_target))
 
 
 def _rows_kept(phi: DgMap, keep_source, keep_target) -> bool:
-    """Whether every row phi.validate() joins lies among the kept
-    generators: the source's d out of the checked sources, phi out of them
-    and out of the sources their d reaches, and the target's d out of the
-    generators phi names from them.  Every source is checked when phi has
-    no min_internal."""
+    """Whether every row the validate() of phi on the kept sources joins
+    lies among the kept generators: the source's d out of the kept
+    sources, phi out of them and out of the sources their d reaches, and
+    the target's d out of the generators phi names from them."""
     S, T, (src, tgt) = phi.source, phi.target, phi.terms[:2]
-    checked = np.ones(S.rank, dtype=bool) if phi.min_internal is None else S.degs[:, 1] >= phi.min_internal
-    out = S.terms[1, checked[S.terms[0]]]
-    reached = checked.copy()
+    out = S.terms[1, keep_source[S.terms[0]]]
+    reached = keep_source.copy()
     reached[out] = True
     named = np.zeros(T.rank, dtype=bool)
-    named[tgt[checked[src]]] = True
+    named[tgt[keep_source[src]]] = True
     return bool(keep_source[reached].all() and keep_target[tgt[reached[src]]].all() and keep_target[T.terms[1, named[T.terms[0]]]].all())
 
 
@@ -476,7 +468,7 @@ def _flipped(phi: DgMap, t: int) -> DgMap:
     """phi with the coefficient of term t doubled mod p."""
     terms = phi.terms.copy()
     terms[3, t] = terms[3, t] * 2 % phi.source.algebra.p
-    return DgMap(phi.source, phi.target, phi.mons, terms, min_internal=phi.min_internal)
+    return DgMap(phi.source, phi.target, phi.mons, terms)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])
@@ -484,14 +476,15 @@ def _flipped(phi: DgMap, t: int) -> DgMap:
 def test_the_window_cut_maps_agree_with_the_whole_range_maps(f, p):
     """counit and unit build their images only on what the verdict reads;
     ``round_trip_reference`` builds them whole.  The counit is the
-    reference's on the sources at or above min_internal, and the unit the
-    reference's on the target generators it keeps, the reference's above
-    the least of them; every row validate joins lies among the kept
-    generators.  On the standard window, a window whose j0 lies
-    below the module's generators and one whose j0 lies above them, the
-    cones on the window are equal, both maps pass validate, and doubling
-    one coefficient of a source at or above min_internal makes validate
-    name the same failing generators on both."""
+    reference's on the sources at or above jcut + 2, a dg-submodule, and
+    the unit the reference's on the target generators it keeps, the
+    reference's above the least of them; every row validate joins from
+    the kept sources lies among the kept generators.  On the standard
+    window, a window whose j0 lies below the module's generators and one
+    whose j0 lies above them, the cones on the window are equal, the map
+    and the reference's part pass validate, and doubling one coefficient
+    of a source at or above jcut + 2 makes validate name the same failing
+    generators on the map as on the reference's kept sources."""
     flips = Counter()
     for trial in range(3):
         rng = stream(26, (p, f, trial))
@@ -504,26 +497,48 @@ def test_the_window_cut_maps_agree_with_the_whole_range_maps(f, p):
                 keep_source = np.ones(whole.source.rank, dtype=bool)
                 keep_target = np.ones(whole.target.rank, dtype=bool)
                 if build is counit:
-                    keep_source = whole.source.degs[:, 1] >= whole.min_internal
+                    keep_source = whole.source.degs[:, 1] >= functor_jcut(w, f) + 2
                 else:
                     keep_target = whole.target.degs[:, 1] >= min(phi.target.degs[:, 1].tolist(), default=np.inf)
                 assert _rows_kept(whole, keep_source, keep_target)
                 part = _restricted(whole, keep_source, keep_target)
-                assert (phi.source, phi.target, phi.mons, phi.min_internal) == (part.source, part.target, part.mons, part.min_internal)
+                assert (phi.source, phi.target, phi.mons) == (part.source, part.target, part.mons)
                 assert np.array_equal(phi.terms, part.terms)
                 assert cone(_on_range(phi, w.j0, w.j1)) == cone(_on_range(whole, w.j0, w.j1))
-                assert phi.validate() == [] and whole.validate() == []
+                assert phi.validate() == [] and part.validate() == []
                 # term t of phi is term at[t] of the reference, and generator k of phi its generator ids[k]
                 at = (keep_source[whole.terms[0]] & keep_target[whole.terms[1]]).nonzero()[0]
                 source_ids, target_ids = keep_source.nonzero()[0], keep_target.nonzero()[0]
-                checked = (phi.source.degs[phi.terms[0], 1] >= phi.min_internal).nonzero()[0]
-                for t in checked[:: max(1, len(checked) // 3)].tolist():
+                # flips of terms out of sources at or above jcut + 2: all of the counit's
+                high = (phi.source.degs[phi.terms[0], 1] >= functor_jcut(w, f) + 2).nonzero()[0]
+                for t in high[:: max(1, len(high) // 3)].tolist():
                     got = _failures(_flipped(phi, t), source_ids, target_ids)
-                    assert got == _failures(_flipped(whole, at[t]), range(whole.source.rank), range(whole.target.rank))
+                    want = _failures(_flipped(whole, at[t]), range(whole.source.rank), range(whole.target.rank))
+                    assert got == [(k, m) for k, m in want if keep_source[k]]
                     flips[build.__name__, bool(got)] += 1
     # a counit flip stays a chain map when it maps to a cycle of M a source
-    # that no checked generator's d names; every unit flip fails
+    # that no source generator's d names; every unit flip there fails
     assert flips["counit", True] > 20 and flips["unit", True] > 20 and not flips["unit", False]
+
+
+def test_the_unit_is_checked_on_every_source_generator():
+    """eta into F(G(N)) cut at c is the projection of a chain map, so it is
+    a chain map on all of N and validate checks every source generator,
+    also below jcut + 2, where a window above N's generators puts them:
+    doubling one coefficient of eta at such a generator, in a trial where
+    that breaks the chain condition, makes validate name it."""
+    for trial in range(8):
+        N = random_module(T_algebra(2, 3), stream(2024, ("unit-checked", trial)), max_gens=3)
+        hi = int(N.degs[:, 1].max())
+        w = Window(-4, 4, hi + 2, hi + 8)
+        eta = unit(N, w)
+        low = (N.degs[eta.terms[0], 1] < functor_jcut(w, 2) + 2).nonzero()[0]
+        broken = [(int(eta.terms[0, t]), issues) for t in low.tolist() if (issues := _flipped(eta, t).validate())]
+        if broken:
+            break
+    assert eta.validate() == [] and broken
+    k, issues = broken[0]
+    assert any(issue.startswith(f"chain condition fails from gen {k} ") for issue in issues)
 
 
 def _same_expansion(got: SemifreeDgModule, want: SemifreeDgModule, window: Window) -> bool:
@@ -619,7 +634,7 @@ def test_the_restriction_unit_at_the_window_is_the_margin_unit_restricted(f, p):
         keep_source, keep_target = np.ones(N.rank, dtype=bool), whole.target.degs[:, 1] <= W.j1
         assert _rows_kept(whole, keep_source, keep_target)
         part = _restricted(whole, keep_source, keep_target)
-        assert (eta.source, eta.target, eta.mons, eta.min_internal) == (part.source, part.target, part.mons, part.min_internal)
+        assert (eta.source, eta.target, eta.mons) == (part.source, part.target, part.mons)
         assert np.array_equal(eta.terms, part.terms)
         assert cone(_on_range(eta, W.j0, W.j1)) == cone(_on_range(whole, W.j0, W.j1))
         assert eta.validate() == [] and whole.validate() == [] and is_quasi_iso(eta, W)

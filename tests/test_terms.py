@@ -22,7 +22,6 @@ from dict_reference import cone as dict_cone
 from koszulkit import cli, dgmodule
 from koszulkit.algebra import make_algebra, monomials_by_internal, span_size, table
 from koszulkit.dgmodule import (
-    DgMap,
     SemifreeDgModule,
     canonical,
     cone,
@@ -79,9 +78,9 @@ def _agree_module(M):
     return got
 
 
-def _agree_map(phi, min_internal=None):
-    got = DgMap(phi.source, phi.target, phi.mons, phi.terms, min_internal).validate()
-    assert got == DictMap.of(phi).validate(min_internal)
+def _agree_map(phi):
+    got = phi.validate()
+    assert got == DictMap.of(phi).validate()
     return got
 
 
@@ -105,7 +104,7 @@ def test_validate_matches_dict_reference(alg, seed):
 
 @pytest.mark.parametrize("f", [1, 2])
 def test_validate_matches_dict_reference_on_unit_and_counit(f):
-    # min_internal maps: the counit G(F(M)) -> M and the unit N -> F(G(N))
+    # the counit G(F(M)) -> M and the unit N -> F(G(N)), checked on their whole source
     S, T = make_algebra("S", f, f, 3), make_algebra("T", f, f, 3)
     failing = 0
     for trial in range(3):
@@ -115,8 +114,7 @@ def test_validate_matches_dict_reference_on_unit_and_counit(f):
             phi = build(X, standard_window(X))
             for nested in _mutants(to_nested(phi), phi.source.algebra, rng):
                 mutant = dg_map(phi.source, phi.target, nested)
-                failing += bool(_agree_map(mutant, phi.min_internal))
-                _agree_map(mutant)
+                failing += bool(_agree_map(mutant))
     assert failing
 
 
@@ -196,12 +194,11 @@ def test_map_entry_of_wrong_bidegree():
     assert bad.validate() == ["map entry (0,0) has bidegree (2, -2), expected (0, 0)"]
 
 
-def test_map_chain_condition_and_min_internal():
+def test_map_chain_condition():
     # the identity on e0 alone: phi(d e1) = x e0 but d(phi e1) = 0
     K = koszul_complex()
     bad = dg_map(K, K, {0: {0: {((0,), 0): 1}}})
     assert bad.validate() == ["chain condition fails from gen 1 to gen 0"]
-    assert DgMap(K, K, bad.mons, bad.terms, min_internal=-1).validate() == []  # gen 1 has internal degree -2
 
 
 def test_map_chain_condition_reports_the_first_failing_target():
@@ -234,7 +231,6 @@ def test_map_out_of_or_into_an_invalid_module_is_judged_on_the_chain_condition_a
     assert src.validate() == ["d^2 != 0 from gen 1 to gen 0"]
     phi = dg_map(src, free_module(Q, [(-2, 2)]), {1: {0: {((0,), 0): 1}}})
     assert _agree_map(phi) == []
-    assert _agree_map(phi, 0) == []
     # and into it: f -> e0 is a chain map; d^2(e1) = z e0 is not its failure
     assert _agree_map(dg_map(free_module(Q, [(0, 0)]), src, {0: {0: {((0,), 0): 1}}})) == []
 
