@@ -4,25 +4,27 @@ module machinery behind the Koszulity probe.
 A BlockAlgebra has a basis whose pairwise products are single basis
 elements with a scalar coefficient (all the algebras built here are of
 this monomial shape).  It is built from product arrays (a, b, c, coeff)
-into dense tables with an extra "zero" slot so that products vectorize,
-and lists the positions of its nonzero products once
-(``nonzero_products``).  The checks read only those: the grading and the
-unit on construction, associativity on the triples where (ab)c is nonzero,
-joined in slices of bounded size and counted against the triples where
-a(bc) is, which is exact because products are monomial, and in ``sl2`` the
-Frobenius form and the anti-automorphism.  Idempotent columns, the Cartan
-table and the action on projectives gather from ``mult_idx``/``mult_coeff``
-directly.
+into dense (dim + 1)^2 tables with an extra "zero" slot so that products
+are O(1) gathers: ``mult_idx`` holds int32 positions and ``mult_coeff``
+residues in the narrowest unsigned dtype that holds p, so every reader
+widens to int64 before it multiplies two residues.  The positions of the
+nonzero products are listed once (``nonzero_products``).  The checks read
+only those: the grading and the unit on construction, associativity on
+the triples where (ab)c is nonzero, joined in slices of bounded size and
+counted against the triples where a(bc) is, which is exact because
+products are monomial, and in ``sl2`` the Cartan table, the Frobenius
+form and the anti-automorphism.  Idempotent columns and the action on
+projectives gather from ``mult_idx``/``mult_coeff`` directly.
 
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
 held one degree at a time, as {degree d: columns over the basis in degree
 d}, so every degree is known by construction.  ``ProjectiveSum.act`` maps
-columns in one degree to another in one gather from the nonzero entries
-of the columns, acting by one algebra element or by one per column.  Minimal projective covers are computed
-degreewise by splitting the radical, which is the positive-degree part
-because degree 0 is semisimple; every elimination is a ``linalg.rref`` of
-one degree's block.
+columns in one degree to another in one gather from their nonzero
+entries, acting by one algebra element or by one per column.  Minimal
+projective covers are computed degreewise by splitting the radical, which
+is the positive-degree part because degree 0 is semisimple; every
+elimination is a ``linalg.rref`` of one degree's block.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ import functools
 
 import numpy as np
 
-from .linalg import check_modulus, independent_columns, kernel_basis
+from .linalg import check_modulus, independent_columns, kernel_basis, sorted_join
 
 # Triples is_associative compares at once, whatever the block's size.  A
-# slice holds several int64 arrays of this length: at p = 37 (limits
-# lifted, 7.1M triples) is_associative peaks at 72 MB (tracemalloc).
+# slice costs about 49 bytes a triple (tracemalloc): two intp positions,
+# two int32 keys and one side's int64 products at a time, with the casts
+# of the keys to intp at each gather.  At p = 37 (limits lifted, 7.1M
+# triples) is_associative peaks at 59 MB, and at p = 53 (30M) at 75 MB.
 ASSOCIATIVITY_SLICE = 1 << 20
 
 
@@ -56,6 +60,9 @@ class BlockAlgebra:
         self.labels = list(labels)
         dim = len(self.labels)
         self.dim = dim
+        # a.b sits at a * (dim + 1) + b in the raveled tables, an int32 key
+        if (dim + 1) ** 2 >= 1 << 31:
+            raise ValueError(f"the algebra has dimension {dim}, over the limit of 46339 ((dim + 1)^2 < 2^31)")
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != dim:
             raise ValueError("duplicate basis labels")
@@ -63,8 +70,8 @@ class BlockAlgebra:
         a, b, c, coeff = np.asarray(products, dtype=np.int64).reshape(4, -1)
         live = coeff % p != 0
         # row and column dim are the zero slot
-        self.mult_idx = np.full((dim + 1, dim + 1), dim, dtype=np.int64)
-        self.mult_coeff = np.zeros((dim + 1, dim + 1), dtype=np.int64)
+        self.mult_idx = np.full((dim + 1, dim + 1), dim, dtype=np.int32)
+        self.mult_coeff = np.zeros((dim + 1, dim + 1), dtype=np.min_scalar_type(p))
         self.mult_idx[a[live], b[live]] = c[live]
         self.mult_coeff[a[live], b[live]] = coeff[live] % p
         self.unit_indices = list(unit_indices)
@@ -84,7 +91,7 @@ class BlockAlgebra:
         issues = []
         dim, p = self.dim, self.p
         x, y = self.nonzero_products
-        xy, coeff = self.mult_idx[x, y], self.mult_coeff[x, y]
+        xy, coeff = self.mult_idx[x, y], self.mult_coeff[x, y].astype(np.int64)
         # grading: deg(ab) = deg a + deg b on nonzero products
         if not (self.degrees[xy] == self.degrees[x] + self.degrees[y]).all():
             issues.append("grading is not multiplicative")
@@ -119,6 +126,11 @@ class BlockAlgebra:
         the two sets have the same size they are equal, and both sides
         vanish off them.  A zero product sits at the zero slot, whose
         products are zero, so indices compare as they are.
+
+        A triple is held as the positions n, m of its two products in the
+        list of nonzero products (intp, since each indexes three gathers)
+        and the keys of bc and a.(bc) in the raveled tables, which are int32
+        because the constructor keeps (dim + 1)^2 below 2^31.
         """
         dim, p = self.dim, self.p
         x, y = self.nonzero_products
@@ -128,21 +140,32 @@ class BlockAlgebra:
         triples = int(per.sum())
         if triples != np.bincount(y, minlength=dim + 1)[xy].sum():
             return False
-        ends, row_start = per.cumsum(), np.r_[0, in_row.cumsum()]
+        ends = per.cumsum()
+        # triple k is product n = ab times product m = (ab).c, the products
+        # of row ab in order: m = k + shift[n]
+        shift = np.r_[0, in_row.cumsum()][xy] - ends + per
+        x, y = x.astype(np.int32), y.astype(np.int32)
         idx, cf = self.mult_idx.ravel(), self.mult_coeff.ravel()  # a.b at a * (dim + 1) + b
         for lo in range(0, triples, ASSOCIATIVITY_SLICE):
-            k = np.arange(lo, min(lo + ASSOCIATIVITY_SLICE, triples))
-            # triple k is product n = ab times product m = (ab).c; the slice
-            # meets the triples of products first to last
-            first, last = ends.searchsorted(k[[0, -1]], "right")
+            hi = min(lo + ASSOCIATIVITY_SLICE, triples)
+            # the slice meets the triples of products first to last
+            first, last = ends.searchsorted([lo, hi - 1], "right")
             n = np.arange(first, last + 1).repeat(per[first : last + 1])
-            n = n[lo - ends[first] + per[first] :][: len(k)]
-            m = row_start[xy[n]] + k - ends[n] + per[n]
+            n = n[lo - ends[first] + per[first] :][: hi - lo]
+            m = shift[n]
+            m += np.arange(lo, hi)
             bc = y[n] * (dim + 1) + y[m]
             a_bc = x[n] * (dim + 1) + idx[bc]
             if not (xy[m] == idx[a_bc]).all():
                 return False
-            if not (coeff[n] * coeff[m] % p == cf[bc] * cf[a_bc] % p).all():
+            left = coeff[n].astype(np.int64)
+            left *= coeff[m]
+            del n, m
+            left %= p
+            right = cf[bc].astype(np.int64)
+            right *= cf[a_bc]
+            right %= p
+            if not (left == right).all():
                 return False
         return True
 
@@ -190,23 +213,29 @@ class ProjectiveSum:
         ds, starts, counts = np.unique(self.degrees, return_index=True, return_counts=True)
         self.at = {d: slice(s, s + n) for d, s, n in zip(ds.tolist(), starts.tolist(), counts.tolist())}
 
-    def act(self, a, x: np.ndarray, d: int, t: int) -> np.ndarray:
-        """a.x for x columns over the degree-d basis, as columns over the
-        degree-t basis; ``a`` is one algebra element of degree t - d, or one
-        per column.  Only the nonzero entries of x are gathered."""
+    def act(self, a, x, d: int, t: int) -> np.ndarray:
+        """a.x for x columns over the degree-d basis, given as their nonzero
+        entries (n, c, vals, width): vals[i] in row n[i] of column c[i] <
+        width.  ``a`` is one algebra element of degree t - d, or one per
+        column; the result is dense over the degree-t basis."""
+        n, c, vals, width = x
         A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
-        a = np.broadcast_to(a, x.shape[1:])
-        at = np.flatnonzero(x != 0)
-        n, c = np.divmod(at, x.shape[1])
-        a, b = a[c], self.element[src.start + n]
-        vals = A.mult_coeff[a, b] * x.ravel()[at]  # coefficient of a_c.b_n times x
+        a, n = np.broadcast_to(a, width)[c], src.start + n
+        b = self.element[n]
+        vals = A.mult_coeff[a, b].astype(np.int64) * vals  # coefficient of a_c.b_n times x
         live = vals.nonzero()[0]
-        n, c, vals = n[live], c[live], vals[live]
-        rows = self.row[self.summand[src.start + n], A.mult_idx[a[live], b[live]]] - dst.start
-        out = np.zeros((dst.stop - dst.start, x.shape[1]), dtype=np.int64)
+        c, vals = c[live], vals[live]
+        rows = self.row[self.summand[n[live]], A.mult_idx[a[live], b[live]]] - dst.start
+        out = np.zeros((dst.stop - dst.start, width), dtype=np.int64)
         np.add.at(out, (rows, c), vals)
         out[rows, c] %= A.p  # only the entries written can be p or more
         return out
+
+
+def _entries(x: np.ndarray) -> tuple:
+    """The columns of x as ``ProjectiveSum.act`` takes them."""
+    n, c = x.nonzero()
+    return n, c, x[n, c], x.shape[1]
 
 
 def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
@@ -214,23 +243,34 @@ def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
     held as {degree d: columns over the degree-d basis of ``amb``}.
 
     Works degree by degree: (JK)_d is spanned by the algebra elements of
-    degree d - c applied to K_c, all of them in one action, for each lower
-    degree c; the multiplicity of the simple of class r is read off by
-    applying its idempotent.
+    degree d - c applied to K_c, all of them in one action on the nonzero
+    entries of K_c, for each lower degree c; the multiplicity of the simple
+    of class r is read off by applying its idempotent.
     """
     A = amb.algebra
+    a, b = A.nonzero_products
+    entries, acts = {}, {}
+    for c, kc in syz.items():
+        entries[c] = _entries(kc)
+        # the algebra elements that act on degree c of amb at all
+        on = np.zeros(A.dim, dtype=bool)
+        on[amb.element[amb.at[c]]] = True
+        acts[c] = np.zeros(A.dim, dtype=bool)
+        acts[c][a[on[b]]] = True
     out = []
     for d, kd in syz.items():
         jk = [np.zeros((len(kd), 0), dtype=np.int64)]
-        for c, kc in syz.items():
-            if c < d:  # the elements of degree d - c that act on degree c at all
-                acts = A.mult_coeff[: A.dim, amb.element[amb.at[c]]].any(axis=1)
-                elems = ((A.degrees == d - c) & acts).nonzero()[0]
-                jk.append(amb.act(elems.repeat(kc.shape[1]), np.tile(kc, len(elems)), c, d))
+        for c in syz:
+            if c < d:  # elems[r] on column j of K_c is column r * width + j
+                elems = ((A.degrees == d - c) & acts[c]).nonzero()[0]
+                n, j, vals, width = entries[c]
+                k = len(elems)
+                x = n.repeat(k), (j[:, None] + width * np.arange(k)).ravel(), vals.repeat(k), k * width
+                jk.append(amb.act(elems.repeat(width), x, c, d))
         jk = np.concatenate(jk, axis=1)
         jk = jk[:, jk.any(axis=0)]  # zero columns span nothing; rref need not read them
         for label, e, _ in A.idempotents:
-            ek = amb.act(e, kd, d, d)
+            ek = amb.act(e, entries[d], d, d)
             out.extend((label, d, ek[:, i]) for i in independent_columns(jk, ek, A.p))
     return out
 
@@ -244,9 +284,13 @@ def next_syzygy(amb: ProjectiveSum, gens, step: int):
     idx_of = {label: e for label, e, _ in A.idempotents}
     cover = ProjectiveSum(A, [(idx_of[label], step) for label, _, _ in gens])
     targets = np.column_stack([v for _, _, v in gens])
+    g, n = targets.T.nonzero()  # the targets' entries, by generator
+    vals = targets[n, g]
     ker = {}
     for t, at in cover.at.items():
-        k = kernel_basis(amb.act(cover.element[at], targets[:, cover.summand[at]], step, t), A.p)
+        # cover basis element j in degree t maps to its element times its generator's target
+        j, i = sorted_join(cover.summand[at], g)
+        k = kernel_basis(amb.act(cover.element[at], (n[i], j, vals[i], at.stop - at.start), step, t), A.p)
         if k.shape[1]:
             ker[t] = k
     return cover, ker

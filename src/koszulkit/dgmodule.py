@@ -751,7 +751,7 @@ def deserialize_module(text: str) -> SemifreeDgModule:
         doc = json.loads(text)
     except RecursionError:  # json.loads recurses once per nested array or object
         raise ValueError("the document is nested too deeply") from None
-    if not isinstance(doc, dict) or doc.get("schema") != 1:
+    if not isinstance(doc, dict) or type(doc.get("schema")) is not int or doc["schema"] != 1:
         raise ValueError("not a module document of schema 1")
     a = doc.get("algebra")
     if not isinstance(a, dict) or not a.keys() >= {"kind", "e", "f", "p"}:

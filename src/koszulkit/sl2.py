@@ -31,11 +31,14 @@ SHIFTS = (0, 1)
 
 # Largest block and deepest Koszulity probe a report accepts.  In process on
 # 2 cores (wall time, peak RSS), the costliest accepted report, p = 23 at
-# hbound 8, takes 0.2 s at 115 MB.  With the limits lifted, p = 29 at
-# hbound 8 takes 0.45 s at 146 MB and p = 37 takes 1.0 s at 268 MB: its
-# dense product tables hold 120 MB, one associativity slice about 70 MB
-# and the probe about 125 MB (tracemalloc).  hbound 16 at p = 19 takes
-# 0.35 s at 112 MB (lambda 0) and 0.8 s at 204 MB (lambda 4).
+# hbound 8, takes 0.12-0.16 s at 80 MB.  With the limits lifted, hbound 8
+# at p = 29 takes 0.23-0.30 s at 113 MB, at p = 37 0.50-0.64 s at 145 MB
+# and at p = 53 2.0-2.5 s at 306 MB.  At p = 37 the product tables (int32
+# positions, uint8 residues) hold 38 MB, building the block peaks at
+# 109 MB with one associativity slice, and the probe at 8 MB (tracemalloc).
+# hbound 16 at p = 19 takes 0.18 s at 55 MB (lambda 0) and 0.37 s at 87 MB
+# (lambda 4).  Both limits stay as they were set from the int64 tables;
+# re-sizing them is a change of its own.
 MAX_BLOCK_DIM = 1058
 MAX_HBOUND = 8
 
@@ -180,17 +183,20 @@ def quiver_basic_algebra(p: int) -> BlockAlgebra:
 
 
 def graded_cartan(algebra: BlockAlgebra) -> dict:
-    """dims of e_r A e_s per degree, for the chosen primitive idempotents."""
-    dim = algebra.dim
-    idx, coeff = algebra.mult_idx[:dim, :dim], algebra.mult_coeff[:dim, :dim]
-    # left[e, b]: e.b = b; right[e, b]: b.e = b
-    left = (coeff != 0) & (idx == np.arange(dim))
-    right = ((coeff != 0) & (idx == np.arange(dim)[:, None])).T
+    """dims of e_r A e_s per degree, for the chosen primitive idempotents,
+    read from the nonzero products: b lies in e_r A e_s when e_r.b = b and
+    b.e_s = b."""
+    x, y = algebra.nonzero_products
+    xy = algebra.mult_idx[x, y]
+    right = {e: x[(xy == x) & (y == e)] for _, e, _ in algebra.idempotents}  # b.e = b, b ascending
     out = {}
     for rlab, e_r, _ in algebra.idempotents:
+        left = np.zeros(algebra.dim, dtype=bool)
+        left[y[(xy == y) & (x == e_r)]] = True  # e_r.b = b
         for slab, e_s, _ in algebra.idempotents:
+            b = right[e_s]
             dims: dict[int, int] = {}
-            for d in algebra.degrees[left[e_r] & right[e_s]].tolist():
+            for d in algebra.degrees[b[left[b]]].tolist():
                 dims[d] = dims.get(d, 0) + 1
             out[(rlab, slab)] = dims
     return out
@@ -241,7 +247,7 @@ def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
     for i, v in algebra.trace.items():
         trace[i] = v % p
     x, y = algebra.nonzero_products
-    v = algebra.mult_coeff[x, y] * trace[algebra.mult_idx[x, y]] % p
+    v = algebra.mult_coeff[x, y].astype(np.int64) * trace[algebra.mult_idx[x, y]] % p
     live = v.nonzero()[0]
     x, y, v = x[live], y[live], v[live]  # sorted by x, then y
     t = np.lexsort((x, y))  # the transposed entries, sorted the same way

@@ -33,7 +33,7 @@ class ProjectiveSum:
     def act(self, a: int, x: np.ndarray) -> np.ndarray:
         """a.x for x a vector or a matrix of columns in this basis."""
         A = self.algebra
-        coeff = A.mult_coeff[a, self.element]
+        coeff = A.mult_coeff[a, self.element].astype(np.int64)
         hit = coeff.nonzero()[0]
         rows = self.row[self.summand[hit], A.mult_idx[a, self.element[hit]]]
         out = np.zeros_like(x)

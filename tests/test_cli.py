@@ -418,6 +418,8 @@ def test_table_malformed_file(tmp_path, case):
     "doc",
     [
         {"schema": 1},
+        dict(_S1, schema=True, diff=[]),
+        dict(_S1, schema=1.0, diff=[]),
         dict(_S1, algebra={"e": 1, "f": 1, "kind": "S"}, diff=[]),
         dict(_S1, gens=5, diff=[]),
         dict(_S1, gens=[5], diff=[]),

@@ -35,6 +35,18 @@ def product(A, a, b):
     return int(A.mult_idx[a, b]), int(A.mult_coeff[a, b])
 
 
+def entries(x):
+    """Dense columns x as ``ProjectiveSum.act`` takes them."""
+    n, c = x.nonzero()
+    return n, c, x[n, c], x.shape[1]
+
+
+# The largest prime held in uint8 and the least held in uint16 and in
+# uint32, the narrowest dtypes of p; at 251 an unwidened product of two
+# table values wraps.
+WIDE_PRIMES = (251, 257, 65537)
+
+
 # -- projective line ----------------------------------------------------------
 
 def test_P1_structure_sheaf():
@@ -396,16 +408,18 @@ def reference_anti_automorphism(algebra, phi):
     }
 
 
-def rescaled(A, seed):
-    """A in the basis b' = s_b b with random nonzero s_b (1 on the unit's
-    summands), so its structure constants and trace values are not all 1."""
-    p, dim = A.p, A.dim
+def rescaled(A, seed, p=None):
+    """A over GF(p), A's own field by default, in the basis b' = s_b b with
+    random nonzero s_b (1 on the unit's summands), so its structure
+    constants and trace values are not all 1.  A's structure constants must
+    be 1 when p is not A's field (true of every block built here)."""
+    p, dim = p or A.p, A.dim
     s = np.random.default_rng(seed).integers(1, p, size=dim)
     s[A.unit_indices] = 1
     a, b = np.nonzero(A.mult_coeff[:dim, :dim])
     c = A.mult_idx[a, b]
     inverse = np.array([pow(int(v), p - 2, p) for v in s], dtype=np.int64)
-    coeff = A.mult_coeff[a, b] * s[a] % p * s[b] % p * inverse[c] % p
+    coeff = A.mult_coeff[a, b].astype(np.int64) * s[a] % p * s[b] % p * inverse[c] % p
     trace = {i: v * int(s[i]) for i, v in A.trace.items()}
     return BlockAlgebra(p, A.labels, A.degrees, (a, b, c, coeff), A.unit_indices, A.idempotents, trace)
 
@@ -424,10 +438,12 @@ def small_algebras():
     yield from regular_blocks()
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, *WIDE_PRIMES])
 def test_act_on_matrix_matches_per_element_loop(p):
+    """Above p = 5 the p = 3 block, rescaled over GF(p); the columns are
+    held in the narrowest dtype of p, as the table's coefficients are."""
     rng = np.random.default_rng(p)
-    for A in regular_blocks([p]):
+    for A in regular_blocks([p]) if p <= 5 else [rescaled(build_regular_block(3, 0), p, p)]:
         (_, e0, _), (_, e1, _) = A.idempotents
         amb = ProjectiveSum(A, [(e0, 0), (e1, 1), (e0, 2)])
         basis = [(g, b) for g, (e, _) in enumerate(amb.summands) for b in reference_column_basis(A, e)]
@@ -451,14 +467,14 @@ def test_act_on_matrix_matches_per_element_loop(p):
             return out[dst]
 
         for d, at in amb.at.items():
-            x = rng.integers(0, p, size=(at.stop - at.start, 4))
+            x = rng.integers(0, p, size=(at.stop - at.start, 4)).astype(np.min_scalar_type(p))
             x[:, 1] = 0
             for a in range(A.dim):
                 t = d + int(A.degrees[a])
-                assert (amb.act(a, x, d, t) == reference([a] * 4, x, d, t)).all()
+                assert (amb.act(a, entries(x), d, t) == reference([a] * 4, x, d, t)).all()
             for da in set(A.degrees.tolist()):
                 a = rng.choice((A.degrees == da).nonzero()[0], 4)
-                assert (amb.act(a, x, d, d + da) == reference(a, x, d, d + da)).all()
+                assert (amb.act(a, entries(x), d, d + da) == reference(a, x, d, d + da)).all()
 
 
 def test_graded_cartan_matches_per_pair_loop():
@@ -535,7 +551,7 @@ def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
         cover, ker = next_syzygy(amb, gens, step)
         targets = np.column_stack([v for _, _, v in gens])
         for t, at in cover.at.items():
-            phi = amb.act(cover.element[at], targets[:, cover.summand[at]], step, t)
+            phi = amb.act(cover.element[at], entries(targets[:, cover.summand[at]]), step, t)
             blocks.append((phi, ker.get(t, np.zeros((phi.shape[1], 0), dtype=np.int64)), cover.algebra.p))
         return cover, ker
 
@@ -615,9 +631,10 @@ def reference_singular_block(p):
     return labels, mult
 
 
-def dense_tables(dim, mult):
-    idx = np.full((dim + 1, dim + 1), dim, dtype=np.int64)
-    coeff = np.zeros((dim + 1, dim + 1), dtype=np.int64)
+def dense_tables(dim, mult, p):
+    """The constructor's tables: int32 positions, residues in the narrowest dtype of p."""
+    idx = np.full((dim + 1, dim + 1), dim, dtype=np.int32)
+    coeff = np.zeros((dim + 1, dim + 1), dtype=np.min_scalar_type(p))
     for (a, b), (c, v) in mult.items():
         idx[a, b], coeff[a, b] = c, v
     return idx, coeff
@@ -629,7 +646,8 @@ def test_matrix_units_match_per_pair_builder(p):
     cases.append((build_singular_block(p), reference_singular_block(p)))
     for A, (labels, mult) in cases:
         assert A.labels == labels
-        idx, coeff = dense_tables(len(labels), mult)
+        idx, coeff = dense_tables(len(labels), mult, p)
+        assert A.mult_idx.dtype == idx.dtype and A.mult_coeff.dtype == coeff.dtype
         assert (A.mult_idx == idx).all() and (A.mult_coeff == coeff).all()
 
 
@@ -643,9 +661,9 @@ def reference_is_associative(self):
     for a in range(dim):
         ab_i, ab_c = self.mult_idx[a, :dim], self.mult_coeff[a, :dim]
         left_i = self.mult_idx[ab_i][:, :dim]
-        left_c = ab_c[:, None] * self.mult_coeff[ab_i][:, :dim] % p
+        left_c = ab_c[:, None].astype(np.int64) * self.mult_coeff[ab_i][:, :dim] % p
         right_i = self.mult_idx[a, idx]
-        right_c = cf * self.mult_coeff[a, idx] % p
+        right_c = cf.astype(np.int64) * self.mult_coeff[a, idx] % p
         left_i = np.where(left_c == 0, z, left_i)
         right_i = np.where(right_c == 0, z, right_i)
         if not ((left_i == right_i).all() and (left_c == right_c).all()):
@@ -654,15 +672,19 @@ def reference_is_associative(self):
 
 
 def tables_only(p, idx, coeff):
-    """A BlockAlgebra carrying only the tables, unchecked, for is_associative."""
+    """A BlockAlgebra carrying only the tables, unchecked, for is_associative;
+    the tables are copied into the constructor's dtypes."""
     A = BlockAlgebra.__new__(BlockAlgebra)
-    A.p, A.dim, A.mult_idx, A.mult_coeff = p, idx.shape[0] - 1, idx, coeff
+    A.p, A.dim = p, idx.shape[0] - 1
+    A.mult_idx, A.mult_coeff = idx.astype(np.int32), coeff.astype(np.min_scalar_type(p))
     return A
 
 
 @functools.lru_cache(maxsize=None)
-def cached_block(p, lam):
-    return build_singular_block(p) if lam is None else build_regular_block(p, lam)
+def cached_block(q, lam, p):
+    """The block at q and lam, rescaled over GF(p) when that is not q's."""
+    A = build_singular_block(q) if lam is None else build_regular_block(q, lam)
+    return A if p == q else rescaled(A, p, p)
 
 
 MUTATIONS = ("none", "coefficient", "redirect", "zero", "add")
@@ -670,7 +692,7 @@ MUTATIONS = ("none", "coefficient", "redirect", "zero", "add")
 
 def random_monomial_table(seed):
     rng = np.random.default_rng(seed)
-    p, dim = int(rng.choice([3, 5, 7])), int(rng.integers(1, 13))
+    p, dim = int(rng.choice([3, 5, 7, *WIDE_PRIMES])), int(rng.integers(1, 13))
     live = rng.random((dim, dim)) < rng.random()
     idx = np.full((dim + 1, dim + 1), dim, dtype=np.int64)
     coeff = np.zeros((dim + 1, dim + 1), dtype=np.int64)
@@ -680,10 +702,13 @@ def random_monomial_table(seed):
 
 
 def mutated_block(seed, mutation):
+    """A block at p <= 7, over GF(p) or rescaled over a field of WIDE_PRIMES,
+    with one product mutated."""
     rng = np.random.default_rng(seed)
-    p = int(rng.choice([3, 5, 7]))
-    lam = [*range((p - 1) // 2), None][int(rng.integers(0, (p + 1) // 2))]
-    A = cached_block(p, lam)
+    p = int(rng.choice([3, 5, 7, *WIDE_PRIMES]))
+    q = p if p <= 7 else int(rng.choice([3, 5, 7]))  # the block's own p
+    lam = [*range((q - 1) // 2), None][int(rng.integers(0, (q + 1) // 2))]
+    A = cached_block(q, lam, p)
     dim, idx, coeff = A.dim, A.mult_idx.copy(), A.mult_coeff.copy()
     live = np.argwhere(coeff[:dim, :dim])
     a, b = live[rng.integers(len(live))]
@@ -789,7 +814,7 @@ def reference_frobenius_form(algebra, topdeg):
     trace = np.zeros(dim + 1, dtype=np.int64)
     for i, v in algebra.trace.items():
         trace[i] = v % p
-    gram = algebra.mult_coeff[:dim, :dim] * trace[algebra.mult_idx[:dim, :dim]] % p
+    gram = algebra.mult_coeff[:dim, :dim].astype(np.int64) * trace[algebra.mult_idx[:dim, :dim]] % p
     symmetric = (gram == gram.T).all()
     degree_sum = algebra.degrees[:, None] + algebra.degrees[None, :]
     graded = ((gram == 0) | (degree_sum == topdeg)).all()
@@ -826,7 +851,8 @@ def unit_input(seed, kind):
     """A table with degrees and a unit list.  A random table is made unital
     (basis 0 the identity) half the time; a mutated block keeps its unit
     list, or drops one entry, or lists it twice or p + 1 times (the sum of
-    units is then 2 resp. 1 times the unit)."""
+    units is then 2 resp. 1 times the unit; p + 1 only for p < 1000, as
+    the dense reference holds a column per listed unit)."""
     rng = np.random.default_rng([seed, 1])
     A = associativity_input(seed, kind)
     dim, p = A.dim, A.p
@@ -840,7 +866,7 @@ def unit_input(seed, kind):
             A.unit_indices = [0]
     else:
         units = list(A.unit_indices)
-        A.unit_indices = [units, units[1:], 2 * units, (p + 1) * units][int(rng.integers(0, 4))]
+        A.unit_indices = [units, units[1:], 2 * units, (p + 1 if p < 1000 else 2) * units][int(rng.integers(0, 4))]
     return A
 
 
@@ -940,6 +966,14 @@ def test_structure_constants_and_the_unit_are_read_mod_p():
     a, b, c, coeff = np.array([(0, 0, 0, 4), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 3)]).T
     A = BlockAlgebra(3, ["e", "x"], [0, 0], (a, b, c, coeff), [0, 0, 0, 0], [], {})
     assert product(A, 0, 0) == (0, 1) and product(A, 1, 1) == (2, 0)
+
+
+def test_a_dimension_past_int32_table_keys_is_refused():
+    """a.b sits at a * (dim + 1) + b in the raveled tables, an int32 key, so
+    (dim + 1)^2 < 2^31; a larger algebra is refused before any table is
+    allocated."""
+    with pytest.raises(ValueError, match=r"dimension 46340, over the limit of 46339 \(\(dim \+ 1\)\^2 < 2\^31\)"):
+        BlockAlgebra(3, range(46340), [], np.zeros((4, 0), dtype=np.int64), [], [], {})
 
 
 @pytest.mark.parametrize("message", list(AXIOM_FAILURES))
