@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a randomized verification suite")
-    pv.add_argument("--suite", default="all", choices=SUITES + ("all",))
+    pv.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     pv.add_argument("--dim-e", type=int, default=1)
     pv.add_argument("--dim-f", type=int, default=1)
     pv.add_argument("-p", "--prime", type=int, default=3)

@@ -1,7 +1,7 @@
 """Seed-deterministic random semifree modules and chain maps.
 
-Trial t of a run with seed s draws from ``random.Random(f"{s}:{t}")``, so
-parallel and serial executions see identical streams.  Valid differentials
+Trial t of suite s with seed n draws from ``random.Random(f"{n}:{s}:{t}")``,
+so parallel and serial executions see identical streams.  Valid differentials
 are produced structurally (cones of random chain maps between zero-
 differential modules are valid for any homogeneous matrix, since the
 algebra differential vanishes on S and T), topped up by rejection-sampled

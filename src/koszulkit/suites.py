@@ -1,10 +1,13 @@
 """Seeded verification suites with machine-readable, byte-reproducible
 reports.
 
-Every suite runs `trials` independent instances; trial t draws from the
-stream (seed, t), so reruns and parallel executions agree.  Reports carry
-no timing or environment data: identical configuration means identical
-bytes.  On failure the offending instance's tables are embedded.
+A suite is one trial's checks: given the config and the trial's random
+stream, it yields (check, ok, detail).  ``run_verify`` runs `trials`
+independent instances; trial t of suite s draws from the stream named
+f"{s}:{t}" of the seed before any of its work, so reruns and parallel
+executions agree.  Reports carry no timing or environment data: identical
+configuration means identical bytes.  On failure the offending instance's
+tables are embedded.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .qmodel import check_fbot, restriction_unit
 from .samples import random_acyclic, random_module, stream
 
 SCHEMA = 1
-SUITES = ("round-trip", "exactness", "duality-oracle", "compat", "fbot", "shifts")
 
 
 @dataclass
@@ -44,9 +46,12 @@ class Config:
     def validate(self):
         if not (0 <= self.f <= self.e):
             raise ValueError(f"need 0 <= dim-f <= dim-e, got f={self.f}, e={self.e}")
-        make_algebra("S", self.e, self.f, self.p)
+        self.algebra("S")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+
+    def algebra(self, kind):
+        return make_algebra(kind, self.e, self.f, self.p)
 
     def to_dict(self):
         d = {"e": self.e, "f": self.f, "p": self.p, "trials": self.trials, "seed": self.seed}
@@ -55,134 +60,86 @@ class Config:
         return d
 
 
-def _result(trial, check, ok, detail=None):
-    r = {"trial": trial, "check": check, "verdict": "pass" if ok else "FAIL"}
-    if detail is not None and not ok:
-        r["detail"] = detail
-    return r
-
-
-def suite_round_trip(cfg: Config) -> list[dict]:
+def _round_trip(cfg, rng):
     """Counit and unit quasi-isomorphisms on seeded random modules."""
-    S = make_algebra("S", cfg.e, cfg.f, cfg.p)
-    T = make_algebra("T", cfg.e, cfg.f, cfg.p)
-    results = []
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, f"round-trip:{t}")
-        M = random_module(S, rng, max_gens=4)
-        W = cfg.window or standard_window(M)
-        # each map is held only by the verdict's call, so the counit's
-        # G(F(M)) is freed before the unit builds F(G(N))
-        results.append(_result(t, "counit-quasi-iso", is_quasi_iso(counit(M, W), W)))
-        N = random_module(T, rng, max_gens=4)
-        WN = cfg.window or standard_window(N)
-        results.append(_result(t, "unit-quasi-iso", is_quasi_iso(unit(N, WN), WN)))
-    return results
+    M = random_module(cfg.algebra("S"), rng, max_gens=4)
+    W = cfg.window or standard_window(M)
+    # each map is held only by the verdict's call, so the counit's
+    # G(F(M)) is freed before the unit builds F(G(N))
+    yield "counit-quasi-iso", is_quasi_iso(counit(M, W), W), None
+    N = random_module(cfg.algebra("T"), rng, max_gens=4)
+    WN = cfg.window or standard_window(N)
+    yield "unit-quasi-iso", is_quasi_iso(unit(N, WN), WN), None
 
 
-def suite_exactness(cfg: Config) -> list[dict]:
+def _exactness(cfg, rng):
     """Functors of acyclic modules have empty cohomology tables."""
-    S = make_algebra("S", cfg.e, cfg.f, cfg.p)
-    T = make_algebra("T", cfg.e, cfg.f, cfg.p)
-    results = []
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, f"exactness:{t}")
-        M = random_acyclic(S, rng)
-        W = cfg.window or standard_window(M)
-        table = cohomology(functor_F(M, W.j0).module, W)  # F cut at c is exact on T-columns >= c
-        results.append(_result(t, "F-acyclic", not table, detail=table.to_triples()))
-        N = random_acyclic(T, rng)
-        WN = cfg.window or standard_window(N)
-        table = cohomology(functor_G(N).module, WN)
-        results.append(_result(t, "G-acyclic", not table, detail=table.to_triples()))
-    return results
+    M = random_acyclic(cfg.algebra("S"), rng)
+    W = cfg.window or standard_window(M)
+    table = cohomology(functor_F(M, W.j0).module, W)  # F cut at c is exact on T-columns >= c
+    yield "F-acyclic", not table, table.to_triples()
+    N = random_acyclic(cfg.algebra("T"), rng)
+    table = cohomology(functor_G(N).module, cfg.window or standard_window(N))
+    yield "G-acyclic", not table, table.to_triples()
 
 
-def suite_duality_oracle(cfg: Config) -> list[dict]:
+def _duality_oracle(cfg, rng):
     """Resolution dual vs closed-formula dual, plus biduality identities."""
-    T = make_algebra("T", cfg.e, cfg.f, cfg.p)
-    results = []
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, f"duality-oracle:{t}")
-        N = random_module(T, rng, max_gens=4)
-        rep = oracle_compare_T(N, cfg.window)
-        results.append(_result(t, "oracle-agreement", rep.equal, detail=rep.to_dict()))
-        DD = dualize_T_res(dualize_T_res(N))
-        ident = identity_map(N)
-        ok = DD == N and is_quasi_iso(DgMap(N, DD, ident.mons, ident.terms), cfg.window or standard_window(N))
-        results.append(_result(t, "T-biduality", ok))
-        fin = expand_T_module(N)
-        W = cfg.window or oracle_window(N)
-        ok = dualize_T_formula(dualize_T_formula(fin)).cohomology(W) == cohomology(N, W)
-        results.append(_result(t, "formula-biduality", ok))
-        S = make_algebra("S", cfg.e, cfg.f, cfg.p)
-        M = random_module(S, rng, max_gens=4)
-        results.append(_result(t, "S-involution", dualize_S(dualize_S(M)) == M))
-    return results
+    N = random_module(cfg.algebra("T"), rng, max_gens=4)
+    rep = oracle_compare_T(N, cfg.window)
+    yield "oracle-agreement", rep.equal, rep.to_dict()
+    DD = dualize_T_res(dualize_T_res(N))
+    ident = identity_map(N)
+    ok = DD == N and is_quasi_iso(DgMap(N, DD, ident.mons, ident.terms), cfg.window or standard_window(N))
+    yield "T-biduality", ok, None
+    fin = expand_T_module(N)
+    W = cfg.window or oracle_window(N)
+    yield "formula-biduality", dualize_T_formula(dualize_T_formula(fin)).cohomology(W) == cohomology(N, W), None
+    M = random_module(cfg.algebra("S"), rng, max_gens=4)
+    yield "S-involution", dualize_S(dualize_S(M)) == M, None
 
 
-def suite_compat(cfg: Config) -> list[dict]:
+def _compat(cfg, rng):
     """Koszul duality against homological duality (the core gate)."""
-    S = make_algebra("S", cfg.e, cfg.f, cfg.p)
-    results = []
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, f"compat:{t}")
-        M = random_module(S, rng, max_gens=3)
-        rep = check_compat(M, cfg.window)
-        results.append(_result(t, "compat", rep.equal, detail=rep.to_dict()))
-    return results
+    rep = check_compat(random_module(cfg.algebra("S"), rng, max_gens=3), cfg.window)
+    yield "compat", rep.equal, rep.to_dict()
 
 
-def suite_fbot(cfg: Config) -> list[dict]:
+def _fbot(cfg, rng):
     """Pushforward-duality identity for Q-modules, plus the T -> Q unit."""
-    T = make_algebra("T", cfg.e, cfg.f, cfg.p)
-    Q = make_algebra("Q", cfg.e, cfg.f, cfg.p)
-    results = []
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, f"fbot:{t}")
-        M = random_module(Q, rng, max_gens=3)
-        rep = check_fbot(M, cfg.window)
-        results.append(_result(t, "fbot", rep.equal, detail=rep.to_dict()))
-        N = random_module(T, rng, max_gens=3)
-        W = Window.hull(N.gens).enlarge(1, 2)
-        eta = restriction_unit(N, cfg.e, W.j1)  # exact on the window; T's d never raises j, so it keeps every row validate joins
-        results.append(_result(t, "extend-restrict-quasi-iso", is_quasi_iso(eta, W)))
-    return results
+    rep = check_fbot(random_module(cfg.algebra("Q"), rng, max_gens=3), cfg.window)
+    yield "fbot", rep.equal, rep.to_dict()
+    N = random_module(cfg.algebra("T"), rng, max_gens=3)
+    W = standard_window(N)
+    eta = restriction_unit(N, cfg.e, W.j1)  # exact on the window; T's d never raises j, so it keeps every row validate joins
+    yield "extend-restrict-quasi-iso", is_quasi_iso(eta, W), None
 
 
-def suite_shifts(cfg: Config) -> list[dict]:
+def _shifts(cfg, rng):
     """Regrading and Koszul duality against internal shifts, m in [-2, 2]."""
-    S = make_algebra("S", cfg.e, cfg.f, cfg.p)
-    results = []
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, f"shifts:{t}")
-        M = random_module(S, rng, max_gens=3)
-        W = cfg.window or standard_window(M)
-        for m in range(-2, 3):
-            lhs = regrade_xi(M.shift(0, m))
-            rhs = regrade_xi(M).shift(-m, m)
-            ok = lhs.gens == rhs.gens
-            if ok:
-                WX = Window.hull(lhs.gens).enlarge(1, 2)
-                ok = cohomology(lhs, WX) == cohomology(rhs, WX)
-            results.append(_result(t, f"xi-shift(m={m})", ok))
-            jcut = W.j0 - 2 * abs(m)  # one cut, exact on both windows: each side truncates M at its own degree
-            shifted_first = cohomology(
-                kappa(M.shift(0, m), jcut), Window(W.i0, W.i1, W.j0 + m, W.j1 + m)
-            )
-            shifted_after = cohomology(kappa(M, jcut), W).shift(0, m)
-            ok = shifted_first == shifted_after
-            results.append(_result(t, f"kappa-shift(m={m})", ok))
-    return results
+    M = random_module(cfg.algebra("S"), rng, max_gens=3)
+    W = cfg.window or standard_window(M)
+    for m in range(-2, 3):
+        lhs = regrade_xi(M.shift(0, m))
+        rhs = regrade_xi(M).shift(-m, m)
+        ok = lhs.gens == rhs.gens
+        if ok:
+            WX = standard_window(lhs)
+            ok = cohomology(lhs, WX) == cohomology(rhs, WX)
+        yield f"xi-shift(m={m})", ok, None
+        jcut = W.j0 - 2 * abs(m)  # one cut, exact on both windows: each side truncates M at its own degree
+        shifted_first = cohomology(kappa(M.shift(0, m), jcut), Window(W.i0, W.i1, W.j0 + m, W.j1 + m))
+        shifted_after = cohomology(kappa(M, jcut), W).shift(0, m)
+        yield f"kappa-shift(m={m})", shifted_first == shifted_after, None
 
 
-_RUNNERS = {
-    "round-trip": suite_round_trip,
-    "exactness": suite_exactness,
-    "duality-oracle": suite_duality_oracle,
-    "compat": suite_compat,
-    "fbot": suite_fbot,
-    "shifts": suite_shifts,
+SUITES = {
+    "round-trip": _round_trip,
+    "exactness": _exactness,
+    "duality-oracle": _duality_oracle,
+    "compat": _compat,
+    "fbot": _fbot,
+    "shifts": _shifts,
 }
 
 
@@ -191,11 +148,17 @@ def run_verify(suite: str, cfg: Config) -> dict:
     cfg.validate()
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
-        if name not in _RUNNERS:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {(*SUITES, 'all')}")
     sections = []
     for name in names:
-        results = _RUNNERS[name](cfg)
+        results = []
+        for t in range(cfg.trials):
+            for check, ok, detail in SUITES[name](cfg, stream(cfg.seed, f"{name}:{t}")):
+                r = {"trial": t, "check": check, "verdict": "pass" if ok else "FAIL"}
+                if detail is not None and not ok:
+                    r["detail"] = detail
+                results.append(r)
         sections.append(
             {
                 "suite": name,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulkit.cli import main, parse_window
+from koszulkit.suites import SUITES
 
 RUN = [sys.executable, "-m", "koszulkit.cli"]
 
@@ -105,6 +106,73 @@ def test_verify_exit_one_on_math_failure(monkeypatch, tmp_path):
     code = main(["verify", "--suite", "compat", "--trials", "1",
                  "--seed", "0", "--out", str(tmp_path / "r.json")])
     assert code == 1
+
+
+def test_a_failing_oracle_is_reported_with_its_detail(monkeypatch, tmp_path):
+    """A closed-formula dual shifted by [1] disagrees with the resolution
+    dual.  The report records oracle-agreement as a FAIL that carries the
+    comparison, every passing check carries no detail, and the CLI exits 1
+    and prints each FAIL line with its detail in the human format."""
+    from koszulkit import homdual
+    from koszulkit.suites import Config, run_verify
+
+    formula = homdual.dualize_T_formula
+    monkeypatch.setattr(homdual, "dualize_T_formula", lambda M: formula(M).shift(1, 0))
+    report = run_verify("duality-oracle", Config(e=1, f=1, p=3, trials=2, seed=0))
+    (section,) = report["sections"]
+    failed = [r for r in section["results"] if r["verdict"] == "FAIL"]
+    assert [(r["trial"], r["check"]) for r in failed] == [(0, "oracle-agreement"), (1, "oracle-agreement")]
+    assert all(r["detail"]["verdict"].startswith("first mismatch at") for r in failed)
+    passed = [r for r in section["results"] if r["verdict"] == "pass"]
+    assert len(passed) == 6 and all("detail" not in r for r in passed)
+    assert section["passed"] is False and report["passed"] is False
+
+    out = tmp_path / "r.txt"
+    assert main(["verify", "--suite", "duality-oracle", "--trials", "2", "--seed", "0",
+                 "--format", "human", "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert "suite duality-oracle: FAIL (8 checks)" in lines and lines[-1] == "overall: FAIL"
+    for r in failed:
+        at = lines.index(f"  trial {r['trial']} oracle-agreement: FAIL")
+        assert lines[at + 1] == "    " + json.dumps(r["detail"], sort_keys=True)
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_each_trial_draws_its_stream_before_its_samples(suite, monkeypatch):
+    """Trial t of a suite draws the stream named f"{suite}:{t}" before any
+    of its samples, and every sample of the trial comes from that stream:
+    the benchmark marks a trial's start at its stream call."""
+    from koszulkit import suites
+
+    events = []  # (stream key or None for a sample, the Random it returned or drew from)
+    stream = suites.stream
+
+    def recorded_stream(seed, key):
+        assert seed == 5
+        events.append((key, stream(seed, key)))
+        return events[-1][1]
+
+    def recorded(draw):
+        def run(A, rng, **kwargs):
+            events.append((None, rng))
+            return draw(A, rng, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(suites, "stream", recorded_stream)
+    monkeypatch.setattr(suites, "random_module", recorded(suites.random_module))
+    monkeypatch.setattr(suites, "random_acyclic", recorded(suites.random_acyclic))
+    suites.run_verify(suite, suites.Config(e=1, f=1, p=3, trials=3, seed=5))
+    assert [key for key, _ in events if key is not None] == [f"{suite}:{t}" for t in range(3)]
+    samples, current = [], None
+    for key, rng in events:
+        if key is not None:
+            samples.append(0)
+            current = rng
+        else:
+            assert rng is current
+            samples[-1] += 1
+    assert len(samples) == 3 and all(samples)
 
 
 @pytest.mark.parametrize("exc, line", [
@@ -590,14 +658,53 @@ def test_table_of_mutated_module_files_exits_0_or_2(tmp_path_factory, base, data
     assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1
 
 
-def test_tsv_and_human_formats(tmp_path):
-    out = tmp_path / "r.tsv"
-    assert main(["verify", "--suite", "compat", "--trials", "2", "--seed", "3",
-                 "--format", "tsv", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "suite\ttrial\tcheck\tverdict"
-    assert len(lines) == 3
-    out2 = tmp_path / "r.txt"
-    assert main(["sl2", "-p", "3", "--lambda", "0", "--format", "human",
-                 "--out", str(out2)]) == 0
-    assert "shift convention" in out2.read_text()
+SHIFT_LINE = "# shift convention: M[a]<b>^i_j = M^{i+a}_{j-b}"
+SL2_VERDICTS = ("antiauto", "frobenius_graded", "frobenius_nondegenerate", "frobenius_symmetric",
+                "koszul_linear", "poincare_palindromic", "quiver_cartan_match")
+FORMAT_TEXT = {
+    ("verify", "tsv"): ["suite\ttrial\tcheck\tverdict", "compat\t0\tcompat\tpass", "compat\t1\tcompat\tpass"],
+    ("verify", "human"): [
+        SHIFT_LINE,
+        '# config: {"e": 1, "f": 1, "p": 3, "seed": 3, "trials": 2}',
+        "suite compat: PASS (2 checks)",
+        "overall: PASS",
+    ],
+    ("sl2", "tsv"): ["key\tvalue", *(f"{k}\tpass" for k in SL2_VERDICTS)],
+    ("sl2", "human"): [
+        SHIFT_LINE,
+        '# block: {"block": "regular", "lambda": 0, "p": 3}',
+        "dimension: 18",
+        'dims by degree: {"0": 5, "1": 8, "2": 5}',
+        "Poincare polynomial: 5 + 8t^1 + 5t^2",
+        *(f"{k}: pass" for k in SL2_VERDICTS),
+    ],
+    ("table", "tsv"): ["i\tj\tdim", "-1\t2\t1", "0\t0\t1"],
+    ("table", "human"): [
+        SHIFT_LINE,
+        "# window: [-2, 2, -4, 4]",
+        "h(q, t) = q^-1*t^2 + q^0*t^0",
+        "(i, j) -> dim",
+        "(-1, 2) -> 1",
+        "(0, 0) -> 1",
+    ],
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(FORMAT_TEXT))
+def test_tsv_and_human_formats(tmp_path, command, fmt):
+    """Every command in both text formats: compat over two trials, the
+    regular block at p = 3 and the table of a free T-module on one
+    generator, each rendered line for line."""
+    from koszulkit.algebra import make_algebra
+    from koszulkit.dgmodule import free_module, serialize_module
+
+    module = tmp_path / "mod.json"
+    module.write_text(serialize_module(free_module(make_algebra("T", 1, 1, 5), [(0, 0)])))
+    args = {
+        "verify": ["verify", "--suite", "compat", "--trials", "2", "--seed", "3"],
+        "sl2": ["sl2", "-p", "3", "--lambda", "0"],
+        "table": ["table", str(module)],
+    }[command]
+    out = tmp_path / f"r.{fmt}"
+    assert main([*args, "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == FORMAT_TEXT[command, fmt]

@@ -290,9 +290,9 @@ def test_each_map_verdict_of_the_suites_builds_one_cone(monkeypatch):
     monkeypatch.setattr(dgmodule, "cone", counted_cone)
     monkeypatch.setattr(suites, "is_quasi_iso", recorded)
     cfg = Config(e=2, f=2, p=3, trials=2, seed=5)
-    for run, per_trial in ((suites.suite_round_trip, 2), (suites.suite_duality_oracle, 1), (suites.suite_fbot, 1)):
+    for name, per_trial in (("round-trip", 2), ("duality-oracle", 1), ("fbot", 1)):
         cones.clear()
-        assert all(r["verdict"] == "pass" for r in run(cfg))
+        assert all(r["verdict"] == "pass" for r in suites.run_verify(name, cfg)["sections"][0]["results"])
         assert cones == [1] * per_trial * cfg.trials
 
 

@@ -330,7 +330,7 @@ def test_coinduction_table_identity(f):
 
 
 def test_the_round_trip_frees_the_counit_before_the_unit(monkeypatch):
-    """When suite_round_trip builds a trial's unit, the counit's map, F(M),
+    """When the round trip builds a trial's unit, the counit's map, F(M),
     G(F(M)) and both expansions are dead, and so is every earlier image:
     the verdicts hold each functor image once.  Their arrays are watched,
     since the modules and maps keep no weak references."""
@@ -365,7 +365,7 @@ def test_the_round_trip_frees_the_counit_before_the_unit(monkeypatch):
     monkeypatch.setattr(lkd, "functor_G", watching(lkd.functor_G))
     monkeypatch.setattr(suites, "counit", counit_watched)
     monkeypatch.setattr(suites, "unit", unit_watched)
-    results = suites.suite_round_trip(Config(e=2, f=2, p=3, trials=3, seed=2024))
+    results = suites.run_verify("round-trip", Config(e=2, f=2, p=3, trials=3, seed=2024))["sections"][0]["results"]
     assert [r["verdict"] for r in results] == ["pass"] * 6
     assert len(watched) > 20 and alive == [0, 0, 0]
 
@@ -593,19 +593,19 @@ def test_the_exact_cuts_expand_as_the_margin_cuts(f, p, monkeypatch):
             homdual.check_compat(M, w)
             left, right = margin_cut_reference.compat_modules(M, w or homdual.compat_window(M))
             pairs += [(got, want, window) for ((got, window), _), want in zip(homdual_calls, (left, right))]
-            suites.suite_exactness(cfg)
+            suites.run_verify("exactness", cfg)
             (got, window), _ = suite_calls[0]
             assert window == W
             pairs.append((got, margin_cut_reference.exactness_module(M, W), W))
             del suite_calls[:]
-            suites.suite_shifts(cfg)
+            suites.run_verify("shifts", cfg)
             kappas = [args for args, _ in suite_calls if args[0].algebra.kind == "T"]
             assert len(kappas) == 10
             for m, (first, after) in zip(range(-2, 3), zip(kappas[::2], kappas[1::2])):
                 assert after[1] == W
                 pairs += [(got, want, window) for (got, window), want in zip((first, after), margin_cut_reference.shifts_modules(M, W, m))]
         drawn.update(T=NE, Q=random_module(make_algebra("Q", f + 1, f, p), rng, max_gens=3))
-        suites.suite_fbot(suites.Config(e=f + 1, f=f, p=p, trials=1))
+        suites.run_verify("fbot", suites.Config(e=f + 1, f=f, p=p, trials=1))
         ((unit_of, e, _), eta), ((phi, W), _) = units[-1], verdicts[-1]
         assert unit_of is NE and phi is eta
         lo, hi = NE.degs[:, 1].min(), NE.degs[:, 1].max()
