@@ -1,30 +1,30 @@
-"""Finite-dimensional graded algebras by structure tables, and the graded
-module machinery behind the Koszulity probe.
+"""Finite-dimensional graded algebras of matrix units over a type table,
+and the graded module machinery behind the Koszulity probe.
 
-A BlockAlgebra has a basis whose pairwise products are single basis
-elements with a scalar coefficient (all the algebras built here are of
-this monomial shape).  It is built from product arrays (a, b, c, coeff)
-into dense (dim + 1)^2 tables with an extra "zero" slot so that products
-are O(1) gathers: ``mult_idx`` holds int32 positions and ``mult_coeff``
-residues in the narrowest unsigned dtype that holds p, so every reader
-widens to int64 before it multiplies two residues.  The positions of the
-nonzero products are listed once (``nonzero_products``).  The checks read
-only those: the grading and the unit on construction, associativity on
-the triples where (ab)c is nonzero, joined in slices of bounded size and
-counted against the triples where a(bc) is, which is exact because
-products are monomial, and in ``sl2`` the Cartan table, the Frobenius
-form and the anti-automorphism.  Idempotent columns and the action on
-projectives gather from ``mult_idx``/``mult_coeff`` directly.
+A BlockAlgebra is held as its type table.  Each basis element, a label,
+is a matrix unit (t, i, j) of a type t; each type has a degree and a
+(source, target) pair of blocks, and each block a size.  A T x T table
+gives the type and coefficient of each product of two types, and
+(t, i, j).(u, k, l) is that coefficient times (t.u, i, l) when j == k and
+0 otherwise, so ``product`` computes any product by index arithmetic on
+three per-label arrays and the table.  An algebra given by structure
+constants on a basis is one type per label, all on one block of size 1.
+The grading, the unit and associativity are checked on the type table,
+which is exact (see ``BlockAlgebra``).  ``nonzero_products`` lists the
+pairs whose product is nonzero, type pair by type pair; the Frobenius form
+and the anti-automorphism in ``sl2`` and ``minimal_generators`` read those,
+and the Cartan table, idempotent columns and the action on projectives
+call ``product``.
 
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
 held one degree at a time, as {degree d: columns over the basis in degree
 d}, so every degree is known by construction.  ``ProjectiveSum.act`` maps
-columns in one degree to another in one gather from their nonzero
-entries, acting by one algebra element or by one per column.  Minimal
-projective covers are computed degreewise by splitting the radical, which
-is the positive-degree part because degree 0 is semisimple; every
-elimination is a ``linalg.rref`` of one degree's block.
+columns in one degree to another from their nonzero entries, acting by one
+algebra element or by one per column.  Minimal projective covers are
+computed degreewise by splitting the radical, which is the positive-degree
+part because degree 0 is semisimple; every elimination is a
+``linalg.rref`` of one degree's block.
 """
 
 from __future__ import annotations
@@ -35,145 +35,154 @@ import numpy as np
 
 from .linalg import check_modulus, independent_columns, kernel_basis, sorted_join
 
-# Triples is_associative compares at once, whatever the block's size.  A
-# slice costs about 49 bytes a triple (tracemalloc): two intp positions,
-# two int32 keys and one side's int64 products at a time, with the casts
-# of the keys to intp at each gather.  At p = 37 (limits lifted, 7.1M
-# triples) is_associative peaks at 59 MB, and at p = 53 (30M) at 75 MB.
-ASSOCIATIVITY_SLICE = 1 << 20
-
 
 class BlockAlgebra:
-    """Graded associative unital algebra over GF(p) with monomial products.
+    """Graded associative unital algebra over GF(p) of matrix units over a
+    type table.
 
-    products: arrays (a, b, c, coeff) saying a.b = coeff c; pairs not
-    listed, and zero coefficients, mean a.b = 0.
-    idempotents: one primitive idempotent index per isomorphism class of
-    simple module, with the simple's dimension (matrix-block size).
-    trace: the linear functional whose pairing tr(xy) is the candidate
-    Frobenius form.
+    types: one name per type; degrees: the degree of each type; blocks:
+    its (source, target) pair of blocks; sizes: the size of each block.
+    Type t spans the labels (t, i, j) with i < sizes[source], j <
+    sizes[target], numbered type by type, then by i, then by j.
+    products: arrays (t, u, v, coeff) of type indices saying t.u = coeff v;
+    pairs not listed, and zero coefficients, mean t.u = 0.  A nonzero t.u
+    must compose, from t's source block through t's target, which is u's
+    source, to u's target, and v must run between those two blocks.
+    units: type names, each from a block to itself, whose identity
+    matrices (the sums of the labels (t, i, i)) sum to the unit, a name
+    listed k times counting k times; held as type indices.
+    idempotents: (class_label, type name) for the primitive idempotent
+    (t, 0, 0) of each isomorphism class of simple module; it is held as
+    (class_label, basis index, simple dimension).
+    trace: {type name: value}, each type from a block to itself, the linear
+    functional with (t, i, i) -> value whose pairing tr(xy) is the
+    candidate Frobenius form; held as {basis index: value}.
+
+    The lemma the checks rest on: when every block has size at least 1,
+    for labels a = (t, i, j), b = (u, k, l), c = (w, m, n) both (ab)c and
+    a(bc) equal [j == k][l == m] times the type-level products (tu)w and
+    t(uw), coefficients included, placed at (i, n).  So the algebra is
+    associative exactly when its type table is: a failing type triple fails
+    at the labels (t, 0, 0), (u, 0, 0), (w, 0, 0).  Off the composable type
+    triples both sides are zero, so the check reads every triple of types
+    at once.  Likewise ab has degree deg a + deg b for every nonzero ab
+    exactly when the type table is graded, and the identity matrix of a
+    unit type t times (w, m, n) is t.w at (m, n), so the unit laws hold
+    exactly when they hold on the type table.  With one type per label
+    these are the label-level checks themselves.
     """
 
-    def __init__(self, p, labels, degrees, products, unit_indices, idempotents, trace):
+    def __init__(self, p, types, degrees, blocks, sizes, products, units, idempotents, trace):
         check_modulus(p)
         self.p = p
-        self.labels = list(labels)
-        dim = len(self.labels)
-        self.dim = dim
-        # a.b sits at a * (dim + 1) + b in the raveled tables, an int32 key
-        if (dim + 1) ** 2 >= 1 << 31:
-            raise ValueError(f"the algebra has dimension {dim}, over the limit of 46339 ((dim + 1)^2 < 2^31)")
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index) != dim:
-            raise ValueError("duplicate basis labels")
-        self.degrees = np.asarray(degrees, dtype=np.int64)
-        a, b, c, coeff = np.asarray(products, dtype=np.int64).reshape(4, -1)
+        self.types = list(types)
+        where = {name: t for t, name in enumerate(self.types)}
+        if len(where) != len(self.types):
+            raise ValueError("duplicate type names")
+        self.type_degrees = np.asarray(degrees, dtype=np.int64)
+        self.blocks = np.asarray(blocks, dtype=np.int64).reshape(-1, 2)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if (self.sizes < 1).any():
+            raise ValueError("every block must have size at least 1")
+        source, target = self.sizes[self.blocks].T
+        # labels (t, i, j) at offset[t] + i * width[t] + j
+        self.width = target
+        self.offset = np.r_[0, (source * target).cumsum()]
+        self.dim = dim = int(self.offset[-1])
+        self.type = np.arange(len(self.types)).repeat(source * target)
+        self.row, self.col = np.divmod(np.arange(dim) - self.offset[self.type], self.width[self.type])
+        self.degrees = self.type_degrees[self.type]
+        t, u, v, coeff = np.asarray(products, dtype=np.int64).reshape(4, -1)
         live = coeff % p != 0
-        # row and column dim are the zero slot
-        self.mult_idx = np.full((dim + 1, dim + 1), dim, dtype=np.int32)
-        self.mult_coeff = np.zeros((dim + 1, dim + 1), dtype=np.min_scalar_type(p))
-        self.mult_idx[a[live], b[live]] = c[live]
-        self.mult_coeff[a[live], b[live]] = coeff[live] % p
-        self.unit_indices = list(unit_indices)
-        self.idempotents = list(idempotents)  # (class_label, index, simple_dim)
-        self.trace = dict(trace)
+        # product_type is read only where product_coeff is nonzero
+        self.product_type = np.zeros((len(self.types),) * 2, dtype=np.int64)
+        self.product_coeff = np.zeros((len(self.types),) * 2, dtype=np.int64)
+        self.product_type[t[live], u[live]] = v[live]
+        self.product_coeff[t[live], u[live]] = coeff[live] % p
+        t, u = self.product_coeff.nonzero()
+        v = self.product_type[t, u]
+        (ts, tt), (us, ut), (vs, vt) = self.blocks[t].T, self.blocks[u].T, self.blocks[v].T
+        off = (tt != us) | (vs != ts) | (vt != ut)
+        if off.any():
+            t, u, v = (self.types[x[off.argmax()]] for x in (t, u, v))
+            raise ValueError(f"types {t} and {u} do not compose to {v}")
+        self.units = [where[name] for name in units]
+        traced = {where[name]: v for name, v in trace.items()}
+        square = self.blocks[[*self.units, *traced]]
+        if (square[:, 0] != square[:, 1]).any():
+            raise ValueError("a unit or trace type must run from a block to itself")
+        self.idempotents = [(label, int(self.offset[where[name]]), int(self.width[where[name]])) for label, name in idempotents]
+        self.trace = {x: v for t, v in traced.items() for x in self.index(t, *np.diag_indices(self.width[t])).tolist()}
         problems = self.check_axioms()
         if problems:
             raise ValueError("; ".join(problems))
 
+    def index(self, t, i, j):
+        """Basis index of the label (t, i, j), t a type index."""
+        return self.offset[t] + i * self.width[t] + j
+
+    def product(self, a, b):
+        """(c, coeff) with a.b = coeff * c, for basis indices a and b (arrays
+        broadcast): for a = (t, i, j) and b = (u, k, l), c = (t.u, i, l) and
+        coeff is t.u's coefficient when j == k, else 0.  c is a basis index
+        only where coeff is nonzero."""
+        t, u = self.type[a], self.type[b]
+        coeff = np.where(self.col[a] == self.row[b], self.product_coeff[t, u], 0)
+        return self.index(self.product_type[t, u], self.row[a], self.col[b]), coeff
+
     @functools.cached_property
     def nonzero_products(self):
-        """Positions (a, b) of the nonzero products, sorted by a, then b."""
-        return np.nonzero(self.mult_coeff[: self.dim, : self.dim])
+        """Positions (a, b) of the nonzero products, sorted by a, then b: for
+        each type t and each u with t.u nonzero, (t, i, j) times (u, j, l)."""
+        a, b = [], []
+        for t in range(len(self.types)):
+            us = self.product_coeff[t].nonzero()[0]
+            w = self.width[us]
+            # b = (u, j, l) over the us in order, then l, for j = 0, and its step in j
+            first, step = self.offset[us].repeat(w), w.repeat(w)
+            first += np.arange(w.sum()) - (w.cumsum() - w).repeat(w)
+            by_j = first + np.arange(self.width[t])[:, None] * step
+            a.append(np.arange(self.offset[t], self.offset[t + 1]).repeat(len(first)))
+            b.append(np.tile(by_j, (self.sizes[self.blocks[t, 0]], 1)).ravel())
+        return np.concatenate(a), np.concatenate(b)
 
     # -- axioms -----------------------------------------------------------
     def check_axioms(self) -> list[str]:
         issues = []
-        dim, p = self.dim, self.p
-        x, y = self.nonzero_products
-        xy, coeff = self.mult_idx[x, y], self.mult_coeff[x, y].astype(np.int64)
-        # grading: deg(ab) = deg a + deg b on nonzero products
-        if not (self.degrees[xy] == self.degrees[x] + self.degrees[y]).all():
+        t, u = self.product_coeff.nonzero()
+        if not (self.type_degrees[self.product_type[t, u]] == self.type_degrees[t] + self.type_degrees[u]).all():
             issues.append("grading is not multiplicative")
-        # unit: (sum of units).b = b = b.(sum of units), a unit listed k times
-        # counting k times.  The nonzero products u.b (resp. b.u) are summed
-        # by (b, target); b fails unless its only nonzero sum is 1 at b.
-        times = np.bincount(np.asarray(self.unit_indices, dtype=np.int64), minlength=dim)
-        for side, u, b in (("left", x, y), ("right", y, x)):
-            on = times[u] > 0
-            key, group = np.unique(b[on] * (dim + 1) + xy[on], return_inverse=True)
-            sums = np.zeros(len(key), dtype=np.int64)
-            np.add.at(sums, group, coeff[on] * times[u[on]])
-            row, target = np.divmod(key, dim + 1)
-            bad = np.ones(dim, dtype=bool)
-            bad[row[row == target]] = False
-            bad[row[sums % p != (row == target)]] = True
+        # unit: (sum of units).b = b = b.(sum of units), a unit type listed k
+        # times counting k times.  On the left, the identity matrix of t
+        # times (w, m, n) is t.w at (m, n), so sums[w, v] sums the
+        # coefficients of the products t.w = v; b fails unless its type's
+        # only nonzero sum is 1 at itself.  The right is the transpose.
+        T = len(self.types)
+        times = np.bincount(np.asarray(self.units, dtype=np.int64), minlength=T)[:, None]
+        w = np.broadcast_to(np.arange(T), (T, T))
+        for side, P, C in (("left", self.product_type, self.product_coeff), ("right", self.product_type.T, self.product_coeff.T)):
+            sums = np.zeros((T, T), dtype=np.int64)
+            np.add.at(sums, (w, P), C * times)
+            bad = (sums % self.p != np.eye(T, dtype=np.int64)).any(axis=1)
             if bad.any():
-                issues.append(f"unit fails on the {side} at basis {bad.argmax()}")
+                issues.append(f"unit fails on the {side} at basis {self.offset[bad.argmax()]}")
         if not self.is_associative():
             issues.append("multiplication is not associative")
         return issues
 
     def is_associative(self) -> bool:
-        """(ab)c == a(bc) for all basis triples, read from nonzero products.
-
-        Products are monomial, so (ab)c is nonzero exactly on the triples
-        where ab and then (ab).c are nonzero products, and a(bc) exactly
-        where bc and a.(bc) are.  One join lists the first set, in slices of
-        ASSOCIATIVITY_SLICE triples, and compares the two sides there, so
-        a(bc) is nonzero on each of them.  The second set has, for each
-        nonzero bc, as many triples as column bc has nonzero products; when
-        the two sets have the same size they are equal, and both sides
-        vanish off them.  A zero product sits at the zero slot, whose
-        products are zero, so indices compare as they are.
-
-        A triple is held as the positions n, m of its two products in the
-        list of nonzero products (intp, since each indexes three gathers)
-        and the keys of bc and a.(bc) in the raveled tables, which are int32
-        because the constructor keeps (dim + 1)^2 below 2^31.
-        """
-        dim, p = self.dim, self.p
-        x, y = self.nonzero_products
-        xy, coeff = self.mult_idx[x, y], self.mult_coeff[x, y]
-        in_row = np.bincount(x, minlength=dim + 1)
-        per = in_row[xy]  # the triples (a, b, c) with ab = product n: one per product (ab).c
-        triples = int(per.sum())
-        if triples != np.bincount(y, minlength=dim + 1)[xy].sum():
-            return False
-        ends = per.cumsum()
-        # triple k is product n = ab times product m = (ab).c, the products
-        # of row ab in order: m = k + shift[n]
-        shift = np.r_[0, in_row.cumsum()][xy] - ends + per
-        x, y = x.astype(np.int32), y.astype(np.int32)
-        idx, cf = self.mult_idx.ravel(), self.mult_coeff.ravel()  # a.b at a * (dim + 1) + b
-        for lo in range(0, triples, ASSOCIATIVITY_SLICE):
-            hi = min(lo + ASSOCIATIVITY_SLICE, triples)
-            # the slice meets the triples of products first to last
-            first, last = ends.searchsorted([lo, hi - 1], "right")
-            n = np.arange(first, last + 1).repeat(per[first : last + 1])
-            n = n[lo - ends[first] + per[first] :][: hi - lo]
-            m = shift[n]
-            m += np.arange(lo, hi)
-            bc = y[n] * (dim + 1) + y[m]
-            a_bc = x[n] * (dim + 1) + idx[bc]
-            if not (xy[m] == idx[a_bc]).all():
-                return False
-            left = coeff[n].astype(np.int64)
-            left *= coeff[m]
-            del n, m
-            left %= p
-            right = cf[bc].astype(np.int64)
-            right *= cf[a_bc]
-            right %= p
-            if not (left == right).all():
-                return False
-        return True
+        """(tu)w == t(uw) for every triple of types, coefficients included:
+        associativity itself, by the lemma in the class docstring."""
+        P, C, p = self.product_type, self.product_coeff, self.p
+        left = C[:, :, None] * C[P] % p  # [t, u, w]: C[t, u] C[tu, w]
+        right = C[None] * C[:, P] % p  # C[u, w] C[t, uw]
+        return bool((left == right).all() and (P[P] == P[:, P])[left != 0].all())
 
     # -- basic structure ---------------------------------------------------
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for d in self.degrees:
-            out[int(d)] = out.get(int(d), 0) + 1
+        for d, n in zip(self.type_degrees.tolist(), np.diff(self.offset).tolist()):
+            out[d] = out.get(d, 0) + n
         return out
 
     def poincare_coefficients(self) -> list[int]:
@@ -185,9 +194,10 @@ class BlockAlgebra:
 
     def column_basis(self, e: int) -> list[int]:
         """Basis indices spanning A.e (valid because products are monomial)."""
-        idx, coeff = self.mult_idx[: self.dim, e], self.mult_coeff[: self.dim, e]
+        every = np.arange(self.dim)
+        c, coeff = self.product(every, e)
         hit = coeff.nonzero()[0]
-        if (idx[hit] != hit).any() or (coeff[hit] != 1).any():
+        if (c[hit] != hit).any() or (coeff[hit] != 1).any():
             raise ValueError("idempotent column is not basis-aligned")
         return hit.tolist()
 
@@ -221,11 +231,11 @@ class ProjectiveSum:
         n, c, vals, width = x
         A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
         a, n = np.broadcast_to(a, width)[c], src.start + n
-        b = self.element[n]
-        vals = A.mult_coeff[a, b].astype(np.int64) * vals  # coefficient of a_c.b_n times x
+        ab, coeff = A.product(a, self.element[n])
+        vals = coeff * vals  # coefficient of a_c.b_n times x
         live = vals.nonzero()[0]
         c, vals = c[live], vals[live]
-        rows = self.row[self.summand[n[live]], A.mult_idx[a[live], b[live]]] - dst.start
+        rows = self.row[self.summand[n[live]], ab[live]] - dst.start
         out = np.zeros((dst.stop - dst.start, width), dtype=np.int64)
         np.add.at(out, (rows, c), vals)
         out[rows, c] %= A.p  # only the entries written can be p or more

@@ -8,11 +8,11 @@ the image of the evaluation pairing.  The singular block is a single
 matrix algebra in degree 0.  Every numerical ingredient comes from the
 two-chart Cech computation in ``projline``.
 
-Both are matrix units over a type table (8 types regular, one singular):
-(t, i, j).(u, k, l) = (t.u, i, l) when j == k, so the product tables come
-from index arithmetic.  A report refuses a block of dimension over
-``MAX_BLOCK_DIM`` (regular blocks up to p = 23, the singular block up to
-p = 31) and a probe deeper than ``MAX_HBOUND``.
+Both are ``BlockAlgebra``s, matrix units over a type table (8 types
+regular, one singular): (t, i, j).(u, k, l) = (t.u, i, l) when j == k.
+The quiver's basic algebra is one type per path.  A report refuses a block
+of dimension over ``MAX_BLOCK_DIM`` (regular blocks up to p = 23, the
+singular block up to p = 31) and a probe deeper than ``MAX_HBOUND``.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ SHIFTS = (0, 1)
 
 # Largest block and deepest Koszulity probe a report accepts.  In process on
 # 2 cores (wall time, peak RSS), the costliest accepted report, p = 23 at
-# hbound 8, takes 0.12-0.16 s at 80 MB.  With the limits lifted, hbound 8
-# at p = 29 takes 0.23-0.30 s at 113 MB, at p = 37 0.50-0.64 s at 145 MB
-# and at p = 53 2.0-2.5 s at 306 MB.  At p = 37 the product tables (int32
-# positions, uint8 residues) hold 38 MB, building the block peaks at
-# 109 MB with one associativity slice, and the probe at 8 MB (tracemalloc).
-# hbound 16 at p = 19 takes 0.18 s at 55 MB (lambda 0) and 0.37 s at 87 MB
-# (lambda 4).  Both limits stay as they were set from the int64 tables;
-# re-sizing them is a change of its own.
+# hbound 8, takes 0.07-0.08 s at 35 MB.  With the limits lifted, hbound 8
+# at p = 29 takes 0.08-0.09 s at 39 MB, at p = 37 0.12 s at 48 MB and at
+# p = 53 0.31-0.38 s at 79 MB.  At p = 37 building the block peaks at
+# 0.12 MB and the probe at 10 MB (tracemalloc).  hbound 16 at p = 19 takes
+# 0.13-0.20 s at 38 MB (lambda 0) and 0.36-0.41 s at 80 MB (lambda 4).
+# Both limits stay as they were set from the int64 tables; re-sizing them
+# is a change of its own.
 MAX_BLOCK_DIM = 1058
 MAX_HBOUND = 8
 
@@ -73,30 +72,11 @@ def _check_lambda(p: int, lam: int):
         raise ValueError(f"lambda must lie in [0, (p-3)/2] = [0, {(p - 3) // 2}], got {lam}")
 
 
-def _matrix_units(types, blocks, n, type_product):
-    """Labels and product arrays of matrix units over a table of types.
-
-    Type t spans the labels (*t, i, j) with i < n[r], j < n[s] for
-    (r, s) = blocks[t], in that order; (t, i, j).(u, k, l) is
-    (type_product(t, u), i, l) when j == k and the type product is not
-    None, and 0 otherwise.  Returns (labels, (a, b, c, coeff)).  Refuses a
-    dimension over MAX_BLOCK_DIM before anything is built.
-    """
-    offset = np.cumsum([0] + [n[r] * n[s] for r, s in blocks])
-    if offset[-1] > MAX_BLOCK_DIM:
-        raise ValueError(f"the block has dimension {offset[-1]}, over the limit of {MAX_BLOCK_DIM}")
-    labels = [(*t, i, j) for t, (r, s) in zip(types, blocks) for i in range(n[r]) for j in range(n[s])]
-    where = {t: k for k, t in enumerate(types)}
-    products = []
-    for x, t in enumerate(types):
-        for y, u in enumerate(types):
-            tu = type_product(t, u)
-            if tu is not None:
-                (r, s), w = blocks[x], n[blocks[y][1]]
-                i, j, l = np.indices((n[r], n[s], w)).reshape(3, -1)
-                products.append([offset[x] + i * n[s] + j, offset[y] + j * w + l, offset[where[tu]] + i * w + l])
-    a, b, c = np.concatenate(products, axis=1)
-    return labels, (a, b, c, np.ones_like(a))
+def _check_size(blocks, n):
+    """Refuses a block of dimension over MAX_BLOCK_DIM before it is built."""
+    dim = sum(n[r] * n[s] for r, s in blocks)
+    if dim > MAX_BLOCK_DIM:
+        raise ValueError(f"the block has dimension {dim}, over the limit of {MAX_BLOCK_DIM}")
 
 
 def _regular_type_product(x, y):
@@ -123,22 +103,24 @@ def build_regular_block(p: int, lam: int) -> BlockAlgebra:
     diag = block_ext_dims(0, 0, p)
     off = block_ext_dims(0, 1, p)
     assert diag == {0: 1, 2: 1} and off == {1: 2}, "unexpected Ext pattern"
-    blocks = [(t[1], t[1]) if t[0] == "E" else (t[1], t[2]) for t in _REGULAR_TYPES]
-    labels, products = _matrix_units(_REGULAR_TYPES, blocks, n, _regular_type_product)
-    index = {lab: k for k, lab in enumerate(labels)}
-    unit = [index[("E", r, 0, i, i)] for r in range(2) for i in range(n[r])]
-    idems = [(f"L{r}", index[("E", r, 0, 0, 0)], n[r]) for r in range(2)]
-    trace = {index[("E", r, 2, i, i)]: 1 for r in range(2) for i in range(n[r])}
-    degrees = [l[2] if l[0] == "E" else 1 for l in labels]
-    return BlockAlgebra(p, labels, degrees, products, unit, idems, trace)
+    types = _REGULAR_TYPES
+    blocks = [(t[1], t[1]) if t[0] == "E" else (t[1], t[2]) for t in types]
+    _check_size(blocks, n)
+    pairs = [(x, y, _regular_type_product(t, u)) for x, t in enumerate(types) for y, u in enumerate(types)]
+    products = np.array([(x, y, types.index(tu), 1) for x, y, tu in pairs if tu is not None]).T
+    degrees = [t[2] if t[0] == "E" else 1 for t in types]
+    units = [("E", r, 0) for r in range(2)]
+    idems = [(f"L{r}", ("E", r, 0)) for r in range(2)]
+    trace = {("E", r, 2): 1 for r in range(2)}
+    return BlockAlgebra(p, types, degrees, blocks, n, products, units, idems, trace)
 
 
 def build_singular_block(p: int) -> BlockAlgebra:
     """The singular block: a p x p matrix algebra in degree 0."""
     check_modulus(p)
-    labels, products = _matrix_units([("E", 0, 0)], [(0, 0)], (p,), lambda t, u: t)
-    unit = [i * p + i for i in range(p)]
-    return BlockAlgebra(p, labels, [0] * len(labels), products, unit, [("L", 0, p)], dict.fromkeys(unit, 1))
+    E = ("E", 0, 0)
+    _check_size([(0, 0)], (p,))
+    return BlockAlgebra(p, [E], [0], [(0, 0)], [p], ([0], [0], [0], [1]), [E], [("L", E)], {E: 1})
 
 
 QUIVER_LABELS = ("e1", "e2", "u", "v", "ubar", "vbar", "z1", "z2")
@@ -157,10 +139,10 @@ _QUIVER_PRODUCTS = {
 
 
 def quiver_basic_algebra(p: int) -> BlockAlgebra:
-    """Path algebra of the two-vertex quiver modulo its relations."""
+    """Path algebra of the two-vertex quiver modulo its relations: one type
+    per path, all on one block of size 1."""
     check_modulus(p)
-    labels = list(QUIVER_LABELS)
-    index = {lab: i for i, lab in enumerate(labels)}
+    labels = QUIVER_LABELS
     mult = []
     for a, la in enumerate(labels):
         for b, lb in enumerate(labels):
@@ -175,28 +157,27 @@ def quiver_basic_algebra(p: int) -> BlockAlgebra:
             else:
                 out = _QUIVER_PRODUCTS.get((la, lb))
             if out is not None:
-                mult.append((a, b, index[out], 1))
+                mult.append((a, b, labels.index(out), 1))
     degrees = [_QUIVER_DEG[l] for l in labels]
-    idems = [("L0", index["e1"], 1), ("L1", index["e2"], 1)]
-    trace = {index["z1"]: 1, index["z2"]: 1}
-    return BlockAlgebra(p, labels, degrees, np.array(mult).T, [index["e1"], index["e2"]], idems, trace)
+    idems = [("L0", "e1"), ("L1", "e2")]
+    trace = {"z1": 1, "z2": 1}
+    return BlockAlgebra(p, labels, degrees, [(0, 0)] * len(labels), [1], np.array(mult).T, ["e1", "e2"], idems, trace)
 
 
 def graded_cartan(algebra: BlockAlgebra) -> dict:
-    """dims of e_r A e_s per degree, for the chosen primitive idempotents,
-    read from the nonzero products: b lies in e_r A e_s when e_r.b = b and
-    b.e_s = b."""
-    x, y = algebra.nonzero_products
-    xy = algebra.mult_idx[x, y]
-    right = {e: x[(xy == x) & (y == e)] for _, e, _ in algebra.idempotents}  # b.e = b, b ascending
+    """dims of e_r A e_s per degree, for the chosen primitive idempotents:
+    b lies in e_r A e_s when e_r.b and b.e_s are nonzero multiples of b."""
+    every = np.arange(algebra.dim)
+
+    def fixes(c, coeff):
+        return (coeff != 0) & (c == every)
+
     out = {}
     for rlab, e_r, _ in algebra.idempotents:
-        left = np.zeros(algebra.dim, dtype=bool)
-        left[y[(xy == y) & (x == e_r)]] = True  # e_r.b = b
+        left = fixes(*algebra.product(e_r, every))
         for slab, e_s, _ in algebra.idempotents:
-            b = right[e_s]
             dims: dict[int, int] = {}
-            for d in algebra.degrees[b[left[b]]].tolist():
+            for d in algebra.degrees[left & fixes(*algebra.product(every, e_s))].tolist():
                 dims[d] = dims.get(d, 0) + 1
             out[(rlab, slab)] = dims
     return out
@@ -243,11 +224,12 @@ def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
     ``echelon`` on those entries.
     """
     dim, p = algebra.dim, algebra.p
-    trace = np.zeros(dim + 1, dtype=np.int64)  # the zero slot traces to 0
+    trace = np.zeros(dim, dtype=np.int64)
     for i, v in algebra.trace.items():
         trace[i] = v % p
     x, y = algebra.nonzero_products
-    v = algebra.mult_coeff[x, y].astype(np.int64) * trace[algebra.mult_idx[x, y]] % p
+    c, coeff = algebra.product(x, y)
+    v = coeff * trace[c] % p
     live = v.nonzero()[0]
     x, y, v = x[live], y[live], v[live]  # sorted by x, then y
     t = np.lexsort((x, y))  # the transposed entries, sorted the same way
@@ -264,35 +246,39 @@ def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
     }
 
 
-def _antiauto_image(label):
-    if label[0] == "E":
-        _, r, d, i, j = label
-        return ("E", r, d, j, i)
-    if label[0] == "V":
-        _, r, s, t, i, j = label
-        return ("V", s, r, t, j, i)
-    return {"u": "ubar", "ubar": "u", "v": "vbar", "vbar": "v"}.get(label, label)
+def _antiauto_image(name):
+    """The anti-automorphism's image of a type: E(r, d) is fixed, V(r, s, t)
+    goes to V(s, r, t) and each arrow to its bar.  A type that is one label
+    (E or V with its row and column appended) goes to its transpose."""
+    if name[0] == "E":
+        _, r, d, *ij = name
+        return ("E", r, d, *ij[::-1])
+    if name[0] == "V":
+        _, r, s, t, *ij = name
+        return ("V", s, r, t, *ij[::-1])
+    return {"u": "ubar", "ubar": "u", "v": "vbar", "vbar": "v"}.get(name, name)
 
 
 def anti_automorphism_check(algebra: BlockAlgebra) -> dict:
     """Exhaustive check that transposition with arrow swap is a graded
     anti-automorphism squaring to the identity.
 
-    The label map is an involution, so perm permutes the basis and
-    (a, b) -> (perm b, perm a) permutes the pairs.  Each nonzero product ab
-    must match phi(b) phi(a); that maps the nonzero products onto
-    themselves, so the zero products onto zero products too.
+    The label map (t, i, j) -> (phi(t), j, i) is an involution, so perm
+    permutes the basis and (a, b) -> (perm b, perm a) permutes the pairs.
+    Each nonzero product ab must match phi(b) phi(a); that maps the nonzero
+    products onto themselves, so the zero products onto zero products too.
     """
-    dim = algebra.dim
-    perm = np.array([algebra.index[_antiauto_image(l)] for l in algebra.labels], dtype=np.int64)
-    phi = np.append(perm, dim)  # fixes the zero slot, where every zero product lands
-    idx, coeff = algebra.mult_idx, algebra.mult_coeff
-    a, b = algebra.nonzero_products
-    ba = perm[b], perm[a]  # the product phi(b) phi(a)
+    A = algebra
+    where = {name: t for t, name in enumerate(A.types)}
+    image = np.array([where[_antiauto_image(name)] for name in A.types], dtype=np.int64)
+    perm = A.index(image[A.type], A.col, A.row)
+    a, b = A.nonzero_products
+    c, coeff = A.product(a, b)
+    ba, ba_coeff = A.product(perm[b], perm[a])  # the product phi(b) phi(a)
     return {
-        "involution": bool((perm[perm] == np.arange(dim)).all()),
-        "degree_preserving": bool((algebra.degrees[perm] == algebra.degrees).all()),
-        "antimultiplicative": bool((coeff[ba] == coeff[a, b]).all() and (idx[ba] == phi[idx[a, b]]).all()),
+        "involution": bool((perm[perm] == np.arange(A.dim)).all()),
+        "degree_preserving": bool((A.degrees[perm] == A.degrees).all()),
+        "antimultiplicative": bool((ba_coeff == coeff).all() and (ba == perm[c]).all()),
     }
 
 

@@ -1,23 +1,25 @@
 """The Koszulity probe that ``blockalg`` replaced, kept as the reference the
 per-degree probe is cross-checked against.  It holds each syzygy as dense
 columns over the whole ambient, acts one algebra element per call, and
-reads each kernel vector's degree at its first nonzero.  Its elimination
-is ``linalg``'s, which ``test_linalg`` checks against ``dense_reference``."""
+reads each kernel vector's degree at its first nonzero.  It reads the
+algebra's dense product tables (``block_reference.Dense``).  Its
+elimination is ``linalg``'s, which ``test_linalg`` checks against
+``dense_reference``."""
 
 import numpy as np
 
-from koszulkit.blockalg import BlockAlgebra
+from block_reference import Dense, column_basis
 from koszulkit.linalg import independent_columns, kernel_basis
 
 
 class ProjectiveSum:
     """P = direct sum of shifted projectives A.e, with a concrete basis."""
 
-    def __init__(self, algebra: BlockAlgebra, summands):
+    def __init__(self, algebra: Dense, summands):
         self.algebra = algebra
         self.summands = list(summands)  # (idempotent index, degree shift)
         # basis element n is algebra element element[n] in summand summand[n]
-        columns = [algebra.column_basis(e) for e, _ in self.summands]
+        columns = [column_basis(algebra, e) for e, _ in self.summands]
         self.summand = np.repeat(np.arange(len(columns), dtype=np.int64), [len(c) for c in columns])
         self.element = np.array([b for c in columns for b in c], dtype=np.int64)
         # row[g, b]: position of (g, b) in the basis, -1 when b is not in A.e_g
@@ -33,9 +35,9 @@ class ProjectiveSum:
     def act(self, a: int, x: np.ndarray) -> np.ndarray:
         """a.x for x a vector or a matrix of columns in this basis."""
         A = self.algebra
-        coeff = A.mult_coeff[a, self.element].astype(np.int64)
+        coeff = A.coeff[a, self.element]
         hit = coeff.nonzero()[0]
-        rows = self.row[self.summand[hit], A.mult_idx[a, self.element[hit]]]
+        rows = self.row[self.summand[hit], A.idx[a, self.element[hit]]]
         out = np.zeros_like(x)
         np.add.at(out, rows, (x[hit].T * coeff[hit]).T)  # row n of x scaled by coeff[n]
         return out % A.p
@@ -54,7 +56,7 @@ class Syzygy:
         return self.columns.shape[1]
 
 
-def simple_socle_start(algebra: BlockAlgebra, idem: int) -> Syzygy:
+def simple_socle_start(algebra: Dense, idem: int) -> Syzygy:
     """First syzygy of the simple at ``idem``: the positive-degree part of
     A.e (exact because degree 0 is semisimple, so J = A_{>0})."""
     amb = ProjectiveSum(algebra, [(idem, 0)])
@@ -104,7 +106,7 @@ def next_syzygy(syz: Syzygy, gens) -> Syzygy:
     return Syzygy(cover, ker, cover.degrees[(ker != 0).argmax(axis=0)])
 
 
-def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
+def koszulity_probe(algebra: Dense, hbound: int) -> dict:
     """Linear-resolution probe out to homological degree hbound.
 
     For every simple module, computes the minimal graded projective

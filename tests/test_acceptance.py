@@ -186,11 +186,12 @@ def test_c11_singular_block():
         assert A.dim == p * p
         assert A.dims_by_degree() == {0: p * p}
         # structure constants are exactly those of the matrix algebra
-        for a, (_, _, _, i, j) in enumerate(A.labels):
-            for b, (_, _, _, k, l) in enumerate(A.labels):
+        labels = list(zip(A.row.tolist(), A.col.tolist()))
+        for a, (i, j) in enumerate(labels):
+            for b, (k, l) in enumerate(labels):
                 idx, coeff = product(A, a, b)
                 if j == k:
-                    assert coeff == 1 and A.labels[idx] == ("E", 0, 0, i, l)
+                    assert coeff == 1 and labels[idx] == (i, l)
                 else:
                     assert coeff == 0
     print("ACCEPTANCE 11 singular block is a matrix algebra: PASS (p in {3,5,7})")

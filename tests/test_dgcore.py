@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 from itertools import accumulate
 
@@ -713,25 +714,34 @@ def test_components_match_the_per_map_cores(drawn, data):
     assert table == reference_column_cohomology(degs, d, W, p)
 
 
-# SHA-256 of the JSON list of every table _column_cohomology returns, in
-# call order, on trials 0-1 (seed 2024) of every configuration of the C01
-# round-trip grid and the C02-C07 suites below: 880 tables, 592 of them
-# nonzero.  Recorded with dense rank of whole cells, before structural
-# pivots.  A passing report holds only verdicts, so this is what sees a
-# wrong rank that both sides of an identity share.
+# SHA-256 of the JSON list of every table the public entry points return,
+# in call order: ``cohomology``, at every module that binds it, and
+# ``FiniteDgModule.cohomology``.  Taken on trials 0-1 (seed 2024) of every
+# configuration of the C01 round-trip grid and the C02-C07 suites below:
+# 880 tables, 592 of them nonzero.  Recorded with dense rank of whole cells,
+# before structural pivots.  A passing report holds only verdicts, so this
+# is what sees a wrong rank that both sides of an identity share.
 TABLE_SUITES = ("round-trip", "exactness", "duality-oracle", "compat", "fbot")
 TABLES_SHA256 = "1ea28da826ac009e8e253002b9a2e166cbb3a1c69c8dfe6ab607434f0e6a0330"
 
 
 def test_cohomology_tables_match_the_recorded_digest(monkeypatch):
-    tables = []
+    import koszulkit
+    from koszulkit import cli, homdual, qmodel, suites
 
-    def recording(*args):
-        table = _column_cohomology(*args)
+    tables = []
+    public, finite = cohomology, FiniteDgModule.cohomology
+
+    def record(table):
         tables.append(table.to_triples())
         return table
 
-    monkeypatch.setattr(dgmodule, "_column_cohomology", recording)
+    sites = (koszulkit, dgmodule, cli, homdual, qmodel, suites)
+    bound = {name for name, m in sys.modules.items() if name.startswith("koszulkit") and getattr(m, "cohomology", None) is public}
+    assert bound == {m.__name__ for m in sites}
+    for module in sites:
+        monkeypatch.setattr(module, "cohomology", lambda M, window: record(public(M, window)))
+    monkeypatch.setattr(FiniteDgModule, "cohomology", lambda self, window: record(finite(self, window)))
     grid = [(e, f) for e in range(4) for f in range(e + 1)]
     jobs = [(suite, e, f, p) for suite in TABLE_SUITES for p in (3, 5) for e, f in grid]
     jobs += [("shifts", f, f, p) for p in (3, 5) for f in range(4)]
