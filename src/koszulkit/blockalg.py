@@ -19,12 +19,15 @@ call ``product``.
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
 held one degree at a time, as {degree d: columns over the basis in degree
-d}, so every degree is known by construction.  ``ProjectiveSum.act`` maps
-columns in one degree to another from their nonzero entries, acting by one
+d}, so every degree is known by construction.  Every syzygy, action and
+kernel is held as the entries (rows, cols, vals, width) of its columns,
+vals[i] in row rows[i] of column cols[i] < width, and none is made dense.
+``ProjectiveSum.act`` maps columns in one degree to another, acting by one
 algebra element or by one per column.  Minimal projective covers are
 computed degreewise by splitting the radical, which is the positive-degree
 part because degree 0 is semisimple; every elimination is a
-``linalg.rref`` of one degree's block.
+``linalg.echelon`` of one degree's entries, through ``kernel_basis`` or
+``independent_columns``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .linalg import check_modulus, independent_columns, kernel_basis, sorted_join
+from .linalg import check_modulus, independent_columns, kernel_basis, sorted_join, summed
 
 
 class BlockAlgebra:
@@ -204,7 +207,8 @@ class BlockAlgebra:
 
 class ProjectiveSum:
     """P = direct sum of shifted projectives A.e, with its basis ordered by
-    degree; ``at[d]`` is the slice of the basis in degree d."""
+    degree; ``at[d]`` is the slice of the basis in degree d and ``dims[d]``
+    its length."""
 
     def __init__(self, algebra: BlockAlgebra, summands):
         self.algebra = algebra
@@ -222,35 +226,29 @@ class ProjectiveSum:
         self.row[self.summand, self.element] = np.arange(len(order))
         ds, starts, counts = np.unique(self.degrees, return_index=True, return_counts=True)
         self.at = {d: slice(s, s + n) for d, s, n in zip(ds.tolist(), starts.tolist(), counts.tolist())}
+        self.dims = dict(zip(ds.tolist(), counts.tolist()))
 
-    def act(self, a, x, d: int, t: int) -> np.ndarray:
-        """a.x for x columns over the degree-d basis, given as their nonzero
-        entries (n, c, vals, width): vals[i] in row n[i] of column c[i] <
-        width.  ``a`` is one algebra element of degree t - d, or one per
-        column; the result is dense over the degree-t basis."""
+    def act(self, a, x, d: int, t: int):
+        """a.x for x columns over the degree-d basis, given as their entries
+        (n, c, vals, width): vals[i] in row n[i] of column c[i] < width.
+        ``a`` is one algebra element of degree t - d, or one per column.  The
+        result is the entries of a.x over the degree-t basis, merged by
+        ``summed``: distinct, sorted by (row, column), with values in [1, p)."""
         n, c, vals, width = x
         A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
-        a, n = np.broadcast_to(a, width)[c], src.start + n
+        a, n = a if np.ndim(a) == 0 else a[c], src.start + n
         ab, coeff = A.product(a, self.element[n])
-        vals = coeff * vals  # coefficient of a_c.b_n times x
+        vals = coeff * vals % A.p  # coefficient of a_c.b_n times x
         live = vals.nonzero()[0]
-        c, vals = c[live], vals[live]
         rows = self.row[self.summand[n[live]], ab[live]] - dst.start
-        out = np.zeros((dst.stop - dst.start, width), dtype=np.int64)
-        np.add.at(out, (rows, c), vals)
-        out[rows, c] %= A.p  # only the entries written can be p or more
-        return out
-
-
-def _entries(x: np.ndarray) -> tuple:
-    """The columns of x as ``ProjectiveSum.act`` takes them."""
-    n, c = x.nonzero()
-    return n, c, x[n, c], x.shape[1]
+        key, vals = summed(rows * width + c[live], vals[live], A.p)
+        return *np.divmod(key, width), vals, width
 
 
 def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
-    """Generators of top(K) = K / JK as (class_label, degree, vector), for K
-    held as {degree d: columns over the degree-d basis of ``amb``}.
+    """Generators of top(K) = K / JK as (class_label, degree, (rows, vals)),
+    the entries of one column over the degree's basis, for K held as
+    {degree d: entries of columns over the degree-d basis of ``amb``}.
 
     Works degree by degree: (JK)_d is spanned by the algebra elements of
     degree d - c applied to K_c, all of them in one action on the nonzero
@@ -259,9 +257,8 @@ def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
     """
     A = amb.algebra
     a, b = A.nonzero_products
-    entries, acts = {}, {}
-    for c, kc in syz.items():
-        entries[c] = _entries(kc)
+    acts = {}
+    for c in syz:
         # the algebra elements that act on degree c of amb at all
         on = np.zeros(A.dim, dtype=bool)
         on[amb.element[amb.at[c]]] = True
@@ -269,39 +266,41 @@ def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
         acts[c][a[on[b]]] = True
     out = []
     for d, kd in syz.items():
-        jk = [np.zeros((len(kd), 0), dtype=np.int64)]
-        for c in syz:
+        # (JK)_d's spanning columns, each part's placed past the parts before it
+        jk, shift = [(np.zeros(0, dtype=np.int64),) * 3], 0
+        for c, (n, j, vals, width) in syz.items():
             if c < d:  # elems[r] on column j of K_c is column r * width + j
                 elems = ((A.degrees == d - c) & acts[c]).nonzero()[0]
-                n, j, vals, width = entries[c]
                 k = len(elems)
                 x = n.repeat(k), (j[:, None] + width * np.arange(k)).ravel(), vals.repeat(k), k * width
-                jk.append(amb.act(elems.repeat(width), x, c, d))
-        jk = np.concatenate(jk, axis=1)
-        jk = jk[:, jk.any(axis=0)]  # zero columns span nothing; rref need not read them
+                rows, cols, image, w = amb.act(elems.repeat(width), x, c, d)
+                jk.append((rows, cols + shift, image))
+                shift += w
+        jk = (*map(np.concatenate, zip(*jk)), shift)
         for label, e, _ in A.idempotents:
-            ek = amb.act(e, entries[d], d, d)
-            out.extend((label, d, ek[:, i]) for i in independent_columns(jk, ek, A.p))
+            n, j, vals, _ = ek = amb.act(e, kd, d, d)
+            for i in independent_columns(jk, ek, amb.dims[d], A.p):
+                out.append((label, d, (n[j == i], vals[j == i])))
     return out
 
 
 def next_syzygy(amb: ProjectiveSum, gens, step: int):
     """(cover, kernel) of the projective cover built on ``gens``, all in
     degree ``step``, mapping onto the submodule of ``amb`` they generate; the
-    kernel is {degree t: columns over the cover's degree-t basis}, one
-    action and one kernel per degree of the cover."""
+    kernel is {degree t: entries of columns over the cover's degree-t basis},
+    one action and one kernel per degree of the cover."""
     A = amb.algebra
     idx_of = {label: e for label, e, _ in A.idempotents}
     cover = ProjectiveSum(A, [(idx_of[label], step) for label, _, _ in gens])
-    targets = np.column_stack([v for _, _, v in gens])
-    g, n = targets.T.nonzero()  # the targets' entries, by generator
-    vals = targets[n, g]
+    # the targets' entries, by generator
+    g = np.arange(len(gens)).repeat([len(n) for _, _, (n, _) in gens])
+    n, vals = (np.concatenate(x) for x in zip(*(v for _, _, v in gens)))
     ker = {}
     for t, at in cover.at.items():
         # cover basis element j in degree t maps to its element times its generator's target
         j, i = sorted_join(cover.summand[at], g)
-        k = kernel_basis(amb.act(cover.element[at], (n[i], j, vals[i], at.stop - at.start), step, t), A.p)
-        if k.shape[1]:
+        k = kernel_basis(amb.act(cover.element[at], (n[i], j, vals[i], cover.dims[t]), step, t), amb.dims.get(t, 0), A.p)
+        if k[3]:
             ker[t] = k
     return cover, ker
 
@@ -322,7 +321,7 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
         # the first syzygy is the positive-degree part of A.e (exact because
         # degree 0 is semisimple, so J = A_{>0})
         amb = ProjectiveSum(algebra, [(e, 0)])
-        syz = {d: np.eye(at.stop - at.start, dtype=np.int64) for d, at in amb.at.items() if d >= 1}
+        syz = {d: (np.arange(k), np.arange(k), np.ones(k, dtype=np.int64), k) for d, k in amb.dims.items() if d >= 1}
         for step in range(1, hbound + 1):
             if not syz:
                 break

@@ -56,7 +56,7 @@ from .algebra import (
     monomial_bidegree, parity, span_size, table, weights,
 )
 from .bigraded import Bidegree, BigradedDims, Window
-from .linalg import MAX_RANK_CELLS, components, rank as mat_rank, sorted_join, structural_pivots
+from .linalg import MAX_RANK_CELLS, components, rank as mat_rank, sorted_join, structural_pivots, summed
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -64,23 +64,6 @@ _NO_TERMS = np.zeros((4, 0), dtype=np.int64)
 _NO_TERMS.flags.writeable = False
 _NO_DEGS = _NO_TERMS[:2].T  # (0, 2): the bidegrees of no basis elements
 _NO_POSITIONS = _NO_TERMS[:2].astype(np.int32)  # the rows and cols of an empty d
-
-
-def _summed(key, vals, p: int):
-    """``key`` sorted, the values of equal keys summed mod p in int64 (kept in
-    vals' dtype) and vanishing sums dropped; ``vals`` must be nonzero mod p.
-    Sums mod p do not depend on the order of terms: the sort need not be stable."""
-    order = key.argsort()
-    key, vals = key.take(order), vals.take(order)
-    del order
-    vals %= p
-    repeat = key[1:] == key[:-1]
-    if np.count_nonzero(repeat):
-        first = np.concatenate(([0], (~repeat).nonzero()[0] + 1))
-        key, vals = key[first], (np.add.reduceat(vals, first, dtype=np.int64) % p).astype(vals.dtype, copy=False)
-        nonzero = vals != 0
-        key, vals = key[nonzero], vals[nonzero]
-    return key, vals
 
 
 def _interned(mons):
@@ -97,7 +80,7 @@ def canonical(mons, terms, n_tgt: int, p: int):
         return (), _NO_TERMS
     uniq, ids = _interned(mons)
     src, tgt, mon, coeff = terms
-    key, coeff = _summed((src * n_tgt + tgt) * len(uniq) + ids[mon], coeff, p)
+    key, coeff = summed((src * n_tgt + tgt) * len(uniq) + ids[mon], coeff, p)
     rest, mon = np.divmod(key, len(uniq))
     used = np.bincount(mon, minlength=len(uniq)) != 0
     if not used.all():
@@ -164,7 +147,7 @@ def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int) -> list[tuple[int,
     (terms, mons), the terms e_kl whose d_A is the second part.  Targets are
     below ``n_tgt``.  Product and d_A monomials are numbered by their byte
     keys (``byte_keys``), vanishing products dropped and the rest summed on
-    (k, m, mon) by ``_summed``."""
+    (k, m, mon) by ``linalg.summed``."""
     parts, exps, masks = [], [], []
     for left, right, left_mons, right_mons in products:
         (k, m, mon, coeff), (e, x) = _products(A, left, right, left_mons, right_mons)
@@ -183,7 +166,7 @@ def _d_squared(A: AlgebraSpec, products, derived, n_tgt: int) -> list[tuple[int,
     if not live.any():
         return []
     uniq, ids = np.unique(byte_keys(joined(exps), joined(masks)), return_inverse=True)
-    key, _ = _summed(((k * n_tgt + m) * len(uniq) + ids[mon])[live], coeff[live], A.p)
+    key, _ = summed(((k * n_tgt + m) * len(uniq) + ids[mon])[live], coeff[live], A.p)
     k, m = np.divmod(key // len(uniq), n_tgt)
     first = np.unique(k, return_index=True)[1]  # keys are sorted, so each k's least m comes first
     return list(zip(k[first].tolist(), m[first].tolist()))
@@ -514,7 +497,7 @@ class Expansion:
         key = np.left_shift(self._place[src], 32, out=src, dtype=np.int64)
         key |= self._place[dst]
         del src, dst
-        key, vals = _summed(key, vals, p)
+        key, vals = summed(key, vals, p)
         words = key.view(np.int32).reshape(-1, 2)  # each key's low and high word, in memory order
         return words[:, int(np.little_endian)], words[:, 1 - int(np.little_endian)], vals
 

@@ -9,18 +9,21 @@ nonzero entries alone; what it leaves falls apart into ``components``, and
 entry.  All elimination goes through ``echelon``, a sparse left-looking row
 reduction on COO input (after Faugere-Lachartre and SpaSM) that holds each
 row as a dict of Python ints, so no product can overflow.
-``sl2.frobenius_form`` hands it a Gram matrix's entries, and every other
-caller goes through ``rref``, its dense wrapper.  ``rank`` and
-``independent_columns`` stop at the echelon form, whose pivot set is the
-reduced form's, and build no (rank, n) array.  The blocks it meets are
-small, or large and sparse, and fill in little.
+``sl2.frobenius_form`` hands it a Gram matrix's entries, ``kernel_basis``
+and ``independent_columns`` take columns as entries (rows, cols, vals,
+width), and only ``rank`` goes through ``rref``, its dense wrapper.  Only
+``kernel_basis`` back-substitutes, and it reads the reduced rows as
+entries: nothing builds a (rank, n) array.  ``summed`` merges entries at
+equal keys.  The blocks met are small, or large and sparse, and fill in
+little.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["is_odd_prime", "check_modulus", "rank", "echelon", "rref", "structural_pivots", "components", "kernel_basis", "independent_columns"]
+__all__ = ["is_odd_prime", "check_modulus", "rank", "echelon", "rref", "structural_pivots", "components", "kernel_basis",
+           "independent_columns", "sorted_join", "summed"]
 
 
 def sorted_join(a, b):
@@ -29,6 +32,23 @@ def sorted_join(a, b):
     count = b.searchsorted(a, "right") - lo
     i = np.arange(len(a)).repeat(count)
     return i, np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)
+
+
+def summed(key, vals, p: int):
+    """``key`` sorted, the values of equal keys summed mod p in int64 (kept in
+    vals' dtype) and vanishing sums dropped; ``vals`` must be nonzero mod p.
+    Sums mod p do not depend on the order of terms: the sort need not be stable."""
+    order = key.argsort()
+    key, vals = key.take(order), vals.take(order)
+    del order
+    vals %= p
+    repeat = key[1:] == key[:-1]
+    if np.count_nonzero(repeat):
+        first = np.concatenate(([0], (~repeat).nonzero()[0] + 1))
+        key, vals = key[first], (np.add.reduceat(vals, first, dtype=np.int64) % p).astype(vals.dtype, copy=False)
+        nonzero = vals != 0
+        key, vals = key[nonzero], vals[nonzero]
+    return key, vals
 
 
 def is_odd_prime(p: int) -> bool:
@@ -44,8 +64,8 @@ def is_odd_prime(p: int) -> bool:
 
 # Moduli are below 2^24, so residues are < 2^24 and products < 2^48.  The
 # validate() of semifree modules and chain maps (through dgmodule._d_squared
-# and _summed) reduces each product of coefficients mod p before summing in
-# int64, so a sum of k terms stays below k 2^24 and far below 2^63.  rref
+# and summed) reduces each product of coefficients mod p before summing in
+# int64, so a sum of k terms stays below k 2^24 and far below 2^63.  echelon
 # works in Python ints and needs no bound.
 MAX_MODULUS = 1 << 24
 
@@ -55,7 +75,7 @@ MAX_MODULUS = 1 << 24
 # costs 1-4 bytes (the narrowest unsigned dtype that holds p), so at p = 3
 # a block may hold 512M entries.  The e = f = 5 round trip at p = 3, seed
 # 2024, trials 0-3 ranks at most trial 3's 7912 x 13355 block (106 MB as
-# uint8, 49,262 nonzeros, rank 5804), a margin of 4.8.  rref refuses to
+# uint8, 49,262 nonzeros, rank 5804), a margin of 4.8.  echelon refuses to
 # hold more than MAX_RANK_CELLS // 8 entries in its rows (a dict entry of
 # Python ints costs about 8 int64 cells); trials 0-2 hold at most 474, and
 # trial 3's largest block 79,425.
@@ -144,19 +164,12 @@ def echelon(rows, cols, vals, shape, p: int, reduced: bool = False):
     return (np.arange(len(pivots)).repeat(lens), cols, vals), len(pivots), np.array(pivots, dtype=np.int64)
 
 
-def rref(a: np.ndarray, p: int, reduced: bool = True):
-    """Reduced row echelon form over GF(p) of the dense ``a``: (pivot rows,
-    rank, pivot columns), the pivot rows a (rank, n) int64 array with
-    entries in [0, p); with ``reduced`` false, (None, rank, pivot columns)
-    of the echelon form.  ``echelon`` on the nonzeros of ``a``."""
+def rref(a: np.ndarray, p: int):
+    """Echelon form over GF(p) of the dense ``a``: (None, rank, pivot
+    columns), ``echelon`` on the nonzeros of ``a``."""
     flat = a.ravel()
     at = flat.nonzero()[0]  # a 2-D nonzero() is slower on large blocks
-    coo, rank_, pivots = echelon(*np.divmod(at, a.shape[1]), flat[at], a.shape, p, reduced)
-    if coo is None:
-        return None, rank_, pivots
-    r = np.zeros((rank_, a.shape[1]), dtype=np.int64)
-    r[coo[:2]] = coo[2]
-    return r, rank_, pivots
+    return echelon(*np.divmod(at, a.shape[1]), flat[at], a.shape, p)
 
 
 def structural_pivots(rows, cols, n: int):
@@ -215,39 +228,40 @@ def components(u, v):
 
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` over GF(p); 0 for matrices with an empty side."""
-    return rref(a, p, reduced=False)[1] if a.size else 0
+    return rref(a, p)[1] if a.size else 0
 
 
-def independent_columns(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:
+def independent_columns(base, cands, m: int, p: int) -> list[int]:
     """Indices of the columns of ``cands`` that a left-to-right greedy pass
     keeps: each lies outside the span of ``base`` and the kept ones before it.
+    Both are the entries (rows, cols, vals, width) of columns over m rows.
 
     These are the pivot columns of one echelon form of [base | cands] that
     lie past ``base``: a column pivots exactly when it is independent of
     those before.
     """
-    if not cands.any():
+    (r, c, v, w), (rc, cc, vc, wc) = base, cands
+    if not len(cc):
         return []
-    pivots = rref(np.concatenate([base, cands], axis=1), p, reduced=False)[2]
-    return (pivots[pivots >= base.shape[1]] - base.shape[1]).tolist()
+    pivots = echelon(np.concatenate([r, rc]), np.concatenate([c, cc + w]), np.concatenate([v, vc]), (m, w + wc), p)[2]
+    return (pivots[pivots >= w] - w).tolist()
 
 
-def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel of ``a``, as columns of an (n, nullity) matrix.
+def kernel_basis(a, m: int, p: int):
+    """Basis of the right kernel of the m x n matrix with entries ``a`` =
+    (rows, cols, vals, n), as the entries (rows, cols, vals, nullity) of an
+    (n, nullity) matrix K, values in [1, p).
 
-    Columns are the canonical echelon-form generators: one per free column,
-    with a 1 in that coordinate.  Always satisfies a @ K = 0 mod p and the
-    columns are linearly independent; nullity = n - rank(a).
+    Column f of K is the canonical echelon-form generator of the f-th free
+    column j: 1 at row j and, at the row of each pivot column, minus the
+    reduced form's entry in column j.  So a K = 0 mod p, the columns are
+    independent, and nullity = n - rank.
     """
-    m, n = a.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0 or not a.any():
-        return np.eye(n, dtype=np.int64)
-    r, _, pivots = rref(a, p)
-    pivot_set = set(pivots.tolist())
-    free = [j for j in range(n) if j not in pivot_set]
-    k = np.zeros((n, len(free)), dtype=np.int64)
-    k[free, range(len(free))] = 1
-    k[pivots] = (-r[:, free]) % p
-    return k
+    rows, cols, vals, n = a
+    (i, c, v), _, pivots = echelon(rows, cols, vals, (m, n), p, reduced=True)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    j, f = free.nonzero()[0], free.cumsum() - 1  # the free columns; column f[j] of K is free column j's
+    off = free[c]  # the reduced rows' entries in free columns
+    k = len(j)
+    return np.concatenate([j, pivots[i[off]]]), np.concatenate([np.arange(k), f[c[off]]]), np.concatenate([np.ones(k, np.int64), p - v[off]]), k

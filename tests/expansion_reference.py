@@ -7,7 +7,7 @@ that code verbatim: ``_spans``, ``_d_blocks``, ``_gather`` and
 ``Expansion`` (``__init__``, ``basis``, ``labels``, ``_assemble``,
 ``action``) from ``dgmodule``, and ``_restrict_scalars`` with the
 ``restrict_to_T``/``pushforward_p`` wrappers from ``qmodel``.  They read
-``algebra``'s cached tables and ``dgmodule``'s ``_summed``, which compute
+``algebra``'s cached tables and ``linalg``'s ``summed``, which compute
 what they computed then, so tests can compare the grouped kernel with this one entry
 for entry.
 
@@ -33,9 +33,9 @@ from koszulkit.dgmodule import (
     _NO_TERMS,
     MAX_EXPANSION_BASIS,
     SemifreeDgModule,
-    _summed,
     canonical,
 )
+from koszulkit.linalg import summed
 
 
 def _table(key, jlo: int, jhi: int):
@@ -179,7 +179,7 @@ class Expansion:
         src, dst, vals = _gather(blocks, self._offsets)
         if not len(src):
             return src, dst, vals
-        key, vals = _summed(self._place[src] * len(self) + self._place[dst], vals, self.module.algebra.p)
+        key, vals = summed(self._place[src] * len(self) + self._place[dst], vals, self.module.algebra.p)
         return (*np.divmod(key, len(self)), vals)
 
     def action(self, is_ext: bool, g: int):

@@ -4,12 +4,18 @@ columns over the whole ambient, acts one algebra element per call, and
 reads each kernel vector's degree at its first nonzero.  It reads the
 algebra's dense product tables (``block_reference.Dense``).  Its
 elimination is ``linalg``'s, which ``test_linalg`` checks against
-``dense_reference``."""
+``dense_reference``; ``entries`` hands its dense columns to ``linalg``."""
 
 import numpy as np
 
 from block_reference import Dense, column_basis
 from koszulkit.linalg import independent_columns, kernel_basis
+
+
+def entries(x: np.ndarray) -> tuple:
+    """The dense columns x as ``linalg`` takes them: (rows, cols, vals, width)."""
+    rows, cols = x.nonzero()
+    return rows, cols, x[rows, cols], x.shape[1]
 
 
 class ProjectiveSum:
@@ -83,7 +89,7 @@ def minimal_generators(syz: Syzygy) -> list[tuple]:
         )
         for label, e, _ in A.idempotents:
             ek = amb.act(e, kd)
-            out.extend((label, d, ek[:, c]) for c in independent_columns(jk, ek, A.p))
+            out.extend((label, d, ek[:, c]) for c in independent_columns(entries(jk), entries(ek), amb.dim, A.p))
     return out
 
 
@@ -100,7 +106,9 @@ def next_syzygy(syz: Syzygy, gens) -> Syzygy:
     for b in np.unique(cover.element).tolist():
         cols = np.nonzero(cover.element == b)[0]
         phi[:, cols] = syz.ambient.act(b, targets[:, cover.summand[cols]])
-    ker = kernel_basis(phi, p)
+    rows, cols, vals, nullity = kernel_basis(entries(phi), syz.ambient.dim, p)
+    ker = np.zeros((cover.dim, nullity), dtype=np.int64)
+    ker[rows, cols] = vals
     # kernel vectors of a graded map are homogeneous (elimination only combines
     # rows of one degree), so each column's degree is read at its first nonzero
     return Syzygy(cover, ker, cover.degrees[(ker != 0).argmax(axis=0)])

@@ -14,7 +14,7 @@ import expansion_reference
 import finite_reference as dense_ref
 from dense_reference import rank as dense_rank
 from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
-from koszulkit import algebra, dgmodule
+from koszulkit import algebra, dgmodule, linalg
 from koszulkit.algebra import KINDS, MAX_E, make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
@@ -910,7 +910,7 @@ def test_expansion_arrays_have_pinned_dtypes(p):
 def test_summed_adds_narrow_values_without_wrapping():
     # 200 + 100 = 300 wraps to 44 in uint8; mod 251 the sum is 49, and a sum
     # that vanishes mod p is dropped; the values keep their dtype
-    key, vals = dgmodule._summed(np.array([7, 5, 5, 9, 9]), np.array([3, 200, 100, 250, 1], np.uint8), 251)
+    key, vals = linalg.summed(np.array([7, 5, 5, 9, 9]), np.array([3, 200, 100, 250, 1], np.uint8), 251)
     assert key.tolist() == [5, 7] and vals.tolist() == [49, 3] and vals.dtype == np.uint8
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference
@@ -17,6 +17,33 @@ def mat(rows, p: int) -> np.ndarray:
     return np.mod(np.asarray(rows, dtype=np.int64), p)
 
 
+def entries(a: np.ndarray) -> tuple:
+    """The columns of the dense ``a`` as (rows, cols, vals, width), the form
+    ``kernel_basis`` and ``independent_columns`` take."""
+    rows, cols = a.nonzero()
+    return rows, cols, a[rows, cols], a.shape[1]
+
+
+def dense(x, m: int) -> np.ndarray:
+    """The m-row matrix with entries x = (rows, cols, vals, width); every
+    position must be distinct."""
+    rows, cols, vals, width = x
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    out = np.zeros((m, width), dtype=np.int64)
+    out[rows, cols] = vals
+    return out
+
+
+def reduced(a: np.ndarray, p: int):
+    """(reduced pivot rows, rank, pivot columns) of the dense ``a``, from
+    ``echelon`` with ``reduced`` on its nonzeros: the pivot rows as a dense
+    (rank, n) int64 array."""
+    rows, cols = a.nonzero()
+    (i, c, v), rank_, pivots = within(RREF_SECONDS, linalg.echelon, rows, cols, a[rows, cols], a.shape, p, True)
+    assert i.dtype == c.dtype == v.dtype == np.int64
+    return dense((i, c, v, a.shape[1]), rank_), rank_, pivots
+
+
 def solve(a: np.ndarray, b: np.ndarray, p: int):
     """One solution of a @ x = b mod p, or None when the system is inconsistent.
 
@@ -30,7 +57,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     aug = np.zeros((m, n + 1), dtype=np.int64)
     aug[:, :n] = np.mod(a, p)
     aug[:, n] = b
-    r, rank_, pivots = within(RREF_SECONDS, linalg.rref, aug, p)
+    r, rank_, pivots = reduced(aug, p)
     if rank_ and pivots[-1] == n:
         return None
     x = np.zeros(n, dtype=np.int64)
@@ -57,20 +84,25 @@ def test_rank_dependent_rows():
     assert linalg.rank(a, 5) == 1
 
 
+def kernel(a: np.ndarray, p: int) -> np.ndarray:
+    """``kernel_basis`` of the dense ``a``, made dense."""
+    return dense(linalg.kernel_basis(entries(a), a.shape[0], p), a.shape[1])
+
+
 def test_kernel_identity_empty():
-    k = linalg.kernel_basis(np.eye(3, dtype=np.int64), 5)
+    k = kernel(np.eye(3, dtype=np.int64), 5)
     assert k.shape == (3, 0)
 
 
 def test_kernel_zero_matrix_full():
-    k = linalg.kernel_basis(np.zeros((2, 3), dtype=np.int64), 5)
+    k = kernel(np.zeros((2, 3), dtype=np.int64), 5)
     assert k.shape == (3, 3)
     assert linalg.rank(k, 5) == 3
 
 
 def test_kernel_rank_one():
     a = mat([[1, 2], [2, 4]], 5)
-    k = linalg.kernel_basis(a, 5)
+    k = kernel(a, 5)
     assert k.shape == (2, 1)
     assert not matmul(a, k, 5).any()
     # (3, 1) spans the same line
@@ -129,7 +161,7 @@ def test_rank_equals_transpose_rank(data):
 @given(matrices())
 def test_rank_nullity(data):
     a, p = data
-    k = linalg.kernel_basis(a, p)
+    k = kernel(a, p)
     assert linalg.rank(a, p) + k.shape[1] == a.shape[1]
     if a.size and k.size:
         assert not matmul(a, k, p).any()
@@ -201,11 +233,13 @@ def rref_inputs(draw, primes=(3, 5, 7, BIG_PRIME)):
 @settings(max_examples=400, deadline=None)
 @given(rref_inputs())
 def test_rref_matches_the_dense_reference(data):
+    """echelon with ``reduced`` on a dense matrix's nonzeros: the reference's
+    reduced form."""
     a, p = data
-    want, got = dense_reference.rref(a, p), within(RREF_SECONDS, linalg.rref, a, p)
+    want, got = dense_reference.rref(a, p), reduced(a, p)
     assert got[0].dtype == np.int64 and got[2].dtype == np.int64
     assert got[1] == want[1]
-    # rref returns only the pivot rows; the reference's other rows are zero
+    # echelon returns only the pivot rows; the reference's other rows are zero
     assert got[0].shape == (want[1], a.shape[1]) and (got[0] == want[0][: want[1]]).all()
     assert not want[0][want[1]:].any()
     assert got[2].tolist() == want[2].tolist()
@@ -234,11 +268,11 @@ def cores(draw):
 @settings(max_examples=400, deadline=None)
 @given(cores())
 def test_echelon_only_matches_the_dense_reference(data):
-    """rref(reduced=False) stops at the echelon form: no rows, and the
-    reference's rank and pivot columns."""
+    """rref stops at the echelon form: no rows, and the reference's rank and
+    pivot columns."""
     a, p = data
     want = dense_reference.rref(a, p)
-    rows, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, p, reduced=False)
+    rows, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, p)
     assert rows is None and rank_ == want[1]
     assert pivots.dtype == np.int64 and pivots.tolist() == want[2].tolist()
     assert within(RREF_SECONDS, linalg.rank, a, p) == want[1]
@@ -273,17 +307,20 @@ def test_rref_bounds_the_entries_its_rows_hold(monkeypatch):
     # columns 3 and 4, so the pivot rows end with 7
     a = mat([[1, 1, 1, 0, 0], [0, 1, 0, 1, 1]], 5)
     monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 7 * 8)
-    r, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, 5)
+    r, rank_, pivots = reduced(a, 5)
     assert r.tolist() == [[1, 0, 1, 4, 4], [0, 1, 0, 1, 1]] and rank_ == 2 and pivots.tolist() == [0, 1]
     monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 7 * 8 - 1)
     with pytest.raises(ValueError, match=r"^row reduction of a 2 x 5 matrix holds 7 entries in its rows \(about 448 bytes\), over the limit of 6$"):
-        within(RREF_SECONDS, linalg.rref, a, 5)
+        reduced(a, 5)
+    # kernel_basis back-substitutes too
+    with pytest.raises(ValueError, match=r"^row reduction of a 2 x 5 matrix holds 7 entries in its rows"):
+        within(RREF_SECONDS, linalg.kernel_basis, entries(a), 2, 5)
     # the echelon form stops before back-substitution, at 6
-    r, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, 5, reduced=False)
+    r, rank_, pivots = within(RREF_SECONDS, linalg.rref, a, 5)
     assert r is None and rank_ == 2 and pivots.tolist() == [0, 1]
     monkeypatch.setattr(linalg, "MAX_RANK_CELLS", 6 * 8 - 1)
     with pytest.raises(ValueError, match=r"^row reduction of a 2 x 5 matrix holds 6 entries in its rows \(about 384 bytes\), over the limit of 5$"):
-        within(RREF_SECONDS, linalg.rref, a, 5, reduced=False)
+        within(RREF_SECONDS, linalg.rref, a, 5)
 
 
 def greedy_independent(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:
@@ -327,14 +364,73 @@ def base_and_candidates(draw):
 @given(base_and_candidates())
 def test_independent_columns_matches_greedy_loop(data):
     base, cands, p = data
-    assert linalg.independent_columns(base, cands, p) == greedy_independent(base, cands, p)
+    assert independent(base, cands, p) == greedy_independent(base, cands, p)
+
+
+def independent(base: np.ndarray, cands: np.ndarray, p: int) -> list[int]:
+    """``independent_columns`` of the dense ``base`` and ``cands``."""
+    return linalg.independent_columns(entries(base), entries(cands), base.shape[0], p)
 
 
 def test_independent_columns_edge_cases():
     e1 = mat([[1], [0]], 5)
     # a multiple of the base, a zero column, a new direction, then its double
     cands = mat([[2, 0, 1, 2], [0, 0, 1, 2]], 5)
-    assert linalg.independent_columns(e1, cands, 5) == [2]
-    assert linalg.independent_columns(e1[:, :0], cands, 5) == [0, 2]
-    assert linalg.independent_columns(e1, cands[:, :0], 5) == []
-    assert linalg.independent_columns(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 5) == []
+    assert independent(e1, cands, 5) == [2]
+    assert independent(e1[:, :0], cands, 5) == [0, 2]
+    assert independent(e1, cands[:, :0], 5) == []
+    assert independent(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 5) == []
+
+
+def shuffled_entries(a: np.ndarray, rng, density: float) -> tuple:
+    """The entries of ``a`` in a random order, with each zero of ``a`` among
+    them with probability ``density`` (so with density 0, a zero matrix has
+    no entries)."""
+    rows, cols = ((rng.random(a.shape) < density) | (a != 0)).nonzero()
+    order = rng.permutation(len(rows))
+    return rows[order], cols[order], a[rows[order], cols[order]], a.shape[1]
+
+
+def reference_kernel(a: np.ndarray, p: int) -> np.ndarray:
+    """The canonical kernel basis of ``a`` from the dense reference's reduced
+    form: per free column j, 1 at row j and minus column j of the reduced
+    form at the pivot rows."""
+    r, rank_, pivots = dense_reference.rref(a, p)
+    free = np.setdiff1d(np.arange(a.shape[1]), pivots)
+    k = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    k[free, np.arange(len(free))] = 1
+    k[pivots] = -r[:rank_, free] % p
+    return k
+
+
+EMPTY_CASES = [
+    (np.zeros((3, 0), dtype=np.int64), 5),  # n = 0
+    (np.zeros((0, 4), dtype=np.int64), 5),  # m = 0
+    (np.zeros((3, 4), dtype=np.int64), 7),  # no entries
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cores(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3]), st.integers(0, 60))
+@example(EMPTY_CASES[0], 0, 0.0, 0)
+@example(EMPTY_CASES[1], 0, 0.0, 2)
+@example(EMPTY_CASES[2], 0, 0.0, 1)
+@example(EMPTY_CASES[2], 0, 0.3, 3)
+def test_coo_kernel_and_independent_columns_match_the_dense_reference(data, seed, density, split):
+    """kernel_basis and independent_columns on a matrix's entries in a random
+    order, explicit zeros and (negative) multiples of p among them: the
+    reference's canonical kernel, as distinct entries with values in [1, p),
+    and the pivot columns past the base of [base | cands], the matrix split
+    at column ``split``."""
+    a, p = data
+    m, n = a.shape
+    rng = np.random.default_rng(seed)
+    k = within(RREF_SECONDS, linalg.kernel_basis, shuffled_entries(a, rng, density), m, p)
+    assert k[3] == n - dense_reference.rank(a, p)
+    assert ((1 <= k[2]) & (k[2] < p)).all()
+    assert (dense(k, n) == reference_kernel(a, p)).all()
+    w = min(split, n)
+    base, cands = shuffled_entries(a[:, :w], rng, density), shuffled_entries(a[:, w:], rng, density)
+    pivots = dense_reference.rref(a, p)[2]
+    want = (pivots[pivots >= w] - w).tolist()
+    assert within(RREF_SECONDS, linalg.independent_columns, base, cands, m, p) == want

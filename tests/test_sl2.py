@@ -43,6 +43,14 @@ def entries(x):
     return n, c, x[n, c], x.shape[1]
 
 
+def dense(y, m: int) -> np.ndarray:
+    """The m-row matrix with the entries y = (rows, cols, vals, width)."""
+    rows, cols, vals, width = y
+    out = np.zeros((m, width), dtype=np.int64)
+    out[rows, cols] = vals
+    return out
+
+
 def construct(*args, check=True):
     """A BlockAlgebra; with check False, built without the constructor's
     check of the axioms."""
@@ -271,7 +279,7 @@ def test_poincare_singular_constant():
 def test_first_syzygy_generators_degree_one():
     A = build_regular_block(3, 0)
     amb = ProjectiveSum(A, [(A.idempotents[0][1], 0)])
-    syz = {d: np.eye(at.stop - at.start, dtype=np.int64) for d, at in amb.at.items() if d >= 1}
+    syz = {d: entries(np.eye(at.stop - at.start, dtype=np.int64)) for d, at in amb.at.items() if d >= 1}
     degs = sorted(set(d for _, d, _ in minimal_generators(amb, syz)))
     assert degs == [1]
 
@@ -430,15 +438,24 @@ def test_act_on_matrix_matches_per_element_loop(p):
             assert not np.delete(out, dst, axis=0).any()
             return out[dst]
 
+        def action(a, x, d, t):
+            """act's entries, checked distinct, sorted by (row, column) and
+            in [1, p), made dense over the degree-t basis."""
+            y = rows, cols, vals, width = amb.act(a, entries(x), d, t)
+            assert width == x.shape[1] and ((0 <= cols) & (cols < width)).all()
+            assert (np.diff(rows * width + cols) > 0).all()
+            assert ((1 <= vals) & (vals < p)).all()
+            return dense(y, amb.dims.get(t, 0))
+
         for d, at in amb.at.items():
             x = rng.integers(0, p, size=(at.stop - at.start, 4)).astype(np.min_scalar_type(p))
             x[:, 1] = 0
             for a in range(A.dim):
                 t = d + int(A.degrees[a])
-                assert (amb.act(a, entries(x), d, t) == reference([a] * 4, x, d, t)).all()
+                assert (action(a, x, d, t) == reference([a] * 4, x, d, t)).all()
             for da in set(A.degrees.tolist()):
                 a = rng.choice((A.degrees == da).nonzero()[0], 4)
-                assert (amb.act(a, entries(x), d, d + da) == reference(a, x, d, d + da)).all()
+                assert (action(a, x, d, d + da) == reference(a, x, d, d + da)).all()
 
 
 def test_graded_cartan_matches_per_pair_loop():
@@ -518,17 +535,21 @@ def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
     """Each per-degree block K_t that next_syzygy returns on the pinned
     blocks is a kernel of its map phi_t (the generators acted on by the
     cover's degree-t basis) of full nullity: phi_t K_t = 0 mod p, and its
-    columns are independent and number cols(phi_t) - rank(phi_t)."""
+    columns are independent and number cols(phi_t) - rank(phi_t).  Both are
+    made dense here, phi_t from the generators' entries column by column."""
     from koszulkit import blockalg
 
     blocks = []
 
     def recording(amb, gens, step):
         cover, ker = next_syzygy(amb, gens, step)
-        targets = np.column_stack([v for _, _, v in gens])
+        targets = np.zeros((amb.dims[step], len(gens)), dtype=np.int64)
+        for g, (_, _, (n, vals)) in enumerate(gens):
+            targets[n, g] = vals
         for t, at in cover.at.items():
-            phi = amb.act(cover.element[at], entries(targets[:, cover.summand[at]]), step, t)
-            blocks.append((phi, ker.get(t, np.zeros((phi.shape[1], 0), dtype=np.int64)), cover.algebra.p))
+            phi = dense(amb.act(cover.element[at], entries(targets[:, cover.summand[at]]), step, t), amb.dims.get(t, 0))
+            k = dense(ker[t], cover.dims[t]) if t in ker else np.zeros((phi.shape[1], 0), dtype=np.int64)
+            blocks.append((phi, k, cover.algebra.p))
         return cover, ker
 
     monkeypatch.setattr(blockalg, "next_syzygy", recording)
