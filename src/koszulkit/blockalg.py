@@ -10,11 +10,10 @@ gives the type and coefficient of each product of two types, and
 three per-label arrays and the table.  An algebra given by structure
 constants on a basis is one type per label, all on one block of size 1.
 The grading, the unit and associativity are checked on the type table,
-which is exact (see ``BlockAlgebra``).  ``nonzero_products`` lists the
-pairs whose product is nonzero, type pair by type pair; the Frobenius form
-and the anti-automorphism in ``sl2`` and ``minimal_generators`` read those,
-and the Cartan table, idempotent columns and the action on projectives
-call ``product``.
+which is exact (see ``BlockAlgebra``); so are the Frobenius form, the
+anti-automorphism and the Cartan table in ``sl2``, and the acting set of
+``minimal_generators``.  Only ``column_basis``, ``ProjectiveSum`` and the
+Koszulity probe read labels.
 
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
@@ -31,8 +30,6 @@ part because degree 0 is semisimple; every elimination is a
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -59,7 +56,7 @@ class BlockAlgebra:
     (class_label, basis index, simple dimension).
     trace: {type name: value}, each type from a block to itself, the linear
     functional with (t, i, i) -> value whose pairing tr(xy) is the
-    candidate Frobenius form; held as {basis index: value}.
+    candidate Frobenius form; held per type, mod p, 0 where not listed.
 
     The lemma the checks rest on: when every block has size at least 1,
     for labels a = (t, i, j), b = (u, k, l), c = (w, m, n) both (ab)c and
@@ -73,6 +70,16 @@ class BlockAlgebra:
     unit type t times (w, m, n) is t.w at (m, n), so the unit laws hold
     exactly when they hold on the type table.  With one type per label
     these are the label-level checks themselves.
+
+    The same placement carries the readers in ``sl2`` to the type table.
+    tr((t, i, j).(u, k, l)) is [j == k][i == l] C[t, u] tr(P[t, u]), for
+    product types P and coefficients C, so the label Gram is a direct sum
+    of copies of the type Gram's pieces, one copy per (i, j).  A type map
+    phi that swaps each type's blocks lifts to (t, i, j) -> (phi t, j, i),
+    and it reverses products exactly when it does on the type table.  A
+    primitive idempotent (t, 0, 0) fixes from the left only labels in row
+    0, and from the right only labels in column 0, so a Cartan table counts
+    types.
     """
 
     def __init__(self, p, types, degrees, blocks, sizes, products, units, idempotents, trace):
@@ -110,12 +117,13 @@ class BlockAlgebra:
             t, u, v = (self.types[x[off.argmax()]] for x in (t, u, v))
             raise ValueError(f"types {t} and {u} do not compose to {v}")
         self.units = [where[name] for name in units]
-        traced = {where[name]: v for name, v in trace.items()}
+        traced = [where[name] for name in trace]
         square = self.blocks[[*self.units, *traced]]
         if (square[:, 0] != square[:, 1]).any():
             raise ValueError("a unit or trace type must run from a block to itself")
         self.idempotents = [(label, int(self.offset[where[name]]), int(self.width[where[name]])) for label, name in idempotents]
-        self.trace = {x: v for t, v in traced.items() for x in self.index(t, *np.diag_indices(self.width[t])).tolist()}
+        self.trace = np.zeros(len(self.types), dtype=np.int64)
+        self.trace[traced] = [v % p for v in trace.values()]
         problems = self.check_axioms()
         if problems:
             raise ValueError("; ".join(problems))
@@ -132,22 +140,6 @@ class BlockAlgebra:
         t, u = self.type[a], self.type[b]
         coeff = np.where(self.col[a] == self.row[b], self.product_coeff[t, u], 0)
         return self.index(self.product_type[t, u], self.row[a], self.col[b]), coeff
-
-    @functools.cached_property
-    def nonzero_products(self):
-        """Positions (a, b) of the nonzero products, sorted by a, then b: for
-        each type t and each u with t.u nonzero, (t, i, j) times (u, j, l)."""
-        a, b = [], []
-        for t in range(len(self.types)):
-            us = self.product_coeff[t].nonzero()[0]
-            w = self.width[us]
-            # b = (u, j, l) over the us in order, then l, for j = 0, and its step in j
-            first, step = self.offset[us].repeat(w), w.repeat(w)
-            first += np.arange(w.sum()) - (w.cumsum() - w).repeat(w)
-            by_j = first + np.arange(self.width[t])[:, None] * step
-            a.append(np.arange(self.offset[t], self.offset[t + 1]).repeat(len(first)))
-            b.append(np.tile(by_j, (self.sizes[self.blocks[t, 0]], 1)).ravel())
-        return np.concatenate(a), np.concatenate(b)
 
     # -- axioms -----------------------------------------------------------
     def check_axioms(self) -> list[str]:
@@ -256,21 +248,21 @@ def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
     of class r is read off by applying its idempotent.
     """
     A = amb.algebra
-    a, b = A.nonzero_products
     acts = {}
     for c in syz:
-        # the algebra elements that act on degree c of amb at all
-        on = np.zeros(A.dim, dtype=bool)
-        on[amb.element[amb.at[c]]] = True
-        acts[c] = np.zeros(A.dim, dtype=bool)
-        acts[c][a[on[b]]] = True
+        # the types that act on degree c of amb at all: amb's elements of a
+        # type u are (u, k, 0) for every row k, so (t, i, j) acts on one of
+        # them exactly when t.u is nonzero
+        on = np.zeros(len(A.types), dtype=bool)
+        on[A.type[amb.element[amb.at[c]]]] = True
+        acts[c] = (A.product_coeff[:, on] != 0).any(axis=1)
     out = []
     for d, kd in syz.items():
         # (JK)_d's spanning columns, each part's placed past the parts before it
         jk, shift = [(np.zeros(0, dtype=np.int64),) * 3], 0
         for c, (n, j, vals, width) in syz.items():
             if c < d:  # elems[r] on column j of K_c is column r * width + j
-                elems = ((A.degrees == d - c) & acts[c]).nonzero()[0]
+                elems = (acts[c] & (A.type_degrees == d - c))[A.type].nonzero()[0]
                 k = len(elems)
                 x = n.repeat(k), (j[:, None] + width * np.arange(k)).ravel(), vals.repeat(k), k * width
                 rows, cols, image, w = amb.act(elems.repeat(width), x, c, d)

@@ -9,12 +9,12 @@ nonzero entries alone; what it leaves falls apart into ``components``, and
 entry.  All elimination goes through ``echelon``, a sparse left-looking row
 reduction on COO input (after Faugere-Lachartre and SpaSM) that holds each
 row as a dict of Python ints, so no product can overflow.
-``sl2.frobenius_form`` hands it a Gram matrix's entries, ``kernel_basis``
-and ``independent_columns`` take columns as entries (rows, cols, vals,
-width), and only ``rank`` goes through ``rref``, its dense wrapper.  Only
-``kernel_basis`` back-substitutes, and it reads the reduced rows as
-entries: nothing builds a (rank, n) array.  ``summed`` merges entries at
-equal keys.  The blocks met are small, or large and sparse, and fill in
+``sl2.frobenius_form`` hands it the entries of a T x T type Gram,
+``kernel_basis`` and ``independent_columns`` take columns as entries
+(rows, cols, vals, width), and only ``rank`` goes through ``rref``, its
+dense wrapper.  Only ``kernel_basis`` back-substitutes, and it reads the
+reduced rows as entries: nothing builds a (rank, n) array.  ``summed``
+merges entries at equal keys.  The blocks met are small, or large and sparse, and fill in
 little.
 """
 

@@ -31,13 +31,14 @@ SHIFTS = (0, 1)
 
 # Largest block and deepest Koszulity probe a report accepts.  In process on
 # 2 cores (wall time, peak RSS), the costliest accepted report, p = 23 at
-# hbound 8, takes 0.07-0.08 s at 35 MB.  With the limits lifted, hbound 8
-# at p = 29 takes 0.08-0.09 s at 39 MB, at p = 37 0.12 s at 48 MB and at
-# p = 53 0.31-0.38 s at 79 MB.  At p = 37 building the block peaks at
-# 0.12 MB and the probe at 10 MB (tracemalloc).  hbound 16 at p = 19 takes
-# 0.13-0.20 s at 38 MB (lambda 0) and 0.36-0.41 s at 80 MB (lambda 4).
-# Both limits stay as they were set from the int64 tables; re-sizing them
-# is a change of its own.
+# hbound 8, takes 0.03-0.04 s at 32 MB.  With the limits lifted, hbound 8
+# at p = 29 takes 0.05 s at 33 MB, at p = 37 0.05 s at 36 MB and at p = 53
+# 0.12 s at 41 MB.  At p = 37 building the block peaks at 0.13 MB and the
+# probe at 5 MB (tracemalloc); the Frobenius form, the anti-automorphism
+# and the Cartan table allocate under 0.01 MB each, at p = 37 as at 101.
+# hbound 16 at p = 19 takes 0.06-0.12 s at 32 MB (lambda 0) and 0.12 s at
+# 38 MB (lambda 4).  Both limits stay as they were set from the int64
+# tables; re-sizing them is a change of its own.
 MAX_BLOCK_DIM = 1058
 MAX_HBOUND = 8
 
@@ -166,18 +167,23 @@ def quiver_basic_algebra(p: int) -> BlockAlgebra:
 
 def graded_cartan(algebra: BlockAlgebra) -> dict:
     """dims of e_r A e_s per degree, for the chosen primitive idempotents:
-    b lies in e_r A e_s when e_r.b and b.e_s are nonzero multiples of b."""
-    every = np.arange(algebra.dim)
+    b lies in e_r A e_s when e_r.b and b.e_s are nonzero multiples of b.
 
-    def fixes(c, coeff):
-        return (coeff != 0) & (c == every)
-
+    Read on the type table: e_r is a label (r, 0, 0), and e_r.(t, i, j) is
+    C[r, t] (P[r, t], 0, j), a nonzero multiple of (t, i, j) exactly when
+    i == 0, C[r, t] != 0 and P[r, t] == t; on the right likewise with
+    j == 0.  So b is (t, 0, 0), one label per type fixed from both sides.
+    """
+    P, C = algebra.product_type, algebra.product_coeff
+    every = np.arange(len(algebra.types))
     out = {}
     for rlab, e_r, _ in algebra.idempotents:
-        left = fixes(*algebra.product(e_r, every))
+        r = algebra.type[e_r]
+        left = (C[r] != 0) & (P[r] == every)
         for slab, e_s, _ in algebra.idempotents:
+            s = algebra.type[e_s]
             dims: dict[int, int] = {}
-            for d in algebra.degrees[left & fixes(*algebra.product(every, e_s))].tolist():
+            for d in algebra.type_degrees[left & (C[:, s] != 0) & (P[:, s] == every)].tolist():
                 dims[d] = dims.get(d, 0) + 1
             out[(rlab, slab)] = dims
     return out
@@ -218,31 +224,27 @@ def quiver_presentation(p: int, lam: int) -> dict:
 def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
     """Gram data of the form (x, y) -> trace component of xy in topdeg.
 
-    The Gram matrix is held as its entries, read from the nonzero products:
-    it is symmetric when its entries transposed are its entries, graded
-    when every entry pairs degrees summing to topdeg, and it is ranked by
-    ``echelon`` on those entries.
+    Read on the type Gram g[t, u] = C[t, u] tr(P[t, u]): the label Gram
+    pairs (t, i, j) with (u, j, i) by g[t, u] and is zero elsewhere, and a
+    nonzero g[t, u] has u between t's blocks the other way round.  So the
+    label Gram is, for each pair of blocks and each (i, j), a copy of g's
+    piece on the types one way against those the other way.  It is
+    symmetric exactly when g is, graded when deg t + deg u == topdeg at
+    every nonzero g[t, u], and its rank is the sum, over the pivot columns
+    u of ``echelon`` on g's entries, of u's label count.
     """
-    dim, p = algebra.dim, algebra.p
-    trace = np.zeros(dim, dtype=np.int64)
-    for i, v in algebra.trace.items():
-        trace[i] = v % p
-    x, y = algebra.nonzero_products
-    c, coeff = algebra.product(x, y)
-    v = coeff * trace[c] % p
-    live = v.nonzero()[0]
-    x, y, v = x[live], y[live], v[live]  # sorted by x, then y
-    t = np.lexsort((x, y))  # the transposed entries, sorted the same way
-    symmetric = (x == y[t]).all() and (y == x[t]).all() and (v == v[t]).all()
-    graded = (algebra.degrees[x] + algebra.degrees[y] == topdeg).all()
-    rk = echelon(x, y, v, (dim, dim), p)[1]
+    A, p = algebra, algebra.p
+    g = A.product_coeff * A.trace[A.product_type] % p
+    t, u = g.nonzero()
+    pivots = echelon(t, u, g[t, u], g.shape, p)[2]
+    rk = int(np.diff(A.offset)[pivots].sum())
     return {
         "topdeg": topdeg,
         "gram_rank": rk,
-        "dim": dim,
-        "nondegenerate": rk == dim,
-        "symmetric": bool(symmetric),
-        "graded": bool(graded),
+        "dim": A.dim,
+        "nondegenerate": rk == A.dim,
+        "symmetric": bool((g == g.T).all()),
+        "graded": bool((A.type_degrees[t] + A.type_degrees[u] == topdeg).all()),
     }
 
 
@@ -261,24 +263,26 @@ def _antiauto_image(name):
 
 def anti_automorphism_check(algebra: BlockAlgebra) -> dict:
     """Exhaustive check that transposition with arrow swap is a graded
-    anti-automorphism squaring to the identity.
+    anti-automorphism squaring to the identity, on the type table.
 
-    The label map (t, i, j) -> (phi(t), j, i) is an involution, so perm
-    permutes the basis and (a, b) -> (perm b, perm a) permutes the pairs.
-    Each nonzero product ab must match phi(b) phi(a); that maps the nonzero
-    products onto themselves, so the zero products onto zero products too.
+    The type map phi lifts to labels as (t, i, j) -> (phi t, j, i) when phi
+    swaps each type's (source, target) blocks, and the lift is an
+    involution exactly when phi is.  (t, i, j).(u, j, l) = C[t, u] (P[t, u],
+    i, l) maps to C[t, u] (phi P[t, u], l, i), and phi(u, j, l).phi(t, i, j)
+    = C[phi u, phi t] (P[phi u, phi t], l, i); both sides vanish when the
+    inner indices differ.  So the lift reverses every product exactly when
+    C[t, u] == C[phi u, phi t] for all types, and phi P[t, u] == P[phi u,
+    phi t] where C[t, u] != 0.
     """
     A = algebra
     where = {name: t for t, name in enumerate(A.types)}
-    image = np.array([where[_antiauto_image(name)] for name in A.types], dtype=np.int64)
-    perm = A.index(image[A.type], A.col, A.row)
-    a, b = A.nonzero_products
-    c, coeff = A.product(a, b)
-    ba, ba_coeff = A.product(perm[b], perm[a])  # the product phi(b) phi(a)
+    phi = np.array([where[_antiauto_image(name)] for name in A.types], dtype=np.int64)
+    P, C = A.product_type, A.product_coeff
+    swap = np.ix_(phi, phi)  # [u, t]: the product phi(u) phi(t)
     return {
-        "involution": bool((perm[perm] == np.arange(A.dim)).all()),
-        "degree_preserving": bool((A.degrees[perm] == A.degrees).all()),
-        "antimultiplicative": bool((ba_coeff == coeff).all() and (ba == perm[c]).all()),
+        "involution": bool((phi[phi] == np.arange(len(phi))).all() and (A.blocks[phi] == A.blocks[:, ::-1]).all()),
+        "degree_preserving": bool((A.type_degrees[phi] == A.type_degrees).all()),
+        "antimultiplicative": bool((C == C[swap].T).all() and (phi[P] == P[swap].T)[C != 0].all()),
     }
 
 

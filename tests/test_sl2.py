@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -478,9 +479,11 @@ def test_rescaled_blocks_keep_every_verdict():
 # -- the checks can fail --------------------------------------------------------
 
 def test_frobenius_form_rejects_off_diagonal_trace():
-    A = build_singular_block(3)
-    A.trace = {label_index(A, ("E", 0, 0), 0, 1): 1}
-    rep = frobenius_form(A, 0)
+    """The 3 x 3 matrix algebra as one type per label, traced on the label
+    (0, 1) alone."""
+    D = ref.singular_block(3)
+    D.trace = {D.labels.index(("E", 0, 0, 0, 1)): 1}
+    rep = frobenius_form(algebra(D), 0)
     assert rep["gram_rank"] == 3 and rep["dim"] == 9
     assert not rep["symmetric"] and not rep["nondegenerate"]
 
@@ -566,8 +569,8 @@ def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_matrix_units_match_per_pair_builder(p):
     """Every block's labels, and ``product`` on every pair, equal the dense
-    table of the per-pair builder; so do the nonzero products, the
-    idempotents, the trace and the dimensions by degree."""
+    table of the per-pair builder; so do the idempotents, the per-type
+    trace on the labels (t, i, i) and the dimensions by degree."""
     cases = [(build_regular_block(p, lam), ref.regular_block(p, lam)) for lam in range((p - 1) // 2)]
     cases.append((build_singular_block(p), ref.singular_block(p)))
     for A, D in cases:
@@ -577,10 +580,15 @@ def test_matrix_units_match_per_pair_builder(p):
         c, coeff = A.product(a, b)
         live = coeff != 0
         assert (coeff == D.coeff[a, b]).all() and (c[live] == D.idx[a, b][live]).all()
-        assert (np.stack(A.nonzero_products) == np.stack(live.nonzero())).all()
-        assert A.idempotents == D.idempotents and A.trace == D.trace
+        assert A.idempotents == D.idempotents and label_trace(A) == D.trace
         assert (A.degrees == D.degrees).all()
         assert A.dims_by_degree() == dict(zip(*(x.tolist() for x in np.unique(D.degrees, return_counts=True))))
+
+
+def label_trace(A):
+    """A's per-type trace on the labels: {basis index of (t, i, i): value}."""
+    diagonal = (A.row == A.col) & (A.trace[A.type] != 0)
+    return dict(zip(diagonal.nonzero()[0].tolist(), A.trace[A.type[diagonal]].tolist()))
 
 
 def with_type_table(A, P, C, check=True):
@@ -588,14 +596,15 @@ def with_type_table(A, P, C, check=True):
     t, u = C.nonzero()
     units = [A.types[x] for x in A.units]
     idems = [(cls, A.types[A.type[e]]) for cls, e, _ in A.idempotents]
-    trace = {A.types[A.type[i]]: v for i, v in A.trace.items()}
+    trace = {A.types[x]: v for x, v in enumerate(A.trace.tolist()) if v}
     args = A.p, A.types, A.type_degrees, A.blocks, A.sizes, (t, u, P[t, u], C[t, u]), units, idems, trace
     return construct(*args, check=check)
 
 
 def expanded(A, P, C):
     """The dense table of matrix units over the type table (P, C) on A's
-    labels and unit, one pair of labels at a time."""
+    labels, named (*type name, i, j), with A's unit, idempotents and trace,
+    one pair of labels at a time."""
     labels = list(zip(A.type.tolist(), A.row.tolist(), A.col.tolist()))
     index = {lab: k for k, lab in enumerate(labels)}
     products = [
@@ -605,7 +614,8 @@ def expanded(A, P, C):
         if j == k and C[t, u]
     ]
     units = [x for x, (t, i, j) in enumerate(labels) if t in A.units and i == j]
-    return Dense(A.p, labels, A.degrees, np.array(products).T.reshape(4, -1), units, [], {})
+    names = [(*A.types[t], i, j) for t, i, j in labels]
+    return Dense(A.p, names, A.degrees, np.array(products).T.reshape(4, -1), units, A.idempotents, label_trace(A))
 
 
 def type_table_changes(A):
@@ -642,6 +652,68 @@ def test_a_changed_type_table_entry_fails_check_axioms():
             with pytest.raises(ValueError, match="multiplication is not associative"):
                 with_type_table(A, P, C)
     assert failing > 50
+
+
+def self_block_traces(A):
+    """Every trace of 0, 1 or 2 on each of A's types from a block to itself."""
+    square = (A.blocks[:, 0] == A.blocks[:, 1]).nonzero()[0]
+    for values in itertools.product(range(3), repeat=len(square)):
+        yield dict(zip([A.types[t] for t in square], values))
+
+
+# Type maps for the anti-automorphism check besides the transposition: one
+# that swaps the degrees of E(r, 0) and E(r, 2), and one that cycles the V
+# types, swapping their blocks but not squaring to the identity.  Each
+# lifts to labels as (t, i, j) -> (phi t, j, i).
+CYCLE = [("V", 0, 1, 0), ("V", 1, 0, 0), ("V", 0, 1, 1), ("V", 1, 0, 1)]
+TYPE_MAPS = {
+    "transposition": sl2._antiauto_image,
+    "degree swap": lambda t: ("E", t[1], 2 - t[2]) if t[0] == "E" else ("V", t[2], t[1], t[3]),
+    "V cycle": lambda t: CYCLE[(CYCLE.index(t) + 1) % 4] if t in CYCLE else t,
+}
+
+
+def test_type_table_readers_match_the_dense_checks_at_block_sizes_2_and_3():
+    """On the p = 5, lambda = 1 block, of blocks of sizes 2 and 3 (every
+    other test of the lemma has blocks of size 1), and on each one-entry
+    change of its type table: graded_cartan, anti_automorphism_check under
+    each type map, and frobenius_form under every trace of 0, 1 or 2 on
+    the self-block types equal the dense checks on the expansion, and every
+    verdict takes both values."""
+    A = build_regular_block(5, 1)
+    assert A.sizes.tolist() == [2, 3]
+    cartans, autos, forms = set(), [], []
+    for _, P, C in [(None, A.product_type, A.product_coeff), *type_table_changes(A)]:
+        B = with_type_table(A, P, C, check=False)
+        D = expanded(B, P, C)
+        cartan = graded_cartan(B)
+        assert cartan == ref.graded_cartan(D)
+        cartans.add(repr(cartan))
+        for phi in TYPE_MAPS.values():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sl2, "_antiauto_image", phi)
+                mp.setattr(ref, "transpose", lambda label: (*phi(label[:-2]), label[-1], label[-2]))
+                autos.append(anti_automorphism_check(B))
+                assert autos[-1] == ref.anti_automorphism_check(D)
+        for trace in self_block_traces(A):
+            B.trace[[B.types.index(t) for t in trace]] = list(trace.values())
+            D.trace = label_trace(B)
+            forms.append(frobenius_form(B, 2))
+            assert forms[-1] == ref.frobenius_form(D, 2)
+    assert len(cartans) > 1
+    for field in ("involution", "degree_preserving", "antimultiplicative"):
+        assert {a[field] for a in autos} == {False, True}
+    for field in ("nondegenerate", "symmetric", "graded"):
+        assert {f[field] for f in forms} == {False, True}
+
+
+def test_anti_automorphism_check_refuses_a_type_map_that_keeps_the_blocks(monkeypatch):
+    """With the V types fixed, the label map would send (V(0, 1, t), 0, j)
+    to (V(0, 1, t), j, 0), not a label when j > 0 (blocks of sizes 1 and 4
+    at p = 5, lambda = 0): no involution of the labels."""
+    monkeypatch.setattr(sl2, "_antiauto_image", lambda name: name)
+    rep = anti_automorphism_check(build_regular_block(5, 0))
+    assert rep == {"involution": False, "degree_preserving": True, "antimultiplicative": False}
 
 
 REFUSALS = {
@@ -697,16 +769,26 @@ def test_is_associative_matches_dense_loop(scale, seed, kind):
 def test_check_axioms_reads_only_the_type_table(monkeypatch):
     """At p = 37 (MAX_BLOCK_DIM lifted; dimension 2,738, 147,963 nonzero
     products) check_axioms peaks at about 0.12 MB (tracemalloc): it reads
-    the 8 x 8 type table.  The dense tables it replaced held 38 MB."""
+    the 8 x 8 type table.  The dense tables it replaced held 38 MB.  So do
+    the Frobenius form, the anti-automorphism and the Cartan table, which
+    read the nonzero products label by label before (over 2.6 MB each of
+    the first two at p = 23)."""
     monkeypatch.setattr(sl2, "MAX_BLOCK_DIM", 2 * 37**2)
     A = build_regular_block(37, 0)
-    tracemalloc.start()
-    try:
-        assert A.check_axioms() == []
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    checks = {
+        "check_axioms": lambda: A.check_axioms() == [],
+        "frobenius_form": lambda: frobenius_form(A, 2)["nondegenerate"],
+        "anti_automorphism_check": lambda: all(anti_automorphism_check(A).values()),
+        "graded_cartan": lambda: graded_cartan(A) == graded_cartan(quiver_basic_algebra(37)),
+    }
+    for name, check in checks.items():
+        tracemalloc.start()
+        try:
+            assert check(), name
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, name
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
