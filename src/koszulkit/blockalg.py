@@ -6,14 +6,15 @@ is a matrix unit (t, i, j) of a type t; each type has a degree and a
 (source, target) pair of blocks, and each block a size.  A T x T table
 gives the type and coefficient of each product of two types, and
 (t, i, j).(u, k, l) is that coefficient times (t.u, i, l) when j == k and
-0 otherwise, so ``product`` computes any product by index arithmetic on
-three per-label arrays and the table.  An algebra given by structure
-constants on a basis is one type per label, all on one block of size 1.
-The grading, the unit and associativity are checked on the type table,
-which is exact (see ``BlockAlgebra``); so are the Frobenius form, the
-anti-automorphism and the Cartan table in ``sl2``, and the acting set of
-``minimal_generators``.  Only ``column_basis``, ``ProjectiveSum`` and the
-Koszulity probe read labels.
+0 otherwise.  An algebra given by structure constants on a basis is one
+type per label, all on one block of size 1.  Every check and reader works
+on the type table and never lists the labels.  The grading, the unit and
+associativity are checked there (see ``BlockAlgebra``), as are the
+Frobenius form, the anti-automorphism and the Cartan table in ``sl2``.
+The Koszulity probe resolves the simples of the corner algebra spanned by
+the labels (t, 0, 0), which multiply as the type table does; it is graded
+Morita equivalent to the algebra.  Nothing here allocates in proportion to
+the dimension.
 
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
@@ -52,8 +53,8 @@ class BlockAlgebra:
     matrices (the sums of the labels (t, i, i)) sum to the unit, a name
     listed k times counting k times; held as type indices.
     idempotents: (class_label, type name) for the primitive idempotent
-    (t, 0, 0) of each isomorphism class of simple module; it is held as
-    (class_label, basis index, simple dimension).
+    (t, 0, 0) of each isomorphism class of simple module; held as
+    (class_label, type index).
     trace: {type name: value}, each type from a block to itself, the linear
     functional with (t, i, i) -> value whose pairing tr(xy) is the
     candidate Frobenius form; held per type, mod p, 0 where not listed.
@@ -80,6 +81,18 @@ class BlockAlgebra:
     primitive idempotent (t, 0, 0) fixes from the left only labels in row
     0, and from the right only labels in column 0, so a Cartan table counts
     types.
+
+    The Koszulity probe runs on the type table by graded Morita
+    equivalence.  Let e be the sum of the labels (u, 0, 0) over the unit
+    types, each counted as often as ``units`` lists it; e has degree 0.  The
+    unit law on the type table gives e.(t, 0, 0) = (t, 0, 0) = (t, 0, 0).e,
+    so the corner eAe is spanned by the labels (t, 0, 0), and they multiply
+    exactly as the type table does.  e is full: (t, i, j) is the sum over
+    unit types u and w of (u, i, 0).(t, 0, 0).(w, 0, j), and (u, i, 0) lies
+    in Ae.  So Ae (x)_{eAe} - is an equivalence of graded module
+    categories; it sends each projective cover and simple to the matching
+    ones, and minimal resolutions to minimal resolutions with the same
+    generator degrees.
     """
 
     def __init__(self, p, types, degrees, blocks, sizes, products, units, idempotents, trace):
@@ -95,13 +108,9 @@ class BlockAlgebra:
         if (self.sizes < 1).any():
             raise ValueError("every block must have size at least 1")
         source, target = self.sizes[self.blocks].T
-        # labels (t, i, j) at offset[t] + i * width[t] + j
-        self.width = target
+        # type t's labels are offset[t] .. offset[t + 1] - 1
         self.offset = np.r_[0, (source * target).cumsum()]
-        self.dim = dim = int(self.offset[-1])
-        self.type = np.arange(len(self.types)).repeat(source * target)
-        self.row, self.col = np.divmod(np.arange(dim) - self.offset[self.type], self.width[self.type])
-        self.degrees = self.type_degrees[self.type]
+        self.dim = int(self.offset[-1])
         t, u, v, coeff = np.asarray(products, dtype=np.int64).reshape(4, -1)
         live = coeff % p != 0
         # product_type is read only where product_coeff is nonzero
@@ -121,25 +130,12 @@ class BlockAlgebra:
         square = self.blocks[[*self.units, *traced]]
         if (square[:, 0] != square[:, 1]).any():
             raise ValueError("a unit or trace type must run from a block to itself")
-        self.idempotents = [(label, int(self.offset[where[name]]), int(self.width[where[name]])) for label, name in idempotents]
+        self.idempotents = [(label, where[name]) for label, name in idempotents]
         self.trace = np.zeros(len(self.types), dtype=np.int64)
         self.trace[traced] = [v % p for v in trace.values()]
         problems = self.check_axioms()
         if problems:
             raise ValueError("; ".join(problems))
-
-    def index(self, t, i, j):
-        """Basis index of the label (t, i, j), t a type index."""
-        return self.offset[t] + i * self.width[t] + j
-
-    def product(self, a, b):
-        """(c, coeff) with a.b = coeff * c, for basis indices a and b (arrays
-        broadcast): for a = (t, i, j) and b = (u, k, l), c = (t.u, i, l) and
-        coeff is t.u's coefficient when j == k, else 0.  c is a basis index
-        only where coeff is nonzero."""
-        t, u = self.type[a], self.type[b]
-        coeff = np.where(self.col[a] == self.row[b], self.product_coeff[t, u], 0)
-        return self.index(self.product_type[t, u], self.row[a], self.col[b]), coeff
 
     # -- axioms -----------------------------------------------------------
     def check_axioms(self) -> list[str]:
@@ -188,33 +184,33 @@ class BlockAlgebra:
         return [table.get(d, 0) for d in range(top + 1)]
 
     def column_basis(self, e: int) -> list[int]:
-        """Basis indices spanning A.e (valid because products are monomial)."""
-        every = np.arange(self.dim)
-        c, coeff = self.product(every, e)
-        hit = coeff.nonzero()[0]
-        if (c[hit] != hit).any() or (coeff[hit] != 1).any():
+        """The types t with t.e nonzero, for an idempotent type e: they span
+        the corner algebra's projective at e, and each t.e must be t."""
+        hit = self.product_coeff[:, e].nonzero()[0]
+        if (self.product_type[hit, e] != hit).any() or (self.product_coeff[hit, e] != 1).any():
             raise ValueError("idempotent column is not basis-aligned")
         return hit.tolist()
 
 
 class ProjectiveSum:
-    """P = direct sum of shifted projectives A.e, with its basis ordered by
-    degree; ``at[d]`` is the slice of the basis in degree d and ``dims[d]``
-    its length."""
+    """P = direct sum of shifted projectives A.e over the corner algebra of
+    types (see ``BlockAlgebra``), with its basis ordered by degree: a basis
+    element is a type in one summand.  ``at[d]`` is the slice of the basis
+    in degree d and ``dims[d]`` its length."""
 
     def __init__(self, algebra: BlockAlgebra, summands):
         self.algebra = algebra
         self.summands = list(summands)  # (idempotent index, degree shift)
-        # basis element n is algebra element element[n] in summand summand[n]
+        # basis element n is type element[n] in summand summand[n]
         columns = [algebra.column_basis(e) for e, _ in self.summands]
         summand = np.repeat(np.arange(len(columns), dtype=np.int64), [len(c) for c in columns])
         element = np.array([b for c in columns for b in c], dtype=np.int64)
         shifts = np.array([shift for _, shift in self.summands], dtype=np.int64)
-        degrees = algebra.degrees[element] + shifts[summand]
+        degrees = algebra.type_degrees[element] + shifts[summand]
         order = degrees.argsort(kind="stable")
         self.summand, self.element, self.degrees = summand[order], element[order], degrees[order]
-        # row[g, b]: position of (g, b) in the basis, -1 when b is not in A.e_g
-        self.row = np.full((len(columns), algebra.dim), -1, dtype=np.int64)
+        # row[g, u]: position of (g, u) in the basis, -1 when u is not in A.e_g
+        self.row = np.full((len(columns), len(algebra.types)), -1, dtype=np.int64)
         self.row[self.summand, self.element] = np.arange(len(order))
         ds, starts, counts = np.unique(self.degrees, return_index=True, return_counts=True)
         self.at = {d: slice(s, s + n) for d, s, n in zip(ds.tolist(), starts.tolist(), counts.tolist())}
@@ -223,16 +219,16 @@ class ProjectiveSum:
     def act(self, a, x, d: int, t: int):
         """a.x for x columns over the degree-d basis, given as their entries
         (n, c, vals, width): vals[i] in row n[i] of column c[i] < width.
-        ``a`` is one algebra element of degree t - d, or one per column.  The
+        ``a`` is one type of degree t - d, or one per column.  The
         result is the entries of a.x over the degree-t basis, merged by
         ``summed``: distinct, sorted by (row, column), with values in [1, p)."""
         n, c, vals, width = x
         A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
         a, n = a if np.ndim(a) == 0 else a[c], src.start + n
-        ab, coeff = A.product(a, self.element[n])
-        vals = coeff * vals % A.p  # coefficient of a_c.b_n times x
+        b = self.element[n]
+        vals = A.product_coeff[a, b] * vals % A.p  # coefficient of a_c.b_n times x
         live = vals.nonzero()[0]
-        rows = self.row[self.summand[n[live]], ab[live]] - dst.start
+        rows = self.row[self.summand[n[live]], A.product_type[a, b][live]] - dst.start
         key, vals = summed(rows * width + c[live], vals[live], A.p)
         return *np.divmod(key, width), vals, width
 
@@ -242,19 +238,18 @@ def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
     the entries of one column over the degree's basis, for K held as
     {degree d: entries of columns over the degree-d basis of ``amb``}.
 
-    Works degree by degree: (JK)_d is spanned by the algebra elements of
-    degree d - c applied to K_c, all of them in one action on the nonzero
+    Works degree by degree: (JK)_d is spanned by the types of degree d - c
+    applied to K_c, all of them in one action on the nonzero
     entries of K_c, for each lower degree c; the multiplicity of the simple
     of class r is read off by applying its idempotent.
     """
     A = amb.algebra
     acts = {}
     for c in syz:
-        # the types that act on degree c of amb at all: amb's elements of a
-        # type u are (u, k, 0) for every row k, so (t, i, j) acts on one of
-        # them exactly when t.u is nonzero
+        # the types that act on degree c of amb at all: t acts on a basis
+        # element of type u exactly when t.u is nonzero
         on = np.zeros(len(A.types), dtype=bool)
-        on[A.type[amb.element[amb.at[c]]]] = True
+        on[amb.element[amb.at[c]]] = True
         acts[c] = (A.product_coeff[:, on] != 0).any(axis=1)
     out = []
     for d, kd in syz.items():
@@ -262,14 +257,14 @@ def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
         jk, shift = [(np.zeros(0, dtype=np.int64),) * 3], 0
         for c, (n, j, vals, width) in syz.items():
             if c < d:  # elems[r] on column j of K_c is column r * width + j
-                elems = (acts[c] & (A.type_degrees == d - c))[A.type].nonzero()[0]
+                elems = (acts[c] & (A.type_degrees == d - c)).nonzero()[0]
                 k = len(elems)
                 x = n.repeat(k), (j[:, None] + width * np.arange(k)).ravel(), vals.repeat(k), k * width
                 rows, cols, image, w = amb.act(elems.repeat(width), x, c, d)
                 jk.append((rows, cols + shift, image))
                 shift += w
         jk = (*map(np.concatenate, zip(*jk)), shift)
-        for label, e, _ in A.idempotents:
+        for label, e in A.idempotents:
             n, j, vals, _ = ek = amb.act(e, kd, d, d)
             for i in independent_columns(jk, ek, amb.dims[d], A.p):
                 out.append((label, d, (n[j == i], vals[j == i])))
@@ -282,7 +277,7 @@ def next_syzygy(amb: ProjectiveSum, gens, step: int):
     kernel is {degree t: entries of columns over the cover's degree-t basis},
     one action and one kernel per degree of the cover."""
     A = amb.algebra
-    idx_of = {label: e for label, e, _ in A.idempotents}
+    idx_of = dict(A.idempotents)
     cover = ProjectiveSum(A, [(idx_of[label], step) for label, _, _ in gens])
     # the targets' entries, by generator
     g = np.arange(len(gens)).repeat([len(n) for _, _, (n, _) in gens])
@@ -304,11 +299,14 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
     resolution and reports the internal degrees of the generators of each
     syzygy; linear means the i-th syzygy is generated exactly in degree i,
     and the probe of a simple stops at the first step where it is not.
+    It resolves the simples of the corner algebra of types, which are the
+    algebra's up to graded Morita equivalence (see ``BlockAlgebra``), so
+    its cost does not depend on the sizes of the blocks.
     """
     if hbound < 1:
         raise ValueError("hbound must be >= 1")
     report = {"hbound": hbound, "simples": [], "linear": True}
-    for label, e, _ in algebra.idempotents:
+    for label, e in algebra.idempotents:
         entry = {"simple": label, "steps": [], "witness": None}
         # the first syzygy is the positive-degree part of A.e (exact because
         # degree 0 is semisimple, so J = A_{>0})

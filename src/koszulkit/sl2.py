@@ -10,9 +10,10 @@ two-chart Cech computation in ``projline``.
 
 Both are ``BlockAlgebra``s, matrix units over a type table (8 types
 regular, one singular): (t, i, j).(u, k, l) = (t.u, i, l) when j == k.
-The quiver's basic algebra is one type per path.  A report refuses a block
-of dimension over ``MAX_BLOCK_DIM`` (regular blocks up to p = 23, the
-singular block up to p = 31) and a probe deeper than ``MAX_HBOUND``.
+The quiver's basic algebra is one type per path.  Every verdict of a
+report reads the type table, so its cost does not grow with p, which
+``check_modulus`` bounds; a report refuses a probe deeper than
+``MAX_HBOUND``.
 """
 
 from __future__ import annotations
@@ -29,18 +30,14 @@ from .projline import cohomology_P1
 TWISTS = (-1, -2)
 SHIFTS = (0, 1)
 
-# Largest block and deepest Koszulity probe a report accepts.  In process on
-# 2 cores (wall time, peak RSS), the costliest accepted report, p = 23 at
-# hbound 8, takes 0.03-0.04 s at 32 MB.  With the limits lifted, hbound 8
-# at p = 29 takes 0.05 s at 33 MB, at p = 37 0.05 s at 36 MB and at p = 53
-# 0.12 s at 41 MB.  At p = 37 building the block peaks at 0.13 MB and the
-# probe at 5 MB (tracemalloc); the Frobenius form, the anti-automorphism
-# and the Cartan table allocate under 0.01 MB each, at p = 37 as at 101.
-# hbound 16 at p = 19 takes 0.06-0.12 s at 32 MB (lambda 0) and 0.12 s at
-# 38 MB (lambda 4).  Both limits stay as they were set from the int64
-# tables; re-sizing them is a change of its own.
-MAX_BLOCK_DIM = 1058
-MAX_HBOUND = 8
+# Deepest Koszulity probe a report accepts.  The probe reads the type
+# table, the same for every p and lambda, so its cost grows with the depth
+# alone.  The limit is the largest depth whose report costs no more than the
+# costliest one accepted under the former limits (hbound 8 and dimension at
+# most 1,058): p = 23, lambda = 10 at hbound 8 took 57.6 ms, against 48.2 ms
+# at hbound 32 and 69.0 ms at 34 (in process on 2 cores, CPU time, median
+# over 6 alternating rounds of the best of 11 runs).
+MAX_HBOUND = 32
 
 
 def ext_zero_sections(a: int, b: int, p: int = 3) -> dict[int, int]:
@@ -73,13 +70,6 @@ def _check_lambda(p: int, lam: int):
         raise ValueError(f"lambda must lie in [0, (p-3)/2] = [0, {(p - 3) // 2}], got {lam}")
 
 
-def _check_size(blocks, n):
-    """Refuses a block of dimension over MAX_BLOCK_DIM before it is built."""
-    dim = sum(n[r] * n[s] for r, s in blocks)
-    if dim > MAX_BLOCK_DIM:
-        raise ValueError(f"the block has dimension {dim}, over the limit of {MAX_BLOCK_DIM}")
-
-
 def _regular_type_product(x, y):
     """Product of two regular-block types E(r, d), V(r, s, t), or None."""
     if x[0] == "E" and y[0] == "E":
@@ -106,7 +96,6 @@ def build_regular_block(p: int, lam: int) -> BlockAlgebra:
     assert diag == {0: 1, 2: 1} and off == {1: 2}, "unexpected Ext pattern"
     types = _REGULAR_TYPES
     blocks = [(t[1], t[1]) if t[0] == "E" else (t[1], t[2]) for t in types]
-    _check_size(blocks, n)
     pairs = [(x, y, _regular_type_product(t, u)) for x, t in enumerate(types) for y, u in enumerate(types)]
     products = np.array([(x, y, types.index(tu), 1) for x, y, tu in pairs if tu is not None]).T
     degrees = [t[2] if t[0] == "E" else 1 for t in types]
@@ -120,7 +109,6 @@ def build_singular_block(p: int) -> BlockAlgebra:
     """The singular block: a p x p matrix algebra in degree 0."""
     check_modulus(p)
     E = ("E", 0, 0)
-    _check_size([(0, 0)], (p,))
     return BlockAlgebra(p, [E], [0], [(0, 0)], [p], ([0], [0], [0], [1]), [E], [("L", E)], {E: 1})
 
 
@@ -177,11 +165,9 @@ def graded_cartan(algebra: BlockAlgebra) -> dict:
     P, C = algebra.product_type, algebra.product_coeff
     every = np.arange(len(algebra.types))
     out = {}
-    for rlab, e_r, _ in algebra.idempotents:
-        r = algebra.type[e_r]
+    for rlab, r in algebra.idempotents:
         left = (C[r] != 0) & (P[r] == every)
-        for slab, e_s, _ in algebra.idempotents:
-            s = algebra.type[e_s]
+        for slab, s in algebra.idempotents:
             dims: dict[int, int] = {}
             for d in algebra.type_degrees[left & (C[:, s] != 0) & (P[:, s] == every)].tolist():
                 dims[d] = dims.get(d, 0) + 1

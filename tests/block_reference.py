@@ -151,6 +151,35 @@ def block(q, lam, p):
     return D if p == q else rescaled(D, p, p)
 
 
+def expansion(A):
+    """The dense table of a ``BlockAlgebra`` A on its labels (type name, i,
+    j), built from A's types, blocks and sizes and numbered as A.offset
+    says: each label product from A's type table by the j == k rule, one
+    pair of labels at a time, with A's degrees, unit, idempotents and trace
+    carried to the labels."""
+    P, C = A.product_type, A.product_coeff
+    size = A.sizes[A.blocks].tolist()  # [t] = (rows, columns) of type t
+    labels = [(t, i, j) for t, (m, n) in enumerate(size) for i in range(m) for j in range(n)]
+    index = {lab: k for k, lab in enumerate(labels)}
+    assert len(labels) == A.dim and [index[(t, 0, 0)] for t in range(len(size))] == A.offset[:-1].tolist()
+    products = [
+        (x, y, index[(P[t, u], i, l)], C[t, u])
+        for x, (t, i, j) in enumerate(labels)
+        for y, (u, k, l) in enumerate(labels)
+        if j == k and C[t, u]
+    ]
+    diagonal = [(t, i) for t, (m, _) in enumerate(size) for i in range(m)]
+    return Dense(
+        A.p,
+        [(A.types[t], i, j) for t, i, j in labels],
+        A.type_degrees[[t for t, _, _ in labels]],
+        np.array(products, dtype=np.int64).T.reshape(4, -1),
+        [index[(t, i, i)] for t in A.units for i in range(size[t][0])],
+        [(cls, index[(t, 0, 0)], size[t][0]) for cls, t in A.idempotents],
+        {index[(t, i, i)]: int(A.trace[t]) for t, i in diagonal if A.trace[t]},
+    )
+
+
 # -- tables derived from others -------------------------------------------------
 
 def rescaled(D, seed, p=None):

@@ -278,9 +278,8 @@ def test_sl2_lambda_error_names_the_range(capsys):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["-p", "101", "--lambda", "0"], "the block has dimension 20402, over the limit of 1058"),
-    (["-p", "37", "--singular"], "the block has dimension 1369, over the limit of 1058"),
-    (["-p", "7", "--lambda", "0", "--hbound", "9"], "hbound must lie in [1, 8], got 9"),
+    (["-p", "16777259", "--lambda", "0"], "modulus 16777259 is at or above the limit of 16,777,216 (int64 sums of products must stay below 2^63)"),
+    (["-p", "7", "--lambda", "0", "--hbound", "33"], "hbound must lie in [1, 32], got 33"),
 ])
 def test_sl2_refuses_oversized_input(args, message):
     start = time.monotonic()
@@ -289,6 +288,21 @@ def test_sl2_refuses_oversized_input(args, message):
     assert res.returncode == 2
     assert res.stderr == f"error: {message}\n"
     assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize("block", [["--lambda", "0"], ["--lambda", "8388605"], ["--singular"]])
+def test_sl2_reports_the_largest_modulus(tmp_path, block):
+    """Every verdict reads the type table, so the blocks at the largest p
+    below the modulus limit (dimension 2p^2 = 562,949,752,094,738 regular,
+    p^2 singular) pass in seconds; the dimension, past 2^48, is exact."""
+    p, out = 16777213, tmp_path / "sl2.json"
+    start = time.monotonic()
+    res = run_cli(["sl2", "-p", str(p), *block, "--hbound", "8", "--out", str(out)])
+    assert time.monotonic() - start < 5
+    assert res.returncode == 0 and res.stderr == ""
+    rep = json.loads(out.read_text())["report"]
+    assert rep["dimension"] == (p * p if block == ["--singular"] else 2 * p * p)
+    assert all(rep["verdicts"].values())
 
 
 def test_sl2_requires_block_choice():
