@@ -219,12 +219,20 @@ class ProjectiveSum:
     def act(self, a, x, d: int, t: int):
         """a.x for x columns over the degree-d basis, given as their entries
         (n, c, vals, width): vals[i] in row n[i] of column c[i] < width.
-        ``a`` is one type of degree t - d, or one per column.  The
-        result is the entries of a.x over the degree-t basis, merged by
-        ``summed``: distinct, sorted by (row, column), with values in [1, p)."""
+        ``a`` is one type of degree t - d, or an array of one per column.
+        The result is the entries of a.x over the degree-t basis, merged by
+        ``summed``: distinct, sorted by (row, column), with values in [1, p).
+        ValueError when a type in ``a`` is not of degree t - d: its products
+        would fall outside the degree-t rows."""
         n, c, vals, width = x
         A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
-        a, n = a if np.ndim(a) == 0 else a[c], src.start + n
+        if isinstance(a, np.ndarray):  # one type per column: checked before the per-entry gather
+            wrong, a = np.count_nonzero(A.type_degrees[a] != t - d), a[c]
+        else:
+            wrong = A.type_degrees[a] != t - d
+        if wrong:
+            raise ValueError(f"act from degree {d} to {t} needs types of degree {t - d}")
+        n = src.start + n
         b = self.element[n]
         vals = A.product_coeff[a, b] * vals % A.p  # coefficient of a_c.b_n times x
         live = vals.nonzero()[0]

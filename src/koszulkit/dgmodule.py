@@ -36,7 +36,11 @@ functors of ``lkd``, finite expansions and ``qmodel``'s restrictions read
 its labels and d.  Cohomology is exact: each internal-degree column of an
 expansion is complete, and the ranks a window's h^{i,j} need are those of
 maps between whole cells: structural pivots first, over every map at once,
-then one dense block per distinct connected component of the rest.
+then one dense block per distinct connected component of the rest.  Before
+any expansion, a contractible module is certified by k (x)_A M, the
+complex over k on its generators with the unit-monomial terms of d: when
+that is acyclic the table is empty on every window (see ``cohomology``),
+and nothing is expanded or ranked past the generators.
 
 Finite dg-modules (``FiniteDgModule``) hold basis bidegrees and d as term
 arrays like ``Expansion``'s, row = source: shifts and duals are index swaps
@@ -384,9 +388,10 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
 
 
 # Largest expansion basis Expansion will enumerate, counted before any
-# monomial table is built.  The e = f = 5 round trip at p = 3, seed 2024,
-# trials 0-3 expands at most 232,182 basis elements (a unit's cone on its
-# window [-2, 6]; the whole run peaks at 194 MB): a margin of 4.3.
+# monomial table is built.  The e = f = 6 round trip at p = 3, seed 2024,
+# trials 0-3 expands at most 269,668 basis elements (one that
+# ``lkd.functor_G`` reads; the run's cones are certified contractible and
+# never expanded): a margin of 3.7.
 MAX_EXPANSION_BASIS = 1_000_000
 
 
@@ -598,12 +603,49 @@ def _cores(degs, starts, rows, cols, vals, p: int, ranked):
     ranked[core_cols[order[start + nr] - len(core_rows)]] += ranks
 
 
+def _sorted_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:
+    """``_column_cohomology`` of basis bidegrees and d (rows, cols, vals) in
+    any order: the basis indices mapped into bidegree order and d sorted by row."""
+    order = np.lexsort((degs[:, 1], degs[:, 0]))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    rows, cols, vals = d
+    rows = place[rows]
+    by_row = rows.argsort()
+    return _column_cohomology(degs[order], (rows[by_row], place[cols][by_row], vals[by_row]), window, p)
+
+
 def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
     """Bigraded cohomology dimensions of a semifree module on a window,
     exact: the expansion holds every cohomological degree of each
-    internal-degree column in [j0, j1] (see ``_column_cohomology``)."""
+    internal-degree column in [j0, j1] (see ``_column_cohomology``).
+
+    A contractible module is certified before any expansion is built, from
+    k (x)_A M: the complex over k on M's generators whose differential d'
+    is M's terms with monomial 1 (the first of the sorted ``mons``), the
+    terms between generators of equal internal degree.  When d' is acyclic
+    on the hull of the generators, the table is empty on every window.
+
+    The lemma (Gaussian elimination for complexes over an additive
+    category): a unit entry c e_l of d(e_k), c a nonzero scalar, is an
+    isomorphism A e_k -> A e_l, so the pair e_k, e_l cancels and leaves a
+    semifree module homotopy equivalent to M on the other generators,
+    whose unit part is d' with that pivot eliminated.  Acyclic d' lets
+    the elimination cancel every generator in pairs, ending at 0, so M is
+    homotopy equivalent to 0 and its cohomology is zero in every
+    bidegree.  It needs M finitely generated, d^2 = 0 (``validate``; of
+    d' too, since only 1 * 1 is 1), and each unit entry a scalar, which
+    holds because only the monomial 1 has bidegree (0, 0).  It is applied
+    only over algebras without d_A; a module with no unit term has d' = 0
+    and is not certified."""
+    A, mons, terms = module.algebra, module.mons, module.terms
+    if mons and mons[0] == A.one() and not A.has_differential:
+        src, tgt, _, coeff = terms.compress(terms[2] == 0, axis=1)
+        (i0, j0), (i1, j1) = module.degs.min(axis=0).tolist(), module.degs.max(axis=0).tolist()
+        if not _sorted_cohomology(module.degs, (src, tgt, coeff), Window(i0, i1, j0, j1), A.p):
+            return BigradedDims()
     exp = Expansion(module, window.j0, window.j1)
-    return _column_cohomology(exp.degs, exp.d, window, module.algebra.p)
+    return _column_cohomology(exp.degs, exp.d, window, A.p)
 
 
 def _kept(mons, terms, src_keep, tgt_keep):
@@ -623,7 +665,18 @@ def _on_range(phi: DgMap, jlo: int, jhi: int) -> DgMap:
     a table on the internal degrees [jlo, jhi], the only ones an expansion
     on that range holds; the cone's [1] keeps internal degrees, so the
     expansion of its cone on the range is that of cone(phi), and the cone
-    holds only those generators' terms.  phi itself when it keeps them all."""
+    holds only those generators' terms.  phi itself when it keeps them all.
+
+    The kept generators are convex for d: when d(e_k) has a term m e_l and
+    d(e_l) a term m' e_m, with k and m kept, l is kept too, so the cut
+    cone's d^2 is cone(phi)'s on the kept generators and the cut cone of a
+    chain map is a dg-module (a subquotient of cone(phi)).  With x in k's
+    table, deg x + deg m lies in l's range of degrees.  Monomial degrees
+    (``degree_bounds``) are either unbounded on the side deg m moves to,
+    and then deg x + deg m is one of them, or, with no sym generators, lie
+    in [0, 2 n_ext]: then l's range holds deg x + deg m when that is at
+    most 2 n_ext, else deg z - deg m' (z in m's table) when that is at
+    least 0, and else all of [0, 2 n_ext]."""
     S, T = phi.source, phi.target
     spans, which = _spans(S.algebra, jlo, jhi, np.concatenate([S.degs[:, 1], T.degs[:, 1]]))
     keep = np.array([a <= b for a, b in spans])[which]
@@ -639,7 +692,9 @@ def is_quasi_iso(phi: DgMap, window: Window) -> bool:
     cohomology anywhere on the window.  The check builds no cone, and the
     one cone is built only for a chain map, on the generators the window's
     internal degrees reach (``_on_range``): the cone holds no second copy
-    of the target's terms outside them."""
+    of the target's terms outside them.  That cut cone is a dg-module, so
+    ``cohomology`` certifies it from k (x)_A M when it is contractible, as
+    most round-trip cones are, and expands it otherwise."""
     return not phi.validate() and not cohomology(cone(_on_range(phi, window.j0, window.j1)), window)
 
 
@@ -668,16 +723,8 @@ class FiniteDgModule:
         return len(self.basis_degs)
 
     def cohomology(self, window: Window) -> BigradedDims:
-        """Cohomology on the window: the basis indices mapped into bidegree
-        order and d sorted by row, for ``_column_cohomology``."""
-        order = np.lexsort((self.basis_degs[:, 1], self.basis_degs[:, 0]))
-        place = np.empty_like(order)
-        place[order] = np.arange(len(order))
-        rows, cols, vals = self.d
-        rows = place[rows]
-        by_row = rows.argsort()
-        d = rows[by_row], place[cols][by_row], vals[by_row]
-        return _column_cohomology(self.basis_degs[order], d, window, self.algebra.p)
+        """Cohomology on the window (``_sorted_cohomology``)."""
+        return _sorted_cohomology(self.basis_degs, self.d, window, self.algebra.p)
 
     def shift(self, a: int, b: int) -> "FiniteDgModule":
         """[a]<b>: d picks up (-1)^a."""

@@ -454,6 +454,30 @@ def test_verify_refuses_an_oversized_expansion(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_table_of_a_contractible_module_past_the_expansion_limit(tmp_path, capsys):
+    """The cone of the identity on S e0 over S(4, 4) is contractible, and
+    k (x)_S M is acyclic, so its table is certified empty with no expansion,
+    though the one on internal degrees [-200, 0] would be over the limit.
+    The free module on the same two generators is not contractible and is
+    still refused at the expansion preflight."""
+    from koszulkit.algebra import make_algebra
+    from koszulkit.dgmodule import cone, free_module, identity_map, serialize_module
+
+    S = make_algebra("S", 4, 4, 3)
+    M = cone(identity_map(free_module(S, [(0, 0)])))
+    path, out, args = tmp_path / "mod.json", tmp_path / "table.json", ["--window=-2:2,-200:0"]
+    path.write_text(serialize_module(M))
+    assert main(["table", str(path), "--out", str(out), *args]) == 0
+    assert json.loads(out.read_text())["table"] == []
+    path.write_text(serialize_module(free_module(S, M.gens)))
+    assert main(["table", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the expansion on internal degrees [-200, 0] has 9,196,252 basis elements, over the limit of 1,000,000; "
+        "generator 0 alone spans monomial degrees [-200, 0] with 4,598,126 monomials\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["verify", "sl2", "table"])
 def test_a_modulus_at_or_above_the_limit_is_refused(tmp_path, capsys, command):
     from koszulkit.linalg import MAX_MODULUS

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import dense_core_reference
 import expansion_reference
 import finite_reference as dense_ref
+from deadline import within
 from dense_reference import rank as dense_rank
 from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
 from koszulkit import algebra, dgmodule, linalg
@@ -35,7 +36,7 @@ from koszulkit.dgmodule import (
 )
 from koszulkit.homdual import expand_T_module, k_linear_dual_T, oracle_window
 from koszulkit.linalg import MAX_MODULUS, is_odd_prime, rank as mat_rank
-from koszulkit.samples import random_homogeneous, random_module, stream
+from koszulkit.samples import random_acyclic, random_chain_map, random_homogeneous, random_module, stream
 from koszulkit.suites import Config, run_verify
 
 
@@ -222,6 +223,16 @@ def test_cone_of_identity_acyclic():
     c = cone(identity_map(K))
     assert c.validate() == []
     assert not cohomology(c, Window(-3, 5, -8, 4))
+
+
+def test_a_unit_term_alone_certifies_nothing():
+    """d(e1) = e0 over S(1, 1) cancels e0 and e1, but the free e2 leaves
+    k (x)_S M nonzero at (0, 0) and M's table is x^t e2 at (2t, -2t): a
+    window that holds no generator still has h^{2,-2} = 1."""
+    S = make_algebra("S", 1, 1, 5)
+    M = module(S, [(0, 0), (-1, 0), (0, 0)], {1: {0: {((0,), 0): 1}}})
+    assert cohomology(M, Window(2, 2, -2, -2)).to_triples() == [[2, -2, 1]]
+    assert cohomology(M, Window(-1, 2, -2, 0)).to_triples() == [[0, 0, 1], [2, -2, 1]]
 
 
 def test_cone_of_zero_is_direct_sum_of_tables():
@@ -749,6 +760,91 @@ def test_cohomology_tables_match_the_recorded_digest(monkeypatch):
         run_verify(suite, Config(e=e, f=f, p=p, trials=2, seed=2024))
     assert (len(tables), sum(map(bool, tables))) == (880, 592)
     assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == TABLES_SHA256
+
+
+def test_every_module_whose_cohomology_the_suites_take_is_a_dg_module(monkeypatch):
+    """The contractibility certificate in ``cohomology`` needs d^2 = 0.  On
+    the C01-C07 configurations at trials 0-1, every module the suites pass
+    to ``cohomology``, at every binding site, validates, and so does each
+    cut cone ``is_quasi_iso`` builds, cone(_on_range(phi, j0, j1))."""
+    import koszulkit
+    from koszulkit import cli, homdual, qmodel, suites
+
+    public, on_range = cohomology, dgmodule._on_range
+    issues, counts = [], Counter()
+
+    def checked(M, window):
+        issues.extend(M.validate())
+        counts["modules"] += 1
+        return public(M, window)
+
+    def cut(phi, jlo, jhi):
+        kept = on_range(phi, jlo, jhi)
+        issues.extend(cone(kept).validate())
+        counts["cones"] += 1
+        counts["cut"] += kept is not phi
+        return kept
+
+    for module in (koszulkit, dgmodule, cli, homdual, qmodel, suites):
+        monkeypatch.setattr(module, "cohomology", checked)
+    monkeypatch.setattr(dgmodule, "_on_range", cut)
+    grid = [(e, f) for e in range(4) for f in range(e + 1)]
+    jobs = [(suite, e, f, p) for suite in TABLE_SUITES for p in (3, 5) for e, f in grid]
+    jobs += [("shifts", f, f, p) for p in (3, 5) for f in range(4)]
+    for suite, e, f, p in jobs:
+        run_verify(suite, Config(e=e, f=f, p=p, trials=2, seed=2024))
+    assert issues == []
+    assert counts["modules"] > counts["cones"] > counts["cut"] > 0
+
+
+CERTIFIED_ALGEBRAS = [("S", 2, 2, 5), ("R", 2, 1, 3), ("T", 3, 2, 3), ("P", 3, 1, 5), ("Q", 2, 2, 3), ("Q", 3, 1, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alg=st.sampled_from(CERTIFIED_ALGEBRAS),
+    how=st.sampled_from(["module", "cone", "acyclic"]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_the_contractibility_certificate_fires_only_on_zero_tables(alg, how, seed, data):
+    """``cohomology`` returns without an expansion exactly when k (x)_A M is
+    acyclic.  On random valid modules, cones of random chain maps between
+    them and cones of identities, whenever it does, the expansion's table is
+    empty on the generators' hull and on windows off their internal
+    degrees; over an algebra without d_A it always does on a cone of an
+    identity.  A chain map's cone cut to any internal-degree range
+    (``_on_range``) is a dg-module too."""
+    A = make_algebra(*alg)
+    rng = stream(seed, "certificate")
+    if how == "module":
+        M = random_module(A, rng, max_gens=4)
+    elif how == "cone":
+        X, Y = random_module(A, rng, max_gens=3), random_module(A, rng, max_gens=3)
+        phi = random_chain_map(A, X, Y, rng)
+        M = cone(phi)
+        jlo = data.draw(st.integers(int(M.degs[:, 1].min()) - 8, int(M.degs[:, 1].max()) + 8), label="jlo")
+        assert cone(dgmodule._on_range(phi, jlo, jlo + data.draw(st.integers(0, 6), label="width"))).validate() == []
+    else:
+        M = random_acyclic(A, rng, max_gens=2)
+    assert M.validate() == []
+    gens = Window.hull(M.gens)
+    hull = gens.enlarge(A.f + 1, 2 * (A.f + 1))
+    # off the generators: internal degrees past theirs on one side, by a
+    # gap, and every cohomological degree an entry there can have
+    gap, height = data.draw(st.integers(1, 6), label="gap"), data.draw(st.integers(0, 6), label="height")
+    j0 = gens.j1 + gap if data.draw(st.booleans(), label="above") else gens.j0 - gap - height
+    windows = [hull, Window(gens.i0 - 16, gens.i1 + 16, j0, j0 + height)]
+    for W in windows:
+        built = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dgmodule, "Expansion", lambda *args: built.append(args) or Expansion(*args))
+            table = within(60, cohomology, M, W)
+        if how == "acyclic" and not A.has_differential:
+            assert not built
+        if not built:
+            exp = Expansion(M, W.j0, W.j1)
+            assert not table and not within(60, reference_column_cohomology, exp.degs, exp.d, W, A.p)
 
 
 # -- finite modules ------------------------------------------------------------

@@ -360,6 +360,24 @@ def test_the_probe_acts_by_types_of_the_target_degree(monkeypatch):
     assert len(calls) > 1000 and all(calls)
 
 
+def test_act_refuses_a_type_of_another_degree():
+    """One column of degree 0 acted into degree 1: the degree-1 types are
+    accepted, one at a time or one per column, and a degree-0 or degree-2
+    type, in either form, raises before any product is read."""
+    A = build_regular_block(3, 0)
+    (_, e0), _ = A.idempotents
+    amb = ProjectiveSum(A, [(e0, 0)])
+    x = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64), 1
+    for degree in (0, 1, 2):
+        t = int((A.type_degrees == degree).nonzero()[0][0])
+        for a in (t, np.array([t])):
+            if degree == 1:
+                amb.act(a, x, 0, 1)
+            else:
+                with pytest.raises(ValueError, match="needs types of degree 1"):
+                    amb.act(a, x, 0, 1)
+
+
 def test_degree_zero_part_is_matrix_product():
     E = ref.expansion(build_regular_block(5, 1))
     deg0 = [i for i in range(E.dim) if E.degrees[i] == 0]
