@@ -30,17 +30,18 @@ Sign conventions, fixed project-wide and enforced by validate():
 Expansions are assembled from ``algebra``'s cached tables and blocks.
 Generators are held by index into their few distinct spans, and the terms
 of d fall into few (span, span, monomial) groups, each group's block placed
-for all of its terms by one repeat/arange gather.  An expansion holds d as
-int32 positions and values in the narrowest dtype of p.  Cohomology, the
-functors of ``lkd``, finite expansions and ``qmodel``'s restrictions read
-its labels and d.  Cohomology is exact: each internal-degree column of an
-expansion is complete, and the ranks a window's h^{i,j} need are those of
-maps between whole cells: structural pivots first, over every map at once,
-then one dense block per distinct connected component of the rest.  Before
-any expansion, a contractible module is certified by k (x)_A M, the
-complex over k on its generators with the unit-monomial terms of d: when
-that is acyclic the table is empty on every window (see ``cohomology``),
-and nothing is expanded or ranked past the generators.
+for all of its terms by one repeat/arange gather.  An expansion holds its
+basis in generator order and d as int32 positions and values in the
+narrowest dtype of p.  Cohomology, the functors of ``lkd``, finite
+expansions and ``qmodel``'s restrictions read its labels and d.
+Cohomology is exact and takes a basis in any order: each internal-degree
+column of an expansion is complete, and the ranks a window's h^{i,j} need
+are those of maps between whole cells: structural pivots first, over
+every map at once, then one dense block per distinct connected component
+of the rest.  Before any expansion, a contractible module is certified by
+k (x)_A M, the complex over k on its generators with the unit-monomial
+terms of d: when that is acyclic the table is empty on every window (see
+``cohomology``), and nothing is expanded or ranked past the generators.
 
 Finite dg-modules (``FiniteDgModule``) hold basis bidegrees and d as term
 arrays like ``Expansion``'s, row = source: shifts and duals are index swaps
@@ -429,12 +430,13 @@ class Expansion:
     leave the range are projected away (a quotient in the raising
     direction, a submodule in the lowering one).
 
-    ``basis`` lists (k, monomial) sorted by (bidegree, k, monomial),
-    ``degs`` holds their bidegrees as an (n, 2) int64 array, and ``d`` is
-    the differential as arrays (rows, cols, coeffs) sorted by (row, col),
-    d(b_row) containing coeff * b_col.  Positions (d's, ``action``'s,
-    ``_row``, ``_order``, ``_place``) are int32 and coeffs in [1, p) in the
-    narrowest dtype of p; readers widen them before a key or a sign flip.
+    ``basis`` lists (k, monomial) in generator order: generator by
+    generator, each generator's table in table order (grouped by bidegree,
+    each group sorted).  ``degs`` holds their bidegrees as an (n, 2) int64 array, and
+    ``d`` is the differential as arrays (rows, cols, coeffs) sorted by (row,
+    col), d(b_row) containing coeff * b_col.  Positions (d's, ``action``'s,
+    ``_row``) are int32 and coeffs in [1, p) in the narrowest dtype of p;
+    readers widen them before a key or a sign flip.
 
     Generators are held by index into the few distinct spans (``_spans``):
     each span's table is read once, and sizes, offsets, bidegrees and
@@ -442,7 +444,7 @@ class Expansion:
     one block per distinct group, placed by ``_gather``.
     """
 
-    __slots__ = ("module", "degs", "d", "_spans", "_which", "_tables", "_offsets", "_sizes", "_place", "_row", "_order")
+    __slots__ = ("module", "degs", "d", "_spans", "_which", "_tables", "_offsets", "_sizes", "_row")
 
     def __init__(self, module: SemifreeDgModule, jlo: int, jhi: int):
         self.module = module
@@ -466,14 +468,9 @@ class Expansion:
         self._offsets = n.cumsum() - n
         row = (np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)[which] - self._offsets).repeat(n)
         row += np.arange(len(row))
-        degs = joined([t.degs for t in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(self._sizes, axis=0)
-        # a stable sort by bidegree keeps the generator order and each table's order
-        order = np.lexsort((degs[:, 1], degs[:, 0]))
-        self.degs = degs.take(order, axis=0)
-        self._place = np.empty(len(order), np.int32)
-        self._place[order] = np.arange(len(order), dtype=np.int32)
-        self._tables, self._row, self._order = tables, row.astype(np.int32), order.astype(np.int32)
-        del degs, row, order  # only the sorted bidegrees and int32 positions stay
+        self.degs = joined([t.degs for t in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(n, axis=0)
+        self._tables, self._row = tables, row.astype(np.int32)
+        del row  # only the int32 rows stay
         self.d = self._assemble(*_d_blocks(module, spans, which))
 
     def __len__(self):
@@ -489,18 +486,17 @@ class Expansion:
         """Each basis element's generator and monomial: arrays (gen, mon)
         in basis order and the sorted tuple ``mons`` that mon indexes."""
         mons, ids = _interned([mon for t in self._tables for mon in t.mons])
-        gen = np.arange(self.module.rank).repeat(self._sizes)
-        return gen.take(self._order), mons, ids.take(self._row.take(self._order))
+        return np.arange(self.module.rank).repeat(self._sizes), mons, ids.take(self._row)
 
     def _assemble(self, blocks, items):
         """The placed sum of the blocks (see ``_gather``), merged and sorted
-        by (row, col) in basis order: one int64 key (place[src] << 32) | place[dst] in src's buffer."""
+        by (row, col): one int64 key (src << 32) | dst in src's buffer."""
         p = self.module.algebra.p
         src, dst, vals = _gather(blocks, items, self._offsets, p)
         if not len(src):
             return (*_NO_POSITIONS, vals)
-        key = np.left_shift(self._place[src], 32, out=src, dtype=np.int64)
-        key |= self._place[dst]
+        key = np.left_shift(src, 32, out=src)
+        key |= dst
         del src, dst
         key, vals = summed(key, vals, p)
         words = key.view(np.int32).reshape(-1, 2)  # each key's low and high word, in memory order
@@ -509,65 +505,74 @@ class Expansion:
     def action(self, is_ext: bool, g: int):
         """Left action of one algebra generator as (rows, cols, coeffs),
         sorted by row; images outside the range are dropped.  One block per
-        distinct span; a basis element has at most one image, so the entries
-        are only sorted, not merged."""
+        distinct span, placed for the generators in order, each block by
+        source row: a basis element has at most one image, so the entries
+        come sorted by row and distinct, and need no sort or merge."""
         A = self.module.algebra
         mon = A.gen_monomial(is_ext, g)
         gens = np.arange(self.module.rank)
         found = blocks(A.key(), [(r, r, mon, True) for r in self._spans])
         src, dst, vals = _gather(found, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets, A.p)
-        rows = self._place.take(src)
-        order = rows.argsort()
-        return rows.take(order), self._place.take(dst.take(order)), vals.take(order)
+        return src.astype(np.int32), dst.astype(np.int32), vals
 
 
 def _column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:
     """Exact cohomology on the window from basis bidegrees and a differential.
 
-    degs: (n, 2) array of basis bidegrees in lexicographic order, complete
-    per column; d: arrays (rows, cols, coeffs) with distinct (row, col) pairs,
-    sorted by row, of any integer dtypes; entries not of bidegree (1, 0) are ignored.
+    degs: (n, 2) array of basis bidegrees in any order, complete per column;
+    d: arrays (rows, cols, coeffs) with distinct (row, col) pairs, in any
+    order, of any integer dtypes; entries not of bidegree (1, 0) are ignored.
 
     h^{i,j} = dim C^{i,j} - rank(C^{i,j} -> C^{i+1,j}) - rank(C^{i-1,j} -> C^{i,j}),
     so the only ranks taken are those of the maps out of bidegrees (i, j)
     with i0 - 1 <= i <= i1 and j0 <= j <= j1, each of the whole map between
     two complete cells, so every reported h is exact.  The maps never share
     a row or a column, so one ``structural_pivots`` pass over all of their
-    entries that are nonzero mod p serves every map; a pivot counts toward
-    the rank of the map out of its row's cell and into its column's.  What
-    is left is ranked by ``_cores``, one dense block per distinct connected
-    component, at its echelon form; ValueError when a block would take more
-    than MAX_RANK_CELLS * 8 bytes, before any block is allocated."""
-    n = len(degs)
-    if not n:
+    entries that are nonzero mod p (sorted by row first, unless they come
+    so) serves every map; a pivot counts toward the rank of the map out of
+    its row's cell and into its column's.  What is left is ranked by
+    ``_cores``, one dense block per distinct connected component, at its
+    echelon form; ValueError when a block would take more than
+    MAX_RANK_CELLS * 8 bytes, before any block is allocated.  A cell's h is
+    then the sum over its elements of 1 less the ranks met in their rows
+    and columns, a cell being a run of one bidegree code once the basis is
+    sorted by code."""
+    if not len(degs):
         return BigradedDims()
-    code = degs[:, 0] << 32 | degs[:, 1] & 0xFFFFFFFF  # one int per bidegree
+    i, j = degs[:, 0], degs[:, 1]
+    code = i << 32 | j & 0xFFFFFFFF  # one int per bidegree
+    ranked = np.zeros(len(degs), np.int64)  # per basis element: the ranks met in its row and in its column
     rows, cols, vals = d
-    if len(rows):
-        i, j = degs[:, 0], degs[:, 1]  # the rows of the maps ranked, then their entries of bidegree (1, 0)
+    if len(rows):  # the rows of the maps ranked, then their entries of bidegree (1, 0)
         live = ((window.i0 - 1 <= i) & (i <= window.i1) & (window.j0 <= j) & (j <= window.j1))[rows] & (vals % p != 0)
         live &= code[cols] == (code + (1 << 32))[rows]
         rows, cols, vals = rows[live].astype(np.intp), cols[live].astype(np.intp), vals[live]  # int32 indices are cast at each use
-    starts = [0, *((code[1:] != code[:-1]).nonzero()[0] + 1).tolist()]  # cells: runs of one bidegree
-    ranks = [0] * len(starts)  # per cell: the rank of the map out of it plus that of the map into it
+        if (rows[1:] < rows[:-1]).any():
+            by_row = rows.argsort(kind="stable")
+            rows, cols, vals = rows[by_row], cols[by_row], vals[by_row]
     if len(rows):
-        pivot_rows, pivot_cols, left = structural_pivots(rows, cols, n)
-        ranked = pivot_rows + pivot_cols.astype(np.int64)  # per basis element: pivots in its row and in its column
-        rows, cols, vals = rows[left], cols[left], vals[left]
-        if len(rows):
-            _cores(degs, starts, rows, cols, vals, p, ranked)
-        ranks = np.add.reduceat(ranked, starts).tolist()
+        pivot_rows, pivot_cols, left = structural_pivots(rows, cols, len(degs))
+        ranked += pivot_rows
+        ranked += pivot_cols
+        if len(left):
+            _cores(degs, rows[left], cols[left], vals[left], p, ranked)
+    order = code.argsort()
+    code = code[order]
+    starts = [0, *((code[1:] != code[:-1]).nonzero()[0] + 1).tolist()]  # cells: runs of one code
     out = BigradedDims()
-    for (i, j), a, b, rk in zip(degs[starts].tolist(), starts, starts[1:] + [n], ranks):
-        if b - a - rk and window.contains((i, j)):
-            out[(i, j)] = b - a - rk
+    for bd, h in zip(degs[order[starts]].tolist(), np.add.reduceat(1 - ranked[order], starts).tolist()):
+        if h and window.contains(bd):
+            out[bd] = h
     return out
 
 
-def _cores(degs, starts, rows, cols, vals, p: int, ranked):
+def _cores(degs, rows, cols, vals, p: int, ranked):
     """Rank what structural pivots left one connected component at a time
     (a basis element's row and column are distinct nodes, so a component
     lies in one map) and add its rank at its first row and first column.
+    A block's rows are in basis order and its columns sparsest first, ties
+    in basis order: ``echelon`` pivots each row on its least column, and
+    sparse pivot columns fill in little, whatever order the basis is in.
     A component is keyed by shape, its entries' positions in its block and
     their values mod p; each distinct key is ranked once, as a dense block
     in the narrowest unsigned dtype that holds p.  ValueError when a block
@@ -575,6 +580,8 @@ def _cores(degs, starts, rows, cols, vals, p: int, ranked):
     bound was sized for), before any block is allocated."""
     core_rows, r = np.unique(rows, return_inverse=True)
     core_cols, c = np.unique(cols, return_inverse=True)
+    by_count = np.bincount(c).argsort(kind="stable")  # the columns, sparsest first
+    core_cols, c = core_cols[by_count], by_count.argsort()[c]
     comp = components(r, c + len(core_rows))  # rows are nodes 0, 1, ..., and columns follow
     order, size = comp.argsort(kind="stable"), np.bincount(comp)
     start, nr = size.cumsum() - size, np.bincount(comp[: len(core_rows)])
@@ -601,18 +608,6 @@ def _cores(degs, starts, rows, cols, vals, p: int, ranked):
         ranks.append(seen[key])
     ranked[core_rows[order[start]]] += ranks
     ranked[core_cols[order[start + nr] - len(core_rows)]] += ranks
-
-
-def _sorted_cohomology(degs: np.ndarray, d, window: Window, p: int) -> BigradedDims:
-    """``_column_cohomology`` of basis bidegrees and d (rows, cols, vals) in
-    any order: the basis indices mapped into bidegree order and d sorted by row."""
-    order = np.lexsort((degs[:, 1], degs[:, 0]))
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    rows, cols, vals = d
-    rows = place[rows]
-    by_row = rows.argsort()
-    return _column_cohomology(degs[order], (rows[by_row], place[cols][by_row], vals[by_row]), window, p)
 
 
 def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
@@ -642,7 +637,7 @@ def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
     if mons and mons[0] == A.one() and not A.has_differential:
         src, tgt, _, coeff = terms.compress(terms[2] == 0, axis=1)
         (i0, j0), (i1, j1) = module.degs.min(axis=0).tolist(), module.degs.max(axis=0).tolist()
-        if not _sorted_cohomology(module.degs, (src, tgt, coeff), Window(i0, i1, j0, j1), A.p):
+        if not _column_cohomology(module.degs, (src, tgt, coeff), Window(i0, i1, j0, j1), A.p):
             return BigradedDims()
     exp = Expansion(module, window.j0, window.j1)
     return _column_cohomology(exp.degs, exp.d, window, A.p)
@@ -704,8 +699,9 @@ class FiniteDgModule:
     ``basis_degs`` is an (n, 2) int64 array of basis bidegrees, and d is
     term arrays (rows, cols, vals) like ``Expansion.d`` (narrow from one):
     d(b_row) contains vals * b_col, of bidegree (1, 0), with distinct (row,
-    col) pairs and values in [1, p), in any order.  The constructor takes d
-    as given; the generator actions are not held: the tables read only d.
+    col) pairs and values in [1, p); the basis and d may come in any order,
+    as ``_column_cohomology`` takes them.  The constructor takes d as
+    given; the generator actions are not held: the tables read only d.
     """
 
     __slots__ = ("algebra", "basis_degs", "d")
@@ -718,13 +714,9 @@ class FiniteDgModule:
         self.basis_degs = degs
         self.d = d
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis_degs)
-
     def cohomology(self, window: Window) -> BigradedDims:
-        """Cohomology on the window (``_sorted_cohomology``)."""
-        return _sorted_cohomology(self.basis_degs, self.d, window, self.algebra.p)
+        """Cohomology on the window (``_column_cohomology``, on the basis and d as held)."""
+        return _column_cohomology(self.basis_degs, self.d, window, self.algebra.p)
 
     def shift(self, a: int, b: int) -> "FiniteDgModule":
         """[a]<b>: d picks up (-1)^a."""

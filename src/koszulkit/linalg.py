@@ -73,12 +73,12 @@ MAX_MODULUS = 1 << 24
 # dgmodule._cores refuses a dense block, one connected component of what
 # structural pivots leave, of more than MAX_RANK_CELLS * 8 bytes; an entry
 # costs 1-4 bytes (the narrowest unsigned dtype that holds p), so at p = 3
-# a block may hold 512M entries.  The e = f = 5 round trip at p = 3, seed
-# 2024, trials 0-3 ranks at most trial 3's 7912 x 13355 block (106 MB as
-# uint8, 49,262 nonzeros, rank 5804), a margin of 4.8.  echelon refuses to
-# hold more than MAX_RANK_CELLS // 8 entries in its rows (a dict entry of
-# Python ints costs about 8 int64 cells); trials 0-2 hold at most 474, and
-# trial 3's largest block 79,425.
+# a block may hold 512M entries.  The e = f = 6 round trip at p = 3, seed
+# 2024, trials 0-3 ranks at most one 21140 x 22926 block, a component of a
+# cone's k (x)_A M in its contractibility certificate (485 MB as uint8,
+# 92,624 nonzeros, rank 13,180), a margin of 1.06.  echelon refuses to hold
+# more than MAX_RANK_CELLS // 8 entries in its rows (a dict entry of Python
+# ints costs about 8 int64 cells); that run holds at most 92,916.
 MAX_RANK_CELLS = 64_000_000
 
 

@@ -75,13 +75,14 @@ def _koszul_image(exp: Expansion, B: AlgebraSpec, offset, d_sign: int, act_ext: 
     w_b sits at offset + bidegree(b) and d(w_b) = d_sign w_{db} +
     sum_i g_i . w_{x_i b}, where x_i is the i-th ext (act_ext) or sym
     generator acting on the input and g_i is the partner generator of B.
-    The kernel's COO arrays of d and of each action, sorted by (row, col),
-    become the terms with monomial 1 and g_i.  Each part is keyed as it is
-    built, its int32 rows widened to one int64 key row * len(exp) + col, its
-    values kept in the narrowest dtype of p (d's negated as p - v).  The
-    parts, in monomial order, are concatenated into two rows of the one
-    (4, terms) array the image keeps, and made canonical by a stable sort:
-    each part is a sorted run, so equal keys keep monomial order.  The
+    The expansion's COO arrays of d and of each action, in its generator
+    order and sorted by (row, col), become the terms with monomial 1 and
+    g_i.  Each part is keyed as it is built, its int32 rows widened to one
+    int64 key row * len(exp) + col, its values kept in the narrowest dtype
+    of p (d's negated as p - v).  The parts, in monomial order, are
+    concatenated into two rows of the one (4, terms) array the image keeps,
+    and made canonical by a stable sort: each part is a sorted run, so
+    equal keys keep monomial order.  The
     sorted keys, split back into rows and columns, the values and the
     monomial ids are then written into that array's rows, so the largest
     image holds about five int64 entries per term at its peak.

@@ -37,9 +37,9 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, split):
     it is with no sign, because the B-part is either even or holds the
     lowest exterior indices.  The new generators are the basis elements
     mon . e_k of ``Expansion(M, min j, jhi)`` whose monomial is a residual
-    (splits with B-part 1), in basis order; every residual of a basis
-    element is in the expansion, its internal degree lying in [0, its
-    monomial's].  d is the expansion's on the new generators, each target
+    (splits with B-part 1), in the expansion's generator order (by k, then
+    k's table); every residual of a basis element is in the expansion, its
+    internal degree lying in [0, its monomial's].  d is the expansion's on the new generators, each target
     sent to its residual with its B-part as monomial.  The basis elements
     above jhi span a dg-submodule; the result is the quotient by it.
     Returns (module over B, labels), a label being (bidegree, k, residual).
@@ -49,7 +49,7 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, split):
     where, bmons = {m: u for u, m in enumerate(mons)}, {}
     splits = [(bmons.setdefault(b, len(bmons)), where[res]) for b, res in map(split, mons)]
     bmon, res = np.array(splits, dtype=np.int64).reshape(-1, 2).T
-    pos = (res[mon] == mon).nonzero()[0]  # the new generators, in basis order
+    pos = (res[mon] == mon).nonzero()[0]  # the new generators, in the expansion's order
     new = np.full(len(exp), -1, dtype=np.int64)
     new[pos] = np.arange(len(pos))
     src, dst, coeff = exp.d

@@ -63,7 +63,7 @@ def assert_same_d(fin, want: Dense):
     assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
     assert ((1 <= vals) & (vals < fin.algebra.p)).all()
     assert np.array_equal(fin.basis_degs, want.basis_degs)
-    assert np.array_equal(scatter(fin.d, fin.dim, fin.algebra.p), want.d)
+    assert np.array_equal(scatter(fin.d, len(fin.basis_degs), fin.algebra.p), want.d)
 
 
 def validate(M: Dense) -> list[str]:

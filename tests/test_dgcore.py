@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import dense_core_reference
 import expansion_reference
 import finite_reference as dense_ref
+from bidegree_order import by_bidegree
 from deadline import within
 from dense_reference import rank as dense_rank
 from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
@@ -383,18 +384,6 @@ def reference_column_cohomology(degs: np.ndarray, d, window: Window, p: int) -> 
     return out
 
 
-def _finite_input(fin: FiniteDgModule):
-    """A finite module's bidegrees in lexicographic order and its d with
-    indices in that order, sorted by (row, col): the input of
-    ``_column_cohomology``."""
-    order = np.lexsort((fin.basis_degs[:, 1], fin.basis_degs[:, 0]))
-    place = order.argsort()
-    rows, cols, vals = fin.d
-    rows, cols = place[rows], place[cols]
-    by = np.lexsort((cols, rows))
-    return fin.basis_degs[order], (rows[by], cols[by], vals[by])
-
-
 BAND_ALGEBRAS = [
     ("S", 1, 1, 3), ("S", 2, 2, 5), ("S", 3, 2, 3), ("R", 2, 1, 3), ("R", 2, 2, 5),
     ("T", 2, 2, 3), ("T", 3, 2, 5), ("T", 3, 3, 3), ("Q", 2, 1, 3), ("Q", 3, 2, 5), ("Q", 3, 1, 3),
@@ -418,8 +407,9 @@ def test_band_cohomology_matches_all_i_reference(alg, seed, data):
     i0 = data.draw(st.integers(lo - 3, hi + 3), label="i0")
     i1 = data.draw(st.one_of(st.just(i0), st.integers(i0, hi + 3)), label="i1")
     W = Window(i0, i1, j0, j1)
-    assert _column_cohomology(exp.degs, exp.d, W, A.p) == reference_column_cohomology(exp.degs, exp.d, W, A.p)
-    assert cohomology(M, W) == reference_column_cohomology(exp.degs, exp.d, W, A.p)
+    want = reference_column_cohomology(*by_bidegree(exp.degs, exp.d)[1:], W, A.p)
+    assert _column_cohomology(exp.degs, exp.d, W, A.p) == want
+    assert cohomology(M, W) == want
 
 
 @pytest.mark.parametrize("alg", [("S", 2, 2, 5), ("R", 2, 1, 3), ("T", 3, 2, 3), ("Q", 3, 2, 5)])
@@ -432,10 +422,11 @@ def test_band_cohomology_on_every_i_window(alg):
         hull = Window.hull(M.gens).enlarge(1, 4)
         exp = Expansion(M, hull.j0, hull.j1)
         lo, hi = _i_range(exp.degs)
+        _, degs, d = by_bidegree(exp.degs, exp.d)
         for i0 in range(lo - 2, hi + 3):
             for i1 in range(i0, hi + 3):
                 W = Window(i0, i1, hull.j0, hull.j1)
-                want = reference_column_cohomology(exp.degs, exp.d, W, A.p)
+                want = reference_column_cohomology(degs, d, W, A.p)
                 assert _column_cohomology(exp.degs, exp.d, W, A.p) == want
         far = Window(lo - 9, lo - 5, hull.j0, hull.j1)
         assert not _column_cohomology(exp.degs, exp.d, far, A.p)
@@ -451,7 +442,7 @@ def test_band_cohomology_on_every_i_window(alg):
 def test_band_cohomology_of_finite_modules(alg, seed, data):
     T = make_algebra(*alg)
     fin = expand_T_module(random_module(T, stream(seed, "band-finite"), max_gens=4))
-    degs, d = _finite_input(fin)
+    _, degs, d = by_bidegree(fin.basis_degs, fin.d)
     lo, hi = _i_range(degs)
     jlo, jhi = (int(degs[:, 1].min()), int(degs[:, 1].max())) if len(degs) else (0, 0)
     i0 = data.draw(st.integers(lo - 2, hi + 2), label="i0")
@@ -526,7 +517,7 @@ def test_no_rank_outside_the_band(monkeypatch):
                 W = Window(i0, i1, j0, j1)
                 table = fin.cohomology(W)
                 assert all(i0 - 1 <= i <= i1 and j0 <= j <= j1 for i, j in ranked), (W, ranked)
-                assert table == reference_column_cohomology(*_finite_input(fin), W, 3)
+                assert table == reference_column_cohomology(*by_bidegree(fin.basis_degs, fin.d)[1:], W, 3)
                 assert table.to_triples() == [[i, j, h[i, j]] for i, j in sorted(h) if h[i, j] and W.contains((i, j))]
                 seen.update(ranked)
     assert seen == set(source.values()) - {(0, 0)}
@@ -844,7 +835,7 @@ def test_the_contractibility_certificate_fires_only_on_zero_tables(alg, how, see
             assert not built
         if not built:
             exp = Expansion(M, W.j0, W.j1)
-            assert not table and not within(60, reference_column_cohomology, exp.degs, exp.d, W, A.p)
+            assert not table and not within(60, reference_column_cohomology, *by_bidegree(exp.degs, exp.d)[1:], W, A.p)
 
 
 # -- finite modules ------------------------------------------------------------
@@ -919,6 +910,43 @@ def test_finite_cohomology_of_an_unsorted_basis():
     T = make_algebra("T", 1, 1, 5)
     M = FiniteDgModule(T, [(0, 0), (1, 0), (0, 0)], _matrix([(0, 1, 1)]))
     assert M.cohomology(Window(-2, 2, -2, 2)).to_triples() == [[0, 0, 1]]
+
+
+ORDER_ALGEBRAS = [("S", 1, 1, 3), ("S", 2, 2, 5), ("S", 3, 2, 3), ("T", 2, 2, 3), ("T", 3, 3, 5), ("Q", 3, 1, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(alg=st.sampled_from(ORDER_ALGEBRAS), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cohomology_takes_any_basis_order(alg, seed, data):
+    """The table of an expansion, and of its twisted k-linear dual, with the
+    basis and d's entries permuted at random, equals the all-i reference on
+    the input renumbered by bidegree, through ``_column_cohomology`` and
+    ``FiniteDgModule.cohomology``.  Each action of the expansion has
+    strictly increasing rows: one image per basis element, none unsorted."""
+    A = make_algebra(*alg)
+    rng = np.random.default_rng(seed)
+    M = random_module(A, stream(seed, "any-order"), max_gens=4)
+    hull = Window.hull(M.gens)
+    j0 = data.draw(st.integers(hull.j0 - 4, hull.j1), label="j0")
+    exp = Expansion(M, j0, data.draw(st.integers(j0, hull.j1 + 6), label="j1"))
+    for is_ext, count in ((False, A.n_sym), (True, A.n_ext)):
+        for g in range(count):
+            rows = exp.action(is_ext, g)[0].tolist()
+            assert all(a < b for a, b in zip(rows, rows[1:])) and len(rows) == len(set(rows))
+    fin = expansion_to_finite(exp)
+    for X in (fin, k_linear_dual_T(fin)):
+        perm = rng.permutation(len(X.basis_degs))  # new position -> old
+        place = np.empty_like(perm)
+        place[perm] = np.arange(len(perm))
+        rows, cols, vals = X.d
+        shuffled = rng.permutation(len(rows))
+        degs, d = X.basis_degs[perm], (place[rows][shuffled], place[cols][shuffled], vals[shuffled])
+        lo, hi = _i_range(degs)
+        i0 = data.draw(st.integers(lo - 2, hi + 1), label="i0")
+        W = Window(i0, data.draw(st.integers(i0, hi + 2), label="i1"), *Window.hull(map(tuple, degs.tolist())).as_tuple()[2:])
+        want = reference_column_cohomology(*by_bidegree(degs, d)[1:], W, A.p)
+        assert within(60, _column_cohomology, degs, d, W, A.p) == want
+        assert within(60, FiniteDgModule(A, degs, d).cohomology, W) == want
 
 
 def test_finite_module_rejects_malformed_input():
@@ -998,7 +1026,7 @@ def test_expansion_arrays_have_pinned_dtypes(p):
             for rows, cols, vals in arrays:
                 assert (rows.dtype, cols.dtype, vals.dtype) == (np.int32, np.int32, np.min_scalar_type(p))
                 entries.append(len(rows))
-            assert exp._place.dtype == exp._row.dtype == exp._order.dtype == np.int32
+            assert exp._row.dtype == np.int32
             assert exp.degs.dtype == np.int64
     assert 0 in entries and max(entries) > 0
 
@@ -1020,9 +1048,10 @@ def test_expansion_past_the_int32_key_bound():
     M = SemifreeDgModule(S, [(1, -2), (0, 0)], *nested_terms(S, {0: {1: {((1, 0, 0, 0), 0): 1}}}))
     got, want = Expansion(M, -60, 0), expansion_reference.Expansion(M, -60, 0)
     assert len(got) == 87_296 > 46_341 and len(got.d[0]) == 40_920
-    assert all(np.array_equal(a, b) for a, b in zip(got.d, want.d))
-    for g in range(S.n_sym):
-        assert all(np.array_equal(a, b) for a, b in zip(got.action(False, g), want.action(False, g)))
+    _, degs, d, *actions = by_bidegree(got.degs, got.d, *(got.action(False, g) for g in range(S.n_sym)))
+    assert np.array_equal(degs, want.degs) and np.array_equal(d, want.d)
+    for g, action in enumerate(actions):
+        assert np.array_equal(action, want.action(False, g))
     W = Window(0, 60, -60, 0)
     table = cohomology(M, W)
     assert table == _column_cohomology(want.degs, want.d, W, 3)
@@ -1040,14 +1069,14 @@ def test_narrow_values_match_the_dense_reference(p, f, seed, data):
     W = oracle_window(N)
     exp = Expansion(N, W.j0, W.j1)
     assert exp.d[2].dtype == np.min_scalar_type(p)
-    assert cohomology(N, W) == reference_column_cohomology(exp.degs, exp.d, W, p)
+    assert cohomology(N, W) == reference_column_cohomology(*by_bidegree(exp.degs, exp.d)[1:], W, p)
     fin, ref = expand_T_module(N), dense_ref.expand_T(N)
     a, b = data.draw(st.sampled_from([-3, -1, 1, 3]), label="a"), data.draw(st.integers(-4, 4), label="b")
     dual, ref_dual = k_linear_dual_T(fin), dense_ref.k_linear_dual_T(ref)
     for got, want in ((dual, ref_dual), (dual.shift(a, b), dense_ref.shift(ref_dual, a, b))):
         dense_ref.assert_same_d(got, want)
         window = Window.hull(map(tuple, got.basis_degs.tolist())).enlarge(1, 2)
-        assert got.cohomology(window) == reference_column_cohomology(*_finite_input(got), window, p)
+        assert got.cohomology(window) == reference_column_cohomology(*by_bidegree(got.basis_degs, got.d)[1:], window, p)
 
 
 # -- serialization ------------------------------------------------------------

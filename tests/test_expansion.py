@@ -7,8 +7,10 @@ differential, labels and generator actions, entry for entry, and the same
 restrictions of scalars, on random modules over S, R, T, Q and P: free
 modules, generators that share a span, empty spans and windows that clip
 spans at 0 and at 2 n_ext, with terms of any bidegree (the kernel does not
-need d^2 = 0).  The caches the kernel reads are bounded; filling them past
-the bound evicts old entries without changing any expansion.
+need d^2 = 0).  The references hold bidegree order, so the kernel's
+output is renumbered by ``bidegree_order.by_bidegree`` first.  The caches
+the kernel reads are bounded; filling them past the bound evicts old
+entries without changing any expansion.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expansion_reference as ref
+from bidegree_order import by_bidegree
 from koszulkit import algebra, dgmodule
 from koszulkit.algebra import CACHE_SIZE, make_algebra, monomial_bidegree, monomials_by_internal
 from koszulkit.bigraded import Window
@@ -57,27 +60,31 @@ def _window(M, rng):
 
 
 def _assert_same_expansion(M, jlo, jhi):
+    """The expansion renumbered by bidegree (``by_bidegree``) is the
+    reference's, whose basis is sorted by (bidegree, generator, table row)."""
     got, want = Expansion(M, jlo, jhi), ref.Expansion(M, jlo, jhi)
-    assert got.degs.tolist() == want.degs.tolist()
-    for a, b in zip(got.d, want.d):
-        assert a.tolist() == b.tolist()
-    assert got.basis == want.basis
-    (gen, mons, mon), (want_gen, want_mons, want_mon) = got.labels(), want.labels()
-    assert (gen.tolist(), mons, mon.tolist()) == (want_gen.tolist(), want_mons, want_mon.tolist())
     A = M.algebra
-    for is_ext, count in ((False, A.n_sym), (True, A.n_ext)):
-        for g in range(count):
-            for a, b in zip(got.action(is_ext, g), want.action(is_ext, g)):
-                assert a.tolist() == b.tolist()
+    acts = [(is_ext, g) for is_ext, count in ((False, A.n_sym), (True, A.n_ext)) for g in range(count)]
+    order, degs, d, *actions = by_bidegree(got.degs, got.d, *(got.action(*act) for act in acts))
+    assert degs.tolist() == want.degs.tolist()
+    assert d.tolist() == [a.tolist() for a in want.d]
+    basis = got.basis
+    assert [basis[k] for k in order.tolist()] == want.basis
+    (gen, mons, mon), (want_gen, want_mons, want_mon) = got.labels(), want.labels()
+    assert (gen[order].tolist(), mons, mon[order].tolist()) == (want_gen.tolist(), want_mons, want_mon.tolist())
+    for action, act in zip(actions, acts):
+        assert action.tolist() == [a.tolist() for a in want.action(*act)]
     return got
 
 
 def _assert_same_restriction(got, want):
+    """The restriction renumbered by bidegree is the reference's."""
     (R, labels), (want_R, want_labels) = got, want
+    order, degs, terms = by_bidegree(R.degs, R.terms)
     assert R.algebra == want_R.algebra
-    assert R.degs.tolist() == want_R.degs.tolist()
-    assert R.mons == want_R.mons and R.terms.tolist() == want_R.terms.tolist()
-    assert labels == want_labels
+    assert degs.tolist() == want_R.degs.tolist()
+    assert R.mons == want_R.mons and terms.tolist() == want_R.terms.tolist()
+    assert [labels[k] for k in order.tolist()] == want_labels
 
 
 @settings(max_examples=200, deadline=None)

@@ -137,7 +137,7 @@ def test_validate_sees_the_twist_signs(monkeypatch):
     monkeypatch.setattr(homdual, "signed", lambda coeff, odd, p: coeff)
     mutant = dualize_T_formula(fin)
     assert mutant.cohomology(W) == want.cohomology(W)
-    mutant_d = dense_ref.scatter(mutant.d, mutant.dim, T.p)
+    mutant_d = dense_ref.scatter(mutant.d, len(mutant.basis_degs), T.p)
     assert not np.array_equal(mutant_d, ref.d)
     assert dense_ref.validate(ref._replace(d=mutant_d)) == ["Leibniz fails for ext generator 2"]
 

@@ -5,13 +5,15 @@ rule the kernel replaced, kept verbatim: d(m e_k) term by term through
 ``elt_d``/``elt_mul``, and the action of one generator through
 ``mul_monomials``, each looked up in a dict index.  The kernel must give
 the same basis, bidegrees, differential and generator actions, entry for
-entry, on seeded random modules over all five algebra kinds and on ranges
-that cut products off on both sides.
+entry, once renumbered into the reference's bidegree order
+(``bidegree_order.by_bidegree``), on seeded random modules over all five
+algebra kinds and on ranges that cut products off on both sides.
 """
 
 import numpy as np
 import pytest
 
+from bidegree_order import by_bidegree
 from dict_reference import elt_d, elt_mul, mul_monomials, to_nested
 from koszulkit import algebra
 from koszulkit.algebra import make_algebra, monomial_bidegree, monomials_by_internal
@@ -132,14 +134,16 @@ def test_kernel_matches_per_element_rule(e, f, p):
             for jlo, jhi in _ranges(module):
                 ref = ReferenceExpansion(module, jlo, jhi)
                 exp = Expansion(module, jlo, jhi)
-                assert exp.basis == ref.basis
-                assert exp.degs.tolist() == [list(ref.bidegree_of(n)) for n in range(len(ref))]
+                acts = [(is_ext, g) for is_ext, count in ((False, A.n_sym), (True, A.n_ext)) for g in range(count)]
+                order, degs, d, *actions = by_bidegree(exp.degs, exp.d, *(exp.action(*act) for act in acts))
+                basis = exp.basis
+                assert [basis[k] for k in order.tolist()] == ref.basis
+                assert degs.tolist() == [list(ref.bidegree_of(n)) for n in range(len(ref))]
                 want = [[n, m, c] for n in range(len(ref)) for m, c in ref.d_of(n)]
-                assert _triples(*exp.d) == want
-                for is_ext, count in ((False, A.n_sym), (True, A.n_ext)):
-                    for g in range(count):
-                        want = [[n, m, c] for n in range(len(ref)) for m, c in ref.act(is_ext, g, n)]
-                        assert _triples(*exp.action(is_ext, g)) == want
+                assert _triples(*d) == want
+                for action, (is_ext, g) in zip(actions, acts):
+                    want = [[n, m, c] for n in range(len(ref)) for m, c in ref.act(is_ext, g, n)]
+                    assert _triples(*action) == want
     assert kinds == {"S", "R", "T", "Q", "P"}
 
 

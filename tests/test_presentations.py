@@ -9,6 +9,12 @@ through their basis bidegrees and the (row, col, coeff) triples of d and
 of every generator action, sorted by (row, col); the actions, which finite
 modules do not hold, are read from the dense reference record
 (``finite_reference``), built from ``Expansion.action``.
+
+``DIGESTS`` were taken when expansions held their basis in bidegree order,
+so each output is renumbered by a stable sort on bidegree (``by_bidegree``)
+before it is hashed: a finite module and its dual by the expansion's
+permutation, since the dual's bidegrees are negated.  ``ORDER_DIGESTS``
+hash the outputs as built, in generator order.
 """
 
 import hashlib
@@ -17,8 +23,9 @@ import json
 import pytest
 
 import finite_reference as dense_ref
+from bidegree_order import by_bidegree
 from koszulkit.algebra import make_algebra
-from koszulkit.dgmodule import serialize_module
+from koszulkit.dgmodule import SemifreeDgModule, serialize_module
 from koszulkit.homdual import dualize_T_formula, expand_T_module
 from koszulkit.lkd import functor_F, functor_G, functor_jcut, standard_window
 from koszulkit.qmodel import pushforward_p, restrict_to_T
@@ -33,36 +40,48 @@ def _triples(matrix):
     return sorted(zip(*(x.tolist() for x in matrix)))
 
 
-def _dense_triples(matrix):
-    """The (row, col, coeff) triples of a dense matrix's nonzero entries,
-    sorted by (row, col)."""
+def _nonzeros(matrix):
+    """The (rows, cols, coeffs) arrays of a dense matrix's nonzero entries."""
     rows, cols = matrix.nonzero()
-    return _triples((rows, cols, matrix[rows, cols]))
+    return rows, cols, matrix[rows, cols]
 
 
-def _finite_text(M, ref) -> str:
+def _finite_text(M, ref, order=None) -> str:
     """Basis bidegrees and d of a finite module, and every generator action
-    of its dense reference record, whose d must equal the module's."""
+    of its dense reference record, whose d must equal the module's; all
+    renumbered by ``order`` when given."""
     dense_ref.assert_same_d(M, ref)
-    degs = [[int(x) for x in bd] for bd in M.basis_degs]
-    return json.dumps([degs, _triples(M.d), [_dense_triples(a) for a in ref.sym_act], [_dense_triples(a) for a in ref.ext_act]])
+    degs, d, *acts = M.basis_degs, M.d, *map(_nonzeros, ref.sym_act + ref.ext_act)
+    if order is not None:
+        _, degs, d, *acts = by_bidegree(degs, d, *acts, order=order)
+    sym, ext = acts[: len(ref.sym_act)], acts[len(ref.sym_act) :]
+    return json.dumps([degs.tolist(), _triples(d), [_triples(a) for a in sym], [_triples(a) for a in ext]])
+
+
+def _module_texts(M):
+    """A module's ``serialize_module`` bytes as built and renumbered."""
+    _, degs, terms = by_bidegree(M.degs, M.terms)
+    return serialize_module(M), serialize_module(SemifreeDgModule(M.algebra, degs, M.mons, terms))
 
 
 def _outputs(e, f, p):
+    """(name, text as built, text renumbered by bidegree) for each output."""
     S, T, Q = (make_algebra(kind, e, f, p) for kind in "STQ")
     for t in range(TRIALS):
         rng = stream(77, f"presentations:{e}:{f}:{p}:{t}")
         M = random_module(S, rng, max_gens=3)
-        yield "F", serialize_module(functor_F(M, functor_jcut(standard_window(M), f)).module)
-        yield "G", serialize_module(functor_G(random_module(T, rng, max_gens=3)).module)
+        yield "F", *_module_texts(functor_F(M, functor_jcut(standard_window(M), f)).module)
+        yield "G", *_module_texts(functor_G(random_module(T, rng, max_gens=3)).module)
         MQ = random_module(Q, rng, max_gens=3)
         jhi = max(j for _, j in MQ.gens) + 2 * (e + 1)
-        yield "restrict", serialize_module(restrict_to_T(MQ, jhi)[0])
-        yield "push", serialize_module(pushforward_p(MQ)[0])
+        yield "restrict", *_module_texts(restrict_to_T(MQ, jhi)[0])
+        yield "push", *_module_texts(pushforward_p(MQ)[0])
         for N in (random_module(T, rng, max_gens=3), random_acyclic(T, rng)):
             fin, ref = expand_T_module(N), dense_ref.expand_T(N)
-            yield "expand", _finite_text(fin, ref)
-            yield "dual", _finite_text(dualize_T_formula(fin), dense_ref.shift(dense_ref.k_linear_dual_T(ref), f, 2 * f))
+            dual, ref_dual = dualize_T_formula(fin), dense_ref.shift(dense_ref.k_linear_dual_T(ref), f, 2 * f)
+            order = by_bidegree(fin.basis_degs)[0]
+            yield "expand", _finite_text(fin, ref), _finite_text(fin, ref, order)
+            yield "dual", _finite_text(dual, ref_dual), _finite_text(dual, ref_dual, order)
 
 
 DIGESTS = {
@@ -109,11 +128,23 @@ DIGESTS = {
 }
 
 
+# SHA-256 of every output of a configuration as built, in generator order.
+ORDER_DIGESTS = {
+    (1, 1, 3): "7c28ef59eb49726ec26a94faa73c1b716911cf7c942dcb039cbd86eab2444e48",
+    (2, 0, 3): "676a56d68e26ba1e15c42e13c9ff143cea254244581a96668191229de758e163",
+    (2, 1, 5): "e6da09de918c480e4aa31bbe437cdb416b8be0357db99606f502f49c45f735e5",
+    (2, 2, 3): "313357eda24ad5e1497d5293fcc5367cbe1a0ca9df4b9cfc6208efe0b447489d",
+    (3, 1, 3): "a9625f356a44b6617d5ddfa3f7785a61710210289fc2b7000b25980f9c99ea10",
+}
+
+
 @pytest.mark.parametrize("e,f,p", sorted(DIGESTS))
 def test_presentation_digests(e, f, p):
-    hashes = {}
-    for name, text in _outputs(e, f, p):
-        hashes.setdefault(name, hashlib.sha256()).update(text.encode() + b"\n")
+    hashes, built = {}, hashlib.sha256()
+    for name, text, renumbered in _outputs(e, f, p):
+        hashes.setdefault(name, hashlib.sha256()).update(renumbered.encode() + b"\n")
+        built.update(text.encode() + b"\n")
     got = {name: h.hexdigest() for name, h in hashes.items()}
     assert got == DIGESTS[(e, f, p)]
+    assert built.hexdigest() == ORDER_DIGESTS[(e, f, p)]
 
