@@ -16,8 +16,8 @@ bidegree and all ext generators sharing another:
 
 A monomial is a pair (exps, mask): exponent tuple for the sym part and a
 bitmask over ext generators.  This module owns monomials in both forms:
-as tuples, their bidegrees and their enumeration by internal degree; as
-arrays, all monomial arithmetic.  ``monomial_arrays`` holds monomials as
+as tuples, their bidegrees; as arrays, all monomial arithmetic; and their
+one enumeration, ``table``, in both.  ``monomial_arrays`` holds monomials as
 exponent rows and int64 ext masks, ``byte_keys`` numbers them, a product
 adds exponents and ors masks (overlapping masks vanish), its wedge sign is
 the ``parity`` of one mask under the other's weight mask (``weights``),
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, inf
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -49,11 +48,12 @@ Monomial = tuple[tuple[int, ...], int]
 KINDS = ("S", "R", "T", "Q", "P")
 
 # Entries kept by each monomial cache here.  One benchmark pass misses at
-# most 1,914 blocks in ``blocks`` (roundtrip-e3, built in 140 batches;
-# scale-e4 1,902 in 20, duality-grid 782 in 320) and at most 618 times in
-# every other cache, so no pass evicts; a run of any length holds at most
-# this many tables per cache.  The e = f = 5 round trip (trials 0-2) builds
-# 9,508 blocks in 28 batches, about 2,100 of them again after eviction.
+# most 554 blocks in ``blocks`` (duality-grid, built in 340 batches;
+# roundtrip-e3 390 in 136, scale-e4 116 in 27) and at most 568 times in
+# every other cache (``table`` on duality-grid: 328 spans of expansions and
+# 240 more of the samplers' single degrees), so no pass evicts; a run of any
+# length holds at most this many tables per cache.  The e = f = 6 round trip
+# (trials 0-3) builds 211 blocks in 22 batches and 25 tables.
 CACHE_SIZE = 4096
 
 
@@ -137,40 +137,6 @@ def _compositions(total: int, parts: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _monomials_by_internal(key, jlo: int, jhi: int):
-    """All monomials with internal degree in [jlo, jhi], grouped by bidegree.
-
-    The cached result is shared by every caller, so it is read-only: a
-    mapping of bidegree to a sorted tuple of monomials.
-
-    Terminates because every generator in every kind has internal degree
-    +-2, so each internal degree bounds the total monomial length.
-    """
-    alg = AlgebraSpec(*key)
-    si, sj = alg.sym_deg
-    ei, ej = alg.ext_deg
-    table: dict[Bidegree, list[Monomial]] = {}
-    for m in range(alg.n_ext + 1):  # bidegrees first met in order of m, then t
-        lo, hi = jlo - m * ej, jhi - m * ej  # left for the sym part: t * sj, t >= 0
-        if alg.n_sym == 0:
-            ts = range(int(lo <= 0 <= hi))
-        else:  # |sj| = 2
-            lo, hi = (-hi, -lo) if sj < 0 else (lo, hi)
-            ts = range(max(0, -(-lo // 2)), hi // 2 + 1)
-        # only the masks of the m that occur: a narrow range of a large
-        # exterior part is enumerated in its size, not in 2^n_ext steps
-        masks = [sum(1 << b for b in bits) for bits in combinations(range(alg.n_ext), m)] if ts else []
-        for t in ts:
-            bucket = table.setdefault((t * si + m * ei, t * sj + m * ej), [])
-            bucket += [(exps, mask) for mask in masks for exps in _compositions(t, alg.n_sym)]
-    return MappingProxyType({bd: tuple(sorted(bucket)) for bd, bucket in table.items()})
-
-
-def monomials_by_internal(alg: AlgebraSpec, jlo: int, jhi: int):
-    return _monomials_by_internal(alg.key(), jlo, jhi)
-
-
 def degree_bounds(A: AlgebraSpec):
     """(lo, hi): the internal degrees of A's monomials lie in [lo, hi], one
     side possibly infinite, and each even degree there is some monomial's.
@@ -196,8 +162,8 @@ def span_size(key, jlo: int, jhi: int) -> int:
 
 
 class _Table(NamedTuple):
-    """The monomials of one (algebra, internal-degree span) in the order of
-    ``monomials_by_internal``, and the same as read-only arrays: bidegrees
+    """The monomials of one (algebra, internal-degree span) as ``table``
+    lists them, and the same as read-only arrays: bidegrees
     (n, 2), exponents (n, n_sym) and ext masks (n,); ``keys`` are the
     monomials' byte keys (see ``byte_keys``) sorted, and ``rows`` the row of each."""
 
@@ -272,12 +238,34 @@ def joined(arrays, axis=0):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def table(key, jlo: int, jhi: int) -> _Table:
-    """The monomials of ``monomials_by_internal`` on [jlo, jhi], in its
-    order, with their arrays.  Ext masks fit int64 (see ``MAX_E``)."""
-    by_deg = _monomials_by_internal(key, jlo, jhi)
-    mons = tuple(mon for bucket in by_deg.values() for mon in bucket)
-    degs = np.array(list(by_deg), dtype=np.int64).reshape(-1, 2).repeat(list(map(len, by_deg.values())), axis=0)
-    exps, masks = monomial_arrays(mons, AlgebraSpec(*key).n_sym)
+    """The monomials with internal degree in [jlo, jhi], with their arrays:
+    grouped by bidegree, the groups in order of ext count m, then sym
+    length t, each group sorted.  Each (m, t) is one bidegree: only Q has
+    both parts, and there i = -m.  Ext masks fit int64 (see ``MAX_E``).
+
+    Terminates because every generator in every kind has internal degree
+    +-2, so each internal degree bounds the total monomial length.
+    """
+    A = AlgebraSpec(*key)
+    si, sj = A.sym_deg
+    ei, ej = A.ext_deg
+    groups, degs = [], []
+    for m in range(A.n_ext + 1):
+        lo, hi = jlo - m * ej, jhi - m * ej  # left for the sym part: t * sj, t >= 0
+        if A.n_sym == 0:
+            ts = range(int(lo <= 0 <= hi))
+        else:  # |sj| = 2
+            lo, hi = (-hi, -lo) if sj < 0 else (lo, hi)
+            ts = range(max(0, -(-lo // 2)), hi // 2 + 1)
+        # only the masks of the m that occur: a narrow range of a large
+        # exterior part is enumerated in its size, not in 2^n_ext steps
+        masks = [sum(1 << b for b in bits) for bits in combinations(range(A.n_ext), m)] if ts else []
+        for t in ts:
+            groups.append(sorted((exps, mask) for mask in masks for exps in _compositions(t, A.n_sym)))
+            degs.append((t * si + m * ei, t * sj + m * ej))
+    mons = tuple(mon for group in groups for mon in group)
+    degs = np.array(degs, dtype=np.int64).reshape(-1, 2).repeat(list(map(len, groups)), axis=0)
+    exps, masks = monomial_arrays(mons, A.n_sym)
     keys = byte_keys(exps, masks)
     rows = keys.argsort()
     arrays = degs, exps, masks, keys[rows], rows

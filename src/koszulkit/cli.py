@@ -14,7 +14,7 @@ import os
 import sys
 
 from .bigraded import SHIFT_CONVENTION, Window
-from .dgmodule import cohomology, deserialize_module
+from .dgmodule import MAX_DOCUMENT, cohomology, deserialize_module
 from .suites import SUITES, Config, report_to_json, run_verify
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -154,7 +154,7 @@ def cmd_sl2(args) -> int:
 def cmd_table(args) -> int:
     try:
         with open(args.module) as fh:
-            module = deserialize_module(fh.read())
+            module = deserialize_module(fh.read(MAX_DOCUMENT + 1))  # enough to refuse a longer file
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read module file: {exc}")
     if args.window:

@@ -80,7 +80,8 @@ def _interned(mons):
 def canonical(mons, terms, n_tgt: int, p: int):
     """Canonical ``(mons, terms)`` from terms (src, tgt, mon, coeff), coeff
     nonzero mod p, over monomials ``mons`` in any order and not all used:
-    equal positions are summed mod p and vanishing sums dropped."""
+    equal positions are summed mod p and vanishing sums dropped.  Every
+    module and map built from raw terms is made canonical here."""
     if not terms.shape[1]:
         return (), _NO_TERMS
     uniq, ids = _interned(mons)
@@ -92,16 +93,6 @@ def canonical(mons, terms, n_tgt: int, p: int):
         mon = (used.cumsum() - 1)[mon]
         uniq = [m for m, u in zip(uniq, used.tolist()) if u]
     return tuple(uniq), np.array([*np.divmod(rest, n_tgt), mon, coeff])
-
-
-def nested_terms(algebra: AlgebraSpec, nested) -> tuple:
-    """Canonical ``(mons, terms)`` from nested dicts {src: {tgt: {monomial:
-    coeff}}}, a monomial being (exps, mask): the one conversion from dict
-    input, for parsed files, sampled entries and tests."""
-    p, rows = algebra.p, nested.items()
-    terms = sorted((k, l, (tuple(e), mask), c % p) for k, r in rows for l, x in r.items() for (e, mask), c in x.items() if c % p)
-    mons, ids = _interned([mon for _, _, mon, _ in terms])
-    return mons, np.array([(k, l, u, c) for (k, l, _, c), u in zip(terms, ids.tolist())], dtype=np.int64).reshape(-1, 4).T.copy()
 
 
 def signed(coeff, odd, p: int) -> np.ndarray:
@@ -185,7 +176,7 @@ class SemifreeDgModule:
     the monomials used.  The arrays are canonical (sorted by (src, tgt, mon),
     one term per position, coeff in [1, p), every monomial used), so equal
     modules have equal arrays; the constructor takes them as given, and
-    ``nested_terms`` and every producer emit them so.  ``terms`` and
+    ``canonical`` and every producer emit them so.  ``terms`` and
     ``degs`` (``gens`` as a (rank, 2) array) are read-only
     (``flags.writeable`` is False) and shared between derived modules.
     """
@@ -749,6 +740,15 @@ def serialize_module(module: SemifreeDgModule) -> str:
 # _column_cohomology packs a bidegree into one int64, i above 32 bits of j.
 MAX_DEGREE = 1 << 30
 
+# Bound on the length of a module document, in characters (its bytes, when
+# ASCII as ``serialize_module`` writes it), checked before ``json.loads``.
+# Parsing adds about 29 bytes per character to the process's peak: dense
+# files of unit terms peak at 285 MB (8.7 MB, 360,000 terms) and 517 MB
+# (16.7 MB, 678,976 terms, just under the bound).  ``canonical``'s int64
+# key (gens^2 * monomials) fits at the bound too, each generator taking at
+# least 6 characters and each monomial 9.
+MAX_DOCUMENT = 1 << 24
+
 
 def _check_int(value, what: str, lo=None, hi=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -766,9 +766,14 @@ def _check_list(value, what: str, n: int | None = None) -> list:
 
 def deserialize_module(text: str) -> SemifreeDgModule:
     """Parse and validate the JSON of ``serialize_module``; a ValueError that
-    names what is wrong on any malformed or invalid input, too deep a
-    nesting, a missing or mistyped member, a repeated entry and a monomial
-    repeated within one entry (neither is summed nor overwritten) included."""
+    names what is wrong on any malformed or invalid input, a document longer
+    than ``MAX_DOCUMENT``, too deep a nesting, a missing or mistyped member,
+    a repeated entry and a monomial repeated within one entry (neither is
+    summed nor overwritten) included.  The terms are collected flat, with
+    coefficients reduced mod p and zero ones dropped, and made canonical by
+    ``canonical``."""
+    if len(text) > MAX_DOCUMENT:
+        raise ValueError(f"the document is longer than {MAX_DOCUMENT:,} characters")
     try:
         doc = json.loads(text)
     except RecursionError:  # json.loads recurses once per nested array or object
@@ -781,22 +786,25 @@ def deserialize_module(text: str) -> SemifreeDgModule:
     algebra = make_algebra(a["kind"], *(_check_int(a[x], x) for x in "efp"))
     bidegrees = (_check_list(g, "generator bidegree", 2) for g in _check_list(doc.get("gens"), "gens"))
     gens = [tuple(_check_int(x, "generator degree", -MAX_DEGREE, MAX_DEGREE) for x in g) for g in bidegrees]
-    diff: dict[int, dict[int, dict]] = {}
+    p, seen, ids, rows = algebra.p, set(), {}, []
     for k, l, terms in (_check_list(entry, "diff entry", 3) for entry in _check_list(doc.get("diff"), "diff")):
         _check_int(k, "generator index", 0, len(gens))
         _check_int(l, "generator index", 0, len(gens))
-        if l in diff.get(k, {}):
+        if (k, l) in seen:
             raise ValueError(f"entry [{k}, {l}] is repeated")
-        entry = {}
+        seen.add((k, l))
+        entry = set()
         for c, exps, mask in (_check_list(term, "term", 3) for term in _check_list(terms, "terms")):
             _check_int(c, "coefficient")
             exps = _check_list(exps, "exponent vector", algebra.n_sym)
             mon = (tuple(_check_int(x, "exponent", 0, MAX_DEGREE) for x in exps), _check_int(mask, "ext mask", 0, 1 << algebra.n_ext))
             if mon in entry:
                 raise ValueError(f"entry [{k}, {l}] repeats the monomial with exponents {list(mon[0])} and ext mask {mon[1]}")
-            entry[mon] = c
-        diff.setdefault(k, {})[l] = entry
-    mod = SemifreeDgModule(algebra, gens, *nested_terms(algebra, diff))
+            entry.add(mon)
+            if c % p:
+                rows += k, l, ids.setdefault(mon, len(ids)), c % p
+    terms = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    mod = SemifreeDgModule(algebra, gens, *canonical(list(ids), terms, len(gens), p))
     issues = mod.validate()
     if issues:
         raise ValueError("invalid module: " + "; ".join(issues))

@@ -86,8 +86,8 @@ def restriction_unit(N: SemifreeDgModule, e: int, jhi: int) -> DgMap:
     """The canonical map N -> restrict(Q tensor_T N); a quasi-isomorphism."""
     MQ = extend_to_Q(N, e)
     R, labels = restrict_to_T(MQ, jhi)
-    terms = sorted((k, n, 0, 1) for n, (_, k, mon) in enumerate(labels) if mon == MQ.algebra.one())
-    return DgMap(N, R, (R.algebra.one(),) if terms else (), np.array(terms, dtype=np.int64).reshape(-1, 4).T.copy())
+    terms = [(k, n, 0, 1) for n, (_, k, mon) in enumerate(labels) if mon == MQ.algebra.one()]
+    return DgMap(N, R, *canonical([R.algebra.one()], np.array(terms, dtype=np.int64).reshape(-1, 4).T, R.rank, R.algebra.p))
 
 
 def pushforward_p(M: SemifreeDgModule):

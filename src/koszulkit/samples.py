@@ -5,16 +5,19 @@ so parallel and serial executions see identical streams.  Valid differentials
 are produced structurally (cones of random chain maps between zero-
 differential modules are valid for any homogeneous matrix, since the
 algebra differential vanishes on S and T), topped up by rejection-sampled
-chain maps into the result.
+chain maps into the result.  Entries draw from the rows of ``algebra.table``
+of their bidegree, and maps are built by ``dgmodule.canonical``.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algebra import AlgebraSpec, monomials_by_internal
+import numpy as np
+
+from .algebra import AlgebraSpec, table
 from .bigraded import bidegree_add
-from .dgmodule import DgMap, SemifreeDgModule, cone, free_module, nested_terms
+from .dgmodule import DgMap, SemifreeDgModule, canonical, cone, free_module
 
 
 def stream(seed, trial) -> random.Random:
@@ -22,17 +25,15 @@ def stream(seed, trial) -> random.Random:
 
 
 def random_homogeneous(alg: AlgebraSpec, bidegree, rng: random.Random):
-    """Random element of the given bidegree (possibly zero)."""
+    """Random element of the given bidegree (possibly zero): each monomial
+    of ``table`` on [j, j] of that bidegree, in its order, drawn with
+    probability 0.6 and a random nonzero coefficient."""
     i, j = bidegree
-    table = monomials_by_internal(alg, j, j)
-    mons = table.get((i, j), [])
-    if not mons:
-        return {}
+    t = table(alg.key(), j, j)
     out = {}
-    for mon in mons:
+    for mon in map(t.mons.__getitem__, (t.degs[:, 0] == i).nonzero()[0].tolist()):
         if rng.random() < 0.6:
-            c = rng.randrange(1, alg.p)
-            out[mon] = c
+            out[mon] = rng.randrange(1, alg.p)
     return out
 
 
@@ -57,16 +58,13 @@ def _gen_lattice(alg: AlgebraSpec, rng: random.Random, count: int):
 def random_chain_map(alg: AlgebraSpec, source: SemifreeDgModule, target: SemifreeDgModule, rng: random.Random, attempts: int = 4) -> DgMap:
     """A valid chain map source -> target; falls back to the zero map."""
     for _ in range(attempts):
-        matrix = {}
+        mons, terms = [], []
         for k, gk in enumerate(source.gens):
-            row = {}
             for l, gl in enumerate(target.gens):
-                entry = random_homogeneous(alg, (gk[0] - gl[0], gk[1] - gl[1]), rng)
-                if entry:
-                    row[l] = entry
-            if row:
-                matrix[k] = row
-        phi = DgMap(source, target, *nested_terms(alg, matrix))
+                for mon, c in random_homogeneous(alg, (gk[0] - gl[0], gk[1] - gl[1]), rng).items():
+                    terms.append((k, l, len(mons), c))
+                    mons.append(mon)
+        phi = DgMap(source, target, *canonical(mons, np.array(terms, dtype=np.int64).reshape(-1, 4).T, target.rank, alg.p))
         if not phi.validate():
             return phi
     return DgMap(source, target)

@@ -16,11 +16,19 @@ The scalar monomial rules are kept here verbatim too: ``_ext_sign``,
 ``bigraded``, and ``d_ext_target``, once an ``AlgebraSpec`` method.  ``algebra``'s array kernel (``monomial_arrays``, ``weights``,
 ``parity``, ``d_A``) replaced them in the program; tests check it against
 them monomial pair by monomial pair.
+
+``nested_terms`` is the dict-to-array conversion the program once used for
+parsed files and sampled maps; the program now builds term arrays through
+``dgmodule.canonical``, and tests keep this sort-and-intern copy as an
+independent way in.  ``monomials_by_bidegree`` reads ``algebra.table``
+grouped by its bidegrees, the form the program's enumeration once had.
 """
 
-from koszulkit.algebra import AlgebraSpec, Monomial, monomial_bidegree
+import numpy as np
+
+from koszulkit.algebra import AlgebraSpec, Monomial, monomial_bidegree, table
 from koszulkit.bigraded import Bidegree, bidegree_add
-from koszulkit.dgmodule import ONE_SHIFT, DgMap, SemifreeDgModule, nested_terms
+from koszulkit.dgmodule import ONE_SHIFT, DgMap, SemifreeDgModule
 
 Element = dict  # Monomial -> int coefficient
 
@@ -83,6 +91,28 @@ def elt_d(alg: AlgebraSpec, x: Element) -> Element:
             pos += 1
             m &= m - 1
     return out
+
+
+def nested_terms(algebra: AlgebraSpec, nested) -> tuple:
+    """Canonical ``(mons, terms)`` from nested dicts {src: {tgt: {monomial:
+    coeff}}}, a monomial being (exps, mask): the terms sorted, coefficients
+    reduced mod p and zero ones dropped, the monomials used interned in
+    sorted order."""
+    p, rows = algebra.p, nested.items()
+    terms = sorted((k, l, (tuple(e), mask), c % p) for k, r in rows for l, x in r.items() for (e, mask), c in x.items() if c % p)
+    mons = tuple(sorted({mon for _, _, mon, _ in terms}))
+    pos = {mon: u for u, mon in enumerate(mons)}
+    return mons, np.array([(k, l, pos[mon], c) for k, l, mon, c in terms], dtype=np.int64).reshape(-1, 4).T.copy()
+
+
+def monomials_by_bidegree(alg: AlgebraSpec, jlo: int, jhi: int) -> dict:
+    """The monomials of ``table`` on [jlo, jhi] grouped by bidegree, as a
+    dict of tuples in the table's order."""
+    t = table(alg.key(), jlo, jhi)
+    out = {}
+    for mon, bd in zip(t.mons, map(tuple, t.degs.tolist())):
+        out.setdefault(bd, []).append(mon)
+    return {bd: tuple(mons) for bd, mons in out.items()}
 
 
 def module(algebra, gens, diff) -> SemifreeDgModule:

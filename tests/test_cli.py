@@ -605,6 +605,26 @@ def test_table_refuses_a_deeply_nested_file(tmp_path):
     assert "Traceback" not in res.stderr and res.stdout == ""
 
 
+def test_table_refuses_a_document_over_the_length_bound(tmp_path, monkeypatch, capsys):
+    """A module file longer than ``MAX_DOCUMENT`` (once parsed whatever its
+    size, and so killed for memory instead of refused) exits 2 with one line
+    before it is parsed; one at the bound is read."""
+    from koszulkit import cli, dgmodule
+
+    text = json.dumps(dict(_S1, diff=[[1, 0, [[1, [1], 0]]]]))
+    path = tmp_path / "mod.json"
+    path.write_text(text)
+    for bound in (len(text), len(text) - 1):
+        monkeypatch.setattr(cli, "MAX_DOCUMENT", bound)
+        monkeypatch.setattr(dgmodule, "MAX_DOCUMENT", bound)
+        code = main(["table", str(path), "--out", str(tmp_path / "table.json")])
+        err = capsys.readouterr().err
+        if bound == len(text):
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and err == f"error: cannot read module file: the document is longer than {bound:,} characters\n"
+
+
 def _edge_t62(c):
     """A T(62, 62) square on the top two ext generators, d^2 = 0 when c = 1:
     d(e0) = theta61 e1 + theta60 e2, d(e1) = theta60 e3, d(e2) = c theta61 e3."""

@@ -15,9 +15,9 @@ import finite_reference as dense_ref
 from bidegree_order import by_bidegree
 from deadline import within
 from dense_reference import rank as dense_rank
-from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, mul_monomials, to_nested
+from dict_reference import _ext_sign, dg_map, elt_bidegree, elt_d, elt_mul, module, monomials_by_bidegree, mul_monomials, nested_terms, to_nested
 from koszulkit import algebra, dgmodule, linalg
-from koszulkit.algebra import KINDS, MAX_E, make_algebra, monomial_bidegree, monomials_by_internal
+from koszulkit.algebra import KINDS, MAX_E, make_algebra, monomial_bidegree
 from koszulkit.bigraded import BigradedDims, Window
 from koszulkit.dgmodule import (
     DgMap,
@@ -32,7 +32,6 @@ from koszulkit.dgmodule import (
     free_module,
     identity_map,
     is_quasi_iso,
-    nested_terms,
     serialize_module,
 )
 from koszulkit.homdual import expand_T_module, k_linear_dual_T, oracle_window
@@ -179,7 +178,7 @@ def test_array_kernel_matches_the_scalar_reference(kind, e, data):
 def test_monomial_enumeration_matches_bidegrees():
     for kind, e, f in (("S", 2, 2), ("T", 3, 3), ("Q", 3, 1), ("P", 3, 1)):
         alg = make_algebra(kind, e, f, 5)
-        for bd, mons in monomials_by_internal(alg, -8, 8).items():
+        for bd, mons in monomials_by_bidegree(alg, -8, 8).items():
             assert len(set(mons)) == len(mons)
             for mon in mons:
                 assert monomial_bidegree(alg, mon) == bd

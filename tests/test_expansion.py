@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 import expansion_reference as ref
 from bidegree_order import by_bidegree
+from dict_reference import monomials_by_bidegree, nested_terms
 from koszulkit import algebra, dgmodule
-from koszulkit.algebra import CACHE_SIZE, make_algebra, monomial_bidegree, monomials_by_internal
+from koszulkit.algebra import CACHE_SIZE, make_algebra, monomial_bidegree
 from koszulkit.bigraded import Window
-from koszulkit.dgmodule import Expansion, SemifreeDgModule, cohomology, free_module, nested_terms
+from koszulkit.dgmodule import Expansion, SemifreeDgModule, cohomology, free_module
 from koszulkit.lkd import counit, functor_F, functor_G, functor_jcut, standard_window, unit
 from koszulkit.qmodel import pushforward_p, restrict_to_T
 from koszulkit.samples import random_module, stream
@@ -44,7 +45,7 @@ def _module(A, rng, shape):
     gens = [(rng.randrange(-2, 3), 2 * rng.randrange(-2, 2)) for _ in range(count)]
     if shape == "free":
         return free_module(A, gens)
-    mons = [mon for bucket in monomials_by_internal(A, -4, 4).values() for mon in bucket]
+    mons = [mon for bucket in monomials_by_bidegree(A, -4, 4).values() for mon in bucket]
     diff = {}
     for _ in range(rng.randrange(0, 10)):
         k, l = rng.randrange(count), rng.randrange(count)
@@ -241,7 +242,7 @@ def test_caches_stay_at_their_bound():
     before = Expansion(M, -8, 0)
     for i in range(CACHE_SIZE + 100):
         Expansion(M, -2 * i - 4, -2 * i)
-    caches = [algebra.table, algebra.span_size, algebra._monomials_by_internal]
+    caches = [algebra.table, algebra.span_size]
     assert [f.cache_info().currsize for f in caches] == [CACHE_SIZE] * len(caches)
     assert len(algebra._BLOCKS) == CACHE_SIZE
     after = Expansion(M, -8, 0)

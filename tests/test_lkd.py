@@ -5,7 +5,7 @@ import pytest
 
 import margin_cut_reference
 import round_trip_reference
-from dict_reference import module, to_nested
+from dict_reference import module, nested_terms, to_nested
 from koszulkit import homdual, suites
 from koszulkit.algebra import make_algebra
 from koszulkit.bigraded import BigradedDims, Window
@@ -20,7 +20,6 @@ from koszulkit.dgmodule import (
     free_module,
     identity_map,
     is_quasi_iso,
-    nested_terms,
 )
 from koszulkit.lkd import (
     _koszul_image,

@@ -10,6 +10,7 @@ the term arrays must satisfy (the dict boundary, double duals, shifts and
 serialization round trips) are property-tested.
 """
 
+import json
 import time
 
 import numpy as np
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dict_reference import DictMap, DictModule, dg_map, module, to_nested
+from dict_reference import DictMap, DictModule, dg_map, module, monomials_by_bidegree, to_nested
 from dict_reference import cone as dict_cone
 from koszulkit import cli, dgmodule
-from koszulkit.algebra import make_algebra, monomials_by_internal, span_size, table
+from koszulkit.algebra import make_algebra, span_size, table
 from koszulkit.dgmodule import (
     SemifreeDgModule,
     canonical,
@@ -47,7 +48,7 @@ def _mutants(nested, A, rng):
     terms = [(k, l, mon) for k, row in nested.items() for l, entry in row.items() for mon in entry]
     if not terms:
         return
-    others = [mon for mons in monomials_by_internal(A, -4, 4).values() for mon in mons]
+    others = [mon for mons in monomials_by_bidegree(A, -4, 4).values() for mon in mons]
     for kind in ("change", "drop", "flip", "move"):
         k, l, mon = terms[rng.randrange(len(terms))]
         out = {a: {b: dict(e) for b, e in row.items()} for a, row in nested.items()}
@@ -303,6 +304,22 @@ def test_canonical_form_of_raw_terms():
     S = make_algebra("S", 2, 2, 5)
     M = SemifreeDgModule(S, [(0, 0), (1, -2)], mons, terms)
     assert not M.terms.flags.writeable and not M.degs.flags.writeable
+
+
+def test_parsed_coefficients_are_residues():
+    """A file's coefficients are reduced mod p before they reach the term
+    arrays: 10^30 and -1 become residues in [1, p), and a multiple of p
+    drops its term and, used nowhere else, its monomial."""
+    S = make_algebra("S", 2, 2, 7)
+    gens = [[0, 0], [1, -2], [3, -4]]
+    doc = {
+        "schema": 1, "algebra": {"kind": "S", "e": 2, "f": 2, "p": 7}, "gens": gens,
+        "diff": [[1, 0, [[10**30, [1, 0], 0], [-1, [0, 1], 0]]], [2, 0, [[14, [2, 0], 0]]]],
+    }
+    M = deserialize_module(json.dumps(doc))
+    assert sorted(M.terms[3].tolist()) == [10**30 % 7, 6] == [1, 6]
+    assert M == module(S, [tuple(g) for g in gens], {1: {0: {((1, 0), 0): 1, ((0, 1), 0): 6}}})
+    assert _is_canonical(M, M.rank, S.p) and ((2, 0), 0) not in M.mons
 
 
 @pytest.mark.parametrize("kind,e,f", [("S", 2, 2), ("R", 3, 1), ("T", 3, 3), ("Q", 3, 1), ("Q", 4, 2), ("P", 3, 1)])
