@@ -7,11 +7,14 @@ every report header, is
     M[a]<b> in bidegree (i, j)  =  M in bidegree (i + a, j - b)
 
 so [1] shifts against the cohomological index and <1> shifts with the
-internal index.  Every identity downstream is stated and tested relative to
-this single choice.
+internal index.  Tables (``BigradedDims.shift``), modules and windows
+(``Window.shift``) shift by the same rule, (i, j) -> (i - a, j + b).  Every
+identity downstream is stated and tested relative to this single choice.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 Bidegree = tuple[int, int]
 
@@ -95,6 +98,11 @@ class Window:
             max(self.j1, other.j1),
         )
 
+    def shift(self, a: int, b: int) -> "Window":
+        """The window that M[a]<b>'s table is read on when M's is read on
+        this one: (i, j) -> (i - a, j + b), as ``BigradedDims.shift``."""
+        return Window(self.i0 - a, self.i1 - a, self.j0 + b, self.j1 + b)
+
     def negate(self) -> "Window":
         return Window(-self.i1, -self.i0, -self.j1, -self.j0)
 
@@ -109,12 +117,11 @@ class Window:
 
     @classmethod
     def hull(cls, bidegrees) -> "Window":
-        bds = list(bidegrees)
-        if not bds:
+        """The least window holding ``bidegrees``: an (n, 2) integer array
+        (a module's ``degs``) or an iterable of (i, j) pairs; (0, 0, 0, 0)
+        when there are none.  Its bounds are Python ints."""
+        degs = np.asarray(bidegrees if isinstance(bidegrees, np.ndarray) else list(bidegrees), dtype=np.int64).reshape(-1, 2)
+        if not len(degs):
             return cls(0, 0, 0, 0)
-        return cls(
-            min(b[0] for b in bds),
-            max(b[0] for b in bds),
-            min(b[1] for b in bds),
-            max(b[1] for b in bds),
-        )
+        (i0, j0), (i1, j1) = degs.min(axis=0).tolist(), degs.max(axis=0).tolist()
+        return cls(i0, i1, j0, j1)

@@ -161,7 +161,7 @@ def cmd_table(args) -> int:
         window = parse_window(args.window)
     else:
         f = module.algebra.f
-        window = Window.hull(module.gens or [(0, 0)]).enlarge(f + 1, 2 * (f + 1))
+        window = Window.hull(module.degs).enlarge(f + 1, 2 * (f + 1))
     table = cohomology(module, window)
     doc = {
         "schema": 1,

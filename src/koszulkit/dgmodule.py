@@ -80,8 +80,13 @@ def _interned(mons):
 def canonical(mons, terms, n_tgt: int, p: int):
     """Canonical ``(mons, terms)`` from terms (src, tgt, mon, coeff), coeff
     nonzero mod p, over monomials ``mons`` in any order and not all used:
-    equal positions are summed mod p and vanishing sums dropped.  Every
-    module and map built from raw terms is made canonical here."""
+    equal positions are summed mod p and vanishing sums dropped.  Parsed
+    files, sampled maps, restrictions of scalars, the restriction unit and
+    the counit and unit maps are made canonical here.  ``lkd``'s Koszul
+    images, ``cone``, ``dualize`` and ``_kept`` keep their own
+    order-preserving constructions, which peak lower: ``cone`` through this
+    raised the peak of the e = f = 6 round trip (p = 3, seed 2024, trial 0)
+    from 143.7 to 160.2 MB."""
     if not terms.shape[1]:
         return (), _NO_TERMS
     uniq, ids = _interned(mons)
@@ -122,7 +127,8 @@ def _products(A: AlgebraSpec, left, right, left_mons, right_mons):
     and the product monomials (exps, masks) that mon indexes; ``right`` is sorted by
     source, and the (exps, masks) arrays ``left_mons`` and ``right_mons`` are what
     each side's monomials index.  Each distinct pair of monomials is multiplied
-    once, as arrays; coeff is 0 where the product vanishes."""
+    once, as arrays; coeff is 0 where the product vanishes.  A join of more than
+    ``linalg.MAX_JOIN_PAIRS`` pairs is a ValueError."""
     i, j = sorted_join(left[1], right[0])
     n = len(right_mons[1])
     pairs, inv = np.unique(left[2][i] * n + right[2][j], return_inverse=True)
@@ -627,8 +633,7 @@ def cohomology(module: SemifreeDgModule, window: Window) -> BigradedDims:
     A, mons, terms = module.algebra, module.mons, module.terms
     if mons and mons[0] == A.one() and not A.has_differential:
         src, tgt, _, coeff = terms.compress(terms[2] == 0, axis=1)
-        (i0, j0), (i1, j1) = module.degs.min(axis=0).tolist(), module.degs.max(axis=0).tolist()
-        if not _column_cohomology(module.degs, (src, tgt, coeff), Window(i0, i1, j0, j1), A.p):
+        if not _column_cohomology(module.degs, (src, tgt, coeff), Window.hull(module.degs), A.p):
             return BigradedDims()
     exp = Expansion(module, window.j0, window.j1)
     return _column_cohomology(exp.degs, exp.d, window, A.p)

@@ -112,16 +112,13 @@ def dualize_T_formula(M: FiniteDgModule) -> FiniteDgModule:
 def expand_T_module(M: SemifreeDgModule) -> FiniteDgModule:
     """Full (finite) expansion of a semifree T-module: every internal degree
     its basis reaches, as bidegrees and d."""
-    if M.rank == 0:
-        return FiniteDgModule(M.algebra, [])
-    jlo = min(j for _, j in M.gens)
-    jhi = max(j for _, j in M.gens) + 2 * M.algebra.f
-    return expansion_to_finite(Expansion(M, jlo, jhi))
+    hull = Window.hull(M.degs)
+    return expansion_to_finite(Expansion(M, hull.j0, hull.j1 + 2 * M.algebra.f))
 
 
 def oracle_window(M: SemifreeDgModule) -> Window:
     """Window covering the full support of M and of its dual."""
-    win = Window.hull(M.gens).enlarge(M.algebra.f, 2 * M.algebra.f)
+    win = Window.hull(M.degs).enlarge(M.algebra.f, 2 * M.algebra.f)
     return win.union(win.negate()).enlarge(1, 2)
 
 
@@ -135,7 +132,7 @@ def oracle_compare_T(M: SemifreeDgModule, window: Window | None = None) -> Duali
 
 
 def compat_window(M: SemifreeDgModule) -> Window:
-    win = Window.hull(M.gens)
+    win = Window.hull(M.degs)
     return win.union(win.negate()).enlarge(1, 2)
 
 
@@ -158,6 +155,6 @@ def check_compat(M: SemifreeDgModule, window: Window | None = None) -> DualityRe
     if window is None:
         window = compat_window(M)
     left = cohomology(kappa(M, 2 * n - window.j1).dualize(), window)
-    shifted_window = Window(window.i0 + n, window.i1 + n, window.j0 - 2 * n, window.j1 - 2 * n)
+    shifted_window = window.shift(-n, -2 * n)
     right = cohomology(kappa(dualize_S(M), shifted_window.j0), shifted_window).shift(n, 2 * n)
     return compare("compat", window, left, right)

@@ -26,10 +26,24 @@ __all__ = ["is_odd_prime", "check_modulus", "rank", "echelon", "rref", "structur
            "independent_columns", "sorted_join", "summed"]
 
 
+# Largest join ``sorted_join`` builds, in pairs, refused before any pair array
+# exists.  Only the d^2 check's (``dgmodule._products``) grow large, with the
+# cube of a layer's width, at about 77 bytes a pair: an S(2, 2) file of three
+# 158-wide layers of dense unit terms (3,944,312 pairs) peaks at 339 MB in
+# ``koszulkit table``.  The largest in a legitimate run is 127,776 pairs (the
+# e = f = 6 round trip at p = 3, seed 2024, trials 0-3), a margin of 31;
+# ``blockalg``'s are at most 32 in the sl2 reports measured.
+MAX_JOIN_PAIRS = 4_000_000
+
+
 def sorted_join(a, b):
-    """Index pairs (i, j) with a[i] == b[j], for sorted b; i ascending."""
+    """Index pairs (i, j) with a[i] == b[j], for sorted b; i ascending.  More
+    than ``MAX_JOIN_PAIRS`` pairs are refused (ValueError) before any pair
+    array is built."""
     lo = b.searchsorted(a)
     count = b.searchsorted(a, "right") - lo
+    if (total := int(count.sum())) > MAX_JOIN_PAIRS:
+        raise ValueError(f"a join of {total:,} pairs is over the limit of {MAX_JOIN_PAIRS:,}")
     i = np.arange(len(a)).repeat(count)
     return i, np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)
 

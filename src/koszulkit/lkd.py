@@ -45,9 +45,7 @@ from .dgmodule import DgMap, Expansion, SemifreeDgModule, canonical
 def standard_window(*modules: SemifreeDgModule) -> Window:
     """The requested comparison window for a module: its generator hull
     plus one cohomological and one internal lattice step."""
-    i, j = np.concatenate([m.degs for m in modules]).T.tolist()
-    win = Window(min(i), max(i), min(j), max(j)) if i else Window.hull([])
-    return win.enlarge(1, 2)
+    return Window.hull(np.concatenate([m.degs for m in modules])).enlarge(1, 2)
 
 
 def functor_jcut(window: Window, f: int) -> int:

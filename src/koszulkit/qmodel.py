@@ -117,7 +117,7 @@ def dualize_Q(M: SemifreeDgModule) -> SemifreeDgModule:
 
 def fbot_window(M: SemifreeDgModule) -> Window:
     e = M.algebra.e
-    win = Window.hull(M.gens).enlarge(e + 1, 2 * (e + 1))
+    win = Window.hull(M.degs).enlarge(e + 1, 2 * (e + 1))
     return win.union(win.negate())
 
 
@@ -132,9 +132,5 @@ def check_fbot(M: SemifreeDgModule, window: Window | None = None) -> DualityRepo
     left_mod, _ = pushforward_p(dualize_Q(M))
     left = cohomology(left_mod, window)
     push, _ = pushforward_p(M)
-    shifted_window = Window(
-        window.i0 + m, window.i1 + m, window.j0 - 2 * m, window.j1 - 2 * m
-    )
-    right_raw = cohomology(push.dualize(), shifted_window)
-    right = right_raw.shift(m, 2 * m)
+    right = cohomology(push.dualize(), window.shift(-m, -2 * m)).shift(m, 2 * m)
     return compare("fbot", window, left, right)

@@ -128,7 +128,7 @@ def _shifts(cfg, rng):
             ok = cohomology(lhs, WX) == cohomology(rhs, WX)
         yield f"xi-shift(m={m})", ok, None
         jcut = W.j0 - 2 * abs(m)  # one cut, exact on both windows: each side truncates M at its own degree
-        shifted_first = cohomology(kappa(M.shift(0, m), jcut), Window(W.i0, W.i1, W.j0 + m, W.j1 + m))
+        shifted_first = cohomology(kappa(M.shift(0, m), jcut), W.shift(0, m))
         shifted_after = cohomology(kappa(M, jcut), W).shift(0, m)
         yield f"kappa-shift(m={m})", shifted_first == shifted_after, None
 

@@ -625,6 +625,27 @@ def test_table_refuses_a_document_over_the_length_bound(tmp_path, monkeypatch, c
             assert code == 2 and err == f"error: cannot read module file: the document is longer than {bound:,} characters\n"
 
 
+def test_table_refuses_a_d_squared_join_over_the_bound(tmp_path, monkeypatch, capsys):
+    """A module file whose d^2 check joins more than ``MAX_JOIN_PAIRS``
+    pairs of terms (a count cubic in a layer's width) exits 2 with one line
+    naming the count and the limit, before any pair is built; one at the
+    bound is checked and read."""
+    from koszulkit import linalg
+
+    # d(e0) = e1 + e2, d(e1) = e3, d(e2) = -e3: two composable pairs, d^2 = 0
+    diff = [[0, 1, [[1, [0], 0]]], [0, 2, [[1, [0], 0]]], [1, 3, [[1, [0], 0]]], [2, 3, [[2, [0], 0]]]]
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(dict(_S1, gens=[[0, 0], [1, 0], [1, 0], [2, 0]], diff=diff)))
+    for bound in (2, 1):
+        monkeypatch.setattr(linalg, "MAX_JOIN_PAIRS", bound)
+        code = main(["table", str(path), "--out", str(tmp_path / "table.json")])
+        err = capsys.readouterr().err
+        if bound == 2:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and err == "error: cannot read module file: a join of 2 pairs is over the limit of 1\n"
+
+
 def _edge_t62(c):
     """A T(62, 62) square on the top two ext generators, d^2 = 0 when c = 1:
     d(e0) = theta61 e1 + theta60 e2, d(e1) = theta60 e3, d(e2) = c theta61 e3."""

@@ -7,7 +7,8 @@ maps, valid ones and single-term mutants; every ``validate`` message has a
 hand-built invalid input, and so has the choice of the least failing
 target; and the identities
 the term arrays must satisfy (the dict boundary, double duals, shifts and
-serialization round trips) are property-tested.
+serialization round trips) are property-tested, and so is the one shift
+convention that modules, finite modules, tables and windows share.
 """
 
 import json
@@ -18,19 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deadline import within
 from dict_reference import DictMap, DictModule, dg_map, module, monomials_by_bidegree, to_nested
 from dict_reference import cone as dict_cone
 from koszulkit import cli, dgmodule
 from koszulkit.algebra import make_algebra, span_size, table
+from koszulkit.bigraded import Window
 from koszulkit.dgmodule import (
     SemifreeDgModule,
     canonical,
+    cohomology,
     cone,
     deserialize_module,
     free_module,
     identity_map,
     serialize_module,
 )
+from koszulkit.homdual import expand_T_module
 from koszulkit.lkd import counit, standard_window, unit
 from koszulkit.samples import random_homogeneous, random_module, stream
 
@@ -291,6 +296,30 @@ def test_shift_dual_and_cone_match_dict_reference(alg):
         for phi in (identity_map(M), dg_map(M, N, _random_matrix(A, M, N, rng))):
             c, want = cone(phi), dict_cone(DictMap.of(phi))
             assert c.gens == want.gens and to_nested(c) == want.diff
+
+
+@settings(max_examples=100, deadline=None)
+@given(alg=st.sampled_from(ALGEBRAS), seed=st.integers(0, 10**6), data=st.data())
+def test_every_shifted_object_follows_the_one_convention(alg, seed, data):
+    """M[a]<b> read on ``W.shift(a, b)`` has the table of M on W shifted by
+    ``BigradedDims.shift(a, b)``: a semifree module through ``cohomology``
+    and the finite expansion of a T-module through ``FiniteDgModule.shift``.
+    ``Window.hull`` of an (n, 2) int64 array is the hull of its pairs, with
+    Python-int bounds (reports serialize ``as_tuple()``), and the hull of no
+    degrees is (0, 0, 0, 0)."""
+    A = make_algebra(*alg)
+    rng = stream(seed, "shift-convention")
+    M, N = random_module(A, rng, max_gens=4), random_module(make_algebra("T", *alg[1:]), rng, max_gens=3)
+    fin = expand_T_module(N)
+    a, b = data.draw(st.integers(-3, 3), label="a"), data.draw(st.integers(-4, 4), label="b")
+    for X, degs, table_on in ((M, M.degs, cohomology), (fin, fin.basis_degs, lambda X, W: X.cohomology(W))):
+        hull = Window.hull(degs)
+        assert hull == Window.hull(map(tuple, degs.tolist())) and all(type(x) is int for x in hull.as_tuple())
+        i0, j0 = data.draw(st.integers(hull.i0 - 2, hull.i1), label="i0"), data.draw(st.integers(hull.j0 - 4, hull.j1 + 2), label="j0")
+        W = Window(i0, i0 + data.draw(st.integers(0, 4), label="di"), j0, j0 + data.draw(st.integers(0, 6), label="dj"))
+        assert within(60, table_on, X.shift(a, b), W.shift(a, b)) == within(60, table_on, X, W).shift(a, b)
+    for empty in (np.zeros((0, 2), np.int64), [], ()):
+        assert Window.hull(empty).as_tuple() == (0, 0, 0, 0)
 
 
 def test_canonical_form_of_raw_terms():
