@@ -19,15 +19,16 @@ bitmask over ext generators.  This module owns monomials in both forms:
 as tuples, their bidegrees; as arrays, all monomial arithmetic; and their
 one enumeration, ``table``, in both.  ``monomial_arrays`` holds monomials as
 exponent rows and int64 ext masks, ``byte_keys`` numbers them, a product
-adds exponents and ors masks (overlapping masks vanish), its wedge sign is
-the ``parity`` of one mask under the other's weight mask (``weights``),
-and ``d_A`` applies the algebra differential.  Per (algebra,
-internal-degree span) ``table`` numbers the monomials once and holds them
-as arrays, and a monomial's multiplication block (``blocks``) says where
-it times every monomial of a span lands, with its sign, each row found by
-one ``searchsorted``; the blocks one request is missing are built in one
-batch.  ``derivation_block`` is d_A on one table.  ``dgmodule`` runs this
-kernel on term arrays and expansions.
+adds exponents and ors masks (overlapping masks vanish), its wedge sign
+(``wedge_sign``, the one owner of the Koszul sign rule) is the ``parity``
+of one mask under the other's weight mask (``weights``), and ``d_A``
+applies the algebra differential.  Per (algebra, internal-degree span)
+``table`` numbers the monomials once and holds them as arrays, and a
+monomial's multiplication block (``product_block``) says where it times
+every monomial of a span lands, with its sign, every row found by one
+``searchsorted``.  ``derivation_block`` is d_A on one table.  Each cache
+here is an ``lru_cache`` of ``CACHE_SIZE`` entries.  ``dgmodule`` runs
+this kernel on term arrays and expansions.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ Monomial = tuple[tuple[int, ...], int]
 
 KINDS = ("S", "R", "T", "Q", "P")
 
-# Entries kept by each monomial cache here.  One benchmark pass misses at
-# most 554 blocks in ``blocks`` (duality-grid, built in 340 batches;
-# roundtrip-e3 390 in 136, scale-e4 116 in 27) and at most 568 times in
-# every other cache (``table`` on duality-grid: 328 spans of expansions and
-# 240 more of the samplers' single degrees), so no pass evicts; a run of any
-# length holds at most this many tables per cache.  The e = f = 6 round trip
-# (trials 0-3) builds 211 blocks in 22 batches and 25 tables.
+# Entries kept by each monomial cache here.  One benchmark pass misses
+# ``product_block`` at most 554 times (duality-grid; roundtrip-e3 390,
+# scale-e4 116) and every other cache at most 568 times (``table`` on
+# duality-grid: 328 spans of expansions and 240 more of the samplers' single
+# degrees), so no pass evicts; a run of any length holds at most this many
+# entries per cache.  The e = f = 6 round trip (trials 0-3) misses 211
+# blocks and 25 tables.
 CACHE_SIZE = 4096
 
 
@@ -215,6 +216,12 @@ def weights(masks, n_ext: int, above: bool) -> np.ndarray:
     return (upto ^ -parity(masks, n_ext) if above else upto << 1) & full
 
 
+def wedge_sign(x, y, n_ext: int) -> np.ndarray:
+    """The sign of theta^x theta^y for ext masks x and y that broadcast:
+    (-1)^k, k the inversions of x before y, and 0 where the masks overlap."""
+    return (1 - 2 * parity(y & weights(x, n_ext, True), n_ext)) * ((x & y) == 0)
+
+
 def d_A(A: AlgebraSpec, exps, masks):
     """d_A on monomials held as arrays: d_A sends the ext generator i >= f
     to the sym generator i - f, with the sign of the ext generators before
@@ -274,85 +281,50 @@ def table(key, jlo: int, jhi: int) -> _Table:
     return _Table(mons, *arrays)
 
 
-def _build_blocks(key, wanted) -> list[np.ndarray]:
-    """The multiplication tables ``wanted`` (src span, dst span, mon, left),
-    built in one batch: for each, where mon times each monomial m of the
-    table on the src span lands in the table on the dst span, as a read-only
-    3 x n array of rows (source row, target row, sign) by source row.
+_NO_BLOCK = np.zeros((3, 0), dtype=np.int64)
+_NO_BLOCK.flags.writeable = False
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def product_block(key, src, dst, mon, left: bool) -> np.ndarray:
+    """The multiplication table of mon on the table on the span ``src``:
+    where mon times each monomial m of it lands in the table on ``dst``, as
+    a read-only 3 x n array of rows (source row, target row, sign) by
+    source row.
 
     The product is mon . m when ``left`` (a generator acting) and
     (-1)^{|m|} m . mon otherwise, a term of d(m e) = (-1)^{|m|} m d(e).
     Vanishing products and products outside the target are dropped.
 
-    All requests at once: exponents add and masks or, products whose masks
-    overlap vanish, and the wedge sign is the parity of m's mask under
-    mon's weight mask (``weights``: bits above b for mon . m, below b for
-    m . mon).  The tables' byte keys, prefixed with the table's index in
-    the batch, are sorted as a whole, so one ``searchsorted`` finds every
-    product's target row.
+    Exponents add and masks or, products whose masks overlap vanish, and
+    the wedge sign is the parity of m's mask under mon's one weight mask
+    (``weights``: bits above b for mon . m, below b for m . mon).  One
+    ``searchsorted`` in the target's sorted byte keys finds every
+    product's target row; a target with no monomials gives the empty block.
     """
-    A = AlgebraSpec(*key)
-    index = {}
-    for src, dst, _, _ in wanted:
-        index.setdefault(src, len(index))
-        index.setdefault(dst, len(index))
-    tables = [table(key, *r) for r in index]
-    sizes = np.array([len(t.mons) for t in tables], dtype=np.int64)
-    first = sizes.cumsum() - sizes
-    exps = joined([t.exps for t in tables])
-    masks = joined([t.masks for t in tables])
-    odd_i = joined([t.degs[:, 0] for t in tables]) & 1
-    # per request: src and dst table, 1 for a right product, mon's exponents and mask
-    src, dst, right = np.array([(index[s], index[d], not lf) for s, d, _, lf in wanted], dtype=np.int64).reshape(-1, 3).T
-    mon_exps, mon_mask = monomial_arrays([mon for _, _, mon, _ in wanted], A.n_sym)
-    weight = np.where(right, weights(mon_mask, A.n_ext, False), weights(mon_mask, A.n_ext, True))
-    # one product per request and row of its source table
-    n = sizes[src]
-    req = np.arange(len(wanted)).repeat(n)
-    row = np.arange(n.sum()) - (n.cumsum() - n)[req]
-    at = first[src][req] + row
-    m, mm = masks[at], mon_mask[req]
-    odd = parity(m & weight[req], A.n_ext) ^ (odd_i[at] & right[req])
-    got = byte_keys(dst[req], exps[at] + mon_exps[req], m | mm)
-    sorted_at = joined([f + t.rows for f, t in zip(first.tolist(), tables)])
-    table_keys = byte_keys(np.arange(len(tables)).repeat(sizes), exps[sorted_at], masks[sorted_at])
-    pos = table_keys.searchsorted(got)
-    live = ((m & mm) == 0) & (table_keys.take(pos, mode="clip") == got)
-    out = np.array([row, sorted_at.take(pos, mode="clip") - first[dst[req]], 1 - 2 * odd])[:, live]
-    out.flags.writeable = False
-    ends = [0, *np.bincount(req[live], minlength=len(wanted)).cumsum().tolist()]
-    return [out[:, a:b] for a, b in zip(ends, ends[1:])]
-
-
-# The blocks built so far, by (algebra key, src span, dst span, mon, left):
-# at most CACHE_SIZE, the oldest dropped first.  A hit is one dict lookup.
-_BLOCKS: dict = {}
-
-
-def blocks(key, wanted) -> list[np.ndarray]:
-    """The blocks ``wanted`` of ``_build_blocks``: cached ones looked up,
-    and every missing one built in one batch."""
-    got = [_BLOCKS.get((key, *w)) for w in wanted]
-    missing = [w for w, block in zip(wanted, got) if block is None]
-    if not missing:
-        return got
-    built = _build_blocks(key, missing)
-    for w, block in zip(missing, built):
-        if len(_BLOCKS) >= CACHE_SIZE:
-            del _BLOCKS[next(iter(_BLOCKS))]
-        _BLOCKS[(key, *w)] = block
-    built = iter(built)
-    return [next(built) if block is None else block for block in got]
+    A, s, t = AlgebraSpec(*key), table(key, *src), table(key, *dst)
+    if not len(t.mons):
+        return _NO_BLOCK
+    mask = mon[1]
+    odd = parity(s.masks & weights(mask, A.n_ext, left), A.n_ext)
+    if not left:
+        odd ^= s.degs[:, 0] & 1
+    got = byte_keys(s.exps + np.array(mon[0], dtype=np.int64), s.masks | mask)
+    pos = t.keys.searchsorted(got)
+    live = ((s.masks & mask) == 0) & (t.keys.take(pos, mode="clip") == got)
+    block = np.array([np.arange(len(s.mons)), t.rows.take(pos, mode="clip"), 1 - 2 * odd])[:, live]
+    block.flags.writeable = False
+    return block
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def derivation_block(key, rng) -> np.ndarray:
-    """The table of d_A on the table on ``rng``, rows (source row, target
+def derivation_block(key, span) -> np.ndarray:
+    """The table of d_A on the table on ``span``, rows (source row, target
     row, coefficient) by source row, then ext generator: ``d_A`` on the
     table's arrays, coefficient 1 or p - 1, each image found by its byte
     key.  d_A preserves internal degree, so every term stays in the
     table."""
-    A, t = AlgebraSpec(*key), table(key, *rng)
+    A, t = AlgebraSpec(*key), table(key, *span)
     row, exps, masks, odd = d_A(A, t.exps, t.masks)
     block = np.array([row, t.rows[t.keys.searchsorted(byte_keys(exps, masks))], 1 + odd * (A.p - 2)])
     block.flags.writeable = False

@@ -57,8 +57,8 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, blocks, byte_keys, d_A, degree_bounds, derivation_block, joined, make_algebra, monomial_arrays,
-    monomial_bidegree, parity, span_size, table, weights,
+    AlgebraSpec, byte_keys, d_A, degree_bounds, derivation_block, joined, make_algebra, monomial_arrays,
+    monomial_bidegree, product_block, span_size, table, wedge_sign,
 )
 from .bigraded import Bidegree, BigradedDims, Window
 from .linalg import MAX_RANK_CELLS, components, rank as mat_rank, sorted_join, structural_pivots, summed
@@ -134,7 +134,7 @@ def _products(A: AlgebraSpec, left, right, left_mons, right_mons):
     pairs, inv = np.unique(left[2][i] * n + right[2][j], return_inverse=True)
     a, b = np.divmod(pairs, n)
     x, y = left_mons[1][a], right_mons[1][b]
-    sign = (1 - 2 * parity(y & weights(x, A.n_ext, True), A.n_ext)) * ((x & y) == 0)
+    sign = wedge_sign(x, y, A.n_ext)
     return (left[0][i], right[1][j], inv, sign[inv] * left[3][i] * right[3][j]), (left_mons[0][a] + right_mons[0][b], x | y)
 
 
@@ -364,19 +364,17 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
     d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum of the terms of d(e_k).
 
     A term's block depends only on its group (span of k, span of l,
-    monomial), so one block is read per distinct group, the missing ones
-    built in one batch by ``blocks``, and the d_A table once per span."""
+    monomial), so one block (``product_block``) is read per distinct group,
+    and the d_A table once per span."""
     key, mons = module.algebra.key(), module.mons
     found, items = [], module.terms
     if len(mons):
         k, l, u, c = items
         code = (which[k] * len(spans) + which[l]) * len(mons) + u
         groups = sorted(set(code.tolist()))
-        wanted = []
         for g in groups:
             (a, b), m = divmod(g // len(mons), len(spans)), g % len(mons)
-            wanted.append((spans[a], spans[b], mons[m], False))
-        found = blocks(key, wanted)
+            found.append(product_block(key, spans[a], spans[b], mons[m], False))
         items = k, l, np.array(groups, dtype=np.int64).searchsorted(code), c
     if module.algebra.has_differential:
         gens = np.arange(module.rank)
@@ -437,8 +435,8 @@ class Expansion:
 
     Generators are held by index into the few distinct spans (``_spans``):
     each span's table is read once, and sizes, offsets, bidegrees and
-    labels are gathered from the tables by index; d and each action are
-    one block per distinct group, placed by ``_gather``.
+    labels are gathered from the tables by index; d and each action read
+    one ``product_block`` per distinct group, placed by ``_gather``.
     """
 
     __slots__ = ("module", "degs", "d", "_spans", "_which", "_tables", "_offsets", "_sizes", "_row")
@@ -508,7 +506,7 @@ class Expansion:
         A = self.module.algebra
         mon = A.gen_monomial(is_ext, g)
         gens = np.arange(self.module.rank)
-        found = blocks(A.key(), [(r, r, mon, True) for r in self._spans])
+        found = [product_block(A.key(), r, r, mon, True) for r in self._spans]
         src, dst, vals = _gather(found, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets, A.p)
         return src.astype(np.int32), dst.astype(np.int32), vals
 

@@ -37,7 +37,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .algebra import AlgebraSpec, make_algebra, parity, weights
+from .algebra import AlgebraSpec, make_algebra, wedge_sign
 from .bigraded import Window
 from .dgmodule import DgMap, Expansion, SemifreeDgModule, canonical
 
@@ -196,7 +196,7 @@ def unit(N: SemifreeDgModule, window: Window) -> DgMap:
     c = c[b]
     k, tmons, tmon = gn.expansion.labels()  # theta^J e_k for each c
     J = np.array([mask for _, mask in tmons], dtype=np.int64)
-    sgn = 1 - 2 * parity(full & ~J & weights(J, N.algebra.f, True), N.algebra.f)[tmon[c]]
+    sgn = wedge_sign(J, full & ~J, N.algebra.f)[tmon[c]]
     eps = np.where(gn.expansion.degs[c, 1] // 2 & 1, -1, 1)
     thetas = [((), full & ~mask) for _, mask in tmons]
     terms = canonical(thetas, np.array([k[c], b, tmon[c], eps * sgn]), fgn.module.rank, N.algebra.p)

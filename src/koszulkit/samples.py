@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, table
 from .bigraded import bidegree_add
-from .dgmodule import DgMap, SemifreeDgModule, canonical, cone, free_module
+from .dgmodule import DgMap, SemifreeDgModule, canonical, cone, free_module, identity_map
 
 
 def stream(seed, trial) -> random.Random:
@@ -55,9 +55,10 @@ def _gen_lattice(alg: AlgebraSpec, rng: random.Random, count: int):
     return gens
 
 
-def random_chain_map(alg: AlgebraSpec, source: SemifreeDgModule, target: SemifreeDgModule, rng: random.Random, attempts: int = 4) -> DgMap:
-    """A valid chain map source -> target; falls back to the zero map."""
-    for _ in range(attempts):
+def random_chain_map(alg: AlgebraSpec, source: SemifreeDgModule, target: SemifreeDgModule, rng: random.Random) -> DgMap:
+    """A valid chain map source -> target in at most 4 draws; falls back to
+    the zero map."""
+    for _ in range(4):
         mons, terms = [], []
         for k, gk in enumerate(source.gens):
             for l, gl in enumerate(target.gens):
@@ -85,9 +86,7 @@ def random_module(alg: AlgebraSpec, rng: random.Random, max_gens: int = 4) -> Se
     return m
 
 
-def random_acyclic(alg: AlgebraSpec, rng: random.Random, max_gens: int = 2):
-    """Cone of an identity map: acyclic by construction."""
-    from .dgmodule import identity_map
-
-    m = random_module(alg, rng, max_gens=max_gens)
-    return cone(identity_map(m))
+def random_acyclic(alg: AlgebraSpec, rng: random.Random):
+    """Cone of the identity map of a random module with at most 2
+    generators: acyclic by construction."""
+    return cone(identity_map(random_module(alg, rng, max_gens=2)))

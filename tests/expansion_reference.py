@@ -15,7 +15,7 @@ The block builders are kept here too, verbatim: ``_block``, which
 multiplied a monomial into a table one row at a time with
 ``mul_monomials``, and ``_derivation_block``, which applied ``elt_d`` one
 row at a time, with ``_frozen_block``; ``algebra`` now builds the same
-blocks as array products, every missing block of one request in one batch.
+blocks as array products, one block per request (``product_block``).
 ``_table`` gives them the (monomials, bidegrees) pair they read.
 """
 

@@ -110,9 +110,9 @@ BLOCK_ALGEBRAS = ALGEBRAS + [("T", 16, 16, 3), ("Q", 16, 13, 5), ("Q", 9, 4, 3),
 
 
 def _block_requests(A, rng):
-    """A batch of block requests (src span, dst span, mon, left): spans as
-    ``_spans`` cuts them, empty ones, and targets that hold the products'
-    whole range, a cut of it, or some other span; then repeated requests,
+    """Block requests (src span, dst span, mon, left): spans as ``_spans``
+    cuts them, empty ones, and targets that hold the products' whole range,
+    a cut of it, some other span or the empty span; then repeated requests,
     and all of it shuffled."""
     key = A.key()
     js = np.array([2 * rng.randrange(-3, 3) for _ in range(rng.randrange(1, 5))], dtype=np.int64)
@@ -124,7 +124,7 @@ def _block_requests(A, rng):
     for _ in range(rng.randrange(1, 10)):
         (a, b), mon = rng.choice(spans), rng.choice([A.one(), rng.choice(gens), rng.choice(mons or gens)])
         j = monomial_bidegree(A, mon)[1]
-        dst = rng.choice([rng.choice(spans), (a + j, b + j), (a + j + 2, b + j), (a + j, b + j - 2)])
+        dst = rng.choice([rng.choice(spans), (a + j, b + j), (a + j + 2, b + j), (a + j, b + j - 2), (0, -2)])
         if algebra.span_size(key, *dst) <= 2000:
             wanted.append(((a, b), dst, mon, rng.random() < 0.5))
     wanted += rng.choices(wanted, k=rng.randrange(0, 4)) if wanted else []
@@ -134,26 +134,24 @@ def _block_requests(A, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(alg=st.sampled_from(BLOCK_ALGEBRAS), seed=st.integers(0, 10**6))
-def test_batched_blocks_match_per_row_builder(alg, seed):
-    """``algebra._build_blocks`` (and ``blocks``, which builds misses
-    through it) equals the per-row ``_block`` on every request of a batch,
-    and the array ``derivation_block`` equals the per-row one."""
+def test_product_blocks_match_per_row_builder(alg, seed):
+    """``algebra.product_block`` equals the per-row ``_block`` on every
+    request, built or read from its cache, and the array
+    ``derivation_block`` equals the per-row one."""
     A = make_algebra(*alg)
     key = A.key()
     spans, wanted = _block_requests(A, stream(seed, "blocks"))
-    if wanted:
-        for got in (algebra._build_blocks(key, wanted), algebra.blocks(key, wanted)):
-            assert len(got) == len(wanted)
-            for w, block in zip(wanted, got):
-                assert block.tolist() == ref._block(key, *w).tolist(), w
-                assert block.dtype == np.int64 and not block.flags.writeable
+    for w in wanted:
+        block = algebra.product_block(key, *w)
+        assert block.tolist() == ref._block(key, *w).tolist(), w
+        assert block.dtype == np.int64 and not block.flags.writeable
     if A.has_differential:
         for s in spans:
             assert algebra.derivation_block(key, s).tolist() == ref._derivation_block(key, s).tolist()
 
 
 def test_block_requests_cover_the_edge_cases():
-    """The batches above reach every case the builder distinguishes, with
+    """The requests above reach every case the builder distinguishes, with
     up to 16 ext generators."""
     seen = set()
     for alg in BLOCK_ALGEBRAS:
@@ -162,15 +160,19 @@ def test_block_requests_cover_the_edge_cases():
             spans, wanted = _block_requests(A, stream(seed, "blocks"))
             if len(set(wanted)) < len(wanted):
                 seen.add("repeated")
-            for w, block in zip(wanted, algebra._build_blocks(A.key(), wanted) if wanted else []):
+            for w in wanted:
                 src, dst, mon, left = w
+                block = algebra.product_block(A.key(), *w)
                 rows = len(algebra.table(A.key(), *src).mons)
                 seen.add(("empty span" if not rows else "cut" if 0 < block.shape[1] < rows else "whole", A.kind))
+                if rows and not algebra.table(A.key(), *dst).mons:
+                    seen.add("empty target, " + ("left" if left else "right"))
                 seen.add(("left" if left else "right", -1 in block[2].tolist(), A.n_ext >= 16 and block.shape[1] > 100))
     kinds = {kind for case, kind in (x for x in seen if len(x) == 2)}
     assert kinds == {"S", "R", "T", "Q", "P"}
     assert {x for x in seen if len(x) == 3} >= {("left", True, True), ("right", True, True), ("left", False, False)}
     assert {"repeated", ("empty span", "T"), ("cut", "T"), ("cut", "Q"), ("whole", "S")} <= seen
+    assert {"empty target, left", "empty target, right"} <= seen
 
 
 def test_cross_check_inputs_cover_the_edge_cases():
@@ -242,9 +244,8 @@ def test_caches_stay_at_their_bound():
     before = Expansion(M, -8, 0)
     for i in range(CACHE_SIZE + 100):
         Expansion(M, -2 * i - 4, -2 * i)
-    caches = [algebra.table, algebra.span_size]
+    caches = [algebra.table, algebra.span_size, algebra.product_block]
     assert [f.cache_info().currsize for f in caches] == [CACHE_SIZE] * len(caches)
-    assert len(algebra._BLOCKS) == CACHE_SIZE
     after = Expansion(M, -8, 0)
     assert after.degs.tolist() == before.degs.tolist()
     assert [a.tolist() for a in after.d] == [b.tolist() for b in before.d]

@@ -156,5 +156,5 @@ def test_cached_tables_are_read_only():
         with pytest.raises(ValueError):
             array[0] = 7
     with pytest.raises(ValueError):
-        algebra.blocks(S.key(), [((-4, 0), (-6, -2), ((1, 0), 0), False)])[0][1][0] = 0
+        algebra.product_block(S.key(), (-4, 0), (-6, -2), ((1, 0), 0), False)[1][0] = 0
     assert monomials_by_bidegree(S, -4, 0)[(0, 0)] == (((0, 0), 0),)
