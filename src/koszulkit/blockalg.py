@@ -14,7 +14,11 @@ Frobenius form, the anti-automorphism and the Cartan table in ``sl2``.
 The Koszulity probe resolves the simples of the corner algebra spanned by
 the labels (t, 0, 0), which multiply as the type table does; it is graded
 Morita equivalent to the algebra.  Nothing here allocates in proportion to
-the dimension.
+the dimension.  So a resolution depends on the corner alone, and the probe
+keeps its reports in an ``lru_cache`` keyed by the corner's content (p, the
+type count, the degree and product tables and the idempotents, read at each
+call) and hbound: every regular block of (U sl2)_0 at one p, whatever its
+block sizes, is resolved once.
 
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
@@ -25,12 +29,15 @@ vals[i] in row rows[i] of column cols[i] < width, and none is made dense.
 ``ProjectiveSum.act`` maps columns in one degree to another, acting by one
 algebra element or by one per column.  Minimal projective covers are
 computed degreewise by splitting the radical, which is the positive-degree
-part because degree 0 is semisimple; every elimination is a
-``linalg.echelon`` of one degree's entries, through ``kernel_basis`` or
-``independent_columns``.
+part because degree 0 is semisimple; every elimination is
+``linalg.echelon``'s row reduction of one degree's entries, through
+``kernel_basis`` or ``independent_columns``.
 """
 
 from __future__ import annotations
+
+import copy
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,20 +208,19 @@ class ProjectiveSum:
     def __init__(self, algebra: BlockAlgebra, summands):
         self.algebra = algebra
         self.summands = list(summands)  # (idempotent index, degree shift)
-        # basis element n is type element[n] in summand summand[n]
-        columns = [algebra.column_basis(e) for e, _ in self.summands]
-        summand = np.repeat(np.arange(len(columns), dtype=np.int64), [len(c) for c in columns])
-        element = np.array([b for c in columns for b in c], dtype=np.int64)
-        shifts = np.array([shift for _, shift in self.summands], dtype=np.int64)
-        degrees = algebra.type_degrees[element] + shifts[summand]
-        order = degrees.argsort(kind="stable")
-        self.summand, self.element, self.degrees = summand[order], element[order], degrees[order]
+        # basis element n is type element[n] in summand summand[n]; the basis
+        # runs by degree, then summand, then type (each column is ascending)
+        basis = {e: algebra.column_basis(e) for e in dict.fromkeys(e for e, _ in self.summands)}
+        degree = algebra.type_degrees.tolist()
+        elements = sorted((degree[u] + shift, g, u) for g, (e, shift) in enumerate(self.summands) for u in basis[e])
+        ds, summand, element = zip(*elements) if elements else ((), (), ())
+        self.degrees, self.summand, self.element = (np.array(x, dtype=np.int64) for x in (ds, summand, element))
         # row[g, u]: position of (g, u) in the basis, -1 when u is not in A.e_g
-        self.row = np.full((len(columns), len(algebra.types)), -1, dtype=np.int64)
-        self.row[self.summand, self.element] = np.arange(len(order))
-        ds, starts, counts = np.unique(self.degrees, return_index=True, return_counts=True)
-        self.at = {d: slice(s, s + n) for d, s, n in zip(ds.tolist(), starts.tolist(), counts.tolist())}
-        self.dims = dict(zip(ds.tolist(), counts.tolist()))
+        self.row = np.full((len(self.summands), len(algebra.types)), -1, dtype=np.int64)
+        self.row[self.summand, self.element] = np.arange(len(ds))
+        starts = [n for n in range(len(ds)) if not n or ds[n] != ds[n - 1]]
+        self.at = {ds[s]: slice(s, e) for s, e in zip(starts, [*starts[1:], len(ds)])}
+        self.dims = {d: at.stop - at.start for d, at in self.at.items()}
 
     def act(self, a, x, d: int, t: int):
         """a.x for x columns over the degree-d basis, given as their entries
@@ -235,9 +241,10 @@ class ProjectiveSum:
         n = src.start + n
         b = self.element[n]
         vals = A.product_coeff[a, b] * vals % A.p  # coefficient of a_c.b_n times x
-        live = vals.nonzero()[0]
-        rows = self.row[self.summand[n[live]], A.product_type[a, b][live]] - dst.start
-        key, vals = summed(rows * width + c[live], vals[live], A.p)
+        # every entry's key, those of the vanishing products dropped after
+        key = (self.row[self.summand[n], A.product_type[a, b]] - dst.start) * width + c
+        live = vals != 0
+        key, vals = summed(key[live], vals[live], A.p)
         return *np.divmod(key, width), vals, width
 
 
@@ -283,7 +290,8 @@ def next_syzygy(amb: ProjectiveSum, gens, step: int):
     """(cover, kernel) of the projective cover built on ``gens``, all in
     degree ``step``, mapping onto the submodule of ``amb`` they generate; the
     kernel is {degree t: entries of columns over the cover's degree-t basis},
-    one action and one kernel per degree of the cover."""
+    one action and one kernel per degree of the cover that ``amb`` has; in a
+    degree it lacks, the map is zero and the whole degree is the kernel."""
     A = amb.algebra
     idx_of = dict(A.idempotents)
     cover = ProjectiveSum(A, [(idx_of[label], step) for label, _, _ in gens])
@@ -292,12 +300,52 @@ def next_syzygy(amb: ProjectiveSum, gens, step: int):
     n, vals = (np.concatenate(x) for x in zip(*(v for _, _, v in gens)))
     ker = {}
     for t, at in cover.at.items():
+        if t not in amb.dims:
+            k = cover.dims[t]
+            ker[t] = np.arange(k), np.arange(k), np.ones(k, dtype=np.int64), k
+            continue
         # cover basis element j in degree t maps to its element times its generator's target
         j, i = sorted_join(cover.summand[at], g)
-        k = kernel_basis(amb.act(cover.element[at], (n[i], j, vals[i], cover.dims[t]), step, t), amb.dims.get(t, 0), A.p)
+        k = kernel_basis(amb.act(cover.element[at], (n[i], j, vals[i], cover.dims[t]), step, t), amb.dims[t], A.p)
         if k[3]:
             ker[t] = k
     return cover, ker
+
+
+# Distinct probes kept, each a key of about 1.2 kB for an 8-type table and a
+# report of 0.3 kB at hbound 4 (1.1 kB at 32), pickled.  One sl2-blocks pass
+# makes 4 distinct probes in its 10 (the regular and the singular corner at
+# p = 7 and 11), and the tier-1 tests other than the memo's own make 160 in
+# 252, so 256 holds either whole; a longer run evicts the least recently used.
+PROBE_CACHE_SIZE = 256
+
+
+class _Corner:
+    """The key of an algebra's probe: what ``_probe`` reads of it, each
+    value with its type, so an equal key resolves exactly as its algebra
+    does.  It carries the algebra for a miss to resolve, and drops it
+    there; the sizes of the blocks and the names of the types are not in
+    it."""
+
+    def __init__(self, algebra: BlockAlgebra):
+        A = self.algebra = algebra
+        arrays = A.type_degrees, A.product_type, A.product_coeff
+        tables = [(type(x), a.dtype.str, a.shape, a.tobytes()) for x in arrays for a in [np.asarray(x)]]
+        idempotents = tuple((type(label), label, type(e), e) for label, e in A.idempotents)
+        self.key = type(A.p), A.p, len(A.types), *tables, idempotents
+        self.hash = hash(self.key)  # TypeError for an unhashable label
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=PROBE_CACHE_SIZE, typed=True)
+def _memo(corner: _Corner, hbound: int) -> dict:
+    algebra, corner.algebra = corner.algebra, None  # the kept key holds no caller's algebra
+    return _probe(algebra, hbound)
 
 
 def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
@@ -310,9 +358,28 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
     It resolves the simples of the corner algebra of types, which are the
     algebra's up to graded Morita equivalence (see ``BlockAlgebra``), so
     its cost does not depend on the sizes of the blocks.
+
+    By the same lemma the report depends on the corner alone, and ``_probe``
+    reads of the algebra only p, the type count, ``type_degrees``,
+    ``product_type``, ``product_coeff`` and ``idempotents``.  So reports are
+    kept in an ``lru_cache`` keyed by those, read from the algebra at each
+    call, and by hbound, each with its type (``_Corner``): every regular
+    sl2 block at one p, whatever lambda, shares one entry.  Every call
+    returns a fresh copy of the kept report.  An unhashable label or hbound
+    is resolved without the cache.
     """
     if hbound < 1:
         raise ValueError("hbound must be >= 1")
+    try:
+        corner = _Corner(algebra)
+        hash(hbound)
+    except TypeError:
+        return _probe(algebra, hbound)
+    return copy.deepcopy(_memo(corner, hbound))
+
+
+def _probe(algebra: BlockAlgebra, hbound: int) -> dict:
+    """``koszulity_probe`` without the cache, for hbound >= 1."""
     report = {"hbound": hbound, "simples": [], "linear": True}
     for label, e in algebra.idempotents:
         entry = {"simple": label, "steps": [], "witness": None}
@@ -331,6 +398,7 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
                 entry["witness"] = [step, bad]
                 report["linear"] = False
                 break
-            amb, syz = next_syzygy(amb, gens, step)
+            if step < hbound:  # the syzygy after the last step is never read
+                amb, syz = next_syzygy(amb, gens, step)
         report["simples"].append(entry)
     return report

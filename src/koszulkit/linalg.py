@@ -11,9 +11,10 @@ reduction on COO input (after Faugere-Lachartre and SpaSM) that holds each
 row as a dict of Python ints, so no product can overflow.
 ``sl2.frobenius_form`` hands it the entries of a T x T type Gram,
 ``kernel_basis`` and ``independent_columns`` take columns as entries
-(rows, cols, vals, width), and only ``rank`` goes through ``rref``, its
-dense wrapper.  Only ``kernel_basis`` back-substitutes, and it reads the
-reduced rows as entries: nothing builds a (rank, n) array.  ``summed``
+(rows, cols, vals, width) and read its pivot rows as dicts, and only
+``rank`` goes through ``rref``, its dense wrapper.  Only ``kernel_basis``
+back-substitutes, and it reads the reduced rows as entries: nothing builds
+a (rank, n) array.  ``summed``
 merges entries at equal keys.  The blocks met are small, or large and sparse, and fill in
 little.
 """
@@ -134,6 +135,19 @@ def echelon(rows, cols, vals, shape, p: int, reduced: bool = False):
     pivot rows after it are already reduced.  ValueError once the rows hold
     more than MAX_RANK_CELLS // 8 entries.
     """
+    pivot_rows = _pivot_rows(rows, cols, vals, shape, p, reduced)
+    pivots = sorted(pivot_rows)
+    if not reduced:
+        return None, len(pivots), np.array(pivots, dtype=np.int64)
+    lens = [len(pivot_rows[c]) for c in pivots]
+    cols = np.array([k for c in pivots for k in pivot_rows[c]], dtype=np.int64)
+    vals = np.array([v for c in pivots for v in pivot_rows[c].values()], dtype=np.int64)
+    return (np.arange(len(pivots)).repeat(lens), cols, vals), len(pivots), np.array(pivots, dtype=np.int64)
+
+
+def _pivot_rows(rows, cols, vals, shape, p: int, reduced: bool) -> dict:
+    """``echelon``'s pivot rows, {pivot column: {column: value}}, reduced
+    when ``reduced``."""
     m, n = shape
     entries = {}  # row -> {column: value}, the nonzeros mod p, in order of first appearance
     for r, c, v in zip(rows.tolist(), cols.tolist(), (vals % p).tolist()):
@@ -162,20 +176,15 @@ def echelon(rows, cols, vals, shape, p: int, reduced: bool = False):
             _subtract(row, row[col], pivot, p)
         held += len(row)
         check_fill()
-    pivots = sorted(pivot_rows)
-    if not reduced:
-        return None, len(pivots), np.array(pivots, dtype=np.int64)
-    for col in reversed(pivots):
-        row = pivot_rows[col]
-        held -= len(row)
-        for c in [c for c in row if c != col and c in pivot_rows]:
-            _subtract(row, row[c], pivot_rows[c], p)
-        held += len(row)
-        check_fill()
-    lens = [len(pivot_rows[c]) for c in pivots]
-    cols = np.array([k for c in pivots for k in pivot_rows[c]], dtype=np.int64)
-    vals = np.array([v for c in pivots for v in pivot_rows[c].values()], dtype=np.int64)
-    return (np.arange(len(pivots)).repeat(lens), cols, vals), len(pivots), np.array(pivots, dtype=np.int64)
+    if reduced:
+        for col in sorted(pivot_rows, reverse=True):
+            row = pivot_rows[col]
+            held -= len(row)
+            for c in [c for c in row if c != col and c in pivot_rows]:
+                _subtract(row, row[c], pivot_rows[c], p)
+            held += len(row)
+            check_fill()
+    return pivot_rows
 
 
 def rref(a: np.ndarray, p: int):
@@ -257,8 +266,8 @@ def independent_columns(base, cands, m: int, p: int) -> list[int]:
     (r, c, v, w), (rc, cc, vc, wc) = base, cands
     if not len(cc):
         return []
-    pivots = echelon(np.concatenate([r, rc]), np.concatenate([c, cc + w]), np.concatenate([v, vc]), (m, w + wc), p)[2]
-    return (pivots[pivots >= w] - w).tolist()
+    pivots = _pivot_rows(np.concatenate([r, rc]), np.concatenate([c, cc + w]), np.concatenate([v, vc]), (m, w + wc), p, False)
+    return sorted(k - w for k in pivots if k >= w)
 
 
 def kernel_basis(a, m: int, p: int):
@@ -272,10 +281,15 @@ def kernel_basis(a, m: int, p: int):
     independent, and nullity = n - rank.
     """
     rows, cols, vals, n = a
-    (i, c, v), _, pivots = echelon(rows, cols, vals, (m, n), p, reduced=True)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    j, f = free.nonzero()[0], free.cumsum() - 1  # the free columns; column f[j] of K is free column j's
-    off = free[c]  # the reduced rows' entries in free columns
-    k = len(j)
-    return np.concatenate([j, pivots[i[off]]]), np.concatenate([np.arange(k), f[c[off]]]), np.concatenate([np.ones(k, np.int64), p - v[off]]), k
+    pivot_rows = _pivot_rows(rows, cols, vals, (m, n), p, reduced=True)
+    free = [j for j in range(n) if j not in pivot_rows]
+    f = {j: x for x, j in enumerate(free)}  # column f[j] of K is free column j's
+    k = len(free)
+    r, c, v = list(free), list(range(k)), [1] * k
+    for col in sorted(pivot_rows):  # a reduced row's entries off its pivot lie in free columns
+        for j, x in pivot_rows[col].items():
+            if j != col:
+                r.append(col)
+                c.append(f[j])
+                v.append(p - x)
+    return np.array(r, dtype=np.int64), np.array(c, dtype=np.int64), np.array(v, dtype=np.int64), k

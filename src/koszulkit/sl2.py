@@ -13,7 +13,10 @@ regular, one singular): (t, i, j).(u, k, l) = (t.u, i, l) when j == k.
 The quiver's basic algebra is one type per path.  Every verdict of a
 report reads the type table, so its cost does not grow with p, which
 ``check_modulus`` bounds; a report refuses a probe deeper than
-``MAX_HBOUND``.
+``MAX_HBOUND``, a bound sized on a cold probe.  The probe keeps its
+reports by the corner of types (``blockalg.koszulity_probe``), the same
+for every lambda at one p, so a report whose probe is kept costs less; the
+bound does not count on that.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ SHIFTS = (0, 1)
 # costliest one accepted under the former limits (hbound 8 and dimension at
 # most 1,058): p = 23, lambda = 10 at hbound 8 took 57.6 ms, against 48.2 ms
 # at hbound 32 and 69.0 ms at 34 (in process on 2 cores, CPU time, median
-# over 6 alternating rounds of the best of 11 runs).
+# over 6 alternating rounds of the best of 11 runs).  Those are cold probes;
+# the probe's memo (``blockalg.koszulity_probe``) only makes a repeated one
+# cheaper, and the limit does not count on it.
 MAX_HBOUND = 32
 
 

@@ -12,8 +12,8 @@ import block_reference as ref
 import dense_reference
 import probe_reference
 from block_reference import MUTATIONS, WIDE_PRIMES, Dense
-from koszulkit import sl2
-from koszulkit.blockalg import BlockAlgebra, ProjectiveSum, minimal_generators, next_syzygy
+from koszulkit import blockalg, sl2
+from koszulkit.blockalg import PROBE_CACHE_SIZE, BlockAlgebra, ProjectiveSum, minimal_generators, next_syzygy
 from koszulkit.linalg import structural_pivots
 from koszulkit.projline import cohomology_P1
 from koszulkit.sl2 import (
@@ -356,8 +356,123 @@ def test_the_probe_acts_by_types_of_the_target_degree(monkeypatch):
 
     monkeypatch.setattr(ProjectiveSum, "act", checked)
     for A, _ in probe_algebras():
+        blockalg._memo.cache_clear()  # so every probe acts, none is read back
         koszulity_probe(A, 4)
     assert len(calls) > 1000 and all(calls)
+
+
+def outcome(A, hbound):
+    """The probe's report, or the type and text of what it raises."""
+    try:
+        return koszulity_probe(A, hbound)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def key_changes():
+    """(component, algebra, attribute, index, value): setting the
+    attribute, or its entry at index, to value changes that one component
+    of the probe's key on the algebra object itself.  Some changes leave
+    the report as it was, some change it, and some make the probe raise."""
+    regular, cubic, dual = build_regular_block(5, 1), algebra(truncated_polynomial(3)), algebra(truncated_polynomial(2))
+    (_, e0), _ = regular.idempotents
+    quiver = quiver_basic_algebra(5)
+    ubar, u, z2 = (quiver.types.index(name) for name in ("ubar", "u", "z2"))
+    labelled = algebra(truncated_polynomial(2))
+    labelled.idempotents[0] = (1, 0)
+    return [
+        ("p", regular, "p", None, 7),
+        ("product coefficient", cubic, "product_coeff", (1, 1), 0),  # x.x = 0: the radical needs x^2
+        ("product type", quiver, "product_type", (ubar, u), z2),
+        ("type degree", dual, "type_degrees", 1, 2),
+        ("type count", build_regular_block(5, 1), "types", None, [*regular.types, "extra"]),
+        ("idempotent label", build_regular_block(5, 1), "idempotents", 0, ("M0", e0)),
+        ("idempotent label's type", labelled, "idempotents", 0, (True, 0)),
+        ("idempotent index's type", build_regular_block(5, 1), "idempotents", 0, ("L0", float(e0))),
+    ]
+
+
+def test_a_change_to_any_key_component_misses():
+    """The probe's memo reads its key from the algebra at every call: after
+    a probe, changing one component in place, or hbound, makes the next
+    probe a miss, which equals a cold run (the memo cleared), type for
+    type, and the dense reference when the changed algebra is one (the
+    changed product type breaks associativity)."""
+    memo = blockalg._memo
+    for component, A, attr, index, value in key_changes():
+        memo.cache_clear()
+        koszulity_probe(A, 4)
+        if index is None:
+            setattr(A, attr, value)
+        else:
+            getattr(A, attr)[index] = value
+        after = outcome(A, 4)
+        assert memo.cache_info().misses == 2, component
+        memo.cache_clear()
+        assert repr(after) == repr(outcome(A, 4)), component
+        if isinstance(after, dict) and not A.check_axioms():
+            assert after == probe_reference.koszulity_probe(ref.expansion(A), 4), component
+    A = build_regular_block(5, 1)
+    memo.cache_clear()
+    koszulity_probe(A, 4)
+    assert koszulity_probe(A, 5) == probe_reference.koszulity_probe(ref.expansion(A), 5)
+    assert memo.cache_info().misses == 2
+
+
+def test_regular_blocks_at_one_p_share_one_resolution():
+    """Every regular block at one p has the same corner of types, so the
+    reports at p = 11 resolve it once for lambda = 0..4; the singular
+    block is one more.  Each report's probe equals a cold one."""
+    memo = blockalg._memo
+    memo.cache_clear()
+    reports = [block_report(11, lam) for lam in range(5)]
+    assert (memo.cache_info().hits, memo.cache_info().misses, memo.cache_info().currsize) == (4, 1, 1)
+    block_report(11, None)
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
+    for lam, report in enumerate(reports):
+        assert report["verdicts"]["koszul_linear"] is blockalg._probe(build_regular_block(11, lam), 4)["linear"] is True
+
+
+def test_hbound_keeps_its_type_through_the_memo():
+    """With the memo holding hbound 4 and 1, an hbound equal to one of them
+    but of another type gives what it gives cold: 4.0 raises in ``range``,
+    True and np.int64(4) come back as given, and np.array(4), unhashable,
+    is resolved without the memo."""
+    A = build_regular_block(5, 1)
+    at = {h: koszulity_probe(A, h) for h in (4, 1)}
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        koszulity_probe(A, 4.0)
+    for hbound, same in ((True, 1), (np.int64(4), 4), (np.array(4), 4)):
+        report = koszulity_probe(A, hbound)
+        assert type(report["hbound"]) is type(hbound) and report["hbound"] == same
+        assert {**report, "hbound": same} == {**blockalg._probe(A, hbound), "hbound": same} == at[same]
+
+
+def test_a_changed_report_leaves_the_next_one_unchanged():
+    """The miss and the hit each return a fresh copy of the kept report."""
+    A = build_regular_block(5, 1)
+    blockalg._memo.cache_clear()
+    cold = blockalg._probe(A, 4)
+    for _ in range(2):
+        report = koszulity_probe(A, 4)
+        assert report == cold
+        report["linear"] = False
+        report["simples"][0]["steps"][0]["generator_degrees"].append(9)
+        report["simples"].pop()
+    assert koszulity_probe(A, 4) == cold
+
+
+def test_the_probe_memo_stays_at_its_bound():
+    """Probing more distinct keys than the memo holds keeps it at
+    PROBE_CACHE_SIZE entries, and a report read after its eviction is
+    equal."""
+    A = build_singular_block(5)
+    before = koszulity_probe(A, 1)
+    for hbound in range(2, PROBE_CACHE_SIZE + 12):
+        koszulity_probe(A, hbound)
+    info = blockalg._memo.cache_info()
+    assert info.currsize == info.maxsize == PROBE_CACHE_SIZE
+    assert koszulity_probe(A, 1) == before
 
 
 def test_act_refuses_a_type_of_another_degree():
@@ -581,8 +696,6 @@ def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
     cover's degree-t basis) of full nullity: phi_t K_t = 0 mod p, and its
     columns are independent and number cols(phi_t) - rank(phi_t).  Both are
     made dense here, phi_t from the generators' entries column by column."""
-    from koszulkit import blockalg
-
     blocks = []
 
     def recording(amb, gens, step):
@@ -598,11 +711,31 @@ def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
 
     monkeypatch.setattr(blockalg, "next_syzygy", recording)
     for p, lam in REPORT_SHA256:
+        blockalg._memo.cache_clear()  # so every report's probe resolves
         block_report(p, lam)
     assert len(blocks) > 100 and sum(k.shape[1] > 0 for _, k, _ in blocks) > 50
     for phi, k, p in blocks:
         assert not (phi @ k % p).any()
         assert dense_reference.rank(k, p) == k.shape[1] == phi.shape[1] - dense_reference.rank(phi, p)
+
+
+def test_the_probe_builds_no_syzygy_past_hbound(monkeypatch):
+    """A simple whose resolution stays linear to hbound takes hbound - 1
+    syzygies: the generators of the last one are read, and nothing after."""
+    steps = []
+
+    def counted(amb, gens, step):
+        steps.append(step)
+        return next_syzygy(amb, gens, step)
+
+    monkeypatch.setattr(blockalg, "next_syzygy", counted)
+    A = build_regular_block(5, 1)
+    for hbound in (1, 2, 4):
+        steps.clear()
+        blockalg._memo.cache_clear()
+        report = koszulity_probe(A, hbound)
+        assert report["linear"] and all(len(s["steps"]) == hbound for s in report["simples"])
+        assert sorted(steps) == sorted([*range(1, hbound)] * len(A.idempotents))
 
 
 # -- products by index arithmetic against the per-pair builders ----------------
