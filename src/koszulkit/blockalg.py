@@ -14,11 +14,7 @@ Frobenius form, the anti-automorphism and the Cartan table in ``sl2``.
 The Koszulity probe resolves the simples of the corner algebra spanned by
 the labels (t, 0, 0), which multiply as the type table does; it is graded
 Morita equivalent to the algebra.  Nothing here allocates in proportion to
-the dimension.  So a resolution depends on the corner alone, and the probe
-keeps its reports in an ``lru_cache`` keyed by the corner's content (p, the
-type count, the degree and product tables and the idempotents, read at each
-call) and hbound: every regular block of (U sl2)_0 at one p, whatever its
-block sizes, is resolved once.
+the dimension, and a resolution depends on the corner alone.
 
 Graded left modules are represented as submodules of direct sums of
 shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
@@ -35,9 +31,6 @@ part because degree 0 is semisimple; every elimination is
 """
 
 from __future__ import annotations
-
-import copy
-from functools import lru_cache
 
 import numpy as np
 
@@ -312,42 +305,6 @@ def next_syzygy(amb: ProjectiveSum, gens, step: int):
     return cover, ker
 
 
-# Distinct probes kept, each a key of about 1.2 kB for an 8-type table and a
-# report of 0.3 kB at hbound 4 (1.1 kB at 32), pickled.  One sl2-blocks pass
-# makes 4 distinct probes in its 10 (the regular and the singular corner at
-# p = 7 and 11), and the tier-1 tests other than the memo's own make 160 in
-# 252, so 256 holds either whole; a longer run evicts the least recently used.
-PROBE_CACHE_SIZE = 256
-
-
-class _Corner:
-    """The key of an algebra's probe: what ``_probe`` reads of it, each
-    value with its type, so an equal key resolves exactly as its algebra
-    does.  It carries the algebra for a miss to resolve, and drops it
-    there; the sizes of the blocks and the names of the types are not in
-    it."""
-
-    def __init__(self, algebra: BlockAlgebra):
-        A = self.algebra = algebra
-        arrays = A.type_degrees, A.product_type, A.product_coeff
-        tables = [(type(x), a.dtype.str, a.shape, a.tobytes()) for x in arrays for a in [np.asarray(x)]]
-        idempotents = tuple((type(label), label, type(e), e) for label, e in A.idempotents)
-        self.key = type(A.p), A.p, len(A.types), *tables, idempotents
-        self.hash = hash(self.key)  # TypeError for an unhashable label
-
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
-@lru_cache(maxsize=PROBE_CACHE_SIZE, typed=True)
-def _memo(corner: _Corner, hbound: int) -> dict:
-    algebra, corner.algebra = corner.algebra, None  # the kept key holds no caller's algebra
-    return _probe(algebra, hbound)
-
-
 def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
     """Linear-resolution probe out to homological degree hbound.
 
@@ -358,28 +315,9 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
     It resolves the simples of the corner algebra of types, which are the
     algebra's up to graded Morita equivalence (see ``BlockAlgebra``), so
     its cost does not depend on the sizes of the blocks.
-
-    By the same lemma the report depends on the corner alone, and ``_probe``
-    reads of the algebra only p, the type count, ``type_degrees``,
-    ``product_type``, ``product_coeff`` and ``idempotents``.  So reports are
-    kept in an ``lru_cache`` keyed by those, read from the algebra at each
-    call, and by hbound, each with its type (``_Corner``): every regular
-    sl2 block at one p, whatever lambda, shares one entry.  Every call
-    returns a fresh copy of the kept report.  An unhashable label or hbound
-    is resolved without the cache.
     """
     if hbound < 1:
         raise ValueError("hbound must be >= 1")
-    try:
-        corner = _Corner(algebra)
-        hash(hbound)
-    except TypeError:
-        return _probe(algebra, hbound)
-    return copy.deepcopy(_memo(corner, hbound))
-
-
-def _probe(algebra: BlockAlgebra, hbound: int) -> dict:
-    """``koszulity_probe`` without the cache, for hbound >= 1."""
     report = {"hbound": hbound, "simples": [], "linear": True}
     for label, e in algebra.idempotents:
         entry = {"simple": label, "steps": [], "witness": None}

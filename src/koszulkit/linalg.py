@@ -6,16 +6,16 @@ callers are safe to combine.  A sparse rank starts with
 ``structural_pivots``, which finds pivots from the positions of the
 nonzero entries alone; what it leaves falls apart into ``components``, and
 ``dgmodule._cores`` makes each distinct one a dense block of 1-4 bytes an
-entry.  All elimination goes through ``echelon``, a sparse left-looking row
+entry.  All elimination is ``_pivot_rows``, a sparse left-looking row
 reduction on COO input (after Faugere-Lachartre and SpaSM) that holds each
-row as a dict of Python ints, so no product can overflow.
-``sl2.frobenius_form`` hands it the entries of a T x T type Gram,
-``kernel_basis`` and ``independent_columns`` take columns as entries
-(rows, cols, vals, width) and read its pivot rows as dicts, and only
-``rank`` goes through ``rref``, its dense wrapper.  Only ``kernel_basis``
-back-substitutes, and it reads the reduced rows as entries: nothing builds
-a (rank, n) array.  ``summed``
-merges entries at equal keys.  The blocks met are small, or large and sparse, and fill in
+row as a dict of Python ints, so no product can overflow.  ``echelon``
+returns its rank and pivot columns: ``sl2.frobenius_form`` hands it the
+entries of a T x T type Gram, and ``rank`` goes through ``rref``, its
+dense wrapper.  ``kernel_basis`` and ``independent_columns`` take columns
+as entries (rows, cols, vals, width) and read the pivot rows as dicts.
+Only ``kernel_basis`` back-substitutes, and it reads the reduced rows as
+entries: nothing builds a (rank, n) array.  ``summed`` merges entries at
+equal keys.  The blocks met are small, or large and sparse, and fill in
 little.
 """
 
@@ -117,37 +117,28 @@ def _subtract(row: dict, f: int, pivot: dict, p: int):
             del row[k]
 
 
-def echelon(rows, cols, vals, shape, p: int, reduced: bool = False):
+def echelon(rows, cols, vals, shape, p: int):
     """Row echelon form over GF(p) of the ``shape`` (m, n) matrix whose
     entries are ``vals`` at the distinct positions (``rows``, ``cols``), in
-    any order, and 0 elsewhere: (None, rank, pivot columns), or with
-    ``reduced`` (pivot rows, rank, pivot columns), the pivot rows of the
-    reduced form as COO arrays (i, column, value), i the pivot's index and
-    values in [1, p).
+    any order, and 0 elsewhere: (None, rank, pivot columns).
 
     Sparse left-looking elimination: the entries nonzero mod p become one
     dict {column: value} per row, taken shortest first (ties in the order
     the rows first appear, row order for a dense matrix's nonzeros).  Each
     is reduced on its least column against the pivot rows so far until it is
     empty or becomes a pivot row, scaled to 1 there: an echelon basis with
-    the reduced form's pivot columns.  Back-substitution then clears every
-    other pivot column, last pivot first, in one pass per row, since the
-    pivot rows after it are already reduced.  ValueError once the rows hold
-    more than MAX_RANK_CELLS // 8 entries.
+    the reduced form's pivot columns.  ValueError once the rows hold more
+    than MAX_RANK_CELLS // 8 entries.
     """
-    pivot_rows = _pivot_rows(rows, cols, vals, shape, p, reduced)
-    pivots = sorted(pivot_rows)
-    if not reduced:
-        return None, len(pivots), np.array(pivots, dtype=np.int64)
-    lens = [len(pivot_rows[c]) for c in pivots]
-    cols = np.array([k for c in pivots for k in pivot_rows[c]], dtype=np.int64)
-    vals = np.array([v for c in pivots for v in pivot_rows[c].values()], dtype=np.int64)
-    return (np.arange(len(pivots)).repeat(lens), cols, vals), len(pivots), np.array(pivots, dtype=np.int64)
+    pivots = sorted(_pivot_rows(rows, cols, vals, shape, p, False))
+    return None, len(pivots), np.array(pivots, dtype=np.int64)
 
 
 def _pivot_rows(rows, cols, vals, shape, p: int, reduced: bool) -> dict:
-    """``echelon``'s pivot rows, {pivot column: {column: value}}, reduced
-    when ``reduced``."""
+    """``echelon``'s pivot rows, {pivot column: {column: value}}.  With
+    ``reduced``, back-substitution then clears every other pivot column,
+    last pivot first, in one pass per row, since the pivot rows after it
+    are already reduced: the reduced form's pivot rows."""
     m, n = shape
     entries = {}  # row -> {column: value}, the nonzeros mod p, in order of first appearance
     for r, c, v in zip(rows.tolist(), cols.tolist(), (vals % p).tolist()):

@@ -13,13 +13,15 @@ regular, one singular): (t, i, j).(u, k, l) = (t.u, i, l) when j == k.
 The quiver's basic algebra is one type per path.  Every verdict of a
 report reads the type table, so its cost does not grow with p, which
 ``check_modulus`` bounds; a report refuses a probe deeper than
-``MAX_HBOUND``, a bound sized on a cold probe.  The probe keeps its
-reports by the corner of types (``blockalg.koszulity_probe``), the same
-for every lambda at one p, so a report whose probe is kept costs less; the
-bound does not count on that.
+``MAX_HBOUND``, a bound sized on a cold probe.  A report keeps its
+Koszulity verdict by (p, regular or singular, hbound) (``_koszul_linear``),
+the same for every lambda at one p, so a report whose verdict is kept
+costs less; the bound does not count on that.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,9 +42,15 @@ SHIFTS = (0, 1)
 # most 1,058): p = 23, lambda = 10 at hbound 8 took 57.6 ms, against 48.2 ms
 # at hbound 32 and 69.0 ms at 34 (in process on 2 cores, CPU time, median
 # over 6 alternating rounds of the best of 11 runs).  Those are cold probes;
-# the probe's memo (``blockalg.koszulity_probe``) only makes a repeated one
-# cheaper, and the limit does not count on it.
+# the kept verdicts (``_koszul_linear``) only make a repeated one cheaper,
+# and the limit does not count on them.
 MAX_HBOUND = 32
+
+# Koszulity verdicts kept, one per (p, regular or singular, hbound).  One
+# sl2-blocks pass reads 4 distinct ones in its 10 reports (the regular and
+# the singular block at p = 7 and 11); a longer run evicts the least
+# recently used.
+PROBE_CACHE_SIZE = 256
 
 
 def ext_zero_sections(a: int, b: int, p: int = 3) -> dict[int, int]:
@@ -289,11 +297,25 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
     return _koszulity_probe(algebra, hbound)
 
 
+@lru_cache(maxsize=PROBE_CACHE_SIZE, typed=True)
+def _koszul_linear(p: int, singular: bool, hbound: int) -> bool:
+    """The probe's ``linear`` verdict on the singular block at p, or on any
+    regular block at p: ``build_regular_block`` builds the types, degrees,
+    blocks, products, units and idempotents from module constants, and only
+    the block sizes depend on lambda, so every regular block at one p has
+    the same corner of types and the same resolution (see
+    ``blockalg.BlockAlgebra``).  Keyed with each argument's type, so an
+    hbound equal to a kept one but of another type gives what it gives cold.
+    """
+    return koszulity_probe(build_singular_block(p) if singular else build_regular_block(p, 0), hbound)["linear"]
+
+
 def block_report(p: int, lam: int | None, hbound: int = 4) -> dict:
     """Full machine-checked report for one block (singular when lam None).
 
-    A regular block is built once, by ``quiver_presentation``, and every
-    check reads that one algebra.
+    A regular block is built by ``quiver_presentation``, and every check
+    but the Koszulity verdict reads that one algebra; the verdict is
+    ``_koszul_linear``'s, which builds its own block when it is not kept.
     """
     if not 1 <= hbound <= MAX_HBOUND:
         raise ValueError(f"hbound must lie in [1, {MAX_HBOUND}], got {hbound}")
@@ -309,7 +331,6 @@ def block_report(p: int, lam: int | None, hbound: int = 4) -> dict:
         descriptor = {"p": p, "block": "regular", "lambda": lam}
     frob = frobenius_form(algebra, 2 * N)
     poin = poincare_symmetry(algebra, N)
-    kosz = koszulity_probe(algebra, hbound)
     report = {
         "descriptor": descriptor,
         "dimension": algebra.dim,
@@ -320,7 +341,7 @@ def block_report(p: int, lam: int | None, hbound: int = 4) -> dict:
             "frobenius_symmetric": frob["symmetric"],
             "frobenius_graded": frob["graded"],
             "poincare_palindromic": poin["palindromic"],
-            "koszul_linear": kosz["linear"],
+            "koszul_linear": _koszul_linear(p, lam is None, hbound),
         },
     }
     if quiver is not None:

@@ -34,14 +34,25 @@ def dense(x, m: int) -> np.ndarray:
     return out
 
 
+def pivot_rows(rows, cols, vals, shape, p: int):
+    """(reduced pivot rows, rank, pivot columns) of the matrix with these
+    entries, from ``linalg._pivot_rows`` with ``reduced``: the pivot rows,
+    by pivot column, as a dense (rank, n) int64 array, each of whose values
+    lies in [1, p)."""
+    rows_by_pivot = within(RREF_SECONDS, linalg._pivot_rows, rows, cols, vals, shape, p, True)
+    pivots = sorted(rows_by_pivot)
+    out = np.zeros((len(pivots), shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        row = rows_by_pivot[c]
+        assert all(1 <= v < p for v in row.values())
+        out[i, list(row)] = list(row.values())
+    return out, len(pivots), np.array(pivots, dtype=np.int64)
+
+
 def reduced(a: np.ndarray, p: int):
-    """(reduced pivot rows, rank, pivot columns) of the dense ``a``, from
-    ``echelon`` with ``reduced`` on its nonzeros: the pivot rows as a dense
-    (rank, n) int64 array."""
+    """``pivot_rows`` on the nonzeros of the dense ``a``."""
     rows, cols = a.nonzero()
-    (i, c, v), rank_, pivots = within(RREF_SECONDS, linalg.echelon, rows, cols, a[rows, cols], a.shape, p, True)
-    assert i.dtype == c.dtype == v.dtype == np.int64
-    return dense((i, c, v, a.shape[1]), rank_), rank_, pivots
+    return pivot_rows(rows, cols, a[rows, cols], a.shape, p)
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):
@@ -233,13 +244,13 @@ def rref_inputs(draw, primes=(3, 5, 7, BIG_PRIME)):
 @settings(max_examples=400, deadline=None)
 @given(rref_inputs())
 def test_rref_matches_the_dense_reference(data):
-    """echelon with ``reduced`` on a dense matrix's nonzeros: the reference's
+    """The reduced pivot rows of a dense matrix's nonzeros: the reference's
     reduced form."""
     a, p = data
     want, got = dense_reference.rref(a, p), reduced(a, p)
     assert got[0].dtype == np.int64 and got[2].dtype == np.int64
     assert got[1] == want[1]
-    # echelon returns only the pivot rows; the reference's other rows are zero
+    # only the pivot rows come back; the reference's other rows are zero
     assert got[0].shape == (want[1], a.shape[1]) and (got[0] == want[0][: want[1]]).all()
     assert not want[0][want[1]:].any()
     assert got[2].tolist() == want[2].tolist()
@@ -283,22 +294,19 @@ def test_echelon_only_matches_the_dense_reference(data):
 def test_echelon_on_coo_input_matches_the_dense_reference(data, seed):
     """echelon on a matrix's entries in a random order, with explicit zeros
     and nonzero multiples of p among them: the reference's rank and pivot
-    columns, and with ``reduced`` its pivot rows as COO arrays, one entry per
-    position, values in [1, p)."""
+    columns, and the reduced pivot rows the reference's reduced form, values
+    in [1, p)."""
     a, p = data
     want = dense_reference.rref(a, p)
     rng = np.random.default_rng(seed)
     rows, cols = ((rng.random(a.shape) < 0.3) | (a != 0)).nonzero()
     order = rng.permutation(len(rows))
     rows, cols = rows[order], cols[order]
-    for reduced in (False, True):
-        coo, rank_, pivots = within(RREF_SECONDS, linalg.echelon, rows, cols, a[rows, cols], a.shape, p, reduced)
-        assert (coo is None) != reduced and rank_ == want[1]
-        assert pivots.dtype == np.int64 and pivots.tolist() == want[2].tolist()
-    assert len(set(zip(coo[0].tolist(), coo[1].tolist()))) == len(coo[0])
-    assert ((1 <= coo[2]) & (coo[2] < p)).all()
-    r = np.zeros((rank_, a.shape[1]), dtype=np.int64)
-    r[coo[0], coo[1]] = coo[2]
+    none, rank_, pivots = within(RREF_SECONDS, linalg.echelon, rows, cols, a[rows, cols], a.shape, p)
+    assert none is None and rank_ == want[1]
+    assert pivots.dtype == np.int64 and pivots.tolist() == want[2].tolist()
+    r, rank_, pivots = pivot_rows(rows, cols, a[rows, cols], a.shape, p)
+    assert rank_ == want[1] and pivots.tolist() == want[2].tolist()
     assert (r == want[0][:rank_]).all()
 
 

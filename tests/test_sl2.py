@@ -13,8 +13,8 @@ import dense_reference
 import probe_reference
 from block_reference import MUTATIONS, WIDE_PRIMES, Dense
 from koszulkit import blockalg, sl2
-from koszulkit.blockalg import PROBE_CACHE_SIZE, BlockAlgebra, ProjectiveSum, minimal_generators, next_syzygy
-from koszulkit.linalg import structural_pivots
+from koszulkit.blockalg import BlockAlgebra, ProjectiveSum, minimal_generators, next_syzygy
+from koszulkit.linalg import is_odd_prime, structural_pivots
 from koszulkit.projline import cohomology_P1
 from koszulkit.sl2 import (
     anti_automorphism_check,
@@ -347,97 +347,65 @@ def test_koszulity_probe_matches_the_dense_reference(hbound):
 def test_the_probe_acts_by_types_of_the_target_degree(monkeypatch):
     """``act`` takes types of degree t - d; one of another degree would
     land outside the degree-t basis.  The probe's calls keep to that, so
-    none of the images it eliminates has a row outside its degree."""
-    act, calls = ProjectiveSum.act, []
+    none of the images it eliminates has a row outside its degree.  The
+    calls cover every case: each algebra with a type of positive degree is
+    acted on within every degree up to its last syzygy step, and some calls
+    act into a higher degree."""
+    act, calls, seen = ProjectiveSum.act, [], {}
 
     def checked(amb, a, x, d, t):
         calls.append((amb.algebra.type_degrees[a] == t - d).all())
+        seen.setdefault(id(amb.algebra), set()).add((d, t))
         return act(amb, a, x, d, t)
 
     monkeypatch.setattr(ProjectiveSum, "act", checked)
-    for A, _ in probe_algebras():
-        blockalg._memo.cache_clear()  # so every probe acts, none is read back
-        koszulity_probe(A, 4)
-    assert len(calls) > 1000 and all(calls)
-
-
-def outcome(A, hbound):
-    """The probe's report, or the type and text of what it raises."""
-    try:
-        return koszulity_probe(A, hbound)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def key_changes():
-    """(component, algebra, attribute, index, value): setting the
-    attribute, or its entry at index, to value changes that one component
-    of the probe's key on the algebra object itself.  Some changes leave
-    the report as it was, some change it, and some make the probe raise."""
-    regular, cubic, dual = build_regular_block(5, 1), algebra(truncated_polynomial(3)), algebra(truncated_polynomial(2))
-    (_, e0), _ = regular.idempotents
-    quiver = quiver_basic_algebra(5)
-    ubar, u, z2 = (quiver.types.index(name) for name in ("ubar", "u", "z2"))
-    labelled = algebra(truncated_polynomial(2))
-    labelled.idempotents[0] = (1, 0)
-    return [
-        ("p", regular, "p", None, 7),
-        ("product coefficient", cubic, "product_coeff", (1, 1), 0),  # x.x = 0: the radical needs x^2
-        ("product type", quiver, "product_type", (ubar, u), z2),
-        ("type degree", dual, "type_degrees", 1, 2),
-        ("type count", build_regular_block(5, 1), "types", None, [*regular.types, "extra"]),
-        ("idempotent label", build_regular_block(5, 1), "idempotents", 0, ("M0", e0)),
-        ("idempotent label's type", labelled, "idempotents", 0, (True, 0)),
-        ("idempotent index's type", build_regular_block(5, 1), "idempotents", 0, ("L0", float(e0))),
-    ]
-
-
-def test_a_change_to_any_key_component_misses():
-    """The probe's memo reads its key from the algebra at every call: after
-    a probe, changing one component in place, or hbound, makes the next
-    probe a miss, which equals a cold run (the memo cleared), type for
-    type, and the dense reference when the changed algebra is one (the
-    changed product type breaks associativity)."""
-    memo = blockalg._memo
-    for component, A, attr, index, value in key_changes():
-        memo.cache_clear()
-        koszulity_probe(A, 4)
-        if index is None:
-            setattr(A, attr, value)
-        else:
-            getattr(A, attr)[index] = value
-        after = outcome(A, 4)
-        assert memo.cache_info().misses == 2, component
-        memo.cache_clear()
-        assert repr(after) == repr(outcome(A, 4)), component
-        if isinstance(after, dict) and not A.check_axioms():
-            assert after == probe_reference.koszulity_probe(ref.expansion(A), 4), component
-    A = build_regular_block(5, 1)
-    memo.cache_clear()
-    koszulity_probe(A, 4)
-    assert koszulity_probe(A, 5) == probe_reference.koszulity_probe(ref.expansion(A), 5)
-    assert memo.cache_info().misses == 2
+    algebras = [A for A, _ in probe_algebras()]
+    last_step = {id(A): max(len(s["steps"]) for s in koszulity_probe(A, 4)["simples"]) for A in algebras}
+    graded = {id(A) for A in algebras if (A.type_degrees > 0).any()}
+    assert all(calls) and set(seen) == graded
+    assert len(graded) == len(algebras) - 3  # all but the singular blocks at p = 3, 5 and 7
+    for a in graded:
+        assert {(d, d) for d in range(1, last_step[a] + 1)} <= seen[a]
+    assert any(d < t for pairs in seen.values() for d, t in pairs)
 
 
 def test_regular_blocks_at_one_p_share_one_resolution():
     """Every regular block at one p has the same corner of types, so the
     reports at p = 11 resolve it once for lambda = 0..4; the singular
-    block is one more.  Each report's probe equals a cold one."""
-    memo = blockalg._memo
-    memo.cache_clear()
+    block is one more.  Each report's verdict equals a cold probe's."""
+    kept = sl2._koszul_linear
+    kept.cache_clear()
     reports = [block_report(11, lam) for lam in range(5)]
-    assert (memo.cache_info().hits, memo.cache_info().misses, memo.cache_info().currsize) == (4, 1, 1)
+    assert (kept.cache_info().hits, kept.cache_info().misses, kept.cache_info().currsize) == (4, 1, 1)
     block_report(11, None)
-    assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
+    assert (kept.cache_info().misses, kept.cache_info().currsize) == (2, 2)
     for lam, report in enumerate(reports):
-        assert report["verdicts"]["koszul_linear"] is blockalg._probe(build_regular_block(11, lam), 4)["linear"] is True
+        assert report["verdicts"]["koszul_linear"] is koszulity_probe(build_regular_block(11, lam), 4)["linear"] is True
 
 
-def test_hbound_keeps_its_type_through_the_memo():
-    """With the memo holding hbound 4 and 1, an hbound equal to one of them
-    but of another type gives what it gives cold: 4.0 raises in ``range``,
-    True and np.int64(4) come back as given, and np.array(4), unhashable,
-    is resolved without the memo."""
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 23])
+def test_every_regular_block_at_one_p_has_the_corner_at_lambda_0(p):
+    """The premise of the kept verdicts' key: only the block sizes of a
+    regular block depend on lambda, so its corner of types is the one at
+    lambda = 0, and every report's verdict, kept from lambda = 0 past the
+    first, is a cold probe's of its own block."""
+    base = build_regular_block(p, 0)
+    sl2._koszul_linear.cache_clear()
+    for lam in range((p - 1) // 2):
+        A = build_regular_block(p, lam)
+        for attr in ("type_degrees", "blocks", "product_type", "product_coeff"):
+            assert (getattr(A, attr) == getattr(base, attr)).all(), (lam, attr)
+        assert (A.units, A.idempotents) == (base.units, base.idempotents)
+        assert block_report(p, lam)["verdicts"]["koszul_linear"] is koszulity_probe(A, 4)["linear"]
+    assert sl2._koszul_linear.cache_info().misses == 1
+
+
+def test_hbound_keeps_its_type():
+    """An hbound equal to 4 or 1 but of another type gives what it gives
+    on its own: 4.0 raises in ``range``, and True, np.int64(4) and
+    np.array(4) come back as given.  The kept verdicts are keyed with the
+    hbound's type, so a report at 4.0 raises after one at 4 as it does
+    cold."""
     A = build_regular_block(5, 1)
     at = {h: koszulity_probe(A, h) for h in (4, 1)}
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -445,14 +413,16 @@ def test_hbound_keeps_its_type_through_the_memo():
     for hbound, same in ((True, 1), (np.int64(4), 4), (np.array(4), 4)):
         report = koszulity_probe(A, hbound)
         assert type(report["hbound"]) is type(hbound) and report["hbound"] == same
-        assert {**report, "hbound": same} == {**blockalg._probe(A, hbound), "hbound": same} == at[same]
+        assert {**report, "hbound": same} == at[same]
+    block_report(5, 1, 4)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        block_report(5, 1, 4.0)
 
 
 def test_a_changed_report_leaves_the_next_one_unchanged():
-    """The miss and the hit each return a fresh copy of the kept report."""
+    """Every probe returns a fresh report."""
     A = build_regular_block(5, 1)
-    blockalg._memo.cache_clear()
-    cold = blockalg._probe(A, 4)
+    cold = koszulity_probe(A, 4)
     for _ in range(2):
         report = koszulity_probe(A, 4)
         assert report == cold
@@ -463,16 +433,19 @@ def test_a_changed_report_leaves_the_next_one_unchanged():
 
 
 def test_the_probe_memo_stays_at_its_bound():
-    """Probing more distinct keys than the memo holds keeps it at
-    PROBE_CACHE_SIZE entries, and a report read after its eviction is
-    equal."""
-    A = build_singular_block(5)
-    before = koszulity_probe(A, 1)
-    for hbound in range(2, PROBE_CACHE_SIZE + 12):
-        koszulity_probe(A, hbound)
-    info = blockalg._memo.cache_info()
-    assert info.currsize == info.maxsize == PROBE_CACHE_SIZE
-    assert koszulity_probe(A, 1) == before
+    """Singular reports at more primes than the kept verdicts hold keep
+    them at PROBE_CACHE_SIZE entries, and a report made after its verdict's
+    eviction is equal."""
+    kept = sl2._koszul_linear
+    kept.cache_clear()
+    primes = [p for p in range(3, 2000) if is_odd_prime(p)][: sl2.PROBE_CACHE_SIZE + 12]
+    before = block_report(primes[0], None)
+    for p in primes[1:]:
+        block_report(p, None)
+    info = kept.cache_info()
+    assert info.currsize == info.maxsize == sl2.PROBE_CACHE_SIZE and info.misses == len(primes)
+    assert block_report(primes[0], None) == before
+    assert kept.cache_info().misses == len(primes) + 1
 
 
 def test_act_refuses_a_type_of_another_degree():
@@ -706,15 +679,19 @@ def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
         for t, at in cover.at.items():
             phi = dense(amb.act(cover.element[at], entries(targets[:, cover.summand[at]]), step, t), amb.dims.get(t, 0))
             k = dense(ker[t], cover.dims[t]) if t in ker else np.zeros((phi.shape[1], 0), dtype=np.int64)
-            blocks.append((phi, k, cover.algebra.p))
+            blocks.append((phi, k, cover.algebra.p, step))
         return cover, ker
 
     monkeypatch.setattr(blockalg, "next_syzygy", recording)
+    cases = set()  # (p, lambda, step) of each kernel with columns of a nonzero map
     for p, lam in REPORT_SHA256:
-        blockalg._memo.cache_clear()  # so every report's probe resolves
+        sl2._koszul_linear.cache_clear()  # so every report's probe resolves
+        start = len(blocks)
         block_report(p, lam)
-    assert len(blocks) > 100 and sum(k.shape[1] > 0 for _, k, _ in blocks) > 50
-    for phi, k, p in blocks:
+        cases |= {(p, lam, step) for phi, k, _, step in blocks[start:] if phi.any() and k.shape[1]}
+    # a linear probe at hbound 4 takes syzygies 1-3 of each regular block
+    assert cases == {(p, lam, step) for p, lam in REPORT_SHA256 if lam is not None for step in (1, 2, 3)}
+    for phi, k, p, _ in blocks:
         assert not (phi @ k % p).any()
         assert dense_reference.rank(k, p) == k.shape[1] == phi.shape[1] - dense_reference.rank(phi, p)
 
@@ -732,7 +709,6 @@ def test_the_probe_builds_no_syzygy_past_hbound(monkeypatch):
     A = build_regular_block(5, 1)
     for hbound in (1, 2, 4):
         steps.clear()
-        blockalg._memo.cache_clear()
         report = koszulity_probe(A, hbound)
         assert report["linear"] and all(len(s["steps"]) == hbound for s in report["simples"])
         assert sorted(steps) == sorted([*range(1, hbound)] * len(A.idempotents))
