@@ -17,17 +17,30 @@ Morita equivalent to the algebra.  Nothing here allocates in proportion to
 the dimension, and a resolution depends on the corner alone.
 
 Graded left modules are represented as submodules of direct sums of
-shifted projectives A.e, whose basis is ordered by degree.  A syzygy is
-held one degree at a time, as {degree d: columns over the basis in degree
-d}, so every degree is known by construction.  Every syzygy, action and
-kernel is held as the entries (rows, cols, vals, width) of its columns,
-vals[i] in row rows[i] of column cols[i] < width, and none is made dense.
-``ProjectiveSum.act`` maps columns in one degree to another, acting by one
-algebra element or by one per column.  Minimal projective covers are
-computed degreewise by splitting the radical, which is the positive-degree
-part because degree 0 is semisimple; every elimination is
-``linalg.echelon``'s row reduction of one degree's entries, through
-``kernel_basis`` or ``independent_columns``.
+shifted projectives A.e, whose basis is ordered by degree.  Every syzygy,
+action and kernel is held as the entries (rows, cols, vals, width) of
+homogeneous columns over the whole basis, vals[i] in row rows[i] of column
+cols[i] < width, and none is made dense.  ``ProjectiveSum.act`` acts on
+each column by its own type, of any degree.  Minimal projective covers are
+computed by splitting the radical, which is the positive-degree part
+because degree 0 is semisimple.  A probe step makes a fixed number of
+calls, whatever its degrees: two actions and one ``independent_columns``
+per idempotent for the generators, one action and one ``kernel_basis``
+for the next syzygy.
+
+The lemma that makes one elimination over every degree exact: every type
+is homogeneous, so a type acting on a homogeneous column gives one, and
+every column the probe eliminates is homogeneous.  So each matrix it
+eliminates is block-diagonal by degree, up to the order of its rows and
+columns: a row, a basis element of degree d, has entries only in columns
+of degree d.  ``linalg``'s row reduction subtracts a pivot row from a row
+only when their least columns match, so both lie in the block of that
+column's degree, and every row stays in its block.  A column is a pivot
+exactly when it is independent of those before it, and a homogeneous
+column is, exactly when it is independent of those of its own degree.
+So the greedy passes keep, degree by degree, what a pass over one degree
+would keep, and each kernel column, read off reduced rows of one block, is
+homogeneous.
 """
 
 from __future__ import annotations
@@ -195,8 +208,7 @@ class BlockAlgebra:
 class ProjectiveSum:
     """P = direct sum of shifted projectives A.e over the corner algebra of
     types (see ``BlockAlgebra``), with its basis ordered by degree: a basis
-    element is a type in one summand.  ``at[d]`` is the slice of the basis
-    in degree d and ``dims[d]`` its length."""
+    element is a type in one summand, and ``degrees`` holds its degree."""
 
     def __init__(self, algebra: BlockAlgebra, summands):
         self.algebra = algebra
@@ -211,98 +223,79 @@ class ProjectiveSum:
         # row[g, u]: position of (g, u) in the basis, -1 when u is not in A.e_g
         self.row = np.full((len(self.summands), len(algebra.types)), -1, dtype=np.int64)
         self.row[self.summand, self.element] = np.arange(len(ds))
-        starts = [n for n in range(len(ds)) if not n or ds[n] != ds[n - 1]]
-        self.at = {ds[s]: slice(s, e) for s, e in zip(starts, [*starts[1:], len(ds)])}
-        self.dims = {d: at.stop - at.start for d, at in self.at.items()}
 
-    def act(self, a, x, d: int, t: int):
-        """a.x for x columns over the degree-d basis, given as their entries
-        (n, c, vals, width): vals[i] in row n[i] of column c[i] < width.
-        ``a`` is one type of degree t - d, or an array of one per column.
-        The result is the entries of a.x over the degree-t basis, merged by
-        ``summed``: distinct, sorted by (row, column), with values in [1, p).
-        ValueError when a type in ``a`` is not of degree t - d: its products
-        would fall outside the degree-t rows."""
+    def act(self, a, x):
+        """a.x for x columns over the basis, given as their entries (n, c,
+        vals, width): vals[i] in row n[i] of column c[i] < width.  ``a``
+        holds one type per column, of any degree: the product of a type
+        with basis element (g, u) is a multiple of (g, a.u), which lies in
+        a's degree plus u's.  The result is the entries of a.x, merged by
+        ``summed``: distinct, sorted by (row, column), with values in [1, p)."""
         n, c, vals, width = x
-        A, src, dst = self.algebra, self.at[d], self.at.get(t, slice(0, 0))
-        if isinstance(a, np.ndarray):  # one type per column: checked before the per-entry gather
-            wrong, a = np.count_nonzero(A.type_degrees[a] != t - d), a[c]
-        else:
-            wrong = A.type_degrees[a] != t - d
-        if wrong:
-            raise ValueError(f"act from degree {d} to {t} needs types of degree {t - d}")
-        n = src.start + n
-        b = self.element[n]
+        A = self.algebra
+        a, b = a[c], self.element[n]
         vals = A.product_coeff[a, b] * vals % A.p  # coefficient of a_c.b_n times x
         # every entry's key, those of the vanishing products dropped after
-        key = (self.row[self.summand[n], A.product_type[a, b]] - dst.start) * width + c
+        key = self.row[self.summand[n], A.product_type[a, b]] * width + c
         live = vals != 0
         key, vals = summed(key[live], vals[live], A.p)
         return *np.divmod(key, width), vals, width
 
 
-def minimal_generators(amb: ProjectiveSum, syz: dict) -> list[tuple]:
-    """Generators of top(K) = K / JK as (class_label, degree, (rows, vals)),
-    the entries of one column over the degree's basis, for K held as
-    {degree d: entries of columns over the degree-d basis of ``amb``}.
+def _copies(types, x):
+    """(one type per column, columns): the columns x once for each of
+    ``types``, column j under types[r] at r * width + j."""
+    n, j, vals, width = x
+    k = len(types)
+    return np.repeat(types, width), (n.repeat(k), (j[:, None] + width * np.arange(k)).ravel(), vals.repeat(k), k * width)
 
-    Works degree by degree: (JK)_d is spanned by the types of degree d - c
-    applied to K_c, all of them in one action on the nonzero
-    entries of K_c, for each lower degree c; the multiplicity of the simple
-    of class r is read off by applying its idempotent.
+
+def minimal_generators(amb: ProjectiveSum, syz) -> list[tuple]:
+    """Generators of top(K) = K / JK as (class_label, degree, (rows, vals)),
+    the entries of one column over the basis of ``amb``, for K held as the
+    entries of homogeneous columns over that basis.
+
+    JK is spanned by the types of positive degree applied to the columns of
+    K, all of them in one action; the multiplicity of the simple of class r
+    is read off by applying its idempotent e_r, all of them in one more,
+    and one greedy pass per idempotent keeps the columns of e_r K outside
+    JK.  By the lemma in the module docstring, each pass keeps, degree by
+    degree, what a pass over that degree alone would keep.
     """
     A = amb.algebra
-    acts = {}
-    for c in syz:
-        # the types that act on degree c of amb at all: t acts on a basis
-        # element of type u exactly when t.u is nonzero
-        on = np.zeros(len(A.types), dtype=bool)
-        on[amb.element[amb.at[c]]] = True
-        acts[c] = (A.product_coeff[:, on] != 0).any(axis=1)
-    out = []
-    for d, kd in syz.items():
-        # (JK)_d's spanning columns, each part's placed past the parts before it
-        jk, shift = [(np.zeros(0, dtype=np.int64),) * 3], 0
-        for c, (n, j, vals, width) in syz.items():
-            if c < d:  # elems[r] on column j of K_c is column r * width + j
-                elems = (acts[c] & (A.type_degrees == d - c)).nonzero()[0]
-                k = len(elems)
-                x = n.repeat(k), (j[:, None] + width * np.arange(k)).ravel(), vals.repeat(k), k * width
-                rows, cols, image, w = amb.act(elems.repeat(width), x, c, d)
-                jk.append((rows, cols + shift, image))
-                shift += w
-        jk = (*map(np.concatenate, zip(*jk)), shift)
-        for label, e in A.idempotents:
-            n, j, vals, _ = ek = amb.act(e, kd, d, d)
-            for i in independent_columns(jk, ek, amb.dims[d], A.p):
-                out.append((label, d, (n[j == i], vals[j == i])))
+    # the types that act on amb at all: t acts on a basis element of type u
+    # exactly when t.u is nonzero
+    on = (A.type_degrees > 0) & (A.product_coeff[:, amb.element] != 0).any(axis=1)
+    jk = amb.act(*_copies(on.nonzero()[0], syz))
+    idems = np.array([e for _, e in A.idempotents], dtype=np.int64)
+    n, j, vals, _ = amb.act(*_copies(idems, syz))
+    width, out = syz[3], []
+    for r, (label, _) in enumerate(A.idempotents):
+        mine = j // width == r
+        rows, cols, ek = n[mine], j[mine] - r * width, vals[mine]
+        for i in independent_columns(jk, (rows, cols, ek, width), len(amb.element), A.p):
+            at = cols == i
+            out.append((label, int(amb.degrees[rows[at][0]]), (rows[at], ek[at])))
     return out
 
 
 def next_syzygy(amb: ProjectiveSum, gens, step: int):
     """(cover, kernel) of the projective cover built on ``gens``, all in
-    degree ``step``, mapping onto the submodule of ``amb`` they generate; the
-    kernel is {degree t: entries of columns over the cover's degree-t basis},
-    one action and one kernel per degree of the cover that ``amb`` has; in a
-    degree it lacks, the map is zero and the whole degree is the kernel."""
+    degree ``step``, mapping onto the submodule of ``amb`` they generate:
+    one action for the whole map and one kernel, as the entries of
+    homogeneous columns over the cover's basis (see the module docstring).
+    In a degree that ``amb`` lacks the map is zero, so its basis elements
+    are free columns, each its own kernel column."""
     A = amb.algebra
     idx_of = dict(A.idempotents)
     cover = ProjectiveSum(A, [(idx_of[label], step) for label, _, _ in gens])
     # the targets' entries, by generator
     g = np.arange(len(gens)).repeat([len(n) for _, _, (n, _) in gens])
     n, vals = (np.concatenate(x) for x in zip(*(v for _, _, v in gens)))
-    ker = {}
-    for t, at in cover.at.items():
-        if t not in amb.dims:
-            k = cover.dims[t]
-            ker[t] = np.arange(k), np.arange(k), np.ones(k, dtype=np.int64), k
-            continue
-        # cover basis element j in degree t maps to its element times its generator's target
-        j, i = sorted_join(cover.summand[at], g)
-        k = kernel_basis(amb.act(cover.element[at], (n[i], j, vals[i], cover.dims[t]), step, t), amb.dims[t], A.p)
-        if k[3]:
-            ker[t] = k
-    return cover, ker
+    # cover basis element j maps to its element times its generator's target
+    j, i = sorted_join(cover.summand, g)
+    phi = amb.act(cover.element, (n[i], j, vals[i], len(cover.element)))
+    return cover, kernel_basis(phi, len(amb.element), A.p)
 
 
 def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
@@ -324,9 +317,10 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
         # the first syzygy is the positive-degree part of A.e (exact because
         # degree 0 is semisimple, so J = A_{>0})
         amb = ProjectiveSum(algebra, [(e, 0)])
-        syz = {d: (np.arange(k), np.arange(k), np.ones(k, dtype=np.int64), k) for d, k in amb.dims.items() if d >= 1}
+        top = (amb.degrees >= 1).nonzero()[0]
+        syz = top, np.arange(len(top)), np.ones(len(top), dtype=np.int64), len(top)
         for step in range(1, hbound + 1):
-            if not syz:
+            if not syz[3]:
                 break
             gens = minimal_generators(amb, syz)
             degs = sorted(set(d for _, d, _ in gens))

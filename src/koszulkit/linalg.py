@@ -33,7 +33,7 @@ __all__ = ["is_odd_prime", "check_modulus", "rank", "echelon", "rref", "structur
 # 158-wide layers of dense unit terms (3,944,312 pairs) peaks at 339 MB in
 # ``koszulkit table``.  The largest in a legitimate run is 127,776 pairs (the
 # e = f = 6 round trip at p = 3, seed 2024, trials 0-3), a margin of 31;
-# ``blockalg``'s are at most 32 in the sl2 reports measured.
+# ``blockalg``'s are at most 56 at hbound 8 and 248 at 32 in sl2 reports.
 MAX_JOIN_PAIRS = 4_000_000
 
 
@@ -120,7 +120,7 @@ def _subtract(row: dict, f: int, pivot: dict, p: int):
 def echelon(rows, cols, vals, shape, p: int):
     """Row echelon form over GF(p) of the ``shape`` (m, n) matrix whose
     entries are ``vals`` at the distinct positions (``rows``, ``cols``), in
-    any order, and 0 elsewhere: (None, rank, pivot columns).
+    any order, and 0 elsewhere: (rank, pivot columns).
 
     Sparse left-looking elimination: the entries nonzero mod p become one
     dict {column: value} per row, taken shortest first (ties in the order
@@ -131,7 +131,7 @@ def echelon(rows, cols, vals, shape, p: int):
     than MAX_RANK_CELLS // 8 entries.
     """
     pivots = sorted(_pivot_rows(rows, cols, vals, shape, p, False))
-    return None, len(pivots), np.array(pivots, dtype=np.int64)
+    return len(pivots), np.array(pivots, dtype=np.int64)
 
 
 def _pivot_rows(rows, cols, vals, shape, p: int, reduced: bool) -> dict:
@@ -179,8 +179,8 @@ def _pivot_rows(rows, cols, vals, shape, p: int, reduced: bool) -> dict:
 
 
 def rref(a: np.ndarray, p: int):
-    """Echelon form over GF(p) of the dense ``a``: (None, rank, pivot
-    columns), ``echelon`` on the nonzeros of ``a``."""
+    """Echelon form over GF(p) of the dense ``a``: (rank, pivot columns),
+    ``echelon`` on the nonzeros of ``a``."""
     flat = a.ravel()
     at = flat.nonzero()[0]  # a 2-D nonzero() is slower on large blocks
     return echelon(*np.divmod(at, a.shape[1]), flat[at], a.shape, p)
@@ -242,7 +242,7 @@ def components(u, v):
 
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` over GF(p); 0 for matrices with an empty side."""
-    return rref(a, p)[1] if a.size else 0
+    return rref(a, p)[0] if a.size else 0
 
 
 def independent_columns(base, cands, m: int, p: int) -> list[int]:

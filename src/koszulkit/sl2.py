@@ -37,19 +37,20 @@ SHIFTS = (0, 1)
 
 # Deepest Koszulity probe a report accepts.  The probe reads the type
 # table, the same for every p and lambda, so its cost grows with the depth
-# alone.  The limit is the largest depth whose report costs no more than the
+# alone.  The limit was the largest depth whose report cost no more than the
 # costliest one accepted under the former limits (hbound 8 and dimension at
-# most 1,058): p = 23, lambda = 10 at hbound 8 took 57.6 ms, against 48.2 ms
-# at hbound 32 and 69.0 ms at 34 (in process on 2 cores, CPU time, median
-# over 6 alternating rounds of the best of 11 runs).  Those are cold probes;
-# the kept verdicts (``_koszul_linear``) only make a repeated one cheaper,
-# and the limit does not count on them.
+# most 1,058): 57.6 ms at p = 23, lambda = 10.  That report now takes
+# 4.0-4.2 ms at hbound 8, 27-35 ms at 32 and 30 ms at 34 (in process on 2
+# cores, CPU time, median over 6 rounds alternating the depths of the best
+# of 11 cold runs); the limit stays 32.  The kept verdicts
+# (``_koszul_linear``) only make a repeated probe cheaper, and the limit
+# does not count on them.
 MAX_HBOUND = 32
 
-# Koszulity verdicts kept, one per (p, regular or singular, hbound).  One
-# sl2-blocks pass reads 4 distinct ones in its 10 reports (the regular and
-# the singular block at p = 7 and 11); a longer run evicts the least
-# recently used.
+# Koszulity verdicts kept, one per (p, regular or singular, hbound), and
+# Ext pattern checks, one per p.  One sl2-blocks pass reads 4 distinct
+# verdicts in its 10 reports (the regular and the singular block at p = 7
+# and 11) and 2 checks; a longer run evicts the least recently used.
 PROBE_CACHE_SIZE = 256
 
 
@@ -100,13 +101,17 @@ _REGULAR_TYPES = tuple(("E", r, d) for r in range(2) for d in (0, 2)) + tuple(
 )
 
 
+@lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _ext_pattern_holds(p: int) -> bool:
+    """The Ext pattern a regular block is built on; it depends on p alone."""
+    return block_ext_dims(0, 0, p) == {0: 1, 2: 1} and block_ext_dims(0, 1, p) == {1: 2}
+
+
 def build_regular_block(p: int, lam: int) -> BlockAlgebra:
     """The regular block at weight lam: dimension 2 p^2, top degree 2."""
     _check_lambda(p, lam)
     n = (lam + 1, p - 1 - lam)
-    diag = block_ext_dims(0, 0, p)
-    off = block_ext_dims(0, 1, p)
-    assert diag == {0: 1, 2: 1} and off == {1: 2}, "unexpected Ext pattern"
+    assert _ext_pattern_holds(p), "unexpected Ext pattern"
     types = _REGULAR_TYPES
     blocks = [(t[1], t[1]) if t[0] == "E" else (t[1], t[2]) for t in types]
     pairs = [(x, y, _regular_type_product(t, u)) for x, t in enumerate(types) for y, u in enumerate(types)]
@@ -235,7 +240,7 @@ def frobenius_form(algebra: BlockAlgebra, topdeg: int) -> dict:
     A, p = algebra, algebra.p
     g = A.product_coeff * A.trace[A.product_type] % p
     t, u = g.nonzero()
-    pivots = echelon(t, u, g[t, u], g.shape, p)[2]
+    pivots = echelon(t, u, g[t, u], g.shape, p)[1]
     rk = int(np.diff(A.offset)[pivots].sum())
     return {
         "topdeg": topdeg,

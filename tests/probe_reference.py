@@ -1,5 +1,5 @@
 """The Koszulity probe that ``blockalg`` replaced, kept as the reference the
-per-degree probe is cross-checked against.  It holds each syzygy as dense
+whole-basis probe is cross-checked against.  It holds each syzygy as dense
 columns over the whole ambient, acts one algebra element per call, and
 reads each kernel vector's degree at its first nonzero.  It reads the
 algebra's dense product tables (``block_reference.Dense``).  Its

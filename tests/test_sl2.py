@@ -264,7 +264,7 @@ def test_poincare_singular_constant():
 def test_first_syzygy_generators_degree_one():
     A = build_regular_block(3, 0)
     amb = ProjectiveSum(A, [(A.idempotents[0][1], 0)])
-    syz = {d: entries(np.eye(at.stop - at.start, dtype=np.int64)) for d, at in amb.at.items() if d >= 1}
+    syz = entries(np.eye(len(amb.element), dtype=np.int64)[:, amb.degrees >= 1])
     degs = sorted(set(d for _, d, _ in minimal_generators(amb, syz)))
     assert degs == [1]
 
@@ -344,29 +344,68 @@ def test_koszulity_probe_matches_the_dense_reference(hbound):
         assert koszulity_probe(A, hbound) == probe_reference.koszulity_probe(D, hbound)
 
 
-def test_the_probe_acts_by_types_of_the_target_degree(monkeypatch):
-    """``act`` takes types of degree t - d; one of another degree would
-    land outside the degree-t basis.  The probe's calls keep to that, so
-    none of the images it eliminates has a row outside its degree.  The
-    calls cover every case: each algebra with a type of positive degree is
-    acted on within every degree up to its last syzygy step, and some calls
-    act into a higher degree."""
-    act, calls, seen = ProjectiveSum.act, [], {}
+def degrees_by_column(x, degrees):
+    """The distinct (column, degree of a row) pairs of the columns with
+    entries x = (rows, cols, vals, width), for row degrees ``degrees``."""
+    rows, cols, _, _ = x
+    return np.unique(np.stack([cols, degrees[rows]]), axis=1)
 
-    def checked(amb, a, x, d, t):
-        calls.append((amb.algebra.type_degrees[a] == t - d).all())
-        seen.setdefault(id(amb.algebra), set()).add((d, t))
-        return act(amb, a, x, d, t)
 
-    monkeypatch.setattr(ProjectiveSum, "act", checked)
+def homogeneous(x, degrees) -> bool:
+    """Whether every column of x has its entries in one degree."""
+    column, _ = degrees_by_column(x, degrees)
+    return len(np.unique(column)) == len(column)
+
+
+def test_the_probe_eliminates_homogeneous_columns(monkeypatch):
+    """The premise of the lemma in the ``blockalg`` docstring: every column
+    the probe hands to ``independent_columns`` or ``kernel_basis`` lies in
+    one degree of its rows' basis, each column of a cover map in its cover
+    basis element's, and every kernel column it gets back lies in one
+    degree of the cover's basis.  Every graded algebra of
+    ``probe_algebras()`` is eliminated on, each one whose probe is linear
+    at its first step also takes a kernel, and some matrices hold columns
+    of several degrees, so the lemma is what makes them exact."""
+    handed, greedy, kernels, mixed = [], set(), set(), []
+
+    def recorded(fn):
+        def call(*args):
+            handed.append(args)
+            return fn(*args)
+        return call
+
+    def generators(amb, syz):
+        handed.clear()
+        out = minimal_generators(amb, syz)
+        assert homogeneous(syz, amb.degrees) and handed
+        for base, cands, m, _ in handed:
+            assert m == len(amb.element)
+            assert homogeneous(base, amb.degrees) and homogeneous(cands, amb.degrees)
+            mixed.append(len(np.unique(degrees_by_column(cands, amb.degrees)[1])) > 1)
+        greedy.add(id(amb.algebra))
+        return out
+
+    def syzygy(amb, gens, step):
+        handed.clear()
+        cover, ker = next_syzygy(amb, gens, step)
+        ((rows, cols, _, width), m, _), = handed
+        assert m == len(amb.element) and width == len(cover.element)
+        assert (amb.degrees[rows] == cover.degrees[cols]).all()
+        assert homogeneous(ker, cover.degrees)
+        kernels.add(id(amb.algebra))
+        return cover, ker
+
+    monkeypatch.setattr(blockalg, "independent_columns", recorded(blockalg.independent_columns))
+    monkeypatch.setattr(blockalg, "kernel_basis", recorded(blockalg.kernel_basis))
+    monkeypatch.setattr(blockalg, "minimal_generators", generators)
+    monkeypatch.setattr(blockalg, "next_syzygy", syzygy)
     algebras = [A for A, _ in probe_algebras()]
-    last_step = {id(A): max(len(s["steps"]) for s in koszulity_probe(A, 4)["simples"]) for A in algebras}
+    reports = {id(A): koszulity_probe(A, 4) for A in algebras}
     graded = {id(A) for A in algebras if (A.type_degrees > 0).any()}
-    assert all(calls) and set(seen) == graded
-    assert len(graded) == len(algebras) - 3  # all but the singular blocks at p = 3, 5 and 7
-    for a in graded:
-        assert {(d, d) for d in range(1, last_step[a] + 1)} <= seen[a]
-    assert any(d < t for pairs in seen.values() for d, t in pairs)
+    assert greedy == graded and len(graded) == len(algebras) - 3  # all but the singular blocks at p = 3, 5 and 7
+    linear_at_1 = {a for a, r in reports.items() if any(e["steps"][:1] == [{"syzygy": 1, "generator_degrees": [1]}] for e in r["simples"])}
+    assert kernels == linear_at_1 and len(linear_at_1) < len(graded)
+    assert any(mixed)
 
 
 def test_regular_blocks_at_one_p_share_one_resolution():
@@ -448,24 +487,6 @@ def test_the_probe_memo_stays_at_its_bound():
     assert kept.cache_info().misses == len(primes) + 1
 
 
-def test_act_refuses_a_type_of_another_degree():
-    """One column of degree 0 acted into degree 1: the degree-1 types are
-    accepted, one at a time or one per column, and a degree-0 or degree-2
-    type, in either form, raises before any product is read."""
-    A = build_regular_block(3, 0)
-    (_, e0), _ = A.idempotents
-    amb = ProjectiveSum(A, [(e0, 0)])
-    x = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64), 1
-    for degree in (0, 1, 2):
-        t = int((A.type_degrees == degree).nonzero()[0][0])
-        for a in (t, np.array([t])):
-            if degree == 1:
-                amb.act(a, x, 0, 1)
-            else:
-                with pytest.raises(ValueError, match="needs types of degree 1"):
-                    amb.act(a, x, 0, 1)
-
-
 def test_degree_zero_part_is_matrix_product():
     E = ref.expansion(build_regular_block(5, 1))
     deg0 = [i for i in range(E.dim) if E.degrees[i] == 0]
@@ -524,9 +545,12 @@ def small_algebras():
 def test_act_on_matrix_matches_per_element_loop(p):
     """``act`` on types against the dense label table's per-element loop on
     the corner: type t is the label (t, 0, 0), basis index offset[t], and
-    the corner's basis elements must be acted into the corner.  Above p = 5
-    the p = 3 block's table, rescaled over GF(p); the columns are held in
-    the narrowest dtype of p."""
+    the corner's basis elements must be acted into the corner.  Columns run
+    over the whole basis, and each is acted on by its own type: every
+    column by one type, and the columns by two types of each degree 0, 1
+    and 2 in a random order.  Above
+    p = 5 the p = 3 block's table, rescaled over GF(p); the columns are held
+    in the narrowest dtype of p."""
     rng = np.random.default_rng(p)
     if p <= 5:
         cases = regular_blocks([p])
@@ -547,39 +571,36 @@ def test_act_on_matrix_matches_per_element_loop(p):
         order = sorted(range(len(corner)), key=degrees.__getitem__)
         assert list(zip(amb.summand.tolist(), amb.element.tolist())) == [(basis[corner[i]][0], type_of[basis[corner[i]][1]]) for i in order]
         assert amb.degrees.tolist() == [degrees[i] for i in order]
-        assert [n for at in amb.at.values() for n in range(at.start, at.stop)] == list(range(len(corner)))
-        assert all((amb.degrees[at] == d).all() for d, at in amb.at.items())
         position = np.array(corner)[order]  # amb's basis element n in the reference basis
+        size = len(position)
 
-        def reference(a, x, d, t):
-            """Columns of x, over the degree-d basis, acted on one at a time
-            in the reference basis by the labels of the types a; the result
-            must lie in the corner's degree t."""
+        def reference(a, x):
+            """Columns of x, over the whole basis, acted on one at a time in
+            the reference basis by the labels of the types a; the result
+            must lie in the corner."""
             full = np.zeros((len(basis), x.shape[1]), dtype=np.int64)
-            full[position[amb.at[d]]] = x
+            full[position] = x
             out = np.stack([ref.act(D, labelled, int(label[a[c]]), full[:, c]) for c in range(x.shape[1])], axis=1)
-            dst = position[amb.at.get(t, slice(0, 0))]
-            assert not np.delete(out, dst, axis=0).any()
-            return out[dst]
+            assert not np.delete(out, position, axis=0).any()
+            return out[position]
 
-        def action(a, x, d, t):
+        def action(a, x):
             """act's entries, checked distinct, sorted by (row, column) and
-            in [1, p), made dense over the degree-t basis."""
-            y = rows, cols, vals, width = amb.act(a, entries(x), d, t)
+            in [1, p), made dense over the basis."""
+            y = rows, cols, vals, width = amb.act(a, entries(x))
             assert width == x.shape[1] and ((0 <= cols) & (cols < width)).all()
             assert (np.diff(rows * width + cols) > 0).all()
             assert ((1 <= vals) & (vals < p)).all()
-            return dense(y, amb.dims.get(t, 0))
+            return dense(y, size)
 
-        for d, at in amb.at.items():
-            x = rng.integers(0, p, size=(at.stop - at.start, 4)).astype(np.min_scalar_type(p))
-            x[:, 1] = 0
-            for a in range(len(A.types)):
-                t = d + int(A.type_degrees[a])
-                assert (action(a, x, d, t) == reference([a] * 4, x, d, t)).all()
-            for da in set(A.type_degrees.tolist()):
-                a = rng.choice((A.type_degrees == da).nonzero()[0], 4)
-                assert (action(a, x, d, d + da) == reference(a, x, d, d + da)).all()
+        x = rng.integers(0, p, size=(size, 6)).astype(np.min_scalar_type(p))
+        x[:, 1] = 0
+        for a in range(len(A.types)):
+            assert (action(np.full(6, a), x) == reference([a] * 6, x)).all()
+        mixed = [t for d in (0, 1, 2) for t in (A.type_degrees == d).nonzero()[0][:2]]
+        for _ in range(4):
+            a = rng.permutation(mixed)
+            assert (action(a, x) == reference(a, x)).all()
 
 
 def test_graded_cartan_matches_per_pair_loop():
@@ -664,22 +685,20 @@ def test_large_block_report_bytes_pinned(p):
 
 
 def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
-    """Each per-degree block K_t that next_syzygy returns on the pinned
-    blocks is a kernel of its map phi_t (the generators acted on by the
-    cover's degree-t basis) of full nullity: phi_t K_t = 0 mod p, and its
-    columns are independent and number cols(phi_t) - rank(phi_t).  Both are
-    made dense here, phi_t from the generators' entries column by column."""
+    """Each kernel K that next_syzygy returns on the pinned blocks is a
+    kernel of its step's whole map phi (the generators acted on by the
+    cover's basis) of full nullity: phi K = 0 mod p, and its columns are
+    independent and number cols(phi) - rank(phi).  Both are made dense
+    here, phi from the generators' entries column by column."""
     blocks = []
 
     def recording(amb, gens, step):
         cover, ker = next_syzygy(amb, gens, step)
-        targets = np.zeros((amb.dims[step], len(gens)), dtype=np.int64)
+        targets = np.zeros((len(amb.element), len(gens)), dtype=np.int64)
         for g, (_, _, (n, vals)) in enumerate(gens):
             targets[n, g] = vals
-        for t, at in cover.at.items():
-            phi = dense(amb.act(cover.element[at], entries(targets[:, cover.summand[at]]), step, t), amb.dims.get(t, 0))
-            k = dense(ker[t], cover.dims[t]) if t in ker else np.zeros((phi.shape[1], 0), dtype=np.int64)
-            blocks.append((phi, k, cover.algebra.p, step))
+        phi = dense(amb.act(cover.element, entries(targets[:, cover.summand])), len(amb.element))
+        blocks.append((phi, dense(ker, len(cover.element)), cover.algebra.p, step))
         return cover, ker
 
     monkeypatch.setattr(blockalg, "next_syzygy", recording)
