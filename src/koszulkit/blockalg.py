@@ -24,9 +24,9 @@ cols[i] < width, and none is made dense.  ``ProjectiveSum.act`` acts on
 each column by its own type, of any degree.  Minimal projective covers are
 computed by splitting the radical, which is the positive-degree part
 because degree 0 is semisimple.  A probe step makes a fixed number of
-calls, whatever its degrees: two actions and one ``independent_columns``
-per idempotent for the generators, one action and one ``kernel_basis``
-for the next syzygy.
+calls, whatever its degrees and however many simples there are: two
+actions and one ``independent_columns`` for the generators, one action
+and one ``kernel_basis`` for the next syzygy.
 
 The lemma that makes one elimination over every degree exact: every type
 is homogeneous, so a type acting on a homogeneous column gives one, and
@@ -38,7 +38,7 @@ only when their least columns match, so both lie in the block of that
 column's degree, and every row stays in its block.  A column is a pivot
 exactly when it is independent of those before it, and a homogeneous
 column is, exactly when it is independent of those of its own degree.
-So the greedy passes keep, degree by degree, what a pass over one degree
+So the greedy pass keeps, degree by degree, what a pass over one degree
 would keep, and each kernel column, read off reduced rows of one block, is
 homogeneous.
 """
@@ -198,10 +198,14 @@ class BlockAlgebra:
 
     def column_basis(self, e: int) -> list[int]:
         """The types t with t.e nonzero, for an idempotent type e: they span
-        the corner algebra's projective at e, and each t.e must be t."""
+        the corner algebra's projective at e.  Each t.e must be t, and the
+        idempotents orthogonal, as ``minimal_generators`` splits by them."""
         hit = self.product_coeff[:, e].nonzero()[0]
         if (self.product_type[hit, e] != hit).any() or (self.product_coeff[hit, e] != 1).any():
             raise ValueError("idempotent column is not basis-aligned")
+        idems = [t for _, t in self.idempotents]
+        if np.count_nonzero(self.product_coeff[np.ix_(idems, idems)]) > np.count_nonzero(self.product_coeff[idems, idems]):
+            raise ValueError("idempotents are not orthogonal: e_r.e_s != 0 for some r != s")
         return hit.tolist()
 
 
@@ -250,48 +254,44 @@ def _copies(types, x):
     return np.repeat(types, width), (n.repeat(k), (j[:, None] + width * np.arange(k)).ravel(), vals.repeat(k), k * width)
 
 
-def minimal_generators(amb: ProjectiveSum, syz) -> list[tuple]:
-    """Generators of top(K) = K / JK as (class_label, degree, (rows, vals)),
-    the entries of one column over the basis of ``amb``, for K held as the
-    entries of homogeneous columns over that basis.
+def minimal_generators(amb: ProjectiveSum, syz) -> tuple:
+    """Generators of top(K) = K / JK, for K held as the entries of
+    homogeneous columns over the basis of ``amb``: (classes, degrees,
+    columns), each generator's index in ``idempotents``, its degree, and
+    the entries (rows, cols, vals, count) of its column, sorted by column.
 
     JK is spanned by the types of positive degree applied to the columns of
-    K, all of them in one action; the multiplicity of the simple of class r
-    is read off by applying its idempotent e_r, all of them in one more,
-    and one greedy pass per idempotent keeps the columns of e_r K outside
-    JK.  By the lemma in the module docstring, each pass keeps, degree by
-    degree, what a pass over that degree alone would keep.
-    """
+    K, all in one action, and every idempotent e_r in one more; one greedy
+    pass over [JK | e_0 K | e_1 K | ...] keeps the generators of class r in
+    e_r K, as a pass per idempotent would, since the idempotents are
+    orthogonal and JK is a submodule: e_r k = j + sum_s x_s, j in JK and x_s
+    kept in e_s K, gives e_r k = e_r j + x_r.  By the lemma in the module
+    docstring, it keeps per degree what a pass over one degree would keep."""
     A = amb.algebra
     # the types that act on amb at all: t acts on a basis element of type u
     # exactly when t.u is nonzero
     on = (A.type_degrees > 0) & (A.product_coeff[:, amb.element] != 0).any(axis=1)
     jk = amb.act(*_copies(on.nonzero()[0], syz))
-    idems = np.array([e for _, e in A.idempotents], dtype=np.int64)
-    n, j, vals, _ = amb.act(*_copies(idems, syz))
-    width, out = syz[3], []
-    for r, (label, _) in enumerate(A.idempotents):
-        mine = j // width == r
-        rows, cols, ek = n[mine], j[mine] - r * width, vals[mine]
-        for i in independent_columns(jk, (rows, cols, ek, width), len(amb.element), A.p):
-            at = cols == i
-            out.append((label, int(amb.degrees[rows[at][0]]), (rows[at], ek[at])))
-    return out
+    ek = n, j, vals, width = amb.act(*_copies(np.array([e for _, e in A.idempotents], dtype=np.int64), syz))
+    kept = np.array(independent_columns(jk, ek, len(amb.element), A.p), dtype=np.int64)
+    g = np.full(width, -1)
+    g[kept] = np.arange(len(kept))  # each kept column's generator, -1 for the others
+    at = g[j].argsort(kind="stable")[np.count_nonzero(g[j] < 0):]  # the kept columns' entries, by column
+    n, g = n[at], g[j[at]]
+    first = g.searchsorted(np.arange(len(kept)))  # each column lies in the degree of its first entry
+    return kept // syz[3], amb.degrees[n[first]], (n, g, vals[at], len(kept))
 
 
 def next_syzygy(amb: ProjectiveSum, gens, step: int):
-    """(cover, kernel) of the projective cover built on ``gens``, all in
-    degree ``step``, mapping onto the submodule of ``amb`` they generate:
-    one action for the whole map and one kernel, as the entries of
-    homogeneous columns over the cover's basis (see the module docstring).
-    In a degree that ``amb`` lacks the map is zero, so its basis elements
-    are free columns, each its own kernel column."""
+    """(cover, kernel) of the projective cover built on ``gens``, from
+    ``minimal_generators`` in degree ``step``, onto the submodule of ``amb``
+    they generate: one action for the whole map and one kernel, as the
+    entries of homogeneous columns over the cover's basis (see the module
+    docstring).  In a degree that ``amb`` lacks the map is zero, so its
+    basis elements are free columns, each its own kernel column."""
     A = amb.algebra
-    idx_of = dict(A.idempotents)
-    cover = ProjectiveSum(A, [(idx_of[label], step) for label, _, _ in gens])
-    # the targets' entries, by generator
-    g = np.arange(len(gens)).repeat([len(n) for _, _, (n, _) in gens])
-    n, vals = (np.concatenate(x) for x in zip(*(v for _, _, v in gens)))
+    classes, _, (n, g, vals, _) = gens
+    cover = ProjectiveSum(A, [(A.idempotents[r][1], step) for r in classes.tolist()])
     # cover basis element j maps to its element times its generator's target
     j, i = sorted_join(cover.summand, g)
     phi = amb.act(cover.element, (n[i], j, vals[i], len(cover.element)))
@@ -323,7 +323,7 @@ def koszulity_probe(algebra: BlockAlgebra, hbound: int) -> dict:
             if not syz[3]:
                 break
             gens = minimal_generators(amb, syz)
-            degs = sorted(set(d for _, d, _ in gens))
+            degs = sorted(set(gens[1].tolist()))
             entry["steps"].append({"syzygy": step, "generator_degrees": degs})
             if degs != [step]:
                 bad = next(d for d in degs if d != step)

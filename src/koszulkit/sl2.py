@@ -111,7 +111,8 @@ def build_regular_block(p: int, lam: int) -> BlockAlgebra:
     """The regular block at weight lam: dimension 2 p^2, top degree 2."""
     _check_lambda(p, lam)
     n = (lam + 1, p - 1 - lam)
-    assert _ext_pattern_holds(p), "unexpected Ext pattern"
+    if not _ext_pattern_holds(p):
+        raise ValueError(f"unexpected Ext pattern at p = {p}")
     types = _REGULAR_TYPES
     blocks = [(t[1], t[1]) if t[0] == "E" else (t[1], t[2]) for t in types]
     pairs = [(x, y, _regular_type_product(t, u)) for x, t in enumerate(types) for y, u in enumerate(types)]
@@ -200,7 +201,6 @@ def quiver_presentation(p: int, lam: int) -> dict:
     simple dimensions (lam+1, p-1-lam), reproduce the block's degreewise
     dimensions, and that the two Cartan tables agree entrywise.
     """
-    _check_lambda(p, lam)
     block = build_regular_block(p, lam)
     basic = quiver_basic_algebra(p)
     cb = graded_cartan(basic)

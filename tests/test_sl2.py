@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -162,6 +165,20 @@ def test_lambda_range_enforced():
         build_regular_block(3, -1)
     with pytest.raises(ValueError):
         build_regular_block(9, 0)
+    with pytest.raises(ValueError, match=r"lambda must lie in \[0, \(p-3\)/2\] = \[0, 1\], got 2"):
+        quiver_presentation(5, 2)
+
+
+def test_a_failing_ext_pattern_refuses_the_block(monkeypatch):
+    """The Ext pattern is checked by a ValueError that names p, not by an
+    assert, so it holds under ``python -O`` too."""
+    monkeypatch.setattr(sl2, "_ext_pattern_holds", lambda p: False)
+    with pytest.raises(ValueError, match=r"^unexpected Ext pattern at p = 5$"):
+        build_regular_block(5, 0)
+    code = "from koszulkit import sl2; sl2._ext_pattern_holds = lambda p: False; sl2.build_regular_block(5, 0)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sl2.__file__))}
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 1 and run.stderr.splitlines()[-1] == "ValueError: unexpected Ext pattern at p = 5"
 
 
 # -- quiver -------------------------------------------------------------------
@@ -265,8 +282,7 @@ def test_first_syzygy_generators_degree_one():
     A = build_regular_block(3, 0)
     amb = ProjectiveSum(A, [(A.idempotents[0][1], 0)])
     syz = entries(np.eye(len(amb.element), dtype=np.int64)[:, amb.degrees >= 1])
-    degs = sorted(set(d for _, d, _ in minimal_generators(amb, syz)))
-    assert degs == [1]
+    assert np.unique(minimal_generators(amb, syz)[1]).tolist() == [1]
 
 
 def test_koszulity_p3():
@@ -357,12 +373,19 @@ def homogeneous(x, degrees) -> bool:
     return len(np.unique(column)) == len(column)
 
 
+def linear_at_first_step(reports) -> set:
+    """The keys of the probe ``reports`` with a simple whose first syzygy is
+    generated in degree 1."""
+    return {a for a, r in reports.items() if any(e["steps"][:1] == [{"syzygy": 1, "generator_degrees": [1]}] for e in r["simples"])}
+
+
 def test_the_probe_eliminates_homogeneous_columns(monkeypatch):
     """The premise of the lemma in the ``blockalg`` docstring: every column
     the probe hands to ``independent_columns`` or ``kernel_basis`` lies in
     one degree of its rows' basis, each column of a cover map in its cover
     basis element's, and every kernel column it gets back lies in one
-    degree of the cover's basis.  Every graded algebra of
+    degree of the cover's basis.  ``minimal_generators`` makes one greedy
+    pass, over e_r K for every simple r.  Every graded algebra of
     ``probe_algebras()`` is eliminated on, each one whose probe is linear
     at its first step also takes a kernel, and some matrices hold columns
     of several degrees, so the lemma is what makes them exact."""
@@ -377,11 +400,11 @@ def test_the_probe_eliminates_homogeneous_columns(monkeypatch):
     def generators(amb, syz):
         handed.clear()
         out = minimal_generators(amb, syz)
-        assert homogeneous(syz, amb.degrees) and handed
-        for base, cands, m, _ in handed:
-            assert m == len(amb.element)
-            assert homogeneous(base, amb.degrees) and homogeneous(cands, amb.degrees)
-            mixed.append(len(np.unique(degrees_by_column(cands, amb.degrees)[1])) > 1)
+        # one greedy pass, over e_r K for every simple r
+        (base, cands, m, _), = handed
+        assert cands[3] == len(amb.algebra.idempotents) * syz[3] and m == len(amb.element)
+        assert homogeneous(syz, amb.degrees) and homogeneous(base, amb.degrees) and homogeneous(cands, amb.degrees)
+        mixed.append(len(np.unique(degrees_by_column(cands, amb.degrees)[1])) > 1)
         greedy.add(id(amb.algebra))
         return out
 
@@ -403,7 +426,7 @@ def test_the_probe_eliminates_homogeneous_columns(monkeypatch):
     reports = {id(A): koszulity_probe(A, 4) for A in algebras}
     graded = {id(A) for A in algebras if (A.type_degrees > 0).any()}
     assert greedy == graded and len(graded) == len(algebras) - 3  # all but the singular blocks at p = 3, 5 and 7
-    linear_at_1 = {a for a, r in reports.items() if any(e["steps"][:1] == [{"syzygy": 1, "generator_degrees": [1]}] for e in r["simples"])}
+    linear_at_1 = linear_at_first_step(reports)
     assert kernels == linear_at_1 and len(linear_at_1) < len(graded)
     assert any(mixed)
 
@@ -649,6 +672,19 @@ def test_projective_sum_rejects_non_idempotent_column():
             ProjectiveSum(B, [(e, 0)])
 
 
+def test_projectives_refuse_idempotents_that_are_not_orthogonal():
+    """The probe splits a module by its idempotents, so e_r.e_s must vanish
+    for r != s.  The p = 3 block with E(0, 0) listed for both simples is
+    refused wherever a projective is built, the probe's first included,
+    while check_axioms, which reads no idempotent, still takes it."""
+    A = build_regular_block(3, 0)
+    A.idempotents = [(label, A.idempotents[0][1]) for label, _ in A.idempotents]
+    assert A.check_axioms() == []
+    for build in (lambda: ProjectiveSum(A, [(A.idempotents[0][1], 0)]), lambda: koszulity_probe(A, 2)):
+        with pytest.raises(ValueError, match="idempotents are not orthogonal"):
+            build()
+
+
 # -- pinned report bytes ----------------------------------------------------------
 
 REPORT_SHA256 = {
@@ -685,20 +721,22 @@ def test_large_block_report_bytes_pinned(p):
 
 
 def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
-    """Each kernel K that next_syzygy returns on the pinned blocks is a
-    kernel of its step's whole map phi (the generators acted on by the
-    cover's basis) of full nullity: phi K = 0 mod p, and its columns are
-    independent and number cols(phi) - rank(phi).  Both are made dense
-    here, phi from the generators' entries column by column."""
+    """Each kernel K that next_syzygy returns, on the pinned blocks and on
+    every algebra of ``probe_algebras()`` at hbound 4, is a kernel of its
+    step's whole map phi (the generators acted on by the cover's basis) of
+    full nullity: phi K = 0 mod p, and its columns are independent and
+    number cols(phi) - rank(phi).  Both are made dense here, phi from the
+    generators' entries column by column.  The generator degrees of the
+    probe alone do not show a kernel with a wrong column: a kernel_basis
+    that skips back-substitution passes every pinned report, yet fails
+    phi K = 0 on some one-entry changes of the p = 5 type table."""
     blocks = []
 
     def recording(amb, gens, step):
         cover, ker = next_syzygy(amb, gens, step)
-        targets = np.zeros((len(amb.element), len(gens)), dtype=np.int64)
-        for g, (_, _, (n, vals)) in enumerate(gens):
-            targets[n, g] = vals
+        targets = dense(gens[2], len(amb.element))
         phi = dense(amb.act(cover.element, entries(targets[:, cover.summand])), len(amb.element))
-        blocks.append((phi, dense(ker, len(cover.element)), cover.algebra.p, step))
+        blocks.append((phi, dense(ker, len(cover.element)), cover.algebra.p, step, id(amb.algebra)))
         return cover, ker
 
     monkeypatch.setattr(blockalg, "next_syzygy", recording)
@@ -707,10 +745,17 @@ def test_syzygy_kernel_blocks_are_full_kernels(monkeypatch):
         sl2._koszul_linear.cache_clear()  # so every report's probe resolves
         start = len(blocks)
         block_report(p, lam)
-        cases |= {(p, lam, step) for phi, k, _, step in blocks[start:] if phi.any() and k.shape[1]}
+        cases |= {(p, lam, step) for phi, k, _, step, _ in blocks[start:] if phi.any() and k.shape[1]}
     # a linear probe at hbound 4 takes syzygies 1-3 of each regular block
     assert cases == {(p, lam, step) for p, lam in REPORT_SHA256 if lam is not None for step in (1, 2, 3)}
-    for phi, k, p, _ in blocks:
+    start = len(blocks)
+    algebras = [A for A, _ in probe_algebras()]
+    reports = {id(A): koszulity_probe(A, 4) for A in algebras}
+    # every algebra whose probe is linear at its first step hands a kernel of
+    # a nonzero map to the check
+    checked = {a for phi, k, _, _, a in blocks[start:] if phi.any() and k.shape[1]}
+    assert checked == linear_at_first_step(reports)
+    for phi, k, p, _, _ in blocks:
         assert not (phi @ k % p).any()
         assert dense_reference.rank(k, p) == k.shape[1] == phi.shape[1] - dense_reference.rank(phi, p)
 
