@@ -26,17 +26,21 @@ applies the algebra differential.  Per (algebra, internal-degree span)
 ``table`` numbers the monomials once and holds them as arrays, and a
 monomial's multiplication block (``product_block``) says where it times
 every monomial of a span lands, with its sign, every row found by one
-``searchsorted``.  ``derivation_block`` is d_A on one table.  Each cache
-here is an ``lru_cache`` of ``CACHE_SIZE`` entries.  ``dgmodule`` runs
-this kernel on term arrays and expansions.
+``searchsorted``.  ``derivation_block`` is d_A on one table.  One rule,
+``_lengths``, says which monomials a span holds: ``table`` enumerates it
+and ``span_size`` counts it.  Each cache here is an ``lru_cache`` of
+``CACHE_SIZE`` entries keyed on the frozen ``AlgebraSpec`` itself, equal
+to another exactly when kind, e, f and p are.  ``dgmodule`` runs this
+kernel on term arrays and expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, inf
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -48,13 +52,13 @@ Monomial = tuple[tuple[int, ...], int]
 
 KINDS = ("S", "R", "T", "Q", "P")
 
-# Entries kept by each monomial cache here.  One benchmark pass misses
-# ``product_block`` at most 554 times (duality-grid; roundtrip-e3 390,
-# scale-e4 116) and every other cache at most 568 times (``table`` on
-# duality-grid: 328 spans of expansions and 240 more of the samplers' single
-# degrees), so no pass evicts; a run of any length holds at most this many
-# entries per cache.  The e = f = 6 round trip (trials 0-3) misses 211
-# blocks and 25 tables.
+# Entries kept by each of the four monomial caches here (compositions are
+# not cached).  One benchmark pass misses ``product_block`` at most 554
+# times (duality-grid; roundtrip-e3 390, scale-e4 116) and every other
+# cache at most 568 times (``table`` on duality-grid: 328 spans of
+# expansions and 240 more of the samplers' single degrees), so no pass
+# evicts; a run of any length holds at most this many entries per cache.
+# The e = f = 6 round trip (trials 0-3) misses 211 blocks and 25 tables.
 CACHE_SIZE = 4096
 
 
@@ -96,9 +100,6 @@ class AlgebraSpec:
         exps[i] = 1
         return (tuple(exps), 0)
 
-    def key(self):
-        return (self.kind, self.e, self.f, self.p)
-
 
 # Largest e: Q has e ext generators, and ext masks are held as int64 bit
 # sets (``monomial_arrays``), and so are the wedge-sign weight masks
@@ -125,19 +126,6 @@ def monomial_bidegree(alg: AlgebraSpec, mon: Monomial) -> Bidegree:
     return (t * si + m * ei, t * sj + m * ej)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _compositions(total: int, parts: int) -> tuple:
-    if parts == 0:
-        return ((),) if total == 0 else ()
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def degree_bounds(A: AlgebraSpec):
     """(lo, hi): the internal degrees of A's monomials lie in [lo, hi], one
     side possibly infinite, and each even degree there is some monomial's.
@@ -146,20 +134,37 @@ def degree_bounds(A: AlgebraSpec):
     return (0, 2 * A.n_ext) if not A.n_sym else (-inf, 0) if A.sym_deg[1] < 0 else (0, inf)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def span_size(key, jlo: int, jhi: int) -> int:
-    """The number of monomials of internal degree in [jlo, jhi], in closed
-    form: for m ext generators, C(n_ext, m) masks times the sym monomials of
-    the total degrees t0 <= t <= t1 left over, C(t1 + n, n) - C(t0 - 1 + n, n)."""
-    A = AlgebraSpec(*key)
-    n, total = A.n_sym, 0
+def _lengths(A: AlgebraSpec, jlo: int, jhi: int):
+    """The one rule for which monomials a span holds: for each ext count m,
+    (m, ts), ts the range of sym lengths t whose monomials, of m ext and t
+    sym generators, have internal degree in [jlo, jhi].  Every generator has
+    internal degree +-2, so each end bounds the monomial's length."""
     for m in range(A.n_ext + 1):
         lo, hi = jlo - 2 * m, jhi - 2 * m  # left for the sym part; ext generators have internal degree 2
-        lo, hi = (-hi, -lo) if A.sym_deg[1] < 0 else (lo, hi)
-        t0, t1 = max(0, -(-lo // 2)), hi // 2 if n else min(hi // 2, 0)  # sym generators have degree +-2
-        if t0 <= t1:
-            total += comb(A.n_ext, m) * (comb(t1 + n, n) - (comb(t0 - 1 + n, n) if t0 else 0))
-    return total
+        lo, hi = (-hi, -lo) if A.sym_deg[1] < 0 else (lo, hi)  # sym generators have internal degree -2 (S, R) or 2
+        top = hi // 2 if A.n_sym else min(hi // 2, 0)  # with no sym part, only the length 0
+        yield m, range(max(0, -(-lo // 2)), top + 1)
+
+
+def _compositions(total: int, parts: int) -> list:
+    """The exponent tuples of ``parts`` sym generators summing to ``total``,
+    by stars and bars: the gaps between parts - 1 cuts 0 <= c_1 <= ... <= total."""
+    if not parts:
+        return [()]  # ``_lengths`` gives no sym part only the length 0
+    cuts = combinations_with_replacement(range(total + 1), parts - 1)
+    return [tuple(map(sub, (*c, total), (0, *c))) for c in cuts]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def span_size(A: AlgebraSpec, jlo: int, jhi: int) -> int:
+    """The number of monomials of ``table`` on [jlo, jhi], counted in closed
+    form on ``_lengths``: for m ext generators, C(n_ext, m) masks times the
+    sym monomials of the lengths t0 <= t <= t1, C(t1 + n, n) - C(t0 - 1 + n, n)."""
+    n = A.n_sym
+    return sum(
+        comb(A.n_ext, m) * (comb(ts[-1] + n, n) - (comb(ts[0] - 1 + n, n) if ts[0] else 0))
+        for m, ts in _lengths(A, jlo, jhi) if ts
+    )
 
 
 class _Table(NamedTuple):
@@ -244,31 +249,23 @@ def joined(arrays, axis=0):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def table(key, jlo: int, jhi: int) -> _Table:
-    """The monomials with internal degree in [jlo, jhi], with their arrays:
-    grouped by bidegree, the groups in order of ext count m, then sym
-    length t, each group sorted.  Each (m, t) is one bidegree: only Q has
-    both parts, and there i = -m.  Ext masks fit int64 (see ``MAX_E``).
-
-    Terminates because every generator in every kind has internal degree
-    +-2, so each internal degree bounds the total monomial length.
+def table(A: AlgebraSpec, jlo: int, jhi: int) -> _Table:
+    """The monomials with internal degree in [jlo, jhi], those of
+    ``_lengths``, with their arrays: grouped by bidegree, the groups in
+    order of ext count m, then sym length t, each group sorted.  Each (m, t)
+    is one bidegree: only Q has both parts, and there i = -m.  Ext masks
+    fit int64 (see ``MAX_E``).
     """
-    A = AlgebraSpec(*key)
     si, sj = A.sym_deg
     ei, ej = A.ext_deg
     groups, degs = [], []
-    for m in range(A.n_ext + 1):
-        lo, hi = jlo - m * ej, jhi - m * ej  # left for the sym part: t * sj, t >= 0
-        if A.n_sym == 0:
-            ts = range(int(lo <= 0 <= hi))
-        else:  # |sj| = 2
-            lo, hi = (-hi, -lo) if sj < 0 else (lo, hi)
-            ts = range(max(0, -(-lo // 2)), hi // 2 + 1)
+    for m, ts in _lengths(A, jlo, jhi):
         # only the masks of the m that occur: a narrow range of a large
         # exterior part is enumerated in its size, not in 2^n_ext steps
         masks = [sum(1 << b for b in bits) for bits in combinations(range(A.n_ext), m)] if ts else []
         for t in ts:
-            groups.append(sorted((exps, mask) for mask in masks for exps in _compositions(t, A.n_sym)))
+            exps = _compositions(t, A.n_sym)
+            groups.append(sorted((e, mask) for mask in masks for e in exps))
             degs.append((t * si + m * ei, t * sj + m * ej))
     mons = tuple(mon for group in groups for mon in group)
     degs = np.array(degs, dtype=np.int64).reshape(-1, 2).repeat(list(map(len, groups)), axis=0)
@@ -286,7 +283,7 @@ _NO_BLOCK.flags.writeable = False
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def product_block(key, src, dst, mon, left: bool) -> np.ndarray:
+def product_block(A: AlgebraSpec, src, dst, mon, left: bool) -> np.ndarray:
     """The multiplication table of mon on the table on the span ``src``:
     where mon times each monomial m of it lands in the table on ``dst``, as
     a read-only 3 x n array of rows (source row, target row, sign) by
@@ -302,7 +299,7 @@ def product_block(key, src, dst, mon, left: bool) -> np.ndarray:
     ``searchsorted`` in the target's sorted byte keys finds every
     product's target row; a target with no monomials gives the empty block.
     """
-    A, s, t = AlgebraSpec(*key), table(key, *src), table(key, *dst)
+    s, t = table(A, *src), table(A, *dst)
     if not len(t.mons):
         return _NO_BLOCK
     mask = mon[1]
@@ -318,13 +315,13 @@ def product_block(key, src, dst, mon, left: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def derivation_block(key, span) -> np.ndarray:
+def derivation_block(A: AlgebraSpec, span) -> np.ndarray:
     """The table of d_A on the table on ``span``, rows (source row, target
     row, coefficient) by source row, then ext generator: ``d_A`` on the
     table's arrays, coefficient 1 or p - 1, each image found by its byte
     key.  d_A preserves internal degree, so every term stays in the
     table."""
-    A, t = AlgebraSpec(*key), table(key, *span)
+    t = table(A, *span)
     row, exps, masks, odd = d_A(A, t.exps, t.masks)
     block = np.array([row, t.rows[t.keys.searchsorted(byte_keys(exps, masks))], 1 + odd * (A.p - 2)])
     block.flags.writeable = False

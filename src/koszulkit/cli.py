@@ -14,20 +14,22 @@ import os
 import sys
 
 from .bigraded import SHIFT_CONVENTION, Window
-from .dgmodule import MAX_DOCUMENT, cohomology, deserialize_module
+from .dgmodule import MAX_DEGREE, MAX_DOCUMENT, _check_int, cohomology, deserialize_module
 from .suites import SUITES, Config, report_to_json, run_verify
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
 def parse_window(text: str) -> Window:
+    """The window i0:i1,j0:j1; each bound within a module file's degree
+    bound, ``MAX_DEGREE``, so that no expansion on it overflows int64."""
     try:
         ipart, jpart = text.split(",")
         i0, i1 = (int(x) for x in ipart.split(":"))
         j0, j1 = (int(x) for x in jpart.split(":"))
-        return Window(i0, i1, j0, j1)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"window must look like i0:i1,j0:j1 (got {text!r}): {exc}")
+    return Window(*(_check_int(x, "window bound", -MAX_DEGREE, MAX_DEGREE) for x in (i0, i1, j0, j1)))
 
 
 def default_seed() -> int:
@@ -152,14 +154,13 @@ def cmd_sl2(args) -> int:
 
 
 def cmd_table(args) -> int:
+    window = parse_window(args.window) if args.window else None
     try:
         with open(args.module) as fh:
             module = deserialize_module(fh.read(MAX_DOCUMENT + 1))  # enough to refuse a longer file
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read module file: {exc}")
-    if args.window:
-        window = parse_window(args.window)
-    else:
+    if window is None:
         f = module.algebra.f
         window = Window.hull(module.degs).enlarge(f + 1, 2 * (f + 1))
     table = cohomology(module, window)

@@ -366,7 +366,7 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
     A term's block depends only on its group (span of k, span of l,
     monomial), so one block (``product_block``) is read per distinct group,
     and the d_A table once per span."""
-    key, mons = module.algebra.key(), module.mons
+    A, mons = module.algebra, module.mons
     found, items = [], module.terms
     if len(mons):
         k, l, u, c = items
@@ -374,12 +374,12 @@ def _d_blocks(module: SemifreeDgModule, spans, which):
         groups = sorted(set(code.tolist()))
         for g in groups:
             (a, b), m = divmod(g // len(mons), len(spans)), g % len(mons)
-            found.append(product_block(key, spans[a], spans[b], mons[m], False))
+            found.append(product_block(A, spans[a], spans[b], mons[m], False))
         items = k, l, np.array(groups, dtype=np.int64).searchsorted(code), c
-    if module.algebra.has_differential:
+    if A.has_differential:
         gens = np.arange(module.rank)
         items = np.concatenate([items, [gens, gens, len(found) + which, np.ones(module.rank, np.int64)]], axis=1)
-        found += [derivation_block(key, r) for r in spans]
+        found += [derivation_block(A, r) for r in spans]
     return found, items
 
 
@@ -444,9 +444,8 @@ class Expansion:
     def __init__(self, module: SemifreeDgModule, jlo: int, jhi: int):
         self.module = module
         A = module.algebra
-        key = A.key()
         spans, which = self._spans, self._which = _spans(A, jlo, jhi, module.degs[:, 1])
-        sizes = [span_size(key, *r) for r in spans]
+        sizes = [span_size(A, *r) for r in spans]
         if max(sizes, default=0) * len(which) > MAX_EXPANSION_BASIS:  # only then can the total be over
             total = sum(c * s for c, s in zip(np.bincount(which).tolist(), sizes))
             if total > MAX_EXPANSION_BASIS:
@@ -456,7 +455,7 @@ class Expansion:
                     f"the expansion on internal degrees [{jlo}, {jhi}] has {total:,} basis elements, over the limit of "
                     f"{MAX_EXPANSION_BASIS:,}; generator {k} alone spans monomial degrees {list(spans[which[k]])} with {most:,} monomials"
                 )
-        tables = [table(key, *r) for r in spans]
+        tables = [table(A, *r) for r in spans]
         # the generators' tables concatenated in generator order: per generator
         # its first position and size, per position its row in the spans' tables
         n = self._sizes = np.array(sizes, dtype=np.int64)[which]
@@ -506,7 +505,7 @@ class Expansion:
         A = self.module.algebra
         mon = A.gen_monomial(is_ext, g)
         gens = np.arange(self.module.rank)
-        found = [product_block(A.key(), r, r, mon, True) for r in self._spans]
+        found = [product_block(A, r, r, mon, True) for r in self._spans]
         src, dst, vals = _gather(found, (gens, gens, self._which, np.ones(len(gens), np.int64)), self._offsets, A.p)
         return src.astype(np.int32), dst.astype(np.int32), vals
 

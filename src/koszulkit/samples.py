@@ -29,7 +29,7 @@ def random_homogeneous(alg: AlgebraSpec, bidegree, rng: random.Random):
     of ``table`` on [j, j] of that bidegree, in its order, drawn with
     probability 0.6 and a random nonzero coefficient."""
     i, j = bidegree
-    t = table(alg.key(), j, j)
+    t = table(alg, j, j)
     out = {}
     for mon in map(t.mons.__getitem__, (t.degs[:, 0] == i).nonzero()[0].tolist()):
         if rng.random() < 0.6:

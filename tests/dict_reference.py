@@ -108,7 +108,7 @@ def nested_terms(algebra: AlgebraSpec, nested) -> tuple:
 def monomials_by_bidegree(alg: AlgebraSpec, jlo: int, jhi: int) -> dict:
     """The monomials of ``table`` on [jlo, jhi] grouped by bidegree, as a
     dict of tuples in the table's order."""
-    t = table(alg.key(), jlo, jhi)
+    t = table(alg, jlo, jhi)
     out = {}
     for mon, bd in zip(t.mons, map(tuple, t.degs.tolist())):
         out.setdefault(bd, []).append(mon)

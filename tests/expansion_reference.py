@@ -38,9 +38,9 @@ from koszulkit.dgmodule import (
 from koszulkit.linalg import summed
 
 
-def _table(key, jlo: int, jhi: int):
+def _table(A, jlo: int, jhi: int):
     """The monomials and bidegrees of ``algebra.table``."""
-    return algebra.table(key, jlo, jhi)[:2]
+    return algebra.table(A, jlo, jhi)[:2]
 
 
 def _frozen_block(terms) -> np.ndarray:
@@ -51,7 +51,7 @@ def _frozen_block(terms) -> np.ndarray:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _block(key, src_range, dst_range, mon, left: bool):
+def _block(A, src_range, dst_range, mon, left: bool):
     """The multiplication table of mon on the table on ``src_range``: where
     mon times each of its monomials m lands in the table on ``dst_range``.
 
@@ -59,9 +59,8 @@ def _block(key, src_range, dst_range, mon, left: bool):
     (-1)^{|m|} m . mon otherwise, a term of d(m e) = (-1)^{|m|} m d(e).
     Vanishing products and products outside the target are dropped.
     """
-    A = AlgebraSpec(*key)
-    src, src_degs = _table(key, *src_range)
-    dst = _table(key, *dst_range)[0]
+    src, src_degs = _table(A, *src_range)
+    dst = _table(A, *dst_range)[0]
     row = dict(zip(dst, range(len(dst))))
     terms = []
     for r, (m, i) in enumerate(zip(src, src_degs[:, 0].tolist())):
@@ -72,11 +71,10 @@ def _block(key, src_range, dst_range, mon, left: bool):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _derivation_block(key, rng):
+def _derivation_block(A, rng):
     """The table of d_A on the table on ``rng``; d_A preserves internal
     degree, so every term stays in the table."""
-    A = AlgebraSpec(*key)
-    mons = _table(key, *rng)[0]
+    mons = _table(A, *rng)[0]
     row = dict(zip(mons, range(len(mons))))
     return _frozen_block([(r, row[m2], c) for r, m in enumerate(mons) for m2, c in elt_d(A, {m: 1}).items()])
 
@@ -102,13 +100,13 @@ def _spans(A: AlgebraSpec, jlo: int, jhi: int, gens):
 def _d_blocks(module: SemifreeDgModule, ranges):
     """The blocks (block, k, l, coeff) whose sum is d on the generators'
     tables: d(m e_k) = d_A(m) e_k + (-1)^{|m|} m sum of the terms of d(e_k)."""
-    key, mons = module.algebra.key(), module.mons
+    A, mons = module.algebra, module.mons
     blocks = [
-        (_block(key, ranges[k], ranges[l], mons[u], False), k, l, c)
+        (_block(A, ranges[k], ranges[l], mons[u], False), k, l, c)
         for k, l, u, c in zip(*module.terms.tolist())
     ]
-    if module.algebra.has_differential:
-        blocks += [(_derivation_block(key, r), k, k, 1) for k, r in enumerate(ranges)]
+    if A.has_differential:
+        blocks += [(_derivation_block(A, r), k, k, 1) for k, r in enumerate(ranges)]
     return blocks
 
 
@@ -131,16 +129,15 @@ class Expansion:
     def __init__(self, module: SemifreeDgModule, jlo: int, jhi: int):
         self.module = module
         A = module.algebra
-        key = A.key()
         ranges = self._ranges = _spans(A, jlo, jhi, module.gens)
-        sizes = [span_size(key, *r) for r in ranges]
+        sizes = [span_size(A, *r) for r in ranges]
         if sum(sizes) > MAX_EXPANSION_BASIS:
             k = sizes.index(max(sizes))
             raise ValueError(
                 f"the expansion on internal degrees [{jlo}, {jhi}] has {sum(sizes):,} basis elements, over the limit of "
                 f"{MAX_EXPANSION_BASIS:,}; generator {k} alone spans monomial degrees {list(ranges[k])} with {sizes[k]:,} monomials"
             )
-        tables = [_table(key, *r) for r in ranges]
+        tables = [_table(A, *r) for r in ranges]
         self._offsets = list(accumulate(sizes, initial=0))
         # per basis element: generator bidegree and index
         shift = np.array([(i, j, k) for k, (i, j) in enumerate(module.gens)], dtype=np.int64)
@@ -187,7 +184,7 @@ class Expansion:
         sorted by row; images outside the range are dropped."""
         A = self.module.algebra
         mon = A.gen_monomial(is_ext, g)
-        return self._assemble([(_block(A.key(), r, r, mon, True), k, k, 1) for k, r in enumerate(self._ranges)])
+        return self._assemble([(_block(A, r, r, mon, True), k, k, 1) for k, r in enumerate(self._ranges)])
 
 
 def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual, split):
@@ -203,7 +200,7 @@ def _restrict_scalars(M: SemifreeDgModule, B: AlgebraSpec, jhi: int, is_residual
     """
     Q = M.algebra
     ranges = _spans(Q, min((j for _, j in M.gens), default=0), jhi, M.gens)
-    tables = {r: _table(Q.key(), *r)[0] for r in set(ranges)}
+    tables = {r: _table(Q, *r)[0] for r in set(ranges)}
     where = {r: {mon: n for n, mon in enumerate(t)} for r, t in tables.items()}
     gens = enumerate(M.gens)
     labels = sorted((bidegree_add(g, monomial_bidegree(Q, m)), k, m) for k, g in gens for m in tables[ranges[k]] if is_residual(m))

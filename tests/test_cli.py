@@ -679,6 +679,26 @@ def test_table_at_the_bounds(tmp_path, capsys):
             assert json.loads(out.read_text())["table"] == want
 
 
+def test_a_window_past_the_degree_bound_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """Window ends obey the module files' degree bound, +-2^30: an end past
+    it (here one that overflows int64 in the monomial exponents) exits 2
+    with one error line before the module is read or a suite runs."""
+    from koszulkit import cli
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(_S1, gens=[[0, 0]], diff=[])))
+    bound = 1 << 30
+    assert parse_window(f"{-bound}:{bound - 1},{-bound}:{bound - 1}").as_tuple() == (-bound, bound - 1, -bound, bound - 1)
+    assert main(["table", str(path), "--window=0:0,-20000000000000000000:-19999999999999000000"]) == 2
+    assert capsys.readouterr().err == "error: window bound -20000000000000000000 is out of range\n"
+    monkeypatch.setattr(cli, "deserialize_module", None)
+    monkeypatch.setattr(cli, "run_verify", None)
+    for window, end in [(f"0:0,{-(2**63)}:0", -(2**63)), (f"0:{bound},0:0", bound), (f"{-bound - 1}:0,0:0", -bound - 1)]:
+        for args in (["table", str(path)], ["verify", "--suite", "compat"]):
+            assert main([*args, f"--window={window}"]) == 2
+            assert capsys.readouterr().err == f"error: window bound {end} is out of range\n"
+
+
 def _fuzz_bases():
     from koszulkit.algebra import make_algebra
     from koszulkit.dgmodule import serialize_module

@@ -114,18 +114,17 @@ def _block_requests(A, rng):
     cuts them, empty ones, and targets that hold the products' whole range,
     a cut of it, some other span or the empty span; then repeated requests,
     and all of it shuffled."""
-    key = A.key()
     js = np.array([2 * rng.randrange(-3, 3) for _ in range(rng.randrange(1, 5))], dtype=np.int64)
     jlo, jhi = int(js.min()) + rng.randrange(-6, 4), int(js.max()) + rng.randrange(-4, 6)
-    spans = [s for s in dgmodule._spans(A, jlo, jhi, js)[0] if algebra.span_size(key, *s) <= 2000] + [(0, -2)]
+    spans = [s for s in dgmodule._spans(A, jlo, jhi, js)[0] if algebra.span_size(A, *s) <= 2000] + [(0, -2)]
     gens = [A.gen_monomial(False, g) for g in range(A.n_sym)] + [A.gen_monomial(True, g) for g in range(A.n_ext)]
-    mons = [mon for s in spans for mon in algebra.table(key, *s).mons]
+    mons = [mon for s in spans for mon in algebra.table(A, *s).mons]
     wanted = []
     for _ in range(rng.randrange(1, 10)):
         (a, b), mon = rng.choice(spans), rng.choice([A.one(), rng.choice(gens), rng.choice(mons or gens)])
         j = monomial_bidegree(A, mon)[1]
         dst = rng.choice([rng.choice(spans), (a + j, b + j), (a + j + 2, b + j), (a + j, b + j - 2), (0, -2)])
-        if algebra.span_size(key, *dst) <= 2000:
+        if algebra.span_size(A, *dst) <= 2000:
             wanted.append(((a, b), dst, mon, rng.random() < 0.5))
     wanted += rng.choices(wanted, k=rng.randrange(0, 4)) if wanted else []
     rng.shuffle(wanted)
@@ -139,15 +138,14 @@ def test_product_blocks_match_per_row_builder(alg, seed):
     request, built or read from its cache, and the array
     ``derivation_block`` equals the per-row one."""
     A = make_algebra(*alg)
-    key = A.key()
     spans, wanted = _block_requests(A, stream(seed, "blocks"))
     for w in wanted:
-        block = algebra.product_block(key, *w)
-        assert block.tolist() == ref._block(key, *w).tolist(), w
+        block = algebra.product_block(A, *w)
+        assert block.tolist() == ref._block(A, *w).tolist(), w
         assert block.dtype == np.int64 and not block.flags.writeable
     if A.has_differential:
         for s in spans:
-            assert algebra.derivation_block(key, s).tolist() == ref._derivation_block(key, s).tolist()
+            assert algebra.derivation_block(A, s).tolist() == ref._derivation_block(A, s).tolist()
 
 
 def test_block_requests_cover_the_edge_cases():
@@ -162,10 +160,10 @@ def test_block_requests_cover_the_edge_cases():
                 seen.add("repeated")
             for w in wanted:
                 src, dst, mon, left = w
-                block = algebra.product_block(A.key(), *w)
-                rows = len(algebra.table(A.key(), *src).mons)
+                block = algebra.product_block(A, *w)
+                rows = len(algebra.table(A, *src).mons)
                 seen.add(("empty span" if not rows else "cut" if 0 < block.shape[1] < rows else "whole", A.kind))
-                if rows and not algebra.table(A.key(), *dst).mons:
+                if rows and not algebra.table(A, *dst).mons:
                     seen.add("empty target, " + ("left" if left else "right"))
                 seen.add(("left" if left else "right", -1 in block[2].tolist(), A.n_ext >= 16 and block.shape[1] > 100))
     kinds = {kind for case, kind in (x for x in seen if len(x) == 2)}
@@ -249,7 +247,7 @@ def test_caches_stay_at_their_bound():
     after = Expansion(M, -8, 0)
     assert after.degs.tolist() == before.degs.tolist()
     assert [a.tolist() for a in after.d] == [b.tolist() for b in before.d]
-    for f in (*caches, algebra.derivation_block, algebra._compositions):
+    for f in (*caches, algebra.derivation_block):
         assert f.cache_info().maxsize == CACHE_SIZE
 
 

@@ -149,12 +149,12 @@ def test_kernel_matches_per_element_rule(e, f, p):
 
 def test_cached_tables_are_read_only():
     S = make_algebra("S", 2, 2, 3)
-    table = algebra.table(S.key(), -4, 0)
+    table = algebra.table(S, -4, 0)
     with pytest.raises(AttributeError):
         table.mons.append(((9, 9), 0))
     for array in table[1:]:
         with pytest.raises(ValueError):
             array[0] = 7
     with pytest.raises(ValueError):
-        algebra.product_block(S.key(), (-4, 0), (-6, -2), ((1, 0), 0), False)[1][0] = 0
+        algebra.product_block(S, (-4, 0), (-6, -2), ((1, 0), 0), False)[1][0] = 0
     assert monomials_by_bidegree(S, -4, 0)[(0, 0)] == (((0, 0), 0),)

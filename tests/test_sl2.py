@@ -336,6 +336,50 @@ def test_koszulity_sees_a_generator_above_degree_one():
     assert entry["steps"] == [{"syzygy": 1, "generator_degrees": [1, 2]}] and entry["witness"] == [1, 2]
 
 
+def ext_counts(A, depth):
+    """P(t) as an array P[r, s, i]: the generators on the projective of
+    simple s at step i of the minimal resolution of simple r, for i <= depth,
+    re-run with ``ProjectiveSum``, ``minimal_generators`` and ``next_syzygy``
+    as the probe runs them.  Step 0 is the cover of simple r itself, and
+    every step must be linear."""
+    k = len(A.idempotents)
+    P = np.zeros((k, k, depth + 1), dtype=np.int64)
+    for r, (_, e) in enumerate(A.idempotents):
+        P[r, r, 0] = 1
+        amb = ProjectiveSum(A, [(e, 0)])
+        top = (amb.degrees >= 1).nonzero()[0]
+        syz = top, np.arange(len(top)), np.ones(len(top), dtype=np.int64), len(top)
+        for step in range(1, depth + 1):
+            gens = minimal_generators(amb, syz)
+            assert (gens[1] == step).all(), (r, step)
+            P[r, :, step] = np.bincount(gens[0], minlength=k)
+            amb, syz = next_syzygy(amb, gens, step)
+    return P
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 23])
+def test_ext_counts_invert_the_graded_cartan_matrix(p):
+    """The Euler characteristic of a linear minimal resolution (Beilinson-
+    Ginzburg-Soergel, J. AMS 9, 1996, 2.11): P(-t) C(t)^T = I mod t^11, for
+    C_us(t) the Hilbert series of e_u A e_s (``graded_cartan``) and P(t)
+    the resolution's counts (``ext_counts``) to depth 10.  Every regular and
+    the singular block at p, and the quiver basic algebra for p <= 7."""
+    depth = 10
+    algebras = [build_regular_block(p, lam) for lam in range((p - 1) // 2)] + [build_singular_block(p)]
+    for A in algebras + ([quiver_basic_algebra(p)] if p <= 7 else []):
+        labels = [label for label, _ in A.idempotents]
+        k = len(labels)
+        C = np.zeros((k, k, depth + 1), dtype=np.int64)
+        for (u, s), dims in graded_cartan(A).items():
+            for d, n in dims.items():
+                C[labels.index(u), labels.index(s), d] = n
+        P = ext_counts(A, depth) * (-1) ** np.arange(depth + 1)  # P(-t)
+        got = np.array([[sum(np.convolve(P[r, s], C[u, s])[: depth + 1] for s in range(k)) for u in range(k)] for r in range(k)])
+        want = np.zeros_like(C)
+        want[:, :, 0] = np.eye(k, dtype=np.int64)
+        assert (got == want).all(), (A.types, got)
+
+
 def probe_algebras():
     """(algebra, its dense table) pairs.  The probe reads an algebra's corner
     of types, and the reference every label: the blocks at p = 7 (blocks of

@@ -11,6 +11,8 @@ serialization round trips) are property-tested, and so is the one shift
 convention that modules, finite modules, tables and windows share.
 """
 
+import bisect
+import itertools
 import json
 import time
 
@@ -353,10 +355,80 @@ def test_parsed_coefficients_are_residues():
 
 @pytest.mark.parametrize("kind,e,f", [("S", 2, 2), ("R", 3, 1), ("T", 3, 3), ("Q", 3, 1), ("Q", 4, 2), ("P", 3, 1)])
 def test_span_size_counts_the_table(kind, e, f):
-    key = make_algebra(kind, e, f, 3).key()
+    A = make_algebra(kind, e, f, 3)
     for lo in range(-12, 13):
         for hi in range(lo - 2, lo + 11):
-            assert span_size(key, lo, hi) == len(table(key, lo, hi)[0]), (lo, hi)
+            assert span_size(A, lo, hi) == len(table(A, lo, hi)[0]), (lo, hi)
+
+
+# Each kind's generators as the table in ``algebra``'s docstring gives them,
+# (n_sym, sym bidegree, n_ext) from (e, f); every ext generator is in (-1, 2).
+GENERATORS = {
+    "S": lambda e, f: (f, (2, -2), 0),
+    "R": lambda e, f: (f, (0, -2), 0),
+    "T": lambda e, f: (0, (0, 0), f),
+    "Q": lambda e, f: (e - f, (0, 2), e),
+    "P": lambda e, f: (e - f, (0, 2), 0),
+}
+
+
+def brute_force_monomials(kind, e, f, box, masks=None):
+    """(internal degrees, [(monomial, bidegree)]) of every monomial whose
+    exponents lie in [0, box] and whose ext mask is one of ``masks`` (by
+    default all of them), both lists sorted by internal degree: each
+    monomial's bidegree summed over its generators, one by one."""
+    n_sym, sym, n_ext = GENERATORS[kind](e, f)
+    found = []
+    for exps in itertools.product(range(box + 1), repeat=n_sym):
+        for mask in range(1 << n_ext) if masks is None else masks:
+            i = j = 0
+            for gen, count in [(sym, x) for x in exps] + [((-1, 2), mask >> b & 1) for b in range(n_ext)]:
+                i, j = i + count * gen[0], j + count * gen[1]
+            found.append((j, (exps, mask), (i, j)))
+    found.sort()
+    return [j for j, _, _ in found], [x[1:] for x in found]
+
+
+def check_against_brute_force(A, lo, hi, js, found):
+    """``table`` on [lo, hi] holds exactly the monomials of ``found`` with
+    internal degree in [lo, hi], each once and at its bidegree, and
+    ``span_size`` counts them."""
+    want = dict(found[bisect.bisect_left(js, lo):bisect.bisect_right(js, hi)])
+    t = table(A, lo, hi)
+    got = dict(zip(t.mons, map(tuple, t.degs.tolist())))
+    assert len(got) == len(t.mons) and got == want, (A, lo, hi)
+    assert span_size(A, lo, hi) == len(want), (A, lo, hi)
+
+
+# Range ends: odd, negative, and past the degree bounds of some kinds
+ENDS = (-11, -10, -7, -4, -3, -2, -1, 0, 1, 2, 3, 5, 8, 9, 12)
+
+
+@pytest.mark.parametrize("kind", ["S", "R", "T", "Q", "P"])
+def test_table_and_span_size_match_a_brute_force_enumeration(kind):
+    """Every (e, f) with e <= 4 on every range of two ends of ``ENDS``,
+    reversed ones included: no monomial of internal degree in [-12, 12]
+    has an exponent above 6, so the box [0, 6] holds them all."""
+    for e in range(5):
+        for f in range(e + 1):
+            js, found = brute_force_monomials(kind, e, f, max(map(abs, ENDS)) // 2)
+            for lo, hi in itertools.product(ENDS, repeat=2):
+                check_against_brute_force(make_algebra(kind, e, f, 3), lo, hi, js, found)
+
+
+def test_table_and_span_size_match_a_brute_force_enumeration_at_62_ext_generators():
+    """T(62, 62) on narrow ranges at both ends: every monomial there has at
+    most two ext generators, or at most two missing.  The masks of at most
+    two bits are built one bit at a time, not by ``combinations``; the whole
+    exterior algebra has 2^62 monomials."""
+    T, full = make_algebra("T", 62, 62, 3), (1 << 62) - 1
+    few = {0}
+    for _ in range(2):
+        few |= {x | 1 << b for x in few for b in range(62)}
+    js, found = brute_force_monomials("T", 62, 62, 0, few | {full ^ x for x in few})
+    for lo, hi in [(0, 0), (-3, 3), (1, 4), (2, 2), (3, 3), (4, 0), (-5, -1), (119, 123), (120, 124), (121, 127), (124, 124), (125, 200)]:
+        check_against_brute_force(T, lo, hi, js, found)
+    assert span_size(T, -1, 124) == 2**62
 
 
 # -- bounded work ------------------------------------------------------------------
