@@ -29,15 +29,14 @@ every monomial of a span lands, with its sign, every row found by one
 ``searchsorted``.  ``derivation_block`` is d_A on one table.  One rule,
 ``_lengths``, says which monomials a span holds: ``table`` enumerates it
 and ``span_size`` counts it.  Each cache here is an ``lru_cache`` of
-``CACHE_SIZE`` entries keyed on the frozen ``AlgebraSpec`` itself, equal
-to another exactly when kind, e, f and p are.  ``dgmodule`` runs this
-kernel on term arrays and expansions.
+``CACHE_SIZE`` entries keyed on the ``AlgebraSpec``, a tuple that hashes and
+compares in C, which ``make_algebra`` fills in from kind, e, f and p.
+``dgmodule`` runs this kernel on term arrays and expansions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, inf
 from operator import sub
@@ -50,40 +49,35 @@ from .linalg import check_modulus
 
 Monomial = tuple[tuple[int, ...], int]
 
-KINDS = ("S", "R", "T", "Q", "P")
+_KIND_TABLE = {  # the module docstring's kind table: (n_sym, n_ext, sym_deg) of (e, f)
+    "S": lambda e, f: (f, 0, (2, -2)),
+    "R": lambda e, f: (f, 0, (0, -2)),
+    "T": lambda e, f: (0, f, (0, 0)),
+    "Q": lambda e, f: (e - f, e, (0, 2)),
+    "P": lambda e, f: (e - f, 0, (0, 2)),
+}
+KINDS = tuple(_KIND_TABLE)
 
-# Entries kept by each of the four monomial caches here (compositions are
-# not cached).  One benchmark pass misses ``product_block`` at most 554
-# times (duality-grid; roundtrip-e3 390, scale-e4 116) and every other
-# cache at most 568 times (``table`` on duality-grid: 328 spans of
-# expansions and 240 more of the samplers' single degrees), so no pass
-# evicts; a run of any length holds at most this many entries per cache.
-# The e = f = 6 round trip (trials 0-3) misses 211 blocks and 25 tables.
+# Entries kept by each of the four monomial caches here, keyed on the tuple
+# spec (compositions are not cached).  One benchmark pass misses
+# ``product_block`` at most 554 times (duality-grid; roundtrip-e3 390,
+# scale-e4 116) and every other cache at most 568 times (``table`` on
+# duality-grid: 328 expansion spans, 240 sampler degrees), so no pass evicts;
+# a run of any length holds at most this many entries per cache.  The
+# e = f = 6 round trip (trials 0-3) misses 211 blocks and 25 tables.
 CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple):
     kind: str
     e: int
     f: int
     p: int
+    n_sym: int
+    n_ext: int
+    sym_deg: Bidegree
 
-    @cached_property
-    def n_sym(self) -> int:
-        return {"S": self.f, "R": self.f, "T": 0, "Q": self.e - self.f, "P": self.e - self.f}[self.kind]
-
-    @cached_property
-    def n_ext(self) -> int:
-        return {"S": 0, "R": 0, "T": self.f, "Q": self.e, "P": 0}[self.kind]
-
-    @cached_property
-    def sym_deg(self) -> Bidegree:
-        return {"S": (2, -2), "R": (0, -2), "T": (0, 0), "Q": (0, 2), "P": (0, 2)}[self.kind]
-
-    @property
-    def ext_deg(self) -> Bidegree:
-        return (-1, 2)
+    ext_deg = (-1, 2)
 
     @property
     def has_differential(self) -> bool:
@@ -115,7 +109,7 @@ def make_algebra(kind: str, e: int, f: int, p: int) -> AlgebraSpec:
     if e > MAX_E:
         raise ValueError(f"e = {e} is over the limit of {MAX_E} (ext masks are int64 bit sets)")
     check_modulus(p)
-    return AlgebraSpec(kind, e, f, p)
+    return AlgebraSpec(kind, e, f, p, *_KIND_TABLE[kind](e, f))
 
 
 def monomial_bidegree(alg: AlgebraSpec, mon: Monomial) -> Bidegree:
@@ -256,8 +250,6 @@ def table(A: AlgebraSpec, jlo: int, jhi: int) -> _Table:
     is one bidegree: only Q has both parts, and there i = -m.  Ext masks
     fit int64 (see ``MAX_E``).
     """
-    si, sj = A.sym_deg
-    ei, ej = A.ext_deg
     groups, degs = [], []
     for m, ts in _lengths(A, jlo, jhi):
         # only the masks of the m that occur: a narrow range of a large
@@ -266,7 +258,7 @@ def table(A: AlgebraSpec, jlo: int, jhi: int) -> _Table:
         for t in ts:
             exps = _compositions(t, A.n_sym)
             groups.append(sorted((e, mask) for mask in masks for e in exps))
-            degs.append((t * si + m * ei, t * sj + m * ej))
+            degs.append(monomial_bidegree(A, groups[-1][0]))
     mons = tuple(mon for group in groups for mon in group)
     degs = np.array(degs, dtype=np.int64).reshape(-1, 2).repeat(list(map(len, groups)), axis=0)
     exps, masks = monomial_arrays(mons, A.n_sym)

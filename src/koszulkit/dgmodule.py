@@ -30,7 +30,7 @@ Sign conventions, fixed project-wide and enforced by validate():
 Expansions are assembled from ``algebra``'s cached tables and blocks.
 Generators are held by index into their few distinct spans, and the terms
 of d fall into few (span, span, monomial) groups, each group's block placed
-for all of its terms by one repeat/arange gather.  An expansion holds its
+for all of its terms by one ``ranges`` gather.  An expansion holds its
 basis in generator order and d as int32 positions and values in the
 narrowest dtype of p.  Cohomology, the functors of ``lkd``, finite
 expansions and ``qmodel``'s restrictions read its labels and d.
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from itertools import accumulate, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .algebra import (
     monomial_bidegree, product_block, span_size, table, wedge_sign,
 )
 from .bigraded import Bidegree, BigradedDims, Window
-from .linalg import MAX_RANK_CELLS, components, rank as mat_rank, sorted_join, structural_pivots, summed
+from .linalg import MAX_RANK_CELLS, components, rank as mat_rank, ranges, sorted_join, structural_pivots, summed
 
 ONE_SHIFT = (1, 0)  # bidegree of every differential
 
@@ -75,6 +75,14 @@ def _interned(mons):
     """The distinct ``mons`` as a sorted tuple, and each one's position in it (int64)."""
     pos = {mon: u for u, mon in enumerate(sorted(set(mons)))}
     return tuple(pos), np.fromiter(map(pos.__getitem__, mons), np.int64, len(mons))
+
+
+def _used_only(mons, mon):
+    """The monomials of the tuple ``mons`` that indices ``mon`` use, in order, and ``mon`` renumbered to them."""
+    used = np.bincount(mon, minlength=len(mons)) != 0
+    if used.all():
+        return mons, mon
+    return tuple(m for m, u in zip(mons, used.tolist()) if u), (used.cumsum() - 1)[mon]
 
 
 def canonical(mons, terms, n_tgt: int, p: int):
@@ -93,11 +101,8 @@ def canonical(mons, terms, n_tgt: int, p: int):
     src, tgt, mon, coeff = terms
     key, coeff = summed((src * n_tgt + tgt) * len(uniq) + ids[mon], coeff, p)
     rest, mon = np.divmod(key, len(uniq))
-    used = np.bincount(mon, minlength=len(uniq)) != 0
-    if not used.all():
-        mon = (used.cumsum() - 1)[mon]
-        uniq = [m for m, u in zip(uniq, used.tolist()) if u]
-    return tuple(uniq), np.array([*np.divmod(rest, n_tgt), mon, coeff])
+    uniq, mon = _used_only(uniq, mon)
+    return uniq, np.array([*np.divmod(rest, n_tgt), mon, coeff])
 
 
 def signed(coeff, odd, p: int) -> np.ndarray:
@@ -397,14 +402,13 @@ def _gather(blocks, items, offsets, p: int):
     unmerged arrays src, dst (int64 positions in the concatenated tables;
     ``offsets`` holds each generator's first) and coeff mod p in the narrowest
     dtype of p, narrowed before src and dst are gathered.  Each item's block
-    is expanded by one repeat/arange gather, offsets and coefficient applied."""
+    is expanded by one ``ranges`` gather, offsets and coefficient applied."""
     if not blocks:
         return _NO_TERMS[0], _NO_TERMS[1], np.zeros(0, np.min_scalar_type(p))
     k, l, b, c = items
     lens = [block.shape[1] for block in blocks]
     n = np.array(lens, dtype=np.int64)[b]
-    at = (np.array(list(accumulate(lens, initial=0))[:-1], dtype=np.int64)[b] - n.cumsum() + n).repeat(n)
-    at += np.arange(len(at))
+    at = ranges(np.cumsum([0, *lens[:-1]], dtype=np.int64)[b], n)
     entries = joined(blocks, axis=1)
     vals = entries[2].take(at)
     vals *= c.repeat(n)
@@ -460,8 +464,7 @@ class Expansion:
         # its first position and size, per position its row in the spans' tables
         n = self._sizes = np.array(sizes, dtype=np.int64)[which]
         self._offsets = n.cumsum() - n
-        row = (np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)[which] - self._offsets).repeat(n)
-        row += np.arange(len(row))
+        row = ranges(np.cumsum([0, *sizes[:-1]], dtype=np.int64)[which], n)
         self.degs = joined([t.degs for t in tables] or [_NO_DEGS]).take(row, axis=0) + module.degs.repeat(n, axis=0)
         self._tables, self._row = tables, row.astype(np.int32)
         del row  # only the int32 rows stay
@@ -642,9 +645,7 @@ def _kept(mons, terms, src_keep, tgt_keep):
     renumbered in order, with the monomials still used: every renumbering
     is monotone, so the terms stay sorted."""
     src, tgt, mon, coeff = terms.compress(src_keep[terms[0]] & tgt_keep[terms[1]], axis=1)
-    used = np.bincount(mon, minlength=len(mons)) != 0
-    if not used.all():
-        mons, mon = tuple(m for m, u in zip(mons, used.tolist()) if u), (used.cumsum() - 1)[mon]
+    mons, mon = _used_only(mons, mon)
     return mons, np.array([(src_keep.cumsum() - 1)[src], (tgt_keep.cumsum() - 1)[tgt], mon, coeff])
 
 

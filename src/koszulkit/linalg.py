@@ -15,8 +15,8 @@ dense wrapper.  ``kernel_basis`` and ``independent_columns`` take columns
 as entries (rows, cols, vals, width) and read the pivot rows as dicts.
 Only ``kernel_basis`` back-substitutes, and it reads the reduced rows as
 entries: nothing builds a (rank, n) array.  ``summed`` merges entries at
-equal keys.  The blocks met are small, or large and sparse, and fill in
-little.
+equal keys, and ``ranges`` concatenates index ranges.  The blocks met are
+small, or large and sparse, and fill in little.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["is_odd_prime", "check_modulus", "rank", "echelon", "rref", "structural_pivots", "components", "kernel_basis",
-           "independent_columns", "sorted_join", "summed"]
+           "independent_columns", "ranges", "sorted_join", "summed"]
 
 
 # Largest join ``sorted_join`` builds, in pairs, refused before any pair array
@@ -45,8 +45,14 @@ def sorted_join(a, b):
     count = b.searchsorted(a, "right") - lo
     if (total := int(count.sum())) > MAX_JOIN_PAIRS:
         raise ValueError(f"a join of {total:,} pairs is over the limit of {MAX_JOIN_PAIRS:,}")
-    i = np.arange(len(a)).repeat(count)
-    return i, np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)
+    return np.arange(len(a)).repeat(count), ranges(lo, count)
+
+
+def ranges(starts, counts) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]) concatenated, as int64."""
+    at = (starts - counts.cumsum() + counts).repeat(counts)
+    at += np.arange(len(at))
+    return at
 
 
 def summed(key, vals, p: int):

@@ -380,6 +380,18 @@ def test_ext_counts_invert_the_graded_cartan_matrix(p):
         assert (got == want).all(), (A.types, got)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 23])
+def test_graded_cartan_is_gorenstein_symmetric(p):
+    """t^{2N} C_rs(1/t) = C_rs(t) for every pair (r, s) of ``graded_cartan``,
+    2N the top degree: 2 on the regular blocks and the quiver basic algebra
+    (p <= 7), 0 on the singular block.  With the BGS identity P(-t) C(t)^T
+    = I above, this is P(1/t) = t^{2N} P(t) for these symmetric blocks."""
+    algebras = [(build_regular_block(p, lam), 2) for lam in range((p - 1) // 2)] + [(build_singular_block(p), 0)]
+    for A, top in algebras + ([(quiver_basic_algebra(p), 2)] if p <= 7 else []):
+        for pair, dims in graded_cartan(A).items():
+            assert dims == {top - d: n for d, n in dims.items()}, (p, pair, dims)
+
+
 def probe_algebras():
     """(algebra, its dense table) pairs.  The probe reads an algebra's corner
     of types, and the reference every label: the blocks at p = 7 (blocks of

@@ -25,7 +25,7 @@ from deadline import within
 from dict_reference import DictMap, DictModule, dg_map, module, monomials_by_bidegree, to_nested
 from dict_reference import cone as dict_cone
 from koszulkit import cli, dgmodule
-from koszulkit.algebra import make_algebra, span_size, table
+from koszulkit.algebra import KINDS, AlgebraSpec, make_algebra, span_size, table
 from koszulkit.bigraded import Window
 from koszulkit.dgmodule import (
     SemifreeDgModule,
@@ -398,6 +398,28 @@ def check_against_brute_force(A, lo, hi, js, found):
     got = dict(zip(t.mons, map(tuple, t.degs.tolist())))
     assert len(got) == len(t.mons) and got == want, (A, lo, hi)
     assert span_size(A, lo, hi) == len(want), (A, lo, hi)
+
+
+def test_the_spec_is_a_tuple_filled_in_by_the_kind_table():
+    """Specs hash and compare as tuples, in C.  ``make_algebra`` fills in
+    n_sym, n_ext and sym_deg as the docstring's table (``GENERATORS``) gives
+    them, so specs that differ in any one of kind, e, f or p are unequal,
+    also where the counts agree (S(2, 1) and S(3, 1))."""
+    assert AlgebraSpec.__hash__ is tuple.__hash__ and AlgebraSpec.__eq__ is tuple.__eq__
+    args = [(kind, e, f, p) for kind in KINDS for e, f in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1), (4, 4), (62, 62)] for p in (3, 5)]
+    specs = [make_algebra(*a) for a in args]
+    for (kind, e, f, p), A in zip(args, specs):
+        n_sym, sym, n_ext = GENERATORS[kind](e, f)
+        assert A == (kind, e, f, p, n_sym, n_ext, sym) and A.ext_deg == (-1, 2), A
+    assert len(set(specs)) == len(specs)
+
+
+def test_equal_specs_share_one_table_entry():
+    A, B = make_algebra("Q", 3, 1, 5), make_algebra("Q", 3, 1, 5)
+    assert A is not B
+    first = table(A, -7, 11)
+    hits = table.cache_info().hits
+    assert table(B, -7, 11) is first and table.cache_info().hits == hits + 1
 
 
 # Range ends: odd, negative, and past the degree bounds of some kinds
